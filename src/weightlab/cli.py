@@ -65,9 +65,9 @@ def _load_grid(path: str) -> GridFunction:
     return GridFunction(box, values, mask=mask)
 
 
-def _load_matrix_arg(arg: str) -> SquareMatrix:
+def _load_matrix_arg(arg: str, dim: int = 1) -> SquareMatrix:
     try:
-        return SquareMatrix.scalar(float(arg))
+        return SquareMatrix.scalar(float(arg), dim)
     except ValueError:
         return load_matrix(arg)
 
@@ -117,7 +117,7 @@ def _cmd_maximal(args) -> int:
     else:
         raise ValueError(f"unknown operator {args.operator!r}")
     if args.matrix:
-        A = _load_matrix_arg(args.matrix)
+        A = _load_matrix_arg(args.matrix, field.dim)
         field = matrix_compose(field, A)
     if args.out:
         _dump_field_csv(args.out, field)
@@ -164,19 +164,22 @@ def _cmd_constant(args) -> int:
 
 
 def _auto_k_range(f: GridFunction, a: float, alpha: float):
-    root = float(np.mean(f.values)) * (1.0 + 1e-9)
+    with np.errstate(over="ignore"):     # an overflowing mean is rejected below
+        root = float(np.mean(f.values)) * (1.0 + 1e-9)
     if root == 0.0:
         return range(0, 1)
     side = f.hi[0] - f.lo[0]
+    top = float(f.values.max())
     if alpha:
         root *= side ** alpha
+        top *= side ** alpha
+    if not (math.isfinite(root) and math.isfinite(top)):
+        raise ValueError("grid values overflow the automatic k range; "
+                         "pass --kmin and --kmax")
     dim = f.dim
     k_low = math.ceil(math.log(2 ** dim * root, a) - 1e-12)
     while a ** k_low < 2 ** dim * root:
         k_low += 1
-    top = float(f.values.max())
-    if alpha:
-        top *= side ** alpha
     k_hi = k_low
     while a ** k_hi / 4 ** dim <= top and k_hi - k_low < 60:
         k_hi += 1

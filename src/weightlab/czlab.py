@@ -34,7 +34,13 @@ from .funcspace import (
     SquareMatrix,
     compose_matrix,
 )
-from .maximal import dyadic_maximal, fractional_maximal, hl_maximal, orlicz_maximal
+from .maximal import (
+    _box_corners,
+    dyadic_maximal,
+    fractional_maximal,
+    hl_maximal,
+    orlicz_maximal,
+)
 from .young import YoungFn, bp_integral, complementary, luxemburg_norm_of_values
 
 __all__ = [
@@ -318,12 +324,6 @@ def _grid_bijection(grid: GridFunction, A: SquareMatrix):
     if not (counts == 1).all():
         raise DomainError("matrix does not map cells onto cells bijectively")
     return lo, hi, perm
-
-
-def _box_corners(lo, hi):
-    if len(lo) == 1:
-        return [(lo[0],), (hi[0],)]
-    return [(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +838,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
             vn3 = luxemburg_norm_of_values(dual_vals[slc3], phi)
             avg_wa = _float_span_sum(WA_grid, sp3) / _span_cells(sp3)
             b3 = max(b3, vn3 * avg_wa ** (1.0 / E))
-        r = phi.r
-        class_factor = 3 ** (dim / r)
+        class_factor = 3 ** (dim / phi.exponent)
         class_check = B_used <= class_factor * b3 * (1.0 + 1e-9)
     else:
         b3, class_factor, class_check = None, None, None

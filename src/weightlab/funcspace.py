@@ -354,8 +354,12 @@ class SquareMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SquareMatrix":
-        n = int(d["dim"])
-        return cls(np.asarray(d["entries"], dtype=float).reshape(n, n))
+        """Flat entries with "dim", or nested rows (dim from the rows)."""
+        entries = np.asarray(d["entries"], dtype=float)
+        if "dim" in d:
+            n = int(d["dim"])
+            entries = entries.reshape(n, n)
+        return cls(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +513,18 @@ def _product_corners(per_axis):
 # grid functions with exact cube sums
 # ---------------------------------------------------------------------------
 
+def _cumsum_prefix(values: np.ndarray) -> np.ndarray:
+    """Float prefix sums with a leading zero per axis (1D or 2D):
+    P[i] = sum(values[:i]), P[i, j] = sum(values[:i, :j])."""
+    if values.ndim == 1:
+        p = np.zeros(values.shape[0] + 1)
+        np.cumsum(values, out=p[1:])
+    else:
+        p = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
+        p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    return p
+
+
 def _exact_prefix_1d(values: np.ndarray):
     """Integer prefix over a common power-of-two denominator (lossless)."""
     nums, dens = [], []
@@ -528,7 +544,8 @@ def _exact_prefix_1d(values: np.ndarray):
 class GridFunction:
     """Nonnegative function stored as exact per-cell averages on a box grid.
 
-    Supports dim 1 and 2.  `cube_sum` over any grid-aligned span is the
+    Supports dim 1 and 2; the box needs hi > lo and the values are finite,
+    with at least one cell.  `cube_sum` over any grid-aligned span is the
     correctly rounded true sum of the covered cell masses (integer prefix).
     `mask` marks cells carrying a defined value; matrix pullbacks may leave
     out-of-domain cells, which are excluded from norms and level sets.
@@ -537,9 +554,15 @@ class GridFunction:
     def __init__(self, box, values, mask=None):
         self.lo, self.hi = _normalize_box(box)
         self.dim = len(self.lo)
+        if any(not h > l for l, h in zip(self.lo, self.hi)):
+            raise ValueError("grid box needs hi > lo on every axis")
         vals = np.asarray(values, dtype=float)
         if vals.ndim != self.dim:
             raise ValueError("value array rank must match box dimension")
+        if vals.size == 0:
+            raise ValueError("grid needs at least one cell")
+        if not np.isfinite(vals).all():
+            raise ValueError("grid values must be finite")
         if np.any(vals < 0):
             raise ValueError("grid values must be nonnegative")
         self.values = vals
@@ -607,13 +630,7 @@ class GridFunction:
 
     def float_prefix(self):
         if self._float_prefix is None:
-            if self.dim == 1:
-                p = np.zeros(self.shape[0] + 1)
-                np.cumsum(self.values, out=p[1:])
-            else:
-                p = np.zeros((self.shape[0] + 1, self.shape[1] + 1))
-                p[1:, 1:] = self.values.cumsum(axis=0).cumsum(axis=1)
-            self._float_prefix = p
+            self._float_prefix = _cumsum_prefix(self.values)
         return self._float_prefix
 
     # -- geometry helpers ----------------------------------------------------

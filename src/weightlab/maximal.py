@@ -9,11 +9,23 @@ that cell, of a cube functional of the input:
 * ``dyadic_maximal``       average, cubes restricted to the dyadic splits
 * ``orlicz_maximal``       normalized Luxemburg norm over the cube
 
-With ``family=None`` the supremum runs over all grid-aligned cubes (every
-side length at every position), which dominates any family on the same grid.
-Cells without a defined value (mask False) contribute their stored value 0,
-so all fields are lower bounds for the operators applied to any nonnegative
-extension of the data.
+All four run one sweep.  A window set is a side length in cells and one
+``slice`` of window starts per axis: every position of one length, one
+lattice of a ``CubeFamily``, or one dyadic split.  A cube functional gives
+its values at those starts, and the sweep spreads them to the cells, so each
+cell receives the largest value of the windows in the set that contain it:
+overlapping windows are written into a -inf array at their starts and take
+the trailing maximum of the side along every axis; a lattice tiles its
+region, so its values are repeated over their windows.  The functionals are
+prefix-sum averages (optionally powered, for homogeneous Young functions),
+window maxima (the sup-norm Young function) and a per-cube Luxemburg norm
+(any other Young function).
+
+With ``family=None`` the supremum runs over every position of each side
+length selected by ``lengths``; with all lengths this dominates any family
+on the same grid.  Cells without a defined value (mask False) contribute
+their stored value 0, so all fields are lower bounds for the operators
+applied to any nonnegative extension of the data.
 
 ``matrix_compose`` evaluates a field at A^(-1) x, which turns a plain
 maximal field into the matrix-composed variant.
@@ -25,7 +37,7 @@ import math
 
 import numpy as np
 
-from .funcspace import CubeFamily, GridFunction, SquareMatrix
+from .funcspace import CubeFamily, GridFunction, SquareMatrix, _cumsum_prefix
 from .young import YoungFn, luxemburg_norm_of_values
 
 __all__ = [
@@ -54,44 +66,24 @@ def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
     suff = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
     suff = suff.reshape(x.shape[:-1] + (nb,))
     out = pref[..., :n].copy()
-    idx = np.arange(L - 1, n)
-    out[..., L - 1:] = np.maximum(suff[..., idx - L + 1], pref[..., idx])
+    out[..., L - 1:] = np.maximum(suff[..., :n - L + 1], pref[..., L - 1:n])
     return out
 
 
-def _window_averages_1d(prefix: np.ndarray, L: int) -> np.ndarray:
-    # clamp: cancellation in the prefix sums can leave tiny negatives over
-    # all-zero stretches, which fractional powers would turn into NaN
-    return np.maximum(prefix[L:] - prefix[:-L], 0.0) / L
-
-
-def _window_averages_2d(prefix: np.ndarray, L: int) -> np.ndarray:
-    S = (prefix[L:, L:] - prefix[:-L, L:] - prefix[L:, :-L]
-         + prefix[:-L, :-L])
-    return np.maximum(S, 0.0) / (L * L)
-
-
-def _spread_full(contrib: np.ndarray, L: int, n: int) -> np.ndarray:
-    """Embed start-indexed window values into length-n cell axis, then take
-    the trailing max so each cell sees every window containing it."""
-    if contrib.ndim == 1:
-        padded = np.full(n, -np.inf)
-        padded[: n - L + 1] = contrib
-        return _trailing_max(padded, L)
-    padded = np.full((n, n), -np.inf)
-    m = n - L + 1
-    padded[:m, :m] = contrib
-    out = _trailing_max(padded, L)
-    return _trailing_max(out.T, L).T
+def _trailing_max_all_axes(x: np.ndarray, L: int) -> np.ndarray:
+    # .T is a no-op in 1D; in 2D the second call runs along the first axis
+    for _ in range(x.ndim):
+        x = _trailing_max(x, L).T
+    return x
 
 
 # ---------------------------------------------------------------------------
-# core sweeps
+# the sweep: window sets, one spread loop, cube functionals
 # ---------------------------------------------------------------------------
 
 def _length_list(n: int, lengths) -> list:
     """Window side lengths in cells: "all", "dyadic" (sides n / 2^j plus
-    single cells), or an explicit iterable."""
+    single cells), or an explicit iterable of lengths in 1..n."""
     if lengths == "all":
         return list(range(1, n + 1))
     if lengths == "dyadic":
@@ -105,87 +97,116 @@ def _length_list(n: int, lengths) -> list:
         if out[-1] != 1:
             out.append(1)
         return sorted(set(out))
-    return sorted({int(L) for L in lengths})
+    out = sorted({int(L) for L in lengths})
+    if out and not 1 <= out[0] <= out[-1] <= n:
+        raise ValueError(f"window lengths must lie in 1..{n}")
+    return out
 
 
-def _sup_field(f: GridFunction, family, alpha: float,
-               powered: float | None = None, coeff: float = 1.0,
-               lengths="all"):
-    """Supremum field of (side^alpha) * (coeff * avg of f^powered)^(1/powered).
-
-    powered=None means a plain average (hl / fractional); a float r gives the
-    closed-form Luxemburg norm of the power Young function coeff * t^r.
-    With family=None the sweep covers every position of every side length
-    selected by ``lengths``.
-    """
+def _windows(f: GridFunction, family, lengths) -> list:
+    """(side, starts) window sets: every position of each selected length
+    when family is None, else one lattice per level and offset of the family."""
     n = f.shape[0]
+    if family is None:
+        return [(L, (slice(0, n - L + 1),) * f.dim)
+                for L in _length_list(n, lengths)]
+    if not isinstance(family, CubeFamily):
+        raise TypeError("family must be a CubeFamily or None")
+    if abs(family.box_side - (f.hi[0] - f.lo[0])) > 1e-9 * family.box_side \
+            or any(abs(a - b) > 1e-9 for a, b in zip(family.lo, f.lo)):
+        raise ValueError("family box must match the grid box")
+    return [(side, (slice(off, starts[-1] + 1, side),) * f.dim)
+            for _, off, side, starts in family.cell_spans(n)]
+
+
+def _spread(vals: np.ndarray, side: int, starts, shape):
+    """(cells, block): block holds, for each cell of the region out[cells],
+    the largest entry of vals over the windows containing that cell, and -inf
+    where none does.  Entry k of vals belongs to the window of ``side`` cells
+    at the k-th start of ``starts`` on every axis."""
+    if starts[0].step == side:
+        # a lattice tiles its region: every cell lies in exactly one window
+        # (window sets repeat one slice on every axis)
+        for axis in range(vals.ndim):
+            vals = np.repeat(vals, side, axis=axis)
+        return tuple(slice(s.start, s.start + m)
+                     for s, m in zip(starts, vals.shape)), vals
+    block = np.full(shape, -np.inf)
+    block[starts] = vals
+    return ..., _trailing_max_all_axes(block, side)
+
+
+def _sweep(f: GridFunction, windows, cube_values,
+           alpha: float = 0.0) -> GridFunction:
+    """Field whose cell value is the largest side^alpha * cube_values(side,
+    starts) entry over the windows containing the cell.  alpha = 0 skips the
+    scale factor, so every operator at alpha = 0 is bitwise ``hl_maximal``
+    whenever its cube values are."""
     if f.dim == 2 and f.shape[0] != f.shape[1]:
         raise ValueError("maximal sweeps need a square grid")
     h = f.h[0]
-    if powered is None:
-        base = f.values
-    else:
-        base = f.values ** powered
-    if f.dim == 1:
-        prefix = np.zeros(n + 1)
-        np.cumsum(base, out=prefix[1:])
-    else:
-        prefix = np.zeros((n + 1, n + 1))
-        prefix[1:, 1:] = base.cumsum(axis=0).cumsum(axis=1)
-
-    def contrib_of(avgs: np.ndarray, L: int) -> np.ndarray:
-        vals = avgs
-        if powered is not None:
-            vals = (coeff * vals) ** (1.0 / powered)
-        if alpha != 0.0:
-            vals = vals * (L * h) ** alpha
-        return vals
-
     out = np.full(f.shape, -np.inf)
-    if family is None:
-        for L in _length_list(n, lengths):
-            if f.dim == 1:
-                avgs = _window_averages_1d(prefix, L)
-            else:
-                avgs = _window_averages_2d(prefix, L)
-            np.maximum(out, _spread_full(contrib_of(avgs, L), L, n), out=out)
-        return GridFunction((f.lo, f.hi), out)
-
-    for level, off, side, starts in _lattices(f, family):
-        if f.dim == 1:
-            avgs = _window_averages_1d(prefix, side)[starts]
-            vals = np.repeat(contrib_of(avgs, side), side)
-            lo = starts[0]
-            np.maximum(out[lo:lo + vals.size], vals, out=out[lo:lo + vals.size])
-        else:
-            st = np.asarray(starts)
-            avgs = _window_averages_2d(prefix, side)[np.ix_(st, st)]
-            vals = contrib_of(avgs, side)
-            vals = np.repeat(np.repeat(vals, side, axis=0), side, axis=1)
-            lo = starts[0]
-            m = vals.shape[0]
-            region = out[lo:lo + m, lo:lo + m]
-            np.maximum(region, vals, out=region)
-    if not np.isfinite(out).all():
-        raise ValueError("family does not cover the grid (missing level-0 lattice)")
+    for side, starts in windows:
+        vals = cube_values(side, starts)
+        if alpha != 0.0:
+            vals = vals * (side * h) ** alpha
+        cells, block = _spread(vals, side, starts, f.shape)
+        region = out[cells]
+        np.maximum(region, block, out=region)
+    if np.isneginf(out).any():
+        raise ValueError("the cubes do not cover the grid "
+                         "(a family needs its level-0 lattice)")
     return GridFunction((f.lo, f.hi), out)
 
 
-def _lattices(f: GridFunction, family):
-    """(level, offset, side_cells, starts) windows of a family on f's grid."""
+def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
+    """Cube functional (c * avg f^r)^(1/r) from one prefix; r=None is the
+    plain average."""
+    P = _cumsum_prefix(f.values if r is None else f.values ** r)
+    dim = f.dim
+
+    def values(side, starts):
+        # P[side:] indexed at the starts reads the prefix at the window ends
+        if dim == 1:
+            S = P[side:][starts] - P[starts]
+        else:
+            S = (P[side:, side:][starts] - P[:, side:][starts]
+                 - P[side:, :][starts] + P[starts])
+        # clamp: cancellation in the prefix sums can leave tiny negatives over
+        # all-zero stretches, which fractional powers would turn into NaN
+        vals = np.maximum(S, 0.0) / side ** dim
+        if r is not None:
+            vals = (c * vals) ** (1.0 / r)
+        return vals
+    return values
+
+
+def _window_maxima(f: GridFunction):
+    """Cube functional max of f (the sup-norm Young function)."""
+    def values(side, starts):
+        last = (slice(side - 1, None),) * f.dim     # window end cells
+        return _trailing_max_all_axes(f.values, side)[last][starts]
+    return values
+
+
+def _luxemburg_norms(f: GridFunction, phi: YoungFn):
+    """Cube functional ||f||_{phi,Q}, one bisection per cube."""
     n = f.shape[0]
-    if isinstance(family, CubeFamily):
-        if abs(family.box_side - (f.hi[0] - f.lo[0])) > 1e-9 * family.box_side \
-                or any(abs(a - b) > 1e-9 for a, b in zip(family.lo, f.lo)):
-            raise ValueError("family box must match the grid box")
-        return family.cell_spans(n)
-    raise TypeError("family must be a CubeFamily or None")
+
+    def values(side, starts):
+        axes = [range(*s.indices(n)) for s in starts]
+        vals = np.empty([len(a) for a in axes])
+        for idx in np.ndindex(vals.shape):
+            cube = tuple(slice(a[i], a[i] + side) for a, i in zip(axes, idx))
+            vals[idx] = luxemburg_norm_of_values(f.values[cube].ravel(), phi)
+        return vals
+    return values
 
 
 def hl_maximal(f: GridFunction, family: CubeFamily | None = None,
                lengths="all") -> GridFunction:
     """Hardy-Littlewood maximal field: sup of cube averages."""
-    return _sup_field(f, family, alpha=0.0, lengths=lengths)
+    return _sweep(f, _windows(f, family, lengths), _averages(f))
 
 
 def fractional_maximal(f: GridFunction, alpha: float,
@@ -198,7 +219,7 @@ def fractional_maximal(f: GridFunction, alpha: float,
     """
     if not 0.0 <= alpha < f.dim:
         raise ValueError("alpha must lie in [0, dim)")
-    return _sup_field(f, family, alpha=float(alpha), lengths=lengths)
+    return _sweep(f, _windows(f, family, lengths), _averages(f), float(alpha))
 
 
 def dyadic_maximal(f: GridFunction, min_side_cells: int = 1) -> GridFunction:
@@ -208,23 +229,14 @@ def dyadic_maximal(f: GridFunction, min_side_cells: int = 1) -> GridFunction:
     as far as the cell count divides evenly.
     """
     n = f.shape[0]
-    lattices = []
-    j = 0
-    while n % (1 << j) == 0:
-        side = n >> j
-        if side < min_side_cells:
+    windows = []
+    side = n
+    while side >= min_side_cells:
+        windows.append((side, (slice(0, n, side),) * f.dim))
+        if side % 2:
             break
-        lattices.append((j, 0, side, list(range(0, n, side))))
-        if side == 1:
-            break
-        j += 1
-    fixed = CubeFamily.__new__(CubeFamily)
-    fixed.lo, fixed.hi = f.lo, f.hi
-    fixed.dim = f.dim
-    fixed.levels = (0, j)
-    fixed.shifts = 1
-    fixed.cell_spans = lambda m: lattices
-    return _sup_field(f, fixed, alpha=0.0)
+        side //= 2
+    return _sweep(f, windows, _averages(f))
 
 
 def orlicz_maximal(f: GridFunction, phi: YoungFn,
@@ -237,60 +249,16 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     Luxemburg bisection per cube and therefore need a finite family.
     """
     if phi.kind == "identity":
-        return _sup_field(f, family, alpha=alpha, lengths=lengths)
-    if phi.is_homogeneous:
-        return _sup_field(f, family, alpha=alpha, powered=phi.r, coeff=phi.c,
-                          lengths=lengths)
-    if phi.kind == "sup":
-        return _sup_max_field(f, family, alpha)
-    if family is None:
+        cube_values = _averages(f)
+    elif phi.is_homogeneous:
+        cube_values = _averages(f, phi.r, phi.c)
+    elif phi.kind == "sup":
+        cube_values = _window_maxima(f)
+    elif family is None:
         raise ValueError(f"{phi.describe()} needs a finite cube family")
-    out = np.full(f.shape, -np.inf)
-    h = f.h[0]
-    for level, off, side, starts in _lattices(f, family):
-        scale = (side * h) ** alpha if alpha != 0.0 else 1.0
-        for s in starts:
-            if f.dim == 1:
-                vals = f.values[s:s + side]
-                norm = luxemburg_norm_of_values(vals, phi) * scale
-                np.maximum(out[s:s + side], norm, out=out[s:s + side])
-            else:
-                for s2 in starts:
-                    vals = f.values[s:s + side, s2:s2 + side]
-                    norm = luxemburg_norm_of_values(vals.ravel(), phi) * scale
-                    region = out[s:s + side, s2:s2 + side]
-                    np.maximum(region, norm, out=region)
-    if not np.isfinite(out).all():
-        raise ValueError("family does not cover the grid")
-    return GridFunction((f.lo, f.hi), out)
-
-
-def _sup_max_field(f: GridFunction, family, alpha: float) -> GridFunction:
-    """Field of windowed maxima (the sup-norm Young function)."""
-    n = f.shape[0]
-    h = f.h[0]
-    out = np.full(f.shape, -np.inf)
-    if family is None:
-        for L in range(1, n + 1):
-            scale = (L * h) ** alpha if alpha != 0.0 else 1.0
-            if f.dim == 1:
-                win = _trailing_max(f.values, L)[L - 1:]
-            else:
-                win = _trailing_max(_trailing_max(f.values, L).T, L).T[L - 1:, L - 1:]
-            np.maximum(out, _spread_full(win * scale, L, n), out=out)
-        return GridFunction((f.lo, f.hi), out)
-    for level, off, side, starts in _lattices(f, family):
-        scale = (side * h) ** alpha if alpha != 0.0 else 1.0
-        for s in starts:
-            if f.dim == 1:
-                m = float(f.values[s:s + side].max()) * scale
-                np.maximum(out[s:s + side], m, out=out[s:s + side])
-            else:
-                for s2 in starts:
-                    m = float(f.values[s:s + side, s2:s2 + side].max()) * scale
-                    region = out[s:s + side, s2:s2 + side]
-                    np.maximum(region, m, out=region)
-    return GridFunction((f.lo, f.hi), out)
+    else:
+        cube_values = _luxemburg_norms(f, phi)
+    return _sweep(f, _windows(f, family, lengths), cube_values, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,24 @@ def test_chain_2d_product_weight():
                               if s.rel_slack < -1e-6]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chain_identity_bump_class_factor(dim):
+    if dim == 1:
+        f, w, A = corpus_function(256), power_weight(0.5, -40.0, 40.0), 2.0
+    else:
+        rng = np.random.default_rng(34)
+        vals = rng.random((16, 16)) * 2.0
+        vals[3:6, 9:12] = 30.0
+        f = GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
+        w = (power_weight(0.5, -40.0, 40.0), constant_weight(1.0, -40.0, 40.0))
+        A = SquareMatrix([[0.0, -2.0], [0.5, 0.0]])
+    rep = theorem_chain_check(f, w, A, 2.0, YoungFn.identity())
+    assert rep.applicable, rep.reason
+    assert rep.passed(), [(s.name, s.rel_slack) for s in rep.steps
+                          if s.rel_slack < -1e-6]
+    assert rep.constants["bump_class_factor"] == 3.0 ** dim
+
+
 def test_chain_vacuous_zero_function():
     f = GridFunction((-1.0, 1.0), np.zeros(64))
     w = constant_weight(1.0, -40.0, 40.0)

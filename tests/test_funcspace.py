@@ -160,6 +160,15 @@ def test_matrix_inverse_and_det():
     assert back[0] == pytest.approx(x[0]) and back[1] == pytest.approx(x[1])
 
 
+def test_matrix_json_forms():
+    nested = SquareMatrix.from_json_dict({"entries": [[0.0, -2.0], [0.5, 0.0]]})
+    flat = SquareMatrix.from_json_dict({"dim": 2, "entries": [0.0, -2.0, 0.5, 0.0]})
+    assert nested.dim == 2
+    np.testing.assert_array_equal(nested.entries, flat.entries)
+    with pytest.raises(ValueError):
+        SquareMatrix.from_json_dict({"entries": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]})
+
+
 def test_matrix_order():
     assert SquareMatrix.scalar(-1.0).order() == 2
     assert SquareMatrix([[0.0, -1.0], [1.0, 0.0]]).order() == 4

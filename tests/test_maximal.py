@@ -66,6 +66,17 @@ def brute_field_2d(vals, h, alpha=0.0):
     return out
 
 
+def brute_family_field(g, family, cube_value):
+    """max of cube_value(cell values, side) over the family's cubes that
+    contain each cell, enumerated by family.cubes()."""
+    out = np.full(g.shape, -np.inf)
+    for cube in family.cubes():
+        cells = tuple(slice(a, b) for a, b in g.span_of_cube(cube))
+        region = out[cells]
+        np.maximum(region, cube_value(g.values[cells], cube.side), out=region)
+    return out
+
+
 def brute_dyadic_1d(vals):
     n = len(vals)
     out = np.zeros(n)
@@ -144,6 +155,28 @@ def test_hl_family_restriction_is_dominated():
     assert np.all(restricted <= hl_maximal(g).values + 1e-15)
 
 
+@pytest.mark.parametrize("box, n, levels, shifts", [
+    ((0.0, 2.0), 64, (0, 5), 2),
+    ((0.0, 3.0), 48, (0, 4), 3),
+    (((0.0, 0.0), (1.0, 1.0)), 16, (0, 3), 2),
+])
+def test_family_fields_match_per_cube_brute(box, n, levels, shifts):
+    rng = np.random.default_rng(23)
+    dim = 1 if np.isscalar(box[0]) else 2
+    g = GridFunction(box, rng.random((n,) * dim))
+    fam = CubeFamily(box, levels=levels, shifts=shifts)
+    np.testing.assert_allclose(
+        hl_maximal(g, family=fam).values,
+        brute_family_field(g, fam, lambda v, side: v.mean()), rtol=1e-12)
+    np.testing.assert_allclose(
+        fractional_maximal(g, 0.5, family=fam).values,
+        brute_family_field(g, fam, lambda v, side: v.mean() * side ** 0.5),
+        rtol=1e-12)
+    assert np.array_equal(
+        orlicz_maximal(g, YoungFn("sup"), family=fam).values,
+        brute_family_field(g, fam, lambda v, side: v.max()))
+
+
 def test_family_box_mismatch_rejected():
     g = GridFunction((0.0, 2.0), np.ones(8))
     with pytest.raises(ValueError):
@@ -160,6 +193,16 @@ def test_dyadic_matches_brute():
     g = GridFunction((-1.0, 1.0), vals)
     np.testing.assert_allclose(dyadic_maximal(g).values,
                                brute_dyadic_1d(vals), rtol=1e-12)
+
+
+def test_dyadic_matches_brute_2d():
+    rng = np.random.default_rng(24)
+    box = ((-1.0, -1.0), (1.0, 1.0))
+    g = GridFunction(box, rng.random((16, 16)))
+    splits = CubeFamily(box, levels=(0, 4))     # dyadic splits down to cells
+    np.testing.assert_allclose(
+        dyadic_maximal(g).values,
+        brute_family_field(g, splits, lambda v, side: v.mean()), rtol=1e-12)
 
 
 def test_dyadic_below_hl():
@@ -222,9 +265,13 @@ def test_orlicz_sup_kind_is_windowed_max():
     rng = np.random.default_rng(18)
     vals = rng.random(20)
     g = GridFunction((0.0, 1.0), vals)
-    got = orlicz_maximal(g, YoungFn("sup")).values
-    ref = brute_field_1d(vals, g.h[0], sup=True)
-    np.testing.assert_allclose(got, ref, rtol=1e-13)
+    # "dyadic" keeps the whole box, whose window holds the global maximum;
+    # only lengths short of n leave a field that differs from "all"
+    for lengths, Ls in (("all", None), ("dyadic", [1, 5, 10, 20]),
+                        ([1, 2, 4], [1, 2, 4])):
+        got = orlicz_maximal(g, YoungFn("sup"), lengths=lengths).values
+        ref = brute_field_1d(vals, g.h[0], lengths=Ls, sup=True)
+        np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
 def test_orlicz_nonhomogeneous_needs_family():

@@ -184,6 +184,32 @@ def test_cli_maximal_composed_with_scalar(grid_file, capsys):
     assert doc["cells"] == [64]
 
 
+@pytest.fixture
+def grid2d_file(tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "grid2d.json"
+    path.write_text(json.dumps({
+        "box": [[-1.0, -1.0], [1.0, 1.0]],
+        "values": (rng.integers(0, 16, size=(8, 8)) / 4.0).tolist(),
+    }))
+    return str(path)
+
+
+def test_cli_maximal_2d_composed_with_scalar(grid2d_file, capsys):
+    rc = main(["maximal", "--input", grid2d_file, "--matrix", "2.0"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == [16, 16]
+
+
+def test_cli_maximal_2d_composed_with_nested_matrix(grid2d_file, tmp_path,
+                                                    capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"entries": [[0, -2], [0.5, 0]]}))
+    rc = main(["maximal", "--input", grid2d_file, "--matrix", str(matrix)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == [16, 4]
+
+
 def test_cli_maximal_orlicz_requires_phi(grid_file):
     assert main(["maximal", "--input", grid_file,
                  "--operator", "orlicz"]) == 2
@@ -255,6 +281,20 @@ def test_cli_bad_input_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["maximal", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("maximal", {"box": [0.0, 1.0], "values": [1.0, math.nan, 2.0, 0.5]}),
+    ("maximal", {"box": [0.0, 1.0], "values": []}),
+    ("maximal", {"box": [1.0, 0.0], "values": [1.0, 2.0]}),
+    ("cz", {"box": [0.0, 1.0], "values": [1e308] * 8}),
+], ids=["nan", "empty", "reversed-box", "overflow"])
+def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_constant_rejects_unknown_measure_token(weight_file):
