@@ -515,13 +515,20 @@ def _product_corners(per_axis):
 
 def _cumsum_prefix(values: np.ndarray) -> np.ndarray:
     """Float prefix sums with a leading zero per axis (1D or 2D):
-    P[i] = sum(values[:i]), P[i, j] = sum(values[:i, :j])."""
-    if values.ndim == 1:
-        p = np.zeros(values.shape[0] + 1)
-        np.cumsum(values, out=p[1:])
-    else:
-        p = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
-        p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    P[i] = sum(values[:i]), P[i, j] = sum(values[:i, :j]).
+
+    Raises ValueError when a sum overflows: an inf or NaN stays in every
+    later running sum, so the last entry shows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if values.ndim == 1:
+            p = np.zeros(values.shape[0] + 1)
+            np.cumsum(values, out=p[1:])
+        else:
+            p = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
+            p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    if not math.isfinite(p.flat[-1]):
+        raise ValueError("the prefix sums of the grid values overflow "
+                         "the float range")
     return p
 
 

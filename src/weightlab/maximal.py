@@ -21,6 +21,14 @@ prefix-sum averages (optionally powered, for homogeneous Young functions),
 window maxima (the sup-norm Young function) and a per-cube Luxemburg norm
 (any other Young function).
 
+One window set takes another path: every length on a 1D grid (``family=None``
+with ``lengths="all"``) covers every window [a, b), so the field is the
+quadrant maximum field[i] = max of V[a, b] over a <= i < b of the window
+values V.  For the prefix-average functionals it is computed in blocks of
+rows a, with running maxima along b and along a, instead of one spread per
+length.  It reads the same window values, so its field equals the sweep's
+bit for bit.
+
 With ``family=None`` the supremum runs over every position of each side
 length selected by ``lengths``; with all lengths this dominates any family
 on the same grid.  Cells without a defined value (mask False) contribute
@@ -81,12 +89,20 @@ def _trailing_max_all_axes(x: np.ndarray, L: int) -> np.ndarray:
 # the sweep: window sets, one spread loop, cube functionals
 # ---------------------------------------------------------------------------
 
+def _every_length(lengths) -> bool:
+    # a str test first: an array of lengths compared to "all" is elementwise
+    return isinstance(lengths, str) and lengths == "all"
+
+
 def _length_list(n: int, lengths) -> list:
     """Window side lengths in cells: "all", "dyadic" (sides n / 2^j plus
     single cells), or an explicit iterable of lengths in 1..n."""
-    if lengths == "all":
+    if _every_length(lengths):
         return list(range(1, n + 1))
-    if lengths == "dyadic":
+    if isinstance(lengths, str):
+        if lengths != "dyadic":
+            raise ValueError("lengths must be 'all', 'dyadic' or "
+                             "an iterable of lengths")
         out = []
         side = n
         while side >= 1:
@@ -136,6 +152,12 @@ def _spread(vals: np.ndarray, side: int, starts, shape):
     return ..., _trailing_max_all_axes(block, side)
 
 
+def _scale(side: int, h: float, alpha: float) -> float:
+    """The factor (side * h)^alpha = |Q|^(alpha/n) of a cube of ``side``
+    cells, as a Python float."""
+    return (side * h) ** alpha
+
+
 def _sweep(f: GridFunction, windows, cube_values,
            alpha: float = 0.0) -> GridFunction:
     """Field whose cell value is the largest side^alpha * cube_values(side,
@@ -149,7 +171,7 @@ def _sweep(f: GridFunction, windows, cube_values,
     for side, starts in windows:
         vals = cube_values(side, starts)
         if alpha != 0.0:
-            vals = vals * (side * h) ** alpha
+            vals = vals * _scale(side, h, alpha)
         cells, block = _spread(vals, side, starts, f.shape)
         region = out[cells]
         np.maximum(region, block, out=region)
@@ -159,22 +181,89 @@ def _sweep(f: GridFunction, windows, cube_values,
     return GridFunction((f.lo, f.hi), out)
 
 
+_BLOCK_CELLS = 1 << 14      # cells of one block of rows in _quadrant_max
+
+
+def _quadrant_max(f: GridFunction, cube_values,
+                  alpha: float = 0.0) -> GridFunction:
+    """The ``_sweep`` field of a 1D grid for the window set of every length.
+
+    With V[a, b] the scaled value of the window [a, b), that field is the
+    quadrant maximum field[i] = max of V[a, b] over a <= i < b.  Rows a run
+    in blocks [a0, a1) of at most _BLOCK_CELLS cells, with the columns b in
+    descending order so that running maxima follow the contiguous axis:
+
+    * the tail columns b > a1 hold windows of every row of the block; their
+      maximum over the rows, run down b, serves the cells i >= a1, and
+      their maximum along each row, run down a, serves the block's cells;
+    * the head columns a0 < b <= a1 hold a triangle of windows whose
+      quadrant maximum, a running max along b and then along a, is read on
+      its diagonal b = i + 1.  That read sees only b' > i >= a', so the
+      entries with b <= a, which hold the one-cell window at a, never reach
+      it.
+
+    Each window value comes from the same float operations as in
+    ``_sweep``, and max is exact, so both give the same field bit for bit.
+    """
+    n = f.shape[0]
+    if alpha != 0.0:
+        scales = np.array([_scale(L, f.h[0], alpha) for L in range(n + 1)])
+    out = np.full(n, -np.inf)
+    cells = np.arange(n)
+    a0 = 0
+    while a0 < n:
+        a1 = min(n, a0 + max(1, _BLOCK_CELLS // (n - a0)))
+        starts = cells[a0:a1, None]
+        sides = np.arange(n, a0, -1) - starts   # column j holds b = n - j
+        np.maximum(sides, 1, out=sides)         # b <= a: the window [a, a + 1)
+        V = cube_values(sides, (starts,))
+        if alpha != 0.0:
+            V = V * scales[sides]
+        k = n - a1                              # the columns b > a1
+        head = V[:, k:]
+        np.maximum.accumulate(head, axis=1, out=head)
+        np.maximum.accumulate(head, axis=0, out=head)
+        i = cells[a0:a1]
+        best = head[i - a0, a1 - 1 - i]
+        if k:
+            tail = V[:, :k]
+            np.maximum(best, np.maximum.accumulate(tail.max(axis=1)),
+                       out=best)
+            below = np.maximum.accumulate(tail.max(axis=0))[::-1]
+            np.maximum(out[a1:], below, out=out[a1:])
+        np.maximum(out[a0:a1], best, out=out[a0:a1])
+        a0 = a1
+    return GridFunction((f.lo, f.hi), out)
+
+
+def _shift(s, d):
+    """Index set s (a slice, or an index array) moved by d."""
+    if isinstance(s, slice):
+        return slice(s.start + d, s.stop + d, s.step)
+    return s + d
+
+
 def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     """Cube functional (c * avg f^r)^(1/r) from one prefix; r=None is the
-    plain average."""
-    P = _cumsum_prefix(f.values if r is None else f.values ** r)
+    plain average.  The starts are one slice or one index array per axis;
+    the side is an int, or (1D) an int array broadcasting against the
+    starts."""
+    with np.errstate(over="ignore"):    # the prefix check reports it
+        P = _cumsum_prefix(f.values if r is None else f.values ** r)
     dim = f.dim
 
     def values(side, starts):
-        # P[side:] indexed at the starts reads the prefix at the window ends
+        ends = tuple(_shift(s, side) for s in starts)
         if dim == 1:
-            S = P[side:][starts] - P[starts]
+            S = P[ends] - P[starts]
         else:
-            S = (P[side:, side:][starts] - P[:, side:][starts]
-                 - P[side:, :][starts] + P[starts])
+            S = (P[ends] - P[starts[0], ends[1]]
+                 - P[ends[0], starts[1]] + P[starts])
         # clamp: cancellation in the prefix sums can leave tiny negatives over
-        # all-zero stretches, which fractional powers would turn into NaN
-        vals = np.maximum(S, 0.0) / side ** dim
+        # all-zero stretches, which fractional powers would turn into NaN.
+        # S is a new array, so the clamp and the division may reuse it.
+        vals = np.maximum(S, 0.0, out=S)
+        vals /= side ** dim
         if r is not None:
             vals = (c * vals) ** (1.0 / r)
         return vals
@@ -203,10 +292,19 @@ def _luxemburg_norms(f: GridFunction, phi: YoungFn):
     return values
 
 
+def _average_field(f: GridFunction, family, lengths, cube_values,
+                   alpha: float = 0.0) -> GridFunction:
+    """Field of a prefix-average functional: the window set picks the path,
+    one quadrant maximum for every 1D length, else the per-window sweep."""
+    if f.dim == 1 and family is None and _every_length(lengths):
+        return _quadrant_max(f, cube_values, alpha)
+    return _sweep(f, _windows(f, family, lengths), cube_values, alpha)
+
+
 def hl_maximal(f: GridFunction, family: CubeFamily | None = None,
                lengths="all") -> GridFunction:
     """Hardy-Littlewood maximal field: sup of cube averages."""
-    return _sweep(f, _windows(f, family, lengths), _averages(f))
+    return _average_field(f, family, lengths, _averages(f))
 
 
 def fractional_maximal(f: GridFunction, alpha: float,
@@ -219,7 +317,7 @@ def fractional_maximal(f: GridFunction, alpha: float,
     """
     if not 0.0 <= alpha < f.dim:
         raise ValueError("alpha must lie in [0, dim)")
-    return _sweep(f, _windows(f, family, lengths), _averages(f), float(alpha))
+    return _average_field(f, family, lengths, _averages(f), float(alpha))
 
 
 def dyadic_maximal(f: GridFunction, min_side_cells: int = 1) -> GridFunction:
@@ -249,10 +347,11 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     Luxemburg bisection per cube and therefore need a finite family.
     """
     if phi.kind == "identity":
-        cube_values = _averages(f)
-    elif phi.is_homogeneous:
-        cube_values = _averages(f, phi.r, phi.c)
-    elif phi.kind == "sup":
+        return _average_field(f, family, lengths, _averages(f), alpha)
+    if phi.is_homogeneous:
+        return _average_field(f, family, lengths,
+                              _averages(f, phi.r, phi.c), alpha)
+    if phi.kind == "sup":
         cube_values = _window_maxima(f)
     elif family is None:
         raise ValueError(f"{phi.describe()} needs a finite cube family")

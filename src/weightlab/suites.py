@@ -426,11 +426,11 @@ def _test_functions(n: int, count: int, seed: int = 2026) -> list:
     return out
 
 
-def _weighted_norm_ratio(f: GridFunction, w: SegmentWeight1D, lam: float,
-                         p: float) -> float:
+def _weighted_norm_ratio(f: GridFunction, M: GridFunction,
+                         w: SegmentWeight1D, lam: float, p: float) -> float:
     """||Mf(. / lam)||_{L^p(w)} / ||f||_{L^p(w)} via the substitution
-    x = lam y (both integrals live on the input grid)."""
-    M = hl_maximal(f)
+    x = lam y (both integrals live on the input grid); M is the field
+    ``hl_maximal(f)``, which neither w nor lam changes."""
     box = (f.lo[0], f.hi[0])
     n = f.shape[0]
     wg = sample_to_grid(w, box, n).values
@@ -558,13 +558,14 @@ def suite_theorems(config: dict | None = None) -> SuiteResult:
         {"family_box": [-8.5, -0.5], "p": 2.0}))
 
     fs = _test_functions(cfg["n_probe"], cfg["probe_count"])
+    Ms = [hl_maximal(g) for g in fs]
     max_ratio = 0.0
     for wname, mk in _CHAIN_WEIGHTS.items():
         w = mk()
         for lam in (2.0, -0.5):
-            for g in fs:
+            for g, M in zip(fs, Ms):
                 max_ratio = max(max_ratio,
-                                _weighted_norm_ratio(g, w, 1.0 / lam, 2.0))
+                                _weighted_norm_ratio(g, M, w, 1.0 / lam, 2.0))
     checks.append(Check(
         "norm-ratio-bounded",
         "weighted norm ratio of the composed maximal operator stays under "
@@ -627,7 +628,12 @@ def run_suites(names, p: float = 2.0) -> list:
     for nm in names:
         if nm not in _SUITES:
             raise ValueError(f"unknown suite {nm!r}")
-    workers = max(1, int(os.environ.get("WEIGHTLAB_THREADS", "4") or "1"))
+    raw = os.environ.get("WEIGHTLAB_THREADS", "4")
+    try:
+        workers = max(1, int(raw or "1"))
+    except ValueError:
+        raise ValueError("WEIGHTLAB_THREADS must be an integer, "
+                         f"got {raw!r}") from None
 
     def run_one(nm):
         if nm == "prop42":

@@ -20,7 +20,11 @@ from weightlab.funcspace import (
     power_weight,
     sample_to_grid,
 )
+from weightlab import maximal
 from weightlab.maximal import (
+    _averages,
+    _sweep,
+    _windows,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -144,6 +148,18 @@ def test_hl_dyadic_lengths_mode():
     ref = brute_field_1d(vals, g.h[0], lengths=[1, 2, 4, 8, 16, 32])
     np.testing.assert_allclose(got, ref, rtol=1e-12)
     assert np.all(got <= hl_maximal(g).values + 1e-15)
+
+
+def test_lengths_array_equals_list():
+    g = GridFunction((0.0, 1.0), np.random.default_rng(19).random(16))
+    for Ls in ([1, 2, 4], [3, 16]):
+        assert np.array_equal(hl_maximal(g, lengths=np.array(Ls)).values,
+                              hl_maximal(g, lengths=Ls).values)
+        assert np.array_equal(
+            fractional_maximal(g, 0.5, lengths=np.array(Ls)).values,
+            fractional_maximal(g, 0.5, lengths=Ls).values)
+    with pytest.raises(ValueError, match="lengths must be"):
+        hl_maximal(g, lengths="every")
 
 
 def test_hl_family_restriction_is_dominated():
@@ -310,6 +326,69 @@ def test_hl_dominates_average_everywhere(raw):
     g = GridFunction((0.0, 1.0), vals)
     M = hl_maximal(g).values
     assert np.all(M >= vals.mean() - 1e-12)   # the full-box window
+
+
+# ---------------------------------------------------------------------------
+# every 1D length: the quadrant maximum
+# ---------------------------------------------------------------------------
+
+def _hard_inputs(n):
+    """Zeros, a subnormal hot cell, dyadic-rational ties and a huge
+    dynamic range."""
+    rng = np.random.default_rng(n)
+    hot = np.zeros(n)
+    hot[n // 3] = 5e-324
+    return {"zeros": np.zeros(n), "subnormal": hot,
+            "dyadic-ties": rng.integers(0, 4, n) / 8.0,
+            "huge-range": np.exp(rng.normal(0.0, 30.0, n))}
+
+
+def _every_length_cases(g):
+    """(field, cube functional, alpha) of each operator that takes the
+    quadrant path on a 1D grid with every length."""
+    cases = [(hl_maximal(g), _averages(g), 0.0)]
+    for alpha in (0.3, 0.7):
+        cases.append((fractional_maximal(g, alpha), _averages(g), alpha))
+    for r in (1.5, 3.0):
+        phi = YoungFn.power(r)
+        cases.append((orlicz_maximal(g, phi), _averages(g, phi.r, phi.c), 0.0))
+    return cases
+
+
+def _assert_bitwise_per_length_sweep(n):
+    for name, vals in _hard_inputs(n).items():
+        g = GridFunction((-1.0, 2.0), vals)
+        for k, (field, cube_values, alpha) in enumerate(_every_length_cases(g)):
+            ref = _sweep(g, _windows(g, None, "all"), cube_values, alpha)
+            assert np.array_equal(field.values, ref.values), (name, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 1000])
+def test_every_length_1d_is_bitwise_the_per_length_sweep(n):
+    # n = 1000 spans many blocks of rows
+    _assert_bitwise_per_length_sweep(n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 40])
+def test_every_length_1d_block_seams(monkeypatch, n):
+    # blocks of one to a few rows put a seam next to almost every cell
+    monkeypatch.setattr(maximal, "_BLOCK_CELLS", 16)
+    _assert_bitwise_per_length_sweep(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
+def test_every_length_1d_matches_brute(n):
+    for name, vals in _hard_inputs(n).items():
+        g = GridFunction((0.0, 2.0), vals)
+        h = g.h[0]
+        np.testing.assert_allclose(hl_maximal(g).values,
+                                   brute_field_1d(vals, h), rtol=1e-12)
+        np.testing.assert_allclose(fractional_maximal(g, 0.7).values,
+                                   brute_field_1d(vals, h, alpha=0.7),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            orlicz_maximal(g, YoungFn.power(3.0)).values,
+            brute_field_1d(vals, h, r=3.0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

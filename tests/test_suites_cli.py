@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,23 @@ def test_suite_theorem_probes_reduced_config():
     assert r.passed, r.failing()
 
 
+def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
+    import weightlab.suites as suites
+    real = suites.hl_maximal
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "hl_maximal", counting)
+    r = suite_theorems()
+    assert r.passed, r.failing()
+    # 50 probe functions, each swept once for 3 weights x 2 scalings
+    assert len(calls) == 50
+    assert len({id(f) for f in calls}) == 50
+
+
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["prop44"])
@@ -113,6 +132,26 @@ def test_run_suites_deterministic_across_thread_counts(monkeypatch):
         outs.append(canonical_json([r.to_json_dict() for r in results]))
     assert outs[0] == outs[1]
     assert outs[0].count('"suite"') == 2
+
+
+def test_verify_all_report_identical_across_thread_counts(monkeypatch,
+                                                          tmp_path, capsys):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WEIGHTLAB_THREADS", threads)
+        out = tmp_path / f"verify-{threads}.json"
+        assert main(["verify", "all", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["passed"] is True
+
+
+def test_cli_bad_thread_count_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("WEIGHTLAB_THREADS", "abc")
+    assert main(["verify", "prop41"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: WEIGHTLAB_THREADS must be an integer, got 'abc'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +334,24 @@ def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid):
     assert main([command, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, options", [
+    (1e308, []),
+    (1e200, ["--operator", "orlicz", "--phi", "phi.json"]),
+], ids=["hl", "orlicz-cube"])
+def test_cli_maximal_prefix_overflow_exits_two(tmp_path, value, options):
+    # a new interpreter shows numpy's warnings on stderr as a user sees them
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"box": [0.0, 1.0], "values": [value] * 8}))
+    (tmp_path / "phi.json").write_text(json.dumps({"kind": "power", "r": 3.0}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "maximal",
+                           "--input", str(path), *options], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "overflow" in proc.stderr
 
 
 def test_cli_constant_rejects_unknown_measure_token(weight_file):
