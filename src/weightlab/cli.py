@@ -81,19 +81,21 @@ def _measure(token: str):
 
 
 def _dump_field_csv(path: str, g: GridFunction) -> None:
+    # one row per cell, floats as their shortest round-trip repr.  Each
+    # coordinate is formatted once, and a 2D grid goes out one write per
+    # grid row, so no string of the whole file is ever held.
+    xs = [repr(x) for x in g.cell_centers(0).tolist()]
     with open(path, "w") as fh:
         if g.dim == 1:
             fh.write("x,value,in_domain\n")
-            xs = g.cell_centers(0)
-            for x, v, m in zip(xs, g.values, g.mask):
-                fh.write(f"{float(x)!r},{float(v)!r},{int(m)}\n")
-        else:
-            fh.write("x,y,value,in_domain\n")
-            xs, ys = g.cell_centers(0), g.cell_centers(1)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    fh.write(f"{float(x)!r},{float(y)!r},"
-                             f"{float(g.values[i, j])!r},{int(g.mask[i, j])}\n")
+            fh.writelines(f"{x},{v!r},{int(m)}\n" for x, v, m in
+                          zip(xs, g.values.tolist(), g.mask.tolist()))
+            return
+        fh.write("x,y,value,in_domain\n")
+        ys = [repr(y) for y in g.cell_centers(1).tolist()]
+        for x, vrow, mrow in zip(xs, g.values, g.mask):
+            fh.write("".join(f"{x},{y},{v!r},{int(m)}\n" for y, v, m in
+                             zip(ys, vrow.tolist(), mrow.tolist())))
 
 
 # ---------------------------------------------------------------------------

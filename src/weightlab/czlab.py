@@ -126,11 +126,20 @@ def _span_flat(span, shape) -> np.ndarray:
     return (rows[:, None] + cols[None, :]).ravel()
 
 
-def _max_pyramid(values: np.ndarray):
-    """Per-level cell maxima for dyadic pruning (power-of-two grids only)."""
-    n = values.shape[0]
+def _dyadic_cells(f: GridFunction) -> int:
+    """Cells per axis of a square grid with a power-of-two cell count, whose
+    dyadic splits reach single cells.  On any other grid the splits stop
+    short, and cells outside every visited cube could never be selected."""
+    n = f.shape[0]
+    if any(m != n for m in f.shape):
+        raise ValueError("f needs a square grid")
     if n & (n - 1):
-        return None
+        raise ValueError("f needs a power-of-two cell count per axis")
+    return n
+
+
+def _max_pyramid(values: np.ndarray):
+    """Per-level cell maxima for dyadic pruning (power-of-two grids)."""
     levels = [values]
     cur = values
     while cur.shape[0] > 1:
@@ -167,18 +176,17 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
         if selected:
             spans.append(span)
             continue
-        if side == 1 or side % 2:
+        if side == 1:
             continue
-        if pyramid is not None:
-            # no descendant can reach the threshold if even its best cell,
-            # scaled by the current side when alpha > 0, stays below it
-            lvl = side.bit_length() - 1    # side = 2^lvl
-            top = pyramid[lvl]
-            idx = tuple(i0 // side for i0, _ in span)
-            best = top[idx] if dim == 1 else top[idx[0], idx[1]]
-            cap = best if alpha == 0.0 else (side * h) ** alpha * best
-            if cap * (1.0 + 1e-12) < thr_f:
-                continue
+        # no descendant can reach the threshold if even its best cell,
+        # scaled by the current side when alpha > 0, stays below it
+        lvl = side.bit_length() - 1    # side = 2^lvl
+        top = pyramid[lvl]
+        idx = tuple(i0 // side for i0, _ in span)
+        best = top[idx] if dim == 1 else top[idx[0], idx[1]]
+        cap = best if alpha == 0.0 else (side * h) ** alpha * best
+        if cap * (1.0 + 1e-12) < thr_f:
+            continue
         half = side // 2
         for corner in _child_corners(span, half):
             stack.append(corner)
@@ -212,9 +220,12 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     side^alpha * avg_Q f > a^k/4^n.  With validate=True the sandwich
     a^k/4^n < value <= a^k/2^n is checked on every cube (exactly when
     alpha = 0) and a violation raises; the root box can violate the upper
-    half when a^k < 2^n * value(box), so pick k accordingly.
+    half when a^k < 2^n * value(box), so pick k accordingly.  f needs a
+    square grid with a power-of-two cell count per axis, so that the
+    dyadic subcubes reach every cell.
     """
     dim = f.dim
+    _dyadic_cells(f)
     if not a > 2 ** dim:
         raise ValueError(f"need a > 2^n = {2 ** dim}")
     if (f.values < 0).any():
@@ -507,8 +518,8 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     numerically when all relative slacks stay above -1e-6.
     """
     dim = f.dim
-    n = f.shape[0]
-    if n & (n - 1) or n < 2:
+    n = _dyadic_cells(f)
+    if n < 2:
         raise ValueError("f needs a power-of-two cell count per axis")
     A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), dim)
     if a is None:

@@ -9,29 +9,33 @@ that cell, of a cube functional of the input:
 * ``dyadic_maximal``       average, cubes restricted to the dyadic splits
 * ``orlicz_maximal``       normalized Luxemburg norm over the cube
 
-All four run one sweep.  A window set is a side length in cells and one
-``slice`` of window starts per axis: every position of one length, one
-lattice of a ``CubeFamily``, or one dyadic split.  A cube functional gives
-its values at those starts, and the sweep spreads them to the cells, so each
-cell receives the largest value of the windows in the set that contain it:
-overlapping windows are written into a -inf array at their starts and take
-the trailing maximum of the side along every axis; a lattice tiles its
-region, so its values are repeated over their windows.  The functionals are
-prefix-sum averages (optionally powered, for homogeneous Young functions),
-window maxima (the sup-norm Young function) and a per-cube Luxemburg norm
-(any other Young function).
+A cube functional gives its values on a window set: a side length in cells
+and one ``slice`` (or index array) of window starts per axis.  The
+functionals are prefix-sum averages (optionally powered, for homogeneous
+Young functions), window maxima (the sup-norm Young function) and a
+per-cube Luxemburg norm (any other Young function).  The window set picks
+one of three paths that spread the values to the cells:
 
-One window set takes another path: every length on a 1D grid (``family=None``
-with ``lengths="all"``) covers every window [a, b), so the field is the
-quadrant maximum field[i] = max of V[a, b] over a <= i < b of the window
-values V.  For the prefix-average functionals it is computed in blocks of
-rows a, with running maxima along b and along a, instead of one spread per
-length.  It reads the same window values, so its field equals the sweep's
-bit for bit.
+* **Lattice sweep** (``_sweep``): a ``CubeFamily`` or the dyadic splits.
+  Each lattice tiles its region, so its values are repeated over their
+  windows and the cell keeps the largest.
+* **Nested recursion** (``_nested_max``): ``family=None``, every position
+  of each side selected by ``lengths``.  With D_L the largest value over
+  the listed windows of side L or more that contain the window of side L,
+  and L < L' consecutive listed sides, D_L is the larger of that side's
+  own values and the trailing maximum of width L' - L + 1 of D_L' along
+  every axis.  The sides run from the largest down; with every length the
+  width is 2, so a level costs a few shifted maxima.
+* **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
+  where the recursion is the quadrant maximum field[i] = max of V[a, b]
+  over a <= i < b of the window values V.  It runs in blocks of rows a,
+  with running maxima along b and along a.
 
-With ``family=None`` the supremum runs over every position of each side
-length selected by ``lengths``; with all lengths this dominates any family
-on the same grid.  Cells without a defined value (mask False) contribute
+All three read the same window values and max is exact, so each field
+equals the per-length spread of every window bit for bit.
+
+With ``family=None`` and all lengths the supremum dominates any family on
+the same grid.  Cells without a defined value (mask False) contribute
 their stored value 0, so all fields are lower bounds for the operators
 applied to any nonnegative extension of the data.
 
@@ -41,6 +45,7 @@ maximal field into the matrix-composed variant.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -58,7 +63,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sliding trailing maximum (exact, O(n) per call)
+# sliding maxima (exact, O(n) per call)
 # ---------------------------------------------------------------------------
 
 def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
@@ -78,15 +83,24 @@ def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _trailing_max_all_axes(x: np.ndarray, L: int) -> np.ndarray:
+def _widen(x: np.ndarray, w: int) -> np.ndarray:
+    """Along the last axis, out[..., a] = max(x[..., max(0, a-w+1) : a+1])
+    for a < m + w - 1, with m entries in x: each entry reaches the w
+    positions from its own on.  The last entry, repeated, pads the tail;
+    it already lies in every tail position's range."""
+    edge = np.repeat(x[..., -1:], w - 1, axis=-1)
+    return _trailing_max(np.concatenate((x, edge), axis=-1), w)
+
+
+def _all_axes(op, x: np.ndarray, w: int) -> np.ndarray:
     # .T is a no-op in 1D; in 2D the second call runs along the first axis
     for _ in range(x.ndim):
-        x = _trailing_max(x, L).T
+        x = op(x, w).T
     return x
 
 
 # ---------------------------------------------------------------------------
-# the sweep: window sets, one spread loop, cube functionals
+# window sets and the sweeps
 # ---------------------------------------------------------------------------
 
 def _every_length(lengths) -> bool:
@@ -114,18 +128,24 @@ def _length_list(n: int, lengths) -> list:
             out.append(1)
         return sorted(set(out))
     out = sorted({int(L) for L in lengths})
-    if out and not 1 <= out[0] <= out[-1] <= n:
+    if not out:
+        raise ValueError("lengths must list at least one window length")
+    if not 1 <= out[0] <= out[-1] <= n:
         raise ValueError(f"window lengths must lie in 1..{n}")
     return out
 
 
-def _windows(f: GridFunction, family, lengths) -> list:
-    """(side, starts) window sets: every position of each selected length
-    when family is None, else one lattice per level and offset of the family."""
+def _square_cells(f: GridFunction) -> int:
+    """Cells per axis; the windows are cubes, so a 2D grid must be square."""
+    if f.dim == 2 and f.shape[0] != f.shape[1]:
+        raise ValueError("maximal sweeps need a square grid")
+    return f.shape[0]
+
+
+def _lattices(f: GridFunction, family) -> list:
+    """(side, starts) window sets, one lattice per level and offset of the
+    family."""
     n = f.shape[0]
-    if family is None:
-        return [(L, (slice(0, n - L + 1),) * f.dim)
-                for L in _length_list(n, lengths)]
     if not isinstance(family, CubeFamily):
         raise TypeError("family must be a CubeFamily or None")
     if abs(family.box_side - (f.hi[0] - f.lo[0])) > 1e-9 * family.box_side \
@@ -133,23 +153,6 @@ def _windows(f: GridFunction, family, lengths) -> list:
         raise ValueError("family box must match the grid box")
     return [(side, (slice(off, starts[-1] + 1, side),) * f.dim)
             for _, off, side, starts in family.cell_spans(n)]
-
-
-def _spread(vals: np.ndarray, side: int, starts, shape):
-    """(cells, block): block holds, for each cell of the region out[cells],
-    the largest entry of vals over the windows containing that cell, and -inf
-    where none does.  Entry k of vals belongs to the window of ``side`` cells
-    at the k-th start of ``starts`` on every axis."""
-    if starts[0].step == side:
-        # a lattice tiles its region: every cell lies in exactly one window
-        # (window sets repeat one slice on every axis)
-        for axis in range(vals.ndim):
-            vals = np.repeat(vals, side, axis=axis)
-        return tuple(slice(s.start, s.start + m)
-                     for s, m in zip(starts, vals.shape)), vals
-    block = np.full(shape, -np.inf)
-    block[starts] = vals
-    return ..., _trailing_max_all_axes(block, side)
 
 
 def _scale(side: int, h: float, alpha: float) -> float:
@@ -161,24 +164,72 @@ def _scale(side: int, h: float, alpha: float) -> float:
 def _sweep(f: GridFunction, windows, cube_values,
            alpha: float = 0.0) -> GridFunction:
     """Field whose cell value is the largest side^alpha * cube_values(side,
-    starts) entry over the windows containing the cell.  alpha = 0 skips the
-    scale factor, so every operator at alpha = 0 is bitwise ``hl_maximal``
-    whenever its cube values are."""
-    if f.dim == 2 and f.shape[0] != f.shape[1]:
-        raise ValueError("maximal sweeps need a square grid")
+    starts) entry over the windows containing the cell, for lattice window
+    sets (step = side): each tiles its region, so its values are repeated
+    over their windows.  alpha = 0 skips the scale factor, so every operator
+    at alpha = 0 is bitwise ``hl_maximal`` whenever its cube values are."""
+    _square_cells(f)
     h = f.h[0]
     out = np.full(f.shape, -np.inf)
     for side, starts in windows:
         vals = cube_values(side, starts)
         if alpha != 0.0:
             vals = vals * _scale(side, h, alpha)
-        cells, block = _spread(vals, side, starts, f.shape)
-        region = out[cells]
-        np.maximum(region, block, out=region)
+        for axis in range(vals.ndim):
+            vals = np.repeat(vals, side, axis=axis)
+        region = out[tuple(slice(s.start, s.start + m)
+                           for s, m in zip(starts, vals.shape))]
+        np.maximum(region, vals, out=region)
     if np.isneginf(out).any():
         raise ValueError("the cubes do not cover the grid "
                          "(a family needs its level-0 lattice)")
     return GridFunction((f.lo, f.hi), out)
+
+
+def _nested_max(f: GridFunction, lengths, cube_values,
+                alpha: float = 0.0) -> GridFunction:
+    """Field whose cell value is the largest side^alpha * cube value over
+    the windows, at every position of each side in ``lengths``, that
+    contain the cell.
+
+    D_L[a] is the largest scaled value over the listed windows of side L or
+    more that contain the window of side L at start a.  For consecutive
+    listed sides L < L', such a window of side L' or more contains a window
+    of side L' whose start lies in [a + L - L', a] on every axis, so D_L is
+    the larger of U_L, the scaled values of side L, and the trailing
+    maximum of width L' - L + 1 of D_L' along every axis.  The sides run
+    in descending order, and a last trailing maximum of the smallest
+    side's width spreads D onto the cells.  With consecutive sides the
+    width is 2, and the trailing maximum is the shifted copies of D_L'
+    maxed into U_L in place.  Max is exact, so every window value reaches
+    the same cells as in a per-length spread.
+    """
+    n = _square_cells(f)
+    h = f.h[0]
+
+    def scaled(L):
+        U = cube_values(L, (slice(0, n - L + 1),) * f.dim)
+        if alpha != 0.0:
+            U *= _scale(L, h, alpha)
+        return U
+
+    sides = _length_list(n, lengths)[::-1]
+    D = scaled(sides[0])
+    for prev, L in zip(sides, sides[1:]):
+        U = scaled(L)
+        if prev == L + 1:
+            # U has one more entry than D per axis; max in D shifted by 0
+            # or 1 along every axis
+            for cells in itertools.product((slice(None, -1), slice(1, None)),
+                                           repeat=f.dim):
+                region = U[cells]
+                np.maximum(region, D, out=region)
+        else:
+            np.maximum(U, _all_axes(_widen, D, prev - L + 1), out=U)
+        D = U
+    if sides[-1] > 1:
+        D = _all_axes(_widen, D, sides[-1])
+    return GridFunction((f.lo, f.hi), D)
 
 
 _BLOCK_CELLS = 1 << 14      # cells of one block of rows in _quadrant_max
@@ -274,7 +325,10 @@ def _window_maxima(f: GridFunction):
     """Cube functional max of f (the sup-norm Young function)."""
     def values(side, starts):
         last = (slice(side - 1, None),) * f.dim     # window end cells
-        return _trailing_max_all_axes(f.values, side)[last][starts]
+        vals = _all_axes(_trailing_max, f.values, side)[last][starts]
+        # f >= 0, so this only turns -0.0 into +0.0: as for the averages, a
+        # zero window gives +0.0, whatever order the maxima ran in
+        return np.maximum(vals, 0.0, out=vals)
     return values
 
 
@@ -295,10 +349,13 @@ def _luxemburg_norms(f: GridFunction, phi: YoungFn):
 def _average_field(f: GridFunction, family, lengths, cube_values,
                    alpha: float = 0.0) -> GridFunction:
     """Field of a prefix-average functional: the window set picks the path,
-    one quadrant maximum for every 1D length, else the per-window sweep."""
-    if f.dim == 1 and family is None and _every_length(lengths):
+    the lattice sweep for a family, one quadrant maximum for every 1D
+    length, else the nested recursion."""
+    if family is not None:
+        return _sweep(f, _lattices(f, family), cube_values, alpha)
+    if f.dim == 1 and _every_length(lengths):
         return _quadrant_max(f, cube_values, alpha)
-    return _sweep(f, _windows(f, family, lengths), cube_values, alpha)
+    return _nested_max(f, lengths, cube_values, alpha)
 
 
 def hl_maximal(f: GridFunction, family: CubeFamily | None = None,
@@ -324,7 +381,10 @@ def dyadic_maximal(f: GridFunction, min_side_cells: int = 1) -> GridFunction:
     """Dyadic maximal field: sup over the dyadic splits of the grid box.
 
     Levels run from the whole box down to sides of ``min_side_cells`` cells,
-    as far as the cell count divides evenly.
+    as far as the cell count divides evenly.  On a cell count that is not a
+    power of two the splits stop at the first odd side, and the field is the
+    supremum over exactly the splits used; ``cz_decompose``, whose stopping
+    cubes must be able to shrink to single cells, rejects such grids.
     """
     n = f.shape[0]
     windows = []
@@ -353,11 +413,13 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
                               _averages(f, phi.r, phi.c), alpha)
     if phi.kind == "sup":
         cube_values = _window_maxima(f)
+        if family is None:
+            return _nested_max(f, lengths, cube_values, alpha)
     elif family is None:
         raise ValueError(f"{phi.describe()} needs a finite cube family")
     else:
         cube_values = _luxemburg_norms(f, phi)
-    return _sweep(f, _windows(f, family, lengths), cube_values, alpha)
+    return _sweep(f, _lattices(f, family), cube_values, alpha)
 
 
 # ---------------------------------------------------------------------------

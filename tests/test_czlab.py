@@ -94,6 +94,20 @@ def test_root_sandwich_violation_raises():
         cz_decompose(f, 3.0, range(0, 1))   # root avg 1 > 3^0/2
 
 
+@pytest.mark.parametrize("box, shape, message", [
+    ((0.0, 1.0), (48,), "power-of-two"),
+    (((0.0, 0.0), (1.0, 1.0)), (12, 12), "power-of-two"),
+    (((0.0, 0.0), (1.0, 2.0)), (4, 8), "square grid"),
+])
+def test_cz_rejects_grids_whose_splits_miss_cells(box, shape, message):
+    # on 48 cells the dyadic splits stop at side 3: the cell above the
+    # threshold a^4/4 = 64 lies in no visited cube, so no cube was selected
+    vals = np.ones(shape)
+    vals[(1,) * len(shape)] = 100.0
+    with pytest.raises(ValueError, match=message):
+        cz_decompose(GridFunction(box, vals), 4.0, [4])
+
+
 def test_a_must_exceed_two_power_dim():
     f = GridFunction((0.0, 1.0), np.ones(4))
     with pytest.raises(ValueError, match="a > 2"):

@@ -2,7 +2,9 @@
 
 The oracle enumerates every admissible window per cell in O(n^3); grids are
 kept small so the comparison stays exhaustive.  Frozen values for the unit
-indicator were derived by hand from the discrete definition.
+indicator were derived by hand from the discrete definition.  The fast
+paths for every position of each length are also held bit for bit to
+``per_length_sweep``, a slow reference that spreads each length on its own.
 """
 
 import math
@@ -23,8 +25,11 @@ from weightlab.funcspace import (
 from weightlab import maximal
 from weightlab.maximal import (
     _averages,
-    _sweep,
-    _windows,
+    _length_list,
+    _nested_max,
+    _scale,
+    _trailing_max,
+    _window_maxima,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -67,6 +72,25 @@ def brute_field_2d(vals, h, alpha=0.0):
                         m = vals[s:s + L, t:t + L].mean()
                         best = max(best, m * (L * h) ** alpha)
             out[i, j] = best
+    return out
+
+
+def per_length_sweep(g, lengths, cube_values, alpha=0.0):
+    """The field of every position of each length, one length at a time:
+    the scaled window values are written into a -inf grid at their starts
+    and take the trailing maximum of the side along every axis."""
+    n = g.shape[0]
+    out = np.full(g.shape, -np.inf)
+    for L in _length_list(n, lengths):
+        starts = (slice(0, n - L + 1),) * g.dim
+        vals = cube_values(L, starts)
+        if alpha != 0.0:
+            vals = vals * _scale(L, g.h[0], alpha)
+        block = np.full(g.shape, -np.inf)
+        block[starts] = vals
+        for _ in range(g.dim):
+            block = _trailing_max(block, L).T
+        np.maximum(out, block, out=out)
     return out
 
 
@@ -332,15 +356,38 @@ def test_hl_dominates_average_everywhere(raw):
 # every 1D length: the quadrant maximum
 # ---------------------------------------------------------------------------
 
-def _hard_inputs(n):
+def _hard_inputs(n, dim=1):
     """Zeros, a subnormal hot cell, dyadic-rational ties and a huge
     dynamic range."""
     rng = np.random.default_rng(n)
-    hot = np.zeros(n)
-    hot[n // 3] = 5e-324
-    return {"zeros": np.zeros(n), "subnormal": hot,
-            "dyadic-ties": rng.integers(0, 4, n) / 8.0,
-            "huge-range": np.exp(rng.normal(0.0, 30.0, n))}
+    shape = (n,) * dim
+    hot = np.zeros(shape)
+    hot[(n // 3,) * dim] = 5e-324
+    return {"zeros": np.zeros(shape), "subnormal": hot,
+            "dyadic-ties": rng.integers(0, 4, shape) / 8.0,
+            "huge-range": np.exp(rng.normal(0.0, 30.0, shape))}
+
+
+def _sparse_inputs(n, dim=1):
+    """A hot block at an edge, at a corner and at the centre, one hot cell,
+    and -0.0 cells among zeros and among dyadic values."""
+    rng = np.random.default_rng([n, dim])
+    shape = (n,) * dim
+    k = max(1, n // 4)
+    c = (n - k) // 2
+    hot = {"edge-block": (slice(n - k, n),) + (slice(c, c + k),) * (dim - 1),
+           "corner-block": (slice(0, k),) * dim,
+           "centre-block": (slice(c, c + k),) * dim,
+           "hot-cell": (n // 2,) * dim}
+    out = {}
+    for name, cells in hot.items():
+        out[name] = np.zeros(shape)
+        out[name][cells] = 3.0
+    negative = rng.random(shape) < 0.5
+    out["signed-zeros"] = np.where(negative, -0.0, 0.0)
+    out["dyadic-negative-zeros"] = np.where(negative, -0.0,
+                                            rng.integers(0, 3, shape) / 4.0)
+    return out
 
 
 def _every_length_cases(g):
@@ -359,8 +406,8 @@ def _assert_bitwise_per_length_sweep(n):
     for name, vals in _hard_inputs(n).items():
         g = GridFunction((-1.0, 2.0), vals)
         for k, (field, cube_values, alpha) in enumerate(_every_length_cases(g)):
-            ref = _sweep(g, _windows(g, None, "all"), cube_values, alpha)
-            assert np.array_equal(field.values, ref.values), (name, k)
+            ref = per_length_sweep(g, "all", cube_values, alpha)
+            assert np.array_equal(field.values, ref), (name, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 1000])
@@ -389,6 +436,100 @@ def test_every_length_1d_matches_brute(n):
         np.testing.assert_allclose(
             orlicz_maximal(g, YoungFn.power(3.0)).values,
             brute_field_1d(vals, h, r=3.0), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every position of each length: the nested recursion
+# ---------------------------------------------------------------------------
+
+def _nested_cases(g, lengths):
+    """(name, field, cube functional, alpha) of each operator that takes the
+    nested path on g with ``lengths`` (in 1D, all but every length)."""
+    alphas = (0.3, 0.7) if g.dim == 1 else (0.3, 0.7, 1.5)
+    cases = [("hl", hl_maximal(g, lengths=lengths), _averages(g), 0.0)]
+    cases += [(f"fractional {alpha}",
+               fractional_maximal(g, alpha, lengths=lengths), _averages(g),
+               alpha) for alpha in alphas]
+    for r in (1.5, 3.0):
+        phi = YoungFn.power(r)
+        cases.append((f"power {r}", orlicz_maximal(g, phi, lengths=lengths),
+                      _averages(g, phi.r, phi.c), 0.0))
+    cases.append(("sup", orlicz_maximal(g, YoungFn("sup"), lengths=lengths),
+                  _window_maxima(g), 0.0))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33])
+def test_nested_max_is_bitwise_the_per_length_sweep(n, dim):
+    box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+    inputs = {**_hard_inputs(n, dim), **_sparse_inputs(n, dim)}
+    # the explicit list leaves out 1, so a last widening spreads D to cells
+    for lengths in ("all", "dyadic", [L for L in (2, 3, 7) if L <= n] or [n]):
+        for name, vals in inputs.items():
+            g = GridFunction(box, vals)
+            for op, field, cube_values, alpha in _nested_cases(g, lengths):
+                ref = per_length_sweep(g, lengths, cube_values, alpha)
+                nested = _nested_max(g, lengths, cube_values, alpha).values
+                for got in (field.values, nested):
+                    assert np.array_equal(got, ref), (lengths, name, op)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref)), \
+                        (lengths, name, op)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_fractional_2d_matches_brute(n):
+    box = ((0.0, 0.0), (2.0, 2.0))
+    for name, vals in {**_hard_inputs(n, 2), **_sparse_inputs(n, 2)}.items():
+        g = GridFunction(box, vals)
+        np.testing.assert_allclose(fractional_maximal(g, 0.7).values,
+                                   brute_field_2d(vals, g.h[0], alpha=0.7),
+                                   rtol=1e-12, err_msg=name)
+
+
+def test_every_length_2d_takes_shifted_maxima(monkeypatch):
+    # a deterministic stand-in for a timing test: with every length the
+    # nested recursion widens by shifted maxima, never by a trailing max,
+    # and evaluates the cube functional once per length
+    calls = {"trailing max": 0, "cube values": 0}
+    trailing_max, averages = maximal._trailing_max, maximal._averages
+
+    def counted_trailing_max(x, L):
+        calls["trailing max"] += 1
+        return trailing_max(x, L)
+
+    def counted_averages(f, *args):
+        values = averages(f, *args)
+
+        def counted(side, starts):
+            calls["cube values"] += 1
+            return values(side, starts)
+        return counted
+
+    monkeypatch.setattr(maximal, "_trailing_max", counted_trailing_max)
+    monkeypatch.setattr(maximal, "_averages", counted_averages)
+    n = 24
+    g = GridFunction(((0.0, 0.0), (1.0, 1.0)),
+                     np.random.default_rng(31).random((n, n)))
+    field = hl_maximal(g)
+    assert calls == {"trailing max": 0, "cube values": n}
+    assert np.array_equal(field.values, per_length_sweep(g, "all", averages(g)))
+
+
+@pytest.mark.parametrize("field", [
+    lambda g: hl_maximal(g),
+    lambda g: hl_maximal(g, lengths="dyadic"),
+    lambda g: hl_maximal(g, lengths=[1, 2]),
+    lambda g: fractional_maximal(g, 0.5),
+    lambda g: dyadic_maximal(g),
+    lambda g: orlicz_maximal(g, YoungFn("sup")),
+    lambda g: orlicz_maximal(g, YoungFn.power(3.0), lengths="dyadic"),
+], ids=["all", "dyadic", "explicit", "fractional", "dyadic-splits", "sup",
+        "power"])
+def test_non_square_grid_rejected_on_every_path(field):
+    g = GridFunction(((0.0, 0.0), (1.0, 2.0)), np.ones((4, 8)))
+    with pytest.raises(ValueError, match="maximal sweeps need a square grid"):
+        field(g)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,49 @@ def test_cli_maximal_field_and_csv(grid_file, tmp_path, capsys):
     assert len(lines) == 33
 
 
+def _row_loop_csv(path, g):
+    """The field CSV written one cell at a time, the reference for
+    ``cli._dump_field_csv``."""
+    with open(path, "w") as fh:
+        if g.dim == 1:
+            fh.write("x,value,in_domain\n")
+            xs = g.cell_centers(0)
+            for x, v, m in zip(xs, g.values, g.mask):
+                fh.write(f"{float(x)!r},{float(v)!r},{int(m)}\n")
+        else:
+            fh.write("x,y,value,in_domain\n")
+            xs, ys = g.cell_centers(0), g.cell_centers(1)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    fh.write(f"{float(x)!r},{float(y)!r},"
+                             f"{float(g.values[i, j])!r},{int(g.mask[i, j])}\n")
+
+
+@pytest.mark.parametrize("box, shape, matrix, out_box, n_out", [
+    ((-1.0, 2.0), (24,), -0.5, (-2.0, 0.5), 20),
+    (((-1.0, 0.5), (2.0, 2.5)), (6, 4), 2.0, ((-2.0, 1.0), (6.0, 7.0)),
+     (16, 12)),
+], ids=["1d", "2d"])
+def test_field_csv_bytes_match_row_loop(tmp_path, box, shape, matrix, out_box,
+                                        n_out):
+    from weightlab.cli import _dump_field_csv
+    from weightlab.funcspace import GridFunction
+    from weightlab.maximal import matrix_compose
+    rng = np.random.default_rng(len(shape))
+    vals = rng.random(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    vals.flat[:3] = (5e-324, 1e300, 0.0)
+    mask = rng.random(shape) < 0.7
+    g = GridFunction(box, np.where(mask, vals, 0.0), mask=mask)
+    # a composed field masks the cells whose preimage leaves the grid
+    composed = matrix_compose(g, matrix, out_box=out_box, n_out=n_out)
+    assert not composed.mask.all()
+    for field in (g, composed):
+        _dump_field_csv(tmp_path / "new.csv", field)
+        _row_loop_csv(tmp_path / "old.csv", field)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+
 def test_cli_maximal_composed_with_scalar(grid_file, capsys):
     rc = main(["maximal", "--input", grid_file, "--operator", "fractional",
                "--alpha", "0.5", "--matrix", "2.0"])
@@ -322,18 +365,32 @@ def test_cli_bad_input_exits_two(tmp_path, capsys):
     assert main(["maximal", "--input", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("command, grid", [
-    ("maximal", {"box": [0.0, 1.0], "values": [1.0, math.nan, 2.0, 0.5]}),
-    ("maximal", {"box": [0.0, 1.0], "values": []}),
-    ("maximal", {"box": [1.0, 0.0], "values": [1.0, 2.0]}),
-    ("cz", {"box": [0.0, 1.0], "values": [1e308] * 8}),
-], ids=["nan", "empty", "reversed-box", "overflow"])
-def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid):
+NON_SQUARE = {"box": [[0.0, 0.0], [1.0, 2.0]], "values": [[1.0] * 8] * 4}
+# one hot cell among 48: the dyadic splits stop at side 3, so no stopping
+# cube could ever contain it
+HOT_48 = {"box": [0.0, 1.0], "values": [1.0, 100.0] + [1.0] * 46}
+
+
+@pytest.mark.parametrize("command, grid, options, message", [
+    ("maximal", {"box": [0.0, 1.0], "values": [1.0, math.nan, 2.0, 0.5]},
+     [], "finite"),
+    ("maximal", {"box": [0.0, 1.0], "values": []}, [], "at least one cell"),
+    ("maximal", {"box": [1.0, 0.0], "values": [1.0, 2.0]}, [], "hi > lo"),
+    ("cz", {"box": [0.0, 1.0], "values": [1e308] * 8}, [], "overflow"),
+    ("maximal", NON_SQUARE, ["--lengths", "all"], "need a square grid"),
+    ("maximal", NON_SQUARE, ["--lengths", "dyadic"], "need a square grid"),
+    ("cz", HOT_48, ["--a", "4", "--kmin", "4", "--kmax", "4"],
+     "power-of-two cell count"),
+], ids=["nan", "empty", "reversed-box", "overflow", "non-square-all",
+        "non-square-dyadic", "cz-48-cells"])
+def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid,
+                                              options, message):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
-    assert main([command, "--input", str(path)]) == 2
+    assert main([command, "--input", str(path), *options]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("value, options", [
