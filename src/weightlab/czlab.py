@@ -2,7 +2,7 @@
 
 ``cz_decompose`` finds, for each level k, the maximal dyadic subcubes of the
 grid box on which the (fractional) average of f exceeds a^k/4^n, using exact
-rational arithmetic when alpha = 0.  ``theorem_chain_check`` replays the
+rational comparisons when alpha = 0.  ``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
@@ -21,6 +21,7 @@ Geometry conventions used by the chain:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ class CZCube:
     k: int
     span: tuple            # ((i0, i1),) or ((i0, i1), (j0, j1)) in cells
     cube: Cube              # physical cube
-    average: float           # exact average of f over the cube
+    average: float           # exact average of f over the cube, rounded once
     value: float             # side^alpha * average (equals average if alpha=0)
 
 
@@ -89,21 +90,28 @@ class CZDecomposition:
         return int(mask.sum())
 
 
-def _int_sum(grid: GridFunction, span) -> int:
-    grid._ensure_exact_prefix()
-    P = grid._int_prefix
-    if grid.dim == 1:
-        (i0, i1), = span
-        return P[i1] - P[i0]
-    (i0, i1), (j0, j1) = span
-    return P[i1][j1] - P[i0][j1] - P[i1][j0] + P[i0][j0]
-
-
 def _span_cells(span) -> int:
     out = 1
     for i0, i1 in span:
         out *= i1 - i0
     return out
+
+
+def _dyadic_average(grid: GridFunction, span) -> float:
+    """Exact average over a dyadic cube, rounded once.
+
+    The cell count is a power of two, so dividing the correctly rounded sum
+    by it rounds nothing more, unless the sum overflows or the quotient is
+    subnormal while the sum is not; those take the exact quotient."""
+    count = _span_cells(span)
+    try:
+        s = grid.cube_sum(span)
+    except OverflowError:
+        s = math.inf
+    avg = s / count
+    if s > sys.float_info.min and not sys.float_info.min < avg < math.inf:
+        avg = float(grid.exact_sum(span) / count)
+    return avg
 
 
 def _float_span_sum(grid: GridFunction, span) -> float:
@@ -158,8 +166,6 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
     n = grid.shape[0]
     dim = grid.dim
     h = grid.h[0]
-    grid._ensure_exact_prefix()
-    D = grid._den
     thr_f = float(thr)
     spans = []
     root = tuple((0, n) for _ in range(dim))
@@ -167,19 +173,8 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
     while stack:
         span = stack.pop()
         side = span[0][1] - span[0][0]
-        count = _span_cells(span)
-        S = _int_sum(grid, span)
-        if alpha == 0.0:
-            selected = S * thr.denominator > thr.numerator * D * count
-        else:
-            selected = (side * h) ** alpha * (S / (D * count)) > thr_f
-        if selected:
-            spans.append(span)
-            continue
-        if side == 1:
-            continue
-        # no descendant can reach the threshold if even its best cell,
-        # scaled by the current side when alpha > 0, stays below it
+        # neither the cube nor a descendant can reach the threshold if even
+        # its best cell, scaled by the cube's side when alpha > 0, stays below
         lvl = side.bit_length() - 1    # side = 2^lvl
         top = pyramid[lvl]
         idx = tuple(i0 // side for i0, _ in span)
@@ -187,9 +182,14 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
         cap = best if alpha == 0.0 else (side * h) ** alpha * best
         if cap * (1.0 + 1e-12) < thr_f:
             continue
-        half = side // 2
-        for corner in _child_corners(span, half):
-            stack.append(corner)
+        if alpha == 0.0:
+            selected = grid.average_exceeds(span, thr)
+        else:
+            selected = (side * h) ** alpha * _dyadic_average(grid, span) > thr_f
+        if selected:
+            spans.append(span)
+        elif side > 1:
+            stack.extend(_child_corners(span, side // 2))
     spans.sort()
     return spans
 
@@ -222,7 +222,8 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     alpha = 0) and a violation raises; the root box can violate the upper
     half when a^k < 2^n * value(box), so pick k accordingly.  f needs a
     square grid with a power-of-two cell count per axis, so that the
-    dyadic subcubes reach every cell.
+    dyadic subcubes reach every cell, and every a^k/4^n must stay within
+    the float range.
     """
     dim = f.dim
     _dyadic_cells(f)
@@ -232,32 +233,32 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         raise ValueError("f must be nonnegative")
     ks = sorted(int(k) for k in k_range)
     pyramid = _max_pyramid(f.values)
-    f._ensure_exact_prefix()
-    D_den = f._den
     a_frac = Fraction(a)
     cubes = {}
     masks = {}
     for k in ks:
         thr = a_frac ** k / 4 ** dim
+        if thr > sys.float_info.max:
+            raise ValueError(f"the threshold a^k/4^n at k={k} overflows "
+                             "the float range")
+        upper = thr * 2 ** dim
+        upper_f = float(min(upper, sys.float_info.max))
         spans = _select_stopping(f, thr, alpha, pyramid)
         lst = []
         mask = np.zeros(f.shape, dtype=bool)
         for span in spans:
-            S = _int_sum(f, span)
-            count = _span_cells(span)
-            avg = S / (D_den * count)
+            avg = _dyadic_average(f, span)
             side_phys = (span[0][1] - span[0][0]) * f.h[0]
             val = avg if alpha == 0.0 else side_phys ** alpha * avg
             if validate:
-                upper = thr * 2 ** dim
                 if alpha == 0.0:
-                    ok = S * upper.denominator <= upper.numerator * D_den * count
+                    ok = not f.average_exceeds(span, upper)
                 else:
-                    ok = val <= float(upper) * (1.0 + 1e-9)
+                    ok = val <= upper_f * (1.0 + 1e-9)
                 if not ok:
                     raise ValueError(
                         f"sandwich violated at k={k} on {_span_to_cube(f, span)}: "
-                        f"value {val} > {float(upper)}")
+                        f"value {val} > {upper_f}")
             lst.append(CZCube(k, span, _span_to_cube(f, span), avg, val))
             mask[tuple(slice(i0, i1) for i0, i1 in span)] = True
         cubes[k] = lst
@@ -520,7 +521,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     dim = f.dim
     n = _dyadic_cells(f)
     if n < 2:
-        raise ValueError("f needs a power-of-two cell count per axis")
+        raise ValueError("f needs at least two cells per axis")
     A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), dim)
     if a is None:
         a = float(2 ** (dim + 2))

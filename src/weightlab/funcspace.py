@@ -4,9 +4,9 @@ The ground rule of this module: nothing that can blow up is ever point
 sampled.  Weights are unions of closed-form pieces (power singularities
 ``c |x-a|^gamma`` and exponentials ``c e^{s x}``) and every interval mass is
 an antiderivative difference, so masses next to a singular point are exact to
-rounding.  Grid data stores per-cell averages together with an integer-exact
-prefix sum: cube sums are correctly rounded true sums and therefore agree
-bitwise with compensated direct summation (``math.fsum``).
+rounding.  Grid data stores per-cell averages; a cube sum is the correctly
+rounded ``math.fsum`` of its cells, and a cube average is compared with a
+rational threshold by a float-filtered exact rational comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -532,20 +532,11 @@ def _cumsum_prefix(values: np.ndarray) -> np.ndarray:
     return p
 
 
-def _exact_prefix_1d(values: np.ndarray):
-    """Integer prefix over a common power-of-two denominator (lossless)."""
-    nums, dens = [], []
-    for v in values.tolist():
-        if not math.isfinite(v):
-            raise ValueError("grid values must be finite")
-        n, d = float(v).as_integer_ratio()
-        nums.append(n)
-        dens.append(d)
-    D = max(dens) if dens else 1
-    ints = [n * (D // d) for n, d in zip(nums, dens)]
-    prefix = [0]
-    prefix.extend(accumulate(ints))
-    return prefix, D
+def _exact_sum(cells) -> Fraction:
+    """The exact sum of floats: each one is n / d with d a power of two."""
+    ratios = [v.as_integer_ratio() for v in cells]
+    den = max((d for _, d in ratios), default=1)
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 class GridFunction:
@@ -553,7 +544,8 @@ class GridFunction:
 
     Supports dim 1 and 2; the box needs hi > lo and the values are finite,
     with at least one cell.  `cube_sum` over any grid-aligned span is the
-    correctly rounded true sum of the covered cell masses (integer prefix).
+    correctly rounded true sum of the covered cells (``math.fsum``), and
+    `average_exceeds` is a float-filtered exact rational comparison.
     `mask` marks cells carrying a defined value; matrix pullbacks may leave
     out-of-domain cells, which are excluded from norms and level sets.
     """
@@ -584,42 +576,40 @@ class GridFunction:
             self.mask = np.asarray(mask, dtype=bool)
             if self.mask.shape != self.shape:
                 raise ValueError("mask shape mismatch")
-        self._int_prefix = None
-        self._den = None
         self._float_prefix = None
 
     # -- exact engine -------------------------------------------------------
 
-    def _ensure_exact_prefix(self):
-        if self._int_prefix is not None:
-            return
-        if self.dim == 1:
-            self._int_prefix, self._den = _exact_prefix_1d(self.values)
-        else:
-            flat, D = _exact_prefix_1d(self.values.ravel())
-            # rebuild 2D integer prefix P[i][j] = sum over cells [<i, <j]
-            n0, n1 = self.shape
-            ints = [flat[k + 1] - flat[k] for k in range(n0 * n1)]
-            P = [[0] * (n1 + 1) for _ in range(n0 + 1)]
-            for i in range(n0):
-                row = 0
-                base = i * n1
-                for j in range(n1):
-                    row += ints[base + j]
-                    P[i + 1][j + 1] = P[i][j + 1] + row
-            self._int_prefix, self._den = P, D
+    def _cells(self, span) -> list:
+        """Cell values over the span as Python floats."""
+        slc = tuple(slice(i0, i1) for i0, i1 in _normalize_span(span, self.dim))
+        return self.values[slc].ravel().tolist()
 
     def cube_sum(self, span) -> float:
-        """Exact sum of cell values over the span (start, stop) per axis."""
-        self._ensure_exact_prefix()
-        if self.dim == 1:
-            (i0, i1), = _normalize_span(span, self.dim)
-            diff = self._int_prefix[i1] - self._int_prefix[i0]
-        else:
-            (i0, i1), (j0, j1) = _normalize_span(span, self.dim)
-            P = self._int_prefix
-            diff = P[i1][j1] - P[i0][j1] - P[i1][j0] + P[i0][j0]
-        return diff / self._den
+        """Sum of cell values over the span (start, stop) per axis, correctly
+        rounded (``math.fsum``)."""
+        return math.fsum(self._cells(span))
+
+    def exact_sum(self, span) -> Fraction:
+        """Exact sum of cell values over the span."""
+        return _exact_sum(self._cells(span))
+
+    def average_exceeds(self, span, thr: Fraction) -> bool:
+        """Exactly whether the average over the span exceeds thr.
+
+        A floating-point filter: the correctly rounded cell sum s and
+        threshold mass t = thr * count each lie within half an ulp of their
+        exact values, so s > t decides whenever they are more than an ulp of
+        the larger apart.  Only closer calls sum the cells as rationals."""
+        cells = self._cells(span)
+        mass = thr.numerator * len(cells)   # over thr.denominator
+        try:
+            s, t = math.fsum(cells), mass / thr.denominator
+        except OverflowError:           # decide exactly
+            s = t = math.nan
+        if abs(s - t) > math.ulp(max(abs(s), abs(t))):
+            return s > t
+        return _exact_sum(cells) * thr.denominator > mass
 
     def cube_average(self, span) -> float:
         count = 1

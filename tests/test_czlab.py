@@ -2,7 +2,7 @@
 
 The decomposition oracle re-derives every selection property from the raw
 values with Fraction arithmetic (maximality, disjointness, the two-sided
-sandwich), independent of the prefix machinery under test.
+sandwich), independent of the exact-sum machinery under test.
 """
 
 import math
@@ -106,6 +106,53 @@ def test_cz_rejects_grids_whose_splits_miss_cells(box, shape, message):
     vals[(1,) * len(shape)] = 100.0
     with pytest.raises(ValueError, match=message):
         cz_decompose(GridFunction(box, vals), 4.0, [4])
+
+
+def test_near_tie_1d_selected_exactly():
+    # the cell sum 4 + 2^-51 rounds to exactly a/4 * 2 = 4: only the exact
+    # comparison sees the root average above the threshold
+    f = GridFunction((0.0, 1.0), [2.0, 2.0 + 2.0 ** -51])
+    dec = cz_decompose(f, 8.0, [1])
+    assert [qc.span for qc in dec.cubes[1]] == [((0, 2),)]
+
+
+def test_near_tie_2d_sandwich_violation_raises():
+    # the root average 4 + 2^-51 exceeds the upper bound a/2^2 = 4, but its
+    # cell sum rounds to exactly 16
+    f = GridFunction(((0.0, 0.0), (1.0, 1.0)),
+                     [[4.0, 4.0], [4.0, 4.0 + 2.0 ** -49]])
+    with pytest.raises(ValueError, match="sandwich"):
+        cz_decompose(f, 16.0, [1])
+
+
+SUBNORMAL_CELLS = [float.fromhex(x) for x in (
+    "0x0.0000000000020p-1022", "0x0.8000000000034p-1022",
+    "0x1.0000000000004p-1020", "0x0.0000000000005p-1022",
+    "0x0.000000000003ep-1022", "0x0.000000000000cp-1022",
+    "0x0.0000000000034p-1022", "0x0.800000000003ep-1022")]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_subnormal_cube_average_rounds_once(alpha):
+    # the cell sum is normal and the average subnormal: the rounded sum
+    # divided by 8 rounds twice and lands one unit low
+    f = GridFunction((0.0, 1.0), SUBNORMAL_CELLS)
+    dec = cz_decompose(f, 2.0 ** 1021, [-1], alpha=alpha)
+    (qc,) = dec.cubes[-1]
+    assert qc.span == ((0, 8),)
+    assert qc.average == float.fromhex("0x0.a000000000025p-1022")
+    assert qc.average == float(exact_avg(f.values, qc.span))
+    assert qc.value == qc.average              # the root has side 1
+    assert math.fsum(SUBNORMAL_CELLS) / 8 == float.fromhex("0x0.a000000000024p-1022")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_cube_average_of_overflowing_sum(alpha):
+    # the cell sum 2e308 leaves the float range, the average does not;
+    # a^2/4 = 1.44 * 2^1022 < 1e308 <= a^2/2
+    f = GridFunction((0.0, 1.0), [1e308, 1e308])
+    dec = cz_decompose(f, 1.2 * 2.0 ** 512, [2], alpha=alpha)
+    assert [(qc.span, qc.average) for qc in dec.cubes[2]] == [(((0, 2),), 1e308)]
 
 
 def test_a_must_exceed_two_power_dim():
@@ -405,6 +452,9 @@ def test_chain_rejects_non_power_of_two():
     w = constant_weight(1.0, -40.0, 40.0)
     with pytest.raises(ValueError, match="power-of-two"):
         theorem_chain_check(f, w, 2.0, 2.0, PHI)
+    one_cell = GridFunction((-1.0, 1.0), np.ones(1))    # 1 is a power of two
+    with pytest.raises(ValueError, match="at least two cells per axis"):
+        theorem_chain_check(one_cell, w, 2.0, 2.0, PHI)
 
 
 def test_chain_json_dict_is_serializable():

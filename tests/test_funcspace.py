@@ -1,7 +1,7 @@
 """Exact integration, grids, and geometry primitives.
 
 Oracles: scipy adaptive quadrature for segment masses, Fraction arithmetic
-for prefix sums, and hand-derived closed forms frozen as literals.
+for cube sums and threshold tests, and hand-derived closed forms frozen as literals.
 """
 
 import dataclasses
@@ -206,7 +206,7 @@ def test_family_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# grid functions: exact prefix engine
+# grid functions: exact cube sums
 # ---------------------------------------------------------------------------
 
 def _exact_span_sum(values, span):
@@ -259,6 +259,22 @@ def test_cube_sum_exact_property(ints, data):
     i0 = data.draw(st.integers(0, n - 1))
     i1 = data.draw(st.integers(i0 + 1, n))
     assert g.cube_sum(((i0, i1),)) == _exact_span_sum(vals, ((i0, i1),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, sys.float_info.max), min_size=1, max_size=16),
+       st.integers(-4, 4), st.sampled_from([40, 52, 53, 54, 60, 1100]))
+def test_average_exceeds_matches_fraction_oracle(vals, step, shift):
+    # thresholds at, and a few units of 2^-shift around, the exact average:
+    # subnormal cells, sums past the float range and exact ties included
+    g = GridFunction((0.0, 1.0), vals)
+    span = ((0, len(vals)),)
+    total = sum(Fraction(v) for v in vals)
+    avg = total / len(vals)
+    thr = avg * (1 + Fraction(step, 2 ** shift)) + Fraction(step, 2 ** 1100)
+    assert g.exact_sum(span) == total
+    assert g.average_exceeds(span, thr) == (avg > thr)
+    assert g.average_exceeds(span, avg) is False
 
 
 def test_grid_rejects_negative_and_rectangular():

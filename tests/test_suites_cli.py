@@ -381,8 +381,10 @@ HOT_48 = {"box": [0.0, 1.0], "values": [1.0, 100.0] + [1.0] * 46}
     ("maximal", NON_SQUARE, ["--lengths", "dyadic"], "need a square grid"),
     ("cz", HOT_48, ["--a", "4", "--kmin", "4", "--kmax", "4"],
      "power-of-two cell count"),
+    ("cz", {"box": [0.0, 1.0], "values": [1.0, 2.0, 3.0, 4.0]},
+     ["--kmin", "1", "--kmax", "400"], "k=342 overflows the float range"),
 ], ids=["nan", "empty", "reversed-box", "overflow", "non-square-all",
-        "non-square-dyadic", "cz-48-cells"])
+        "non-square-dyadic", "cz-48-cells", "cz-threshold-overflow"])
 def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid,
                                               options, message):
     path = tmp_path / "grid.json"
