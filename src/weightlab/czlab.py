@@ -16,10 +16,14 @@ Geometry conventions used by the chain:
 * The image grid A(Y) carries the same cell count; the map must send cells
   onto cells bijectively (scalings, axis swaps, sign flips), which makes
   every set-transport step exact.
+* Cell transport is ``maximal.preimage_cells``: an image cell corresponds
+  to the input cell holding A^(-1) of its center.  ``level_sets`` uses the
+  same correspondence for any map, and reports whether it is one to one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -36,11 +40,13 @@ from .funcspace import (
     compose_matrix,
 )
 from .maximal import (
-    _box_corners,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
+    image_box,
     orlicz_maximal,
+    preimage_cells,
+    resolve_matrix,
 )
 from .young import YoungFn, bp_integral, complementary, luxemburg_norm_of_values
 
@@ -125,13 +131,11 @@ def _float_span_sum(grid: GridFunction, span) -> float:
 
 def _span_flat(span, shape) -> np.ndarray:
     """Flat cell indices covered by a span."""
-    if len(span) == 1:
-        (i0, i1), = span
-        return np.arange(i0, i1, dtype=np.int64)
-    (i0, i1), (j0, j1) = span
-    rows = np.arange(i0, i1, dtype=np.int64) * shape[1]
-    cols = np.arange(j0, j1, dtype=np.int64)
-    return (rows[:, None] + cols[None, :]).ravel()
+    (i0, i1), *rest = span
+    flat = np.arange(i0, i1, dtype=np.int64)
+    for (j0, j1), m in zip(rest, shape[1:]):
+        flat = (flat[:, None] * m + np.arange(j0, j1)).ravel()
+    return flat
 
 
 def _dyadic_cells(f: GridFunction) -> int:
@@ -178,7 +182,7 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
         lvl = side.bit_length() - 1    # side = 2^lvl
         top = pyramid[lvl]
         idx = tuple(i0 // side for i0, _ in span)
-        best = top[idx] if dim == 1 else top[idx[0], idx[1]]
+        best = top[idx]
         cap = best if alpha == 0.0 else (side * h) ** alpha * best
         if cap * (1.0 + 1e-12) < thr_f:
             continue
@@ -195,15 +199,8 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
 
 
 def _child_corners(span, half):
-    out = []
-    if len(span) == 1:
-        (i0, i1), = span
-        return [((i0, i0 + half),), ((i0 + half, i1),)]
-    (i0, i1), (j0, j1) = span
-    for a in (i0, i0 + half):
-        for b in (j0, j0 + half):
-            out.append(((a, a + half), (b, b + half)))
-    return out
+    return itertools.product(*[((i0, i0 + half), (i0 + half, i1))
+                               for i0, i1 in span])
 
 
 def _span_to_cube(grid: GridFunction, span) -> Cube:
@@ -299,42 +296,36 @@ def ekj_expansion_check(dec: CZDecomposition) -> dict:
 # grid-to-grid matrix transport
 # ---------------------------------------------------------------------------
 
+def _cell_transport(grid: GridFunction, A: SquareMatrix):
+    """(out_lo, out_hi, back) for the image grid: A(box) with the grid's
+    cell counts.  back[out_flat] is the flat input cell holding the
+    preimage of that cell's center, -1 where it leaves the box."""
+    lo, hi = image_box(grid, A)
+    idx, inside = preimage_cells(grid, A, (lo, hi), grid.shape)
+    back = np.ravel_multi_index(idx, grid.shape, mode="clip").ravel()
+    back[~inside.ravel()] = -1
+    return lo, hi, back
+
+
+def _transport_fault(back) -> str | None:
+    """Why the cell transport is not one to one, or None when it is."""
+    if (back < 0).any():
+        return "image grid does not map back into the box"
+    if not (np.bincount(back, minlength=back.size) == 1).all():
+        return "matrix does not map cells onto cells bijectively"
+    return None
+
+
 def _grid_bijection(grid: GridFunction, A: SquareMatrix):
     """(out_lo, out_hi, perm) with perm[out_flat] = in_flat of the preimage.
 
     Raises DomainError unless A maps the cell lattice onto the image lattice
     one to one (dyadic scalings, sign flips, axis swaps, 90-degree turns).
     """
-    corners = _box_corners(grid.lo, grid.hi)
-    pts = np.asarray([A.apply(c) for c in corners])
-    lo = tuple(float(v) for v in pts.min(axis=0))
-    hi = tuple(float(v) for v in pts.max(axis=0))
-    inv = np.asarray(A.inverse().entries)
-    n = grid.shape
-    if grid.dim == 1:
-        h_out = (hi[0] - lo[0]) / n[0]
-        centers = lo[0] + (np.arange(n[0]) + 0.5) * h_out
-        ys = centers * inv[0, 0]
-        idx = np.floor((ys - grid.lo[0]) / grid.h[0]).astype(np.int64)
-        if idx.min() < 0 or idx.max() >= n[0]:
-            raise DomainError("image grid does not map back into the box")
-        perm = idx
-    else:
-        h0 = (hi[0] - lo[0]) / n[0]
-        h1 = (hi[1] - lo[1]) / n[1]
-        cx = lo[0] + (np.arange(n[0]) + 0.5) * h0
-        cy = lo[1] + (np.arange(n[1]) + 0.5) * h1
-        X, Yc = np.meshgrid(cx, cy, indexing="ij")
-        U = inv[0, 0] * X + inv[0, 1] * Yc
-        V = inv[1, 0] * X + inv[1, 1] * Yc
-        iu = np.floor((U - grid.lo[0]) / grid.h[0]).astype(np.int64)
-        iv = np.floor((V - grid.lo[1]) / grid.h[1]).astype(np.int64)
-        if iu.min() < 0 or iu.max() >= n[0] or iv.min() < 0 or iv.max() >= n[1]:
-            raise DomainError("image grid does not map back into the box")
-        perm = (iu * n[1] + iv).ravel()
-    counts = np.bincount(perm, minlength=int(np.prod(n)))
-    if not (counts == 1).all():
-        raise DomainError("matrix does not map cells onto cells bijectively")
+    lo, hi, perm = _cell_transport(grid, A)
+    fault = _transport_fault(perm)
+    if fault:
+        raise DomainError(fault)
     return lo, hi, perm
 
 
@@ -366,44 +357,30 @@ def level_sets(f: GridFunction, A, a: float, k_range,
     """Superlevel sets of the maximal fields and their images under A.
 
     omega_k = {Mf > a^k} (sup over every position of the selected window
-    lengths), D_k = {M^d f > a^k/4^n}.  Images are exact cell sets when A
-    maps cells onto cells; otherwise a nearest-cell fallback is used and
-    ``exact`` is False.
+    lengths), D_k = {M^d f > a^k/4^n}.  The image grid is A(box) with f's
+    cell counts; each image cell takes the set membership of the input cell
+    holding the preimage of its center, and cells whose preimage leaves the
+    box are outside.  ``exact`` is True when this cell transport is one to
+    one, so the images are exact cell sets; otherwise they are the
+    nearest-cell approximation.
     """
-    A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), f.dim)
+    A = resolve_matrix(A, f.dim)
     M = hl_maximal(f, lengths=lengths)
     Md = dyadic_maximal(f)
     ks = sorted(int(k) for k in k_range)
-    try:
-        lo, hi, perm = _grid_bijection(f, A)
-        exact = True
-    except DomainError:
-        perm = None
-        exact = False
-        from .maximal import matrix_compose
-        marker = GridFunction((f.lo, f.hi), np.arange(f.values.size,
-                              dtype=float).reshape(f.shape) + 1.0)
-        near = matrix_compose(marker, A, n_out=f.shape)
-        lo, hi = near.lo, near.hi
-        back = np.where(near.mask.ravel(), near.values.ravel() - 1.0, -1.0)
-        back = back.astype(np.int64)
+    lo, hi, back = _cell_transport(f, A)
+    exact = _transport_fault(back) is None
+    inside = back >= 0
+
+    def image(mask):
+        return np.where(inside, mask.ravel()[back], False).reshape(f.shape)
+
     omega, omega_A, Dm, D_A = {}, {}, {}, {}
     for k in ks:
-        om = M.values > a ** k
-        dk = Md.values > a ** k / 4 ** f.dim
-        omega[k] = om
-        Dm[k] = dk
-        if exact:
-            omega_A[k] = om.ravel()[perm].reshape(f.shape)
-            D_A[k] = dk.ravel()[perm].reshape(f.shape)
-        else:
-            flat_om = np.zeros(f.values.size, dtype=bool)
-            flat_dk = np.zeros(f.values.size, dtype=bool)
-            ok = back >= 0
-            flat_om[ok] = om.ravel()[back[ok]]
-            flat_dk[ok] = dk.ravel()[back[ok]]
-            omega_A[k] = flat_om.reshape(f.shape)
-            D_A[k] = flat_dk.reshape(f.shape)
+        omega[k] = M.values > a ** k
+        Dm[k] = Md.values > a ** k / 4 ** f.dim
+        omega_A[k] = image(omega[k])
+        D_A[k] = image(Dm[k])
     vol_out = float(np.prod([(b - aa) / m for (aa, b), m
                              in zip(zip(lo, hi), f.shape)]))
     return LevelSets(ks, omega, omega_A, Dm, D_A, (lo, hi), exact,
@@ -522,7 +499,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     n = _dyadic_cells(f)
     if n < 2:
         raise ValueError("f needs at least two cells per axis")
-    A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), dim)
+    A = resolve_matrix(A, dim)
     if a is None:
         a = float(2 ** (dim + 2))
     if not a > 2 ** dim:

@@ -11,6 +11,7 @@ rational threshold by a float-filtered exact rational comparison.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -446,7 +447,7 @@ class CubeFamily:
                         starts.append(s)
                         s += side
                     per_axis.append(starts)
-                for corner in _product_corners(per_axis):
+                for corner in itertools.product(*per_axis):
                     out.append(Cube(corner, side))
         return out
 
@@ -497,16 +498,6 @@ def _normalize_box(box):
     if np.isscalar(a):
         return (float(a),), (float(b),)
     return tuple(float(x) for x in a), tuple(float(x) for x in b)
-
-
-def _product_corners(per_axis):
-    if len(per_axis) == 1:
-        return [(s,) for s in per_axis[0]]
-    out = []
-    for x in per_axis[0]:
-        for rest in _product_corners(per_axis[1:]):
-            out.append((x,) + rest)
-    return out
 
 
 # ---------------------------------------------------------------------------

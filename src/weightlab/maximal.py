@@ -40,17 +40,24 @@ their stored value 0, so all fields are lower bounds for the operators
 applied to any nonnegative extension of the data.
 
 ``matrix_compose`` evaluates a field at A^(-1) x, which turns a plain
-maximal field into the matrix-composed variant.
+maximal field into the matrix-composed variant.  Which input cell an
+output cell reads is decided in one place, ``preimage_cells``, in any
+dimension; ``czlab`` transports level sets and the chain's grids with it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from .funcspace import CubeFamily, GridFunction, SquareMatrix, _cumsum_prefix
+from .funcspace import (
+    CubeFamily,
+    GridFunction,
+    SquareMatrix,
+    _cumsum_prefix,
+    _normalize_box,
+)
 from .young import YoungFn, luxemburg_norm_of_values
 
 __all__ = [
@@ -59,6 +66,9 @@ __all__ = [
     "dyadic_maximal",
     "orlicz_maximal",
     "matrix_compose",
+    "preimage_cells",
+    "image_box",
+    "resolve_matrix",
 ]
 
 
@@ -403,9 +413,14 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     """Orlicz maximal field: sup of |Q|^(alpha/n) * ||f||_{phi,Q}.
 
     Homogeneous phi (identity, powers) rides the shared prefix sweep, so
-    phi(t) = t agrees with ``hl_maximal`` exactly.  Other kinds solve a
-    Luxemburg bisection per cube and therefore need a finite family.
+    phi(t) = t agrees with ``hl_maximal`` exactly.  The sup kind without a
+    family reads the largest listed side only: every listed window holding
+    a cell lies in a window of that side holding it, with a larger maximum
+    and, as alpha >= 0, a larger scale.  Other kinds solve a Luxemburg
+    bisection per cube and therefore need a finite family.
     """
+    if not 0.0 <= alpha < f.dim:
+        raise ValueError("alpha must lie in [0, dim)")
     if phi.kind == "identity":
         return _average_field(f, family, lengths, _averages(f), alpha)
     if phi.is_homogeneous:
@@ -414,7 +429,8 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     if phi.kind == "sup":
         cube_values = _window_maxima(f)
         if family is None:
-            return _nested_max(f, lengths, cube_values, alpha)
+            side = _length_list(_square_cells(f), lengths)[-1]
+            return _nested_max(f, [side], cube_values, alpha)
     elif family is None:
         raise ValueError(f"{phi.describe()} needs a finite cube family")
     else:
@@ -426,29 +442,11 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
 # matrix composition of fields
 # ---------------------------------------------------------------------------
 
-def matrix_compose(f: GridFunction, A, out_box=None, n_out=None,
-                   reduce: str = "nearest") -> GridFunction:
-    """Field x -> f(A^(-1) x) on a new grid.
-
-    reduce="nearest" reads the input cell containing A^(-1)(cell center).
-    reduce="min" takes the minimum of f over an index box covering the full
-    preimage of the output cell, which never overestimates and is exact when
-    A maps the output grid onto unions of input cells (dyadic scalings).
-    Output cells whose preimage leaves the input domain get value 0 and
-    mask False.
-    """
-    A = _resolve_matrix(A, f.dim)
-    if reduce not in ("nearest", "min"):
-        raise ValueError("reduce must be 'nearest' or 'min'")
-    lo_out, hi_out, shape_out = _output_geometry(f, A, out_box, n_out)
-    if f.dim == 1:
-        return _compose_1d(f, A, lo_out, hi_out, shape_out, reduce)
-    return _compose_2d(f, A, lo_out, hi_out, shape_out, reduce)
-
-
-def _resolve_matrix(A, dim: int) -> SquareMatrix:
+def resolve_matrix(A, dim: int) -> SquareMatrix:
+    """A as a dim x dim SquareMatrix; a scalar is that multiple of the
+    identity."""
     if isinstance(A, SquareMatrix):
-        if len(A.entries) != dim:
+        if A.dim != dim:
             raise ValueError("matrix dimension does not match the field")
         return A
     if np.isscalar(A):
@@ -456,16 +454,60 @@ def _resolve_matrix(A, dim: int) -> SquareMatrix:
     return SquareMatrix(A)
 
 
+def image_box(f: GridFunction, A: SquareMatrix):
+    """(lo, hi) of the smallest box holding A applied to f's box."""
+    pts = np.asarray([A.apply(c) for c in itertools.product(*zip(f.lo, f.hi))])
+    return (tuple(float(v) for v in pts.min(axis=0)),
+            tuple(float(v) for v in pts.max(axis=0)))
+
+
+def preimage_cells(f: GridFunction, A: SquareMatrix, box, shape):
+    """Cell transport: which cell of f each cell of a grid reads under A^(-1).
+
+    The grid has ``shape`` cells on ``box``.  Returns one index array per
+    axis of f, holding the cell of f that contains A^(-1) of each grid cell
+    center (the half-open floor rule of ``cell_of_point``), and the mask of
+    the grid cells whose preimage lies inside f's grid; outside it the
+    indices are out of range.
+    """
+    lo, hi = box
+    inv = A.inv
+    # one center coordinate array per axis; the sum broadcasts them
+    X = np.meshgrid(*(a + (np.arange(m) + 0.5) * ((b - a) / m)
+                      for a, b, m in zip(lo, hi, shape)),
+                    indexing="ij", sparse=True)
+    idx = []
+    inside = np.ones(tuple(shape), dtype=bool)
+    for d in range(f.dim):
+        U = sum((inv[d, e] * X[e] for e in range(1, f.dim)), inv[d, 0] * X[0])
+        U -= f.lo[d]
+        U /= f.h[d]
+        idx.append(np.floor(U, out=U).astype(np.int64))
+        inside &= (idx[d] >= 0) & (idx[d] < f.shape[d])
+    return tuple(idx), inside
+
+
+def matrix_compose(f: GridFunction, A, out_box=None, n_out=None) -> GridFunction:
+    """Field x -> f(A^(-1) x) on a new grid.
+
+    Each output cell reads the input cell containing A^(-1)(cell center)
+    (``preimage_cells``).  The grid defaults to the image box of f's box
+    with f's cell size.  Output cells whose preimage leaves the input
+    domain get value 0 and mask False.
+    """
+    A = resolve_matrix(A, f.dim)
+    lo, hi, shape = _output_geometry(f, A, out_box, n_out)
+    idx, inside = preimage_cells(f, A, (lo, hi), shape)
+    cells = tuple(np.where(inside, i, 0) for i in idx)
+    msk = inside & f.mask[cells]
+    return GridFunction((lo, hi), np.where(msk, f.values[cells], 0.0),
+                        mask=msk)
+
+
 def _output_geometry(f: GridFunction, A: SquareMatrix, out_box, n_out):
     if out_box is None:
-        corners = []
-        for corner in _box_corners(f.lo, f.hi):
-            corners.append(A.apply(corner))
-        pts = np.asarray(corners)
-        lo = tuple(float(v) for v in pts.min(axis=0))
-        hi = tuple(float(v) for v in pts.max(axis=0))
+        lo, hi = image_box(f, A)
     else:
-        from .funcspace import _normalize_box
         lo, hi = _normalize_box(out_box)
     if n_out is None:
         h = f.h[0]
@@ -478,90 +520,3 @@ def _output_geometry(f: GridFunction, A: SquareMatrix, out_box, n_out):
     else:
         shape = tuple(int(m) for m in n_out)
     return lo, hi, shape
-
-
-def _box_corners(lo, hi):
-    if len(lo) == 1:
-        return [(lo[0],), (hi[0],)]
-    return [(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])]
-
-
-def _compose_1d(f, A, lo, hi, shape, reduce):
-    n_out = shape[0]
-    h_out = (hi[0] - lo[0]) / n_out
-    n_in = f.shape[0]
-    if reduce == "nearest":
-        centers = lo[0] + (np.arange(n_out) + 0.5) * h_out
-        y = np.array([A.apply_inv((c,))[0] for c in centers[:2]])
-        # affine in 1D: recover the scale once instead of looping
-        lam_inv = (y[1] - y[0]) / (centers[1] - centers[0]) if n_out > 1 else None
-        if lam_inv is None:
-            ys = np.array([A.apply_inv((c,))[0] for c in centers])
-        else:
-            ys = y[0] + (centers - centers[0]) * lam_inv
-        t = np.floor((ys - f.lo[0]) / f.h[0]).astype(int)
-        valid = (t >= 0) & (t < n_in)
-        vals = np.zeros(n_out)
-        msk = np.zeros(n_out, dtype=bool)
-        vals[valid] = f.values[t[valid]]
-        msk[valid] = f.mask[t[valid]]
-        vals[~msk] = 0.0
-        return GridFunction((lo, hi), vals, mask=msk)
-    vals = np.zeros(n_out)
-    msk = np.zeros(n_out, dtype=bool)
-    for i in range(n_out):
-        a = lo[0] + i * h_out
-        b = a + h_out
-        ya = A.apply_inv((a,))[0]
-        yb = A.apply_inv((b,))[0]
-        ya, yb = min(ya, yb), max(ya, yb)
-        i0 = math.floor((ya - f.lo[0]) / f.h[0] + 1e-9)
-        i1 = math.ceil((yb - f.lo[0]) / f.h[0] - 1e-9)
-        if i0 < 0 or i1 > n_in or i1 <= i0:
-            continue
-        if not f.mask[i0:i1].all():
-            continue
-        vals[i] = float(f.values[i0:i1].min())
-        msk[i] = True
-    return GridFunction((lo, hi), vals, mask=msk)
-
-
-def _compose_2d(f, A, lo, hi, shape, reduce):
-    n0, n1 = shape
-    h0 = (hi[0] - lo[0]) / n0
-    h1 = (hi[1] - lo[1]) / n1
-    inv = np.asarray(A.inverse().entries)
-    vals = np.zeros(shape)
-    msk = np.zeros(shape, dtype=bool)
-    if reduce == "nearest":
-        cx = lo[0] + (np.arange(n0) + 0.5) * h0
-        cy = lo[1] + (np.arange(n1) + 0.5) * h1
-        X, Y = np.meshgrid(cx, cy, indexing="ij")
-        U = inv[0, 0] * X + inv[0, 1] * Y
-        V = inv[1, 0] * X + inv[1, 1] * Y
-        iu = np.floor((U - f.lo[0]) / f.h[0]).astype(int)
-        iv = np.floor((V - f.lo[1]) / f.h[1]).astype(int)
-        ok = (iu >= 0) & (iu < f.shape[0]) & (iv >= 0) & (iv < f.shape[1])
-        vals[ok] = f.values[iu[ok], iv[ok]]
-        msk[ok] = f.mask[iu[ok], iv[ok]]
-        vals[~msk] = 0.0
-        return GridFunction((lo, hi), vals, mask=msk)
-    for i in range(n0):
-        a0, b0 = lo[0] + i * h0, lo[0] + (i + 1) * h0
-        for j in range(n1):
-            a1, b1 = lo[1] + j * h1, lo[1] + (j + 1) * h1
-            pts = np.array([[a0, a1], [a0, b1], [b0, a1], [b0, b1]]) @ inv.T
-            u0, v0 = pts.min(axis=0)
-            u1, v1 = pts.max(axis=0)
-            i0 = math.floor((u0 - f.lo[0]) / f.h[0] + 1e-9)
-            i1 = math.ceil((u1 - f.lo[0]) / f.h[0] - 1e-9)
-            j0 = math.floor((v0 - f.lo[1]) / f.h[1] + 1e-9)
-            j1 = math.ceil((v1 - f.lo[1]) / f.h[1] - 1e-9)
-            if i0 < 0 or j0 < 0 or i1 > f.shape[0] or j1 > f.shape[1] \
-                    or i1 <= i0 or j1 <= j0:
-                continue
-            if not f.mask[i0:i1, j0:j1].all():
-                continue
-            vals[i, j] = float(f.values[i0:i1, j0:j1].min())
-            msk[i, j] = True
-    return GridFunction((lo, hi), vals, mask=msk)

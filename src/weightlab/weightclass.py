@@ -40,7 +40,7 @@ from .funcspace import (
     compose_matrix,
     sample_to_grid,
 )
-from .maximal import hl_maximal, matrix_compose
+from .maximal import hl_maximal, matrix_compose, resolve_matrix
 from .young import YoungFn, luxemburg_norm, luxemburg_norm_of_values
 
 __all__ = [
@@ -342,13 +342,9 @@ def _grid_evaluator(w: GridFunction, spec: ClassSpec, family: CubeFamily):
         return fields[e]
 
     if spec.kind in ("AAp", "bump", "frac", "frac_bump"):
-        wA = matrix_compose(w, spec.A.inverse(), out_box=(w.lo, w.hi),
-                            n_out=w.shape, reduce="nearest")
-        wA_vals = GridFunction((w.lo, w.hi), wA.values)
+        wA = _composed_grid(w, spec.A)
         if spec.kind in ("frac", "frac_bump"):
             wAq = GridFunction((w.lo, w.hi), wA.values ** q)
-    else:
-        wA_vals = None
 
     def avg_of(g: GridFunction, Q: Cube) -> float:
         return g.cube_average(g.span_of_cube(Q))
@@ -360,7 +356,7 @@ def _grid_evaluator(w: GridFunction, spec: ClassSpec, family: CubeFamily):
             return (avg_of(w, Q)
                     * avg_of(powered_field(-1.0 / (p - 1.0)), Q) ** (p - 1.0)), None
         if spec.kind == "AAp":
-            return (avg_of(wA_vals, Q)
+            return (avg_of(wA, Q)
                     * avg_of(powered_field(-1.0 / (p - 1.0)), Q) ** (p - 1.0)), None
         if spec.kind == "RH":
             mean = avg_of(w, Q)
@@ -370,7 +366,7 @@ def _grid_evaluator(w: GridFunction, spec: ClassSpec, family: CubeFamily):
         if spec.kind == "bump":
             span = w.span_of_cube(Q)
             vals = _span_values(powered_field(-1.0 / p), span)
-            return (avg_of(wA_vals, Q) ** (1.0 / p)
+            return (avg_of(wA, Q) ** (1.0 / p)
                     * luxemburg_norm_of_values(vals, spec.phi)), None
         # fractional kinds
         lead = avg_of(wAq, Q) ** (1.0 / q)
@@ -385,27 +381,32 @@ def _grid_evaluator(w: GridFunction, spec: ClassSpec, family: CubeFamily):
 
 
 def _span_values(g: GridFunction, span):
-    if g.dim == 1:
-        (i0, i1), = span
-        return g.values[i0:i1]
-    (i0, i1), (j0, j1) = span
-    return g.values[i0:i1, j0:j1].ravel()
+    return g.values[tuple(slice(i0, i1) for i0, i1 in span)].ravel()
+
+
+def _composed_grid(w: GridFunction, A: SquareMatrix) -> GridFunction:
+    """The grid weight x -> w(Ax) on w's own grid, 0 where Ax leaves it."""
+    g = matrix_compose(w, A.inverse(), out_box=(w.lo, w.hi), n_out=w.shape)
+    return GridFunction((w.lo, w.hi), g.values)
+
+
+def _weight_grids(w, A: SquareMatrix, family: CubeFamily, n_cells: int):
+    """(w, w(A.)) as grid functions: exact cell averages of an analytic
+    weight on ``n_cells`` cells of the family box, or a grid weight and
+    its composition on its own grid."""
+    if isinstance(w, SegmentWeight1D):
+        box = (family.lo, family.hi)
+        return (sample_to_grid(w, box, n_cells),
+                sample_to_grid(compose_matrix(w, A), box, n_cells))
+    return w, _composed_grid(w, A)
 
 
 def _aa1_constant(w, spec: ClassSpec, family: CubeFamily,
                   n_cells: int) -> ConstantReport:
     """max over cells of M(w_A)/w, both sides as exact cell averages."""
-    box = (family.lo, family.hi)
-    if isinstance(w, SegmentWeight1D):
-        if family.dim != 1:
-            raise ValueError("analytic AA1 is one dimensional")
-        w_grid = sample_to_grid(w, box, n_cells)
-        wA_grid = sample_to_grid(compose_matrix(w, spec.A), box, n_cells)
-    else:
-        w_grid = w
-        wA_grid = matrix_compose(w, spec.A.inverse(), out_box=(w.lo, w.hi),
-                                 n_out=w.shape, reduce="nearest")
-        wA_grid = GridFunction((w.lo, w.hi), wA_grid.values)
+    if isinstance(w, SegmentWeight1D) and family.dim != 1:
+        raise ValueError("analytic AA1 is one dimensional")
+    w_grid, wA_grid = _weight_grids(w, spec.A, family, n_cells)
     M = hl_maximal(wA_grid, family)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(w_grid.values > 0, M.values / w_grid.values,
@@ -435,22 +436,14 @@ def finite_order_reduction(w, A, p: float, family: CubeFamily,
     the report carries all three numbers plus a consistency verdict instead
     of assuming it.  A without finite order yields applicable=False.
     """
-    A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), 1)
+    A = resolve_matrix(A, family.dim)
     k = A.order(bound=order_bound)
     out = {"order": k, "applicable": k is not None}
     if k is None:
         return out
     aap = class_constant(w, ClassSpec("AAp", p=p, A=A), family)
     ap = class_constant(w, ClassSpec("Ap", p=p), family)
-    box = (family.lo, family.hi)
-    if isinstance(w, SegmentWeight1D):
-        w_grid = sample_to_grid(w, box, n_cells)
-        wA_grid = sample_to_grid(compose_matrix(w, A), box, n_cells)
-    else:
-        w_grid = w
-        g = matrix_compose(w, A.inverse(), out_box=(w.lo, w.hi),
-                           n_out=w.shape, reduce="nearest")
-        wA_grid = GridFunction((w.lo, w.hi), g.values)
+    w_grid, wA_grid = _weight_grids(w, A, family, n_cells)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(w_grid.values > 0, wA_grid.values / w_grid.values,
                          np.where(wA_grid.values > 0, np.inf, 1.0))
@@ -475,7 +468,7 @@ def subset_mass_ratio_check(w, A, p: float, pairs, family: CubeFamily,
     should never exceed rounding when Q belongs to the family and [w] is
     finite there.  Pairs are (S, Q) cubes with S inside Q.
     """
-    A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), 1)
+    A = resolve_matrix(A, 1)
     if constant is None:
         constant = class_constant(w, ClassSpec("AAp", p=p, A=A), family).value
     if not math.isfinite(constant):
@@ -513,7 +506,7 @@ def rh_inclusion_check(w, A, p: float, eps: float, family: CubeFamily) -> dict:
         raise ValueError("eps must lie in (0, 1)")
     if not p > 1.0 + eps:
         raise ValueError("need p > 1 + eps so the lowered exponent stays > 1")
-    A = A if isinstance(A, SquareMatrix) else SquareMatrix.scalar(float(A), 1)
+    A = resolve_matrix(A, 1)
     s = (p - 1.0) / (p - eps - 1.0)
     sigma, bad = w.try_powered(-1.0 / (p - 1.0))
     if sigma is None:

@@ -5,6 +5,7 @@ values with Fraction arithmetic (maximality, disjointness, the two-sided
 sandwich), independent of the exact-sum machinery under test.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ import pytest
 
 from weightlab.czlab import (
     CZDecomposition,
+    _child_corners,
+    _span_flat,
     cz_decompose,
     ekj_expansion_check,
     level_sets,
@@ -153,6 +156,24 @@ def test_cube_average_of_overflowing_sum(alpha):
     f = GridFunction((0.0, 1.0), [1e308, 1e308])
     dec = cz_decompose(f, 1.2 * 2.0 ** 512, [2], alpha=alpha)
     assert [(qc.span, qc.average) for qc in dec.cubes[2]] == [(((0, 2),), 1e308)]
+
+
+@pytest.mark.parametrize("span", [((2, 6),), ((4, 8), (0, 4)),
+                                  ((0, 2), (2, 4), (6, 8))])
+def test_span_helpers_any_dimension(span):
+    shape = (8,) * len(span)
+    slices = tuple(slice(*s) for s in span)
+    flat = np.arange(8 ** len(span)).reshape(shape)
+    np.testing.assert_array_equal(_span_flat(span, shape), flat[slices].ravel())
+    # the 2^n children tile the span, in lexicographic order
+    half = (span[0][1] - span[0][0]) // 2
+    children = list(_child_corners(span, half))
+    assert len(children) == 2 ** len(span) and children == sorted(children)
+    cover = np.zeros(shape, dtype=int)
+    for child in children:
+        assert all(i1 - i0 == half for i0, i1 in child)
+        cover[tuple(slice(*c) for c in child)] += 1
+    assert (cover[slices] == 1).all() and cover.sum() == flat[slices].size
 
 
 def test_a_must_exceed_two_power_dim():
@@ -310,6 +331,58 @@ def test_level_sets_rotation_fallback():
     ls = level_sets(f, R, 8.0, [0])
     assert not ls.exact          # nearest-cell fallback for a generic rotation
     assert ls.omega[0].shape == (16, 16)
+
+
+def _level_set_images(f, A, a, ks):
+    ls = level_sets(f, A, a, ks)
+    return ls, [ls.omega_A[k] for k in ls.ks] + [ls.D_A[k] for k in ls.ks]
+
+
+ROTATION_07 = [[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]]
+
+
+@pytest.mark.parametrize("matrix, exact, counts, digest", [
+    (ROTATION_07, False, [121, 14, 0, 128, 128, 36],
+     "81994634f3e5f43ffe3568bdb9303d94febc747f2657095fe9f94b226ab0807a"),
+    ([[0.0, -1.0], [1.0, 0.0]], True, [243, 28, 0, 256, 256, 69],
+     "dced72b02d9580fdc9b647485f193070c150d42545d028fcc4ac9b5909ad78f0"),
+], ids=["rotation-0.7", "quarter-turn"])
+def test_level_sets_image_masks_frozen(matrix, exact, counts, digest):
+    """Frozen image masks (cell counts and a sha256 of the packed bits) of
+    omega_k and D_k for k = 2, 3, 5 with a = 3."""
+    rng = np.random.default_rng(30)
+    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)),
+                     rng.random((16, 16)) ** 4 * 40.0)
+    ls, masks = _level_set_images(f, SquareMatrix(matrix), 3.0, [2, 3, 5])
+    assert ls.exact is exact
+    assert [int(m.sum()) for m in masks] == counts
+    bits = np.packbits(np.stack(masks)).tobytes()
+    assert hashlib.sha256(bits).hexdigest() == digest
+
+
+def test_level_sets_shear_reads_nearest_cells():
+    """The shear's image grid has cells twice as wide as tall; each image
+    cell takes the membership of the input cell holding the preimage of its
+    center, and cells outside the sheared box are in no set."""
+    rng = np.random.default_rng(35)
+    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)),
+                     rng.random((16, 16)) ** 4 * 40.0)
+    A = SquareMatrix([[1.0, 1.0], [0.0, 1.0]])
+    ls, masks = _level_set_images(f, A, 3.0, [3, 5])
+    assert not ls.exact
+    assert ls.out_box == ((-2.0, -1.0), (2.0, 1.0))
+    assert ls.cell_volume_out == 0.25 * 0.125
+    sets = [ls.omega[k] for k in ls.ks] + [ls.D[k] for k in ls.ks]
+    outside = 0
+    for i, j in np.ndindex(16, 16):
+        # dyadic centers: the preimage x - y is exact and never on a boundary
+        cell = f.cell_of_point(A.apply_inv((-2.0 + (i + 0.5) * 0.25,
+                                            -1.0 + (j + 0.5) * 0.125)))
+        outside += cell is None
+        for image, s in zip(masks, sets):
+            assert image[i, j] == (cell is not None and s[cell]), (i, j)
+    assert outside == 128
+    assert [int(m.sum()) for m in masks] == [8, 0, 128, 37]
 
 
 def test_level_sets_nesting_and_dyadic_domination():

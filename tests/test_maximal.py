@@ -8,6 +8,7 @@ paths for every position of each length are also held bit for bit to
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from weightlab.maximal import (
     hl_maximal,
     matrix_compose,
     orlicz_maximal,
+    preimage_cells,
 )
 from weightlab.young import YoungFn
 
@@ -279,6 +281,15 @@ def test_fractional_alpha_range_checked():
         fractional_maximal(g, -0.1)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, 1.0, math.nan])
+def test_orlicz_alpha_range_checked(alpha):
+    # the sup kind reads the largest side only, which needs alpha >= 0
+    g = GridFunction((0.0, 1.0), np.ones(8))
+    for phi in (YoungFn("sup"), YoungFn.power(2.0), YoungFn.identity()):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, dim\)"):
+            orlicz_maximal(g, phi, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # Orlicz
 # ---------------------------------------------------------------------------
@@ -454,8 +465,10 @@ def _nested_cases(g, lengths):
         phi = YoungFn.power(r)
         cases.append((f"power {r}", orlicz_maximal(g, phi, lengths=lengths),
                       _averages(g, phi.r, phi.c), 0.0))
-    cases.append(("sup", orlicz_maximal(g, YoungFn("sup"), lengths=lengths),
-                  _window_maxima(g), 0.0))
+    for alpha in (0.0,) + alphas:
+        cases.append((f"sup {alpha}", orlicz_maximal(
+            g, YoungFn("sup"), alpha=alpha, lengths=lengths),
+            _window_maxima(g), alpha))
     return cases
 
 
@@ -571,13 +584,47 @@ def test_compose_out_of_domain_masked():
     assert np.all(out.values[4:] == 0.0)
 
 
-def test_compose_min_reduce_never_overestimates():
-    rng = np.random.default_rng(21)
-    vals = rng.random(32)
-    g = GridFunction((0.0, 1.0), vals)
-    near = matrix_compose(g, 0.5, n_out=16)
-    low = matrix_compose(g, 0.5, n_out=16, reduce="min")
-    assert np.all(low.values <= near.values + 1e-15)
+@pytest.mark.parametrize("lam, out_box, n_out, ties", [
+    (1.5, None, None, 32),
+    (1.5, None, 16, 16),
+    (-1.5, (-1.0, 1.0), 64, 22),
+    (3.0, None, None, 0),
+])
+def test_compose_1d_ties_follow_the_floor_rule(lam, out_box, n_out, ties):
+    """Each output cell reads the cell holding the exact preimage of its
+    center, by the half-open floor rule of ``cell_of_point``: a preimage on
+    a cell boundary belongs to the cell on its right.  All the geometry is
+    dyadic, so the exact preimages of the centers are rationals."""
+    g = GridFunction((-1.0, 1.0), np.arange(64, dtype=float))
+    out = matrix_compose(g, lam, out_box=out_box, n_out=n_out)
+    lo, hi, m = Fraction(out.lo[0]), Fraction(out.hi[0]), out.shape[0]
+    on_boundary = 0
+    for i in range(m):
+        y = (lo + (i + Fraction(1, 2)) * (hi - lo) / m) / Fraction(lam)
+        t = (y - Fraction(g.lo[0])) / Fraction(g.h[0])
+        on_boundary += t.denominator == 1
+        cell = math.floor(t)
+        assert out.mask[i] == (0 <= cell < 64), i
+        assert out.values[i] == (cell if out.mask[i] else 0.0), i
+    assert on_boundary == ties
+
+
+def test_preimage_cells_3d_signed_permutation():
+    # cell transport is one routine for any dimension; a scaled signed
+    # permutation sends centers onto centers, so cell_of_point is exact
+    g = GridFunction(((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)),
+                     np.arange(64, dtype=float).reshape(4, 4, 4))
+    A = SquareMatrix([[0.0, 0.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    out = matrix_compose(g, A, out_box=((0.0, -4.0, 0.0), (8.0, 0.0, 2.0)),
+                         n_out=(8, 4, 2))
+    idx, inside = preimage_cells(g, A, (out.lo, out.hi), out.shape)
+    assert inside.all() and out.mask.all()
+    for cell in np.ndindex(out.shape):
+        center = [a + (c + 0.5) * (b - a) / m for a, b, c, m
+                  in zip(out.lo, out.hi, cell, out.shape)]
+        want = g.cell_of_point(A.apply_inv(center))
+        assert tuple(int(i[cell]) for i in idx) == want
+        assert out.values[cell] == g.values[want]
 
 
 def test_compose_2d_rotation_exact():

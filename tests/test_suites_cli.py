@@ -297,6 +297,19 @@ def test_cli_maximal_orlicz_requires_phi(grid_file):
                  "--operator", "orlicz"]) == 2
 
 
+@pytest.mark.parametrize("phi_doc", [{"kind": "identity"},
+                                     {"kind": "power", "r": 2.0}],
+                         ids=["identity", "power"])
+def test_cli_maximal_orlicz_negative_alpha_exits_two(grid_file, tmp_path,
+                                                     capsys, phi_doc):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(phi_doc))
+    assert main(["maximal", "--input", grid_file, "--operator", "orlicz",
+                 "--phi", str(phi), "--alpha", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: alpha must lie in [0, dim)\n"
+
+
 def test_cli_constant(weight_file, capsys):
     rc = main(["constant", "--class", "aap", "--weight", weight_file,
                "--matrix", "2.0", "--p", "2.0"])
