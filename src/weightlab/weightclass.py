@@ -19,6 +19,10 @@ Per-cube products, with avg the (mu-)average over Q and w_A(x) = w(Ax):
 The fractional products put the exponent q inside the first average and use
 the plain dual weight w^{-1} in the norm factor; with that normalization the
 per-cube identity frac(w, p, p, Q) = AAp(w^p, p, Q)^{1/p} is exact.
+
+Each product is written once, in ``_product``, over two per-cube terms: the
+average of a power of w or w_A, and the Luxemburg norm of a power of w.
+Analytic and grid weights supply the terms, building each power once.
 """
 
 from __future__ import annotations
@@ -153,8 +157,49 @@ class ConstantReport:
 
 
 # ---------------------------------------------------------------------------
-# per-cube products (analytic, exact masses)
+# per-cube products
 # ---------------------------------------------------------------------------
+
+def _product(spec: ClassSpec, mean, norm):
+    """The spec's per-cube product as (value, witness), from two terms.
+
+    mean(g, e) is the cube average of g^e, g being "w" or "wA", and norm(e)
+    the Luxemburg norm of w^e under spec.phi.  Both return (value, witness),
+    inf with a witness when the term is infinite; that term's witness then
+    comes with the infinite product."""
+    p = spec.p
+    if spec.kind == "RH":
+        avg = mean("w", 1.0)[0]
+        if avg == 0.0:
+            return 0.0, None
+        high, why = mean("w", spec.s)
+        if math.isinf(high):
+            return math.inf, why
+        return high ** (1.0 / spec.s) / avg, None
+    if spec.kind == "bump":
+        lead = mean("wA", 1.0)[0] ** (1.0 / p)
+        nrm, why = norm(-1.0 / p)
+        return (math.inf, why) if why else (lead * nrm, None)
+    if spec.kind in ("frac", "frac_bump"):
+        lead, why = mean("wA", spec.q)
+        if math.isinf(lead):
+            return math.inf, why
+        lead = lead ** (1.0 / spec.q)
+        if spec.kind == "frac_bump":
+            nrm, why = norm(-1.0)
+            return (math.inf, why) if why else (lead * nrm, None)
+        pp = p / (p - 1.0)
+        dual, why = mean("w", -pp)
+        if math.isinf(dual):
+            return math.inf, why
+        return lead * dual ** (1.0 / pp), None
+    # Ap and Ap_mu (the measure lives in the terms), AAp
+    dual, why = mean("w", -1.0 / (p - 1.0))
+    if math.isinf(dual):
+        return math.inf, why
+    lead = mean("wA" if spec.kind == "AAp" else "w", 1.0)[0]
+    return lead * dual ** (p - 1.0), None
+
 
 def _interval(Q):
     if isinstance(Q, Cube):
@@ -173,61 +218,97 @@ def _measure_length(measure: Measure, a: float, b: float) -> float:
     return measure.segment_mass(Segment(a, b, "power", c=1.0, gamma=0.0), a, b)
 
 
-def _avg(w: SegmentWeight1D, a: float, b: float, measure: Measure) -> float:
-    return w.mass(a, b, measure) / _measure_length(measure, a, b)
+def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
+    """Q -> (mean, norm) for an analytic weight: exact segment masses under
+    spec.measure, with each powered weight built once."""
+    weights = {("w", 1.0): (w, None)}
+
+    def powered(g, e):
+        # (g^e, None), or (None, a segment where g^e is not integrable)
+        if (g, e) not in weights:
+            weights[g, e] = (powered(g, 1.0)[0].try_powered(e) if e != 1.0
+                             else (compose_matrix(w, spec.A), None))
+        return weights[g, e]
+
+    def terms(Q):
+        a, b = _interval(Q)
+        length = _measure_length(spec.measure, a, b)
+
+        def term(g, e, value):
+            if e < 0.0 and not powered(g, 1.0)[0].covers(a, b):
+                return math.inf, f"w vanishes on part of [{a:g}, {b:g}] and e={e:g} < 0"
+            ge, bad = powered(g, e)
+            if ge is None:
+                return math.inf, f"w^{e:g} non-integrable near x={bad.a:g}"
+            return value(ge), None
+
+        def mean(g, e):
+            return term(g, e, lambda ge: ge.mass(a, b, spec.measure) / length)
+
+        def norm(e):
+            return term("w", e, lambda ge: luxemburg_norm(ge, (a, b), spec.phi))
+
+        return mean, norm
+
+    return terms
 
 
-def _avg_power(w: SegmentWeight1D, e: float, a: float, b: float,
-               measure: Measure, require_cover: bool):
-    """(average of w^e over [a,b], witness); witness set when the value is
-    infinite, either from a non-integrable power or from w vanishing on a
-    part of [a,b] while e < 0."""
-    if require_cover and not w.covers(a, b):
-        return math.inf, f"w vanishes on part of [{a:g}, {b:g}] and e={e:g} < 0"
-    powered, bad = w.try_powered(e)
-    if powered is None:
-        return math.inf, f"w^{e:g} non-integrable near x={bad.a:g}"
-    return powered.mass(a, b, measure) / _measure_length(measure, a, b), None
+def _grid_terms(w: GridFunction, spec: ClassSpec):
+    """Q -> (mean, norm) for a grid weight: exact cube averages of powered
+    grids, each built once, and norms of the span's cell values."""
+    if spec.measure != LEBESGUE:
+        raise ValueError("grid weights support the Lebesgue measure only")
+    if not w.mask.all():
+        raise ValueError("grid weight must be fully defined")
+    zeros = np.nonzero(w.values <= 0)   # only w takes negative exponents
+    zero_witness = (f"w vanishes at cell {tuple(int(i[0]) for i in zeros)}"
+                    if zeros[0].size else None)
+    grids = {("w", 1.0): w}
+
+    def powered(g, e):
+        if (g, e) not in grids:
+            grids[g, e] = (GridFunction((w.lo, w.hi), powered(g, 1.0).values ** e)
+                           if e != 1.0 else _composed_grid(w, spec.A))
+        return grids[g, e]
+
+    def terms(Q):
+        span = w.span_of_cube(Q)
+
+        def mean(g, e):
+            if e < 0.0 and zero_witness:
+                return math.inf, zero_witness
+            return powered(g, e).cube_average(span), None
+
+        def norm(e):
+            if e < 0.0 and zero_witness:
+                return math.inf, zero_witness
+            vals = powered("w", e).values[tuple(slice(*s) for s in span)]
+            return luxemburg_norm_of_values(vals, spec.phi), None
+
+        return mean, norm
+
+    return terms
 
 
 def ap_product(w: SegmentWeight1D, Q, p: float,
                measure: Measure = LEBESGUE) -> float:
     """(avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    if not p > 1.0:
-        raise ValueError("ap_product needs p > 1")
-    a, b = _interval(Q)
-    dual, _ = _avg_power(w, -1.0 / (p - 1.0), a, b, measure, require_cover=True)
-    if math.isinf(dual):
-        return math.inf
-    return _avg(w, a, b, measure) * dual ** (p - 1.0)
+    spec = ClassSpec("Ap", p=p, measure=measure)
+    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
 
 
 def aap_product(w: SegmentWeight1D, A, Q, p: float,
                 measure: Measure = LEBESGUE) -> float:
     """(avg_Q w(A.))(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    if not p > 1.0:
-        raise ValueError("aap_product needs p > 1")
-    a, b = _interval(Q)
-    wA = compose_matrix(w, A)
-    dual, _ = _avg_power(w, -1.0 / (p - 1.0), a, b, measure, require_cover=True)
-    if math.isinf(dual):
-        return math.inf
-    return _avg(wA, a, b, measure) * dual ** (p - 1.0)
+    spec = ClassSpec("AAp", p=p, A=A, measure=measure)
+    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
 
 
 def rh_ratio(w: SegmentWeight1D, Q, s: float,
              measure: Measure = LEBESGUE) -> float:
     """(avg_Q w^s)^{1/s} / (avg_Q w): the reverse Holder ratio at exponent s."""
-    if not s > 1.0:
-        raise ValueError("rh_ratio needs s > 1")
-    a, b = _interval(Q)
-    mean = _avg(w, a, b, measure)
-    if mean == 0.0:
-        return 0.0
-    high, _ = _avg_power(w, s, a, b, measure, require_cover=False)
-    if math.isinf(high):
-        return math.inf
-    return high ** (1.0 / s) / mean
+    spec = ClassSpec("RH", s=s, measure=measure)
+    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,143 +326,39 @@ def class_constant(w, spec: ClassSpec, family: CubeFamily,
     """
     if spec.kind == "AA1":
         return _aa1_constant(w, spec, family, n_cells)
+    return _report(spec.kind, family, _products(w, spec, family), trace)
+
+
+def _products(w, spec: ClassSpec, family: CubeFamily):
+    """(cube, product, witness) for every cube of the family."""
     if isinstance(w, SegmentWeight1D):
-        evaluate = _analytic_evaluator(w, spec)
+        terms = _analytic_terms(w, spec)
     elif isinstance(w, GridFunction):
-        evaluate = _grid_evaluator(w, spec, family)
+        terms = _grid_terms(w, spec)
     else:
         raise TypeError("w must be a SegmentWeight1D or GridFunction")
-
-    best = -math.inf
-    best_cube = None
-    rows = [] if trace else None
     for Q in family.cubes():
-        val, witness = evaluate(Q)
+        yield (Q, *_product(spec, *terms(Q)))
+
+
+def _report(kind: str, family: CubeFamily, products,
+            trace: bool = False) -> ConstantReport:
+    """The max of a (cube, product, witness) stream, or its first infinite
+    product with the witness."""
+    best, best_cube = -math.inf, None
+    rows = [] if trace else None
+    for Q, val, witness in products:
         if rows is not None:
             rows.append((Q, val))
         if math.isinf(val):
-            return ConstantReport(math.inf, spec.kind, Q,
-                                  family.to_json_dict(),
+            return ConstantReport(math.inf, kind, Q, family.to_json_dict(),
                                   witness=witness or "infinite per-cube product",
                                   trace=rows)
         if val > best or (val == best and best_cube is not None
                           and (Q.corner, Q.side) < (best_cube.corner, best_cube.side)):
             best, best_cube = val, Q
-    return ConstantReport(best, spec.kind, best_cube, family.to_json_dict(),
+    return ConstantReport(best, kind, best_cube, family.to_json_dict(),
                           trace=rows)
-
-
-def _analytic_evaluator(w: SegmentWeight1D, spec: ClassSpec):
-    mu = spec.measure
-    p = spec.p
-    if spec.kind in ("AAp", "bump", "frac", "frac_bump"):
-        wA = compose_matrix(w, spec.A)
-    if spec.kind in ("bump",):
-        w_dual_root = w.try_powered(-1.0 / p)[0]
-    if spec.kind in ("frac_bump",):
-        w_inv = w.try_powered(-1.0)[0]
-
-    def evaluate(Q: Cube):
-        a, b = _interval(Q)
-        if spec.kind == "Ap" or spec.kind == "Ap_mu":
-            dual, why = _avg_power(w, -1.0 / (p - 1.0), a, b, mu, True)
-            if math.isinf(dual):
-                return math.inf, why
-            return _avg(w, a, b, mu) * dual ** (p - 1.0), None
-        if spec.kind == "AAp":
-            dual, why = _avg_power(w, -1.0 / (p - 1.0), a, b, mu, True)
-            if math.isinf(dual):
-                return math.inf, why
-            return _avg(wA, a, b, mu) * dual ** (p - 1.0), None
-        if spec.kind == "RH":
-            return rh_ratio(w, Q, spec.s, mu), None
-        if spec.kind == "bump":
-            lead = _avg(wA, a, b, mu) ** (1.0 / p)
-            if w_dual_root is None or not w.covers(a, b):
-                return math.inf, "w^{-1/p} non-integrable"
-            nrm = luxemburg_norm(w_dual_root, (a, b), spec.phi)
-            return lead * nrm, None
-        # fractional kinds
-        q = spec.q
-        lead, why = _avg_power(wA, q, a, b, mu, False)
-        if math.isinf(lead):
-            return math.inf, why
-        lead = lead ** (1.0 / q)
-        if spec.kind == "frac":
-            pp = p / (p - 1.0)
-            dual, why = _avg_power(w, -pp, a, b, mu, True)
-            if math.isinf(dual):
-                return math.inf, why
-            return lead * dual ** (1.0 / pp), None
-        if w_inv is None or not w.covers(a, b):
-            return math.inf, "w^{-1} non-integrable"
-        return lead * luxemburg_norm(w_inv, (a, b), spec.phi), None
-
-    return evaluate
-
-
-def _grid_evaluator(w: GridFunction, spec: ClassSpec, family: CubeFamily):
-    if spec.measure != LEBESGUE:
-        raise ValueError("grid weights support the Lebesgue measure only")
-    if not w.mask.all():
-        raise ValueError("grid weight must be fully defined")
-    p, q = spec.p, spec.q
-    needs_dual = spec.kind in ("Ap", "AAp", "bump", "frac", "frac_bump")
-    if needs_dual and (w.values <= 0).any():
-        idx = tuple(int(i[0]) for i in np.nonzero(w.values <= 0))
-        zero_witness = f"w vanishes at cell {idx}"
-    else:
-        zero_witness = None
-
-    fields = {}
-
-    def powered_field(e: float) -> GridFunction:
-        if e not in fields:
-            fields[e] = w if e == 1.0 else GridFunction(
-                (w.lo, w.hi), w.values ** e)
-        return fields[e]
-
-    if spec.kind in ("AAp", "bump", "frac", "frac_bump"):
-        wA = _composed_grid(w, spec.A)
-        if spec.kind in ("frac", "frac_bump"):
-            wAq = GridFunction((w.lo, w.hi), wA.values ** q)
-
-    def avg_of(g: GridFunction, Q: Cube) -> float:
-        return g.cube_average(g.span_of_cube(Q))
-
-    def evaluate(Q: Cube):
-        if zero_witness is not None:
-            return math.inf, zero_witness
-        if spec.kind == "Ap":
-            return (avg_of(w, Q)
-                    * avg_of(powered_field(-1.0 / (p - 1.0)), Q) ** (p - 1.0)), None
-        if spec.kind == "AAp":
-            return (avg_of(wA, Q)
-                    * avg_of(powered_field(-1.0 / (p - 1.0)), Q) ** (p - 1.0)), None
-        if spec.kind == "RH":
-            mean = avg_of(w, Q)
-            if mean == 0.0:
-                return 0.0, None
-            return avg_of(powered_field(spec.s), Q) ** (1.0 / spec.s) / mean, None
-        if spec.kind == "bump":
-            span = w.span_of_cube(Q)
-            vals = _span_values(powered_field(-1.0 / p), span)
-            return (avg_of(wA, Q) ** (1.0 / p)
-                    * luxemburg_norm_of_values(vals, spec.phi)), None
-        # fractional kinds
-        lead = avg_of(wAq, Q) ** (1.0 / q)
-        if spec.kind == "frac":
-            pp = p / (p - 1.0)
-            return lead * avg_of(powered_field(-pp), Q) ** (1.0 / pp), None
-        span = w.span_of_cube(Q)
-        vals = _span_values(powered_field(-1.0), span)
-        return lead * luxemburg_norm_of_values(vals, spec.phi), None
-
-    return evaluate
-
-
-def _span_values(g: GridFunction, span):
-    return g.values[tuple(slice(i0, i1) for i0, i1 in span)].ravel()
 
 
 def _composed_grid(w: GridFunction, A: SquareMatrix) -> GridFunction:
@@ -512,13 +489,15 @@ def rh_inclusion_check(w, A, p: float, eps: float, family: CubeFamily) -> dict:
     if sigma is None:
         return {"applicable": False,
                 "reason": f"dual weight non-integrable near x={bad.a:g}"}
-    rh_report = class_constant(sigma, ClassSpec("RH", s=s), family)
-    base = class_constant(w, ClassSpec("AAp", p=p, A=A), family)
-    lowered = class_constant(w, ClassSpec("AAp", p=p - eps, A=A), family)
+    specs = (ClassSpec("RH", s=s), ClassSpec("AAp", p=p, A=A),
+             ClassSpec("AAp", p=p - eps, A=A))
+    columns = [list(_products(g, spec, family))
+               for g, spec in zip((sigma, w, w), specs)]
+    rh_report, base, lowered = (_report(spec.kind, family, column)
+                                for spec, column in zip(specs, columns))
     worst = 0.0
-    for Q in family.cubes():
-        lhs = aap_product(w, A, Q, p - eps)
-        rhs = rh_ratio(sigma, Q, s) ** (p - 1.0) * aap_product(w, A, Q, p)
+    for (_, rh, _), (_, aap, _), (_, lhs, _) in zip(*columns):
+        rhs = rh ** (p - 1.0) * aap
         if math.isinf(lhs) or math.isinf(rhs):
             if lhs != rhs:
                 worst = math.inf

@@ -128,14 +128,12 @@ class YoungFn:
     @classmethod
     def from_json_dict(cls, d: dict) -> "YoungFn":
         kind = d["kind"]
-        if kind == "identity":
-            return cls.identity()
+        if kind in ("identity", "exp_minus_one", "sup"):
+            return cls(kind)
         if kind == "power":
             return cls.power(d["r"], d.get("c", 1.0))
         if kind == "power_log":
             return cls.power_log(d["r"], d["beta"])
-        if kind == "exp_minus_one":
-            return cls.exp_minus_one()
         if kind == "bump":
             return cls.bump_exponent(d["p"], d["eps"])
         raise ValueError(f"unknown young function kind {kind!r}")
@@ -202,20 +200,28 @@ def _legendre_values(base: YoungFn, t):
 # Luxemburg norms
 # ---------------------------------------------------------------------------
 
-def luxemburg_norm(f, Q, phi: YoungFn, method: str = "auto") -> float:
+def luxemburg_norm(f, Q, phi: YoungFn) -> float:
     """Normalized Luxemburg norm inf{lam > 0 : avg_Q phi(|f|/lam) <= 1}.
 
     f is a GridFunction (Q grid-aligned, cells outside the grid count as 0
-    when Q pokes out of the box) or a SegmentWeight1D (Q must be covered by
-    its segments).  method="auto" uses the closed form for homogeneous phi
-    and bisection otherwise; method="bisect" forces bisection.
+    when Q pokes out of the box; the norm is ``luxemburg_norm_of_values`` of
+    the covered cells) or a SegmentWeight1D (Q must be covered by its
+    segments).  Homogeneous phi has a closed form, the rest is bisection.
     """
     if isinstance(f, GridFunction):
-        G, vmax, vbar = _grid_mean_fn(f, Q, phi)
-    elif isinstance(f, SegmentWeight1D):
-        G, vmax, vbar = _analytic_mean_fn(f, Q, phi)
-    else:
+        cube = _as_cube(Q, f.dim)
+        cells = tuple(slice(*s) for s in f.span_of_cube(cube, clip=True))
+        if not f.mask[cells].all():
+            raise ValueError("Luxemburg norm over cells without defined values")
+        total_cells = cube.volume / f.cell_volume
+        if abs(total_cells - round(total_cells)) > 1e-6:
+            raise ValueError("cube volume is not a whole number of cells")
+        # cells of Q beyond the grid count as zeros: phi(0) = 0 adds nothing
+        return luxemburg_norm_of_values(f.values[cells], phi,
+                                        round(total_cells))
+    if not isinstance(f, SegmentWeight1D):
         raise TypeError("f must be a GridFunction or SegmentWeight1D")
+    G, vmax, vbar = _analytic_mean_fn(f, Q, phi)
 
     if vmax == 0.0:
         return 0.0
@@ -226,16 +232,12 @@ def luxemburg_norm(f, Q, phi: YoungFn, method: str = "auto") -> float:
         if math.isinf(G(1.0)) and math.isinf(G(2.0 ** 64)):
             return math.inf
 
-    if method == "auto" and phi.is_homogeneous:
-        # c (avg f^r) / lam^r = 1
-        r = phi.r if phi.kind != "identity" else 1.0
-        c = phi.c if phi.kind != "identity" else 1.0
-        moment = G(1.0) / c if phi.kind == "identity" else G(1.0)
-        if math.isinf(moment):
-            return math.inf
-        if phi.kind == "identity":
+    if phi.is_homogeneous:
+        # G(lam) = c (avg f^r) / lam^r, so the norm is G(1)^{1/r}
+        moment = G(1.0)
+        if phi.kind == "identity" or math.isinf(moment):
             return moment
-        return float((moment) ** (1.0 / r))
+        return float(moment ** (1.0 / phi.r))
 
     return _bisect_norm(G, vbar, vmax)
 
@@ -300,33 +302,6 @@ def _bisect_norm(G, vbar: float, vmax: float) -> float:
         else:
             lam_hi = mid
     return 0.5 * (lam_lo + lam_hi)
-
-
-def _grid_mean_fn(f: GridFunction, Q, phi: YoungFn):
-    """Mean functional lam -> avg_Q phi(f/lam) for grid data."""
-    cube = _as_cube(Q, f.dim)
-    span = f.span_of_cube(cube, clip=True)
-    if f.dim == 1:
-        vals = f.values[span[0][0]:span[0][1]]
-        msk = f.mask[span[0][0]:span[0][1]]
-    else:
-        vals = f.values[span[0][0]:span[0][1], span[1][0]:span[1][1]]
-        msk = f.mask[span[0][0]:span[0][1], span[1][0]:span[1][1]]
-    if not msk.all():
-        raise ValueError("Luxemburg norm over cells without defined values")
-    vals = vals.ravel()
-    total_cells = cube.volume / f.cell_volume
-    if abs(total_cells - round(total_cells)) > 1e-6:
-        raise ValueError("cube volume is not a whole number of cells")
-    total_cells = round(total_cells)
-    # cells of Q beyond the grid count as zeros: phi(0) = 0 contributes nothing
-
-    def G(lam: float) -> float:
-        return float(np.sum(phi(vals / lam))) / total_cells
-
-    vmax = float(vals.max()) if vals.size else 0.0
-    vbar = float(np.sum(vals)) / total_cells if vals.size else 0.0
-    return G, vmax, max(vbar, vmax * 1e-12)
 
 
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)

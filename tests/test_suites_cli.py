@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from weightlab.cli import main
-from weightlab.funcspace import EXP_ABS, constant_weight, power_weight
+from weightlab.funcspace import (EXP_ABS, GridFunction, constant_weight,
+                                 power_weight)
+from weightlab.maximal import orlicz_maximal
 from weightlab.report import SCHEMA, canonical_json, format_float
 from weightlab.suites import (
     ap_mu_closed_form,
@@ -23,6 +25,7 @@ from weightlab.suites import (
     suite_theorems,
 )
 from weightlab.weightclass import ap_product
+from weightlab.young import YoungFn
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,20 @@ def test_cli_maximal_orlicz_negative_alpha_exits_two(grid_file, tmp_path,
                  "--phi", str(phi), "--alpha", "-1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: alpha must lie in [0, dim)\n"
+
+
+def test_cli_maximal_orlicz_sup_phi(grid_file, tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"kind": "sup"}))
+    csv = tmp_path / "field.csv"
+    assert main(["maximal", "--input", grid_file, "--operator", "orlicz",
+                 "--phi", str(phi), "--out", str(csv)]) == 0
+    with open(grid_file) as fh:
+        doc = json.load(fh)
+    ref = orlicz_maximal(GridFunction(doc["box"], doc["values"]),
+                         YoungFn("sup"))
+    rows = csv.read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == ref.values.tolist()
 
 
 def test_cli_constant(weight_file, capsys):

@@ -5,7 +5,9 @@ for the grid evaluator, and algebraic identities (duality, the q = p bridge)
 that hold exactly per cube.
 """
 
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ from weightlab.weightclass import (
     subset_mass_ratio_check,
 )
 from weightlab.young import YoungFn
+
+FROZEN_ROWS_SHA = (
+    "3b6070d37a32fa40c96e6754bf4aa7991ca82bf8c21d33c6cb5b8fb87d3076aa")
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +342,155 @@ def test_rh_inclusion_guards():
     out = rh_inclusion_check(bad, 2.0, p=2.0, eps=0.25,
                              family=CubeFamily((-4.0, 4.0), levels=(0, 1)))
     assert out["applicable"] is False and "non-integrable" in out["reason"]
+
+
+# ---------------------------------------------------------------------------
+# one product per kind: frozen bits, witnesses, work done
+# ---------------------------------------------------------------------------
+
+def _frozen_reports():
+    """class_constant over every kind on analytic and grid weights."""
+    A = SquareMatrix.scalar(2.0)
+    phi = YoungFn.power(2.0)
+    analytic_specs = [
+        ClassSpec("Ap", p=2.0), ClassSpec("Ap_mu", p=1.5),
+        ClassSpec("AAp", p=2.0, A=A), ClassSpec("RH", s=2.0),
+        ClassSpec("bump", p=2.0, A=A, phi=phi),
+        ClassSpec("bump", p=3.0, A=A, phi=YoungFn.power_log(1.5, 1.0)),
+        ClassSpec("frac", p=2.0, q=4.0, A=A),
+        ClassSpec("frac_bump", p=2.0, q=4.0, A=A, phi=phi),
+        ClassSpec("AA1", A=A)]
+    # the second weight's dual powers are not integrable at 0, inside the
+    # second family
+    for w, fam in ((power_weight(0.5, -16.0, 16.0, c=3.0),
+                    CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)),
+                   (power_weight(1.0, -16.0, 16.0),
+                    CubeFamily((-4.0, 4.0), levels=(0, 3), shifts=2))):
+        for spec in analytic_specs:
+            yield class_constant(w, spec, fam, n_cells=256, trace=True)
+    exp_w = SegmentWeight1D([Segment(-40.0, 0.0, "exp", s=-1.0),
+                             Segment(0.0, 40.0, "exp", s=1.0)])
+    exp_fam = CubeFamily((0.0, 8.0), levels=(0, 2), shifts=2)
+    for spec in (ClassSpec("Ap", p=2.0, measure=EXP_ABS),
+                 ClassSpec("Ap_mu", p=1.5, measure=EXP_ABS),
+                 ClassSpec("AAp", p=2.0, A=SquareMatrix.scalar(0.5),
+                           measure=EXP_ABS)):
+        yield class_constant(exp_w, spec, exp_fam, trace=True)
+    rng = np.random.default_rng(29)
+    vals = rng.random(16) + 0.25
+    holed = vals.copy()
+    holed[5] = 0.0
+    R = SquareMatrix.scalar(-1.0)
+    gfam = CubeFamily((-1.0, 1.0), levels=(0, 2), shifts=2)
+    for values in (vals, holed):
+        g = GridFunction((-1.0, 1.0), values)
+        for spec in (ClassSpec("Ap", p=2.0), ClassSpec("AAp", p=2.0, A=R),
+                     ClassSpec("RH", s=3.0),
+                     ClassSpec("bump", p=2.0, A=R, phi=phi),
+                     ClassSpec("frac", p=2.0, q=4.0, A=R),
+                     ClassSpec("frac_bump", p=2.0, q=4.0, A=R, phi=phi),
+                     ClassSpec("AA1", A=R)):
+            yield class_constant(g, spec, gfam, trace=True)
+
+
+def _frozen_rows_sha():
+    h = hashlib.sha256()
+    for rep in _frozen_reports():
+        bits = [rep.kind, rep.value.hex()]
+        if rep.argmax is not None:
+            bits += [c.hex() for c in rep.argmax.corner] + [rep.argmax.side.hex()]
+        for Q, v in rep.trace or ():
+            bits += [c.hex() for c in Q.corner] + [Q.side.hex(), v.hex()]
+        h.update(" ".join(bits).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_class_constant_rows_frozen():
+    """Values, argmaxes and trace rows of every kind, bit for bit."""
+    assert _frozen_rows_sha() == FROZEN_ROWS_SHA
+
+
+def test_grid_ap_mu_is_grid_ap():
+    rng = np.random.default_rng(31)
+    g = GridFunction((-1.0, 1.0), rng.random(16) + 0.25)
+    fam = CubeFamily((-1.0, 1.0), levels=(0, 2), shifts=2)
+    ap = class_constant(g, ClassSpec("Ap", p=2.0), fam, trace=True)
+    mu = class_constant(g, ClassSpec("Ap_mu", p=2.0), fam, trace=True)
+    assert mu.kind == "Ap_mu"
+    assert (mu.value, mu.argmax, mu.trace) == (ap.value, ap.argmax, ap.trace)
+    with pytest.raises(ValueError, match="Lebesgue measure only"):
+        class_constant(g, ClassSpec("Ap_mu", p=2.0, measure=EXP_ABS), fam)
+
+
+def test_rh_infinite_witness_names_the_power():
+    w = power_weight(-0.5, -8.0, 8.0)     # w^2 = |x|^{-1}
+    fam = CubeFamily((-4.0, 4.0), levels=(0, 1), shifts=1)
+    rep = class_constant(w, ClassSpec("RH", s=2.0), fam)
+    assert rep.value == math.inf
+    assert rep.witness == "w^2 non-integrable near x=0"
+
+
+def test_bump_infinite_witness_names_the_power_or_the_gap():
+    A = SquareMatrix.scalar(2.0)
+    spec = ClassSpec("bump", p=2.0, A=A, phi=YoungFn.power(2.0))
+    fam = CubeFamily((-4.0, 4.0), levels=(0, 1), shifts=1)
+    rep = class_constant(power_weight(2.0, -8.0, 8.0), spec, fam)
+    assert rep.value == math.inf
+    assert rep.witness == "w^-0.5 non-integrable near x=0"
+    short = power_weight(0.5, -2.0, 2.0)  # leaves the family box uncovered
+    rep = class_constant(short, spec, fam)
+    assert rep.value == math.inf
+    assert rep.witness == "w vanishes on part of [-4, 4] and e=-0.5 < 0"
+
+
+def test_frac_bump_infinite_witness_names_the_power():
+    spec = ClassSpec("frac_bump", p=2.0, q=4.0, A=SquareMatrix.scalar(2.0),
+                     phi=YoungFn.power(2.0))
+    fam = CubeFamily((-4.0, 4.0), levels=(0, 1), shifts=1)
+    rep = class_constant(power_weight(1.0, -8.0, 8.0), spec, fam)
+    assert rep.value == math.inf
+    assert rep.witness == "w^-1 non-integrable near x=0"
+
+
+def test_class_constant_powers_each_weight_once(monkeypatch):
+    """A family sweep builds each powered weight once, not once per cube."""
+    calls = Counter()
+    try_powered = SegmentWeight1D.try_powered
+
+    def counted(self, e):
+        calls[id(self), e] += 1
+        return try_powered(self, e)
+
+    monkeypatch.setattr(SegmentWeight1D, "try_powered", counted)
+    A = SquareMatrix.scalar(2.0)
+    # the identity phi's norm is a plain mean, which powers nothing itself
+    phi = YoungFn.identity()
+    w = power_weight(0.5, -16.0, 16.0)
+    fam = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)
+    for spec in (ClassSpec("Ap", p=2.0), ClassSpec("Ap_mu", p=2.0,
+                                                   measure=EXP_ABS),
+                 ClassSpec("AAp", p=2.0, A=A), ClassSpec("RH", s=2.0),
+                 ClassSpec("bump", p=2.0, A=A, phi=phi),
+                 ClassSpec("frac", p=2.0, q=4.0, A=A),
+                 ClassSpec("frac_bump", p=2.0, q=4.0, A=A, phi=phi)):
+        calls.clear()
+        class_constant(w, spec, fam)
+        assert calls and max(calls.values()) == 1, (spec.kind, calls)
+
+
+def test_rh_inclusion_check_evaluates_each_product_once(monkeypatch):
+    """Three products per cube (RH, AAp at p and at p - eps), two exact
+    masses each: the family constants and the identity share them."""
+    masses = []
+    mass = SegmentWeight1D.mass
+
+    def counted(self, a, b, measure=LEBESGUE):
+        masses.append((a, b))
+        return mass(self, a, b, measure)
+
+    monkeypatch.setattr(SegmentWeight1D, "mass", counted)
+    fam = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)
+    out = rh_inclusion_check(power_weight(0.5, -64.0, 64.0), 2.0, p=2.0,
+                             eps=0.25, family=fam)
+    assert out["applicable"] and out["cubes_checked"] == fam.count()
+    assert len(masses) == 3 * 2 * fam.count()

@@ -172,10 +172,21 @@ def test_grid_norm_matches_values_norm():
     rng = np.random.default_rng(5)
     vals = rng.random(64)
     g = GridFunction((0.0, 4.0), vals)
-    phi = YoungFn.power(2.0)
-    got = luxemburg_norm(g, Cube((1.0,), 1.0), phi)
-    ref = luxemburg_norm_of_values(vals[16:32], phi)
-    assert got == pytest.approx(ref, rel=1e-14)
+    for phi in (YoungFn.identity(), YoungFn.power(2.0),
+                YoungFn.power(3.0, c=3.0), YoungFn.power_log(1.5, 1.0),
+                YoungFn("sup")):
+        for i, n in ((16, 16), (20, 8)):
+            got = luxemburg_norm(g, Cube((i / 16,), n / 16), phi)
+            assert got == luxemburg_norm_of_values(vals[i:i + n], phi), phi
+
+
+def test_young_fn_from_json_reads_every_builtin_kind():
+    assert YoungFn.from_json_dict({"kind": "sup"}) == YoungFn("sup")
+    assert YoungFn.from_json_dict({"kind": "identity"}) == YoungFn.identity()
+    assert YoungFn.from_json_dict({"kind": "exp_minus_one"}) == \
+        YoungFn.exp_minus_one()
+    with pytest.raises(ValueError, match="unknown young function kind"):
+        YoungFn.from_json_dict({"kind": "legendre_of"})
 
 
 def test_grid_norm_cube_beyond_box_pads_zeros():
