@@ -25,14 +25,22 @@ one of three paths that spread the values to the cells:
   and L < L' consecutive listed sides, D_L is the larger of that side's
   own values and the trailing maximum of width L' - L + 1 of D_L' along
   every axis.  The sides run from the largest down; with every length the
-  width is 2, so a level costs a few shifted maxima.
+  width is 2, so a level costs a few shifted maxima, and other widths
+  double shifted maxima up to the width.  Only the windows that meet the
+  bounding box of the nonzero cells are evaluated (the others sum zeros
+  and hold +0.0), and since D is monotone outside that box along every
+  axis, the widening runs on the box's starts only.
 * **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
   where the recursion is the quadrant maximum field[i] = max of V[a, b]
   over a <= i < b of the window values V.  It runs in blocks of rows a,
   with running maxima along b and along a.
 
 All three read the same window values and max is exact, so each field
-equals the per-length spread of every window bit for bit.
+equals the per-length spread of every window bit for bit.  One exception:
+a 2D prefix difference over a window of zeros can leave a cancellation
+residue, which the spread carries and the nested recursion, never
+evaluating that window, does not.  A listed whole-box window outweighs
+any residue, so this shows only for explicit ``lengths`` without n.
 
 With ``family=None`` and all lengths the supremum dominates any family on
 the same grid.  Cells without a defined value (mask False) contribute
@@ -48,6 +56,7 @@ dimension; ``czlab`` transports level sets and the chain's grids with it.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -73,24 +82,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sliding maxima (exact, O(n) per call)
+# sliding maxima (exact, O(n log L) per call)
 # ---------------------------------------------------------------------------
 
 def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
-    """out[..., i] = max(x[..., max(0, i-L+1) : i+1]) along the last axis."""
-    if L == 1:
-        return x.copy()
-    n = x.shape[-1]
-    nb = -(-n // L) * L
-    y = np.full(x.shape[:-1] + (nb,), -np.inf)
-    y[..., :n] = x
-    blocks = y.reshape(x.shape[:-1] + (-1, L))
-    pref = np.maximum.accumulate(blocks, axis=-1).reshape(x.shape[:-1] + (nb,))
-    suff = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-    suff = suff.reshape(x.shape[:-1] + (nb,))
-    out = pref[..., :n].copy()
-    out[..., L - 1:] = np.maximum(suff[..., :n - L + 1], pref[..., L - 1:n])
-    return out
+    """out[..., i] = max(x[..., max(0, i-L+1) : i+1]) along the last axis.
+
+    Shifted maxima at spans 1, 2, 4, ... double the width of every entry's
+    range until it reaches L; the last shift is L - span, so the ranges of
+    the two halves overlap.  Max is exact, so the value is that of any other
+    order.  np.maximum keeps its second (earlier) operand on ties, so a tie
+    of -0.0 and +0.0 gives the leftmost entry's sign.
+    """
+    y = x.copy(order="K")
+    L = min(L, y.shape[-1])
+    span = 1
+    while span < L:
+        s = min(span, L - span)
+        np.maximum(y[..., s:], y[..., :-s], out=y[..., s:])
+        span += s
+    return y
 
 
 def _widen(x: np.ndarray, w: int) -> np.ndarray:
@@ -196,6 +207,40 @@ def _sweep(f: GridFunction, windows, cube_values,
     return GridFunction((f.lo, f.hi), out)
 
 
+def _support_box(f: GridFunction):
+    """[s_k, e_k) per axis, the bounding box of f's nonzero cells; None when
+    every cell is zero."""
+    nonzero = f.values != 0
+    if not nonzero.any():
+        return None
+    box = []
+    for axis in range(f.dim):
+        others = tuple(a for a in range(f.dim) if a != axis)
+        hits = np.flatnonzero(nonzero.any(axis=others))
+        box.append((int(hits[0]), int(hits[-1]) + 1))
+    return box
+
+
+def _widen_in_box(D: np.ndarray, w: int, side: int, box) -> np.ndarray:
+    """``_all_axes(_widen, D, w)`` for D indexed by the starts of windows of
+    ``side`` cells, whose values stop changing outside the support box.
+
+    Along an axis, D does not decrease up to lo, the first start whose
+    window meets the box [s, e), and does not increase from the last such
+    start, hi - 1, on.  So the widening passes D[..., :lo] and D[..., hi:]
+    through and runs on D[..., lo:hi] alone.  The axes run in ``_all_axes``
+    order, the last one first.
+    """
+    for s, e in reversed(box):
+        m = D.shape[-1]
+        lo, hi = max(0, s - side + 1), min(m, e)
+        wide = _widen(D[..., lo:hi], w)
+        if lo or hi < m:
+            wide = np.concatenate((D[..., :lo], wide, D[..., hi:]), axis=-1)
+        D = wide.T
+    return D
+
+
 def _nested_max(f: GridFunction, lengths, cube_values,
                 alpha: float = 0.0) -> GridFunction:
     """Field whose cell value is the largest side^alpha * cube value over
@@ -211,19 +256,35 @@ def _nested_max(f: GridFunction, lengths, cube_values,
     in descending order, and a last trailing maximum of the smallest
     side's width spreads D onto the cells.  With consecutive sides the
     width is 2, and the trailing maximum is the shifted copies of D_L'
-    maxed into U_L in place.  Max is exact, so every window value reaches
-    the same cells as in a per-length spread.
+    maxed into U_L in place.
+
+    Only the windows that meet the support box of f's nonzero cells are
+    evaluated; every other window sums zeros, and U_L holds +0.0 there.
+    Outside the box D is monotone along every axis: a listed window that
+    contains window a, lies before the box and meets it also contains
+    window a + 1, and zero windows add only +0.0.  So each widening runs
+    on the box's starts only (``_widen_in_box``).  Max is exact, so every
+    window value reaches the same cells as in a per-length spread.
     """
     n = _square_cells(f)
     h = f.h[0]
+    sides = _length_list(n, lengths)[::-1]
+    box = _support_box(f)
+    if box is None:
+        return GridFunction((f.lo, f.hi), np.zeros(f.shape))
 
     def scaled(L):
-        U = cube_values(L, (slice(0, n - L + 1),) * f.dim)
+        m = n - L + 1
+        starts = tuple(slice(max(0, s - L + 1), min(m, e)) for s, e in box)
+        U = cube_values(L, starts)
         if alpha != 0.0:
             U *= _scale(L, h, alpha)
-        return U
+        if U.shape == (m,) * f.dim:
+            return U
+        out = np.zeros((m,) * f.dim)
+        out[starts] = U
+        return out
 
-    sides = _length_list(n, lengths)[::-1]
     D = scaled(sides[0])
     for prev, L in zip(sides, sides[1:]):
         U = scaled(L)
@@ -235,10 +296,10 @@ def _nested_max(f: GridFunction, lengths, cube_values,
                 region = U[cells]
                 np.maximum(region, D, out=region)
         else:
-            np.maximum(U, _all_axes(_widen, D, prev - L + 1), out=U)
+            np.maximum(U, _widen_in_box(D, prev - L + 1, prev, box), out=U)
         D = U
     if sides[-1] > 1:
-        D = _all_axes(_widen, D, sides[-1])
+        D = _widen_in_box(D, sides[-1], sides[-1], box)
     return GridFunction((f.lo, f.hi), D)
 
 
@@ -491,9 +552,11 @@ def matrix_compose(f: GridFunction, A, out_box=None, n_out=None) -> GridFunction
     """Field x -> f(A^(-1) x) on a new grid.
 
     Each output cell reads the input cell containing A^(-1)(cell center)
-    (``preimage_cells``).  The grid defaults to the image box of f's box
-    with f's cell size.  Output cells whose preimage leaves the input
-    domain get value 0 and mask False.
+    (``preimage_cells``).  The grid defaults to the image box of f's box,
+    cut per axis into the fewest cells no wider than f's: a box that is a
+    whole number of f's cells keeps f's cell size, any other one (a
+    rotation, say) gets slightly narrower cells.  Output cells whose
+    preimage leaves the input domain get value 0 and mask False.
     """
     A = resolve_matrix(A, f.dim)
     lo, hi, shape = _output_geometry(f, A, out_box, n_out)
@@ -510,11 +573,12 @@ def _output_geometry(f: GridFunction, A: SquareMatrix, out_box, n_out):
     else:
         lo, hi = _normalize_box(out_box)
     if n_out is None:
+        # the fewest cells no wider than f's; the 1e-9 absorbs the rounding
+        # of an aligned box, which keeps f's cell size
         h = f.h[0]
-        shape = tuple(int(round((b - a) / h)) for a, b in zip(lo, hi))
-        for (a, b), m in zip(zip(lo, hi), shape):
-            if m < 1 or abs((b - a) / m - h) > 1e-9 * h:
-                raise ValueError("output box does not align with the input cell size; pass n_out")
+        shape = tuple(math.ceil((b - a) / h - 1e-9) for a, b in zip(lo, hi))
+        if min(shape) < 1:
+            raise ValueError("the output box holds no cell")
     elif np.isscalar(n_out):
         shape = (int(n_out),) * f.dim
     else:

@@ -45,7 +45,7 @@ from .funcspace import (
     sample_to_grid,
 )
 from .maximal import hl_maximal, matrix_compose, resolve_matrix
-from .young import YoungFn, luxemburg_norm, luxemburg_norm_of_values
+from .young import YoungFn, _analytic_norm, luxemburg_norm_of_values
 
 __all__ = [
     "ClassSpec",
@@ -222,6 +222,7 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
     """Q -> (mean, norm) for an analytic weight: exact segment masses under
     spec.measure, with each powered weight built once."""
     weights = {("w", 1.0): (w, None)}
+    norms = {}
 
     def powered(g, e):
         # (g^e, None), or (None, a segment where g^e is not integrable)
@@ -229,6 +230,12 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
             weights[g, e] = (powered(g, 1.0)[0].try_powered(e) if e != 1.0
                              else (compose_matrix(w, spec.A), None))
         return weights[g, e]
+
+    def norm_fn(e, we):
+        # Q -> the Luxemburg norm of we = w^e; a power phi powers we once
+        if e not in norms:
+            norms[e] = _analytic_norm(we, spec.phi)
+        return norms[e]
 
     def terms(Q):
         a, b = _interval(Q)
@@ -246,7 +253,7 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
             return term(g, e, lambda ge: ge.mass(a, b, spec.measure) / length)
 
         def norm(e):
-            return term("w", e, lambda ge: luxemburg_norm(ge, (a, b), spec.phi))
+            return term("w", e, lambda ge: norm_fn(e, ge)((a, b)))
 
         return mean, norm
 

@@ -221,25 +221,33 @@ def luxemburg_norm(f, Q, phi: YoungFn) -> float:
                                         round(total_cells))
     if not isinstance(f, SegmentWeight1D):
         raise TypeError("f must be a GridFunction or SegmentWeight1D")
-    G, vmax, vbar = _analytic_mean_fn(f, Q, phi)
+    return _analytic_norm(f, phi)(Q)
 
-    if vmax == 0.0:
-        return 0.0
-    if phi.kind == "sup":
-        return vmax
-    if math.isinf(vmax) and phi.kind != "identity":
-        # a non-integrable power of the weight inside Q
-        if math.isinf(G(1.0)) and math.isinf(G(2.0 ** 64)):
-            return math.inf
 
-    if phi.is_homogeneous:
-        # G(lam) = c (avg f^r) / lam^r, so the norm is G(1)^{1/r}
-        moment = G(1.0)
-        if phi.kind == "identity" or math.isinf(moment):
-            return moment
-        return float(moment ** (1.0 / phi.r))
+def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
+    """Q -> the normalized Luxemburg norm of an analytic weight over Q."""
+    mean_fn = _analytic_mean_fn(w, phi)
 
-    return _bisect_norm(G, vbar, vmax)
+    def norm(Q) -> float:
+        G, vmax, vbar = mean_fn(Q)
+        if vmax == 0.0:
+            return 0.0
+        if phi.kind == "sup":
+            return vmax
+        if math.isinf(vmax) and phi.kind != "identity":
+            # a non-integrable power of the weight inside Q
+            if math.isinf(G(1.0)) and math.isinf(G(2.0 ** 64)):
+                return math.inf
+
+        if phi.is_homogeneous:
+            # G(lam) = c (avg f^r) / lam^r, so the norm is G(1)^{1/r}
+            moment = G(1.0)
+            if phi.kind == "identity" or math.isinf(moment):
+                return moment
+            return float(moment ** (1.0 / phi.r))
+
+        return _bisect_norm(G, vbar, vmax)
+    return norm
 
 
 def luxemburg_norm_of_values(values, phi: YoungFn, total_cells: int | None = None) -> float:
@@ -307,45 +315,49 @@ def _bisect_norm(G, vbar: float, vmax: float) -> float:
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _analytic_mean_fn(w: SegmentWeight1D, Q, phi: YoungFn):
-    """Mean functional for an analytic weight over an interval cube.
+def _analytic_mean_fn(w: SegmentWeight1D, phi: YoungFn):
+    """Q -> the mean functional of an analytic weight over an interval cube.
 
-    Homogeneous phi uses exact powered-segment masses.  Otherwise the
-    integral runs on Gauss panels geometrically refined toward singular
-    points (8 nodes per panel).
+    Homogeneous phi uses exact powered-segment masses, from one powered
+    weight built for every Q.  Otherwise the integral runs on Gauss panels
+    geometrically refined toward singular points (8 nodes per panel).
     """
-    cube = _as_cube(Q, 1)
-    a, b = cube.corner[0], cube.corner[0] + cube.side
-    if not w.covers(a, b):
-        raise ValueError(f"weight does not cover [{a}, {b}]")
+    power = phi.is_homogeneous and phi.kind != "identity"
+    powered = w.try_powered(phi.r)[0] if power else None
 
-    if phi.is_homogeneous and phi.kind != "identity":
-        powered, witness = w.try_powered(phi.r)
-        if powered is None:
-            def G_inf(lam):
-                return math.inf
-            return G_inf, math.inf, 1.0
-        moment = powered.mass(a, b) / (b - a) * phi.c
+    def mean_fn(Q):
+        cube = _as_cube(Q, 1)
+        a, b = cube.corner[0], cube.corner[0] + cube.side
+        if not w.covers(a, b):
+            raise ValueError(f"weight does not cover [{a}, {b}]")
 
-        def G_hom(lam: float) -> float:
-            return moment / lam ** phi.r
-        vmax = _analytic_sup(w, a, b)
-        return G_hom, vmax, max(moment ** (1.0 / phi.r), 1e-300)
+        if power:
+            if powered is None:
+                def G_inf(lam):
+                    return math.inf
+                return G_inf, math.inf, 1.0
+            moment = powered.mass(a, b) / (b - a) * phi.c
 
-    if phi.kind == "identity":
-        mean = w.mass(a, b) / (b - a)
+            def G_hom(lam: float) -> float:
+                return moment / lam ** phi.r
+            vmax = _analytic_sup(w, a, b)
+            return G_hom, vmax, max(moment ** (1.0 / phi.r), 1e-300)
 
-        def G_id(lam: float) -> float:
-            return mean / lam
-        return G_id, _analytic_sup(w, a, b), max(mean, 1e-300)
+        if phi.kind == "identity":
+            mean = w.mass(a, b) / (b - a)
 
-    nodes, weights = _panelize(w, a, b)
+            def G_id(lam: float) -> float:
+                return mean / lam
+            return G_id, _analytic_sup(w, a, b), max(mean, 1e-300)
 
-    def G(lam: float) -> float:
-        vals = phi(w.value(nodes) / lam)
-        return float(np.dot(weights, vals)) / (b - a)
+        nodes, weights = _panelize(w, a, b)
 
-    return G, _analytic_sup(w, a, b), max(w.mass(a, b) / (b - a), 1e-300)
+        def G(lam: float) -> float:
+            vals = phi(w.value(nodes) / lam)
+            return float(np.dot(weights, vals)) / (b - a)
+
+        return G, _analytic_sup(w, a, b), max(w.mass(a, b) / (b - a), 1e-300)
+    return mean_fn
 
 
 def _panelize(w: SegmentWeight1D, a: float, b: float, geometric: int = 14):

@@ -295,6 +295,17 @@ def test_cli_maximal_2d_composed_with_nested_matrix(grid2d_file, tmp_path,
     assert json.loads(capsys.readouterr().out)["cells"] == [16, 4]
 
 
+def test_cli_maximal_2d_composed_with_rotation(grid2d_file, tmp_path, capsys):
+    # the image box of a 0.7-rad rotation is no whole number of cells: it
+    # gets the fewest cells no wider than the input's, 2.82 / 0.25 -> 12
+    c, s = math.cos(0.7), math.sin(0.7)
+    matrix = tmp_path / "rotation.json"
+    matrix.write_text(json.dumps({"entries": [[c, -s], [s, c]]}))
+    rc = main(["maximal", "--input", grid2d_file, "--matrix", str(matrix)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == [12, 12]
+
+
 def test_cli_maximal_orlicz_requires_phi(grid_file):
     assert main(["maximal", "--input", grid_file,
                  "--operator", "orlicz"]) == 2

@@ -41,6 +41,8 @@ from weightlab.young import YoungFn
 
 FROZEN_ROWS_SHA = (
     "3b6070d37a32fa40c96e6754bf4aa7991ca82bf8c21d33c6cb5b8fb87d3076aa")
+POWER_PHI_BUMP_SHA = (
+    "551370872036edaec2b8fe50b65b6d0642bcf4dd623c1348b98c29e4c6be7fe6")
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +395,20 @@ def _frozen_reports():
             yield class_constant(g, spec, gfam, trace=True)
 
 
+def _report_bits(rep):
+    """A report's kind, value, argmax and trace rows as one line of hex."""
+    bits = [rep.kind, rep.value.hex()]
+    if rep.argmax is not None:
+        bits += [c.hex() for c in rep.argmax.corner] + [rep.argmax.side.hex()]
+    for Q, v in rep.trace or ():
+        bits += [c.hex() for c in Q.corner] + [Q.side.hex(), v.hex()]
+    return " ".join(bits).encode() + b"\n"
+
+
 def _frozen_rows_sha():
     h = hashlib.sha256()
     for rep in _frozen_reports():
-        bits = [rep.kind, rep.value.hex()]
-        if rep.argmax is not None:
-            bits += [c.hex() for c in rep.argmax.corner] + [rep.argmax.side.hex()]
-        for Q, v in rep.trace or ():
-            bits += [c.hex() for c in Q.corner] + [Q.side.hex(), v.hex()]
-        h.update(" ".join(bits).encode() + b"\n")
+        h.update(_report_bits(rep))
     return h.hexdigest()
 
 
@@ -476,6 +483,26 @@ def test_class_constant_powers_each_weight_once(monkeypatch):
         calls.clear()
         class_constant(w, spec, fam)
         assert calls and max(calls.values()) == 1, (spec.kind, calls)
+
+
+def test_power_phi_norm_powers_each_weight_once(monkeypatch):
+    """A power phi's analytic norms of w^e power w^e once per sweep, not
+    once per cube, and the report keeps its bits."""
+    calls = Counter()
+    try_powered = SegmentWeight1D.try_powered
+
+    def counted(self, e):
+        calls[e] += 1
+        return try_powered(self, e)
+
+    monkeypatch.setattr(SegmentWeight1D, "try_powered", counted)
+    spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0),
+                     phi=YoungFn.power(2.0))
+    fam = CubeFamily((-2.0, 2.0), levels=(0, 3), shifts=2)
+    rep = class_constant(power_weight(0.5, -4.0, 4.0), spec, fam, trace=True)
+    assert calls == {-0.5: 1, 2.0: 1}
+    assert len(rep.trace) == fam.count() == 26
+    assert hashlib.sha256(_report_bits(rep)).hexdigest() == POWER_PHI_BUMP_SHA
 
 
 def test_rh_inclusion_check_evaluates_each_product_once(monkeypatch):
