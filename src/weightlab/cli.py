@@ -162,6 +162,9 @@ def _cmd_constant(args) -> int:
     if args.out:
         write_report(args.out, doc)
     sys.stdout.write(canonical_json(doc))
+    if math.isnan(rep.value):
+        sys.stderr.write(f"FAIL constant: {rep.witness}\n")
+        return 1
     return 0
 
 

@@ -1,8 +1,12 @@
 """Calderon-Zygmund stopping cubes, level sets, and the theorem chain.
 
 ``cz_decompose`` finds, for each level k, the maximal dyadic subcubes of the
-grid box on which the (fractional) average of f exceeds a^k/4^n, using exact
-rational comparisons when alpha = 0.  ``theorem_chain_check`` replays the
+grid box on which the (fractional) average of f exceeds a^k/4^n.  It walks
+the dyadic levels from the root down: a max pyramid prunes, and a float
+block-sum pyramid with an a-priori error bound decides each threshold test;
+only the cubes inside the bound's uncertainty band take the exact test
+(rational when alpha = 0, the correctly rounded average otherwise), so every
+selection equals the exact one.  ``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
@@ -23,7 +27,6 @@ Geometry conventions used by the chain:
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -82,6 +85,7 @@ class CZDecomposition:
     ks: list
     cubes: dict              # k -> list[CZCube], disjoint, union = D_k
     D: dict                  # k -> bool mask, D_k = union of stopping cubes
+    exact_fallbacks: int = 0  # cubes the sum pyramid left to exact sums
 
     def e_local(self, k: int, j: int):
         """(slices, mask) for E_{k,j} = Q_{k,j} minus D_{k+1}, within the span."""
@@ -90,10 +94,6 @@ class CZDecomposition:
         span = self.cubes[k][j].span
         slc = tuple(slice(i0, i1) for i0, i1 in span)
         return slc, ~self.D[k + 1][slc]
-
-    def e_count(self, k: int, j: int) -> int:
-        _, mask = self.e_local(k, j)
-        return int(mask.sum())
 
 
 def _span_cells(span) -> int:
@@ -150,57 +150,116 @@ def _dyadic_cells(f: GridFunction) -> int:
     return n
 
 
-def _max_pyramid(values: np.ndarray):
-    """Per-level cell maxima for dyadic pruning (power-of-two grids)."""
-    levels = [values]
-    cur = values
-    while cur.shape[0] > 1:
-        if cur.ndim == 1:
-            cur = cur.reshape(-1, 2).max(axis=1)
-        else:
-            cur = cur.reshape(cur.shape[0] // 2, 2,
-                              cur.shape[1] // 2, 2).max(axis=(1, 3))
-        levels.append(cur)
-    return levels
+def _pyramids(values: np.ndarray):
+    """Per-level cell maxima and float block sums of a power-of-two grid.
+
+    Level lvl holds one entry per dyadic cube of side 2^lvl.  The sums add
+    neighbouring blocks one axis at a time, so every cell of a level-lvl
+    sum went through at most dim * lvl roundings; an overflowed sum is inf.
+    """
+    maxes, sums = [values], [values]
+    m = s = values
+    with np.errstate(over="ignore"):
+        while m.shape[0] > 1:
+            for axis in range(values.ndim):
+                even = (slice(None),) * axis + (slice(0, None, 2),)
+                odd = (slice(None),) * axis + (slice(1, None, 2),)
+                m = np.maximum(m[even], m[odd])
+                s = s[even] + s[odd]
+            maxes.append(m)
+            sums.append(s)
+    return maxes, sums
+
+
+def _sum_bounds(sums: np.ndarray, roundings: int):
+    """Floats lo <= s <= hi around the exact sums s of nonnegative cells
+    whose float block sums took at most ``roundings`` roundings each.
+
+    Every rounding of a nonnegative sum scales it by some 1 + d, |d| <= u =
+    2^-53 (sums in the subnormal range are exact), so |sum - s| <= gamma *
+    sum with gamma = r u / (1 - r u) <= r 2^-52 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4).  The widened sums are
+    rounded once more and then stepped one float outward.  An overflowed
+    sum gives lo = -inf, which decides nothing."""
+    g = roundings * 2.0 ** -52
+    with np.errstate(over="ignore"):
+        lo = np.nextafter(sums * (1.0 - g), -np.inf)
+        hi = np.nextafter(sums * (1.0 + g), np.inf)
+    lo[np.isinf(sums)] = -np.inf
+    return lo, hi
+
+
+def _mass_test(lo, hi, mass: Fraction):
+    """(above, below): where the exact sums, bracketed by lo <= s <= hi,
+    certainly exceed the exact threshold mass t, and where they certainly
+    do not.  No float lies strictly between t and its rounding t_f, so a
+    float lo > t_f exceeds t and a float hi < t_f falls short of it.  The
+    cubes in neither mask need an exact comparison."""
+    try:
+        t_f = float(mass)               # correctly rounded
+    except OverflowError:               # t exceeds every finite hi
+        t_f = math.inf
+    return lo > t_f, hi < t_f
+
+
+def _children(idx: np.ndarray) -> np.ndarray:
+    """Indices, one level down, of the 2^dim children of each cube in idx
+    (an (m, dim) array of cube indices), in lexicographic order."""
+    dim = idx.shape[1]
+    offsets = np.indices((2,) * dim).reshape(dim, -1).T
+    return (2 * idx[:, None, :] + offsets).reshape(-1, dim)
 
 
 def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
-                     pyramid) -> list:
-    """Maximal dyadic subcubes (as spans) with side^alpha * avg > threshold."""
-    n = grid.shape[0]
-    dim = grid.dim
-    h = grid.h[0]
+                     maxes, sums):
+    """Maximal dyadic subcubes with side^alpha * avg > threshold.
+
+    Walks the levels from the root down with the candidate cubes of each
+    level as an (m, dim) array of cube indices: the max pyramid prunes,
+    the sum pyramid decides, and only the cubes in its uncertainty band are
+    summed exactly.  The children of live, unselected cubes are the next
+    level's candidates.  Returns ([(lvl, idx, lo, hi)] for the selected
+    cubes, with idx their indices and lo, hi the bounds on their exact
+    sums, and the number of exact fallbacks)."""
+    n, dim = grid.shape[0], grid.dim
     thr_f = float(thr)
-    spans = []
-    root = tuple((0, n) for _ in range(dim))
-    stack = [root]
-    while stack:
-        span = stack.pop()
-        side = span[0][1] - span[0][0]
-        # neither the cube nor a descendant can reach the threshold if even
-        # its best cell, scaled by the cube's side when alpha > 0, stays below
-        lvl = side.bit_length() - 1    # side = 2^lvl
-        top = pyramid[lvl]
-        idx = tuple(i0 // side for i0, _ in span)
-        best = top[idx]
-        cap = best if alpha == 0.0 else (side * h) ** alpha * best
-        if cap * (1.0 + 1e-12) < thr_f:
-            continue
+    chosen, fallbacks = [], 0
+    idx = np.zeros((1, dim), dtype=np.int64)
+    for lvl in range(n.bit_length() - 1, -1, -1):
+        if not len(idx):
+            break
+        side = 1 << lvl
+        count = 1 << (dim * lvl)
+        at = tuple(idx.T)
+        # neither a cube nor a descendant can pass if even its best cell,
+        # scaled by its side when alpha > 0, stays below thr_f.  At alpha =
+        # 0, best < thr_f = round(thr) gives best <= pred(thr_f) < thr, and
+        # every average of cells <= best is <= best.  At alpha > 0, the
+        # rounded average is <= best and both take the same rounded side
+        # factor, so value <= cap; descendants have no larger factor.
+        fac = 1.0 if alpha == 0.0 else (side * grid.h[0]) ** alpha
+        live = fac * maxes[lvl][at] >= thr_f
+        idx = idx[live]
+        lo, hi = _sum_bounds(sums[lvl][at][live], dim * lvl)
         if alpha == 0.0:
-            selected = grid.average_exceeds(span, thr)
+            above, below = _mass_test(lo, hi, thr * count)
         else:
-            selected = (side * h) ** alpha * _dyadic_average(grid, span) > thr_f
-        if selected:
-            spans.append(span)
-        elif side > 1:
-            stack.extend(_child_corners(span, side // 2))
-    spans.sort()
-    return spans
-
-
-def _child_corners(span, half):
-    return itertools.product(*[((i0, i0 + half), (i0 + half, i1))
-                               for i0, i1 in span])
+            # the rounded average lies in [lo/count, hi/count], stepped out
+            above = fac * np.nextafter(lo / count, -np.inf) > thr_f
+            below = fac * np.nextafter(hi / count, np.inf) <= thr_f
+        selected = above
+        band = np.flatnonzero(~(above | below))
+        for i in band.tolist():
+            span = tuple((int(c) * side, (int(c) + 1) * side) for c in idx[i])
+            if alpha == 0.0:
+                selected[i] = grid.average_exceeds(span, thr)
+            else:
+                selected[i] = fac * _dyadic_average(grid, span) > thr_f
+        fallbacks += len(band)
+        if selected.any():
+            chosen.append((lvl, idx[selected], lo[selected], hi[selected]))
+        idx = _children(idx[~selected])
+    return chosen, fallbacks
 
 
 def _span_to_cube(grid: GridFunction, span) -> Cube:
@@ -221,6 +280,12 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     square grid with a power-of-two cell count per axis, so that the
     dyadic subcubes reach every cell, and every a^k/4^n must stay within
     the float range.
+
+    The selection and the alpha = 0 sandwich test decide each cube from one
+    float block-sum pyramid of f, built per call, and fall back to exact
+    sums only inside its error bound; ``exact_fallbacks`` counts those
+    cubes.  Every cube's average is the correctly rounded ``math.fsum``
+    average of its cells.
     """
     dim = f.dim
     _dyadic_cells(f)
@@ -229,10 +294,11 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     if (f.values < 0).any():
         raise ValueError("f must be nonnegative")
     ks = sorted(int(k) for k in k_range)
-    pyramid = _max_pyramid(f.values)
+    maxes, sums = _pyramids(f.values)
     a_frac = Fraction(a)
     cubes = {}
     masks = {}
+    fallbacks = 0
     for k in ks:
         thr = a_frac ** k / 4 ** dim
         if thr > sys.float_info.max:
@@ -240,16 +306,32 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
                              "the float range")
         upper = thr * 2 ** dim
         upper_f = float(min(upper, sys.float_info.max))
-        spans = _select_stopping(f, thr, alpha, pyramid)
+        chosen, fallbacks_k = _select_stopping(f, thr, alpha, maxes, sums)
+        fallbacks += fallbacks_k
+        # (span, over): over is 1 when the exact average surely exceeds
+        # the upper bound, 0 when it surely does not, -1 when undecided
+        entries = []
+        for lvl, idx, lo, hi in chosen:
+            side = 1 << lvl
+            over = np.full(len(idx), -1)
+            if validate and alpha == 0.0:
+                above, below = _mass_test(lo, hi, upper * (1 << dim * lvl))
+                over[above], over[below] = 1, 0
+            for corner, o in zip((idx * side).tolist(), over.tolist()):
+                entries.append((tuple((c, c + side) for c in corner), o))
+        entries.sort()
         lst = []
         mask = np.zeros(f.shape, dtype=bool)
-        for span in spans:
+        for span, over in entries:
             avg = _dyadic_average(f, span)
             side_phys = (span[0][1] - span[0][0]) * f.h[0]
             val = avg if alpha == 0.0 else side_phys ** alpha * avg
             if validate:
                 if alpha == 0.0:
-                    ok = not f.average_exceeds(span, upper)
+                    if over < 0:
+                        over = f.average_exceeds(span, upper)
+                        fallbacks += 1
+                    ok = not over
                 else:
                     ok = val <= upper_f * (1.0 + 1e-9)
                 if not ok:
@@ -260,7 +342,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
             mask[tuple(slice(i0, i1) for i0, i1 in span)] = True
         cubes[k] = lst
         masks[k] = mask
-    return CZDecomposition(f, a, alpha, ks, cubes, masks)
+    return CZDecomposition(f, a, alpha, ks, cubes, masks, fallbacks)
 
 
 def ekj_expansion_check(dec: CZDecomposition) -> dict:

@@ -390,10 +390,6 @@ class Cube:
     def bounds(self):
         return [(c, c + self.side) for c in self.corner]
 
-    def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return all(c <= xi <= c + self.side for c, xi in zip(self.corner, x))
-
     def dilated(self, factor: float) -> "Cube":
         """Concentric dilation (factor=3 gives the tripled cube)."""
         new_side = self.side * factor

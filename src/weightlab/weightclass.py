@@ -351,16 +351,18 @@ def _products(w, spec: ClassSpec, family: CubeFamily):
 def _report(kind: str, family: CubeFamily, products,
             trace: bool = False) -> ConstantReport:
     """The max of a (cube, product, witness) stream, or its first infinite
-    product with the witness."""
+    or NaN product with the witness.  A NaN product (such as 0 * inf) makes
+    the constant NaN: it is undefined, not a value that a max may skip."""
     best, best_cube = -math.inf, None
     rows = [] if trace else None
     for Q, val, witness in products:
         if rows is not None:
             rows.append((Q, val))
-        if math.isinf(val):
-            return ConstantReport(math.inf, kind, Q, family.to_json_dict(),
-                                  witness=witness or "infinite per-cube product",
-                                  trace=rows)
+        if math.isinf(val) or math.isnan(val):
+            default = ("infinite per-cube product" if math.isinf(val)
+                       else "undefined (NaN) per-cube product")
+            return ConstantReport(val, kind, Q, family.to_json_dict(),
+                                  witness=witness or default, trace=rows)
         if val > best or (val == best and best_cube is not None
                           and (Q.corner, Q.side) < (best_cube.corner, best_cube.side)):
             best, best_cube = val, Q

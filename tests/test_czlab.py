@@ -5,17 +5,24 @@ values with Fraction arithmetic (maximality, disjointness, the two-sided
 sandwich), independent of the exact-sum machinery under test.
 """
 
+import contextlib
 import hashlib
+import io
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightlab.czlab import (
     CZDecomposition,
-    _child_corners,
+    _children,
+    _pyramids,
     _span_flat,
+    _sum_bounds,
     cz_decompose,
     ekj_expansion_check,
     level_sets,
@@ -165,15 +172,19 @@ def test_span_helpers_any_dimension(span):
     slices = tuple(slice(*s) for s in span)
     flat = np.arange(8 ** len(span)).reshape(shape)
     np.testing.assert_array_equal(_span_flat(span, shape), flat[slices].ravel())
-    # the 2^n children tile the span, in lexicographic order
-    half = (span[0][1] - span[0][0]) // 2
-    children = list(_child_corners(span, half))
+    # the stopping-cube sweep's 2^n children of the dyadic cube with the
+    # span's side at its first corner tile that cube, in lexicographic order
+    side = span[0][1] - span[0][0]
+    half = side // 2
+    idx = np.array([[i0 // side for i0, _ in span]])
+    parent = tuple(slice(i * side, (i + 1) * side) for i in idx[0])
+    children = [tuple((c * half, (c + 1) * half) for c in row)
+                for row in _children(idx).tolist()]
     assert len(children) == 2 ** len(span) and children == sorted(children)
     cover = np.zeros(shape, dtype=int)
     for child in children:
-        assert all(i1 - i0 == half for i0, i1 in child)
         cover[tuple(slice(*c) for c in child)] += 1
-    assert (cover[slices] == 1).all() and cover.sum() == flat[slices].size
+    assert (cover[parent] == 1).all() and cover.sum() == flat[parent].size
 
 
 def test_a_must_exceed_two_power_dim():
@@ -295,6 +306,184 @@ def test_fractional_decomposition_scales_by_side():
             assert qc.value == pytest.approx(side ** 0.5 * qc.average,
                                              rel=1e-12)
             assert 3.0 ** k / 4.0 < qc.value <= 3.0 ** k / 2.0 * (1 + 1e-12)
+
+
+def brute_select(vals, a, k, alpha, h):
+    """Maximal dyadic cubes passing the selection test, from Fraction
+    averages over every dyadic cube, with no pruning.  At alpha > 0 the test
+    is the float one: side^alpha times the correctly rounded average."""
+    dim, n = vals.ndim, vals.shape[0]
+    thr = Fraction(a) ** k / 4 ** dim
+    out = []
+
+    def visit(span):
+        side = span[0][1] - span[0][0]
+        avg = exact_avg(vals, span)
+        if alpha == 0.0:
+            selected = avg > thr
+        else:
+            selected = (side * h) ** alpha * float(avg) > float(thr)
+        if selected:
+            out.append(span)
+        elif side > 1:
+            half = side // 2
+            for child in itertools.product(*[((i0, i0 + half), (i0 + half, i1))
+                                             for i0, i1 in span]):
+                visit(child)
+
+    visit(tuple((0, n) for _ in range(dim)))
+    return sorted(out)
+
+
+SUBNORMAL = 2.0 ** -1074
+
+
+@st.composite
+def cz_grids(draw):
+    """(values, a, ks) on 1D and 2D power-of-two grids: dyadic rationals whose
+    averages land exactly on a^k/4^n, subnormals mixed with values near
+    1e300, and hot blocks in a sea of zeros."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = 2 ** draw(st.integers(0, 5 if dim == 1 else 3))
+    shape, size = (n,) * dim, n ** dim
+    kind = draw(st.sampled_from(["dyadic", "huge-range", "hot-block"]))
+    if kind == "dyadic":
+        cells = draw(st.lists(st.integers(0, 16), min_size=size, max_size=size))
+        vals = np.array(cells, dtype=float) * 2.0 ** draw(st.integers(-3, 3))
+    elif kind == "huge-range":
+        cell = st.one_of(st.just(0.0),
+                         st.integers(1, 2 ** 52).map(lambda i: i * SUBNORMAL),
+                         st.floats(1e299, 1e300))
+        vals = np.array(draw(st.lists(cell, min_size=size, max_size=size)))
+    else:
+        vals = np.zeros(size)
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo + 1, min(size, lo + 8)))
+        vals[lo:hi] = draw(st.sampled_from([1.0, 4.0, 40.0, 2.0 ** 60]))
+    vals = vals.reshape(shape)
+    a = draw(st.sampled_from([8.0, 2.0 ** dim + 0.5]))
+    positive = sorted({float(v) for v in vals.ravel() if v > 0.0})
+    marks = positive[:1] + positive[-1:] + [float(np.mean(vals))]
+    ks = set()
+    for v in marks:
+        if v > 0.0:
+            k0 = math.floor(math.log(v * 4 ** dim, a))
+            ks.update(range(k0 - 1, k0 + 3))
+    return vals, a, sorted(ks) or [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cz_grids(), st.sampled_from([0.0, 0.3]))
+def test_selection_matches_fraction_brute_force(grid, alpha):
+    """Every stopping cube, average and value equals a Fraction selection
+    over all dyadic cubes; at alpha = 0 the validated decomposition holds
+    the exact sandwich and maximality."""
+    vals, a, ks = grid
+    dim = vals.ndim
+    box = (0.0, 1.0) if dim == 1 else ((0.0, 0.0), (1.0, 1.0))
+    f = GridFunction(box, vals)
+    dec = cz_decompose(f, a, ks, alpha=alpha, validate=False)
+    for k in ks:
+        assert [qc.span for qc in dec.cubes[k]] == \
+            brute_select(vals, a, k, alpha, f.h[0])
+        for qc in dec.cubes[k]:
+            avg = float(exact_avg(vals, qc.span))
+            side = (qc.span[0][1] - qc.span[0][0]) * f.h[0]
+            assert qc.average == avg
+            assert qc.value == (avg if alpha == 0.0 else side ** alpha * avg)
+    valid = [k for k in ks if k in valid_k_range(vals, a, dim, min(ks), max(ks) + 1)]
+    if alpha == 0.0 and valid:
+        checked = cz_decompose(f, a, valid)
+        check_sandwich_exact(checked)
+        check_maximality_exact(checked)
+
+
+@pytest.mark.parametrize("kind", ["random", "huge-range", "overflow"])
+@pytest.mark.parametrize("shape", [(1024,), (32, 32)])
+def test_sum_bounds_bracket_exact_block_sums(kind, shape):
+    """lo <= s <= hi for every block of the sum pyramid, s the exact sum,
+    and an overflowed block sum gives lo = -inf; the max pyramid holds each
+    block's largest cell."""
+    rng = np.random.default_rng(36)
+    vals = rng.random(shape) + 1.0
+    if kind == "huge-range":
+        vals = np.where(rng.random(shape) < 0.1, 1e300, vals * 2.0 ** -1060)
+    elif kind == "overflow":
+        vals = vals * 2.0 ** 1014
+    maxes, sums = _pyramids(vals)
+    for lvl, block_sums in enumerate(sums):
+        lo, hi = _sum_bounds(block_sums, len(shape) * lvl)
+        side = 1 << lvl
+        for idx in np.ndindex(block_sums.shape):
+            span = tuple((i * side, (i + 1) * side) for i in idx)
+            exact = exact_avg(vals, span) * side ** len(shape)
+            assert lo[idx] <= exact <= hi[idx], (lvl, idx)
+            assert (lo[idx] == -math.inf) == math.isinf(block_sums[idx])
+            assert maxes[lvl][idx] == vals[tuple(slice(*c) for c in span)].max()
+
+
+def test_band_cube_falls_back_to_exact_sum():
+    # the 63 cells of 2^-60 lift the root sum just above the threshold mass
+    # 2 * 64 = 128, but the float block sum rounds to 128 exactly: only the
+    # exact comparison selects the root
+    vals = np.full(64, 2.0 ** -60)
+    vals[0] = 128.0
+    f = GridFunction((0.0, 1.0), vals)
+    dec = cz_decompose(f, 8.0, [1])
+    assert [qc.span for qc in dec.cubes[1]] == [((0, 64),)]
+    assert dec.exact_fallbacks == 1
+    assert brute_select(vals, 8.0, 1, 0.0, f.h[0]) == [((0, 64),)]
+
+
+def test_cell_at_rounded_threshold_is_selected():
+    # 3^36/4 rounds up to v, so the cell v exceeds the threshold while the
+    # root average v/2 does not; pruning must keep a cell whose value equals
+    # the rounded threshold
+    thr = Fraction(3) ** 36 / 4
+    v = float(thr)
+    assert v > thr
+    dec = cz_decompose(GridFunction((0.0, 1.0), [v, 0.0]), 3.0, [36])
+    assert [qc.span for qc in dec.cubes[36]] == [((0, 1),)]
+
+
+@pytest.mark.parametrize("v, spans", [(math.nextafter(0.75, 1.0), [((0, 2),)]),
+                                      (0.75, [])])
+def test_fractional_root_one_ulp_from_threshold(v, spans):
+    # the root has side 1, so its value is its average; 3/4 = a/4 is the
+    # threshold, and only the exact average decides the root
+    dec = cz_decompose(GridFunction((0.0, 1.0), [v, v]), 3.0, [1], alpha=0.5)
+    assert [qc.span for qc in dec.cubes[1]] == spans
+    assert dec.exact_fallbacks == 1
+
+
+def test_pyramid_decides_the_chain_corpus():
+    vals = corpus_function(1024).values
+    f = GridFunction((-1.0, 1.0), vals)
+    dec = cz_decompose(f, 8.0, valid_k_range(vals, 8, 1))
+    assert sum(len(c) for c in dec.cubes.values()) > 0
+    assert dec.exact_fallbacks == 0
+
+
+def test_cli_cz_tie_heavy_2d_frozen(tmp_path):
+    """Frozen bytes of `weightlab cz --out` on a 64^2 grid of zeros and
+    powers of two, where many cube averages sit exactly on a^k/4^n."""
+    from weightlab.cli import main
+    rng = np.random.default_rng(64)
+    vals = np.zeros((64, 64))
+    hot = rng.integers(0, 64, size=(80, 2))
+    vals[hot[:, 0], hot[:, 1]] = rng.choice(
+        [4.0, 16.0, 64.0, 256.0, 1024.0, 32.0, 128.0, 512.0, 2048.0], size=80)
+    src, out = tmp_path / "f.json", tmp_path / "cz.json"
+    src.write_text(json.dumps({"box": [[0.0, 0.0], [1.0, 1.0]],
+                               "values": vals.tolist()}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cz", "--input", str(src), "--a", "8.0",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "88f26326e08c2b6af042b934d5e760489103e5a54aa3d52f56a06278c3aaabba"
+    dec = cz_decompose(GridFunction(((0.0, 0.0), (1.0, 1.0)), vals), 8.0,
+                       range(2, 7))
+    assert dec.exact_fallbacks > 0
 
 
 # ---------------------------------------------------------------------------

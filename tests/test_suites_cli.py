@@ -347,6 +347,23 @@ def test_cli_constant(weight_file, capsys):
     assert doc["value"] > 1.0 and doc["kind"] == "AAp"
 
 
+def test_cli_constant_nan_product_exits_one(tmp_path, capsys):
+    files = {"w.json": power_weight(1.0, -1.0, 1.0).to_json_dict(),
+             "phi.json": {"kind": "power", "r": 2.0},
+             "fam.json": {"box": [0.5, 1.0], "levels": [0, 0]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    rc = main(["constant", "--class", "bump", "--p", "2.0", "--matrix", "2.0",
+               "--weight", str(tmp_path / "w.json"),
+               "--phi", str(tmp_path / "phi.json"),
+               "--family", str(tmp_path / "fam.json")])
+    out = capsys.readouterr()
+    assert rc == 1
+    doc = json.loads(out.out)
+    assert doc["value"] == "nan" and doc["argmax"]["corner"] == [0.5]
+    assert out.err == "FAIL constant: undefined (NaN) per-cube product\n"
+
+
 def test_cli_cz_decomposition(grid_file, tmp_path, capsys):
     out = tmp_path / "cz.json"
     rc = main(["cz", "--input", grid_file, "--a", "8.0", "--out", str(out)])

@@ -450,6 +450,19 @@ def test_bump_infinite_witness_names_the_power_or_the_gap():
     assert rep.witness == "w vanishes on part of [-4, 4] and e=-0.5 < 0"
 
 
+def test_nan_product_makes_the_constant_nan():
+    # on [0.5, 1] the lead avg w(2x) is 0 and the norm of w^-1/2 is inf:
+    # the product 0 * inf is NaN, which a max over the family would skip
+    spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0),
+                     phi=YoungFn.power(2.0))
+    fam = CubeFamily((0.5, 1.0), levels=(0, 0))
+    rep = class_constant(power_weight(1.0, -1.0, 1.0), spec, fam, trace=True)
+    assert math.isnan(rep.value) and not rep.finite
+    assert rep.argmax == Cube((0.5,), 0.5)
+    assert rep.witness == "undefined (NaN) per-cube product"
+    assert rep.to_json_dict()["argmax"] == {"corner": [0.5], "side": 0.5}
+
+
 def test_frac_bump_infinite_witness_names_the_power():
     spec = ClassSpec("frac_bump", p=2.0, q=4.0, A=SquareMatrix.scalar(2.0),
                      phi=YoungFn.power(2.0))
