@@ -34,6 +34,7 @@ from .funcspace import (
     load_weight,
 )
 from .maximal import (
+    check_alpha,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -193,6 +194,7 @@ def _auto_k_range(f: GridFunction, a: float, alpha: float):
 
 def _cmd_cz(args) -> int:
     f = _load_grid(args.input)
+    check_alpha(args.alpha, f.dim)
     if args.kmin is not None and args.kmax is not None:
         ks = range(args.kmin, args.kmax + 1)
     else:

@@ -19,7 +19,9 @@ Geometry conventions used by the chain:
   tripled stopping cube, clipped to Y, stays grid aligned.
 * The image grid A(Y) carries the same cell count; the map must send cells
   onto cells bijectively (scalings, axis swaps, sign flips), which makes
-  every set-transport step exact.
+  every set-transport step exact.  The chain pulls the image-side weight
+  back to Y's grid through that bijection once, and reads every per-cube
+  term from one table of the stopping cubes it uses.
 * Cell transport is ``maximal.preimage_cells``: an image cell corresponds
   to the input cell holding A^(-1) of its center.  ``level_sets`` uses the
   same correspondence for any map, and reports whether it is one to one.
@@ -27,10 +29,13 @@ Geometry conventions used by the chain:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +43,11 @@ from .funcspace import (
     Cube,
     DomainError,
     GridFunction,
-    SegmentWeight1D,
     SquareMatrix,
-    compose_matrix,
+    _cumsum_prefix,
 )
 from .maximal import (
+    check_alpha,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -91,8 +96,7 @@ class CZDecomposition:
         """(slices, mask) for E_{k,j} = Q_{k,j} minus D_{k+1}, within the span."""
         if k + 1 not in self.D:
             raise KeyError(f"D_{k + 1} not computed; extend k_range")
-        span = self.cubes[k][j].span
-        slc = tuple(slice(i0, i1) for i0, i1 in span)
+        slc = _slices(self.cubes[k][j].span)
         return slc, ~self.D[k + 1][slc]
 
 
@@ -101,6 +105,10 @@ def _span_cells(span) -> int:
     for i0, i1 in span:
         out *= i1 - i0
     return out
+
+
+def _slices(span) -> tuple:
+    return tuple(slice(i0, i1) for i0, i1 in span)
 
 
 def _dyadic_average(grid: GridFunction, span) -> float:
@@ -118,24 +126,6 @@ def _dyadic_average(grid: GridFunction, span) -> float:
     if s > sys.float_info.min and not sys.float_info.min < avg < math.inf:
         avg = float(grid.exact_sum(span) / count)
     return avg
-
-
-def _float_span_sum(grid: GridFunction, span) -> float:
-    P = grid.float_prefix()
-    if grid.dim == 1:
-        (i0, i1), = span
-        return float(P[i1] - P[i0])
-    (i0, i1), (j0, j1) = span
-    return float(P[i1, j1] - P[i0, j1] - P[i1, j0] + P[i0, j0])
-
-
-def _span_flat(span, shape) -> np.ndarray:
-    """Flat cell indices covered by a span."""
-    (i0, i1), *rest = span
-    flat = np.arange(i0, i1, dtype=np.int64)
-    for (j0, j1), m in zip(rest, shape[1:]):
-        flat = (flat[:, None] * m + np.arange(j0, j1)).ravel()
-    return flat
 
 
 def _dyadic_cells(f: GridFunction) -> int:
@@ -279,7 +269,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     half when a^k < 2^n * value(box), so pick k accordingly.  f needs a
     square grid with a power-of-two cell count per axis, so that the
     dyadic subcubes reach every cell, and every a^k/4^n must stay within
-    the float range.
+    the float range, and alpha must lie in [0, dim).
 
     The selection and the alpha = 0 sandwich test decide each cube from one
     float block-sum pyramid of f, built per call, and fall back to exact
@@ -288,6 +278,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     average of its cells.
     """
     dim = f.dim
+    check_alpha(alpha, dim)     # the max-pyramid prune needs alpha >= 0
     _dyadic_cells(f)
     if not a > 2 ** dim:
         raise ValueError(f"need a > 2^n = {2 ** dim}")
@@ -339,7 +330,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
                         f"sandwich violated at k={k} on {_span_to_cube(f, span)}: "
                         f"value {val} > {upper_f}")
             lst.append(CZCube(k, span, _span_to_cube(f, span), avg, val))
-            mask[tuple(slice(i0, i1) for i0, i1 in span)] = True
+            mask[_slices(span)] = True
         cubes[k] = lst
         masks[k] = mask
     return CZDecomposition(f, a, alpha, ks, cubes, masks, fallbacks)
@@ -426,12 +417,6 @@ class LevelSets:
     exact: bool              # True when cell transport was bijective
     cell_volume_in: float
     cell_volume_out: float
-
-    def measure_defect(self, k: int, det: float) -> float:
-        """| |A(omega_k)| - |det A| |omega_k| | relative to the larger one."""
-        m_in = self.omega[k].sum() * self.cell_volume_in * abs(det)
-        m_out = self.omega_A[k].sum() * self.cell_volume_out
-        return abs(m_in - m_out) / max(m_in, m_out, 1e-300)
 
 
 def level_sets(f: GridFunction, A, a: float, k_range,
@@ -535,38 +520,69 @@ def _json_num(v):
     return v
 
 
-def _compose_weight_1d(w: SegmentWeight1D, A: SquareMatrix) -> SegmentWeight1D:
-    return compose_matrix(w, float(A.entries[0, 0]))
-
-
-def _compose_weight_2d(pair, A: SquareMatrix):
-    """Product weight w1(x) w2(y) composed with a signed-permutation-by-
-    scaling matrix, still as a product pair."""
-    w1, w2 = pair
-    e = np.asarray(A.entries)
-    if abs(e[0, 1]) < 1e-15 and abs(e[1, 0]) < 1e-15:
-        return (w1.scaled_argument(e[0, 0]), w2.scaled_argument(e[1, 1]))
-    if abs(e[0, 0]) < 1e-15 and abs(e[1, 1]) < 1e-15:
-        # A(x, y) = (b y, c x): w(A(x,y)) = w1(b y) w2(c x)
-        return (w2.scaled_argument(e[1, 0]), w1.scaled_argument(e[0, 1]))
+def _compose_product(factors, A: SquareMatrix) -> tuple:
+    """The product weight w_1(x_1)...w_n(x_n) composed with a monomial
+    matrix A (one nonzero entry per row and column), again as a product:
+    axis d carries w_i(A[i, d] x_d), with i the row of column d's entry.
+    A 1D weight is a one-factor product."""
+    e = A.entries
+    cols = list(range(A.dim))
+    for rows in itertools.permutations(cols):
+        off = e.copy()
+        off[list(rows), cols] = 0.0
+        if (np.abs(off) < 1e-15).all():
+            return tuple(factors[i].scaled_argument(float(e[i, d]))
+                         for d, i in enumerate(rows))
     raise DomainError("2D weights support diagonal or antidiagonal matrices")
 
 
-def _sample_weight_values(wspec, lo, hi, n, dim) -> np.ndarray:
-    """Exact cell averages of the weight on an n-per-axis grid over [lo, hi].
+def _sample_product(factors, lo, hi, n: int) -> np.ndarray:
+    """Exact cell averages of a product weight on an n-per-axis grid over
+    [lo, hi].
 
     Returns a bare array (the image box of an anisotropic matrix can have
     rectangular cells, which GridFunction refuses)."""
-    if dim == 1:
-        return wspec.cell_averages(lo[0], hi[0], n)
-    ax = wspec[0].cell_averages(lo[0], hi[0], n)
-    ay = wspec[1].cell_averages(lo[1], hi[1], n)
-    return np.outer(ax, ay)
+    return functools.reduce(np.multiply.outer, [
+        w.cell_averages(a, b, n) for w, a, b in zip(factors, lo, hi)])
+
+
+def _tripled(span, n: int) -> tuple:
+    """The span tripled about its center, clipped to n cells per axis."""
+    return tuple((max(i0 - (i1 - i0), 0), min(i1 + (i1 - i0), n))
+                 for i0, i1 in span)
+
+
+def _prefix_span_sums(values: np.ndarray, spans) -> list:
+    """Float sums of values over each span, as differences of the grid's
+    float prefix sums (for all spans at once, in one fixed order)."""
+    P = _cumsum_prefix(values)
+    lo, hi = np.array(spans, dtype=np.int64).reshape(
+        len(spans), values.ndim, 2).transpose(2, 1, 0)
+    if values.ndim == 1:
+        return (P[hi[0]] - P[lo[0]]).tolist()
+    return (P[hi[0], hi[1]] - P[lo[0], hi[1]] - P[hi[0], lo[1]]
+            + P[lo[0], lo[1]]).tolist()
+
+
+class _UsedCube(NamedTuple):
+    """A stopping cube of the chain with every per-cube term its steps read."""
+    k: int
+    j: int                  # index in dec.cubes[k]
+    cube: CZCube
+    span3: tuple            # tripled span, clipped to the working grid
+    cells: int
+    cells3: int             # cells of span3
+    wa_mass: float          # mass of the w_A power over span3
+    wa_avg: float           # its average over span3
+    image_mass: float       # mass of the image-side weight power over A(span3)
+    g_norm: float           # complementary-bump norm of g on the cube
+    v_norm: float           # bump norm of the dual weight on the cube
+    side: float             # side^alpha
 
 
 def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
-                        a: float | None = None, alpha: float = 0.0,
-                        embed_factor: int = 4) -> ChainReport:
+                        a: float | None = None,
+                        alpha: float = 0.0) -> ChainReport:
     """Replays the weighted-bound proof chain on one grid, step by step.
 
     f is a nonnegative grid function on a box X with a power-of-two cell
@@ -588,6 +604,10 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         raise ValueError(f"need a > 2^n = {2 ** dim}")
     if not p > 1.0:
         raise ValueError("need p > 1")
+    check_alpha(alpha, dim)
+    factors = (w,) if dim == 1 else tuple(w)
+    if len(factors) != dim:
+        raise ValueError(f"w needs one factor per axis, {dim} in all")
     frac = alpha > 0.0
     if frac:
         inv_q = 1.0 / p - alpha / dim
@@ -598,43 +618,38 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         q = p
     E = q                       # exponent of the left-hand side
     phibar = complementary(phi)
+    steps = []
 
-    # ---- geometry: embed f into Y = embed_factor * X --------------------
-    if embed_factor != 4:
-        raise ValueError("the chain is calibrated for embed_factor = 4")
+    def fail(reason: str) -> ChainReport:
+        return ChainReport(False, reason, steps, {}, frac)
+
+    # ---- geometry: embed f into the concentric box Y = 4 X --------------
     L = f.hi[0] - f.lo[0]
     Ylo = tuple(lo - 1.5 * L for lo in f.lo)
     Yhi = tuple(hi + 1.5 * L for hi in f.hi)
     NY = 4 * n
-    off = (3 * n) // 2
     vals = np.zeros((NY,) * dim)
-    if dim == 1:
-        vals[off:off + n] = f.values
-    else:
-        vals[off:off + n, off:off + n] = f.values
+    vals[(slice(3 * n // 2, 3 * n // 2 + n),) * dim] = f.values
     fY = GridFunction((Ylo, Yhi), vals)
     volY = fY.cell_volume
-    hY = fY.h[0]
 
     # ---- weights ---------------------------------------------------------
     try:
-        wA_spec = (_compose_weight_1d(w, A) if dim == 1
-                   else _compose_weight_2d(w, A))
+        wA = _compose_product(factors, A)
     except DomainError as err:
-        return ChainReport(False, str(err), [], {}, frac)
-    wY = _sample_weight_values(w, Ylo, Yhi, NY, dim)
-    wAY = _sample_weight_values(wA_spec, Ylo, Yhi, NY, dim)
+        return fail(str(err))
+    wY = _sample_product(factors, Ylo, Yhi, NY)
+    wAY = _sample_product(wA, Ylo, Yhi, NY)
     try:
         out_lo, out_hi, perm = _grid_bijection(fY, A)
     except DomainError as err:
-        return ChainReport(False, f"cell transport not exact: {err}", [], {}, frac)
-    wOut = _sample_weight_values(w, out_lo, out_hi, NY, dim)
+        return fail(f"cell transport not exact: {err}")
+    wOut = _sample_product(factors, out_lo, out_hi, NY)
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
 
     if (wY <= 0).any():
-        return ChainReport(False, "weight vanishes on a cell of the working box",
-                           [], {}, frac)
+        return fail("weight vanishes on a cell of the working box")
     missing_out = int((wOut <= 0).sum())
 
     # discrete fields: the chain treats the sampled cell averages as the
@@ -651,8 +666,12 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         wpow_out = wOut
         WA_vals = wAY
         rhs_weight = wY
-    gGrid = GridFunction((Ylo, Yhi), g_vals)
-    WA_grid = GridFunction((Ylo, Yhi), WA_vals)
+    # the image-side weight pulled back to the input grid through the cell
+    # bijection (image cell o is A of input cell perm[o]), so every
+    # image-side sum below runs over the input grid
+    w_back = np.empty(perm.size)
+    w_back[perm] = wpow_out.ravel()
+    w_back = w_back.reshape(fY.shape)
 
     rhs_base = math.fsum((fY.values.ravel() ** p) * rhs_weight.ravel()) * volY
     if rhs_base == 0.0:
@@ -662,11 +681,8 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
 
     # ---- maximal fields --------------------------------------------------
     Mfield = fractional_maximal(fY, alpha, lengths="dyadic")
-    Mout_vals = Mfield.values.ravel()[perm]
-    wpow_out_flat = wpow_out.ravel()
-    lhs_total = math.fsum((Mout_vals ** E) * wpow_out_flat) * vol_out
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(perm.size, dtype=perm.dtype)
+    MEw = Mfield.values ** E * w_back
+    lhs_total = math.fsum(MEw.ravel()) * vol_out
 
     # ---- k range ---------------------------------------------------------
     side_Y = (Yhi[0] - Ylo[0])
@@ -689,34 +705,25 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         ks.append(k_max)
         omega[k_max + 1] = Mfield.values > a ** (k_max + 1)
 
-    steps = []
-
     # tail: cells where the maximal field never exceeds a^{k_low}
-    tail_mask = ~omega[k_low]
-    tail_mask_out = tail_mask.ravel()[perm]
-    tail_actual = math.fsum(Mout_vals[tail_mask_out] ** E
-                            * wpow_out_flat[tail_mask_out]) * vol_out
-    tail_bound = a ** (k_low * E) * math.fsum(wpow_out_flat[tail_mask_out]) * vol_out
+    tail = ~omega[k_low]
+    tail_actual = math.fsum(MEw[tail]) * vol_out
+    tail_bound = a ** (k_low * E) * math.fsum(w_back[tail]) * vol_out
     steps.append(ChainStep(
         "tail", "below-threshold remainder bounded by its level",
         tail_actual, tail_bound, {"k_low": k_low, "k_max": k_max}))
 
     # s1: slicing identity
-    slice_sums = []
-    for k in ks:
-        sl = omega[k] & ~omega[k + 1]
-        sl_out = sl.ravel()[perm]
-        slice_sums.append(math.fsum(Mout_vals[sl_out] ** E
-                                    * wpow_out_flat[sl_out]) * vol_out)
-    v_sliced = math.fsum(slice_sums) + tail_actual
+    v_sliced = math.fsum([math.fsum(MEw[omega[k] & ~omega[k + 1]]) * vol_out
+                          for k in ks]) + tail_actual
     steps.append(ChainStep(
         "s1_slicing", "integral equals the sum over level-set layers",
         lhs_total, v_sliced, {"layers": len(ks)}))
 
     # s2: threshold bound per layer, then monotone extension to omega_k
-    omega_masses = {k: math.fsum(wpow_out_flat[omega[k].ravel()[perm]]) * vol_out
-                    for k in ks}
-    v2 = tail_bound + math.fsum(a ** ((k + 1) * E) * omega_masses[k] for k in ks)
+    v2 = tail_bound + math.fsum(a ** ((k + 1) * E)
+                                * (math.fsum(w_back[omega[k]]) * vol_out)
+                                for k in ks)
     steps.append(ChainStep(
         "s2_threshold", "each layer bounded by a^{(k+1)E} times the weight "
         "of the image level set", v_sliced, v2))
@@ -725,126 +732,95 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     dec = cz_decompose(fY, a, range(k_low, k_max + 2), alpha=alpha)
 
     # cover check: omega_k inside the union of clipped tripled cubes
-    def tripled_span(span):
-        out = []
-        for i0, i1 in span:
-            side = i1 - i0
-            out.append((max(i0 - side, 0), min(i1 + side, NY)))
-        return tuple(out)
-
-    cover_ok = True
+    used = []                   # (k, j, stopping cube, tripled span)
     for k in ks:
         cover = np.zeros(fY.shape, dtype=bool)
-        for qc in dec.cubes[k]:
-            cover[tuple(slice(*t) for t in tripled_span(qc.span))] = True
+        for j, qc in enumerate(dec.cubes[k]):
+            span3 = _tripled(qc.span, NY)
+            cover[_slices(span3)] = True
+            used.append((k, j, qc, span3))
         if (omega[k] & ~cover).any():
-            cover_ok = False
-            break
-    if not cover_ok:
-        return ChainReport(False, f"triple-cube cover failed at k={k}",
-                           steps, {}, frac)
+            return fail(f"triple-cube cover failed at k={k}")
+
+    # the table of used cubes: every per-cube term, computed once
+    hY = fY.h[0]
+    table = []
+    wa_sums = _prefix_span_sums(WA_vals, [span3 for *_, span3 in used])
+    for (k, j, qc, span3), wa in zip(used, wa_sums):
+        slc = _slices(qc.span)
+        cells3 = _span_cells(span3)
+        table.append(_UsedCube(
+            k, j, qc, span3, _span_cells(qc.span), cells3, wa * volY,
+            wa / cells3,
+            float(w_back[_slices(span3)].ravel().sum()) * vol_out,
+            luxemburg_norm_of_values(g_vals[slc], phibar),
+            luxemburg_norm_of_values(dual_vals[slc], phi),
+            ((qc.span[0][1] - qc.span[0][0]) * hY) ** alpha))
 
     # s2c: replace level sets by the tripled covers
-    def image_mass(span3) -> float:
-        return float(wpow_out_flat[inv_perm[_span_flat(span3, fY.shape)]].sum()) \
-            * vol_out
-
-    cover_masses = []
-    for k in ks:
-        tot = math.fsum(image_mass(tripled_span(qc.span))
-                        for qc in dec.cubes[k])
-        cover_masses.append(tot)
     v3 = tail_bound + a ** E * math.fsum(
-        a ** (k * E) * cm for k, cm in zip(ks, cover_masses))
+        a ** (k * E) * math.fsum(c.image_mass for c in table if c.k == k)
+        for k in ks)
     steps.append(ChainStep(
         "s2c_cover", "level sets covered by tripled stopping cubes "
         "(set inclusion verified exactly)", v2, v3))
 
+    # the constant factor a^E |det A| 4^{nE} 2^E B^E 3^n grows one step at
+    # a time, multiplied left to right
+    c_det = a ** E * det
+
     # s2d: substitute the image-side masses by |det A| * masses of w_A^E
-    used = []                   # (k, CZCube, tripled clipped span)
-    for k in ks:
-        for j, qc in enumerate(dec.cubes[k]):
-            used.append((k, j, qc, tripled_span(qc.span)))
-
-    def wa_mass(span3) -> float:
-        return _float_span_sum(WA_grid, span3) * volY
-
-    v3b = tail_bound + a ** E * det * math.fsum(
-        a ** (k * E) * wa_mass(sp3) for k, j, qc, sp3 in used)
+    v3b = tail_bound + c_det * math.fsum(
+        a ** (c.k * E) * c.wa_mass for c in table)
     steps.append(ChainStep(
         "s2d_substitution", "image-grid masses equal |det A| times the "
         "pulled-back weight masses", v3, v3b,
         {"det": det, "identity_defect": (v3b - v3) / max(v3, 1e-300)}))
 
     # s2e: sandwich lower bound replaces a^k by the cube averages
-    v4 = tail_bound + a ** E * det * 4 ** (dim * E) * math.fsum(
-        qc.value ** E * wa_mass(sp3) for k, j, qc, sp3 in used)
+    c_sand = c_det * 4 ** (dim * E)
+    v4 = tail_bound + c_sand * math.fsum(
+        c.cube.value ** E * c.wa_mass for c in table)
     steps.append(ChainStep(
         "s2e_sandwich", "a^k < 4^n (side^alpha avg_Q f) on stopping cubes",
         v3b, v4))
 
     # s3: generalized Holder on each stopping cube
-    holder_worst = math.inf
-    g_norms = {}
-    v_norms = {}
-    for k, j, qc, sp3 in used:
-        slc = tuple(slice(i0, i1) for i0, i1 in qc.span)
-        gn = luxemburg_norm_of_values(g_vals[slc], phibar)
-        vn = luxemburg_norm_of_values(dual_vals[slc], phi)
-        g_norms[(k, j)] = gn
-        v_norms[(k, j)] = vn
-        bound = 2.0 * gn * vn
-        defect = (bound - qc.average) / max(qc.average, 1e-300)
-        holder_worst = min(holder_worst, defect)
-    side_alpha = {(k, j): ((qc.span[0][1] - qc.span[0][0]) * hY) ** alpha
-                  for k, j, qc, sp3 in used}
-
-    def holder_factor(k, j, qc):
-        return 2.0 * g_norms[(k, j)] * v_norms[(k, j)] * side_alpha[(k, j)]
-
-    v5 = tail_bound + a ** E * det * 4 ** (dim * E) * math.fsum(
-        holder_factor(k, j, qc) ** E * wa_mass(sp3) for k, j, qc, sp3 in used)
+    holder_worst = min([math.inf] + [
+        (2.0 * c.g_norm * c.v_norm - c.cube.average)
+        / max(c.cube.average, 1e-300) for c in table])
+    v5 = tail_bound + c_sand * math.fsum(
+        (2.0 * c.g_norm * c.v_norm * c.side) ** E * c.wa_mass for c in table)
     steps.append(ChainStep(
         "s3_holder", "avg_Q f <= 2 ||f w^{1/p}||_{comp,Q} ||w^{-1/p}||_{phi,Q} "
         "(fractional: f w and w^{-1})", v4, v5,
-        {"worst_percube_defect": holder_worst if used else 0.0}))
+        {"worst_percube_defect": holder_worst if table else 0.0}))
 
     # s4: extract the bump constant measured on the used cubes; the side^alpha
     # factor stays with the g terms, where it later regroups the exponents
-    if used:
-        B_used = max(
-            v_norms[(k, j)]
-            * (_float_span_sum(WA_grid, sp3) / _span_cells(sp3)) ** (1.0 / E)
-            for k, j, qc, sp3 in used)
-    else:
-        B_used = 0.0
+    B_used = max((c.v_norm * c.wa_avg ** (1.0 / E) for c in table),
+                 default=0.0)
     if not math.isfinite(B_used):
-        return ChainReport(False, "bump constant infinite on a used cube",
-                           steps, {}, frac)
+        return fail("bump constant infinite on a used cube")
     sum_g_R = math.fsum(
-        (g_norms[(k, j)] * side_alpha[(k, j)]) ** E * _span_cells(sp3) * volY
-        for k, j, qc, sp3 in used)
-    v6 = tail_bound + a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E * sum_g_R
+        (c.g_norm * c.side) ** E * c.cells3 * volY for c in table)
+    c_bump = c_sand * 2 ** E * B_used ** E
+    v6 = tail_bound + c_bump * sum_g_R
     steps.append(ChainStep(
         "s4_bump", "per-cube bump products bounded by their maximum B",
         v5, v6, {"B_used": B_used}))
 
     # s4b: clipped triples are at most 3^n times their cubes
-    sum_g_Q = math.fsum(
-        (g_norms[(k, j)] ** p * _span_cells(qc.span) * volY) ** (E / p)
-        for k, j, qc, sp3 in used)
-    v7 = tail_bound + a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E \
-        * 3 ** dim * sum_g_Q
+    c_tri = c_bump * 3 ** dim
+    v7 = tail_bound + c_tri * math.fsum(
+        (c.g_norm ** p * c.cells * volY) ** (E / p) for c in table)
     steps.append(ChainStep(
         "s4b_triple", "|3Q clipped| <= 3^n |Q|, exponents regrouped to "
         "(||g||^p |Q|)^{q/p}", v6, v7))
 
     # s5a: little-ell q/p norm below the ell-1 norm
-    sum_lin = math.fsum(
-        g_norms[(k, j)] ** p * _span_cells(qc.span) * volY
-        for k, j, qc, sp3 in used)
-    v8 = tail_bound + a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E \
-        * 3 ** dim * sum_lin ** (E / p)
+    sum_lin = math.fsum(c.g_norm ** p * c.cells * volY for c in table)
+    v8 = tail_bound + c_tri * sum_lin ** (E / p)
     steps.append(ChainStep(
         "s5a_ellqp", "sum of (||g||^p |Q|)^{q/p} at most (sum ||g||^p |Q|)^{q/p}",
         v7, v8))
@@ -853,44 +829,39 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     ek = ekj_expansion_check(dec)
     beta = ek["beta"]
     if not math.isfinite(beta):
-        return ChainReport(False,
-                           f"empty E set below {ek['witness']}", steps, {}, frac)
+        return fail(f"empty E set below {ek['witness']}")
     if not ek["disjoint"]:
-        return ChainReport(False, "E sets are not disjoint", steps, {}, frac)
+        return fail("E sets are not disjoint")
     try:
-        Mg = orlicz_maximal(gGrid, phibar, lengths="dyadic")
+        Mg = orlicz_maximal(GridFunction((Ylo, Yhi), g_vals), phibar,
+                            lengths="dyadic")
     except ValueError as err:
-        return ChainReport(False, f"cannot sweep the complementary-bump "
-                           f"maximal field: {err}", steps, {}, frac)
+        return fail(f"cannot sweep the complementary-bump maximal field: {err}")
     dom_worst = math.inf
     sum_E = 0.0
-    for k, j, qc, sp3 in used:
-        slc, emask = dec.e_local(k, j)
+    for c in table:
+        slc, emask = dec.e_local(c.k, c.j)
         ecount = int(emask.sum())
-        sum_E += g_norms[(k, j)] ** p * ecount * volY
+        sum_E += c.g_norm ** p * ecount * volY
         if ecount:
             m = float(Mg.values[slc][emask].min())
-            dom_worst = min(dom_worst, (m - g_norms[(k, j)])
-                            / max(g_norms[(k, j)], 1e-300))
-    v9 = tail_bound + a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E \
-        * 3 ** dim * (beta * sum_E) ** (E / p)
+            dom_worst = min(dom_worst, (m - c.g_norm) / max(c.g_norm, 1e-300))
+    v9 = tail_bound + c_tri * (beta * sum_E) ** (E / p)
     steps.append(ChainStep(
         "s5b_expansion", "|Q| <= beta |E|, beta measured on the decomposition",
         v8, v9, {"beta": beta}))
 
     # s5c: the E sets are disjoint and M_phibar g dominates ||g|| on each
     int_Mg = math.fsum(Mg.values.ravel() ** p) * volY
-    v10 = tail_bound + a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E \
-        * 3 ** dim * (beta * int_Mg) ** (E / p)
+    v10 = tail_bound + c_tri * (beta * int_Mg) ** (E / p)
     steps.append(ChainStep(
         "s5c_domination", "sum ||g||^p |E| at most the integral of (M_phibar g)^p",
-        v9, v10, {"worst_domination_defect": dom_worst if used else 0.0}))
+        v9, v10, {"worst_domination_defect": dom_worst if table else 0.0}))
 
     # s5d: empirical maximal-operator constant closes the chain
     C_emp = int_Mg / rhs_base
     bp = bp_integral(phibar, p)
-    c_total = a ** E * det * 4 ** (dim * E) * 2 ** E * B_used ** E * 3 ** dim \
-        * (beta * C_emp) ** (E / p)
+    c_total = c_tri * (beta * C_emp) ** (E / p)
     v11 = tail_bound + c_total * rhs_base ** (E / p)
     steps.append(ChainStep(
         "s5d_closure", "integral of (M_phibar g)^p written as C_emp ||g||_p^p",
@@ -902,13 +873,10 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         lhs_total, v11))
 
     # reference bump with norms on the clipped triples, for the class bound
-    if used and phi.is_homogeneous:
-        b3 = 0.0
-        for k, j, qc, sp3 in used:
-            slc3 = tuple(slice(i0, i1) for i0, i1 in sp3)
-            vn3 = luxemburg_norm_of_values(dual_vals[slc3], phi)
-            avg_wa = _float_span_sum(WA_grid, sp3) / _span_cells(sp3)
-            b3 = max(b3, vn3 * avg_wa ** (1.0 / E))
+    if table and phi.is_homogeneous:
+        b3 = max([0.0] + [
+            luxemburg_norm_of_values(dual_vals[_slices(c.span3)], phi)
+            * c.wa_avg ** (1.0 / E) for c in table])
         class_factor = 3 ** (dim / phi.exponent)
         class_check = B_used <= class_factor * b3 * (1.0 + 1e-9)
     else:
@@ -921,7 +889,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         "lhs": lhs_total, "rhs_base": rhs_base,
         "theorem_ratio": lhs_total / rhs_base ** (E / p),
         "bound_ratio": c_total + tail_bound / rhs_base ** (E / p),
-        "k_low": k_low, "k_max": k_max, "cubes_used": len(used),
+        "k_low": k_low, "k_max": k_max, "cubes_used": len(table),
         "missing_image_cells": missing_out,
         "bump_on_triples": b3, "bump_class_factor": class_factor,
         "bump_class_consistent": class_check,

@@ -335,9 +335,6 @@ class SquareMatrix:
     def apply(self, x):
         return self.entries @ np.asarray(x, dtype=float)
 
-    def apply_inv(self, x):
-        return self.inv @ np.asarray(x, dtype=float)
-
     def inverse(self) -> "SquareMatrix":
         return SquareMatrix(self.inv)
 
@@ -389,12 +386,6 @@ class Cube:
 
     def bounds(self):
         return [(c, c + self.side) for c in self.corner]
-
-    def dilated(self, factor: float) -> "Cube":
-        """Concentric dilation (factor=3 gives the tripled cube)."""
-        new_side = self.side * factor
-        shift = (new_side - self.side) / 2.0
-        return Cube(tuple(c - shift for c in self.corner), new_side)
 
 
 class CubeFamily:
@@ -563,7 +554,6 @@ class GridFunction:
             self.mask = np.asarray(mask, dtype=bool)
             if self.mask.shape != self.shape:
                 raise ValueError("mask shape mismatch")
-        self._float_prefix = None
 
     # -- exact engine -------------------------------------------------------
 
@@ -609,13 +599,6 @@ class GridFunction:
     def cube_mass(self, span) -> float:
         """Integral over the spanned region (sum of cell masses)."""
         return self.cube_sum(span) * self.cell_volume
-
-    # -- float engine (field sweeps) ----------------------------------------
-
-    def float_prefix(self):
-        if self._float_prefix is None:
-            self._float_prefix = _cumsum_prefix(self.values)
-        return self._float_prefix
 
     # -- geometry helpers ----------------------------------------------------
 

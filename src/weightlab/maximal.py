@@ -435,6 +435,13 @@ def hl_maximal(f: GridFunction, family: CubeFamily | None = None,
     return _average_field(f, family, lengths, _averages(f))
 
 
+def check_alpha(alpha: float, dim: int) -> None:
+    """Raises unless the fractional order alpha lies in [0, dim); a NaN
+    fails too."""
+    if not 0.0 <= alpha < dim:
+        raise ValueError("alpha must lie in [0, dim)")
+
+
 def fractional_maximal(f: GridFunction, alpha: float,
                        family: CubeFamily | None = None,
                        lengths="all") -> GridFunction:
@@ -443,8 +450,7 @@ def fractional_maximal(f: GridFunction, alpha: float,
     alpha ranges over [0, n); alpha = 0 reproduces ``hl_maximal`` bit for
     bit because the sweep is shared and the scale factor is skipped.
     """
-    if not 0.0 <= alpha < f.dim:
-        raise ValueError("alpha must lie in [0, dim)")
+    check_alpha(alpha, f.dim)
     return _average_field(f, family, lengths, _averages(f), float(alpha))
 
 
@@ -480,8 +486,7 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     and, as alpha >= 0, a larger scale.  Other kinds solve a Luxemburg
     bisection per cube and therefore need a finite family.
     """
-    if not 0.0 <= alpha < f.dim:
-        raise ValueError("alpha must lie in [0, dim)")
+    check_alpha(alpha, f.dim)
     if phi.kind == "identity":
         return _average_field(f, family, lengths, _averages(f), alpha)
     if phi.is_homogeneous:

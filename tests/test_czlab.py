@@ -20,9 +20,12 @@ from hypothesis import given, settings, strategies as st
 from weightlab.czlab import (
     CZDecomposition,
     _children,
+    _mass_test,
+    _prefix_span_sums,
     _pyramids,
-    _span_flat,
+    _slices,
     _sum_bounds,
+    _tripled,
     cz_decompose,
     ekj_expansion_check,
     level_sets,
@@ -169,9 +172,15 @@ def test_cube_average_of_overflowing_sum(alpha):
                                   ((0, 2), (2, 4), (6, 8))])
 def test_span_helpers_any_dimension(span):
     shape = (8,) * len(span)
-    slices = tuple(slice(*s) for s in span)
-    flat = np.arange(8 ** len(span)).reshape(shape)
-    np.testing.assert_array_equal(_span_flat(span, shape), flat[slices].ravel())
+    # the chain's tripled spans: widened by the side each way, clipped
+    tripled = _tripled(span, 8)
+    assert tripled == {1: ((0, 8),), 2: ((0, 8), (0, 8)),
+                       3: ((0, 4), (0, 6), (4, 8))}[len(span)]
+    if len(span) <= 2:
+        # integer cells, so the prefix differences are exact sums
+        vals = np.arange(8 ** len(span), dtype=float).reshape(shape)
+        assert _prefix_span_sums(vals, [span, tripled]) == \
+            [vals[_slices(s)].sum() for s in (span, tripled)]
     # the stopping-cube sweep's 2^n children of the dyadic cube with the
     # span's side at its first corner tile that cube, in lexicographic order
     side = span[0][1] - span[0][0]
@@ -184,13 +193,31 @@ def test_span_helpers_any_dimension(span):
     cover = np.zeros(shape, dtype=int)
     for child in children:
         cover[tuple(slice(*c) for c in child)] += 1
-    assert (cover[parent] == 1).all() and cover.sum() == flat[parent].size
+    assert (cover[parent] == 1).all() and cover.sum() == side ** len(span)
 
 
 def test_a_must_exceed_two_power_dim():
     f = GridFunction((0.0, 1.0), np.ones(4))
     with pytest.raises(ValueError, match="a > 2"):
         cz_decompose(f, 2.0, range(0, 1))
+
+
+@pytest.mark.parametrize("alpha, dim", [(-0.5, 1), (math.nan, 1), (1.0, 1),
+                                        (2.0, 2), (-1e-300, 2)])
+def test_alpha_outside_zero_to_dim_is_rejected(alpha, dim):
+    # a negative order would let the max-pyramid prune drop a cube whose
+    # small side lifts its value over the threshold
+    vals = np.zeros((8,) * dim)
+    vals[(0,) * dim] = 1.0
+    f = GridFunction(((0.0,) * dim, (8.0,) * dim), vals)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, dim\)"):
+        cz_decompose(f, 3.2 * 2 ** (dim - 1), [1], alpha=alpha)
+    # the chain rejects it up front, even where its weight would make the
+    # report inapplicable first
+    w = (constant_weight(1.0, 0.0, 8.0),) * dim
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, dim\)"):
+        theorem_chain_check(f, w[0] if dim == 1 else w, 1.0, 2.0, PHI,
+                            alpha=alpha)
 
 
 def valid_k_range(vals, a, dim, lo=-4, hi=12):
@@ -422,6 +449,16 @@ def test_sum_bounds_bracket_exact_block_sums(kind, shape):
             assert maxes[lvl][idx] == vals[tuple(slice(*c) for c in span)].max()
 
 
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10)])
+def test_mass_test_bounds_on_the_rounded_threshold_decide_nothing(t):
+    # the masks decide on strict comparisons with round(t) only: a bound
+    # equal to it leaves the cube to the exact test, whether t rounds down
+    # (1/3, 2/3) or up (1/10)
+    t_f = np.array([float(t)])
+    above, below = _mass_test(t_f, t_f, t)
+    assert not above.any() and not below.any()
+
+
 def test_band_cube_falls_back_to_exact_sum():
     # the 63 cells of 2^-60 lift the root sum just above the threshold mass
     # 2 * 64 = 128, but the float block sum rounds to 128 exactly: only the
@@ -498,7 +535,7 @@ def test_level_sets_reflection_exact():
     assert ls.exact
     for k in ls.ks:
         np.testing.assert_array_equal(ls.omega_A[k], ls.omega[k][::-1])
-        assert ls.measure_defect(k, -1.0) <= 1e-12
+        assert ls.cell_volume_out == ls.cell_volume_in
 
 
 def test_level_sets_scaling_masses():
@@ -508,7 +545,10 @@ def test_level_sets_scaling_masses():
     ls = level_sets(f, 2.0, 8.0, [0])
     assert ls.exact and ls.out_box == ((-4.0,), (4.0,))
     # the image of the superlevel set carries |det A| times its measure
-    assert ls.measure_defect(0, 2.0) <= 1e-12
+    # (cell counts and dyadic cell volumes, so the masses are exact)
+    assert ls.omega_A[0].sum() == ls.omega[0].sum() > 0
+    assert ls.omega_A[0].sum() * ls.cell_volume_out == \
+        2.0 * ls.omega[0].sum() * ls.cell_volume_in
 
 
 def test_level_sets_rotation_fallback():
@@ -565,8 +605,8 @@ def test_level_sets_shear_reads_nearest_cells():
     outside = 0
     for i, j in np.ndindex(16, 16):
         # dyadic centers: the preimage x - y is exact and never on a boundary
-        cell = f.cell_of_point(A.apply_inv((-2.0 + (i + 0.5) * 0.25,
-                                            -1.0 + (j + 0.5) * 0.125)))
+        cell = f.cell_of_point(A.inv @ (-2.0 + (i + 0.5) * 0.25,
+                                        -1.0 + (j + 0.5) * 0.125))
         outside += cell is None
         for image, s in zip(masks, sets):
             assert image[i, j] == (cell is not None and s[cell]), (i, j)
@@ -602,6 +642,13 @@ def corpus_function(n=128):
     vals = rng.random(n) ** 2 * 3.0
     vals[n // 6: n // 6 + max(4, n // 24)] = 40.0
     return GridFunction((-1.0, 1.0), vals)
+
+
+def corpus_grid_2d(n=16):
+    rng = np.random.default_rng(33)
+    vals = rng.random((n, n)) * 2.0
+    vals[3:6, 9:12] = 30.0
+    return GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
 
 
 EXPECTED_STEPS = [
@@ -653,10 +700,7 @@ def test_chain_alpha_zero_equals_plain_exponent():
 
 
 def test_chain_2d_product_weight():
-    rng = np.random.default_rng(33)
-    vals = rng.random((16, 16)) * 2.0
-    vals[3:6, 9:12] = 30.0
-    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
+    f = corpus_grid_2d()
     pair = (power_weight(0.5, -40.0, 40.0), constant_weight(1.0, -40.0, 40.0))
     A = SquareMatrix([[0.0, -2.0], [0.5, 0.0]])
     rep = theorem_chain_check(f, pair, A, 2.0, PHI)
@@ -726,3 +770,31 @@ def test_chain_json_dict_is_serializable():
     rep = theorem_chain_check(f, w, 2.0, 2.0, PHI)
     text = canonical_json(rep.to_json_dict())
     assert '"applicable": true' in text and '"final"' in text
+
+@pytest.mark.parametrize("n, A, kw, digest", [
+    (128, -2.0, {},
+     "8fb8bf721ebc587d7bc55ed0254cd36a0dbc410e4d60c3aece7fedbe3801834c"),
+    (128, 2.0, {"alpha": 0.25, "a": 2.5},
+     "9c7e5b88be5a7c1c1aadfd1c0ac120f95c66b9df6ebcf9d1a6f53660bc7750a4"),
+    (64, SquareMatrix.scalar(-0.5, 2), {},
+     "6b5cd0c9346b6345c517262b5a3236d976845a720c3423939704d0c1d5763197"),
+    (32, SquareMatrix([[0.0, 1.0], [1.0, 0.0]]), {},
+     "fb9e0810f6e3c40224e0774e12b4b04068e7b470c73f9fb47a5660558c56e9d4"),
+], ids=["1d-reflect-scale", "1d-fractional", "2d-negative-half", "2d-axis-swap"])
+def test_chain_report_bytes_frozen(n, A, kw, digest):
+    """sha256 of the canonical JSON of four chain reports with p = 2 and
+    phi = t^3: in 1D with the weight |x|^(1/2), in 2D with the product
+    weight |x|^(1/2) |y|^(-1/4), whose two distinct factors the axis swap
+    exchanges.  a = 2.5 gives the fractional chain three levels, not one.
+    The 2D grids are large enough that the summation order of the per-cube
+    masses shows in the bytes."""
+    from weightlab.report import canonical_json
+    w = power_weight(0.5, -40.0, 40.0)
+    if isinstance(A, float):
+        f = corpus_function(n)
+    else:
+        f, w = corpus_grid_2d(n), (w, power_weight(-0.25, -40.0, 40.0))
+    rep = theorem_chain_check(f, w, A, 2.0, PHI, **kw)
+    assert rep.applicable, rep.reason
+    text = canonical_json(rep.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -175,10 +175,9 @@ def test_matrix_order():
     assert SquareMatrix.scalar(2.0).order() is None
 
 
-def test_cube_dilated_and_bounds():
+def test_cube_bounds():
     q = Cube((1.0, 1.0), 2.0)
-    d = q.dilated(3.0)
-    assert d.corner == (-1.0, -1.0) and d.side == 6.0
+    assert q.bounds() == [(1.0, 3.0), (1.0, 3.0)]
     assert q.volume == 4.0
 
 

@@ -734,7 +734,7 @@ def test_preimage_cells_3d_signed_permutation():
     for cell in np.ndindex(out.shape):
         center = [a + (c + 0.5) * (b - a) / m for a, b, c, m
                   in zip(out.lo, out.hi, cell, out.shape)]
-        want = g.cell_of_point(A.apply_inv(center))
+        want = g.cell_of_point(A.inv @ center)
         assert tuple(int(i[cell]) for i in idx) == want
         assert out.values[cell] == g.values[want]
 
@@ -748,7 +748,7 @@ def test_compose_2d_rotation_exact():
     assert out.mask.all()
     # f(R^{-1} x): spot-check a center
     x = (0.3, 0.55)
-    y = R.apply_inv(x)
+    y = R.inv @ x
     assert out.values[out.cell_of_point(x)] == pytest.approx(
         g.values[g.cell_of_point(y)], abs=0.0)
 

@@ -427,6 +427,9 @@ NON_SQUARE = {"box": [[0.0, 0.0], [1.0, 2.0]], "values": [[1.0] * 8] * 4}
 # one hot cell among 48: the dyadic splits stop at side 3, so no stopping
 # cube could ever contain it
 HOT_48 = {"box": [0.0, 1.0], "values": [1.0, 100.0] + [1.0] * 46}
+# at alpha = -0.5 the cell [0, 1) has value 1 in (a/4, a/2] for a = 3.2,
+# but a negative order breaks the max-pyramid prune
+ONE_HOT_8 = {"box": [0.0, 8.0], "values": [1.0] + [0.0] * 7}
 
 
 @pytest.mark.parametrize("command, grid, options, message", [
@@ -441,8 +444,15 @@ HOT_48 = {"box": [0.0, 1.0], "values": [1.0, 100.0] + [1.0] * 46}
      "power-of-two cell count"),
     ("cz", {"box": [0.0, 1.0], "values": [1.0, 2.0, 3.0, 4.0]},
      ["--kmin", "1", "--kmax", "400"], "k=342 overflows the float range"),
+    ("cz", ONE_HOT_8, ["--alpha", "-0.5", "--a", "3.2", "--kmin", "1",
+                       "--kmax", "1"], "alpha must lie in [0, dim)"),
+    ("cz", ONE_HOT_8, ["--alpha", "nan", "--a", "3.2", "--kmin", "1",
+                       "--kmax", "1"], "alpha must lie in [0, dim)"),
+    ("cz", ONE_HOT_8, ["--alpha", "nan", "--a", "3.2"],
+     "alpha must lie in [0, dim)"),
 ], ids=["nan", "empty", "reversed-box", "overflow", "non-square-all",
-        "non-square-dyadic", "cz-48-cells", "cz-threshold-overflow"])
+        "non-square-dyadic", "cz-48-cells", "cz-threshold-overflow",
+        "cz-negative-alpha", "cz-nan-alpha", "cz-nan-alpha-auto-k"])
 def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid,
                                               options, message):
     path = tmp_path / "grid.json"
