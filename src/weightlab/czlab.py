@@ -45,6 +45,10 @@ from .funcspace import (
     GridFunction,
     SquareMatrix,
     _cumsum_prefix,
+    add_totals,
+    exact_sums,
+    exact_totals,
+    round_total,
 )
 from .maximal import (
     check_alpha,
@@ -56,7 +60,7 @@ from .maximal import (
     preimage_cells,
     resolve_matrix,
 )
-from .young import YoungFn, bp_integral, complementary, luxemburg_norm_of_values
+from .young import YoungFn, bp_integral, complementary, luxemburg_norms
 
 __all__ = [
     "CZCube",
@@ -111,21 +115,39 @@ def _slices(span) -> tuple:
     return tuple(slice(i0, i1) for i0, i1 in span)
 
 
-def _dyadic_average(grid: GridFunction, span) -> float:
-    """Exact average over a dyadic cube, rounded once.
+_ROW_CELLS = 1 << 16        # cells gathered into rows at a time
 
-    The cell count is a power of two, so dividing the correctly rounded sum
-    by it rounds nothing more, unless the sum overflows or the quotient is
-    subnormal while the sum is not; those take the exact quotient."""
-    count = _span_cells(span)
-    try:
-        s = grid.cube_sum(span)
-    except OverflowError:
-        s = math.inf
-    avg = s / count
-    if s > sys.float_info.min and not sys.float_info.min < avg < math.inf:
-        avg = float(grid.exact_sum(span) / count)
-    return avg
+
+def _span_rows(values: np.ndarray, corners, shape) -> np.ndarray:
+    """The cells of equally shaped spans, one C-contiguous row per span in
+    row-major cell order; corners is an (m, dim) array of span starts."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, shape)
+    return windows[tuple(np.asarray(corners).T)].reshape(
+        len(corners), math.prod(shape))
+
+
+def _span_reduce(spans, reduce, *arrays) -> np.ndarray:
+    """reduce(*rows) over the spans, one value (or row of values) per span,
+    in span order.  The cells of each array over the spans of one shape are
+    gathered into (spans, cells) rows about _ROW_CELLS cells at a time, so
+    no gathered array outlives its batch."""
+    if not spans:
+        return np.asarray(reduce(*[np.zeros((0, 0), a.dtype) for a in arrays]))
+    ends = np.array(spans, dtype=np.intp).reshape(len(spans), -1, 2)
+    shapes, group = np.unique(ends[:, :, 1] - ends[:, :, 0], axis=0,
+                              return_inverse=True)
+    out = None
+    for g, shape in enumerate(shapes.tolist()):
+        pos = np.flatnonzero(group.ravel() == g)
+        per = max(1, _ROW_CELLS // math.prod(shape))
+        for s in range(0, pos.size, per):
+            at = pos[s:s + per]
+            res = np.asarray(reduce(*[_span_rows(a, ends[at, :, 0], shape)
+                                      for a in arrays]))
+            if out is None:
+                out = np.empty((len(spans),) + res.shape[1:], res.dtype)
+            out[at] = res
+    return out
 
 
 def _dyadic_cells(f: GridFunction) -> int:
@@ -244,7 +266,8 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
             if alpha == 0.0:
                 selected[i] = grid.average_exceeds(span, thr)
             else:
-                selected[i] = fac * _dyadic_average(grid, span) > thr_f
+                total = exact_totals(grid.values[_slices(span)])[0]
+                selected[i] = fac * round_total(total, count) > thr_f
         fallbacks += len(band)
         if selected.any():
             chosen.append((lvl, idx[selected], lo[selected], hi[selected]))
@@ -274,8 +297,10 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     The selection and the alpha = 0 sandwich test decide each cube from one
     float block-sum pyramid of f, built per call, and fall back to exact
     sums only inside its error bound; ``exact_fallbacks`` counts those
-    cubes.  Every cube's average is the correctly rounded ``math.fsum``
-    average of its cells.
+    cubes.  Every cube's average is its exact average rounded once: one
+    labelled exact-sum pass (``funcspace.exact_totals``) per k sums the
+    cells of all the selected cubes, and each exact total is divided by
+    its cell count in one int/int division.
     """
     dim = f.dim
     check_alpha(alpha, dim)     # the max-pyramid prune needs alpha >= 0
@@ -299,22 +324,32 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         upper_f = float(min(upper, sys.float_info.max))
         chosen, fallbacks_k = _select_stopping(f, thr, alpha, maxes, sums)
         fallbacks += fallbacks_k
-        # (span, over): over is 1 when the exact average surely exceeds
-        # the upper bound, 0 when it surely does not, -1 when undecided
-        entries = []
+        # (span, over, label): over is 1 when the exact average surely
+        # exceeds the upper bound, 0 when it surely does not, -1 when
+        # undecided; the cells of all the cubes take one labelled pass
+        entries, cells, labels = [], [], []
         for lvl, idx, lo, hi in chosen:
             side = 1 << lvl
             over = np.full(len(idx), -1)
             if validate and alpha == 0.0:
                 above, below = _mass_test(lo, hi, upper * (1 << dim * lvl))
                 over[above], over[below] = 1, 0
-            for corner, o in zip((idx * side).tolist(), over.tolist()):
-                entries.append((tuple((c, c + side) for c in corner), o))
+            corners = idx * side
+            cells.append(_span_rows(f.values, corners, (side,) * dim).ravel())
+            labels.append(np.repeat(np.arange(len(entries),
+                                              len(entries) + len(idx)),
+                                    side ** dim))
+            for corner, o in zip(corners.tolist(), over.tolist()):
+                entries.append((tuple((c, c + side) for c in corner), o,
+                                len(entries)))
+        totals = exact_totals(np.concatenate(cells or [np.zeros(0)]),
+                              np.concatenate(labels or [np.zeros(0, int)]),
+                              len(entries))
         entries.sort()
         lst = []
         mask = np.zeros(f.shape, dtype=bool)
-        for span, over in entries:
-            avg = _dyadic_average(f, span)
+        for span, over, label in entries:
+            avg = round_total(totals[label], _span_cells(span))
             side_phys = (span[0][1] - span[0][0]) * f.h[0]
             val = avg if alpha == 0.0 else side_phys ** alpha * avg
             if validate:
@@ -336,33 +371,60 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     return CZDecomposition(f, a, alpha, ks, cubes, masks, fallbacks)
 
 
+def _e_terms(d, values):
+    """Per row: the cells outside D, and the minimum of values there (inf
+    when there are none)."""
+    outside = ~d
+    return np.stack([outside.sum(axis=1),
+                     np.where(outside, values, np.inf).min(axis=1)], 1)
+
+
 def ekj_expansion_check(dec: CZDecomposition) -> dict:
     """beta = max |Q_{k,j}| / |E_{k,j}| plus exact disjointness of the E sets.
 
     Needs consecutive levels in the decomposition (E at level k looks at
     D_{k+1}); the topmost level is skipped.  No cubes at all gives beta = 0.
     """
+    return _expansion(dec)[0]
+
+
+def _expansion(dec: CZDecomposition, field: np.ndarray | None = None):
+    """(the ``ekj_expansion_check`` dict, {k: (counts, minima)}).
+
+    Per usable level k, counts[j] = |E_{k,j}| with E_{k,j} = Q_{k,j} minus
+    D_{k+1}, and, given a field on the grid, minima[j] is its minimum over
+    E_{k,j} (inf on an empty set; None without a field).  The cubes of one
+    side are gathered into rows of D_{k+1} (and of the field) at once.
+    The E sets of one level lie in D_k minus D_{k+1}, whose union over the
+    levels they cover, so they are disjoint exactly when their counts add
+    up to the cells of that union."""
     usable = [k for k in dec.ks if k + 1 in dec.D]
-    acc = np.zeros(dec.grid.shape, dtype=np.int32)
-    beta = 0.0
-    witness = None
-    n_cubes = 0
+    beta, witness, n_cubes, total = 0.0, None, 0, 0
+    union = np.zeros(dec.grid.shape, dtype=bool)
+    per_level = {}
     for k in usable:
-        for j, qc in enumerate(dec.cubes[k]):
-            n_cubes += 1
-            slc, emask = dec.e_local(k, j)
-            ecount = int(emask.sum())
-            if ecount == 0:
-                beta = math.inf
-                witness = qc.cube
-                continue
-            ratio = _span_cells(qc.span) / ecount
-            if ratio > beta:
-                beta = ratio
-            acc[slc] += emask.astype(np.int32)
-    disjoint = bool(acc.max(initial=0) <= 1)
-    return {"beta": beta, "disjoint": disjoint, "witness": witness,
-            "cubes_checked": n_cubes, "levels_checked": usable}
+        cubes = dec.cubes[k]
+        spans = [qc.span for qc in cubes]
+        if field is None:
+            counts = _span_reduce(spans, lambda d: (~d).sum(axis=1),
+                                  dec.D[k + 1]).tolist()
+            minima = None
+        else:
+            terms = _span_reduce(spans, _e_terms, dec.D[k + 1], field)
+            counts = [int(c) for c in terms[:, 0].tolist()]
+            minima = terms[:, 1].tolist()
+        per_level[k] = counts, minima
+        n_cubes += len(cubes)
+        total += sum(counts)
+        union |= dec.D[k] & ~dec.D[k + 1]
+        for qc, c in zip(cubes, counts):
+            if c == 0:
+                beta, witness = math.inf, qc.cube
+            elif _span_cells(qc.span) / c > beta:
+                beta = _span_cells(qc.span) / c
+    disjoint = total == int(union.sum())
+    return ({"beta": beta, "disjoint": disjoint, "witness": witness,
+             "cubes_checked": n_cubes, "levels_checked": usable}, per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +691,8 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     Yhi = tuple(hi + 1.5 * L for hi in f.hi)
     NY = 4 * n
     vals = np.zeros((NY,) * dim)
-    vals[(slice(3 * n // 2, 3 * n // 2 + n),) * dim] = f.values
+    inner = (slice(3 * n // 2, 3 * n // 2 + n),) * dim     # X inside Y
+    vals[inner] = f.values
     fY = GridFunction((Ylo, Yhi), vals)
     volY = fY.cell_volume
 
@@ -659,13 +722,13 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         g_vals = fY.values * wY
         wpow_out = wOut ** q
         WA_vals = wAY ** q
-        rhs_weight = wY ** p
+        rhs_weight = wY[inner] ** p
     else:
         dual_vals = wY ** (-1.0 / p)
         g_vals = fY.values * wY ** (1.0 / p)
         wpow_out = wOut
         WA_vals = wAY
-        rhs_weight = wY
+        rhs_weight = wY[inner]
     # the image-side weight pulled back to the input grid through the cell
     # bijection (image cell o is A of input cell perm[o]), so every
     # image-side sum below runs over the input grid
@@ -673,7 +736,9 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     w_back[perm] = wpow_out.ravel()
     w_back = w_back.reshape(fY.shape)
 
-    rhs_base = math.fsum((fY.values.ravel() ** p) * rhs_weight.ravel()) * volY
+    # exact sums through one kernel: f vanishes off X, and zero cells add
+    # nothing to an exact sum
+    rhs_base = exact_sums(f.values ** p * rhs_weight)[0] * volY
     if rhs_base == 0.0:
         return ChainReport(True, "f is zero; chain is vacuous",
                            [ChainStep("vacuous", "zero function", 0.0, 0.0)],
@@ -682,7 +747,6 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # ---- maximal fields --------------------------------------------------
     Mfield = fractional_maximal(fY, alpha, lengths="dyadic")
     MEw = Mfield.values ** E * w_back
-    lhs_total = math.fsum(MEw.ravel()) * vol_out
 
     # ---- k range ---------------------------------------------------------
     side_Y = (Yhi[0] - Ylo[0])
@@ -699,31 +763,39 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # omega_{k_max + 1} = empty by construction of k_max
 
     ks = list(range(k_low, k_max + 1))
-    omega = {k: Mfield.values > a ** k for k in ks + [k_max + 1]}
-    if omega[k_max + 1].any():
+    if Mmax > a ** (k_max + 1):
         k_max += 1
         ks.append(k_max)
-        omega[k_max + 1] = Mfield.values > a ** (k_max + 1)
+    # layer[x] counts the k in ks + [k_max + 1] with M(x) > a^k, so
+    # omega_k = {layer > k - k_low} and the tail is {layer = 0}; one
+    # labelled exact pass over each of M^E w and w gives every layer's
+    # exact total, and omega_k's is the total of the layers above it
+    layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
+                            Mfield.values)
+    n_layers = len(ks) + 2
+    me_totals = exact_totals(MEw, layer, n_layers)
+    w_totals = exact_totals(w_back, layer, n_layers)
+    lhs_total = round_total(add_totals(me_totals)) * vol_out
 
     # tail: cells where the maximal field never exceeds a^{k_low}
-    tail = ~omega[k_low]
-    tail_actual = math.fsum(MEw[tail]) * vol_out
-    tail_bound = a ** (k_low * E) * math.fsum(w_back[tail]) * vol_out
+    tail_actual = round_total(me_totals[0]) * vol_out
+    tail_bound = a ** (k_low * E) * round_total(w_totals[0]) * vol_out
     steps.append(ChainStep(
         "tail", "below-threshold remainder bounded by its level",
         tail_actual, tail_bound, {"k_low": k_low, "k_max": k_max}))
 
     # s1: slicing identity
-    v_sliced = math.fsum([math.fsum(MEw[omega[k] & ~omega[k + 1]]) * vol_out
-                          for k in ks]) + tail_actual
+    v_sliced = math.fsum([round_total(me_totals[i + 1]) * vol_out
+                          for i in range(len(ks))]) + tail_actual
     steps.append(ChainStep(
         "s1_slicing", "integral equals the sum over level-set layers",
         lhs_total, v_sliced, {"layers": len(ks)}))
 
     # s2: threshold bound per layer, then monotone extension to omega_k
-    v2 = tail_bound + math.fsum(a ** ((k + 1) * E)
-                                * (math.fsum(w_back[omega[k]]) * vol_out)
-                                for k in ks)
+    v2 = tail_bound + math.fsum(
+        a ** ((k + 1) * E)
+        * (round_total(add_totals(w_totals[i + 1:])) * vol_out)
+        for i, k in enumerate(ks))
     steps.append(ChainStep(
         "s2_threshold", "each layer bounded by a^{(k+1)E} times the weight "
         "of the image level set", v_sliced, v2))
@@ -739,22 +811,28 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
             span3 = _tripled(qc.span, NY)
             cover[_slices(span3)] = True
             used.append((k, j, qc, span3))
-        if (omega[k] & ~cover).any():
+        if ((layer > k - k_low) & ~cover).any():
             return fail(f"triple-cube cover failed at k={k}")
 
-    # the table of used cubes: every per-cube term, computed once
+    # the table of used cubes: every per-cube term, computed once; the
+    # norms and image masses reduce the cubes of one shape at a time
     hY = fY.h[0]
+    spans = [qc.span for _, _, qc, _ in used]
+    spans3 = [span3 for *_, span3 in used]
+    wa_sums = _prefix_span_sums(WA_vals, spans3)
+    image_sums = _span_reduce(spans3, lambda r: r.sum(axis=1),
+                              w_back).tolist()
+    g_norms, v_norms = _span_reduce(
+        spans, lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
+                                             luxemburg_norms(v, phi)]),
+        g_vals, dual_vals).T.tolist()
     table = []
-    wa_sums = _prefix_span_sums(WA_vals, [span3 for *_, span3 in used])
-    for (k, j, qc, span3), wa in zip(used, wa_sums):
-        slc = _slices(qc.span)
+    for (k, j, qc, span3), wa, im, gn, vn in zip(used, wa_sums, image_sums,
+                                                 g_norms, v_norms):
         cells3 = _span_cells(span3)
         table.append(_UsedCube(
             k, j, qc, span3, _span_cells(qc.span), cells3, wa * volY,
-            wa / cells3,
-            float(w_back[_slices(span3)].ravel().sum()) * vol_out,
-            luxemburg_norm_of_values(g_vals[slc], phibar),
-            luxemburg_norm_of_values(dual_vals[slc], phi),
+            wa / cells3, im * vol_out, gn, vn,
             ((qc.span[0][1] - qc.span[0][0]) * hY) ** alpha))
 
     # s2c: replace level sets by the tripled covers
@@ -825,34 +903,40 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         "s5a_ellqp", "sum of (||g||^p |Q|)^{q/p} at most (sum ||g||^p |Q|)^{q/p}",
         v7, v8))
 
-    # s5b: expansion |Q| <= beta |E_{k,j}| with disjoint E sets
-    ek = ekj_expansion_check(dec)
+    # s5b: expansion |Q| <= beta |E_{k,j}| with disjoint E sets; the sweep
+    # runs first so that one pass over the E sets serves both steps, but
+    # its failure is reported after theirs
+    try:
+        Mg = orlicz_maximal(GridFunction((Ylo, Yhi), g_vals), phibar,
+                            lengths="dyadic")
+        sweep_error = None
+    except ValueError as err:
+        Mg, sweep_error = None, err
+    ek, e_sets = _expansion(dec, None if Mg is None else Mg.values)
     beta = ek["beta"]
     if not math.isfinite(beta):
         return fail(f"empty E set below {ek['witness']}")
     if not ek["disjoint"]:
         return fail("E sets are not disjoint")
-    try:
-        Mg = orlicz_maximal(GridFunction((Ylo, Yhi), g_vals), phibar,
-                            lengths="dyadic")
-    except ValueError as err:
-        return fail(f"cannot sweep the complementary-bump maximal field: {err}")
+    if sweep_error is not None:
+        return fail("cannot sweep the complementary-bump maximal field: "
+                    f"{sweep_error}")
     dom_worst = math.inf
     sum_E = 0.0
     for c in table:
-        slc, emask = dec.e_local(c.k, c.j)
-        ecount = int(emask.sum())
+        counts, minima = e_sets[c.k]
+        ecount = counts[c.j]
         sum_E += c.g_norm ** p * ecount * volY
         if ecount:
-            m = float(Mg.values[slc][emask].min())
-            dom_worst = min(dom_worst, (m - c.g_norm) / max(c.g_norm, 1e-300))
+            dom_worst = min(dom_worst, (minima[c.j] - c.g_norm)
+                            / max(c.g_norm, 1e-300))
     v9 = tail_bound + c_tri * (beta * sum_E) ** (E / p)
     steps.append(ChainStep(
         "s5b_expansion", "|Q| <= beta |E|, beta measured on the decomposition",
         v8, v9, {"beta": beta}))
 
     # s5c: the E sets are disjoint and M_phibar g dominates ||g|| on each
-    int_Mg = math.fsum(Mg.values.ravel() ** p) * volY
+    int_Mg = exact_sums(Mg.values ** p)[0] * volY
     v10 = tail_bound + c_tri * (beta * int_Mg) ** (E / p)
     steps.append(ChainStep(
         "s5c_domination", "sum ||g||^p |E| at most the integral of (M_phibar g)^p",
@@ -874,9 +958,10 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
 
     # reference bump with norms on the clipped triples, for the class bound
     if table and phi.is_homogeneous:
-        b3 = max([0.0] + [
-            luxemburg_norm_of_values(dual_vals[_slices(c.span3)], phi)
-            * c.wa_avg ** (1.0 / E) for c in table])
+        norms3 = _span_reduce(spans3, lambda r: luxemburg_norms(r, phi),
+                              dual_vals).tolist()
+        b3 = max([0.0] + [nrm * c.wa_avg ** (1.0 / E)
+                          for nrm, c in zip(norms3, table)])
         class_factor = 3 ** (dim / phi.exponent)
         class_check = B_used <= class_factor * b3 * (1.0 + 1e-9)
     else:

@@ -517,6 +517,120 @@ def _exact_sum(cells) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
+# exact sums of many nonnegative floats by exponent binning (Demmel and Hida,
+# "Accurate and efficient floating point summation", SIAM J. Sci. Comput.
+# 25(4), 2003)
+_SUM_CHUNK = 1 << 16        # cells per pass: a bin adds at most 2^16 cells
+_BIN_WIDTH = 22             # binades per bin
+_SPLIT = 37                 # a cell splits at U 2^37, U its bin's unit
+_UNIT = 1075                # totals count units of 2^-1075
+_FIELDS = np.arange(2048)
+_BIN_OF = (np.maximum(_FIELDS, 1) // _BIN_WIDTH).astype(np.intp)
+_SCALE_OF = (_UNIT - _SPLIT - _BIN_WIDTH * _BIN_OF).astype(np.intc)
+
+
+def exact_totals(values, labels=None, n_labels: int = 1) -> list:
+    """Exact sums of nonnegative floats, one per label.
+
+    ``labels``, when given, holds an integer in [0, n_labels) per cell;
+    without it every cell has label 0.  Returns, per label, the exact sum
+    of its cells as an int count of 2^-1075 (the exact sum is n 2^-1075),
+    or a float inf or nan when one of its cells is inf or nan.
+    ``round_total`` rounds an entry; an empty label totals 0.
+
+    A cell with exponent field e lies in bin b = max(e, 1) // 22, whose
+    unit U = 2^(22 b - 1075) divides every float of the bin, and is below
+    U 2^(d + 53) with d = max(e, 1) - 22 b <= 21.  Scaled by 2^-37 / U
+    (exactly, a power of two), it splits into an integer high part below
+    2^37 and a low part, a multiple of 2^-37 below 1.  A pass adds at most
+    2^16 cells per (label, bin) with float64 ``np.bincount``, so every
+    partial sum is a multiple of 2^-37 below 2^53 (low) or an integer below
+    2^53 (high): all exact, in any order.  The bins then add as Python
+    ints.  The passes run over fixed-size chunks, so transient memory stays
+    bounded."""
+    vals = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    labs = None if labels is None else np.asarray(labels, np.intp).ravel()
+    totals = np.zeros(n_labels, dtype=object)
+    special = {}                # label -> its inf or nan
+    for start in range(0, vals.size, _SUM_CHUNK):
+        v = vals[start:start + _SUM_CHUNK]
+        lab = None if labs is None else labs[start:start + _SUM_CHUNK]
+        e = (v.view(np.uint64) >> np.uint64(52)).astype(np.intp)
+        if e.max() >= 2047:     # inf, nan, or a sign bit
+            v, e = _finite_cells(v, e, lab, special)
+        q = np.ldexp(v, _SCALE_OF[e])
+        high = np.floor(q)
+        low = q - high
+        b = _BIN_OF[e]
+        b0 = int(b.min())
+        width = int(b.max()) - b0 + 1
+        l0 = 0 if lab is None else int(lab.min())
+        key = b - b0 if lab is None else (lab - l0) * width + (b - b0)
+        bins = int(key.max()) + 1
+        codes = None
+        if bins > 4 * v.size:   # few of many (label, bin) pairs: renumber
+            codes, key = np.unique(key, return_inverse=True)
+            bins = codes.size
+        # (bin, high or low) in label-major order
+        sums = np.stack([np.bincount(key, high, bins),
+                         np.ldexp(np.bincount(key, low, bins), _SPLIT)], 1).ravel()
+        at = np.flatnonzero(sums)
+        code = at // 2 if codes is None else codes[at // 2]
+        shift = _BIN_WIDTH * (code % width + b0) + _SPLIT * (1 - at % 2)
+        parts = sums[at].astype(np.int64).astype(object) << shift.astype(object)
+        label = code // width + l0
+        first = np.flatnonzero(np.diff(label, prepend=-1))
+        totals[label[first]] += np.add.reduceat(parts, first)
+    totals = totals.tolist()
+    for i, x in special.items():
+        totals[i] = x
+    return totals
+    return totals
+
+
+def _finite_cells(v, e, lab, special):
+    """(v, e) with every inf, nan and -0.0 cell set to 0.0, recording
+    the inf and nan ones per label in ``special`` (a nan stays); raises on
+    a negative cell."""
+    odd = np.flatnonzero(e >= 2047)
+    cells = v[odd]
+    if (cells < 0).any():
+        raise ValueError("exact sums need nonnegative values")
+    where = [0] * odd.size if lab is None else lab[odd].tolist()
+    for i, x in zip(where, cells.tolist()):
+        if x != 0.0 and not math.isnan(special.get(i, 0.0)):
+            special[i] = x
+    v = v.copy()
+    v[odd] = 0.0
+    e = e.copy()
+    e[odd] = 0
+    return v, e
+
+
+def round_total(total, count: int = 1) -> float:
+    """An ``exact_totals`` entry divided by count, correctly rounded (one
+    int/int true division; raises OverflowError when the quotient exceeds
+    the float range, as ``math.fsum`` does for a sum)."""
+    if isinstance(total, float):
+        return total
+    return total / (count << _UNIT)
+
+
+def add_totals(totals):
+    """The exact sum of ``exact_totals`` entries; a nan entry, else an
+    inf one, decides it."""
+    special = [t for t in totals if isinstance(t, float)]
+    return math.fsum(special) if special else sum(totals)
+
+
+def exact_sums(values, labels=None, n_labels: int = 1) -> list:
+    """Per label, the correctly rounded exact sum of nonnegative floats:
+    bit for bit ``math.fsum`` of the label's cells, which is correctly
+    rounded too (inf for an inf cell, OverflowError when a finite sum
+    leaves the float range).  See ``exact_totals``."""
+    return [round_total(t) for t in exact_totals(values, labels, n_labels)]
+
+
 class GridFunction:
     """Nonnegative function stored as exact per-cell averages on a box grid.
 

@@ -254,28 +254,54 @@ def luxemburg_norm_of_values(values, phi: YoungFn, total_cells: int | None = Non
     """Luxemburg norm of a finite list of equally weighted cell values.
 
     total_cells pads the average with that many cells in all (extra cells
-    count as zeros); default is len(values).
+    count as zeros); default is len(values).  The one-row case of
+    ``luxemburg_norms``.
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    count = len(vals) if total_cells is None else int(total_cells)
+    vals = np.asarray(values, dtype=float).reshape(1, -1)
+    return luxemburg_norms(vals, phi, total_cells)[0]
+
+
+def luxemburg_norms(rows: np.ndarray, phi: YoungFn,
+                    total_cells: int | None = None) -> list:
+    """Luxemburg norms of the rows of a (cubes, cells) array, one per row.
+
+    Each row's cells are equally weighted; total_cells pads every average
+    with that many cells in all (default: the row length).  A homogeneous
+    phi reduces all rows at once: on a C-contiguous array the row sums add
+    in the order ``np.sum`` uses on each row alone, so every norm has the
+    bits of its row's own.  Other phi bisect row by row.
+    """
+    m, cells = rows.shape
+    if not m:
+        return []
+    count = cells if total_cells is None else int(total_cells)
     if count <= 0:
         raise ValueError("need at least one cell")
-    vmax = float(vals.max()) if vals.size else 0.0
-    if vmax == 0.0:
-        return 0.0
+    if cells == 0:
+        return [0.0] * m
+    vmax = rows.max(axis=1)
     if phi.kind == "sup":
-        return vmax
+        return [v if v != 0.0 else 0.0 for v in vmax.tolist()]
     if phi.is_homogeneous:
         r = 1.0 if phi.kind == "identity" else phi.r
         c = 1.0 if phi.kind == "identity" else phi.c
-        moment = c * float(np.sum(vals ** r)) / count
-        return moment if phi.kind == "identity" else moment ** (1.0 / r)
+        moments = (c * (rows ** r).sum(axis=1) / count).tolist()
+        if phi.kind != "identity":
+            moments = [mo ** (1.0 / r) for mo in moments]
+        return [0.0 if v == 0.0 else mo
+                for v, mo in zip(vmax.tolist(), moments)]
+    out = []
+    for vals, v in zip(rows, vmax.tolist()):
+        if v == 0.0:
+            out.append(0.0)
+            continue
 
-    def G(lam: float) -> float:
-        return float(np.sum(phi(vals / lam))) / count
+        def G(lam: float, vals=vals) -> float:
+            return float(np.sum(phi(vals / lam))) / count
 
-    vbar = float(np.sum(vals)) / count
-    return _bisect_norm(G, max(vbar, vmax * 1e-12), vmax)
+        vbar = float(np.sum(vals)) / count
+        out.append(_bisect_norm(G, max(vbar, v * 1e-12), v))
+    return out
 
 
 def _bisect_norm(G, vbar: float, vmax: float) -> float:
