@@ -33,7 +33,11 @@ class DomainError(ValueError):
 class Segment:
     """One closed-form piece of a weight on the interval [lo, hi).
 
-    form="power": c * |x - a|**gamma with gamma > -1 (integrable singularity).
+    form="power": c * |x - a|**gamma.  A weight's own pieces have gamma > -1
+    (an integrable singularity; ``power_weight`` and the JSON reader check
+    it), but a power of a weight may have gamma <= -1: such a piece is
+    integrable only away from a, and its mass over an interval that meets a
+    is inf (``singular_in``).
     form="exp":   c * exp(s * x).
     """
 
@@ -48,18 +52,18 @@ class Segment:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"empty segment [{self.lo}, {self.hi})")
-        if self.form == "power":
-            if self.gamma <= -1.0:
-                raise ValueError(f"gamma={self.gamma} is not integrable")
-        elif self.form != "exp":
+        if self.form not in ("power", "exp"):
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.c > 0:
             raise ValueError("segment coefficient must be positive")
 
-    # F with F(a) = 0 for the power form; continuous across the singularity.
+    # F with F(a) = 0 for the power form; continuous across an integrable
+    # singularity (a non-integrable piece only integrates away from a).
     def _antideriv(self, x):
         if self.form == "power":
             u = np.asarray(x, dtype=float) - self.a
+            if self.gamma == -1.0:
+                return self.c * np.sign(u) * np.log(np.abs(u))
             return self.c * np.sign(u) * np.abs(u) ** (self.gamma + 1.0) / (self.gamma + 1.0)
         if self.s == 0.0:
             return self.c * np.asarray(x, dtype=float)
@@ -67,11 +71,21 @@ class Segment:
 
     def mass(self, a: float, b: float) -> float:
         """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi)."""
+        if self.gamma <= -1.0 and self.singular_in(a, b):
+            return math.inf
         a = max(a, self.lo)
         b = min(b, self.hi)
         if b <= a:
             return 0.0
         return float(self._antideriv(b) - self._antideriv(a))
+
+    def singular_in(self, a: float, b: float) -> bool:
+        """True when [a, b] meets the piece in an interval that holds its
+        singular point a while gamma <= -1: the mass there is infinite."""
+        if self.form != "power" or self.gamma > -1.0:
+            return False
+        lo, hi = max(a, self.lo), min(b, self.hi)
+        return lo < hi and lo <= self.a <= hi
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,7 +105,7 @@ class Segment:
         return Segment(lo, hi, "exp", c=self.c, s=self.s * lam)
 
     def powered(self, e: float) -> "Segment":
-        """The piece of value(x)**e; raises if the power lands non-integrable."""
+        """The piece of value(x)**e (possibly not integrable at a)."""
         if self.form == "power":
             return Segment(self.lo, self.hi, "power", c=self.c ** e,
                            a=self.a, gamma=self.gamma * e)
@@ -134,8 +148,8 @@ class Measure:
         b = min(b, seg.hi)
         if b <= a:
             return 0.0
-        if self.kind == "lebesgue":
-            return float(seg._antideriv(b) - seg._antideriv(a))
+        if self.kind == "lebesgue" or seg.singular_in(a, b):
+            return seg.mass(a, b)
         if seg.form == "exp":
             # e^{|x|} merges with the exponential: split at the origin.
             total = 0.0
@@ -222,6 +236,14 @@ class SegmentWeight1D:
                 f"(gamma*e = {witness.gamma * e})")
         return w
 
+    def powered_pieces(self, e: float):
+        """(w**e with every piece powered, the powered pieces that are not
+        integrable at their singular point).  A mass of w**e is finite
+        unless its interval meets one of those at its singular point."""
+        out = SegmentWeight1D([seg.powered(e) for seg in self.segments])
+        return out, [seg for seg in out.segments
+                     if seg.form == "power" and seg.gamma <= -1.0]
+
     def try_powered(self, e: float):
         """(weight, None) when w**e has integrable pieces, else (None, witness)."""
         out = []
@@ -266,9 +288,10 @@ class SegmentWeight1D:
             raise ValueError("only tail='zero' is supported")
         segs = []
         for sd in d["segments"]:
-            segs.append(Segment(sd["lo"], sd["hi"], sd["form"], c=sd.get("c", 1.0),
-                                a=sd.get("a", 0.0), gamma=sd.get("gamma", 0.0),
-                                s=sd.get("s", 0.0)))
+            segs.append(_integrable(Segment(
+                sd["lo"], sd["hi"], sd["form"], c=sd.get("c", 1.0),
+                a=sd.get("a", 0.0), gamma=sd.get("gamma", 0.0),
+                s=sd.get("s", 0.0))))
         return cls(segs)
 
 
@@ -291,7 +314,15 @@ def constant_weight(value: float, lo: float, hi: float) -> SegmentWeight1D:
 def power_weight(gamma: float, lo: float, hi: float, a: float = 0.0,
                  c: float = 1.0) -> SegmentWeight1D:
     """c |x - a|^gamma on [lo, hi)."""
-    return SegmentWeight1D([Segment(lo, hi, "power", c=c, a=a, gamma=gamma)])
+    return SegmentWeight1D([_integrable(
+        Segment(lo, hi, "power", c=c, a=a, gamma=gamma))])
+
+
+def _integrable(seg: Segment) -> Segment:
+    """The segment, if it can be a piece of a weight (gamma > -1)."""
+    if seg.form == "power" and seg.gamma <= -1.0:
+        raise ValueError(f"gamma={seg.gamma} is not integrable")
+    return seg
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,14 @@ def _measure_length(measure: Measure, a: float, b: float) -> float:
 def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
     """Q -> (mean, norm) for an analytic weight: exact segment masses under
     spec.measure, with each powered weight built once."""
-    weights = {("w", 1.0): (w, None)}
+    weights = {("w", 1.0): (w, [])}
     norms = {}
 
     def powered(g, e):
-        # (g^e, None), or (None, a segment where g^e is not integrable)
+        # (g^e, its pieces that are not integrable at their singular point)
         if (g, e) not in weights:
-            weights[g, e] = (powered(g, 1.0)[0].try_powered(e) if e != 1.0
-                             else (compose_matrix(w, spec.A), None))
+            weights[g, e] = (powered(g, 1.0)[0].powered_pieces(e) if e != 1.0
+                             else (compose_matrix(w, spec.A), []))
         return weights[g, e]
 
     def norm_fn(e, we):
@@ -244,9 +244,10 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
         def term(g, e, value):
             if e < 0.0 and not powered(g, 1.0)[0].covers(a, b):
                 return math.inf, f"w vanishes on part of [{a:g}, {b:g}] and e={e:g} < 0"
-            ge, bad = powered(g, e)
-            if ge is None:
-                return math.inf, f"w^{e:g} non-integrable near x={bad.a:g}"
+            ge, singular = powered(g, e)
+            for bad in singular:
+                if bad.singular_in(a, b):
+                    return math.inf, f"w^{e:g} non-integrable near x={bad.a:g}"
             return value(ge), None
 
         def mean(g, e):

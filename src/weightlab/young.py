@@ -345,11 +345,12 @@ def _analytic_mean_fn(w: SegmentWeight1D, phi: YoungFn):
     """Q -> the mean functional of an analytic weight over an interval cube.
 
     Homogeneous phi uses exact powered-segment masses, from one powered
-    weight built for every Q.  Otherwise the integral runs on Gauss panels
+    weight built for every Q; Q's norm is infinite only when Q meets a
+    non-integrable powered piece at its singular point.  Otherwise the integral runs on Gauss panels
     geometrically refined toward singular points (8 nodes per panel).
     """
     power = phi.is_homogeneous and phi.kind != "identity"
-    powered = w.try_powered(phi.r)[0] if power else None
+    powered, singular = w.powered_pieces(phi.r) if power else (None, [])
 
     def mean_fn(Q):
         cube = _as_cube(Q, 1)
@@ -358,7 +359,7 @@ def _analytic_mean_fn(w: SegmentWeight1D, phi: YoungFn):
             raise ValueError(f"weight does not cover [{a}, {b}]")
 
         if power:
-            if powered is None:
+            if any(seg.singular_in(a, b) for seg in singular):
                 def G_inf(lam):
                     return math.inf
                 return G_inf, math.inf, 1.0

@@ -348,9 +348,10 @@ def test_cli_constant(weight_file, capsys):
 
 
 def test_cli_constant_nan_product_exits_one(tmp_path, capsys):
-    files = {"w.json": power_weight(1.0, -1.0, 1.0).to_json_dict(),
+    # 0 * inf on [2.5, 3.5]: see test_nan_product_makes_the_constant_nan
+    files = {"w.json": power_weight(1.0, 2.0, 4.0, a=3.0).to_json_dict(),
              "phi.json": {"kind": "power", "r": 2.0},
-             "fam.json": {"box": [0.5, 1.0], "levels": [0, 0]}}
+             "fam.json": {"box": [2.5, 3.5], "levels": [0, 0]}}
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
     rc = main(["constant", "--class", "bump", "--p", "2.0", "--matrix", "2.0",
@@ -360,7 +361,7 @@ def test_cli_constant_nan_product_exits_one(tmp_path, capsys):
     out = capsys.readouterr()
     assert rc == 1
     doc = json.loads(out.out)
-    assert doc["value"] == "nan" and doc["argmax"]["corner"] == [0.5]
+    assert doc["value"] == "nan" and doc["argmax"]["corner"] == [2.5]
     assert out.err == "FAIL constant: undefined (NaN) per-cube product\n"
 
 

@@ -39,8 +39,12 @@ from weightlab.weightclass import (
 )
 from weightlab.young import YoungFn
 
+# three reports of this corpus (Ap_mu at p = 1.5, frac and frac_bump of
+# 3|x|^(1/2) on the family (0.5, 8.5)) are finite: their dual powers are
+# not integrable at 0 only, outside every cube of the family; see
+# test_off_singularity_family_constants_closed_form
 FROZEN_ROWS_SHA = (
-    "3b6070d37a32fa40c96e6754bf4aa7991ca82bf8c21d33c6cb5b8fb87d3076aa")
+    "b6e1eb95d866469e82c69b9f33411796de9542806d3b94995b476ff93aaa163e")
 POWER_PHI_BUMP_SHA = (
     "551370872036edaec2b8fe50b65b6d0642bcf4dd623c1348b98c29e4c6be7fe6")
 
@@ -451,16 +455,19 @@ def test_bump_infinite_witness_names_the_power_or_the_gap():
 
 
 def test_nan_product_makes_the_constant_nan():
-    # on [0.5, 1] the lead avg w(2x) is 0 and the norm of w^-1/2 is inf:
-    # the product 0 * inf is NaN, which a max over the family would skip
+    # w = |x - 3| on [2, 4): on [2.5, 3.5] the lead avg w(2x) is 0 (w(2x)
+    # lives on [1, 2)) and the norm of w^-1/2 under t^2, the root of the
+    # mean of |x - 3|^-1, is inf: the product 0 * inf is NaN, which a max
+    # over the family would skip
     spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0),
                      phi=YoungFn.power(2.0))
-    fam = CubeFamily((0.5, 1.0), levels=(0, 0))
-    rep = class_constant(power_weight(1.0, -1.0, 1.0), spec, fam, trace=True)
+    fam = CubeFamily((2.5, 3.5), levels=(0, 0))
+    w = power_weight(1.0, 2.0, 4.0, a=3.0)
+    rep = class_constant(w, spec, fam, trace=True)
     assert math.isnan(rep.value) and not rep.finite
-    assert rep.argmax == Cube((0.5,), 0.5)
+    assert rep.argmax == Cube((2.5,), 1.0)
     assert rep.witness == "undefined (NaN) per-cube product"
-    assert rep.to_json_dict()["argmax"] == {"corner": [0.5], "side": 0.5}
+    assert rep.to_json_dict()["argmax"] == {"corner": [2.5], "side": 1.0}
 
 
 def test_frac_bump_infinite_witness_names_the_power():
@@ -475,13 +482,13 @@ def test_frac_bump_infinite_witness_names_the_power():
 def test_class_constant_powers_each_weight_once(monkeypatch):
     """A family sweep builds each powered weight once, not once per cube."""
     calls = Counter()
-    try_powered = SegmentWeight1D.try_powered
+    powered_pieces = SegmentWeight1D.powered_pieces
 
     def counted(self, e):
         calls[id(self), e] += 1
-        return try_powered(self, e)
+        return powered_pieces(self, e)
 
-    monkeypatch.setattr(SegmentWeight1D, "try_powered", counted)
+    monkeypatch.setattr(SegmentWeight1D, "powered_pieces", counted)
     A = SquareMatrix.scalar(2.0)
     # the identity phi's norm is a plain mean, which powers nothing itself
     phi = YoungFn.identity()
@@ -502,13 +509,13 @@ def test_power_phi_norm_powers_each_weight_once(monkeypatch):
     """A power phi's analytic norms of w^e power w^e once per sweep, not
     once per cube, and the report keeps its bits."""
     calls = Counter()
-    try_powered = SegmentWeight1D.try_powered
+    powered_pieces = SegmentWeight1D.powered_pieces
 
     def counted(self, e):
         calls[e] += 1
-        return try_powered(self, e)
+        return powered_pieces(self, e)
 
-    monkeypatch.setattr(SegmentWeight1D, "try_powered", counted)
+    monkeypatch.setattr(SegmentWeight1D, "powered_pieces", counted)
     spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0),
                      phi=YoungFn.power(2.0))
     fam = CubeFamily((-2.0, 2.0), levels=(0, 3), shifts=2)
