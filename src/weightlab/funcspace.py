@@ -712,10 +712,6 @@ class GridFunction:
         rounded (``math.fsum``)."""
         return math.fsum(self._cells(span))
 
-    def exact_sum(self, span) -> Fraction:
-        """Exact sum of cell values over the span."""
-        return _exact_sum(self._cells(span))
-
     def average_exceeds(self, span, thr: Fraction) -> bool:
         """Exactly whether the average over the span exceeds thr.
 

@@ -20,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 from weightlab.czlab import (
     CZDecomposition,
     _children,
+    _expansion,
     _mass_test,
     _prefix_span_sums,
     _pyramids,
     _slices,
+    _span_reduce,
     _sum_bounds,
     _tripled,
     cz_decompose,
@@ -38,17 +40,8 @@ from weightlab.funcspace import (
     power_weight,
 )
 from weightlab.maximal import dyadic_maximal
-from weightlab.young import YoungFn
-
-
-def exact_avg(vals, span):
-    if len(span) == 1:
-        (i0, i1), = span
-        cells = vals[i0:i1].ravel()
-    else:
-        (i0, i1), (j0, j1) = span
-        cells = vals[i0:i1, j0:j1].ravel()
-    return sum(Fraction(float(v)) for v in cells) / len(cells)
+from weightlab.young import YoungFn, luxemburg_norm_of_values, luxemburg_norms
+from reference import exact_avg
 
 
 def check_sandwich_exact(dec):
@@ -312,6 +305,90 @@ def test_e_local_requires_next_level():
     dec = cz_decompose(f, 3.0, [0])
     with pytest.raises(KeyError):
         dec.e_local(0, 0)
+
+
+def _ekj_per_cube(dec):
+    """The E-set check cube by cube, from each cube's own E mask."""
+    usable = [k for k in dec.ks if k + 1 in dec.D]
+    acc = np.zeros(dec.grid.shape, dtype=np.int32)
+    beta, witness, n_cubes = 0.0, None, 0
+    for k in usable:
+        for j, qc in enumerate(dec.cubes[k]):
+            n_cubes += 1
+            slc, emask = dec.e_local(k, j)
+            ecount = int(emask.sum())
+            if ecount == 0:
+                beta, witness = math.inf, qc.cube
+                continue
+            beta = max(beta, (np.prod([b - a for a, b in qc.span])) / ecount)
+            acc[slc] += emask
+    return {"beta": beta, "disjoint": bool(acc.max(initial=0) <= 1),
+            "witness": witness, "cubes_checked": n_cubes,
+            "levels_checked": usable}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_expansion_sets_match_per_cube_masks(dim):
+    """One gather per level gives each E set's cell count and the minimum
+    of a field over it, as the cube's own E mask does; the check's dict
+    equals the cube-by-cube one, also on a decomposition whose cubes
+    overlap."""
+    rng = np.random.default_rng(41)
+    n = 64 if dim == 1 else 16
+    for trial in range(4):
+        vals = rng.random((n,) * dim) ** (trial + 1) * 3.0
+        vals.flat[rng.integers(0, vals.size)] = 40.0
+        f = GridFunction((0.0, 4.0) if dim == 1 else ((0.0,) * 2, (4.0,) * 2),
+                         vals)
+        a = 8.0 if dim == 1 else 16.0
+        dec = cz_decompose(f, a, valid_k_range(vals, a, dim, hi=4))
+        field = rng.random(vals.shape)
+        report, per_level = _expansion(dec, field)
+        assert report == ekj_expansion_check(dec) == _ekj_per_cube(dec)
+        for k, (counts, minima) in per_level.items():
+            for j in range(len(dec.cubes[k])):
+                slc, emask = dec.e_local(k, j)
+                assert counts[j] == int(emask.sum())
+                want = float(field[slc][emask].min()) if emask.any() \
+                    else math.inf
+                assert minima[j] == want
+    k = max(k for k in dec.ks[:-1] if dec.cubes[k])
+    twice = dict(dec.cubes)
+    twice[k] = dec.cubes[k] + dec.cubes[k][:1]
+    doubled = CZDecomposition(dec.grid, dec.a, dec.alpha, dec.ks, twice,
+                              dec.D)
+    assert ekj_expansion_check(doubled) == _ekj_per_cube(doubled)
+    assert not ekj_expansion_check(doubled)["disjoint"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_span_terms_are_bitwise_per_cube(dim):
+    """The chain table's row reductions equal, bit for bit, each cube's
+    own norm (the closed form over its ravelled slice for a homogeneous
+    phi, the bisection otherwise) and its slice's np.sum: dyadic cubes of
+    several sides, the whole grid (contiguous, no copy per cube) and
+    clipped tripled spans."""
+    rng = np.random.default_rng(13)
+    n = 64 if dim == 1 else 32
+    vals = rng.random((n,) * dim) ** 3 * 5.0
+    spans = [((0, n),) * dim]
+    for side in (1, 2, 4, 8, 16):
+        for c in rng.integers(0, n // side, (4, dim)) * side:
+            spans.append(tuple((int(x), int(x) + side) for x in c))
+    spans += [_tripled(sp, n) for sp in spans]
+    for phi in (YoungFn.power(3.0), YoungFn.power(1.5, c=2.0),
+                YoungFn.identity(), YoungFn("sup"),
+                YoungFn.power_log(1.5, 1.0)):
+        got = _span_reduce(spans, lambda r: luxemburg_norms(r, phi),
+                           vals).tolist()
+        for sp, g in zip(spans, got):
+            cells = vals[_slices(sp)].ravel()
+            assert g == luxemburg_norm_of_values(vals[_slices(sp)], phi)
+            if phi.kind == "power":
+                assert g == (phi.c * float(np.sum(cells ** phi.r))
+                             / cells.size) ** (1.0 / phi.r)
+    sums = _span_reduce(spans, lambda r: r.sum(axis=1), vals).tolist()
+    assert sums == [float(vals[_slices(sp)].ravel().sum()) for sp in spans]
 
 
 def test_fractional_decomposition_scales_by_side():

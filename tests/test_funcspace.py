@@ -30,11 +30,15 @@ from weightlab.funcspace import (
     SquareMatrix,
     compose_matrix,
     constant_weight,
+    exact_sums,
+    exact_totals,
     power_weight,
+    round_total,
     sample_product_to_grid,
     sample_to_grid,
     weight_mass,
 )
+from reference import exact_span_sum, exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +85,28 @@ def test_weight_powered_and_scaled():
     assert w2.value(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert weight_mass(w2, 0.0, 1.0) == pytest.approx(
         math.sqrt(2.0) * 2.0 / 3.0, rel=1e-13)
+
+
+def test_powered_pieces_integrate_away_from_the_singular_point():
+    # |x|^-1 and |x|^-2 pieces: finite closed forms off 0, inf through it;
+    # a weight's own pieces still need gamma > -1
+    w = power_weight(1.0, -4.0, 4.0)
+    inv, singular = w.powered_pieces(-1.0)
+    assert [s.gamma for s in singular] == [-1.0]
+    assert inv.mass(1.0, 3.0) == pytest.approx(math.log(3.0), rel=1e-14)
+    assert inv.mass(-3.0, -1.0) == pytest.approx(math.log(3.0), rel=1e-14)
+    assert inv.mass(-1.0, 1.0) == math.inf and inv.mass(0.0, 1.0) == math.inf
+    inv2, _ = w.powered_pieces(-2.0)
+    assert inv2.mass(1.0, 2.0) == pytest.approx(0.5, rel=1e-14)
+    assert inv2.mass(1.0, 2.0, EXP_ABS) == pytest.approx(
+        quad(lambda x: math.exp(x) / x ** 2, 1.0, 2.0)[0], rel=1e-9)
+    assert inv2.mass(-1.0, 0.0, EXP_ABS) == math.inf
+    assert w.powered_pieces(0.5)[1] == []
+    with pytest.raises(ValueError, match="not integrable"):
+        power_weight(-1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="not integrable"):
+        SegmentWeight1D.from_json_dict({"segments": [
+            {"lo": -1.0, "hi": 1.0, "form": "power", "gamma": -1.5}]})
 
 
 def test_try_powered_reports_witness():
@@ -208,18 +234,6 @@ def test_family_json_roundtrip():
 # grid functions: exact cube sums
 # ---------------------------------------------------------------------------
 
-def _exact_span_sum(values, span):
-    """Oracle: Fraction sum over the span."""
-    if len(span) == 1:
-        (i0, i1), = span
-        cells = values[i0:i1].ravel()
-    else:
-        (i0, i1), (j0, j1) = span
-        cells = values[i0:i1, j0:j1].ravel()
-    tot = sum(Fraction(float(v)) for v in cells)
-    return float(tot)
-
-
 def test_cube_sum_exact_100_random_cubes_1d():
     rng = np.random.default_rng(5)
     vals = rng.random(256)
@@ -230,7 +244,7 @@ def test_cube_sum_exact_100_random_cubes_1d():
             i1 += 1
             if i1 > 256:
                 i0, i1 = 0, 1
-        assert g.cube_sum(((i0, i1),)) == _exact_span_sum(vals, ((i0, i1),))
+        assert g.cube_sum(((i0, i1),)) == exact_span_sum(vals, ((i0, i1),))
 
 
 def test_cube_sum_exact_random_cubes_2d():
@@ -245,7 +259,7 @@ def test_cube_sum_exact_random_cubes_2d():
         if i1 > 64 or j1 > 64:
             continue
         span = ((i0, i1), (j0, j1))
-        assert g.cube_sum(span) == _exact_span_sum(vals, span)
+        assert g.cube_sum(span) == exact_span_sum(vals, span)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,7 +271,7 @@ def test_cube_sum_exact_property(ints, data):
     n = len(ints)
     i0 = data.draw(st.integers(0, n - 1))
     i1 = data.draw(st.integers(i0 + 1, n))
-    assert g.cube_sum(((i0, i1),)) == _exact_span_sum(vals, ((i0, i1),))
+    assert g.cube_sum(((i0, i1),)) == exact_span_sum(vals, ((i0, i1),))
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,9 +285,124 @@ def test_average_exceeds_matches_fraction_oracle(vals, step, shift):
     total = sum(Fraction(v) for v in vals)
     avg = total / len(vals)
     thr = avg * (1 + Fraction(step, 2 ** shift)) + Fraction(step, 2 ** 1100)
-    assert g.exact_sum(span) == total
+    assert exact_totals(vals)[0] == total * 2 ** 1075
     assert g.average_exceeds(span, thr) == (avg > thr)
     assert g.average_exceeds(span, avg) is False
+
+
+# ---------------------------------------------------------------------------
+# the labelled exact-sum kernel
+# ---------------------------------------------------------------------------
+
+# nonnegative floats across the whole range: subnormals, values near 1e300
+# and the largest float, each side of 1
+_WIDE_FLOATS = st.one_of(
+    st.floats(0.0, 2.0 ** -1022),
+    st.floats(2.0 ** -1022, 1e-300),
+    st.floats(0.0, 4.0),
+    st.floats(1e290, sys.float_info.max),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0 ** -53, 2.0 ** -106, 5e-324,
+                     sys.float_info.max]))
+
+
+def _fsum_or_overflow(cells):
+    try:
+        return math.fsum(cells)
+    except OverflowError:
+        return "overflow"
+
+
+def _kernel_or_overflow(values, labels, n_labels):
+    out = []
+    for t in exact_totals(values, labels, n_labels):
+        try:
+            out.append(round_total(t))
+        except OverflowError:
+            out.append("overflow")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_WIDE_FLOATS, st.integers(0, 3)), max_size=60))
+def test_exact_sums_match_fsum_and_fraction_oracle(cells):
+    values = np.array([v for v, _ in cells], dtype=float)
+    labels = np.array([i for _, i in cells], dtype=int)
+    got = _kernel_or_overflow(values, labels, 4)
+    totals = exact_totals(values, labels, 4)
+    for i in range(4):
+        mine = values[labels == i].tolist()
+        want = _fsum_or_overflow(mine)
+        assert got[i] == want, (i, mine)
+        exact = exact_sum(mine)
+        assert totals[i] == exact * 2 ** 1075
+        if want != "overflow":
+            assert want == float(exact)
+            assert math.copysign(1.0, got[i]) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("cells, want", [
+    ([1.0, 2.0 ** -53], 1.0),                       # tie: to even, down
+    ([1.0, 2.0 ** -53, 2.0 ** -106], 1.0 + 2.0 ** -52),
+    ([1.0 + 2.0 ** -52, 2.0 ** -53], 1.0 + 2.0 ** -51),   # tie: to even, up
+    ([2.0 ** -1074] * 3, 3 * 2.0 ** -1074),         # subnormals add exactly
+    ([1e300, 5e-324, 1e300], 2e300),
+    ([-0.0, -0.0], 0.0),
+    ([], 0.0),
+])
+def test_exact_sums_ties_and_edges(cells, want):
+    got = exact_sums(np.array(cells, dtype=float))[0]
+    assert got == want == math.fsum(cells)
+    assert math.copysign(1.0, got) == math.copysign(1.0, math.fsum(cells))
+
+
+def test_exact_sums_labels_edge_cases():
+    # a label whose cells are all -0.0, an empty label, and one label on
+    # both sides of the 2^16-cell chunk boundary
+    n = (1 << 16) + 40
+    rng = np.random.default_rng(17)
+    values = rng.random(n) ** 8 * 1e3
+    labels = np.zeros(n, dtype=int)
+    labels[(1 << 16) - 30:(1 << 16) + 30] = 1
+    values[:5] = -0.0
+    labels[:5] = 3
+    got = exact_sums(values, labels, 4)
+    assert got == [math.fsum(values[labels == i].tolist()) for i in range(4)]
+    assert got[2] == 0.0 and got[3] == 0.0
+    assert math.copysign(1.0, got[3]) == math.copysign(
+        1.0, math.fsum(values[:5].tolist()))
+    assert exact_sums(values)[0] == math.fsum(values.tolist())
+
+
+def test_exact_sums_many_labels_over_the_whole_range():
+    # one cell per label, spread over every binade: the (label, bin)
+    # pairs are renumbered, and each sum is its cell
+    rng = np.random.default_rng(3)
+    values = np.ldexp(rng.random(5000) + 0.5, rng.integers(-1074, 1023, 5000))
+    assert exact_sums(values, np.arange(5000), 5000) == values.tolist()
+
+
+def test_exact_sums_inf_nan_and_overflow():
+    big = sys.float_info.max
+    assert exact_sums([1.0, np.inf, 2.0]) == [math.fsum([1.0, np.inf, 2.0])]
+    assert math.isnan(exact_sums([np.nan, np.inf])[0])
+    assert exact_sums([np.inf, 1.0, 3.0], [0, 1, 1], 2) == [np.inf, 4.0]
+    for cells in ([big, big], [big, 2.0 ** 970]):
+        with pytest.raises(OverflowError):
+            math.fsum(cells)
+        with pytest.raises(OverflowError):
+            exact_sums(cells)
+    assert exact_sums([big, 2.0 ** 969]) == [math.fsum([big, 2.0 ** 969])]
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_sums([1.0, -2.0])
+
+
+def test_round_total_divides_the_exact_total_once():
+    big = sys.float_info.max
+    # an overflowing sum with a finite average, and a subnormal average
+    for cells, count in (([big] * 4, 4), ([3 * 2.0 ** -1074, 0.0], 4),
+                         ([2.0 ** -1022, 2.0 ** -1074], 8)):
+        total = exact_totals(np.array(cells))[0]
+        assert round_total(total, count) == float(exact_sum(cells) / count)
 
 
 def test_grid_rejects_negative_and_rectangular():

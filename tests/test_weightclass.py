@@ -81,6 +81,67 @@ def test_ap_product_infinite_with_nonintegrable_dual():
     assert ap_product(w, (-1.0, 1.0), 2.0) == math.inf
 
 
+@pytest.mark.parametrize("gamma, p, a, b, want", [
+    # |x| at p = 2: dual |x|^-1, (a+b)/2 * ln(b/a)/(b-a)
+    (1.0, 2.0, 1.0, 2.0, 1.5 * math.log(2.0)),
+    (1.0, 2.0, -3.0, -1.0, 2.0 * math.log(3.0) / 2.0),
+    # |x| at p = 1.5: dual |x|^-2, (a+b)/2 * (1/(a b))^(1/2)
+    (1.0, 1.5, 1.0, 2.0, 1.5 * math.sqrt(0.5)),
+    # |x|^2 at p = 2: dual |x|^-2, (a^2+ab+b^2)/3 / (a b)
+    (2.0, 2.0, 2.0, 5.0, (4.0 + 10.0 + 25.0) / 3.0 / 10.0),
+])
+def test_ap_product_off_the_singularity_closed_form(gamma, p, a, b, want):
+    """A cube away from the singular point of a non-integrable dual power
+    has a finite product, in closed form; one that meets it is infinite."""
+    w = power_weight(gamma, -16.0, 16.0)
+    assert ap_product(w, (a, b), p) == pytest.approx(want, rel=1e-13)
+    assert ap_product(w, (0.0, 1.0), p) == math.inf
+    assert ap_product(w, (-1.0, 3.0), p) == math.inf
+
+
+def test_class_constant_off_the_singularity_closed_form():
+    """Ap at p = 2 of |x| on the family (0.5, 8.5), which stays off 0: the
+    max of (a+b)/2 ln(b/a)/(b-a), at the widest cube, [0.5, 8.5]."""
+    fam = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)
+    rep = class_constant(power_weight(1.0, -16.0, 16.0), ClassSpec("Ap", p=2.0),
+                         fam)
+    closed = {(Q.corner[0], Q.side): (2 * Q.corner[0] + Q.side) / 2.0
+              * math.log((Q.corner[0] + Q.side) / Q.corner[0]) / Q.side
+              for Q in fam.cubes()}
+    assert rep.finite and rep.argmax == Cube((0.5,), 8.0)
+    assert rep.value == pytest.approx(max(closed.values()), rel=1e-13)
+    assert rep.value == pytest.approx(4.5 * math.log(17.0) / 8.0, rel=1e-13)
+
+
+def test_off_singularity_family_constants_closed_form():
+    """3|x|^(1/2) on the family (0.5, 8.5): the dual powers |x|^-1 are not
+    integrable at 0 only, so Ap_mu at p = 1.5 and frac / frac_bump at
+    p = 2, q = 4, A = 2 are finite maxima of their closed forms."""
+    fam = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)
+    w = power_weight(0.5, -16.0, 16.0, c=3.0)
+    A = SquareMatrix.scalar(2.0)
+
+    def dual(a, b):         # (avg of w^-2 = |x|^-1 / 9)^(1/2)
+        return math.sqrt(math.log(b / a) / 9.0 / (b - a))
+
+    def ap_mu(a, b):        # avg w times dual
+        return 2.0 * (b ** 1.5 - a ** 1.5) / (b - a) * dual(a, b)
+
+    def frac(a, b):         # (avg w(2x)^4)^(1/4), w(2x) = 0 past x = 8
+        lead = 324.0 * (min(b, 8.0) ** 3 - a ** 3) / 3.0 / (b - a)
+        return lead ** 0.25 * dual(a, b)
+
+    cubes = [(Q.corner[0], Q.corner[0] + Q.side) for Q in fam.cubes()]
+    for spec, closed in ((ClassSpec("Ap_mu", p=1.5), ap_mu),
+                         (ClassSpec("frac", p=2.0, q=4.0, A=A), frac),
+                         (ClassSpec("frac_bump", p=2.0, q=4.0, A=A,
+                                    phi=YoungFn.power(2.0)), frac)):
+        rep = class_constant(w, spec, fam)
+        assert rep.finite, spec.kind
+        assert rep.value == pytest.approx(
+            max(closed(a, b) for a, b in cubes), rel=1e-12), spec.kind
+
+
 def test_aap_product_identity_matrix_reduces_to_ap():
     w = power_weight(0.5, -8.0, 8.0)
     for Q in ((0.0, 1.0), (1.0, 3.0), (-2.0, 2.0)):

@@ -221,6 +221,16 @@ def test_analytic_norm_nonintegrable_power_is_inf():
     assert luxemburg_norm(w, Cube((-1.0,), 2.0), phi) == math.inf
 
 
+def test_analytic_norm_off_the_singularity_closed_form():
+    # w^2 = |x|^{-1.5} is integrable on [1, 3], away from 0: the norm is
+    # (avg x^-1.5)^(1/2) = (1 - 3^(-1/2))^(1/2); a cube ending at 0 is inf
+    w = power_weight(-0.75, -4.0, 4.0)
+    phi = YoungFn.power(2.0)
+    got = luxemburg_norm(w, Cube((1.0,), 2.0), phi)
+    assert got == pytest.approx(math.sqrt(1.0 - 3.0 ** -0.5), rel=1e-13)
+    assert luxemburg_norm(w, Cube((-2.0,), 2.0), phi) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # B_p integrals
 # ---------------------------------------------------------------------------
