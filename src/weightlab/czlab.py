@@ -6,7 +6,9 @@ the dyadic levels from the root down: a max pyramid prunes, and a float
 block-sum pyramid with an a-priori error bound decides each threshold test;
 only the cubes inside the bound's uncertainty band take the exact test
 (rational when alpha = 0, the correctly rounded average otherwise), so every
-selection equals the exact one.  ``theorem_chain_check`` replays the
+selection equals the exact one.  The selected cubes' averages come from one
+labelled pass of the exact-sum kernel (``funcspace.exact_totals``) per k.
+``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
@@ -22,6 +24,13 @@ Geometry conventions used by the chain:
   every set-transport step exact.  The chain pulls the image-side weight
   back to Y's grid through that bijection once, and reads every per-cube
   term from one table of the stopping cubes it uses.
+* Whole-grid and level-set sums go through the exact-sum kernel: one
+  labelled pass over M^E w and one over w give the tail, every layer and,
+  as the exact total of the layers above it, every level set omega_k, each
+  rounded once, so the bits equal ``math.fsum`` over the same cells.  The
+  table's norms and image masses reduce all cubes of one shape at once
+  over rows gathered into a C-contiguous (cubes, cells) array, whose row
+  sums add in the order ``np.sum`` uses on each cube alone.
 * Cell transport is ``maximal.preimage_cells``: an image cell corresponds
   to the input cell holding A^(-1) of its center.  ``level_sets`` uses the
   same correspondence for any map, and reports whether it is one to one.
@@ -337,8 +346,8 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
             corners = idx * side
             cells.append(_span_rows(f.values, corners, (side,) * dim).ravel())
             labels.append(np.repeat(np.arange(len(entries),
-                                              len(entries) + len(idx)),
-                                    side ** dim))
+                                              len(entries) + len(idx),
+                                              dtype=np.int32), side ** dim))
             for corner, o in zip(corners.tolist(), over.tolist()):
                 entries.append((tuple((c, c + side) for c in corner), o,
                                 len(entries)))
@@ -771,7 +780,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # labelled exact pass over each of M^E w and w gives every layer's
     # exact total, and omega_k's is the total of the layers above it
     layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
-                            Mfield.values)
+                            Mfield.values).astype(np.uint16)   # < 404 layers
     n_layers = len(ks) + 2
     me_totals = exact_totals(MEw, layer, n_layers)
     w_totals = exact_totals(w_back, layer, n_layers)

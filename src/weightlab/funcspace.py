@@ -6,7 +6,9 @@ sampled.  Weights are unions of closed-form pieces (power singularities
 an antiderivative difference, so masses next to a singular point are exact to
 rounding.  Grid data stores per-cell averages; a cube sum is the correctly
 rounded ``math.fsum`` of its cells, and a cube average is compared with a
-rational threshold by a float-filtered exact rational comparison.
+rational threshold by a float-filtered exact rational comparison.  Large or
+many sums at once go through one vectorized kernel (``exact_totals``), whose
+exact totals, rounded once, have the same bits as ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -580,12 +582,13 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
     ints.  The passes run over fixed-size chunks, so transient memory stays
     bounded."""
     vals = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    labs = None if labels is None else np.asarray(labels, np.intp).ravel()
+    labs = None if labels is None else np.asarray(labels).ravel()
     totals = np.zeros(n_labels, dtype=object)
     special = {}                # label -> its inf or nan
     for start in range(0, vals.size, _SUM_CHUNK):
         v = vals[start:start + _SUM_CHUNK]
-        lab = None if labs is None else labs[start:start + _SUM_CHUNK]
+        lab = None if labs is None else \
+            labs[start:start + _SUM_CHUNK].astype(np.intp, copy=False)
         e = (v.view(np.uint64) >> np.uint64(52)).astype(np.intp)
         if e.max() >= 2047:     # inf, nan, or a sign bit
             v, e = _finite_cells(v, e, lab, special)

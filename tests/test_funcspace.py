@@ -373,6 +373,22 @@ def test_exact_sums_labels_edge_cases():
     assert exact_sums(values)[0] == math.fsum(values.tolist())
 
 
+@pytest.mark.parametrize("n, lo, hi", [((1 << 16) + 7, -30, 31),
+                                       ((1 << 18) + 7, -11, -10)])
+def test_exact_sums_full_chunks_of_full_precision_cells(n, lo, hi):
+    # 53-bit values over 60 binades, then 2^18 of them in the lowest binade
+    # of one bin: the bins hold thousands of cells whose halves fill their
+    # bits, so a wider bin, a later split or a longer chunk would round a
+    # bin sum
+    rng = np.random.default_rng(23)
+    values = np.ldexp(1.0 + rng.random(n), rng.integers(lo, hi, n))
+    labels = rng.integers(0, 3, n)
+    assert exact_totals(values)[0] == exact_sum(values) * 2 ** 1075
+    assert exact_sums(values)[0] == math.fsum(values.tolist())
+    assert exact_sums(values, labels, 3) == [
+        math.fsum(values[labels == i].tolist()) for i in range(3)]
+
+
 def test_exact_sums_many_labels_over_the_whole_range():
     # one cell per label, spread over every binade: the (label, bin)
     # pairs are renumbered, and each sum is its cell
