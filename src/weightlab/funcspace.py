@@ -231,11 +231,12 @@ class SegmentWeight1D:
         return out if out.shape else float(out)
 
     def powered(self, e: float) -> "SegmentWeight1D":
-        w, witness = self.try_powered(e)
-        if w is None:
+        w, singular = self.powered_pieces(e)
+        if singular:
+            bad = singular[0]
             raise DomainError(
-                f"w**{e} is not integrable on segment [{witness.lo}, {witness.hi}) "
-                f"(gamma*e = {witness.gamma * e})")
+                f"w**{e} is not integrable on segment [{bad.lo}, {bad.hi}) "
+                f"(gamma*e = {bad.gamma})")
         return w
 
     def powered_pieces(self, e: float):
@@ -247,13 +248,10 @@ class SegmentWeight1D:
                      if seg.form == "power" and seg.gamma <= -1.0]
 
     def try_powered(self, e: float):
-        """(weight, None) when w**e has integrable pieces, else (None, witness)."""
-        out = []
-        for seg in self.segments:
-            if seg.form == "power" and seg.gamma * e <= -1.0:
-                return None, seg
-            out.append(seg.powered(e))
-        return SegmentWeight1D(out), None
+        """(w**e, None) when every piece of w**e is integrable, else (None,
+        the first powered piece that is not)."""
+        w, singular = self.powered_pieces(e)
+        return (None, singular[0]) if singular else (w, None)
 
     def scaled_argument(self, lam: float) -> "SegmentWeight1D":
         if lam == 0:
@@ -618,7 +616,6 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
     totals = totals.tolist()
     for i, x in special.items():
         totals[i] = x
-    return totals
     return totals
 
 

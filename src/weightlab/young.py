@@ -346,8 +346,9 @@ def _analytic_mean_fn(w: SegmentWeight1D, phi: YoungFn):
 
     Homogeneous phi uses exact powered-segment masses, from one powered
     weight built for every Q; Q's norm is infinite only when Q meets a
-    non-integrable powered piece at its singular point.  Otherwise the integral runs on Gauss panels
-    geometrically refined toward singular points (8 nodes per panel).
+    non-integrable powered piece at its singular point.  Otherwise the
+    integral runs on Gauss panels geometrically refined toward singular
+    points (8 nodes per panel).
     """
     power = phi.is_homogeneous and phi.kind != "identity"
     powered, singular = w.powered_pieces(phi.r) if power else (None, [])
