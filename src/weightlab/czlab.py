@@ -351,9 +351,8 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
             for corner, o in zip(corners.tolist(), over.tolist()):
                 entries.append((tuple((c, c + side) for c in corner), o,
                                 len(entries)))
-        totals = exact_totals(np.concatenate(cells or [np.zeros(0)]),
-                              np.concatenate(labels or [np.zeros(0, int)]),
-                              len(entries))
+        totals = exact_totals(np.concatenate(cells), np.concatenate(labels),
+                              len(entries)) if entries else []
         entries.sort()
         lst = []
         mask = np.zeros(f.shape, dtype=bool)

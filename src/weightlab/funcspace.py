@@ -555,8 +555,7 @@ _SUM_CHUNK = 1 << 16        # cells per pass: a bin adds at most 2^16 cells
 _BIN_WIDTH = 22             # binades per bin
 _SPLIT = 37                 # a cell splits at U 2^37, U its bin's unit
 _UNIT = 1075                # totals count units of 2^-1075
-_FIELDS = np.arange(2048)
-_BIN_OF = (np.maximum(_FIELDS, 1) // _BIN_WIDTH).astype(np.intp)
+_BIN_OF = (np.maximum(np.arange(2048), 1) // _BIN_WIDTH).astype(np.intp)
 _SCALE_OF = (_UNIT - _SPLIT - _BIN_WIDTH * _BIN_OF).astype(np.intc)
 
 
