@@ -26,10 +26,11 @@ one of three paths that spread the values to the cells:
   own values and the trailing maximum of width L' - L + 1 of D_L' along
   every axis.  The sides run from the largest down; with every length the
   width is 2, so a level costs a few shifted maxima, and other widths
-  double shifted maxima up to the width.  Only the windows that meet the
-  bounding box of the nonzero cells are evaluated (the others sum zeros
-  and hold +0.0), and since D is monotone outside that box along every
-  axis, the widening runs on the box's starts only.
+  double shifted maxima up to the width.  A level holds only the starts of
+  the windows that meet the bounding box of the nonzero cells (the others
+  sum zeros and hold +0.0).  A start that a widening carries out of that
+  region is written into the field once, in a strip widened at once by
+  the width that the later levels would add, so the cost follows the box.
 * **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
   where the recursion is the quadrant maximum field[i] = max of V[a, b]
   over a <= i < b of the window values V.  It runs in blocks of rows a,
@@ -85,8 +86,8 @@ __all__ = [
 # sliding maxima (exact, O(n log L) per call)
 # ---------------------------------------------------------------------------
 
-def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
-    """out[..., i] = max(x[..., max(0, i-L+1) : i+1]) along the last axis.
+def _doubling_max(y: np.ndarray, L: int, axis: int) -> np.ndarray:
+    """In place along ``axis``: y[i] = max(y[max(0, i-L+1) : i+1]); returns y.
 
     Shifted maxima at spans 1, 2, 4, ... double the width of every entry's
     range until it reaches L; the last shift is L - span, so the ranges of
@@ -94,30 +95,32 @@ def _trailing_max(x: np.ndarray, L: int) -> np.ndarray:
     order.  np.maximum keeps its second (earlier) operand on ties, so a tie
     of -0.0 and +0.0 gives the leftmost entry's sign.
     """
-    y = x.copy(order="K")
-    L = min(L, y.shape[-1])
+    head = (slice(None),) * (axis % y.ndim)
+    L = min(L, y.shape[axis])
     span = 1
     while span < L:
         s = min(span, L - span)
-        np.maximum(y[..., s:], y[..., :-s], out=y[..., s:])
+        later = y[head + (slice(s, None),)]
+        np.maximum(later, y[head + (slice(None, -s),)], out=later)
         span += s
     return y
 
 
-def _widen(x: np.ndarray, w: int) -> np.ndarray:
-    """Along the last axis, out[..., a] = max(x[..., max(0, a-w+1) : a+1])
-    for a < m + w - 1, with m entries in x: each entry reaches the w
-    positions from its own on.  The last entry, repeated, pads the tail;
-    it already lies in every tail position's range."""
-    edge = np.repeat(x[..., -1:], w - 1, axis=-1)
-    return _trailing_max(np.concatenate((x, edge), axis=-1), w)
-
-
-def _all_axes(op, x: np.ndarray, w: int) -> np.ndarray:
-    # .T is a no-op in 1D; in 2D the second call runs along the first axis
-    for _ in range(x.ndim):
-        x = op(x, w).T
-    return x
+def _widen(x: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """Along ``axis``, out[a] = max(x[max(0, a-w+1) : a+1]) for a < m + w - 1,
+    with m entries in x: each entry reaches the w positions from its own on.
+    The last entry, repeated, pads the tail; it already lies in every tail
+    position's range.  A width of 1 returns x itself."""
+    if w == 1:
+        return x
+    head = (slice(None),) * axis
+    m = x.shape[axis]
+    shape = list(x.shape)
+    shape[axis] += w - 1
+    y = np.empty(shape)
+    y[head + (slice(None, m),)] = x
+    y[head + (slice(m, None),)] = x[head + (slice(m - 1, m),)]
+    return _doubling_max(y, w, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +214,14 @@ def _support_box(f: GridFunction):
     """[s_k, e_k) per axis, the bounding box of f's nonzero cells; None when
     every cell is zero."""
     nonzero = f.values != 0
-    if not nonzero.any():
-        return None
     box = []
     for axis in range(f.dim):
         others = tuple(a for a in range(f.dim) if a != axis)
-        hits = np.flatnonzero(nonzero.any(axis=others))
+        hits = np.flatnonzero(nonzero.any(axis=others) if others else nonzero)
+        if not hits.size:
+            return None
         box.append((int(hits[0]), int(hits[-1]) + 1))
     return box
-
-
-def _widen_in_box(D: np.ndarray, w: int, side: int, box) -> np.ndarray:
-    """``_all_axes(_widen, D, w)`` for D indexed by the starts of windows of
-    ``side`` cells, whose values stop changing outside the support box.
-
-    Along an axis, D does not decrease up to lo, the first start whose
-    window meets the box [s, e), and does not increase from the last such
-    start, hi - 1, on.  So the widening passes D[..., :lo] and D[..., hi:]
-    through and runs on D[..., lo:hi] alone.  The axes run in ``_all_axes``
-    order, the last one first.
-    """
-    for s, e in reversed(box):
-        m = D.shape[-1]
-        lo, hi = max(0, s - side + 1), min(m, e)
-        wide = _widen(D[..., lo:hi], w)
-        if lo or hi < m:
-            wide = np.concatenate((D[..., :lo], wide, D[..., hi:]), axis=-1)
-        D = wide.T
-    return D
 
 
 def _nested_max(f: GridFunction, lengths, cube_values,
@@ -251,20 +234,41 @@ def _nested_max(f: GridFunction, lengths, cube_values,
     more that contain the window of side L at start a.  For consecutive
     listed sides L < L', such a window of side L' or more contains a window
     of side L' whose start lies in [a + L - L', a] on every axis, so D_L is
-    the larger of U_L, the scaled values of side L, and the trailing
-    maximum of width L' - L + 1 of D_L' along every axis.  The sides run
-    in descending order, and a last trailing maximum of the smallest
-    side's width spreads D onto the cells.  With consecutive sides the
-    width is 2, and the trailing maximum is the shifted copies of D_L'
-    maxed into U_L in place.
+    the larger of U_L, the scaled values of side L, and the widening of
+    width w = L' - L + 1 of D_L' along every axis (``_widen``).  The sides
+    run in descending order, and a widening of the smallest side, ``last``,
+    spreads its level onto the cells.  With consecutive sides w is 2, and
+    the widening is the shifted copies of D_L' maxed together.
 
-    Only the windows that meet the support box of f's nonzero cells are
-    evaluated; every other window sums zeros, and U_L holds +0.0 there.
-    Outside the box D is monotone along every axis: a listed window that
-    contains window a, lies before the box and meets it also contains
-    window a + 1, and zero windows add only +0.0.  So each widening runs
-    on the box's starts only (``_widen_in_box``).  Max is exact, so every
-    window value reaches the same cells as in a per-length spread.
+    Level L holds only its box region: the starts [max(0, s-L+1), min(m, e))
+    on each axis, m = n - L + 1, of the windows that meet the support box
+    [s, e) of f's nonzero cells.  Every other window sums zeros and holds
+    +0.0, which the +0.0 field already holds.  A start in the region of
+    side L reads only starts in the region of side L', so the recursion
+    closes on the regions.  The widening of a region also reaches starts
+    outside the next one; each of them is retired, written into the field
+    once, in one of the strips that frame the next region, peeled off one
+    axis at a time:
+
+    * Along the axis d where a retired start a leaves the region, the
+      recursion over whole levels passes its value through every later
+      level unchanged, as D does not decrease up to the region and does not
+      increase after it.  Before the region the start a is kept, after it
+      the end a + L, so the value lands on the cells [a, a + last) or
+      [a + L - last, a + L).
+    * Along every other axis the later widenings and the spread compose to
+      one widening of width L, as widenings of widths w and w' compose to
+      one of width w + w' - 1.  The axes before d are already widened by
+      w, so they take L more; the axes after d are not yet, so they take
+      L' at once.
+
+    In 1D the strips before the region, in order, the last region and the
+    strips after it, reversed, tile one run of the last level's starts,
+    which is spread once.  So every value reaches only cells of a listed window that holds it, and
+    at least the cells that the recursion over whole levels reaches from
+    it.  Max is exact, so the field equals the per-length spread of every
+    window bit for bit.  With full support every region is its whole level,
+    nothing retires, and the spread of the last level is the field.
     """
     n = _square_cells(f)
     h = f.h[0]
@@ -272,35 +276,82 @@ def _nested_max(f: GridFunction, lengths, cube_values,
     box = _support_box(f)
     if box is None:
         return GridFunction((f.lo, f.hi), np.zeros(f.shape))
+    last = sides[-1]
+    field = None
 
-    def scaled(L):
-        m = n - L + 1
-        starts = tuple(slice(max(0, s - L + 1), min(m, e)) for s, e in box)
-        U = cube_values(L, starts)
+    def region(L):
+        return [(max(0, s - L + 1), min(n - L + 1, e)) for s, e in box]
+
+    def scaled(L, starts):
+        U = cube_values(L, tuple(slice(lo, hi) for lo, hi in starts))
         if alpha != 0.0:
             U *= _scale(L, h, alpha)
-        if U.shape == (m,) * f.dim:
-            return U
-        out = np.zeros((m,) * f.dim)
-        out[starts] = U
-        return out
+        return U
 
-    D = scaled(sides[0])
+    lefts, rights = [], []      # 1D: strips before and after the regions
+
+    def retire(X, firsts, widths):
+        # X, widened by widths[k] along each axis k, lands on the cells from
+        # firsts[k] on
+        nonlocal field
+        for axis, width in enumerate(widths):
+            X = _widen(X, width, axis)
+        if field is None:
+            field = np.zeros(f.shape)
+        cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
+        np.maximum(cells, X, out=cells)
+
+    old = region(sides[0])
+    D = scaled(sides[0], old)
     for prev, L in zip(sides, sides[1:]):
-        U = scaled(L)
-        if prev == L + 1:
-            # U has one more entry than D per axis; max in D shifted by 0
-            # or 1 along every axis
+        w = prev - L + 1
+        new = region(L)
+        U = scaled(L, new)
+        if w == 2:
+            # the whole widening at once, over the starts [lo, hi + 1) per
+            # axis: in place in U when U spans them, else in zeros
+            W = U if new == [(lo, hi + 1) for lo, hi in old] else \
+                np.zeros(tuple(hi - lo + 1 for lo, hi in old))
             for cells in itertools.product((slice(None, -1), slice(1, None)),
                                            repeat=f.dim):
-                region = U[cells]
-                np.maximum(region, D, out=region)
+                part = W[cells]
+                np.maximum(part, D, out=part)
         else:
-            np.maximum(U, _widen_in_box(D, prev - L + 1, prev, box), out=U)
-        D = U
-    if sides[-1] > 1:
-        D = _widen_in_box(D, sides[-1], sides[-1], box)
-    return GridFunction((f.lo, f.hi), D)
+            W = D       # widened one axis at a time, as the strips peel off
+        if W is not U:
+            for d, ((lo, hi), (nlo, nhi)) in enumerate(zip(old, new)):
+                if w > 2:
+                    W = _widen(W, w, d)
+                head = (slice(None),) * d
+                for a, b, first, strips in (
+                        (lo, nlo, lo, lefts),
+                        (nhi, hi + w - 1, nhi + L - last, rights)):
+                    if a >= b:
+                        continue
+                    strip = W[head + (slice(a - lo, b - lo),)]
+                    if f.dim == 1:
+                        strips.append(strip)
+                        continue
+                    retire(strip, [c for c, _ in new[:d]] + [first]
+                           + [c for c, _ in old[d + 1:]],
+                           [L] * d + [last]
+                           + [L if w == 2 else prev] * (f.dim - d - 1))
+                W = W[head + (slice(nlo - lo, nhi - lo),)]
+            np.maximum(U, W, out=U)
+        D, old = U, new
+    firsts = [lo for lo, _ in old]
+    if lefts or rights:
+        # in 1D the strips and the last region tile one run of the last
+        # level's starts from the first region's start on
+        D = np.concatenate(lefts + [D] + rights[::-1])
+        firsts = [region(sides[0])[0][0]]
+    for axis in range(f.dim):
+        D = _widen(D, last, axis)
+    if D.shape == f.shape:
+        # every level was whole, or in 1D its run covers the grid
+        return GridFunction((f.lo, f.hi), D)
+    retire(D, firsts, [1] * f.dim)
+    return GridFunction((f.lo, f.hi), field)
 
 
 _BLOCK_CELLS = 1 << 14      # cells of one block of rows in _quadrant_max
@@ -369,9 +420,26 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     """Cube functional (c * avg f^r)^(1/r) from one prefix; r=None is the
     plain average.  The starts are one slice or one index array per axis;
     the side is an int, or (1D) an int array broadcasting against the
-    starts."""
+    starts.
+
+    The prefix sums run over the support box [s, e) of f's nonzero cells
+    only, and a window end i reads the box prefix at clamp(i - s, 0, e - s)
+    on each axis, gathered once for every i.  That is the whole grid's
+    prefix bit for bit up to the signs of zeros: numpy's cumsum adds in
+    order, and a zero of either sign added to x != 0 gives x, so along each
+    axis the whole grid's running sums are zeros before the box, the box's
+    own sums in it, and its last sum after it.  The window differences then
+    agree up to the signs of zeros too, and the clamp below makes every
+    zero +0.0.  With full support the box is the grid and the prefix is
+    the grid's own, without a copy.
+    """
+    box = _support_box(f) or [(0, 0)] * f.dim   # all zero: an empty box
+    cells = f.values[tuple(slice(s, e) for s, e in box)]
     with np.errstate(over="ignore"):    # the prefix check reports it
-        P = _cumsum_prefix(f.values if r is None else f.values ** r)
+        P = _cumsum_prefix(cells if r is None else cells ** r)
+    for axis, ((s, e), m) in enumerate(zip(box, f.shape)):
+        if (s, e) != (0, m):
+            P = P.take(np.clip(np.arange(-s, m + 1 - s), 0, e - s), axis=axis)
     dim = f.dim
 
     def values(side, starts):
@@ -395,8 +463,11 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
 def _window_maxima(f: GridFunction):
     """Cube functional max of f (the sup-norm Young function)."""
     def values(side, starts):
+        vals = f.values.copy()
+        for axis in range(f.dim):
+            _doubling_max(vals, side, axis)
         last = (slice(side - 1, None),) * f.dim     # window end cells
-        vals = _all_axes(_trailing_max, f.values, side)[last][starts]
+        vals = vals[last][starts]
         # f >= 0, so this only turns -0.0 into +0.0: as for the averages, a
         # zero window gives +0.0, whatever order the maxima ran in
         return np.maximum(vals, 0.0, out=vals)

@@ -1,10 +1,21 @@
 """Reference oracles shared by the tests.
 
-Each one uses only Fraction or integer arithmetic and is deliberately slow,
-so it stays independent of the exact-sum machinery under test.
+They are deliberately slow and stay independent of the code under test.
+The exact sums use only Fraction or integer arithmetic, apart from the
+exact-sum machinery.  The maximal-field references either enumerate every
+window of each cell or spread one window length at a time from functionals
+over the whole grid, apart from the nested sweeps and their box-local
+prefix sums.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from weightlab.funcspace import _cumsum_prefix
+from weightlab.maximal import _length_list, _scale
 
 
 def exact_cells(values, span):
@@ -27,3 +38,135 @@ def exact_avg(values, span) -> Fraction:
     """The exact average over the span."""
     cells = exact_cells(values, span)
     return exact_sum(cells) / len(cells)
+
+
+# ---------------------------------------------------------------------------
+# maximal fields
+# ---------------------------------------------------------------------------
+
+def brute_field_1d(vals, h, alpha=0.0, r=None, lengths=None, sup=False):
+    """max over windows containing each cell of side^alpha * mean-type value."""
+    n = len(vals)
+    Ls = list(lengths) if lengths is not None else list(range(1, n + 1))
+    out = np.zeros(n)
+    for i in range(n):
+        best = -math.inf
+        for L in Ls:
+            for s in range(max(0, i - L + 1), min(i, n - L) + 1):
+                win = vals[s:s + L]
+                if sup:
+                    m = win.max()
+                elif r is None:
+                    m = win.mean()
+                else:
+                    m = np.mean(win ** r) ** (1.0 / r)
+                best = max(best, m * (L * h) ** alpha)
+        out[i] = best
+    return out
+
+
+def brute_field_2d(vals, h, alpha=0.0, lengths=None):
+    n = vals.shape[0]
+    Ls = list(lengths) if lengths is not None else list(range(1, n + 1))
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            best = -math.inf
+            for L in Ls:
+                for s in range(max(0, i - L + 1), min(i, n - L) + 1):
+                    for t in range(max(0, j - L + 1), min(j, n - L) + 1):
+                        m = vals[s:s + L, t:t + L].mean()
+                        best = max(best, m * (L * h) ** alpha)
+            out[i, j] = best
+    return out
+
+
+def brute_family_field(g, family, cube_value):
+    """max of cube_value(cell values, side) over the family's cubes that
+    contain each cell, enumerated by family.cubes()."""
+    out = np.full(g.shape, -np.inf)
+    for cube in family.cubes():
+        cells = tuple(slice(a, b) for a, b in g.span_of_cube(cube))
+        region = out[cells]
+        np.maximum(region, cube_value(g.values[cells], cube.side), out=region)
+    return out
+
+
+def brute_dyadic_1d(vals):
+    n = len(vals)
+    out = np.zeros(n)
+    side = n
+    while side >= 1:
+        for s in range(0, n, side):
+            m = vals[s:s + side].mean()
+            np.maximum(out[s:s + side], m, out=out[s:s + side])
+        if side % 2 or side == 1:
+            break
+        side //= 2
+    return out
+
+
+def brute_trailing_max(x, L):
+    """The leftmost largest entry of each clipped window x[..., max(0,
+    i-L+1) : i+1] along the last axis, from numpy's sliding windows behind
+    a -inf head.  Only a tie of -0.0 and +0.0 makes "leftmost" matter; it
+    then keeps the sign of the window's first zero."""
+    head = np.full(x.shape[:-1] + (L - 1,), -np.inf)
+    windows = sliding_window_view(np.concatenate((head, x), axis=-1), L,
+                                  axis=-1)
+    out = windows.max(axis=-1)
+    if not np.signbit(x[x == 0]).any():
+        return out
+    first = np.argmax(windows == out[..., None], axis=-1)
+    return np.take_along_axis(windows, first[..., None], axis=-1)[..., 0]
+
+
+def prefix_averages(g, r=None, c=1.0):
+    """The cube functional (c * avg g^r)^(1/r) (r=None: the plain average)
+    from the float prefix sums of the whole grid: four-corner differences,
+    every result that is not positive read as +0.0.  A 1D side may be an
+    int array broadcasting against index-array starts."""
+    with np.errstate(over="ignore"):
+        P = _cumsum_prefix(g.values if r is None else g.values ** r)
+
+    def values(side, starts):
+        ends = tuple(s + side if not isinstance(s, slice) else
+                     slice(s.start + side, s.stop + side, s.step)
+                     for s in starts)
+        if g.dim == 1:
+            S = P[ends] - P[starts]
+        else:
+            S = (P[ends] - P[starts[0], ends[1]]
+                 - P[ends[0], starts[1]] + P[starts])
+        vals = np.where(S > 0.0, S, 0.0) / side ** g.dim
+        return vals if r is None else (c * vals) ** (1.0 / r)
+    return values
+
+
+def window_maxima(g):
+    """The cube functional max of g over each window, from numpy's sliding
+    windows; a zero maximum reads +0.0."""
+    def values(side, starts):
+        windows = sliding_window_view(g.values, (side,) * g.dim)[starts]
+        top = windows.max(axis=tuple(range(-g.dim, 0)))
+        return np.where(top > 0.0, top, 0.0)
+    return values
+
+
+def per_length_sweep(g, lengths, cube_values, alpha=0.0):
+    """The field of every position of each length, one length at a time:
+    the scaled window values are written into a -inf grid at their starts
+    and take the trailing maximum of the side along every axis."""
+    n = g.shape[0]
+    out = np.full(g.shape, -np.inf)
+    for L in _length_list(n, lengths):
+        starts = (slice(0, n - L + 1),) * g.dim
+        vals = cube_values(L, starts)
+        if alpha != 0.0:
+            vals = vals * _scale(L, g.h[0], alpha)
+        block = np.full(g.shape, -np.inf)
+        block[starts] = vals
+        for _ in range(g.dim):
+            block = brute_trailing_max(block, L).T
+        np.maximum(out, block, out=out)
+    return out

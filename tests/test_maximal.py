@@ -1,10 +1,12 @@
-"""Maximal-field sweeps against a literal all-windows oracle.
+"""Maximal-field sweeps against the literal all-windows oracles of
+``reference.py``.
 
-The oracle enumerates every admissible window per cell in O(n^3); grids are
+The oracles enumerate every admissible window per cell in O(n^3); grids are
 kept small so the comparison stays exhaustive.  Frozen values for the unit
 indicator were derived by hand from the discrete definition.  The fast
 paths for every position of each length are also held bit for bit to
-``per_length_sweep``, a slow reference that spreads each length on its own.
+``per_length_sweep``, a slow reference that spreads each length on its own
+from functionals over the whole grid.
 """
 
 import math
@@ -13,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from weightlab.funcspace import (
     Cube,
@@ -27,11 +28,9 @@ from weightlab.funcspace import (
 from weightlab import maximal
 from weightlab.maximal import (
     _averages,
+    _doubling_max,
     _length_list,
     _nested_max,
-    _scale,
-    _trailing_max,
-    _window_maxima,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -40,102 +39,16 @@ from weightlab.maximal import (
     preimage_cells,
 )
 from weightlab.young import YoungFn
-
-
-def brute_field_1d(vals, h, alpha=0.0, r=None, lengths=None, sup=False):
-    """max over windows containing each cell of side^alpha * mean-type value."""
-    n = len(vals)
-    Ls = list(lengths) if lengths is not None else list(range(1, n + 1))
-    out = np.zeros(n)
-    for i in range(n):
-        best = -math.inf
-        for L in Ls:
-            for s in range(max(0, i - L + 1), min(i, n - L) + 1):
-                win = vals[s:s + L]
-                if sup:
-                    m = win.max()
-                elif r is None:
-                    m = win.mean()
-                else:
-                    m = np.mean(win ** r) ** (1.0 / r)
-                best = max(best, m * (L * h) ** alpha)
-        out[i] = best
-    return out
-
-
-def brute_field_2d(vals, h, alpha=0.0, lengths=None):
-    n = vals.shape[0]
-    Ls = list(lengths) if lengths is not None else list(range(1, n + 1))
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            best = -math.inf
-            for L in Ls:
-                for s in range(max(0, i - L + 1), min(i, n - L) + 1):
-                    for t in range(max(0, j - L + 1), min(j, n - L) + 1):
-                        m = vals[s:s + L, t:t + L].mean()
-                        best = max(best, m * (L * h) ** alpha)
-            out[i, j] = best
-    return out
-
-
-def brute_trailing_max(x, L):
-    """The leftmost largest entry of each clipped window x[..., max(0,
-    i-L+1) : i+1] along the last axis, from numpy's sliding windows behind
-    a -inf head.  Only a tie of -0.0 and +0.0 makes "leftmost" matter; it
-    then keeps the sign of the window's first zero."""
-    head = np.full(x.shape[:-1] + (L - 1,), -np.inf)
-    windows = sliding_window_view(np.concatenate((head, x), axis=-1), L,
-                                  axis=-1)
-    out = windows.max(axis=-1)
-    if not np.signbit(x[x == 0]).any():
-        return out
-    first = np.argmax(windows == out[..., None], axis=-1)
-    return np.take_along_axis(windows, first[..., None], axis=-1)[..., 0]
-
-
-def per_length_sweep(g, lengths, cube_values, alpha=0.0):
-    """The field of every position of each length, one length at a time:
-    the scaled window values are written into a -inf grid at their starts
-    and take the trailing maximum of the side along every axis."""
-    n = g.shape[0]
-    out = np.full(g.shape, -np.inf)
-    for L in _length_list(n, lengths):
-        starts = (slice(0, n - L + 1),) * g.dim
-        vals = cube_values(L, starts)
-        if alpha != 0.0:
-            vals = vals * _scale(L, g.h[0], alpha)
-        block = np.full(g.shape, -np.inf)
-        block[starts] = vals
-        for _ in range(g.dim):
-            block = brute_trailing_max(block, L).T
-        np.maximum(out, block, out=out)
-    return out
-
-
-def brute_family_field(g, family, cube_value):
-    """max of cube_value(cell values, side) over the family's cubes that
-    contain each cell, enumerated by family.cubes()."""
-    out = np.full(g.shape, -np.inf)
-    for cube in family.cubes():
-        cells = tuple(slice(a, b) for a, b in g.span_of_cube(cube))
-        region = out[cells]
-        np.maximum(region, cube_value(g.values[cells], cube.side), out=region)
-    return out
-
-
-def brute_dyadic_1d(vals):
-    n = len(vals)
-    out = np.zeros(n)
-    side = n
-    while side >= 1:
-        for s in range(0, n, side):
-            m = vals[s:s + side].mean()
-            np.maximum(out[s:s + side], m, out=out[s:s + side])
-        if side % 2 or side == 1:
-            break
-        side //= 2
-    return out
+from reference import (
+    brute_dyadic_1d,
+    brute_family_field,
+    brute_field_1d,
+    brute_field_2d,
+    brute_trailing_max,
+    per_length_sweep,
+    prefix_averages,
+    window_maxima,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +351,15 @@ def _sparse_inputs(n, dim=1):
 
 
 def _every_length_cases(g):
-    """(field, cube functional, alpha) of each operator that takes the
+    """(field, reference functional, alpha) of each operator that takes the
     quadrant path on a 1D grid with every length."""
-    cases = [(hl_maximal(g), _averages(g), 0.0)]
+    cases = [(hl_maximal(g), prefix_averages(g), 0.0)]
     for alpha in (0.3, 0.7):
-        cases.append((fractional_maximal(g, alpha), _averages(g), alpha))
+        cases.append((fractional_maximal(g, alpha), prefix_averages(g), alpha))
     for r in (1.5, 3.0):
         phi = YoungFn.power(r)
-        cases.append((orlicz_maximal(g, phi), _averages(g, phi.r, phi.c), 0.0))
+        cases.append((orlicz_maximal(g, phi),
+                      prefix_averages(g, phi.r, phi.c), 0.0))
     return cases
 
 
@@ -490,21 +404,21 @@ def test_every_length_1d_matches_brute(n):
 # ---------------------------------------------------------------------------
 
 def _nested_cases(g, lengths):
-    """(name, field, cube functional, alpha) of each operator that takes the
-    nested path on g with ``lengths`` (in 1D, all but every length)."""
+    """(name, field, reference functional, alpha) of each operator on g
+    with ``lengths``, all on the nested path but 1D every length."""
     alphas = (0.3, 0.7) if g.dim == 1 else (0.3, 0.7, 1.5)
-    cases = [("hl", hl_maximal(g, lengths=lengths), _averages(g), 0.0)]
+    cases = [("hl", hl_maximal(g, lengths=lengths), prefix_averages(g), 0.0)]
     cases += [(f"fractional {alpha}",
-               fractional_maximal(g, alpha, lengths=lengths), _averages(g),
-               alpha) for alpha in alphas]
+               fractional_maximal(g, alpha, lengths=lengths),
+               prefix_averages(g), alpha) for alpha in alphas]
     for r in (1.5, 3.0):
         phi = YoungFn.power(r)
         cases.append((f"power {r}", orlicz_maximal(g, phi, lengths=lengths),
-                      _averages(g, phi.r, phi.c), 0.0))
+                      prefix_averages(g, phi.r, phi.c), 0.0))
     for alpha in (0.0,) + alphas:
         cases.append((f"sup {alpha}", orlicz_maximal(
             g, YoungFn("sup"), alpha=alpha, lengths=lengths),
-            _window_maxima(g), alpha))
+            window_maxima(g), alpha))
     return cases
 
 
@@ -557,16 +471,16 @@ def _counted_averages(calls, averages):
 
 def test_every_length_2d_takes_shifted_maxima(monkeypatch):
     # a deterministic stand-in for a timing test: with every length the
-    # nested recursion widens by shifted maxima, never by a trailing max,
-    # and evaluates the cube functional once per length
+    # nested recursion widens by shifted maxima, never by doubling, and
+    # evaluates the cube functional once per length
     trailing_maxima, requests = [], []
-    trailing_max, averages = maximal._trailing_max, maximal._averages
+    doubling_max, averages = maximal._doubling_max, maximal._averages
 
-    def counted_trailing_max(x, L):
+    def counted_doubling_max(y, L, axis):
         trailing_maxima.append(L)
-        return trailing_max(x, L)
+        return doubling_max(y, L, axis)
 
-    monkeypatch.setattr(maximal, "_trailing_max", counted_trailing_max)
+    monkeypatch.setattr(maximal, "_doubling_max", counted_doubling_max)
     monkeypatch.setattr(maximal, "_averages",
                         _counted_averages(requests, averages))
     n = 24
@@ -574,24 +488,28 @@ def test_every_length_2d_takes_shifted_maxima(monkeypatch):
                      np.random.default_rng(31).random((n, n)))
     field = hl_maximal(g)
     assert trailing_maxima == [] and len(requests) == n
-    assert np.array_equal(field.values, per_length_sweep(g, "all", averages(g)))
+    assert np.array_equal(field.values,
+                          per_length_sweep(g, "all", prefix_averages(g)))
 
 
 def test_trailing_max_matches_brute():
-    # every width from one cell to past the row, on 1D rows and on the
-    # transposed 2D views that _all_axes passes, with -inf, mixed signed
-    # zeros and ties: values and sign bits as the leftmost largest entry
+    # the doubling maxima in place, every width from one cell to past the
+    # row, on 1D rows and along both axes of 2D grids and their transposed
+    # views, with -inf, mixed signed zeros and ties: values and sign bits as
+    # the leftmost largest entry
     rng = np.random.default_rng(17)
     pool = np.array([-np.inf, -0.0, 0.0, 0.25, 0.25, 1.0])
     for n in (1, 2, 5, 13, 64):
         grid = rng.choice(pool, size=(n, n))
-        before = grid.copy()
         for x in (grid[0], grid, grid.T):
-            for L in range(1, n + 3):
-                got, ref = _trailing_max(x, L), brute_trailing_max(x, L)
-                assert np.array_equal(got, ref), (n, L)
-                assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, L)
-        assert np.array_equal(np.signbit(grid), np.signbit(before))
+            for axis in range(x.ndim):
+                for L in range(1, n + 3):
+                    got = _doubling_max(x.copy(order="K"), L, axis)
+                    ref = np.moveaxis(brute_trailing_max(
+                        np.moveaxis(x, axis, -1), L), -1, axis)
+                    assert np.array_equal(got, ref), (n, axis, L)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref)), \
+                        (n, axis, L)
 
 
 def test_dyadic_sweep_asks_only_for_windows_meeting_the_support(monkeypatch):
@@ -614,9 +532,108 @@ def test_dyadic_sweep_asks_only_for_windows_meeting_the_support(monkeypatch):
         assert calls == [(L, tuple(slice(max(0, s - L + 1), min(n - L + 1, e))
                                    for s, e in support))
                          for L in _length_list(n, "dyadic")[::-1]]
-        ref = per_length_sweep(g, "dyadic", averages(g), 0.5)
+        ref = per_length_sweep(g, "dyadic", prefix_averages(g), 0.5)
         assert np.array_equal(field, ref)
         assert np.array_equal(np.signbit(field), np.signbit(ref))
+
+
+def _chain_shapes(n, dim):
+    """Cells of support boxes in 4x zero padding (n/4 cells per axis):
+    centred as in the theorem chain, touching each edge, in the corners,
+    one hot cell, one-cell-wide strips, and no support at all."""
+    k, c = n // 4, 3 * n // 8
+    mid = slice(c, c + k)
+    shapes = {"centred": (mid,) * dim, "hot-cell": (c + 1,) * dim,
+              "all-zero": None}
+    for axis in range(dim):
+        def along(cells):
+            return tuple(cells if d == axis else mid for d in range(dim))
+        shapes[f"low-edge-{axis}"] = along(slice(0, k))
+        shapes[f"high-edge-{axis}"] = along(slice(n - k, n))
+        shapes[f"strip-{axis}"] = along(slice(c + 1, c + 2))
+    if dim == 2:
+        shapes["low-corner"] = (slice(0, k),) * 2
+        shapes["high-corner"] = (slice(n - k, n),) * 2
+    return shapes
+
+
+def test_averages_match_the_whole_grid_prefix_at_every_start():
+    # the box-local prefix, clamped, against the whole grid's prefix: values
+    # and sign bits at every start of every side, windows wholly outside
+    # the support included; -0.0 cells outside the box and inexact powers
+    rng = np.random.default_rng(43)
+    for dim, n in ((1, 64), (2, 32)):
+        box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+        for name, cells in _chain_shapes(n, dim).items():
+            vals = np.where(rng.random((n,) * dim) < 0.3, -0.0, 0.0)
+            if cells is not None:
+                vals[cells] = rng.random(vals[cells].shape) + 0.25
+            g = GridFunction(box, vals)
+            for r, c in ((None, 1.0), (1.5, 1.0), (3.0, 0.75)):
+                got, ref = _averages(g, r, c), prefix_averages(g, r, c)
+                windows = [(L, (slice(0, n - L + 1),) * dim)
+                           for L in range(1, n + 1)]
+                if dim == 1:
+                    # the quadrant path's form: index arrays and array sides
+                    starts = np.arange(n)[:, None]
+                    windows.append((np.maximum(np.arange(n, 0, -1) - starts,
+                                               1), (starts,)))
+                for side, starts in windows:
+                    a, b = got(side, starts), ref(side, starts)
+                    assert np.array_equal(a, b), (dim, name, r)
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), \
+                        (dim, name, r)
+
+
+@pytest.mark.parametrize("lengths", ["dyadic", "all", [3, 5, 12]],
+                         ids=["dyadic", "all", "explicit"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fields_at_chain_shape_are_bitwise_the_per_length_sweep(dim, lengths):
+    # the theorem chain's shape, a support box in 4x zero padding, at every
+    # placement, against the reference spread of every window.  Squares of
+    # dyadic rationals keep every prefix sum and power exact, so no window
+    # of zeros leaves a residue, and the explicit list without n compares
+    # bit for bit too
+    n = 64 if dim == 1 else 32
+    box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+    rng = np.random.default_rng([dim, n])
+    for name, cells in _chain_shapes(n, dim).items():
+        vals = np.zeros((n,) * dim)
+        if cells is not None:
+            vals[cells] = (rng.integers(1, 16, vals[cells].shape) / 4.0) ** 2
+        g = GridFunction(box, vals)
+        for op, field, reference, alpha in _nested_cases(g, lengths):
+            ref = per_length_sweep(g, lengths, reference, alpha)
+            assert np.array_equal(field.values, ref), (name, op)
+            assert np.array_equal(np.signbit(field.values), np.signbit(ref)), \
+                (name, op)
+
+
+def test_dyadic_sweep_widening_cells_follow_the_support(monkeypatch):
+    # a deterministic stand-in for a timing test: the cells that one dyadic
+    # fractional sweep hands to the doubling maxima, for a 16^2 block in
+    # 256^2, where only the box regions widen, for the full grid, and for
+    # the tiny 1D rows, where numpy's per-call cost already dominates
+    cells = []
+    doubling_max = maximal._doubling_max
+
+    def counted_doubling_max(y, L, axis):
+        cells.append(y.size)
+        return doubling_max(y, L, axis)
+
+    monkeypatch.setattr(maximal, "_doubling_max", counted_doubling_max)
+    rng = np.random.default_rng(47)
+    square = ((0.0, 0.0), (1.0, 1.0))
+    block = np.zeros((256, 256))
+    block[120:136, 120:136] = rng.random((16, 16)) + 0.5
+    line = np.zeros(1024)       # the 1D chains of ``verify all``
+    line[384:640] = rng.random(256) + 0.5
+    for vals, box, count in ((block, square, 145_022),
+                             (rng.random((256, 256)) + 0.5, square, 663_828),
+                             (line, (0.0, 1.0), 3_829)):
+        cells.clear()
+        fractional_maximal(GridFunction(box, vals), 0.5, lengths="dyadic")
+        assert sum(cells) == count
 
 
 def test_explicit_lengths_leave_unreached_cells_exactly_zero():

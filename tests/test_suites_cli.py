@@ -1,5 +1,6 @@
 """Verification suites and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -137,6 +138,12 @@ def test_run_suites_deterministic_across_thread_counts(monkeypatch):
     assert outs[0].count('"suite"') == 2
 
 
+# sha256 of the ``weightlab verify all --out`` report, the frozen-output gate
+# of every change to the sweeps, sums and suites behind it
+VERIFY_ALL_SHA256 = \
+    "563519fd2049aaea22fdf40ddcbd5a957d0df341b8136395b89262a13e8e1851"
+
+
 def test_verify_all_report_identical_across_thread_counts(monkeypatch,
                                                           tmp_path, capsys):
     reports = []
@@ -148,6 +155,7 @@ def test_verify_all_report_identical_across_thread_counts(monkeypatch,
     capsys.readouterr()
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["passed"] is True
+    assert hashlib.sha256(reports[0]).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_cli_bad_thread_count_exits_two(monkeypatch, capsys):
