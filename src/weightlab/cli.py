@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -81,10 +82,27 @@ def _measure(token: str):
     raise ValueError(f"unknown measure {token!r}")
 
 
+class _Tails(dict):
+    """The tails "value,in_domain" of the field CSV's rows for one in_domain
+    flag, keyed on the bit pattern of the value, so -0.0 and +0.0 keep their
+    own reprs.  Each is formatted at its first use."""
+
+    def __init__(self, flag: int):
+        super().__init__()
+        self.flag = flag
+
+    def __missing__(self, bits: int) -> str:
+        value, = struct.unpack("<d", struct.pack("<q", bits))
+        tail = self[bits] = f"{value!r},{self.flag}\n"
+        return tail
+
+
 def _dump_field_csv(path: str, g: GridFunction) -> None:
     # one row per cell, floats as their shortest round-trip repr.  Each
-    # coordinate is formatted once, and a 2D grid goes out one write per
-    # grid row, so no string of the whole file is ever held.
+    # coordinate is formatted once.  A 2D grid goes out one write per grid
+    # row, so no string of the whole file is ever held, and each of its
+    # distinct values is formatted once per flag (``_Tails``): a composed
+    # field repeats its plateaus' values over many cells.
     xs = [repr(x) for x in g.cell_centers(0).tolist()]
     with open(path, "w") as fh:
         if g.dim == 1:
@@ -93,10 +111,12 @@ def _dump_field_csv(path: str, g: GridFunction) -> None:
                           zip(xs, g.values.tolist(), g.mask.tolist()))
             return
         fh.write("x,y,value,in_domain\n")
-        ys = [repr(y) for y in g.cell_centers(1).tolist()]
-        for x, vrow, mrow in zip(xs, g.values, g.mask):
-            fh.write("".join(f"{x},{y},{v!r},{int(m)}\n" for y, v, m in
-                             zip(ys, vrow.tolist(), mrow.tolist())))
+        ys = [f",{y!r}," for y in g.cell_centers(1).tolist()]
+        tails = (_Tails(0), _Tails(1))
+        bits = np.ascontiguousarray(g.values).view(np.int64)
+        for x, brow, mrow in zip(xs, bits, g.mask):
+            fh.write("".join([x + y + tails[m][k] for y, k, m in
+                              zip(ys, brow.tolist(), mrow.tolist())]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ that cell, of a cube functional of the input:
 * ``orlicz_maximal``       normalized Luxemburg norm over the cube
 
 A cube functional gives its values on a window set: a side length in cells
-and one ``slice`` (or index array) of window starts per axis.  The
-functionals are prefix-sum averages (optionally powered, for homogeneous
-Young functions), window maxima (the sup-norm Young function) and a
-per-cube Luxemburg norm (any other Young function).  The window set picks
-one of three paths that spread the values to the cells:
+and one ``slice`` of window starts per axis.  The functionals are
+prefix-sum averages (optionally powered, for homogeneous Young functions),
+window maxima (the sup-norm Young function) and a per-cube Luxemburg norm
+(any other Young function).  The window set picks one of three paths that
+spread the values to the cells:
 
 * **Lattice sweep** (``_sweep``): a ``CubeFamily`` or the dyadic splits.
   Each lattice tiles its region, so its values are repeated over their
@@ -34,7 +34,10 @@ one of three paths that spread the values to the cells:
 * **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
   where the recursion is the quadrant maximum field[i] = max of V[a, b]
   over a <= i < b of the window values V.  It runs in blocks of rows a,
-  with running maxima along b and along a.
+  with running maxima along b and along a.  The averages give a block's
+  values in their 1D block form: one broadcast difference of prefix sums
+  over every end, divided by sides read, like the scale factors, from a
+  strided window of one ramp, so no window is gathered.
 
 All three read the same window values and max is exact, so each field
 equals the per-length spread of every window bit for bit.  One exception:
@@ -60,6 +63,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .funcspace import (
     CubeFamily,
@@ -110,7 +114,10 @@ def _widen(x: np.ndarray, w: int, axis: int) -> np.ndarray:
     """Along ``axis``, out[a] = max(x[max(0, a-w+1) : a+1]) for a < m + w - 1,
     with m entries in x: each entry reaches the w positions from its own on.
     The last entry, repeated, pads the tail; it already lies in every tail
-    position's range.  A width of 1 returns x itself."""
+    position's range.  When m <= w every position in [m - 1, w) reaches all
+    of x, the ones before it a running maximum from the first entry and the
+    ones after it one from the last, which takes a few passes whatever w.
+    A width of 1 returns x itself."""
     if w == 1:
         return x
     head = (slice(None),) * axis
@@ -118,6 +125,14 @@ def _widen(x: np.ndarray, w: int, axis: int) -> np.ndarray:
     shape = list(x.shape)
     shape[axis] += w - 1
     y = np.empty(shape)
+    if m <= w:
+        y[head + (slice(m - 1, w),)] = x.max(axis=axis, keepdims=True)
+        np.maximum.accumulate(x[head + (slice(None, m - 1),)], axis=axis,
+                              out=y[head + (slice(None, m - 1),)])
+        tail = np.flip(x[head + (slice(1, None),)], axis)
+        y[head + (slice(w, None),)] = np.flip(
+            np.maximum.accumulate(tail, axis=axis), axis)
+        return y
     y[head + (slice(None, m),)] = x
     y[head + (slice(m, None),)] = x[head + (slice(m - 1, m),)]
     return _doubling_max(y, w, axis)
@@ -372,26 +387,34 @@ def _quadrant_max(f: GridFunction, cube_values,
     * the head columns a0 < b <= a1 hold a triangle of windows whose
       quadrant maximum, a running max along b and then along a, is read on
       its diagonal b = i + 1.  That read sees only b' > i >= a', so the
-      entries with b <= a, which hold the one-cell window at a, never reach
-      it.
+      entries with b <= a, which hold no window, never reach it.
 
-    Each window value comes from the same float operations as in
-    ``_sweep``, and max is exact, so both give the same field bit for bit.
+    The block's values come from the block form of ``_averages``: one
+    broadcast difference of prefix sums over the columns b = n, ..., a0 + 1,
+    divided by the sides max(b - a, 1).  Every row of a block reads the same
+    columns, so the sides and, for alpha > 0, the scale factors of a block
+    are strided windows of one ramp each: entry (a, j) of a sliding window
+    of width n over a ramp x is x[a + j], and the ramps hold the sides
+    n, n - 1, ..., 1, 1, ... and their factors.  Each window value comes
+    from the same float operations as in ``_sweep``, and max is exact, so
+    both give the same field bit for bit.
     """
     n = f.shape[0]
+    ramp = np.concatenate((np.arange(n, 0, -1.0), np.ones(n - 1)))
+    sides = sliding_window_view(ramp, n)
     if alpha != 0.0:
-        scales = np.array([_scale(L, f.h[0], alpha) for L in range(n + 1)])
+        scales = [_scale(L, f.h[0], alpha) for L in range(n, 0, -1)]
+        scales = sliding_window_view(np.array(scales + scales[-1:] * (n - 1)),
+                                     n)
     out = np.full(n, -np.inf)
     cells = np.arange(n)
     a0 = 0
     while a0 < n:
         a1 = min(n, a0 + max(1, _BLOCK_CELLS // (n - a0)))
-        starts = cells[a0:a1, None]
-        sides = np.arange(n, a0, -1) - starts   # column j holds b = n - j
-        np.maximum(sides, 1, out=sides)         # b <= a: the window [a, a + 1)
-        V = cube_values(sides, (starts,))
+        block = (slice(a0, a1), slice(None, n - a0))  # column j: b = n - j
+        V = cube_values(sides[block], block[:1])
         if alpha != 0.0:
-            V = V * scales[sides]
+            V *= scales[block]
         k = n - a1                              # the columns b > a1
         head = V[:, k:]
         np.maximum.accumulate(head, axis=1, out=head)
@@ -409,18 +432,18 @@ def _quadrant_max(f: GridFunction, cube_values,
     return GridFunction((f.lo, f.hi), out)
 
 
-def _shift(s, d):
-    """Index set s (a slice, or an index array) moved by d."""
-    if isinstance(s, slice):
-        return slice(s.start + d, s.stop + d, s.step)
-    return s + d
-
-
 def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     """Cube functional (c * avg f^r)^(1/r) from one prefix; r=None is the
-    plain average.  The starts are one slice or one index array per axis;
-    the side is an int, or (1D) an int array broadcasting against the
-    starts.
+    plain average.  The side is an int and the starts one slice per axis.
+
+    The 1D block form serves ``_quadrant_max``: the side is a float array
+    of shape (a1 - a0, n - a0) and the starts are (slice(a0, a1),).  Entry
+    (a, j) is then the window [a, b) with b = n - j, whose side the array
+    holds at (a - a0, j), as a float.  Its sum is one broadcast difference
+    of the prefix, ends along the columns and starts along the rows.
+    Entries with b <= a hold no window (the side array holds 1 there);
+    they are finite and nonnegative, which is all the quadrant maximum
+    needs of them.
 
     The prefix sums run over the support box [s, e) of f's nonzero cells
     only, and a window end i reads the box prefix at clamp(i - s, 0, e - s)
@@ -440,34 +463,68 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     for axis, ((s, e), m) in enumerate(zip(box, f.shape)):
         if (s, e) != (0, m):
             P = P.take(np.clip(np.arange(-s, m + 1 - s), 0, e - s), axis=axis)
-    dim = f.dim
+    n, dim = f.shape[0], f.dim
 
     def values(side, starts):
-        ends = tuple(_shift(s, side) for s in starts)
-        if dim == 1:
-            S = P[ends] - P[starts]
+        if isinstance(side, np.ndarray):
+            a0 = starts[0].start
+            S = P[n:a0:-1] - P[starts[0], None]
         else:
-            S = (P[ends] - P[starts[0], ends[1]]
-                 - P[ends[0], starts[1]] + P[starts])
+            ends = tuple(slice(s.start + side, s.stop + side, s.step)
+                         for s in starts)
+            if dim == 1:
+                S = P[ends] - P[starts]
+            else:
+                S = (P[ends] - P[starts[0], ends[1]]
+                     - P[ends[0], starts[1]] + P[starts])
+            side = side ** dim
         # clamp: cancellation in the prefix sums can leave tiny negatives over
         # all-zero stretches, which fractional powers would turn into NaN.
         # S is a new array, so the clamp and the division may reuse it.
         vals = np.maximum(S, 0.0, out=S)
-        vals /= side ** dim
+        vals /= side
         if r is not None:
             vals = (c * vals) ** (1.0 / r)
         return vals
     return values
 
 
+def _sliding_max(x: np.ndarray, L: int, axis: int) -> np.ndarray:
+    """Along ``axis``, out[a] = max(x[a : a + L]) at each of the k = m - L + 1
+    starts of x's m entries, as a new array.
+
+    With k <= L every window holds the core [k - 1, L), so its maximum is
+    the largest of the core's maximum, a running maximum of the k - 1
+    entries before the core from its start on and one of the k - 1 entries
+    after the core up to its end: a few passes over x, whatever L.  More
+    starts take the doubling maxima.
+    """
+    head = (slice(None),) * axis
+    k = x.shape[axis] - L + 1
+    if k > L:
+        return _doubling_max(x.copy(), L, axis)[head + (slice(L - 1, None),)]
+    core = x[head + (slice(k - 1, L),)].max(axis=axis, keepdims=True)
+    out = np.repeat(core, k, axis=axis)
+    before = np.flip(x[head + (slice(None, k - 1),)], axis)
+    before = np.flip(np.maximum.accumulate(before, axis=axis), axis)
+    after = np.maximum.accumulate(x[head + (slice(L, None),)], axis=axis)
+    for cells, part in ((slice(None, k - 1), before), (slice(1, None), after)):
+        dest = out[head + (cells,)]
+        np.maximum(dest, part, out=dest)
+    return out
+
+
 def _window_maxima(f: GridFunction):
-    """Cube functional max of f (the sup-norm Young function)."""
+    """Cube functional max of f (the sup-norm Young function).  It reads only
+    the cells [start, stop + side - 1) per axis that the requested windows
+    cover, one axis at a time (``_sliding_max``)."""
     def values(side, starts):
-        vals = f.values.copy()
+        bounds = [s.indices(m - side + 1) for s, m in zip(starts, f.shape)]
+        vals = f.values[tuple(slice(lo, hi + side - 1)
+                              for lo, hi, _ in bounds)]
         for axis in range(f.dim):
-            _doubling_max(vals, side, axis)
-        last = (slice(side - 1, None),) * f.dim     # window end cells
-        vals = vals[last][starts]
+            vals = _sliding_max(vals, side, axis)
+        vals = vals[tuple(slice(None, None, step) for _, _, step in bounds)]
         # f >= 0, so this only turns -0.0 into +0.0: as for the averages, a
         # zero window gives +0.0, whatever order the maxima ran in
         return np.maximum(vals, 0.0, out=vals)

@@ -1,11 +1,12 @@
 """Reference oracles shared by the tests.
 
 They are deliberately slow and stay independent of the code under test.
-The exact sums use only Fraction or integer arithmetic, apart from the
-exact-sum machinery.  The maximal-field references either enumerate every
-window of each cell or spread one window length at a time from functionals
-over the whole grid, apart from the nested sweeps and their box-local
-prefix sums.
+The exact sums and the stopping-cube checks use only Fraction or integer
+arithmetic, apart from the exact-sum machinery.  The Luxemburg norm oracle
+is a scipy brentq root of the mean functional.  The maximal-field
+references either enumerate every window of each cell or spread one window
+length at a time from functionals over the whole grid, apart from the
+nested sweeps and their box-local prefix sums.
 """
 
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.optimize import brentq
 
 from weightlab.funcspace import _cumsum_prefix
 from weightlab.maximal import _length_list, _scale
@@ -38,6 +40,69 @@ def exact_avg(values, span) -> Fraction:
     """The exact average over the span."""
     cells = exact_cells(values, span)
     return exact_sum(cells) / len(cells)
+
+
+# ---------------------------------------------------------------------------
+# stopping cubes
+# ---------------------------------------------------------------------------
+
+def check_sandwich_exact(dec):
+    """a^k/4^n < avg <= a^k/2^n for every cube, in rational arithmetic."""
+    vals = dec.grid.values
+    dim = dec.grid.dim
+    a = Fraction(dec.a)
+    for k in dec.ks:
+        low = a ** k / 4 ** dim
+        high = a ** k / 2 ** dim
+        for qc in dec.cubes[k]:
+            avg = exact_avg(vals, qc.span)
+            assert low < avg <= high, (k, qc.span, float(avg))
+
+
+def check_maximality_exact(dec):
+    """The dyadic parent of every selected cube sits at or below threshold."""
+    vals = dec.grid.values
+    dim = dec.grid.dim
+    a = Fraction(dec.a)
+    n = dec.grid.shape[0]
+    for k in dec.ks:
+        thr = a ** k / 4 ** dim
+        for qc in dec.cubes[k]:
+            side = qc.span[0][1] - qc.span[0][0]
+            if side == n:
+                continue              # the root has no parent
+            parent = tuple(((i0 // (2 * side)) * 2 * side,
+                            (i0 // (2 * side)) * 2 * side + 2 * side)
+                           for i0, _ in qc.span)
+            assert exact_avg(vals, parent) <= thr
+
+
+# ---------------------------------------------------------------------------
+# Luxemburg norms
+# ---------------------------------------------------------------------------
+
+def oracle_norm(values, phi, total_cells=None):
+    """Root of avg phi(v/lam) = 1 by brentq; independent of the library."""
+    vals = np.asarray(values, float).ravel()
+    count = len(vals) if total_cells is None else total_cells
+    vmax = vals.max()
+    if vmax == 0.0:
+        return 0.0
+
+    def excess(lam):
+        with np.errstate(over="ignore"):
+            mean = float(np.sum(phi(vals / lam))) / count
+        return min(mean, 1e12) - 1.0
+
+    lo = vmax * 1e-9
+    while excess(lo) <= 0:
+        lo /= 2.0
+        if lo < 1e-250:
+            return 0.0
+    hi = vmax * 4.0
+    while excess(hi) > 0:
+        hi *= 2.0
+    return brentq(excess, lo, hi, xtol=1e-300, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +190,8 @@ def prefix_averages(g, r=None, c=1.0):
     """The cube functional (c * avg g^r)^(1/r) (r=None: the plain average)
     from the float prefix sums of the whole grid: four-corner differences,
     every result that is not positive read as +0.0.  A 1D side may be an
-    int array broadcasting against index-array starts."""
+    int array broadcasting against index-array starts, the oracle of the
+    quadrant path's block form."""
     with np.errstate(over="ignore"):
         P = _cumsum_prefix(g.values if r is None else g.values ** r)
 

@@ -41,38 +41,7 @@ from weightlab.funcspace import (
 )
 from weightlab.maximal import dyadic_maximal
 from weightlab.young import YoungFn, luxemburg_norm_of_values, luxemburg_norms
-from reference import exact_avg
-
-
-def check_sandwich_exact(dec):
-    """a^k/4^n < avg <= a^k/2^n for every cube, in rational arithmetic."""
-    vals = dec.grid.values
-    dim = dec.grid.dim
-    a = Fraction(dec.a)
-    for k in dec.ks:
-        low = a ** k / 4 ** dim
-        high = a ** k / 2 ** dim
-        for qc in dec.cubes[k]:
-            avg = exact_avg(vals, qc.span)
-            assert low < avg <= high, (k, qc.span, float(avg))
-
-
-def check_maximality_exact(dec):
-    """The dyadic parent of every selected cube sits at or below threshold."""
-    vals = dec.grid.values
-    dim = dec.grid.dim
-    a = Fraction(dec.a)
-    n = dec.grid.shape[0]
-    for k in dec.ks:
-        thr = a ** k / 4 ** dim
-        for qc in dec.cubes[k]:
-            side = qc.span[0][1] - qc.span[0][0]
-            if side == n:
-                continue              # the root has no parent
-            parent = tuple(((i0 // (2 * side)) * 2 * side,
-                            (i0 // (2 * side)) * 2 * side + 2 * side)
-                           for i0, _ in qc.span)
-            assert exact_avg(vals, parent) <= thr
+from reference import check_maximality_exact, check_sandwich_exact, exact_avg
 
 
 # ---------------------------------------------------------------------------

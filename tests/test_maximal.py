@@ -31,6 +31,8 @@ from weightlab.maximal import (
     _doubling_max,
     _length_list,
     _nested_max,
+    _support_box,
+    _window_maxima,
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
@@ -560,10 +562,17 @@ def _chain_shapes(n, dim):
 def test_averages_match_the_whole_grid_prefix_at_every_start():
     # the box-local prefix, clamped, against the whole grid's prefix: values
     # and sign bits at every start of every side, windows wholly outside
-    # the support included; -0.0 cells outside the box and inexact powers
+    # the support included; -0.0 cells outside the box and inexact powers.
+    # In 1D also the quadrant path's block form, for every block [a0, a1),
+    # against the reference at the same windows as index arrays: row a,
+    # column j is the window [a, n - j), and the entries without a window
+    # (n - j <= a) are left out
     rng = np.random.default_rng(43)
     for dim, n in ((1, 64), (2, 32)):
         box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+        starts = np.arange(n)[:, None]
+        ends = np.arange(n, 0, -1)
+        sides = np.maximum(ends - starts, 1)
         for name, cells in _chain_shapes(n, dim).items():
             vals = np.where(rng.random((n,) * dim) < 0.3, -0.0, 0.0)
             if cells is not None:
@@ -571,18 +580,57 @@ def test_averages_match_the_whole_grid_prefix_at_every_start():
             g = GridFunction(box, vals)
             for r, c in ((None, 1.0), (1.5, 1.0), (3.0, 0.75)):
                 got, ref = _averages(g, r, c), prefix_averages(g, r, c)
-                windows = [(L, (slice(0, n - L + 1),) * dim)
-                           for L in range(1, n + 1)]
-                if dim == 1:
-                    # the quadrant path's form: index arrays and array sides
-                    starts = np.arange(n)[:, None]
-                    windows.append((np.maximum(np.arange(n, 0, -1) - starts,
-                                               1), (starts,)))
-                for side, starts in windows:
-                    a, b = got(side, starts), ref(side, starts)
+                for L in range(1, n + 1):
+                    windows = (slice(0, n - L + 1),) * dim
+                    a, b = got(L, windows), ref(L, windows)
                     assert np.array_equal(a, b), (dim, name, r)
                     assert np.array_equal(np.signbit(a), np.signbit(b)), \
                         (dim, name, r)
+                if dim == 2:
+                    continue
+                whole = ref(sides, (starts,))
+                for a0 in range(n):
+                    for a1 in range(a0 + 1, n + 1):
+                        rows = slice(a0, a1)
+                        a = got(sides[rows, :n - a0].astype(float), (rows,))
+                        b = whole[rows, :n - a0]
+                        held = ends[:n - a0] > starts[rows]
+                        assert (a[~held] >= 0.0).all(), (name, r, a0, a1)
+                        assert np.array_equal(a[held], b[held]), \
+                            (name, r, a0, a1)
+                        assert np.array_equal(np.signbit(a[held]),
+                                              np.signbit(b[held])), \
+                            (name, r, a0, a1)
+
+
+def test_window_maxima_match_the_sliding_windows_at_cropped_starts():
+    # the sup functional crops the grid to the cells its windows cover
+    # before the doubling maxima: values and sign bits against numpy's
+    # sliding windows for every side, at every start, at the nested sweep's
+    # box region, at the last start and at lattice starts; -0.0 cells
+    # outside the support
+    rng = np.random.default_rng(47)
+    for dim, n in ((1, 64), (2, 32)):
+        box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+        for name, cells in _chain_shapes(n, dim).items():
+            vals = np.where(rng.random((n,) * dim) < 0.3, -0.0, 0.0)
+            if cells is not None:
+                vals[cells] = rng.random(vals[cells].shape) + 0.25
+            g = GridFunction(box, vals)
+            got, ref = _window_maxima(g), window_maxima(g)
+            support = _support_box(g) or [(0, n)] * dim
+            for L in range(1, n + 1):
+                m = n - L + 1
+                for starts in ((slice(0, m),) * dim,
+                               tuple(slice(max(0, s - L + 1), min(m, e))
+                                     for s, e in support),
+                               (slice(m - 1, m),) * dim,
+                               (slice(m // 3, m, L),
+                                slice(m // 5, m // 2 + 1, L))[:dim]):
+                    a, b = got(L, starts), ref(L, starts)
+                    assert np.array_equal(a, b), (dim, name, L, starts)
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), \
+                        (dim, name, L, starts)
 
 
 @pytest.mark.parametrize("lengths", ["dyadic", "all", [3, 5, 12]],
@@ -612,8 +660,10 @@ def test_fields_at_chain_shape_are_bitwise_the_per_length_sweep(dim, lengths):
 def test_dyadic_sweep_widening_cells_follow_the_support(monkeypatch):
     # a deterministic stand-in for a timing test: the cells that one dyadic
     # fractional sweep hands to the doubling maxima, for a 16^2 block in
-    # 256^2, where only the box regions widen, for the full grid, and for
-    # the tiny 1D rows, where numpy's per-call cost already dominates
+    # 256^2, where only the box regions widen and the widenings of regions
+    # no longer than their width take running maxima instead, for the full
+    # grid, and for the tiny 1D rows, where numpy's per-call cost already
+    # dominates
     cells = []
     doubling_max = maximal._doubling_max
 
@@ -628,9 +678,9 @@ def test_dyadic_sweep_widening_cells_follow_the_support(monkeypatch):
     block[120:136, 120:136] = rng.random((16, 16)) + 0.5
     line = np.zeros(1024)       # the 1D chains of ``verify all``
     line[384:640] = rng.random(256) + 0.5
-    for vals, box, count in ((block, square, 145_022),
-                             (rng.random((256, 256)) + 0.5, square, 663_828),
-                             (line, (0.0, 1.0), 3_829)):
+    for vals, box, count in ((block, square, 128_252),
+                             (rng.random((256, 256)) + 0.5, square, 647_058),
+                             (line, (0.0, 1.0), 3_316)):
         cells.clear()
         fractional_maximal(GridFunction(box, vals), 0.5, lengths="dyadic")
         assert sum(cells) == count

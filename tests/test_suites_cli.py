@@ -250,7 +250,7 @@ def test_field_csv_bytes_match_row_loop(tmp_path, box, shape, matrix, out_box,
                                         n_out):
     from weightlab.cli import _dump_field_csv
     from weightlab.funcspace import GridFunction
-    from weightlab.maximal import matrix_compose
+    from weightlab.maximal import hl_maximal, matrix_compose
     rng = np.random.default_rng(len(shape))
     vals = rng.random(shape) * 10.0 ** rng.integers(-300, 300, shape)
     vals.flat[:3] = (5e-324, 1e300, 0.0)
@@ -259,7 +259,21 @@ def test_field_csv_bytes_match_row_loop(tmp_path, box, shape, matrix, out_box,
     # a composed field masks the cells whose preimage leaves the grid
     composed = matrix_compose(g, matrix, out_box=out_box, n_out=n_out)
     assert not composed.mask.all()
-    for field in (g, composed):
+    # -0.0 and +0.0 cells, equal as floats, with their own reprs, among
+    # repeats of one value
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    zeros.flat[::5] = 0.25
+    signed = GridFunction(box, zeros, mask=mask)
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    # a plateau field: hot blocks make many cells share a value
+    dim = len(shape)
+    side = 256 if dim == 1 else 64
+    hot = np.zeros((side,) * dim)
+    hot[(slice(side // 16, 7 * side // 8),) * dim] = 3.0
+    square = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+    plateau = matrix_compose(hl_maximal(GridFunction(square, hot)), matrix)
+    assert np.unique(plateau.values).size * 4 < plateau.values.size
+    for field in (g, composed, signed, plateau):
         _dump_field_csv(tmp_path / "new.csv", field)
         _row_loop_csv(tmp_path / "old.csv", field)
         assert (tmp_path / "new.csv").read_bytes() == \

@@ -1,7 +1,7 @@
 """Young functions, Luxemburg norms, growth integrals.
 
 The independent oracle for every norm claim is a from-scratch bisection on
-the mean functional written in this file (scipy brentq on G(lam) - 1), so
+the mean functional in ``reference.py`` (scipy brentq on G(lam) - 1), so
 the library's closed forms and its own bisection are both checked against
 arithmetic that shares no code with them.
 """
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from weightlab.funcspace import Cube, GridFunction, power_weight, sample_to_grid
 from weightlab.young import (
@@ -24,30 +23,7 @@ from weightlab.young import (
     luxemburg_norm,
     luxemburg_norm_of_values,
 )
-
-
-def oracle_norm(values, phi, total_cells=None):
-    """Root of avg phi(v/lam) = 1 by brentq; independent of the library."""
-    vals = np.asarray(values, float).ravel()
-    count = len(vals) if total_cells is None else total_cells
-    vmax = vals.max()
-    if vmax == 0.0:
-        return 0.0
-
-    def excess(lam):
-        with np.errstate(over="ignore"):
-            mean = float(np.sum(phi(vals / lam))) / count
-        return min(mean, 1e12) - 1.0
-
-    lo = vmax * 1e-9
-    while excess(lo) <= 0:
-        lo /= 2.0
-        if lo < 1e-250:
-            return 0.0
-    hi = vmax * 4.0
-    while excess(hi) > 0:
-        hi *= 2.0
-    return brentq(excess, lo, hi, xtol=1e-300, rtol=1e-13)
+from reference import oracle_norm
 
 
 # ---------------------------------------------------------------------------
