@@ -7,8 +7,10 @@ block-sum pyramid with an a-priori error bound decides each threshold test;
 only the cubes inside the bound's uncertainty band take the exact test
 (rational when alpha = 0, the correctly rounded average otherwise), so every
 selection equals the exact one.  The selected cubes' averages come from one
-labelled pass of the exact-sum kernel (``funcspace.exact_totals``) per k.
-``theorem_chain_check`` replays the
+labelled pass of the exact-sum kernel (``funcspace.exact_totals``) per k
+and dyadic level, and the cubes stay arrays (one ``CZLevel`` per k) from
+the selection to the chain; ``CZDecomposition.cubes`` builds ``CZCube``
+objects only when it is read.  ``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
@@ -23,7 +25,8 @@ Geometry conventions used by the chain:
   onto cells bijectively (scalings, axis swaps, sign flips), which makes
   every set-transport step exact.  The chain pulls the image-side weight
   back to Y's grid through that bijection once, and reads every per-cube
-  term from one table of the stopping cubes it uses.
+  term from columns over the stopping cubes it uses.  Each whole-grid
+  array is dropped after its last use, so at most a few live at once.
 * Whole-grid and level-set sums go through the exact-sum kernel: one
   labelled pass over M^E w and one over w give the tail, every layer and,
   as the exact total of the layers above it, every level set omega_k, each
@@ -73,6 +76,7 @@ from .young import YoungFn, bp_integral, complementary, luxemburg_norms
 
 __all__ = [
     "CZCube",
+    "CZLevel",
     "CZDecomposition",
     "cz_decompose",
     "level_sets",
@@ -95,33 +99,59 @@ class CZCube:
     value: float             # side^alpha * average (equals average if alpha=0)
 
 
+class CZLevel(NamedTuple):
+    """The stopping cubes of one k as arrays, one row per cube, ordered by
+    span ((i0, i1), (j0, j1), ...) as tuples compare."""
+    corner: np.ndarray      # (m, dim) int: the first cell per axis
+    side: np.ndarray        # (m,) int: cells per axis
+    average: np.ndarray     # (m,) exact average of f, rounded once
+    value: np.ndarray       # (m,) side^alpha * average
+
+
 @dataclass
 class CZDecomposition:
     grid: GridFunction
     a: float
     alpha: float
     ks: list
-    cubes: dict              # k -> list[CZCube], disjoint, union = D_k
+    levels: dict             # k -> CZLevel, disjoint cubes, union = D_k
     D: dict                  # k -> bool mask, D_k = union of stopping cubes
     exact_fallbacks: int = 0  # cubes the sum pyramid left to exact sums
 
-    def e_local(self, k: int, j: int):
-        """(slices, mask) for E_{k,j} = Q_{k,j} minus D_{k+1}, within the span."""
-        if k + 1 not in self.D:
-            raise KeyError(f"D_{k + 1} not computed; extend k_range")
-        slc = _slices(self.cubes[k][j].span)
-        return slc, ~self.D[k + 1][slc]
+    @functools.cached_property
+    def cubes(self) -> dict:
+        """k -> list[CZCube], built from ``levels`` on first read."""
+        out = {}
+        for k, lv in self.levels.items():
+            out[k] = [
+                CZCube(k, span, _span_to_cube(self.grid, span), avg, val)
+                for span, avg, val in zip(_spans(lv.corner, lv.side),
+                                          lv.average.tolist(),
+                                          lv.value.tolist())]
+        return out
 
 
-def _span_cells(span) -> int:
-    out = 1
-    for i0, i1 in span:
-        out *= i1 - i0
-    return out
+def _spans(corner: np.ndarray, side: np.ndarray) -> list:
+    """Span tuples ((i0, i1), ...) of cubes given as corner and side arrays."""
+    return [tuple((c, c + s) for c in row)
+            for row, s in zip(corner.tolist(), side.tolist())]
 
 
 def _slices(span) -> tuple:
     return tuple(slice(i0, i1) for i0, i1 in span)
+
+
+def _span_to_cube(grid: GridFunction, span) -> Cube:
+    corner = tuple(grid.lo[d] + span[d][0] * grid.h[d] for d in range(grid.dim))
+    side = (span[0][1] - span[0][0]) * grid.h[0]
+    return Cube(corner, side)
+
+
+def _blocks(grid: np.ndarray, side: int) -> np.ndarray:
+    """A view of a C-contiguous grid with one (block, cell) axis pair per
+    grid axis: view[b0, :, b1, :] is the dyadic block b of that side."""
+    return grid.reshape(tuple(x for n in grid.shape
+                              for x in (n // side, side)))
 
 
 _ROW_CELLS = 1 << 16        # cells gathered into rows at a time
@@ -135,26 +165,26 @@ def _span_rows(values: np.ndarray, corners, shape) -> np.ndarray:
         len(corners), math.prod(shape))
 
 
-def _span_reduce(spans, reduce, *arrays) -> np.ndarray:
-    """reduce(*rows) over the spans, one value (or row of values) per span,
-    in span order.  The cells of each array over the spans of one shape are
-    gathered into (spans, cells) rows about _ROW_CELLS cells at a time, so
-    no gathered array outlives its batch."""
-    if not spans:
+def _span_reduce(lo: np.ndarray, ext: np.ndarray, reduce,
+                 *arrays) -> np.ndarray:
+    """reduce(*rows) over the spans with starts lo and extents ext ((m, dim)
+    int arrays), one value (or row of values) per span, in span order.  The
+    cells of each array over the spans of one shape are gathered into
+    (spans, cells) rows about _ROW_CELLS cells at a time, so no gathered
+    array outlives its batch."""
+    if not len(lo):
         return np.asarray(reduce(*[np.zeros((0, 0), a.dtype) for a in arrays]))
-    ends = np.array(spans, dtype=np.intp).reshape(len(spans), -1, 2)
-    shapes, group = np.unique(ends[:, :, 1] - ends[:, :, 0], axis=0,
-                              return_inverse=True)
+    shapes, group = np.unique(ext, axis=0, return_inverse=True)
     out = None
     for g, shape in enumerate(shapes.tolist()):
         pos = np.flatnonzero(group.ravel() == g)
         per = max(1, _ROW_CELLS // math.prod(shape))
         for s in range(0, pos.size, per):
             at = pos[s:s + per]
-            res = np.asarray(reduce(*[_span_rows(a, ends[at, :, 0], shape)
+            res = np.asarray(reduce(*[_span_rows(a, lo[at], shape)
                                       for a in arrays]))
             if out is None:
-                out = np.empty((len(spans),) + res.shape[1:], res.dtype)
+                out = np.empty((len(lo),) + res.shape[1:], res.dtype)
             out[at] = res
     return out
 
@@ -284,12 +314,6 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
     return chosen, fallbacks
 
 
-def _span_to_cube(grid: GridFunction, span) -> Cube:
-    corner = tuple(grid.lo[d] + span[d][0] * grid.h[d] for d in range(grid.dim))
-    side = (span[0][1] - span[0][0]) * grid.h[0]
-    return Cube(corner, side)
-
-
 def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
                  validate: bool = True) -> CZDecomposition:
     """Stopping cubes at thresholds a^k/4^n for each k in k_range.
@@ -307,9 +331,13 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     float block-sum pyramid of f, built per call, and fall back to exact
     sums only inside its error bound; ``exact_fallbacks`` counts those
     cubes.  Every cube's average is its exact average rounded once: one
-    labelled exact-sum pass (``funcspace.exact_totals``) per k sums the
-    cells of all the selected cubes, and each exact total is divided by
-    its cell count in one int/int division.
+    labelled exact-sum pass (``funcspace.exact_totals``) per k and dyadic
+    level sums the cells of its selected cubes, and each exact total is
+    divided by its cell count in one int/int division.
+
+    The cubes of each k come back as arrays (``CZDecomposition.levels``)
+    and D_k is painted through a block view of its mask; the ``CZCube``
+    lists of ``CZDecomposition.cubes`` are built on their first read.
     """
     dim = f.dim
     check_alpha(alpha, dim)     # the max-pyramid prune needs alpha >= 0
@@ -321,7 +349,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     ks = sorted(int(k) for k in k_range)
     maxes, sums = _pyramids(f.values)
     a_frac = Fraction(a)
-    cubes = {}
+    levels = {}
     masks = {}
     fallbacks = 0
     for k in ks:
@@ -333,50 +361,62 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         upper_f = float(min(upper, sys.float_info.max))
         chosen, fallbacks_k = _select_stopping(f, thr, alpha, maxes, sums)
         fallbacks += fallbacks_k
-        # (span, over, label): over is 1 when the exact average surely
-        # exceeds the upper bound, 0 when it surely does not, -1 when
-        # undecided; the cells of all the cubes take one labelled pass
-        entries, cells, labels = [], [], []
+        # per dyadic level: (corners, sides, averages, values, over), with
+        # over = 1 where the exact average surely exceeds the upper bound, 0
+        # where it surely does not, -1 where undecided
+        mask = np.zeros(f.shape, dtype=bool)
+        rows = [(np.zeros((0, dim), np.int64), np.zeros(0, np.int64),
+                 np.zeros(0), np.zeros(0), np.zeros(0, np.int8))]
         for lvl, idx, lo, hi in chosen:
             side = 1 << lvl
-            over = np.full(len(idx), -1)
+            over = np.full(len(idx), -1, dtype=np.int8)
             if validate and alpha == 0.0:
                 above, below = _mass_test(lo, hi, upper * (1 << dim * lvl))
                 over[above], over[below] = 1, 0
-            corners = idx * side
-            cells.append(_span_rows(f.values, corners, (side,) * dim).ravel())
-            labels.append(np.repeat(np.arange(len(entries),
-                                              len(entries) + len(idx),
-                                              dtype=np.int32), side ** dim))
-            for corner, o in zip(corners.tolist(), over.tolist()):
-                entries.append((tuple((c, c + side) for c in corner), o,
-                                len(entries)))
-        totals = exact_totals(np.concatenate(cells), np.concatenate(labels),
-                              len(entries)) if entries else []
-        entries.sort()
-        lst = []
-        mask = np.zeros(f.shape, dtype=bool)
-        for span, over, label in entries:
-            avg = round_total(totals[label], _span_cells(span))
-            side_phys = (span[0][1] - span[0][0]) * f.h[0]
-            val = avg if alpha == 0.0 else side_phys ** alpha * avg
-            if validate:
-                if alpha == 0.0:
-                    if over < 0:
-                        over = f.average_exceeds(span, upper)
-                        fallbacks += 1
-                    ok = not over
-                else:
-                    ok = val <= upper_f * (1.0 + 1e-9)
-                if not ok:
-                    raise ValueError(
-                        f"sandwich violated at k={k} on {_span_to_cube(f, span)}: "
-                        f"value {val} > {upper_f}")
-            lst.append(CZCube(k, span, _span_to_cube(f, span), avg, val))
-            mask[_slices(span)] = True
-        cubes[k] = lst
+            count = 1 << dim * lvl
+            avg = np.array([round_total(t, count)
+                            for t in _block_totals(f.values, idx, side)])
+            # one side factor per level, a Python float power
+            val = avg if alpha == 0.0 else (side * f.h[0]) ** alpha * avg
+            _blocks(mask, side)[tuple(x for col in idx.T
+                                      for x in (col, slice(None)))] = True
+            rows.append((idx * side, np.full(len(idx), side), avg, val, over))
+        corner, side, avg, val, over = map(np.concatenate, zip(*rows))
+        # span order: first cell, then last, axis by axis
+        order = np.lexsort([x for d in range(dim - 1, -1, -1)
+                            for x in (corner[:, d] + side, corner[:, d])])
+        corner, side, avg, val, over = (x[order] for x in (corner, side, avg,
+                                                          val, over))
+        if validate:
+            if alpha == 0.0:
+                undecided = np.flatnonzero(over < 0)
+                for i, span in zip(undecided.tolist(),
+                                   _spans(corner[undecided], side[undecided])):
+                    over[i] = f.average_exceeds(span, upper)
+                fallbacks += len(undecided)
+                bad = np.flatnonzero(over)
+            else:
+                bad = np.flatnonzero(~(val <= upper_f * (1.0 + 1e-9)))
+            if len(bad):
+                i = bad[:1]
+                raise ValueError(
+                    f"sandwich violated at k={k} on "
+                    f"{_span_to_cube(f, _spans(corner[i], side[i])[0])}: "
+                    f"value {val[i].item()} > {upper_f}")
+        levels[k] = CZLevel(corner, side, avg, val)
         masks[k] = mask
-    return CZDecomposition(f, a, alpha, ks, cubes, masks, fallbacks)
+    return CZDecomposition(f, a, alpha, ks, levels, masks, fallbacks)
+
+
+def _block_totals(values: np.ndarray, idx: np.ndarray, side: int) -> list:
+    """Exact totals (``exact_totals`` entries) of f over the dyadic blocks
+    idx of one side, from one labelled pass over their gathered cells; the
+    root block is the grid itself and needs no gather."""
+    if side == values.shape[0]:
+        return exact_totals(values)
+    rows = _span_rows(values, idx * side, (side,) * values.ndim)
+    label = np.arange(len(idx), dtype=np.min_scalar_type(len(idx) - 1))
+    return exact_totals(rows, np.repeat(label, rows.shape[1]), len(idx))
 
 
 def _e_terms(d, values):
@@ -401,35 +441,37 @@ def _expansion(dec: CZDecomposition, field: np.ndarray | None = None):
 
     Per usable level k, counts[j] = |E_{k,j}| with E_{k,j} = Q_{k,j} minus
     D_{k+1}, and, given a field on the grid, minima[j] is its minimum over
-    E_{k,j} (inf on an empty set; None without a field).  The cubes of one
-    side are gathered into rows of D_{k+1} (and of the field) at once.
-    The E sets of one level lie in D_k minus D_{k+1}, whose union over the
-    levels they cover, so they are disjoint exactly when their counts add
-    up to the cells of that union."""
+    E_{k,j} (inf on an empty set; None without a field); both are arrays
+    over the rows of ``dec.levels[k]``.  The cubes of one side are gathered
+    into rows of D_{k+1} (and of the field) at once.  The E sets of one
+    level lie in D_k minus D_{k+1}, whose union over the levels they cover,
+    so they are disjoint exactly when their counts add up to the cells of
+    that union."""
     usable = [k for k in dec.ks if k + 1 in dec.D]
     beta, witness, n_cubes, total = 0.0, None, 0, 0
     union = np.zeros(dec.grid.shape, dtype=bool)
     per_level = {}
     for k in usable:
-        cubes = dec.cubes[k]
-        spans = [qc.span for qc in cubes]
+        lv = dec.levels[k]
+        ext = np.repeat(lv.side[:, None], dec.grid.dim, axis=1)
         if field is None:
-            counts = _span_reduce(spans, lambda d: (~d).sum(axis=1),
-                                  dec.D[k + 1]).tolist()
+            counts = _span_reduce(lv.corner, ext, lambda d: (~d).sum(axis=1),
+                                  dec.D[k + 1])
             minima = None
         else:
-            terms = _span_reduce(spans, _e_terms, dec.D[k + 1], field)
-            counts = [int(c) for c in terms[:, 0].tolist()]
-            minima = terms[:, 1].tolist()
+            terms = _span_reduce(lv.corner, ext, _e_terms, dec.D[k + 1], field)
+            counts, minima = terms[:, 0].astype(np.int64), terms[:, 1]
         per_level[k] = counts, minima
-        n_cubes += len(cubes)
-        total += sum(counts)
+        n_cubes += len(counts)
+        total += int(counts.sum())
         union |= dec.D[k] & ~dec.D[k + 1]
-        for qc, c in zip(cubes, counts):
-            if c == 0:
-                beta, witness = math.inf, qc.cube
-            elif _span_cells(qc.span) / c > beta:
-                beta = _span_cells(qc.span) / c
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
+            beta, j = math.inf, empty[-1:]
+            witness = _span_to_cube(dec.grid,
+                                    _spans(lv.corner[j], lv.side[j])[0])
+        elif len(counts):
+            beta = max(beta, float((lv.side ** dec.grid.dim / counts).max()))
     disjoint = total == int(union.sum())
     return ({"beta": beta, "disjoint": disjoint, "witness": witness,
              "cubes_checked": n_cubes, "levels_checked": usable}, per_level)
@@ -616,38 +658,43 @@ def _sample_product(factors, lo, hi, n: int) -> np.ndarray:
         w.cell_averages(a, b, n) for w, a, b in zip(factors, lo, hi)])
 
 
-def _tripled(span, n: int) -> tuple:
-    """The span tripled about its center, clipped to n cells per axis."""
-    return tuple((max(i0 - (i1 - i0), 0), min(i1 + (i1 - i0), n))
-                 for i0, i1 in span)
+def _tripled(corner: np.ndarray, side: np.ndarray, n: int):
+    """(lo, ext): the cubes with these corners ((m, dim)) and sides ((m,))
+    tripled about their centers and clipped to n cells per axis, as start
+    and extent arrays."""
+    s = side[:, None]
+    lo = np.maximum(corner - s, 0)
+    return lo, np.minimum(corner + 2 * s, n) - lo
 
 
-def _prefix_span_sums(values: np.ndarray, spans) -> list:
-    """Float sums of values over each span, as differences of the grid's
-    float prefix sums (for all spans at once, in one fixed order)."""
+def _tripled_cover(shape, corner: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The union of the cubes tripled about their centers, clipped to the
+    grid: per side, the cubes' dyadic blocks dilated by one block per axis."""
+    cover = np.zeros(shape, dtype=bool)
+    for s in np.unique(side).tolist():
+        blocks = np.zeros(tuple(n // s for n in shape), dtype=bool)
+        blocks[tuple((corner[side == s] // s).T)] = True
+        for axis in range(blocks.ndim):
+            below = (slice(None),) * axis + (slice(None, -1),)
+            above = (slice(None),) * axis + (slice(1, None),)
+            blocks[above] |= blocks[below]
+            blocks[below] |= blocks[above]
+        view = _blocks(cover, s)
+        view |= blocks[(slice(None), None) * blocks.ndim]
+    return cover
+
+
+def _prefix_span_sums(values: np.ndarray, lo: np.ndarray,
+                      ext: np.ndarray) -> np.ndarray:
+    """Float sums of values over the spans with starts lo and extents ext
+    ((m, dim) int arrays), as differences of the grid's float prefix sums
+    (for all spans at once, in one fixed order)."""
     P = _cumsum_prefix(values)
-    lo, hi = np.array(spans, dtype=np.int64).reshape(
-        len(spans), values.ndim, 2).transpose(2, 1, 0)
+    lo, hi = lo.T, (lo + ext).T
     if values.ndim == 1:
-        return (P[hi[0]] - P[lo[0]]).tolist()
+        return P[hi[0]] - P[lo[0]]
     return (P[hi[0], hi[1]] - P[lo[0], hi[1]] - P[hi[0], lo[1]]
-            + P[lo[0], lo[1]]).tolist()
-
-
-class _UsedCube(NamedTuple):
-    """A stopping cube of the chain with every per-cube term its steps read."""
-    k: int
-    j: int                  # index in dec.cubes[k]
-    cube: CZCube
-    span3: tuple            # tripled span, clipped to the working grid
-    cells: int
-    cells3: int             # cells of span3
-    wa_mass: float          # mass of the w_A power over span3
-    wa_avg: float           # its average over span3
-    image_mass: float       # mass of the image-side weight power over A(span3)
-    g_norm: float           # complementary-bump norm of g on the cube
-    v_norm: float           # bump norm of the dual weight on the cube
-    side: float             # side^alpha
+            + P[lo[0], lo[1]])
 
 
 def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
@@ -702,59 +749,55 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     inner = (slice(3 * n // 2, 3 * n // 2 + n),) * dim     # X inside Y
     vals[inner] = f.values
     fY = GridFunction((Ylo, Yhi), vals)
+    del vals
     volY = fY.cell_volume
 
     # ---- weights ---------------------------------------------------------
+    # every whole-grid array is dropped after its last use, and powers of a
+    # grid that is dead afterwards are taken in place
     try:
         wA = _compose_product(factors, A)
     except DomainError as err:
         return fail(str(err))
     wY = _sample_product(factors, Ylo, Yhi, NY)
-    wAY = _sample_product(wA, Ylo, Yhi, NY)
     try:
         out_lo, out_hi, perm = _grid_bijection(fY, A)
     except DomainError as err:
         return fail(f"cell transport not exact: {err}")
-    wOut = _sample_product(factors, out_lo, out_hi, NY)
+    w_out = _sample_product(factors, out_lo, out_hi, NY)
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
 
     if (wY <= 0).any():
         return fail("weight vanishes on a cell of the working box")
-    missing_out = int((wOut <= 0).sum())
+    missing_out = int((w_out <= 0).sum())
 
     # discrete fields: the chain treats the sampled cell averages as the
     # weight; all powers below are cellwise powers of those averages
     if frac:
-        dual_vals = wY ** (-1.0)
-        g_vals = fY.values * wY
-        wpow_out = wOut ** q
-        WA_vals = wAY ** q
         rhs_weight = wY[inner] ** p
+        w_out **= q
     else:
-        dual_vals = wY ** (-1.0 / p)
-        g_vals = fY.values * wY ** (1.0 / p)
-        wpow_out = wOut
-        WA_vals = wAY
         rhs_weight = wY[inner]
     # the image-side weight pulled back to the input grid through the cell
     # bijection (image cell o is A of input cell perm[o]), so every
     # image-side sum below runs over the input grid
     w_back = np.empty(perm.size)
-    w_back[perm] = wpow_out.ravel()
+    w_back[perm] = w_out.ravel()
     w_back = w_back.reshape(fY.shape)
+    del perm, w_out
 
     # exact sums through one kernel: f vanishes off X, and zero cells add
     # nothing to an exact sum
     rhs_base = exact_sums(f.values ** p * rhs_weight)[0] * volY
+    del rhs_weight
     if rhs_base == 0.0:
         return ChainReport(True, "f is zero; chain is vacuous",
                            [ChainStep("vacuous", "zero function", 0.0, 0.0)],
                            {"rhs_base": 0.0}, frac)
 
     # ---- maximal fields --------------------------------------------------
-    Mfield = fractional_maximal(fY, alpha, lengths="dyadic")
-    MEw = Mfield.values ** E * w_back
+    M = fractional_maximal(fY, alpha, lengths="dyadic").values
 
     # ---- k range ---------------------------------------------------------
     side_Y = (Yhi[0] - Ylo[0])
@@ -764,7 +807,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     k_low = math.ceil(math.log(2 ** dim * root_value, a) - 1e-12)
     while a ** k_low < 2 ** dim * root_value:
         k_low += 1
-    Mmax = float(Mfield.values.max())
+    Mmax = float(M.max())
     k_max = k_low
     while a ** (k_max + 1) < Mmax and k_max - k_low < 400:
         k_max += 1
@@ -779,9 +822,12 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # labelled exact pass over each of M^E w and w gives every layer's
     # exact total, and omega_k's is the total of the layers above it
     layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
-                            Mfield.values).astype(np.uint16)   # < 404 layers
+                            M).astype(np.uint16)   # < 404 layers
     n_layers = len(ks) + 2
-    me_totals = exact_totals(MEw, layer, n_layers)
+    M **= E
+    M *= w_back                 # M^E w
+    me_totals = exact_totals(M, layer, n_layers)
+    del M
     w_totals = exact_totals(w_back, layer, n_layers)
     lhs_total = round_total(add_totals(me_totals)) * vol_out
 
@@ -812,40 +858,61 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     dec = cz_decompose(fY, a, range(k_low, k_max + 2), alpha=alpha)
 
     # cover check: omega_k inside the union of clipped tripled cubes
-    used = []                   # (k, j, stopping cube, tripled span)
-    for k in ks:
-        cover = np.zeros(fY.shape, dtype=bool)
-        for j, qc in enumerate(dec.cubes[k]):
-            span3 = _tripled(qc.span, NY)
-            cover[_slices(span3)] = True
-            used.append((k, j, qc, span3))
+    used = [dec.levels[k] for k in ks]
+    for k, lv in zip(ks, used):
+        cover = _tripled_cover(fY.shape, lv.corner, lv.side)
         if ((layer > k - k_low) & ~cover).any():
             return fail(f"triple-cube cover failed at k={k}")
+    del layer, cover
 
-    # the table of used cubes: every per-cube term, computed once; the
-    # norms and image masses reduce the cubes of one shape at a time
-    hY = fY.h[0]
-    spans = [qc.span for _, _, qc, _ in used]
-    spans3 = [span3 for *_, span3 in used]
-    wa_sums = _prefix_span_sums(WA_vals, spans3)
-    image_sums = _span_reduce(spans3, lambda r: r.sum(axis=1),
-                              w_back).tolist()
-    g_norms, v_norms = _span_reduce(
-        spans, lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
-                                             luxemburg_norms(v, phi)]),
+    # the used cubes as columns, in (k, span) order: every per-cube term,
+    # computed once; the norms and image masses reduce the cubes of one
+    # shape at a time.  Every per-cube power below is a Python float power.
+    corner, side, average, value = map(np.concatenate, zip(*used))
+    lo3, ext3 = _tripled(corner, side, NY)
+    image_mass = (_span_reduce(lo3, ext3, lambda r: r.sum(axis=1), w_back)
+                  * vol_out).tolist()
+    del w_back
+    # the pulled-back weight w_A (fractional: w_A^q), sampled for its one use
+    WA_vals = _sample_product(wA, Ylo, Yhi, NY)
+    if frac:
+        WA_vals **= q
+    wa = _prefix_span_sums(WA_vals, lo3, ext3)
+    del WA_vals
+    # g = f w^{1/p} and the dual weight w^{-1/p} (fractional: f w and w^-1)
+    if frac:
+        g_vals = fY.values * wY
+        wY **= -1.0
+    else:
+        g_vals = wY ** (1.0 / p)
+        g_vals *= fY.values
+        wY **= -1.0 / p
+    dual_vals = wY
+    del wY
+    cells3 = ext3.prod(axis=1)
+    wa_mass = (wa * volY).tolist()
+    wa_avg = (wa / cells3).tolist()
+    cells3 = cells3.tolist()
+    g_norm, v_norm = _span_reduce(
+        corner, np.repeat(side[:, None], dim, axis=1),
+        lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
+                                      luxemburg_norms(v, phi)]),
         g_vals, dual_vals).T.tolist()
-    table = []
-    for (k, j, qc, span3), wa, im, gn, vn in zip(used, wa_sums, image_sums,
-                                                 g_norms, v_norms):
-        cells3 = _span_cells(span3)
-        table.append(_UsedCube(
-            k, j, qc, span3, _span_cells(qc.span), cells3, wa * volY,
-            wa / cells3, im * vol_out, gn, vn,
-            ((qc.span[0][1] - qc.span[0][0]) * hY) ** alpha))
+    # reference bump with norms on the clipped triples, for the class bound
+    norms3 = _span_reduce(lo3, ext3, lambda r: luxemburg_norms(r, phi),
+                          dual_vals).tolist() \
+        if len(side) and phi.is_homogeneous else None
+    del dual_vals
+    side_a = [(s * fY.h[0]) ** alpha for s in side.tolist()]
+    cells = (side ** dim).tolist()
+    k_of = np.repeat(ks, [len(lv.side) for lv in used]).tolist()
+    average, value = average.tolist(), value.tolist()
+    n_used = len(k_of)
 
     # s2c: replace level sets by the tripled covers
     v3 = tail_bound + a ** E * math.fsum(
-        a ** (k * E) * math.fsum(c.image_mass for c in table if c.k == k)
+        a ** (k * E) * math.fsum(m for kk, m in zip(k_of, image_mass)
+                                 if kk == k)
         for k in ks)
     steps.append(ChainStep(
         "s2c_cover", "level sets covered by tripled stopping cubes "
@@ -857,7 +924,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
 
     # s2d: substitute the image-side masses by |det A| * masses of w_A^E
     v3b = tail_bound + c_det * math.fsum(
-        a ** (c.k * E) * c.wa_mass for c in table)
+        a ** (k * E) * m for k, m in zip(k_of, wa_mass))
     steps.append(ChainStep(
         "s2d_substitution", "image-grid masses equal |det A| times the "
         "pulled-back weight masses", v3, v3b,
@@ -866,30 +933,32 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # s2e: sandwich lower bound replaces a^k by the cube averages
     c_sand = c_det * 4 ** (dim * E)
     v4 = tail_bound + c_sand * math.fsum(
-        c.cube.value ** E * c.wa_mass for c in table)
+        v ** E * m for v, m in zip(value, wa_mass))
     steps.append(ChainStep(
         "s2e_sandwich", "a^k < 4^n (side^alpha avg_Q f) on stopping cubes",
         v3b, v4))
 
     # s3: generalized Holder on each stopping cube
     holder_worst = min([math.inf] + [
-        (2.0 * c.g_norm * c.v_norm - c.cube.average)
-        / max(c.cube.average, 1e-300) for c in table])
+        (2.0 * gn * vn - av) / max(av, 1e-300)
+        for gn, vn, av in zip(g_norm, v_norm, average)])
     v5 = tail_bound + c_sand * math.fsum(
-        (2.0 * c.g_norm * c.v_norm * c.side) ** E * c.wa_mass for c in table)
+        (2.0 * gn * vn * sa) ** E * m
+        for gn, vn, sa, m in zip(g_norm, v_norm, side_a, wa_mass))
     steps.append(ChainStep(
         "s3_holder", "avg_Q f <= 2 ||f w^{1/p}||_{comp,Q} ||w^{-1/p}||_{phi,Q} "
         "(fractional: f w and w^{-1})", v4, v5,
-        {"worst_percube_defect": holder_worst if table else 0.0}))
+        {"worst_percube_defect": holder_worst if n_used else 0.0}))
 
     # s4: extract the bump constant measured on the used cubes; the side^alpha
     # factor stays with the g terms, where it later regroups the exponents
-    B_used = max((c.v_norm * c.wa_avg ** (1.0 / E) for c in table),
+    B_used = max((vn * wv ** (1.0 / E) for vn, wv in zip(v_norm, wa_avg)),
                  default=0.0)
     if not math.isfinite(B_used):
         return fail("bump constant infinite on a used cube")
     sum_g_R = math.fsum(
-        (c.g_norm * c.side) ** E * c.cells3 * volY for c in table)
+        (gn * sa) ** E * c3 * volY
+        for gn, sa, c3 in zip(g_norm, side_a, cells3))
     c_bump = c_sand * 2 ** E * B_used ** E
     v6 = tail_bound + c_bump * sum_g_R
     steps.append(ChainStep(
@@ -899,13 +968,13 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # s4b: clipped triples are at most 3^n times their cubes
     c_tri = c_bump * 3 ** dim
     v7 = tail_bound + c_tri * math.fsum(
-        (c.g_norm ** p * c.cells * volY) ** (E / p) for c in table)
+        (gn ** p * c * volY) ** (E / p) for gn, c in zip(g_norm, cells))
     steps.append(ChainStep(
         "s4b_triple", "|3Q clipped| <= 3^n |Q|, exponents regrouped to "
         "(||g||^p |Q|)^{q/p}", v6, v7))
 
     # s5a: little-ell q/p norm below the ell-1 norm
-    sum_lin = math.fsum(c.g_norm ** p * c.cells * volY for c in table)
+    sum_lin = math.fsum(gn ** p * c * volY for gn, c in zip(g_norm, cells))
     v8 = tail_bound + c_tri * sum_lin ** (E / p)
     steps.append(ChainStep(
         "s5a_ellqp", "sum of (||g||^p |Q|)^{q/p} at most (sum ||g||^p |Q|)^{q/p}",
@@ -916,11 +985,13 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # its failure is reported after theirs
     try:
         Mg = orlicz_maximal(GridFunction((Ylo, Yhi), g_vals), phibar,
-                            lengths="dyadic")
+                            lengths="dyadic").values
         sweep_error = None
     except ValueError as err:
         Mg, sweep_error = None, err
-    ek, e_sets = _expansion(dec, None if Mg is None else Mg.values)
+    del g_vals
+    ek, e_sets = _expansion(dec, Mg)
+    del dec, fY
     beta = ek["beta"]
     if not math.isfinite(beta):
         return fail(f"empty E set below {ek['witness']}")
@@ -931,24 +1002,25 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
                     f"{sweep_error}")
     dom_worst = math.inf
     sum_E = 0.0
-    for c in table:
-        counts, minima = e_sets[c.k]
-        ecount = counts[c.j]
-        sum_E += c.g_norm ** p * ecount * volY
+    ecounts = np.concatenate([e_sets[k][0] for k in ks]).tolist()
+    minima = np.concatenate([e_sets[k][1] for k in ks]).tolist()
+    for gn, ecount, low in zip(g_norm, ecounts, minima):
+        sum_E += gn ** p * ecount * volY
         if ecount:
-            dom_worst = min(dom_worst, (minima[c.j] - c.g_norm)
-                            / max(c.g_norm, 1e-300))
+            dom_worst = min(dom_worst, (low - gn) / max(gn, 1e-300))
     v9 = tail_bound + c_tri * (beta * sum_E) ** (E / p)
     steps.append(ChainStep(
         "s5b_expansion", "|Q| <= beta |E|, beta measured on the decomposition",
         v8, v9, {"beta": beta}))
 
     # s5c: the E sets are disjoint and M_phibar g dominates ||g|| on each
-    int_Mg = exact_sums(Mg.values ** p)[0] * volY
+    Mg **= p
+    int_Mg = exact_sums(Mg)[0] * volY
+    del Mg
     v10 = tail_bound + c_tri * (beta * int_Mg) ** (E / p)
     steps.append(ChainStep(
         "s5c_domination", "sum ||g||^p |E| at most the integral of (M_phibar g)^p",
-        v9, v10, {"worst_domination_defect": dom_worst if table else 0.0}))
+        v9, v10, {"worst_domination_defect": dom_worst if n_used else 0.0}))
 
     # s5d: empirical maximal-operator constant closes the chain
     C_emp = int_Mg / rhs_base
@@ -964,12 +1036,9 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         "final", "left-hand side against the assembled right-hand side",
         lhs_total, v11))
 
-    # reference bump with norms on the clipped triples, for the class bound
-    if table and phi.is_homogeneous:
-        norms3 = _span_reduce(spans3, lambda r: luxemburg_norms(r, phi),
-                              dual_vals).tolist()
-        b3 = max([0.0] + [nrm * c.wa_avg ** (1.0 / E)
-                          for nrm, c in zip(norms3, table)])
+    if norms3 is not None:
+        b3 = max([0.0] + [nrm * wv ** (1.0 / E)
+                          for nrm, wv in zip(norms3, wa_avg)])
         class_factor = 3 ** (dim / phi.exponent)
         class_check = B_used <= class_factor * b3 * (1.0 + 1e-9)
     else:
@@ -982,7 +1051,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         "lhs": lhs_total, "rhs_base": rhs_base,
         "theorem_ratio": lhs_total / rhs_base ** (E / p),
         "bound_ratio": c_total + tail_bound / rhs_base ** (E / p),
-        "k_low": k_low, "k_max": k_max, "cubes_used": len(table),
+        "k_low": k_low, "k_max": k_max, "cubes_used": n_used,
         "missing_image_cells": missing_out,
         "bump_on_triples": b3, "bump_class_factor": class_factor,
         "bump_class_consistent": class_check,

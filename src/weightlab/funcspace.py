@@ -577,7 +577,8 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
     partial sum is a multiple of 2^-37 below 2^53 (low) or an integer below
     2^53 (high): all exact, in any order.  The bins then add as Python
     ints.  The passes run over fixed-size chunks, so transient memory stays
-    bounded."""
+    bounded.  Zero cells (either sign) add nothing and are dropped before
+    binning, so a mostly zero chunk bins only its nonzero cells."""
     vals = np.ascontiguousarray(values, dtype=np.float64).ravel()
     labs = None if labels is None else np.asarray(labels).ravel()
     totals = np.zeros(n_labels, dtype=object)
@@ -586,6 +587,12 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
         v = vals[start:start + _SUM_CHUNK]
         lab = None if labs is None else \
             labs[start:start + _SUM_CHUNK].astype(np.intp, copy=False)
+        nonzero = v != 0.0
+        if not nonzero.all():
+            v = v[nonzero]
+            if not v.size:
+                continue
+            lab = None if lab is None else lab[nonzero]
         e = (v.view(np.uint64) >> np.uint64(52)).astype(np.intp)
         if e.max() >= 2047:     # inf, nan, or a sign bit
             v, e = _finite_cells(v, e, lab, special)
@@ -619,7 +626,7 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
 
 
 def _finite_cells(v, e, lab, special):
-    """(v, e) with every inf, nan and -0.0 cell set to 0.0, recording
+    """(v, e) with every inf and nan cell set to 0.0, recording
     the inf and nan ones per label in ``special`` (a nan stays); raises on
     a negative cell."""
     odd = np.flatnonzero(e >= 2047)

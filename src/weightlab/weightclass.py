@@ -94,15 +94,6 @@ class ClassSpec:
             if self.q is None or self.q < self.p:
                 raise ValueError("fractional kinds need q >= p")
 
-    @classmethod
-    def from_alpha(cls, kind: str, p: float, alpha: float, dim: int,
-                   A=None, phi=None) -> "ClassSpec":
-        """Fractional spec with q solved from 1/q = 1/p - alpha/n."""
-        inv_q = 1.0 / p - alpha / dim
-        if inv_q <= 0.0:
-            raise ValueError("alpha too large: 1/p - alpha/n must be positive")
-        return cls(kind, p=p, q=1.0 / inv_q, A=A, phi=phi)
-
     def describe(self) -> str:
         bits = [self.kind, f"p={self.p:g}"]
         if self.q is not None:

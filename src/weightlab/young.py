@@ -473,6 +473,9 @@ class BpReport:
         return self.value + (self.tail or 0.0)
 
 
+_BP_NODES, _BP_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
 def bp_integral(phi: YoungFn, p: float, T: float = 2.0 ** 30) -> BpReport:
     """Numeric B_p integral with symbolic convergence classification.
 
@@ -482,14 +485,13 @@ def bp_integral(phi: YoungFn, p: float, T: float = 2.0 ** 30) -> BpReport:
     """
     if p <= 1.0:
         raise ValueError("B_p needs p > 1")
-    nodes16, weights16 = np.polynomial.legendre.leggauss(16)
     total = 0.0
     lo = 1.0
     while lo < T:
         hi = min(lo * 2.0, T)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = mid + half * nodes16
-        total += half * float(np.dot(weights16, phi(t) * t ** (-p - 1.0)))
+        t = mid + half * _BP_NODES
+        total += half * float(np.dot(_BP_WEIGHTS, phi(t) * t ** (-p - 1.0)))
         lo = hi
 
     tail = None

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightlab.czlab import (
     CZDecomposition,
+    CZLevel,
     _children,
     _expansion,
     _mass_test,
@@ -28,6 +30,7 @@ from weightlab.czlab import (
     _span_reduce,
     _sum_bounds,
     _tripled,
+    _tripled_cover,
     cz_decompose,
     ekj_expansion_check,
     level_sets,
@@ -135,13 +138,22 @@ def test_cube_average_of_overflowing_sum(alpha):
 def test_span_helpers_any_dimension(span):
     shape = (8,) * len(span)
     # the chain's tripled spans: widened by the side each way, clipped
-    tripled = _tripled(span, 8)
+    corner = np.array([[i0 for i0, _ in span]])
+    side = np.array([span[0][1] - span[0][0]])
+    lo3, ext3 = _tripled(corner, side, 8)
+    tripled = tuple((int(lo), int(lo + e)) for lo, e in zip(lo3[0], ext3[0]))
     assert tripled == {1: ((0, 8),), 2: ((0, 8), (0, 8)),
                        3: ((0, 4), (0, 6), (4, 8))}[len(span)]
+    # the cover dilates the cube's block by one block per axis: its triple
+    want = np.zeros(shape, dtype=bool)
+    want[_slices(tripled)] = True
+    np.testing.assert_array_equal(_tripled_cover(shape, corner, side), want)
     if len(span) <= 2:
         # integer cells, so the prefix differences are exact sums
         vals = np.arange(8 ** len(span), dtype=float).reshape(shape)
-        assert _prefix_span_sums(vals, [span, tripled]) == \
+        lo = np.concatenate([corner, lo3])
+        ext = np.concatenate([np.repeat(side[:, None], len(span), 1), ext3])
+        assert _prefix_span_sums(vals, lo, ext).tolist() == \
             [vals[_slices(s)].sum() for s in (span, tripled)]
     # the stopping-cube sweep's 2^n children of the dyadic cube with the
     # span's side at its first corner tile that cube, in lexicographic order
@@ -156,6 +168,26 @@ def test_span_helpers_any_dimension(span):
     for child in children:
         cover[tuple(slice(*c) for c in child)] += 1
     assert (cover[parent] == 1).all() and cover.sum() == side ** len(span)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tripled_cover_is_the_union_of_clipped_triples(dim):
+    """The block dilation paints exactly the cells of the cubes' clipped
+    triples, painted one cube at a time: dyadic cubes of several sides,
+    at the grid's edges and inside it."""
+    rng = np.random.default_rng(42)
+    n = 64 if dim == 1 else 32
+    for trial in range(5):
+        # random cubes, plus one at the first and one at the last corner
+        sides = np.concatenate([rng.choice([1, 2, 4, 8], size=6), [4, 8]])
+        corner = np.array([rng.integers(0, n // s, dim) * s for s in sides])
+        corner[-2:] = [[0] * dim, [n - 8] * dim]
+        want = np.zeros((n,) * dim, dtype=bool)
+        for c, s in zip(corner.tolist(), sides.tolist()):
+            want[tuple(slice(max(x - s, 0), min(x + 2 * s, n))
+                       for x in c)] = True
+        np.testing.assert_array_equal(
+            _tripled_cover(want.shape, corner, sides), want)
 
 
 def test_a_must_exceed_two_power_dim():
@@ -261,19 +293,23 @@ def test_expansion_check_flags_synthetic_empty_e():
     vals[0:4] = 1.0
     f = GridFunction((0.0, 2.0), vals)
     dec = cz_decompose(f, 3.0, range(0, 2))
-    doctored = CZDecomposition(dec.grid, dec.a, dec.alpha, dec.ks, dec.cubes,
+    doctored = CZDecomposition(dec.grid, dec.a, dec.alpha, dec.ks, dec.levels,
                                {0: dec.D[0], 1: np.ones(8, dtype=bool)})
     exp = ekj_expansion_check(doctored)
     assert exp["beta"] == math.inf and exp["witness"] is not None
 
 
-def test_e_local_requires_next_level():
+def test_expansion_skips_the_level_without_a_next():
+    # E at level k is Q minus D_{k+1}: a decomposition of k = 0 alone has
+    # a cube at k = 0 but no D_1, so no E set is taken
     vals = np.zeros(8)
     vals[0:4] = 1.0
     f = GridFunction((0.0, 2.0), vals)
     dec = cz_decompose(f, 3.0, [0])
-    with pytest.raises(KeyError):
-        dec.e_local(0, 0)
+    assert len(dec.cubes[0]) == 1
+    report, per_level = _expansion(dec, np.ones(8))
+    assert report["levels_checked"] == [] and report["cubes_checked"] == 0
+    assert per_level == {}
 
 
 def _ekj_per_cube(dec):
@@ -282,9 +318,10 @@ def _ekj_per_cube(dec):
     acc = np.zeros(dec.grid.shape, dtype=np.int32)
     beta, witness, n_cubes = 0.0, None, 0
     for k in usable:
-        for j, qc in enumerate(dec.cubes[k]):
+        for qc in dec.cubes[k]:
             n_cubes += 1
-            slc, emask = dec.e_local(k, j)
+            slc = _slices(qc.span)
+            emask = ~dec.D[k + 1][slc]
             ecount = int(emask.sum())
             if ecount == 0:
                 beta, witness = math.inf, qc.cube
@@ -315,17 +352,19 @@ def test_expansion_sets_match_per_cube_masks(dim):
         report, per_level = _expansion(dec, field)
         assert report == ekj_expansion_check(dec) == _ekj_per_cube(dec)
         for k, (counts, minima) in per_level.items():
-            for j in range(len(dec.cubes[k])):
-                slc, emask = dec.e_local(k, j)
+            for j, qc in enumerate(dec.cubes[k]):
+                slc = _slices(qc.span)
+                emask = ~dec.D[k + 1][slc]
                 assert counts[j] == int(emask.sum())
                 want = float(field[slc][emask].min()) if emask.any() \
                     else math.inf
                 assert minima[j] == want
     k = max(k for k in dec.ks[:-1] if dec.cubes[k])
-    twice = dict(dec.cubes)
-    twice[k] = dec.cubes[k] + dec.cubes[k][:1]
+    twice = dict(dec.levels)
+    twice[k] = CZLevel(*(np.concatenate([x, x[:1]]) for x in dec.levels[k]))
     doubled = CZDecomposition(dec.grid, dec.a, dec.alpha, dec.ks, twice,
                               dec.D)
+    assert doubled.cubes[k][-1] == doubled.cubes[k][0]
     assert ekj_expansion_check(doubled) == _ekj_per_cube(doubled)
     assert not ekj_expansion_check(doubled)["disjoint"]
 
@@ -340,15 +379,20 @@ def test_batched_span_terms_are_bitwise_per_cube(dim):
     rng = np.random.default_rng(13)
     n = 64 if dim == 1 else 32
     vals = rng.random((n,) * dim) ** 3 * 5.0
-    spans = [((0, n),) * dim]
-    for side in (1, 2, 4, 8, 16):
-        for c in rng.integers(0, n // side, (4, dim)) * side:
-            spans.append(tuple((int(x), int(x) + side) for x in c))
-    spans += [_tripled(sp, n) for sp in spans]
+    corner = np.zeros((1, dim), dtype=np.int64)
+    side = np.array([n])
+    for s in (1, 2, 4, 8, 16):
+        corner = np.concatenate([corner, rng.integers(0, n // s, (4, dim)) * s])
+        side = np.concatenate([side, np.full(4, s)])
+    lo3, ext3 = _tripled(corner, side, n)
+    lo = np.concatenate([corner, lo3])
+    ext = np.concatenate([np.repeat(side[:, None], dim, 1), ext3])
+    spans = [tuple((int(a), int(a + e)) for a, e in zip(row, width))
+             for row, width in zip(lo, ext)]
     for phi in (YoungFn.power(3.0), YoungFn.power(1.5, c=2.0),
                 YoungFn.identity(), YoungFn("sup"),
                 YoungFn.power_log(1.5, 1.0)):
-        got = _span_reduce(spans, lambda r: luxemburg_norms(r, phi),
+        got = _span_reduce(lo, ext, lambda r: luxemburg_norms(r, phi),
                            vals).tolist()
         for sp, g in zip(spans, got):
             cells = vals[_slices(sp)].ravel()
@@ -356,7 +400,7 @@ def test_batched_span_terms_are_bitwise_per_cube(dim):
             if phi.kind == "power":
                 assert g == (phi.c * float(np.sum(cells ** phi.r))
                              / cells.size) ** (1.0 / phi.r)
-    sums = _span_reduce(spans, lambda r: r.sum(axis=1), vals).tolist()
+    sums = _span_reduce(lo, ext, lambda r: r.sum(axis=1), vals).tolist()
     assert sums == [float(vals[_slices(sp)].ravel().sum()) for sp in spans]
 
 
@@ -735,6 +779,9 @@ def test_chain_fractional_run():
     assert rep.applicable and rep.fractional
     assert rep.constants["q"] == pytest.approx(4.0, rel=1e-13)
     assert rep.passed(1e-6)
+    # 1/q = 1/p - alpha/n < 0 leaves no q
+    with pytest.raises(ValueError, match="alpha too large"):
+        theorem_chain_check(f, w, 2.0, 2.0, PHI, alpha=0.6)
 
 
 def test_chain_alpha_zero_equals_plain_exponent():
@@ -816,6 +863,32 @@ def test_chain_json_dict_is_serializable():
     rep = theorem_chain_check(f, w, 2.0, 2.0, PHI)
     text = canonical_json(rep.to_json_dict())
     assert '"applicable": true' in text and '"final"' in text
+
+def test_chain_2d_peak_memory_in_grids():
+    """The tracemalloc peak of the 2D chain on the acceptance-5 corpus at
+    128^2 cells (embedded in 512^2), with the acceptance-5 weight pair and
+    A = -I/2, in float grids of 512^2 cells.  The measured peak is 6.82
+    grids, the dyadic sweep of M f on top of the f, w and pulled-back
+    weight grids; the bound is that peak plus 10%, so a whole grid kept
+    alive past its last use fails it."""
+    rng = np.random.default_rng(33)
+    vals = rng.random((128, 128)) * 2.0
+    vals[10:21, 64:74] = 30.0
+    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
+    pair = (power_weight(0.5, -40.0, 40.0), constant_weight(1.0, -40.0, 40.0))
+    args = (f, pair, SquareMatrix.scalar(-0.5, 2), 2.0, PHI)
+    theorem_chain_check(*args)          # imports and caches stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = theorem_chain_check(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.applicable and rep.passed()
+    grids = peak / (512 ** 2 * 8)
+    assert grids <= 6.82 * 1.1, grids
+
 
 @pytest.mark.parametrize("n, A, kw, digest", [
     (128, -2.0, {},

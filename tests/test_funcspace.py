@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from weightlab.funcspace import (
@@ -322,8 +322,24 @@ def _kernel_or_overflow(values, labels, n_labels):
     return out
 
 
+# mostly zeros of either sign, as in the proof chain's whole-grid passes,
+# whose zero cells the kernel drops before binning
+_ZERO_HEAVY = st.one_of(*[st.sampled_from([0.0, -0.0])] * 4, _WIDE_FLOATS)
+
+# labels 0-2 mix zeros of both signs with a few nonzero cells; label 3
+# holds only -0.0 and 0.0
+_ZERO_HEAVY_CASE = ([(0.0, i % 3) for i in range(150)]
+                    + [(-0.0, 3), (0.0, 3)] * 10
+                    + [(-0.0, i % 3) for i in range(30)]
+                    + [(1e-300, 0), (2.5, 1), (5e-324, 2), (1e300, 0),
+                       (2.0 ** -53, 1)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_WIDE_FLOATS, st.integers(0, 3)), max_size=60))
+@given(st.one_of(
+    st.lists(st.tuples(_WIDE_FLOATS, st.integers(0, 3)), max_size=60),
+    st.lists(st.tuples(_ZERO_HEAVY, st.integers(0, 3)), max_size=60)))
+@example(_ZERO_HEAVY_CASE)
 def test_exact_sums_match_fsum_and_fraction_oracle(cells):
     values = np.array([v for v, _ in cells], dtype=float)
     labels = np.array([i for _, i in cells], dtype=int)
@@ -371,6 +387,11 @@ def test_exact_sums_labels_edge_cases():
     assert math.copysign(1.0, got[3]) == math.copysign(
         1.0, math.fsum(values[:5].tolist()))
     assert exact_sums(values)[0] == math.fsum(values.tolist())
+    # a first chunk of zeros of either sign only, which adds nothing
+    values[:1 << 16] = np.where(rng.random(1 << 16) < 0.5, 0.0, -0.0)
+    got = exact_sums(values, labels, 4)
+    assert got == [math.fsum(values[labels == i].tolist()) for i in range(4)]
+    assert got[3] == 0.0 and exact_sums(values[:1 << 16])[0] == 0.0
 
 
 @pytest.mark.parametrize("n, lo, hi", [((1 << 16) + 7, -30, 31),

@@ -238,13 +238,13 @@ def test_spec_validation_errors():
         ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0))  # needs phi
 
 
-def test_spec_from_alpha_solves_q():
-    spec = ClassSpec.from_alpha("frac", p=2.0, alpha=0.25, dim=1,
-                                A=SquareMatrix.scalar(2.0))
-    assert spec.q == pytest.approx(4.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        ClassSpec.from_alpha("frac", p=2.0, alpha=0.6, dim=1,
-                             A=SquareMatrix.scalar(2.0))
+def test_fractional_spec_q_from_alpha():
+    # 1/q = 1/p - alpha/n: p = 2 and alpha = 1/4 in 1D give q = 4; alpha =
+    # 0.6 gives 1/q < 0, and the spec refuses the negative q
+    A = SquareMatrix.scalar(2.0)
+    assert ClassSpec("frac", p=2.0, q=1.0 / (1.0 / 2.0 - 0.25), A=A).q == 4.0
+    with pytest.raises(ValueError, match="q >= p"):
+        ClassSpec("frac", p=2.0, q=1.0 / (1.0 / 2.0 - 0.6), A=A)
 
 
 # ---------------------------------------------------------------------------
