@@ -4,11 +4,12 @@
 grid box on which the (fractional) average of f exceeds a^k/4^n.  It walks
 the dyadic levels from the root down: a max pyramid prunes, and a float
 block-sum pyramid with an a-priori error bound decides each threshold test;
-only the cubes inside the bound's uncertainty band take the exact test
-(rational when alpha = 0, the correctly rounded average otherwise), so every
-selection equals the exact one.  The selected cubes' averages come from one
-labelled pass of the exact-sum kernel (``funcspace.exact_totals``) per k
-and dyadic level, and the cubes stay arrays (one ``CZLevel`` per k) from
+only the cubes inside the bound's uncertainty band take the exact test on
+their exact totals (an integer comparison when alpha = 0, the correctly
+rounded average otherwise), so every selection equals the exact one.  The
+band cubes' totals and the selected cubes' averages come from labelled
+passes of the exact-sum kernel (``funcspace.exact_totals``), one per k and
+dyadic level, and the cubes stay arrays (one ``CZLevel`` per k) from
 the selection to the chain; ``CZDecomposition.cubes`` builds ``CZCube``
 objects only when it is read.  ``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
@@ -61,6 +62,7 @@ from .funcspace import (
     exact_sums,
     exact_totals,
     round_total,
+    total_exceeds,
 )
 from .maximal import (
     check_alpha,
@@ -116,7 +118,9 @@ class CZDecomposition:
     ks: list
     levels: dict             # k -> CZLevel, disjoint cubes, union = D_k
     D: dict                  # k -> bool mask, D_k = union of stopping cubes
-    exact_fallbacks: int = 0  # cubes the sum pyramid left to exact sums
+    # band cubes of the selection, which the sum pyramid left to exact
+    # totals; the sandwich reads the chosen cubes' exact totals and adds none
+    exact_fallbacks: int = 0
 
     @functools.cached_property
     def cubes(self) -> dict:
@@ -135,10 +139,6 @@ def _spans(corner: np.ndarray, side: np.ndarray) -> list:
     """Span tuples ((i0, i1), ...) of cubes given as corner and side arrays."""
     return [tuple((c, c + s) for c in row)
             for row, s in zip(corner.tolist(), side.tolist())]
-
-
-def _slices(span) -> tuple:
-    return tuple(slice(i0, i1) for i0, i1 in span)
 
 
 def _span_to_cube(grid: GridFunction, span) -> Cube:
@@ -269,9 +269,8 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
     level as an (m, dim) array of cube indices: the max pyramid prunes,
     the sum pyramid decides, and only the cubes in its uncertainty band are
     summed exactly.  The children of live, unselected cubes are the next
-    level's candidates.  Returns ([(lvl, idx, lo, hi)] for the selected
-    cubes, with idx their indices and lo, hi the bounds on their exact
-    sums, and the number of exact fallbacks)."""
+    level's candidates.  Returns ([(lvl, idx)] for the selected cubes,
+    with idx their indices, and the number of exact fallbacks)."""
     n, dim = grid.shape[0], grid.dim
     thr_f = float(thr)
     chosen, fallbacks = [], 0
@@ -300,16 +299,14 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
             below = fac * np.nextafter(hi / count, np.inf) <= thr_f
         selected = above
         band = np.flatnonzero(~(above | below))
-        for i in band.tolist():
-            span = tuple((int(c) * side, (int(c) + 1) * side) for c in idx[i])
-            if alpha == 0.0:
-                selected[i] = grid.average_exceeds(span, thr)
-            else:
-                total = exact_totals(grid.values[_slices(span)])[0]
-                selected[i] = fac * round_total(total, count) > thr_f
+        if len(band):
+            totals = _block_totals(grid.values, idx[band], side)
+            selected[band] = [
+                total_exceeds(t, count, thr) if alpha == 0.0
+                else fac * round_total(t, count) > thr_f for t in totals]
         fallbacks += len(band)
         if selected.any():
-            chosen.append((lvl, idx[selected], lo[selected], hi[selected]))
+            chosen.append((lvl, idx[selected]))
         idx = _children(idx[~selected])
     return chosen, fallbacks
 
@@ -327,13 +324,14 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     dyadic subcubes reach every cell, and every a^k/4^n must stay within
     the float range, and alpha must lie in [0, dim).
 
-    The selection and the alpha = 0 sandwich test decide each cube from one
-    float block-sum pyramid of f, built per call, and fall back to exact
-    sums only inside its error bound; ``exact_fallbacks`` counts those
-    cubes.  Every cube's average is its exact average rounded once: one
-    labelled exact-sum pass (``funcspace.exact_totals``) per k and dyadic
-    level sums the cells of its selected cubes, and each exact total is
-    divided by its cell count in one int/int division.
+    The selection decides each cube from one float block-sum pyramid of f,
+    built per call, and falls back to exact sums only inside its error
+    bound; ``exact_fallbacks`` counts those cubes.  Every cube's average is
+    its exact average rounded once: one labelled exact-sum pass
+    (``funcspace.exact_totals``) per k and dyadic level sums the cells of
+    its selected cubes, and each exact total is divided by its cell count
+    in one int/int division.  The alpha = 0 sandwich compares the same
+    totals with the upper bound as integers.
 
     The cubes of each k come back as arrays (``CZDecomposition.levels``)
     and D_k is painted through a block view of its mask; the ``CZCube``
@@ -362,20 +360,18 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         chosen, fallbacks_k = _select_stopping(f, thr, alpha, maxes, sums)
         fallbacks += fallbacks_k
         # per dyadic level: (corners, sides, averages, values, over), with
-        # over = 1 where the exact average surely exceeds the upper bound, 0
-        # where it surely does not, -1 where undecided
+        # over where the exact average exceeds the upper bound (alpha = 0)
         mask = np.zeros(f.shape, dtype=bool)
         rows = [(np.zeros((0, dim), np.int64), np.zeros(0, np.int64),
-                 np.zeros(0), np.zeros(0), np.zeros(0, np.int8))]
-        for lvl, idx, lo, hi in chosen:
+                 np.zeros(0), np.zeros(0), np.zeros(0, bool))]
+        for lvl, idx in chosen:
             side = 1 << lvl
-            over = np.full(len(idx), -1, dtype=np.int8)
-            if validate and alpha == 0.0:
-                above, below = _mass_test(lo, hi, upper * (1 << dim * lvl))
-                over[above], over[below] = 1, 0
             count = 1 << dim * lvl
-            avg = np.array([round_total(t, count)
-                            for t in _block_totals(f.values, idx, side)])
+            totals = _block_totals(f.values, idx, side)
+            avg = np.array([round_total(t, count) for t in totals])
+            over = np.zeros(len(idx), bool)
+            if validate and alpha == 0.0:
+                over[:] = [total_exceeds(t, count, upper) for t in totals]
             # one side factor per level, a Python float power
             val = avg if alpha == 0.0 else (side * f.h[0]) ** alpha * avg
             _blocks(mask, side)[tuple(x for col in idx.T
@@ -388,15 +384,8 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         corner, side, avg, val, over = (x[order] for x in (corner, side, avg,
                                                           val, over))
         if validate:
-            if alpha == 0.0:
-                undecided = np.flatnonzero(over < 0)
-                for i, span in zip(undecided.tolist(),
-                                   _spans(corner[undecided], side[undecided])):
-                    over[i] = f.average_exceeds(span, upper)
-                fallbacks += len(undecided)
-                bad = np.flatnonzero(over)
-            else:
-                bad = np.flatnonzero(~(val <= upper_f * (1.0 + 1e-9)))
+            bad = np.flatnonzero(over if alpha == 0.0
+                                 else ~(val <= upper_f * (1.0 + 1e-9)))
             if len(bad):
                 i = bad[:1]
                 raise ValueError(

@@ -5,10 +5,10 @@ sampled.  Weights are unions of closed-form pieces (power singularities
 ``c |x-a|^gamma`` and exponentials ``c e^{s x}``) and every interval mass is
 an antiderivative difference, so masses next to a singular point are exact to
 rounding.  Grid data stores per-cell averages; a cube sum is the correctly
-rounded ``math.fsum`` of its cells, and a cube average is compared with a
-rational threshold by a float-filtered exact rational comparison.  Large or
-many sums at once go through one vectorized kernel (``exact_totals``), whose
-exact totals, rounded once, have the same bits as ``math.fsum``.
+rounded ``math.fsum`` of its cells.  Large or many sums at once go through
+one vectorized kernel (``exact_totals``), whose exact totals, rounded once,
+have the same bits as ``math.fsum``; ``total_exceeds`` compares a total's
+average with a rational threshold exactly, as integers.
 """
 
 from __future__ import annotations
@@ -541,13 +541,6 @@ def _cumsum_prefix(values: np.ndarray) -> np.ndarray:
     return p
 
 
-def _exact_sum(cells) -> Fraction:
-    """The exact sum of floats: each one is n / d with d a power of two."""
-    ratios = [v.as_integer_ratio() for v in cells]
-    den = max((d for _, d in ratios), default=1)
-    return Fraction(sum(n * (den // d) for n, d in ratios), den)
-
-
 # exact sums of many nonnegative floats by exponent binning (Demmel and Hida,
 # "Accurate and efficient floating point summation", SIAM J. Sci. Comput.
 # 25(4), 2003)
@@ -653,6 +646,12 @@ def round_total(total, count: int = 1) -> float:
     return total / (count << _UNIT)
 
 
+def total_exceeds(total, count: int, thr: Fraction) -> bool:
+    """Exactly whether an ``exact_totals`` entry divided by count exceeds
+    the rational thr: one integer comparison, with no rounding."""
+    return total * thr.denominator > thr.numerator * (count << _UNIT)
+
+
 def add_totals(totals):
     """The exact sum of ``exact_totals`` entries; a nan entry, else an
     inf one, decides it."""
@@ -673,8 +672,7 @@ class GridFunction:
 
     Supports dim 1 and 2; the box needs hi > lo and the values are finite,
     with at least one cell.  `cube_sum` over any grid-aligned span is the
-    correctly rounded true sum of the covered cells (``math.fsum``), and
-    `average_exceeds` is a float-filtered exact rational comparison.
+    correctly rounded true sum of the covered cells (``math.fsum``).
     `mask` marks cells carrying a defined value; matrix pullbacks may leave
     out-of-domain cells, which are excluded from norms and level sets.
     """
@@ -717,23 +715,6 @@ class GridFunction:
         """Sum of cell values over the span (start, stop) per axis, correctly
         rounded (``math.fsum``)."""
         return math.fsum(self._cells(span))
-
-    def average_exceeds(self, span, thr: Fraction) -> bool:
-        """Exactly whether the average over the span exceeds thr.
-
-        A floating-point filter: the correctly rounded cell sum s and
-        threshold mass t = thr * count each lie within half an ulp of their
-        exact values, so s > t decides whenever they are more than an ulp of
-        the larger apart.  Only closer calls sum the cells as rationals."""
-        cells = self._cells(span)
-        mass = thr.numerator * len(cells)   # over thr.denominator
-        try:
-            s, t = math.fsum(cells), mass / thr.denominator
-        except OverflowError:           # decide exactly
-            s = t = math.nan
-        if abs(s - t) > math.ulp(max(abs(s), abs(t))):
-            return s > t
-        return _exact_sum(cells) * thr.denominator > mass
 
     def cube_average(self, span) -> float:
         count = 1

@@ -582,19 +582,19 @@ def fractional_maximal(f: GridFunction, alpha: float,
     return _average_field(f, family, lengths, _averages(f), float(alpha))
 
 
-def dyadic_maximal(f: GridFunction, min_side_cells: int = 1) -> GridFunction:
+def dyadic_maximal(f: GridFunction) -> GridFunction:
     """Dyadic maximal field: sup over the dyadic splits of the grid box.
 
-    Levels run from the whole box down to sides of ``min_side_cells`` cells,
-    as far as the cell count divides evenly.  On a cell count that is not a
-    power of two the splits stop at the first odd side, and the field is the
-    supremum over exactly the splits used; ``cz_decompose``, whose stopping
+    Levels run from the whole box down to single cells, as far as the cell
+    count divides evenly.  On a cell count that is not a power of two the
+    splits stop at the first odd side, and the field is the supremum over
+    exactly the splits used; ``cz_decompose``, whose stopping
     cubes must be able to shrink to single cells, rejects such grids.
     """
     n = f.shape[0]
     windows = []
     side = n
-    while side >= min_side_cells:
+    while True:
         windows.append((side, (slice(0, n, side),) * f.dim))
         if side % 2:
             break

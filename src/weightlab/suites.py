@@ -14,7 +14,6 @@ Suite ids (prop41/prop42/prop43/theorems) are the stable CLI tokens.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -451,14 +450,10 @@ def _chain_corpus_function(n: int = 256) -> GridFunction:
     return GridFunction((-1.0, 1.0), vals)
 
 
-def suite_theorems(config: dict | None = None) -> SuiteResult:
-    cfg = {"n_chain": 256, "n_probe": 512, "probe_count": 50,
-           "include_unsupported_demo": True}
-    if config:
-        cfg.update(config)
+def suite_theorems() -> SuiteResult:
     checks = []
     phi = YoungFn.power(3.0)
-    f = _chain_corpus_function(cfg["n_chain"])
+    f = _chain_corpus_function()
     lams = (0.5, -0.5, 2.0, -2.0)
 
     worst = math.inf
@@ -484,7 +479,7 @@ def suite_theorems(config: dict | None = None) -> SuiteResult:
         {"runs": runs, "worst_rel_slack": worst, "not_applicable": details},
         "worst relative slack >= -1e-6", worst >= -1e-6, "derived",
         {"weights": list(_CHAIN_WEIGHTS), "matrices": list(lams),
-         "p": [1.5, 2.0], "n": cfg["n_chain"]}))
+         "p": [1.5, 2.0], "n": f.shape[0]}))
 
     worst_f = math.inf
     runs_f = 0
@@ -553,7 +548,7 @@ def suite_theorems(config: dict | None = None) -> SuiteResult:
         "composed >= 2 x plain", ok, "derived",
         {"family_box": [-8.5, -0.5], "p": 2.0}))
 
-    fs = _test_functions(cfg["n_probe"], cfg["probe_count"])
+    fs = _test_functions(512, 50)
     Ms = [hl_maximal(g) for g in fs]
     box, n = (fs[0].lo[0], fs[0].hi[0]), fs[0].shape[0]   # shared by all
     max_ratio = 0.0
@@ -595,14 +590,13 @@ def suite_theorems(config: dict | None = None) -> SuiteResult:
         "slope/log(2) in [0.8, 1.2]", ok, "derived",
         {"k": ks, "matrix": 2.0, "p": 2.0}))
 
-    if cfg["include_unsupported_demo"]:
-        checks.append(Check(
-            "self-improvement-exp-measure",
-            "the exponent-lowering identity is only defined for the length "
-            "measure; requesting it in the exponential measure is reported "
-            "here instead of silently skipped",
-            "not-applicable", "explicit not-applicable entry", True,
-            "trivial", {"measure": "exp"}))
+    checks.append(Check(
+        "self-improvement-exp-measure",
+        "the exponent-lowering identity is only defined for the length "
+        "measure; requesting it in the exponential measure is reported "
+        "here instead of silently skipped",
+        "not-applicable", "explicit not-applicable entry", True,
+        "trivial", {"measure": "exp"}))
 
     return SuiteResult("theorems", checks)
 
@@ -620,26 +614,10 @@ _SUITES = {
 
 
 def run_suites(names, p: float = 2.0) -> list:
-    """Run the named suites (in parallel up to WEIGHTLAB_THREADS) and return
-    SuiteResults in the requested order."""
-    from concurrent.futures import ThreadPoolExecutor
+    """Run the named suites in order and return their SuiteResults."""
     names = list(names)
     for nm in names:
         if nm not in _SUITES:
             raise ValueError(f"unknown suite {nm!r}")
-    raw = os.environ.get("WEIGHTLAB_THREADS", "4")
-    try:
-        workers = max(1, int(raw or "1"))
-    except ValueError:
-        raise ValueError("WEIGHTLAB_THREADS must be an integer, "
-                         f"got {raw!r}") from None
-
-    def run_one(nm):
-        if nm == "prop42":
-            return suite_prop42(p)
-        return _SUITES[nm]()
-
-    if workers == 1 or len(names) == 1:
-        return [run_one(nm) for nm in names]
-    with ThreadPoolExecutor(max_workers=min(workers, len(names))) as ex:
-        return list(ex.map(run_one, names))
+    return [suite_prop42(p) if nm == "prop42" else _SUITES[nm]()
+            for nm in names]

@@ -406,7 +406,7 @@ def _aa1_constant(w, spec: ClassSpec, family: CubeFamily,
 # ---------------------------------------------------------------------------
 
 def finite_order_reduction(w, A, p: float, family: CubeFamily,
-                           n_cells: int = 1024, order_bound: int = 24) -> dict:
+                           n_cells: int = 1024) -> dict:
     """For A with A^k = I: [w]_{A_{A,p}}, [w]_{A_p} and sup_cells w(Ax)/w(x).
 
     When [w]_{A_{A,p}} is finite on the family, membership in the plain class
@@ -415,7 +415,7 @@ def finite_order_reduction(w, A, p: float, family: CubeFamily,
     of assuming it.  A without finite order yields applicable=False.
     """
     A = resolve_matrix(A, family.dim)
-    k = A.order(bound=order_bound)
+    k = A.order()
     out = {"order": k, "applicable": k is not None}
     if k is None:
         return out

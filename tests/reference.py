@@ -9,6 +9,7 @@ length at a time from functionals over the whole grid, apart from the
 nested sweeps and their box-local prefix sums.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,10 +21,14 @@ from weightlab.funcspace import _cumsum_prefix
 from weightlab.maximal import _length_list, _scale
 
 
+def slices(span) -> tuple:
+    """Index slices of a span ((i0, i1),) or ((i0, i1), (j0, j1))."""
+    return tuple(slice(i0, i1) for i0, i1 in span)
+
+
 def exact_cells(values, span):
-    """The cells of a 1D or 2D array over a span ((i0, i1),) or
-    ((i0, i1), (j0, j1)), in row-major order."""
-    return values[tuple(slice(i0, i1) for i0, i1 in span)].ravel()
+    """The cells of a 1D or 2D array over a span, in row-major order."""
+    return values[slices(span)].ravel()
 
 
 def exact_sum(cells) -> Fraction:
@@ -57,6 +62,33 @@ def check_sandwich_exact(dec):
         for qc in dec.cubes[k]:
             avg = exact_avg(vals, qc.span)
             assert low < avg <= high, (k, qc.span, float(avg))
+
+
+def brute_select(vals, a, k, alpha, h):
+    """Maximal dyadic cubes passing the selection test, from Fraction
+    averages over every dyadic cube, with no pruning.  At alpha > 0 the test
+    is the float one: side^alpha times the correctly rounded average."""
+    dim, n = vals.ndim, vals.shape[0]
+    thr = Fraction(a) ** k / 4 ** dim
+    out = []
+
+    def visit(span):
+        side = span[0][1] - span[0][0]
+        avg = exact_avg(vals, span)
+        if alpha == 0.0:
+            selected = avg > thr
+        else:
+            selected = (side * h) ** alpha * float(avg) > float(thr)
+        if selected:
+            out.append(span)
+        elif side > 1:
+            half = side // 2
+            for child in itertools.product(*[((i0, i0 + half), (i0 + half, i1))
+                                             for i0, i1 in span]):
+                visit(child)
+
+    visit(tuple((0, n) for _ in range(dim)))
+    return sorted(out)
 
 
 def check_maximality_exact(dec):

@@ -8,7 +8,6 @@ sandwich), independent of the exact-sum machinery under test.
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import math
 import tracemalloc
@@ -26,7 +25,6 @@ from weightlab.czlab import (
     _mass_test,
     _prefix_span_sums,
     _pyramids,
-    _slices,
     _span_reduce,
     _sum_bounds,
     _tripled,
@@ -44,7 +42,13 @@ from weightlab.funcspace import (
 )
 from weightlab.maximal import dyadic_maximal
 from weightlab.young import YoungFn, luxemburg_norm_of_values, luxemburg_norms
-from reference import check_maximality_exact, check_sandwich_exact, exact_avg
+from reference import (
+    brute_select,
+    check_maximality_exact,
+    check_sandwich_exact,
+    exact_avg,
+    slices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,7 @@ def test_span_helpers_any_dimension(span):
                        3: ((0, 4), (0, 6), (4, 8))}[len(span)]
     # the cover dilates the cube's block by one block per axis: its triple
     want = np.zeros(shape, dtype=bool)
-    want[_slices(tripled)] = True
+    want[slices(tripled)] = True
     np.testing.assert_array_equal(_tripled_cover(shape, corner, side), want)
     if len(span) <= 2:
         # integer cells, so the prefix differences are exact sums
@@ -154,7 +158,7 @@ def test_span_helpers_any_dimension(span):
         lo = np.concatenate([corner, lo3])
         ext = np.concatenate([np.repeat(side[:, None], len(span), 1), ext3])
         assert _prefix_span_sums(vals, lo, ext).tolist() == \
-            [vals[_slices(s)].sum() for s in (span, tripled)]
+            [vals[slices(s)].sum() for s in (span, tripled)]
     # the stopping-cube sweep's 2^n children of the dyadic cube with the
     # span's side at its first corner tile that cube, in lexicographic order
     side = span[0][1] - span[0][0]
@@ -320,7 +324,7 @@ def _ekj_per_cube(dec):
     for k in usable:
         for qc in dec.cubes[k]:
             n_cubes += 1
-            slc = _slices(qc.span)
+            slc = slices(qc.span)
             emask = ~dec.D[k + 1][slc]
             ecount = int(emask.sum())
             if ecount == 0:
@@ -353,7 +357,7 @@ def test_expansion_sets_match_per_cube_masks(dim):
         assert report == ekj_expansion_check(dec) == _ekj_per_cube(dec)
         for k, (counts, minima) in per_level.items():
             for j, qc in enumerate(dec.cubes[k]):
-                slc = _slices(qc.span)
+                slc = slices(qc.span)
                 emask = ~dec.D[k + 1][slc]
                 assert counts[j] == int(emask.sum())
                 want = float(field[slc][emask].min()) if emask.any() \
@@ -395,13 +399,13 @@ def test_batched_span_terms_are_bitwise_per_cube(dim):
         got = _span_reduce(lo, ext, lambda r: luxemburg_norms(r, phi),
                            vals).tolist()
         for sp, g in zip(spans, got):
-            cells = vals[_slices(sp)].ravel()
-            assert g == luxemburg_norm_of_values(vals[_slices(sp)], phi)
+            cells = vals[slices(sp)].ravel()
+            assert g == luxemburg_norm_of_values(vals[slices(sp)], phi)
             if phi.kind == "power":
                 assert g == (phi.c * float(np.sum(cells ** phi.r))
                              / cells.size) ** (1.0 / phi.r)
     sums = _span_reduce(lo, ext, lambda r: r.sum(axis=1), vals).tolist()
-    assert sums == [float(vals[_slices(sp)].ravel().sum()) for sp in spans]
+    assert sums == [float(vals[slices(sp)].ravel().sum()) for sp in spans]
 
 
 def test_fractional_decomposition_scales_by_side():
@@ -423,33 +427,6 @@ def test_fractional_decomposition_scales_by_side():
             assert qc.value == pytest.approx(side ** 0.5 * qc.average,
                                              rel=1e-12)
             assert 3.0 ** k / 4.0 < qc.value <= 3.0 ** k / 2.0 * (1 + 1e-12)
-
-
-def brute_select(vals, a, k, alpha, h):
-    """Maximal dyadic cubes passing the selection test, from Fraction
-    averages over every dyadic cube, with no pruning.  At alpha > 0 the test
-    is the float one: side^alpha times the correctly rounded average."""
-    dim, n = vals.ndim, vals.shape[0]
-    thr = Fraction(a) ** k / 4 ** dim
-    out = []
-
-    def visit(span):
-        side = span[0][1] - span[0][0]
-        avg = exact_avg(vals, span)
-        if alpha == 0.0:
-            selected = avg > thr
-        else:
-            selected = (side * h) ** alpha * float(avg) > float(thr)
-        if selected:
-            out.append(span)
-        elif side > 1:
-            half = side // 2
-            for child in itertools.product(*[((i0, i0 + half), (i0 + half, i1))
-                                             for i0, i1 in span]):
-                visit(child)
-
-    visit(tuple((0, n) for _ in range(dim)))
-    return sorted(out)
 
 
 SUBNORMAL = 2.0 ** -1074
@@ -560,6 +537,44 @@ def test_band_cube_falls_back_to_exact_sum():
     assert [qc.span for qc in dec.cubes[1]] == [((0, 64),)]
     assert dec.exact_fallbacks == 1
     assert brute_select(vals, 8.0, 1, 0.0, f.h[0]) == [((0, 64),)]
+
+
+def test_upper_bound_tie_is_accepted():
+    # the root average 4 equals a^k/2^n = 8/2 exactly, which the sandwich
+    # allows
+    dec = cz_decompose(GridFunction((0.0, 1.0), [4.0, 4.0]), 8.0, [1])
+    assert [(qc.span, qc.average) for qc in dec.cubes[1]] == [(((0, 2),), 4.0)]
+
+
+@pytest.mark.parametrize("ok", [False, True])
+def test_upper_bound_off_the_floats_is_decided_exactly(ok):
+    # a^k/2^n = 3^36/2 is no float and rounds up to v: the cells v exceed
+    # it, and one ulp lower they fall short of it
+    upper = Fraction(3) ** 36 / 2
+    v = float(upper)
+    assert v > upper
+    if ok:
+        v = math.nextafter(v, 0.0)
+    f = GridFunction((0.0, 1.0), [v, v])
+    if ok:
+        assert [qc.span for qc in cz_decompose(f, 3.0, [36]).cubes[36]] == \
+            [((0, 2),)]
+    else:
+        with pytest.raises(ValueError, match="sandwich"):
+            cz_decompose(f, 3.0, [36])
+
+
+def test_fractional_level_with_two_band_cubes():
+    # side-1 cubes have value = average; the cells 0 and 4 sit on and one
+    # ulp above a/4 = 0.75, so both land in the band of level 0 (every
+    # larger cube is decided by the pyramid) and only cell 0 is selected
+    vals = np.zeros(8)
+    vals[0], vals[4] = math.nextafter(0.75, 1.0), 0.75
+    f = GridFunction((0.0, 8.0), vals)
+    dec = cz_decompose(f, 3.0, [1], alpha=0.5, validate=False)
+    assert [qc.span for qc in dec.cubes[1]] == [((0, 1),)] == \
+        brute_select(vals, 3.0, 1, 0.5, f.h[0])
+    assert dec.exact_fallbacks == 2
 
 
 def test_cell_at_rounded_threshold_is_selected():

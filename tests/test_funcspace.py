@@ -36,6 +36,7 @@ from weightlab.funcspace import (
     round_total,
     sample_product_to_grid,
     sample_to_grid,
+    total_exceeds,
     weight_mass,
 )
 from reference import exact_span_sum, exact_sum
@@ -277,17 +278,16 @@ def test_cube_sum_exact_property(ints, data):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, sys.float_info.max), min_size=1, max_size=16),
        st.integers(-4, 4), st.sampled_from([40, 52, 53, 54, 60, 1100]))
-def test_average_exceeds_matches_fraction_oracle(vals, step, shift):
+def test_total_exceeds_matches_fraction_oracle(vals, step, shift):
     # thresholds at, and a few units of 2^-shift around, the exact average:
     # subnormal cells, sums past the float range and exact ties included
-    g = GridFunction((0.0, 1.0), vals)
-    span = ((0, len(vals)),)
     total = sum(Fraction(v) for v in vals)
     avg = total / len(vals)
     thr = avg * (1 + Fraction(step, 2 ** shift)) + Fraction(step, 2 ** 1100)
-    assert exact_totals(vals)[0] == total * 2 ** 1075
-    assert g.average_exceeds(span, thr) == (avg > thr)
-    assert g.average_exceeds(span, avg) is False
+    t = exact_totals(vals)[0]
+    assert t == total * 2 ** 1075
+    assert total_exceeds(t, len(vals), thr) == (avg > thr)
+    assert total_exceeds(t, len(vals), avg) is False
 
 
 # ---------------------------------------------------------------------------

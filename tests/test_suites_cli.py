@@ -95,17 +95,6 @@ def test_suite_reflection_probe():
     assert r.passed, r.failing()
 
 
-def test_suite_theorem_probes_reduced_config():
-    r = suite_theorems({"n_chain": 64, "n_probe": 128, "probe_count": 8,
-                        "include_unsupported_demo": False})
-    assert [c.name for c in r.checks] == [
-        "chain-slacks", "chain-slacks-fractional",
-        "self-improvement-identity", "finite-order-reduction",
-        "reflection-separation", "norm-ratio-bounded",
-        "weak-type-divergence"]
-    assert r.passed, r.failing()
-
-
 def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
     import weightlab.suites as suites
     real = suites.hl_maximal
@@ -117,6 +106,11 @@ def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
 
     monkeypatch.setattr(suites, "hl_maximal", counting)
     r = suite_theorems()
+    assert [c.name for c in r.checks] == [
+        "chain-slacks", "chain-slacks-fractional",
+        "self-improvement-identity", "finite-order-reduction",
+        "reflection-separation", "norm-ratio-bounded",
+        "weak-type-divergence", "self-improvement-exp-measure"]
     assert r.passed, r.failing()
     # 50 probe functions, each swept once for 3 weights x 2 scalings
     assert len(calls) == 50
@@ -128,41 +122,19 @@ def test_run_suites_rejects_unknown_name():
         run_suites(["prop44"])
 
 
-def test_run_suites_deterministic_across_thread_counts(monkeypatch):
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("WEIGHTLAB_THREADS", threads)
-        results = run_suites(["prop41", "prop43"])
-        outs.append(canonical_json([r.to_json_dict() for r in results]))
-    assert outs[0] == outs[1]
-    assert outs[0].count('"suite"') == 2
-
-
 # sha256 of the ``weightlab verify all --out`` report, the frozen-output gate
 # of every change to the sweeps, sums and suites behind it
 VERIFY_ALL_SHA256 = \
     "563519fd2049aaea22fdf40ddcbd5a957d0df341b8136395b89262a13e8e1851"
 
 
-def test_verify_all_report_identical_across_thread_counts(monkeypatch,
-                                                          tmp_path, capsys):
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WEIGHTLAB_THREADS", threads)
-        out = tmp_path / f"verify-{threads}.json"
-        assert main(["verify", "all", "--out", str(out)]) == 0
-        reports.append(out.read_bytes())
+def test_verify_all_report_frozen(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "all", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["passed"] is True
-    assert hashlib.sha256(reports[0]).hexdigest() == VERIFY_ALL_SHA256
-
-
-def test_cli_bad_thread_count_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("WEIGHTLAB_THREADS", "abc")
-    assert main(["verify", "prop41"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: WEIGHTLAB_THREADS must be an integer, got 'abc'\n"
+    report = out.read_bytes()
+    assert json.loads(report)["passed"] is True
+    assert hashlib.sha256(report).hexdigest() == VERIFY_ALL_SHA256
 
 
 # ---------------------------------------------------------------------------
