@@ -95,6 +95,17 @@ def test_suite_reflection_probe():
     assert r.passed, r.failing()
 
 
+def test_suite_theorem_probes_reduced_config():
+    # the suite has one configuration; its checks come in this order
+    r = suite_theorems()
+    assert [c.name for c in r.checks] == [
+        "chain-slacks", "chain-slacks-fractional",
+        "self-improvement-identity", "finite-order-reduction",
+        "reflection-separation", "norm-ratio-bounded",
+        "weak-type-divergence", "self-improvement-exp-measure"]
+    assert r.passed, r.failing()
+
+
 def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
     import weightlab.suites as suites
     real = suites.hl_maximal
@@ -106,11 +117,6 @@ def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
 
     monkeypatch.setattr(suites, "hl_maximal", counting)
     r = suite_theorems()
-    assert [c.name for c in r.checks] == [
-        "chain-slacks", "chain-slacks-fractional",
-        "self-improvement-identity", "finite-order-reduction",
-        "reflection-separation", "norm-ratio-bounded",
-        "weak-type-divergence", "self-improvement-exp-measure"]
     assert r.passed, r.failing()
     # 50 probe functions, each swept once for 3 weights x 2 scalings
     assert len(calls) == 50
