@@ -23,11 +23,9 @@ from .funcspace import (
     load_matrix,
     load_weight,
     power_weight,
-    sample_callable_to_grid,
+    product_averages,
     sample_product_to_grid,
     sample_to_grid,
-    segment_mass,
-    weight_mass,
 )
 from .young import YoungFn, bp_integral, complementary, holder_defect, luxemburg_norm
 from .maximal import (
@@ -72,8 +70,8 @@ __all__ = [
     "Cube", "CubeFamily", "DomainError", "EXP_ABS", "GridFunction", "LEBESGUE",
     "Measure", "Segment", "SegmentWeight1D", "SquareMatrix", "compose_matrix",
     "constant_weight", "load_family", "load_matrix", "load_weight",
-    "power_weight", "sample_callable_to_grid", "sample_product_to_grid",
-    "sample_to_grid", "segment_mass", "weight_mass",
+    "power_weight", "product_averages", "sample_product_to_grid",
+    "sample_to_grid",
     "YoungFn", "bp_integral", "complementary", "holder_defect", "luxemburg_norm",
     "dyadic_maximal", "fractional_maximal", "hl_maximal", "matrix_compose",
     "orlicz_maximal",

@@ -43,7 +43,7 @@ from .maximal import (
     orlicz_maximal,
 )
 from .weightclass import ClassSpec, class_constant, rh_inclusion_check
-from .czlab import cz_decompose, ekj_expansion_check
+from .czlab import check_a, cz_decompose, ekj_expansion_check
 from .young import YoungFn
 from .report import SCHEMA, canonical_json, write_report
 from .suites import run_suites
@@ -68,10 +68,23 @@ def _load_grid(path: str) -> GridFunction:
 
 
 def _load_matrix_arg(arg: str, dim: int = 1) -> SquareMatrix:
+    """A number is that multiple of the identity; any other token is the
+    path of a matrix JSON."""
     try:
-        return SquareMatrix.scalar(float(arg), dim)
+        lam = float(arg)
     except ValueError:
         return load_matrix(arg)
+    return SquareMatrix.scalar(lam, dim)
+
+
+def _family_arg(path, w) -> CubeFamily:
+    """The family JSON at path, else the central half of w's support."""
+    if path:
+        return load_family(path)
+    lo, hi = w.support
+    span = hi - lo
+    return CubeFamily((lo + 0.25 * span, hi - 0.25 * span),
+                      levels=(0, 5), shifts=2)
 
 
 def _measure(token: str):
@@ -171,13 +184,7 @@ def _cmd_constant(args) -> int:
     A = _load_matrix_arg(args.matrix) if args.matrix else None
     spec = ClassSpec(kind, p=args.p, q=args.q, s=args.s, A=A, phi=phi,
                      measure=_measure(args.measure))
-    if args.family:
-        family = load_family(args.family)
-    else:
-        lo, hi = w.support
-        span = hi - lo
-        family = CubeFamily((lo + 0.25 * span, hi - 0.25 * span),
-                            levels=(0, 5), shifts=2)
+    family = _family_arg(args.family, w)
     rep = class_constant(w, spec, family, n_cells=args.n_cells)
     doc = {"schema": SCHEMA, "command": "constant", **rep.to_json_dict()}
     if args.out:
@@ -215,6 +222,7 @@ def _auto_k_range(f: GridFunction, a: float, alpha: float):
 def _cmd_cz(args) -> int:
     f = _load_grid(args.input)
     check_alpha(args.alpha, f.dim)
+    check_a(args.a, f.dim)
     if args.kmin is not None and args.kmax is not None:
         ks = range(args.kmin, args.kmax + 1)
     else:
@@ -265,13 +273,7 @@ def _cmd_verify(args) -> int:
 def _cmd_probe_rh(args) -> int:
     w = load_weight(args.weight)
     A = _load_matrix_arg(args.matrix) if args.matrix else SquareMatrix.scalar(1.0)
-    if args.family:
-        family = load_family(args.family)
-    else:
-        lo, hi = w.support
-        span = hi - lo
-        family = CubeFamily((lo + 0.25 * span, hi - 0.25 * span),
-                            levels=(0, 5), shifts=2)
+    family = _family_arg(args.family, w)
     res = rh_inclusion_check(w, A, args.p, args.eps, family)
     doc = {"schema": SCHEMA, "command": "probe-rh", **res}
     if args.out:

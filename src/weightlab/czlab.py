@@ -43,7 +43,6 @@ Geometry conventions used by the chain:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -59,8 +58,11 @@ from .funcspace import (
     SquareMatrix,
     _cumsum_prefix,
     add_totals,
+    compose_matrix,
     exact_sums,
     exact_totals,
+    product_averages,
+    resolve_matrix,
     round_total,
     total_exceeds,
 )
@@ -72,7 +74,6 @@ from .maximal import (
     image_box,
     orlicz_maximal,
     preimage_cells,
-    resolve_matrix,
 )
 from .young import YoungFn, bp_integral, complementary, luxemburg_norms
 
@@ -267,10 +268,12 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
 
     Walks the levels from the root down with the candidate cubes of each
     level as an (m, dim) array of cube indices: the max pyramid prunes,
-    the sum pyramid decides, and only the cubes in its uncertainty band are
-    summed exactly.  The children of live, unselected cubes are the next
-    level's candidates.  Returns ([(lvl, idx)] for the selected cubes,
-    with idx their indices, and the number of exact fallbacks)."""
+    the sum pyramid decides, and the cubes it does not put certainly below
+    the threshold are summed exactly in one labelled pass per level, which
+    decides the ones in its uncertainty band.  The children of live,
+    unselected cubes are the next level's candidates.  Returns ([(lvl, idx,
+    totals)] for the selected cubes, with idx their indices and totals
+    their exact totals, and the number of exact fallbacks)."""
     n, dim = grid.shape[0], grid.dim
     thr_f = float(thr)
     chosen, fallbacks = [], 0
@@ -297,16 +300,20 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
             # the rounded average lies in [lo/count, hi/count], stepped out
             above = fac * np.nextafter(lo / count, -np.inf) > thr_f
             below = fac * np.nextafter(hi / count, np.inf) <= thr_f
+        maybe = np.flatnonzero(~below)
+        totals = _block_totals(grid.values, idx[maybe], side) \
+            if len(maybe) else []
+        band = ~above[maybe]
         selected = above
-        band = np.flatnonzero(~(above | below))
-        if len(band):
-            totals = _block_totals(grid.values, idx[band], side)
-            selected[band] = [
-                total_exceeds(t, count, thr) if alpha == 0.0
-                else fac * round_total(t, count) > thr_f for t in totals]
-        fallbacks += len(band)
+        selected[maybe[band]] = [
+            total_exceeds(t, count, thr) if alpha == 0.0
+            else fac * round_total(t, count) > thr_f
+            for t, b in zip(totals, band.tolist()) if b]
+        fallbacks += int(band.sum())
         if selected.any():
-            chosen.append((lvl, idx[selected]))
+            keep = selected[maybe].tolist()
+            chosen.append((lvl, idx[selected],
+                           [t for t, k in zip(totals, keep) if k]))
         idx = _children(idx[~selected])
     return chosen, fallbacks
 
@@ -327,11 +334,12 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     The selection decides each cube from one float block-sum pyramid of f,
     built per call, and falls back to exact sums only inside its error
     bound; ``exact_fallbacks`` counts those cubes.  Every cube's average is
-    its exact average rounded once: one labelled exact-sum pass
-    (``funcspace.exact_totals``) per k and dyadic level sums the cells of
-    its selected cubes, and each exact total is divided by its cell count
-    in one int/int division.  The alpha = 0 sandwich compares the same
-    totals with the upper bound as integers.
+    its exact average rounded once: the selection's one labelled exact-sum
+    pass (``funcspace.exact_totals``) per k and dyadic level sums the cells
+    of every cube not certainly below the threshold, which decides the band
+    and gives the selected cubes their totals, and each exact total is
+    divided by its cell count in one int/int division.  The alpha = 0
+    sandwich compares the same totals with the upper bound as integers.
 
     The cubes of each k come back as arrays (``CZDecomposition.levels``)
     and D_k is painted through a block view of its mask; the ``CZCube``
@@ -340,8 +348,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     dim = f.dim
     check_alpha(alpha, dim)     # the max-pyramid prune needs alpha >= 0
     _dyadic_cells(f)
-    if not a > 2 ** dim:
-        raise ValueError(f"need a > 2^n = {2 ** dim}")
+    check_a(a, dim)
     if (f.values < 0).any():
         raise ValueError("f must be nonnegative")
     ks = sorted(int(k) for k in k_range)
@@ -364,10 +371,9 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         mask = np.zeros(f.shape, dtype=bool)
         rows = [(np.zeros((0, dim), np.int64), np.zeros(0, np.int64),
                  np.zeros(0), np.zeros(0), np.zeros(0, bool))]
-        for lvl, idx in chosen:
+        for lvl, idx, totals in chosen:
             side = 1 << lvl
             count = 1 << dim * lvl
-            totals = _block_totals(f.values, idx, side)
             avg = np.array([round_total(t, count) for t in totals])
             over = np.zeros(len(idx), bool)
             if validate and alpha == 0.0:
@@ -395,6 +401,13 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
         levels[k] = CZLevel(corner, side, avg, val)
         masks[k] = mask
     return CZDecomposition(f, a, alpha, ks, levels, masks, fallbacks)
+
+
+def check_a(a: float, dim: int) -> None:
+    """Raises unless the level base a is finite and exceeds 2^dim; a NaN
+    fails too."""
+    if not (math.isfinite(a) and a > 2 ** dim):
+        raise ValueError(f"need a finite a > 2^n = {2 ** dim}")
 
 
 def _block_totals(values: np.ndarray, idx: np.ndarray, side: int) -> list:
@@ -475,10 +488,7 @@ def _cell_transport(grid: GridFunction, A: SquareMatrix):
     cell counts.  back[out_flat] is the flat input cell holding the
     preimage of that cell's center, -1 where it leaves the box."""
     lo, hi = image_box(grid, A)
-    idx, inside = preimage_cells(grid, A, (lo, hi), grid.shape)
-    back = np.ravel_multi_index(idx, grid.shape, mode="clip").ravel()
-    back[~inside.ravel()] = -1
-    return lo, hi, back
+    return lo, hi, preimage_cells(grid, A, (lo, hi), grid.shape)
 
 
 def _transport_fault(back) -> str | None:
@@ -621,32 +631,6 @@ def _json_num(v):
     return v
 
 
-def _compose_product(factors, A: SquareMatrix) -> tuple:
-    """The product weight w_1(x_1)...w_n(x_n) composed with a monomial
-    matrix A (one nonzero entry per row and column), again as a product:
-    axis d carries w_i(A[i, d] x_d), with i the row of column d's entry.
-    A 1D weight is a one-factor product."""
-    e = A.entries
-    cols = list(range(A.dim))
-    for rows in itertools.permutations(cols):
-        off = e.copy()
-        off[list(rows), cols] = 0.0
-        if (np.abs(off) < 1e-15).all():
-            return tuple(factors[i].scaled_argument(float(e[i, d]))
-                         for d, i in enumerate(rows))
-    raise DomainError("2D weights support diagonal or antidiagonal matrices")
-
-
-def _sample_product(factors, lo, hi, n: int) -> np.ndarray:
-    """Exact cell averages of a product weight on an n-per-axis grid over
-    [lo, hi].
-
-    Returns a bare array (the image box of an anisotropic matrix can have
-    rectangular cells, which GridFunction refuses)."""
-    return functools.reduce(np.multiply.outer, [
-        w.cell_averages(a, b, n) for w, a, b in zip(factors, lo, hi)])
-
-
 def _tripled(corner: np.ndarray, side: np.ndarray, n: int):
     """(lo, ext): the cubes with these corners ((m, dim)) and sides ((m,))
     tripled about their centers and clipped to n cells per axis, as start
@@ -706,8 +690,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     A = resolve_matrix(A, dim)
     if a is None:
         a = float(2 ** (dim + 2))
-    if not a > 2 ** dim:
-        raise ValueError(f"need a > 2^n = {2 ** dim}")
+    check_a(a, dim)
     if not p > 1.0:
         raise ValueError("need p > 1")
     check_alpha(alpha, dim)
@@ -745,15 +728,15 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     # every whole-grid array is dropped after its last use, and powers of a
     # grid that is dead afterwards are taken in place
     try:
-        wA = _compose_product(factors, A)
+        wA = compose_matrix(factors, A)
     except DomainError as err:
         return fail(str(err))
-    wY = _sample_product(factors, Ylo, Yhi, NY)
+    wY = product_averages(factors, Ylo, Yhi, NY)
     try:
         out_lo, out_hi, perm = _grid_bijection(fY, A)
     except DomainError as err:
         return fail(f"cell transport not exact: {err}")
-    w_out = _sample_product(factors, out_lo, out_hi, NY)
+    w_out = product_averages(factors, out_lo, out_hi, NY)
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
 
@@ -863,7 +846,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
                   * vol_out).tolist()
     del w_back
     # the pulled-back weight w_A (fractional: w_A^q), sampled for its one use
-    WA_vals = _sample_product(wA, Ylo, Yhi, NY)
+    WA_vals = product_averages(wA, Ylo, Yhi, NY)
     if frac:
         WA_vals **= q
     wa = _prefix_span_sums(WA_vals, lo3, ext3)

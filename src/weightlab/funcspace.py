@@ -13,6 +13,7 @@ average with a rational threshold exactly, as integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -114,10 +115,6 @@ class Segment:
         return Segment(self.lo, self.hi, "exp", c=self.c ** e, s=self.s * e)
 
 
-def segment_mass(seg: Segment, a: float, b: float) -> float:
-    return seg.mass(a, b)
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -137,12 +134,6 @@ class Measure:
 
     def __repr__(self):
         return f"Measure({self.kind!r})"
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "lebesgue":
-            return np.ones_like(x)
-        return np.exp(np.abs(x))
 
     def segment_mass(self, seg: Segment, a: float, b: float) -> float:
         """Integral of seg.value against this measure over [a,b] ∩ segment."""
@@ -259,7 +250,9 @@ class SegmentWeight1D:
         return SegmentWeight1D([seg.scaled(lam) for seg in self.segments])
 
     def cell_averages(self, lo: float, hi: float, n: int) -> np.ndarray:
-        """Exact per-cell averages over n equal cells of [lo, hi]."""
+        """Exact per-cell averages over n >= 1 equal cells of [lo, hi]."""
+        if n < 1:
+            raise ValueError(f"need at least one cell, got {n}")
         edges = np.linspace(lo, hi, n + 1)
         masses = np.zeros(n)
         for seg in self.segments:
@@ -295,18 +288,6 @@ class SegmentWeight1D:
         return cls(segs)
 
 
-def weight_mass(w: SegmentWeight1D, a: float, b: float,
-                measure: Measure = LEBESGUE) -> float:
-    """Exact integral of w over [a, b] against the given measure."""
-    return w.mass(a, b, measure)
-
-
-def compose_matrix(w: SegmentWeight1D, A) -> SegmentWeight1D:
-    """The weight x -> w(lambda x) for a 1x1 matrix A = (lambda), in closed form."""
-    lam = _as_scalar(A)
-    return w.scaled_argument(lam)
-
-
 def constant_weight(value: float, lo: float, hi: float) -> SegmentWeight1D:
     return SegmentWeight1D([Segment(lo, hi, "power", c=value, a=lo - 1.0, gamma=0.0)])
 
@@ -329,19 +310,6 @@ def _integrable(seg: Segment) -> Segment:
 # matrices
 # ---------------------------------------------------------------------------
 
-def _as_scalar(A) -> float:
-    if isinstance(A, SquareMatrix):
-        if A.dim != 1:
-            raise ValueError("analytic composition supports dim 1 only")
-        return float(A.entries[0, 0])
-    if np.isscalar(A):
-        return float(A)
-    arr = np.asarray(A, dtype=float)
-    if arr.size == 1:
-        return float(arr.reshape(()))
-    raise ValueError("expected a scalar or 1x1 matrix")
-
-
 class SquareMatrix:
     """Invertible real matrix with cached inverse and finite-order detection."""
 
@@ -349,6 +317,8 @@ class SquareMatrix:
         arr = np.atleast_2d(np.asarray(entries, dtype=float))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         self.entries = arr
         self.dim = arr.shape[0]
         self.det = float(np.linalg.det(arr))
@@ -389,6 +359,40 @@ class SquareMatrix:
             n = int(d["dim"])
             entries = entries.reshape(n, n)
         return cls(entries)
+
+
+def resolve_matrix(A, dim: int) -> SquareMatrix:
+    """A as a dim x dim SquareMatrix; a scalar is that multiple of the
+    identity."""
+    if not isinstance(A, SquareMatrix):
+        A = SquareMatrix.scalar(float(A), dim) if np.isscalar(A) \
+            else SquareMatrix(A)
+    if A.dim != dim:
+        raise ValueError(f"a {A.dim}x{A.dim} matrix does not act "
+                         f"in dimension {dim}")
+    return A
+
+
+def compose_matrix(w, A):
+    """The weight x -> w(Ax) in closed form.
+
+    w is a SegmentWeight1D or a product weight w_1(x_1)...w_n(x_n), a tuple
+    of n of them; a 1D weight is the one-factor case.  A must be monomial
+    (one nonzero entry per row and column): the product composed with A is
+    again a product, whose axis d carries w_i(A[i, d] x_d), with i the row
+    of column d's entry."""
+    factors = (w,) if isinstance(w, SegmentWeight1D) else tuple(w)
+    A = resolve_matrix(A, len(factors))
+    e = A.entries
+    cols = list(range(A.dim))
+    for rows in itertools.permutations(cols):
+        off = e.copy()
+        off[list(rows), cols] = 0.0
+        if (np.abs(off) < 1e-15).all():
+            out = tuple(factors[i].scaled_argument(float(e[i, d]))
+                        for d, i in enumerate(rows))
+            return out[0] if isinstance(w, SegmentWeight1D) else out
+    raise DomainError("2D weights support diagonal or antidiagonal matrices")
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +497,8 @@ class CubeFamily:
         return len(self.cubes())
 
     def to_json_dict(self) -> dict:
-        box = []
-        for l in self.lo:
-            box.append(float(l))
-        for h in self.hi:
-            box.append(float(h))
         return {"levels": [self.levels[0], self.levels[1]], "shifts": self.shifts,
-                "box": box}
+                "box": [float(x) for x in self.lo + self.hi]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubeFamily":
@@ -706,15 +705,11 @@ class GridFunction:
 
     # -- exact engine -------------------------------------------------------
 
-    def _cells(self, span) -> list:
-        """Cell values over the span as Python floats."""
-        slc = tuple(slice(i0, i1) for i0, i1 in _normalize_span(span, self.dim))
-        return self.values[slc].ravel().tolist()
-
     def cube_sum(self, span) -> float:
         """Sum of cell values over the span (start, stop) per axis, correctly
         rounded (``math.fsum``)."""
-        return math.fsum(self._cells(span))
+        slc = tuple(slice(i0, i1) for i0, i1 in _normalize_span(span, self.dim))
+        return math.fsum(self.values[slc].ravel().tolist())
 
     def cube_average(self, span) -> float:
         count = 1
@@ -723,10 +718,6 @@ class GridFunction:
         if count <= 0:
             raise ValueError("empty span")
         return self.cube_sum(span) / count
-
-    def cube_mass(self, span) -> float:
-        """Integral over the spanned region (sum of cell masses)."""
-        return self.cube_sum(span) * self.cell_volume
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -764,9 +755,6 @@ class GridFunction:
             spans.append((int(i0), int(i1)))
         return tuple(spans)
 
-    def scaled(self, c: float) -> "GridFunction":
-        return GridFunction((self.lo, self.hi), self.values * c, mask=self.mask)
-
 
 def _normalize_span(span, dim):
     if dim == 1:
@@ -780,13 +768,22 @@ def _normalize_span(span, dim):
 # sampling
 # ---------------------------------------------------------------------------
 
+def product_averages(factors, lo, hi, n: int) -> np.ndarray:
+    """Exact cell averages of the product weight w_1(x_1)...w_d(x_d) on n
+    cells per axis of the box [lo, hi], one factor per axis.
+
+    Returns a bare array: the image box of an anisotropic matrix can have
+    rectangular cells, which GridFunction refuses."""
+    return functools.reduce(np.multiply.outer, [
+        w.cell_averages(a, b, n) for w, a, b in zip(factors, lo, hi)])
+
+
 def sample_to_grid(w: SegmentWeight1D, box, n: int) -> GridFunction:
     """Exact cell-average sampling of a 1D analytic weight."""
     lo, hi = _normalize_box(box)
     if len(lo) != 1:
         raise ValueError("sample_to_grid is 1D; use sample_product_to_grid for 2D")
-    vals = w.cell_averages(lo[0], hi[0], int(n))
-    return GridFunction(box, vals)
+    return GridFunction(box, product_averages((w,), lo, hi, int(n)))
 
 
 def sample_product_to_grid(wx: SegmentWeight1D, wy: SegmentWeight1D, box,
@@ -795,35 +792,7 @@ def sample_product_to_grid(wx: SegmentWeight1D, wy: SegmentWeight1D, box,
     lo, hi = _normalize_box(box)
     if len(lo) != 2:
         raise ValueError("expected a 2D box")
-    ax = wx.cell_averages(lo[0], hi[0], int(n))
-    ay = wy.cell_averages(lo[1], hi[1], int(n))
-    return GridFunction(box, np.outer(ax, ay))
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
-
-
-def sample_callable_to_grid(f, box, n: int) -> GridFunction:
-    """Cell averages of a smooth callable via 6x6 (or 6-point) Gauss rules."""
-    lo, hi = _normalize_box(box)
-    n = int(n)
-    if len(lo) == 1:
-        h = (hi[0] - lo[0]) / n
-        centers = lo[0] + (np.arange(n) + 0.5) * h
-        nodes = centers[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-        vals = np.asarray(f(nodes)) @ (_GAUSS_WEIGHTS / 2.0)
-        return GridFunction(box, vals)
-    h = (hi[0] - lo[0]) / n
-    cx = lo[0] + (np.arange(n) + 0.5) * h
-    cy = lo[1] + (np.arange(n) + 0.5) * h
-    gx = cx[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-    gy = cy[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-    out = np.zeros((n, n))
-    wq = np.outer(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS) / 4.0
-    for a in range(len(_GAUSS_NODES)):
-        for b in range(len(_GAUSS_NODES)):
-            out += wq[a, b] * np.asarray(f(gx[:, a][:, None], gy[:, b][None, :]))
-    return GridFunction(box, out)
+    return GridFunction(box, product_averages((wx, wy), lo, hi, int(n)))
 
 
 # ---------------------------------------------------------------------------

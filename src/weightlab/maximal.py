@@ -12,9 +12,9 @@ that cell, of a cube functional of the input:
 A cube functional gives its values on a window set: a side length in cells
 and one ``slice`` of window starts per axis.  The functionals are
 prefix-sum averages (optionally powered, for homogeneous Young functions),
-window maxima (the sup-norm Young function) and a per-cube Luxemburg norm
-(any other Young function).  The window set picks one of three paths that
-spread the values to the cells:
+window maxima (the sup-norm Young function) and Luxemburg norms of the
+windows gathered as rows (any other Young function).  The window set
+picks one of three paths that spread the values to the cells:
 
 * **Lattice sweep** (``_sweep``): a ``CubeFamily`` or the dyadic splits.
   Each lattice tiles its region, so its values are repeated over their
@@ -71,8 +71,9 @@ from .funcspace import (
     SquareMatrix,
     _cumsum_prefix,
     _normalize_box,
+    resolve_matrix,
 )
-from .young import YoungFn, luxemburg_norm_of_values
+from .young import YoungFn, luxemburg_norms
 
 __all__ = [
     "hl_maximal",
@@ -82,7 +83,6 @@ __all__ = [
     "matrix_compose",
     "preimage_cells",
     "image_box",
-    "resolve_matrix",
 ]
 
 
@@ -489,59 +489,36 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     return values
 
 
-def _sliding_max(x: np.ndarray, L: int, axis: int) -> np.ndarray:
-    """Along ``axis``, out[a] = max(x[a : a + L]) at each of the k = m - L + 1
-    starts of x's m entries, as a new array.
-
-    With k <= L every window holds the core [k - 1, L), so its maximum is
-    the largest of the core's maximum, a running maximum of the k - 1
-    entries before the core from its start on and one of the k - 1 entries
-    after the core up to its end: a few passes over x, whatever L.  More
-    starts take the doubling maxima.
-    """
-    head = (slice(None),) * axis
-    k = x.shape[axis] - L + 1
-    if k > L:
-        return _doubling_max(x.copy(), L, axis)[head + (slice(L - 1, None),)]
-    core = x[head + (slice(k - 1, L),)].max(axis=axis, keepdims=True)
-    out = np.repeat(core, k, axis=axis)
-    before = np.flip(x[head + (slice(None, k - 1),)], axis)
-    before = np.flip(np.maximum.accumulate(before, axis=axis), axis)
-    after = np.maximum.accumulate(x[head + (slice(L, None),)], axis=axis)
-    for cells, part in ((slice(None, k - 1), before), (slice(1, None), after)):
-        dest = out[head + (cells,)]
-        np.maximum(dest, part, out=dest)
-    return out
-
-
 def _window_maxima(f: GridFunction):
     """Cube functional max of f (the sup-norm Young function).  It reads only
     the cells [start, stop + side - 1) per axis that the requested windows
-    cover, one axis at a time (``_sliding_max``)."""
+    cover and widens them one axis at a time (``_widen``), keeping the
+    positions [side - 1, m) of m cells: position a holds the window that
+    ends there."""
     def values(side, starts):
         bounds = [s.indices(m - side + 1) for s, m in zip(starts, f.shape)]
         vals = f.values[tuple(slice(lo, hi + side - 1)
                               for lo, hi, _ in bounds)]
         for axis in range(f.dim):
-            vals = _sliding_max(vals, side, axis)
+            m = vals.shape[axis]
+            vals = _widen(vals, side, axis)[
+                (slice(None),) * axis + (slice(side - 1, m),)]
         vals = vals[tuple(slice(None, None, step) for _, _, step in bounds)]
         # f >= 0, so this only turns -0.0 into +0.0: as for the averages, a
-        # zero window gives +0.0, whatever order the maxima ran in
-        return np.maximum(vals, 0.0, out=vals)
+        # zero window gives +0.0, whatever order the maxima ran in.  At side
+        # 1 vals is a view of f, so the clamp makes a new array
+        return np.maximum(vals, 0.0)
     return values
 
 
 def _luxemburg_norms(f: GridFunction, phi: YoungFn):
-    """Cube functional ||f||_{phi,Q}, one bisection per cube."""
-    n = f.shape[0]
-
+    """Cube functional ||f||_{phi,Q}: the windows gathered as rows, cells
+    in row-major order, and normed at once (``young.luxemburg_norms``)."""
     def values(side, starts):
-        axes = [range(*s.indices(n)) for s in starts]
-        vals = np.empty([len(a) for a in axes])
-        for idx in np.ndindex(vals.shape):
-            cube = tuple(slice(a[i], a[i] + side) for a, i in zip(axes, idx))
-            vals[idx] = luxemburg_norm_of_values(f.values[cube].ravel(), phi)
-        return vals
+        windows = sliding_window_view(f.values, (side,) * f.dim)[starts]
+        shape = windows.shape[:f.dim]
+        rows = windows.reshape(math.prod(shape), side ** f.dim)
+        return np.reshape(luxemburg_norms(rows, phi), shape)
     return values
 
 
@@ -636,18 +613,6 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
 # matrix composition of fields
 # ---------------------------------------------------------------------------
 
-def resolve_matrix(A, dim: int) -> SquareMatrix:
-    """A as a dim x dim SquareMatrix; a scalar is that multiple of the
-    identity."""
-    if isinstance(A, SquareMatrix):
-        if A.dim != dim:
-            raise ValueError("matrix dimension does not match the field")
-        return A
-    if np.isscalar(A):
-        return SquareMatrix.scalar(float(A), dim)
-    return SquareMatrix(A)
-
-
 def image_box(f: GridFunction, A: SquareMatrix):
     """(lo, hi) of the smallest box holding A applied to f's box."""
     pts = np.asarray([A.apply(c) for c in itertools.product(*zip(f.lo, f.hi))])
@@ -658,11 +623,10 @@ def image_box(f: GridFunction, A: SquareMatrix):
 def preimage_cells(f: GridFunction, A: SquareMatrix, box, shape):
     """Cell transport: which cell of f each cell of a grid reads under A^(-1).
 
-    The grid has ``shape`` cells on ``box``.  Returns one index array per
-    axis of f, holding the cell of f that contains A^(-1) of each grid cell
-    center (the half-open floor rule of ``cell_of_point``), and the mask of
-    the grid cells whose preimage lies inside f's grid; outside it the
-    indices are out of range.
+    The grid has ``shape`` cells on ``box``.  Returns, per grid cell in
+    row-major order, the flat (row-major) index of the cell of f that
+    contains A^(-1) of its center (the half-open floor rule of
+    ``cell_of_point``), or -1 where that preimage leaves f's grid.
     """
     lo, hi = box
     inv = A.inv
@@ -670,15 +634,18 @@ def preimage_cells(f: GridFunction, A: SquareMatrix, box, shape):
     X = np.meshgrid(*(a + (np.arange(m) + 0.5) * ((b - a) / m)
                       for a, b, m in zip(lo, hi, shape)),
                     indexing="ij", sparse=True)
-    idx = []
+    flat = np.zeros(tuple(shape), dtype=np.int64)
     inside = np.ones(tuple(shape), dtype=bool)
     for d in range(f.dim):
         U = sum((inv[d, e] * X[e] for e in range(1, f.dim)), inv[d, 0] * X[0])
         U -= f.lo[d]
         U /= f.h[d]
-        idx.append(np.floor(U, out=U).astype(np.int64))
-        inside &= (idx[d] >= 0) & (idx[d] < f.shape[d])
-    return tuple(idx), inside
+        i = np.floor(U, out=U).astype(np.int64)
+        inside &= (i >= 0) & (i < f.shape[d])
+        flat *= f.shape[d]
+        flat += i
+    flat[~inside] = -1
+    return flat.ravel()
 
 
 def matrix_compose(f: GridFunction, A, out_box=None, n_out=None) -> GridFunction:
@@ -693,11 +660,12 @@ def matrix_compose(f: GridFunction, A, out_box=None, n_out=None) -> GridFunction
     """
     A = resolve_matrix(A, f.dim)
     lo, hi, shape = _output_geometry(f, A, out_box, n_out)
-    idx, inside = preimage_cells(f, A, (lo, hi), shape)
-    cells = tuple(np.where(inside, i, 0) for i in idx)
-    msk = inside & f.mask[cells]
-    return GridFunction((lo, hi), np.where(msk, f.values[cells], 0.0),
-                        mask=msk)
+    back = preimage_cells(f, A, (lo, hi), shape)
+    # a -1 reads f's last cell, which the mask then drops
+    msk = (back >= 0) & f.mask.ravel()[back]
+    vals = np.where(msk, f.values.ravel()[back], 0.0)
+    return GridFunction((lo, hi), vals.reshape(shape),
+                        mask=msk.reshape(shape))
 
 
 def _output_geometry(f: GridFunction, A: SquareMatrix, out_box, n_out):

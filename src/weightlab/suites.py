@@ -25,12 +25,10 @@ from .funcspace import (
     Segment,
     SquareMatrix,
     EXP_ABS,
-    LEBESGUE,
     compose_matrix,
     constant_weight,
     power_weight,
     sample_to_grid,
-    weight_mass,
 )
 from .maximal import hl_maximal
 from .weightclass import (
@@ -200,7 +198,7 @@ def suite_prop41() -> SuiteResult:
         {"k": ks}))
 
     w2 = compose_matrix(w, 2.0)
-    masses = [weight_mass(w2, *probe_interval(k)) for k in ks]
+    masses = [w2.mass(*probe_interval(k)) for k in ks]
     target = 2.0 ** -0.5
     err = max(abs(m - target) for m in masses)
     checks.append(Check(
@@ -211,7 +209,7 @@ def suite_prop41() -> SuiteResult:
         {"k": ks, "matrix": 2.0}))
 
     w_inv = w.powered(-1.0)
-    inv_masses = [weight_mass(w_inv, *probe_interval(k)) for k in ks]
+    inv_masses = [w_inv.mass(*probe_interval(k)) for k in ks]
     bounds = [0.25 * _c_k(k) ** 0.5 for k in ks]
     ok = all(m >= b for m, b in zip(inv_masses, bounds))
     checks.append(Check(
@@ -263,10 +261,10 @@ def suite_prop42(p: float = 2.0) -> SuiteResult:
     one = constant_weight(1.0, -60.0, 60.0)
     dual = w.powered(-1.0 / (p - 1.0))
     for a, h in pairs:
-        mu = weight_mass(one, a, a + h, EXP_ABS)
+        mu = one.mass(a, a + h, EXP_ABS)
         mu_ref = math.exp(a + h) * (-math.expm1(-h))
         mu_errs.append(abs(mu - mu_ref) / mu_ref)
-        dm = weight_mass(dual, a, a + h, EXP_ABS)
+        dm = dual.mass(a, a + h, EXP_ABS)
         dual_errs.append(abs(dm - h) / h)
     ok = max(mu_errs) <= 1e-10 and max(dual_errs) <= 1e-10
     checks.append(Check(
@@ -348,7 +346,7 @@ def suite_prop43() -> SuiteResult:
     ks = list(range(1, 9))
     checks = []
 
-    masses = [weight_mass(wr, *reflection_interval(k)) for k in ks]
+    masses = [wr.mass(*reflection_interval(k)) for k in ks]
     err = max(abs(m - 1.0) for m in masses)
     checks.append(Check(
         "reflected-mass",
@@ -358,7 +356,7 @@ def suite_prop43() -> SuiteResult:
         {"k": ks}))
 
     w_inv = w.powered(-1.0)
-    inv_masses = [weight_mass(w_inv, *reflection_interval(k)) for k in ks]
+    inv_masses = [w_inv.mass(*reflection_interval(k)) for k in ks]
     bounds = [0.25 * k ** 0.5 for k in ks]
     ok = all(m >= b for m, b in zip(inv_masses, bounds))
     checks.append(Check(
@@ -574,10 +572,10 @@ def suite_theorems() -> SuiteResult:
     qs = []
     ks = list(range(1, 7))
     for k in ks:
-        m_k = weight_mass(wg_inv, *probe_interval(k))
+        m_k = wg_inv.mass(*probe_interval(k))
         lam_k = 4.0 * m_k * (1.0 - 1e-9)
         lo, hi = probe_interval(k)
-        mass_image = weight_mass(wg, 2.0 * lo, 2.0 * hi)
+        mass_image = wg.mass(2.0 * lo, 2.0 * hi)
         qs.append(lam_k ** 2 * mass_image / m_k)
     slope = _fit_slope(ks, [math.log(q) for q in qs]) / math.log(2.0)
     ok = 0.8 <= slope <= 1.2

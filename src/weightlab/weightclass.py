@@ -42,9 +42,10 @@ from .funcspace import (
     SegmentWeight1D,
     SquareMatrix,
     compose_matrix,
+    resolve_matrix,
     sample_to_grid,
 )
-from .maximal import hl_maximal, matrix_compose, resolve_matrix
+from .maximal import hl_maximal, matrix_compose
 from .young import YoungFn, _analytic_norm, luxemburg_norm_of_values
 
 __all__ = [

@@ -225,28 +225,49 @@ def luxemburg_norm(f, Q, phi: YoungFn) -> float:
 
 
 def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
-    """Q -> the normalized Luxemburg norm of an analytic weight over Q."""
-    mean_fn = _analytic_mean_fn(w, phi)
+    """Q -> the normalized Luxemburg norm of an analytic weight over an
+    interval cube Q.
+
+    Homogeneous phi has the closed form (c avg_Q w^r)^(1/r) from exact
+    powered-segment masses, with one powered weight built for every Q; the
+    norm is infinite only when Q meets a non-integrable powered piece at
+    its singular point.  Other phi bisect on integrals over Gauss panels
+    geometrically refined toward singular points (8 nodes per panel).
+    """
+    power = phi.is_homogeneous and phi.kind != "identity"
+    powered, singular = w.powered_pieces(phi.r) if power else (None, [])
 
     def norm(Q) -> float:
-        G, vmax, vbar = mean_fn(Q)
+        cube = _as_cube(Q, 1)
+        a, b = cube.corner[0], cube.corner[0] + cube.side
+        if not w.covers(a, b):
+            raise ValueError(f"weight does not cover [{a}, {b}]")
+        if any(seg.singular_in(a, b) for seg in singular):
+            return math.inf
+        vmax = _analytic_sup(w, a, b)
         if vmax == 0.0:
             return 0.0
         if phi.kind == "sup":
             return vmax
-        if math.isinf(vmax) and phi.kind != "identity":
-            # a non-integrable power of the weight inside Q
-            if math.isinf(G(1.0)) and math.isinf(G(2.0 ** 64)):
-                return math.inf
-
-        if phi.is_homogeneous:
-            # G(lam) = c (avg f^r) / lam^r, so the norm is G(1)^{1/r}
-            moment = G(1.0)
-            if phi.kind == "identity" or math.isinf(moment):
-                return moment
+        if power:
+            moment = powered.mass(a, b) / (b - a) * phi.c
             return float(moment ** (1.0 / phi.r))
+        mean = w.mass(a, b) / (b - a)
+        if phi.kind == "identity" or math.isinf(mean):
+            # a Young function grows at least linearly, so a weight that is
+            # not integrable over Q has an infinite norm there
+            return mean
+        nodes, weights = _panelize(w, a, b)
 
-        return _bisect_norm(G, vbar, vmax)
+        def G(lam: float) -> float:
+            vals = phi(w.value(nodes) / lam)
+            return float(np.dot(weights, vals)) / (b - a)
+
+        # a non-integrable power of the weight inside Q
+        if math.isinf(vmax) and math.isinf(G(1.0)) \
+                and math.isinf(G(2.0 ** 64)):
+            return math.inf
+        return _bisect_norm(G, max(mean, 1e-300))
     return norm
 
 
@@ -300,11 +321,11 @@ def luxemburg_norms(rows: np.ndarray, phi: YoungFn,
             return float(np.sum(phi(vals / lam))) / count
 
         vbar = float(np.sum(vals)) / count
-        out.append(_bisect_norm(G, max(vbar, v * 1e-12), v))
+        out.append(_bisect_norm(G, max(vbar, v * 1e-12)))
     return out
 
 
-def _bisect_norm(G, vbar: float, vmax: float) -> float:
+def _bisect_norm(G, vbar: float) -> float:
     lam_hi = max(vbar, 1e-300)
     for _ in range(2200):
         g = G(lam_hi)
@@ -339,53 +360,6 @@ def _bisect_norm(G, vbar: float, vmax: float) -> float:
 
 
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _analytic_mean_fn(w: SegmentWeight1D, phi: YoungFn):
-    """Q -> the mean functional of an analytic weight over an interval cube.
-
-    Homogeneous phi uses exact powered-segment masses, from one powered
-    weight built for every Q; Q's norm is infinite only when Q meets a
-    non-integrable powered piece at its singular point.  Otherwise the
-    integral runs on Gauss panels geometrically refined toward singular
-    points (8 nodes per panel).
-    """
-    power = phi.is_homogeneous and phi.kind != "identity"
-    powered, singular = w.powered_pieces(phi.r) if power else (None, [])
-
-    def mean_fn(Q):
-        cube = _as_cube(Q, 1)
-        a, b = cube.corner[0], cube.corner[0] + cube.side
-        if not w.covers(a, b):
-            raise ValueError(f"weight does not cover [{a}, {b}]")
-
-        if power:
-            if any(seg.singular_in(a, b) for seg in singular):
-                def G_inf(lam):
-                    return math.inf
-                return G_inf, math.inf, 1.0
-            moment = powered.mass(a, b) / (b - a) * phi.c
-
-            def G_hom(lam: float) -> float:
-                return moment / lam ** phi.r
-            vmax = _analytic_sup(w, a, b)
-            return G_hom, vmax, max(moment ** (1.0 / phi.r), 1e-300)
-
-        if phi.kind == "identity":
-            mean = w.mass(a, b) / (b - a)
-
-            def G_id(lam: float) -> float:
-                return mean / lam
-            return G_id, _analytic_sup(w, a, b), max(mean, 1e-300)
-
-        nodes, weights = _panelize(w, a, b)
-
-        def G(lam: float) -> float:
-            vals = phi(w.value(nodes) / lam)
-            return float(np.dot(weights, vals)) / (b - a)
-
-        return G, _analytic_sup(w, a, b), max(w.mass(a, b) / (b - a), 1e-300)
-    return mean_fn
 
 
 def _panelize(w: SegmentWeight1D, a: float, b: float, geometric: int = 14):

@@ -25,7 +25,6 @@ from weightlab.funcspace import (
     constant_weight,
     power_weight,
     sample_to_grid,
-    weight_mass,
 )
 from weightlab.maximal import fractional_maximal, hl_maximal, matrix_compose
 from weightlab.suites import (
@@ -75,7 +74,7 @@ def test_acceptance_1_doubling_growth_reproduction():
     target = 2.0 ** -0.5
     for k in range(1, 7):
         lo, hi = probe_interval(k)
-        mass = weight_mass(w2, lo, hi)
+        mass = w2.mass(lo, hi)
         assert abs(mass - target) <= 1e-10, (k, mass)
         oracle = quad(w2.value, lo, hi, limit=300)[0]
         assert abs(oracle - target) <= 1e-6, (k, oracle)
@@ -120,7 +119,7 @@ def test_acceptance_3_reflection_growth_reproduction():
     w = reflection_weight()
     wr = compose_matrix(w, -1.0)
     for k in range(1, 9):
-        mass = weight_mass(wr, *reflection_interval(k))
+        mass = wr.mass(*reflection_interval(k))
         assert abs(mass - 1.0) <= 1e-10, (k, mass)
     ks = list(range(1, 9))
     products = [aap_product(w, -1.0, reflection_interval(k), 2.0) for k in ks]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightlab import czlab
 from weightlab.czlab import (
     CZDecomposition,
     CZLevel,
@@ -195,9 +196,14 @@ def test_tripled_cover_is_the_union_of_clipped_triples(dim):
 
 
 def test_a_must_exceed_two_power_dim():
+    # a NaN or an infinite a fails too, in the chain as in the decomposition
     f = GridFunction((0.0, 1.0), np.ones(4))
-    with pytest.raises(ValueError, match="a > 2"):
-        cz_decompose(f, 2.0, range(0, 1))
+    for a in (2.0, -8.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="need a finite a > 2"):
+            cz_decompose(f, a, range(0, 1))
+        with pytest.raises(ValueError, match="need a finite a > 2"):
+            theorem_chain_check(f, power_weight(0.5, -8.0, 8.0), 2.0, 2.0,
+                                YoungFn.power(3.0), a=a)
 
 
 @pytest.mark.parametrize("alpha, dim", [(-0.5, 1), (math.nan, 1), (1.0, 1),
@@ -537,6 +543,25 @@ def test_band_cube_falls_back_to_exact_sum():
     assert [qc.span for qc in dec.cubes[1]] == [((0, 64),)]
     assert dec.exact_fallbacks == 1
     assert brute_select(vals, 8.0, 1, 0.0, f.h[0]) == [((0, 64),)]
+
+
+def test_band_cube_is_summed_once(monkeypatch):
+    # the selection's exact pass decides the band root and gives it its
+    # average: the grid is summed by one call, not once more for the average
+    calls = []
+    block_totals = czlab._block_totals
+
+    def spy(values, idx, side):
+        calls.append((side, len(idx)))
+        return block_totals(values, idx, side)
+
+    monkeypatch.setattr(czlab, "_block_totals", spy)
+    vals = np.full(64, 2.0 ** -60)
+    vals[0] = 128.0
+    dec = cz_decompose(GridFunction((0.0, 1.0), vals), 8.0, [1])
+    assert calls == [(64, 1)]
+    assert dec.exact_fallbacks == 1
+    assert dec.levels[1].average.tolist() == [math.fsum(vals) / 64]
 
 
 def test_upper_bound_tie_is_accepted():

@@ -37,7 +37,6 @@ from weightlab.funcspace import (
     sample_product_to_grid,
     sample_to_grid,
     total_exceeds,
-    weight_mass,
 )
 from reference import exact_span_sum, exact_sum
 
@@ -80,11 +79,11 @@ def test_segment_scaled_matches_substitution():
 def test_weight_powered_and_scaled():
     w = power_weight(0.5, -4.0, 4.0)
     w_inv = w.powered(-1.0)
-    assert weight_mass(w_inv, 1.0, 2.0) == pytest.approx(
+    assert w_inv.mass(1.0, 2.0) == pytest.approx(
         2.0 * (math.sqrt(2.0) - 1.0), rel=1e-13)
     w2 = w.scaled_argument(2.0)          # |2x|^{1/2}
     assert w2.value(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert weight_mass(w2, 0.0, 1.0) == pytest.approx(
+    assert w2.mass(0.0, 1.0) == pytest.approx(
         math.sqrt(2.0) * 2.0 / 3.0, rel=1e-13)
 
 
@@ -121,10 +120,10 @@ def test_try_powered_reports_witness():
 def test_exp_measure_of_intervals():
     one = constant_weight(1.0, -10.0, 10.0)
     # straddling the origin: e^{|x|} integrates to (e^b - 1) + (e^a... ) parts
-    val = weight_mass(one, -1.0, 2.0, EXP_ABS)
+    val = one.mass(-1.0, 2.0, EXP_ABS)
     ref = (math.e - 1.0) + (math.exp(2.0) - 1.0)
     assert val == pytest.approx(ref, rel=1e-13)
-    val = weight_mass(one, 2.0, 5.0, EXP_ABS)
+    val = one.mass(2.0, 5.0, EXP_ABS)
     assert val == pytest.approx(math.exp(5.0) - math.exp(2.0), rel=1e-13)
 
 
@@ -132,7 +131,7 @@ def test_exp_weight_in_exp_measure_closed_form():
     w = SegmentWeight1D([Segment(-30.0, 0.0, "exp", s=-1.0),
                          Segment(0.0, 30.0, "exp", s=1.0)])
     # integral of e^{|x|} e^{|x|} over (0, h) = (e^{2h} - 1)/2
-    val = weight_mass(w, 0.0, 3.0, EXP_ABS)
+    val = w.mass(0.0, 3.0, EXP_ABS)
     assert val == pytest.approx((math.exp(6.0) - 1.0) / 2.0, rel=1e-13)
 
 
@@ -160,8 +159,8 @@ def test_package_imports_in_fresh_interpreter(tmp_path):
 def test_weight_json_roundtrip():
     w = power_weight(-0.25, -8.0, 8.0, a=1.0, c=2.0)
     w2 = SegmentWeight1D.from_json_dict(w.to_json_dict())
-    assert weight_mass(w2, -3.0, 5.0) == pytest.approx(
-        weight_mass(w, -3.0, 5.0), rel=1e-15)
+    assert w2.mass(-3.0, 5.0) == pytest.approx(
+        w.mass(-3.0, 5.0), rel=1e-15)
 
 
 def test_compose_matrix_scalar_and_matrix():
@@ -172,6 +171,53 @@ def test_compose_matrix_scalar_and_matrix():
             assert wa.value(x) == pytest.approx(w.value(lam * x), rel=1e-13)
     wa = compose_matrix(w, SquareMatrix.scalar(2.0))
     assert wa.value(1.0) == pytest.approx(w.value(2.0), rel=1e-13)
+
+
+WX = power_weight(0.5, -4.0, 4.0)
+WY = SegmentWeight1D([Segment(-4.0, 0.0, "exp", c=2.0, s=0.7),
+                      Segment(0.0, 4.0, "power", c=1.5, a=1.0, gamma=-0.4)])
+
+
+@pytest.mark.parametrize("A, want", [
+    # w(Ax) = WX((Ax)_0) WY((Ax)_1), written out per axis
+    ([[0.0, 1.0], [1.0, 0.0]], (WY.scaled_argument(1.0),
+                                WX.scaled_argument(1.0))),
+    ([[2.0, 0.0], [0.0, 0.5]], (WX.scaled_argument(2.0),
+                                WY.scaled_argument(0.5))),
+    ([[0.0, -1.0], [1.0, 0.0]], (WY.scaled_argument(1.0),
+                                 WX.scaled_argument(-1.0))),
+], ids=["swap", "diag", "quarter-turn"])
+def test_compose_matrix_product_weight(A, want):
+    got = compose_matrix((WX, WY), A)
+    assert [w.segments for w in got] == [w.segments for w in want]
+    A = np.asarray(A)
+    for x in ((0.3, -1.2), (-0.7, 1.9), (1.1, 0.45)):
+        y = A @ x
+        assert got[0].value(x[0]) * got[1].value(x[1]) == pytest.approx(
+            WX.value(y[0]) * WY.value(y[1]), rel=1e-13)
+
+
+def test_compose_matrix_rejects_shear_and_wrong_dimension():
+    with pytest.raises(DomainError, match="diagonal or antidiagonal"):
+        compose_matrix((WX, WY), [[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="dimension 1"):
+        compose_matrix(WX, [[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="dimension 2"):
+        compose_matrix((WX, WY), SquareMatrix.scalar(2.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_square_matrix_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="finite"):
+        SquareMatrix([[1.0, 0.0], [value, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SquareMatrix.scalar(value)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cell_averages_need_a_cell(n):
+    with pytest.raises(ValueError, match="at least one cell"):
+        WX.cell_averages(0.0, 1.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +510,7 @@ def test_sample_to_grid_is_exact_cell_average():
     g = sample_to_grid(w, (0.0, 2.0), 8)
     h = 0.25
     for i in range(8):
-        ref = weight_mass(w, i * h, (i + 1) * h) / h
+        ref = w.mass(i * h, (i + 1) * h) / h
         assert g.values[i] == pytest.approx(ref, rel=1e-14)
 
 
@@ -473,7 +519,7 @@ def test_sample_product_grid():
     wy = constant_weight(2.0, -4.0, 4.0)
     g = sample_product_to_grid(wx, wy, ((0.0, 0.0), (2.0, 2.0)), 8)
     assert g.values[3, 5] == pytest.approx(
-        (weight_mass(wx, 0.75, 1.0) / 0.25) * 2.0, rel=1e-13)
+        (wx.mass(0.75, 1.0) / 0.25) * 2.0, rel=1e-13)
 
 
 def test_cell_of_point_and_centers():

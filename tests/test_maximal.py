@@ -40,7 +40,7 @@ from weightlab.maximal import (
     orlicz_maximal,
     preimage_cells,
 )
-from weightlab.young import YoungFn
+from weightlab.young import YoungFn, luxemburg_norm_of_values
 from reference import (
     brute_dyadic_1d,
     brute_family_field,
@@ -284,6 +284,43 @@ def test_orlicz_nonhomogeneous_family_vs_per_cube_oracle():
             m = norm(vals[s:s + side])
             np.maximum(ref[s:s + side], m, out=ref[s:s + side])
     np.testing.assert_allclose(got, ref, rtol=1e-7)
+
+
+@pytest.mark.parametrize("phi", [YoungFn.exp_minus_one(),
+                                 YoungFn.power_log(1.5, 1.0)],
+                         ids=["exp", "power-log"])
+def test_orlicz_2d_family_field_is_bitwise_the_per_cube_norms(phi):
+    # the lattice's windows are normed as rows at once; each row holds its
+    # cube's cells in row-major order, as the one-cube norm reads them
+    rng = np.random.default_rng(20)
+    vals = rng.random((16, 16)) * 3.0
+    vals[vals < 1.0] = 0.0
+    box = ((0.0, 0.0), (2.0, 2.0))
+    g = GridFunction(box, vals)
+    fam = CubeFamily(box, levels=(0, 3), shifts=2)
+    got = orlicz_maximal(g, phi, family=fam).values
+    ref = brute_family_field(
+        g, fam, lambda cells, side: luxemburg_norm_of_values(cells, phi))
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_orlicz_sup_family_down_to_single_cells_leaves_f_unchanged():
+    # at side 1 the window maxima are f's own cells; the clamp that reads
+    # -0.0 as +0.0 must not write into f
+    rng = np.random.default_rng(21)
+    vals = np.where(rng.random(16) < 0.5, rng.random(16), -0.0)
+    g = GridFunction((0.0, 1.0), vals)
+    before = vals.copy()
+    fam = CubeFamily((0.0, 1.0), levels=(0, 4), shifts=1)
+    got = orlicz_maximal(g, YoungFn("sup"), family=fam).values
+    assert np.array_equal(g.values, before)
+    assert np.array_equal(np.signbit(g.values), np.signbit(before))
+    ref = brute_family_field(
+        g, fam, lambda cells, side: np.where(cells.max() > 0.0,
+                                             cells.max(), 0.0))
+    assert np.array_equal(got, ref)
+    assert not np.signbit(got).any()
 
 
 @settings(max_examples=20, deadline=None)
@@ -796,13 +833,13 @@ def test_preimage_cells_3d_signed_permutation():
     A = SquareMatrix([[0.0, 0.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
     out = matrix_compose(g, A, out_box=((0.0, -4.0, 0.0), (8.0, 0.0, 2.0)),
                          n_out=(8, 4, 2))
-    idx, inside = preimage_cells(g, A, (out.lo, out.hi), out.shape)
-    assert inside.all() and out.mask.all()
-    for cell in np.ndindex(out.shape):
+    back = preimage_cells(g, A, (out.lo, out.hi), out.shape)
+    assert back.shape == (64,) and (back >= 0).all() and out.mask.all()
+    for flat, cell in enumerate(np.ndindex(out.shape)):
         center = [a + (c + 0.5) * (b - a) / m for a, b, c, m
                   in zip(out.lo, out.hi, cell, out.shape)]
         want = g.cell_of_point(A.inv @ center)
-        assert tuple(int(i[cell]) for i in idx) == want
+        assert np.unravel_index(back[flat], g.shape) == want
         assert out.values[cell] == g.values[want]
 
 

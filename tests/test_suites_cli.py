@@ -451,9 +451,15 @@ ONE_HOT_8 = {"box": [0.0, 8.0], "values": [1.0] + [0.0] * 7}
                        "--kmax", "1"], "alpha must lie in [0, dim)"),
     ("cz", ONE_HOT_8, ["--alpha", "nan", "--a", "3.2"],
      "alpha must lie in [0, dim)"),
+    ("cz", ONE_HOT_8, ["--a", "inf"], "need a finite a > 2^n = 2"),
+    ("cz", ONE_HOT_8, ["--a", "nan"], "need a finite a > 2^n = 2"),
+    ("cz", ONE_HOT_8, ["--a", "nan", "--kmin", "1", "--kmax", "1"],
+     "need a finite a > 2^n = 2"),
+    ("cz", ONE_HOT_8, ["--a", "2"], "need a finite a > 2^n = 2"),
 ], ids=["nan", "empty", "reversed-box", "overflow", "non-square-all",
         "non-square-dyadic", "cz-48-cells", "cz-threshold-overflow",
-        "cz-negative-alpha", "cz-nan-alpha", "cz-nan-alpha-auto-k"])
+        "cz-negative-alpha", "cz-nan-alpha", "cz-nan-alpha-auto-k",
+        "cz-inf-a", "cz-nan-a-auto-k", "cz-nan-a", "cz-a-two"])
 def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid,
                                               options, message):
     path = tmp_path / "grid.json"
@@ -480,6 +486,37 @@ def test_cli_maximal_prefix_overflow_exits_two(tmp_path, value, options):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "overflow" in proc.stderr
+
+
+@pytest.mark.parametrize("n_cells", ["0", "-3"])
+def test_cli_constant_without_cells_exits_two(weight_file, capsys, n_cells):
+    assert main(["constant", "--class", "aa1", "--matrix", "2",
+                 "--weight", weight_file, "--n-cells", n_cells]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at least one cell" in err
+
+
+@pytest.mark.parametrize("command, token, message", [
+    ("maximal", "0", "matrix is singular"),
+    ("maximal", "nan", "matrix entries must be finite"),
+    ("maximal", "inf", "matrix entries must be finite"),
+    ("constant", "0", "matrix is singular"),
+    ("constant", "nan", "matrix entries must be finite"),
+])
+def test_cli_bad_matrix_token_exits_two_with_one_line(grid_file, weight_file,
+                                                      tmp_path, command,
+                                                      token, message):
+    # a number is never read as a path, and a new interpreter shows any
+    # numpy warning on stderr as a user sees it
+    args = (["--input", grid_file] if command == "maximal" else
+            ["--class", "aap", "--weight", weight_file])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", command,
+                           *args, "--matrix", token], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_cli_constant_rejects_unknown_measure_token(weight_file):

@@ -197,6 +197,17 @@ def test_analytic_norm_nonintegrable_power_is_inf():
     assert luxemburg_norm(w, Cube((-1.0,), 2.0), phi) == math.inf
 
 
+@pytest.mark.parametrize("phi", [YoungFn.exp_minus_one(),
+                                 YoungFn.power_log(1.5, 1.0)],
+                         ids=["exp", "power-log"])
+def test_analytic_norm_nonintegrable_weight_nonhomogeneous_phi_is_inf(phi):
+    # |x|^{-1.5} has infinite mass through 0, and every Young function
+    # grows at least linearly, so the norm is inf (the bisection would
+    # start from an infinite average and never close)
+    w = power_weight(0.5, -4.0, 4.0).powered_pieces(-3.0)[0]
+    assert luxemburg_norm(w, Cube((-1.0,), 1.5), phi) == math.inf
+
+
 def test_analytic_norm_off_the_singularity_closed_form():
     # w^2 = |x|^{-1.5} is integrable on [1, 3], away from 0: the norm is
     # (avg x^-1.5)^(1/2) = (1 - 3^(-1/2))^(1/2); a cube ending at 0 is inf
