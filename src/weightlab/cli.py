@@ -16,7 +16,6 @@ means every requested check passed, 1 a failed suite, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import struct
 import sys
@@ -30,6 +29,7 @@ from .funcspace import (
     SquareMatrix,
     EXP_ABS,
     LEBESGUE,
+    _as_dict,
     load_family,
     load_matrix,
     load_weight,
@@ -55,8 +55,7 @@ _CLASS_TOKENS = {
 
 
 def _load_grid(path: str) -> GridFunction:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = _as_dict(path)
     box = d["box"]
     if isinstance(box[0], (list, tuple)):
         box = (tuple(box[0]), tuple(box[1]))
@@ -147,8 +146,7 @@ def _cmd_maximal(args) -> int:
     elif args.operator == "orlicz":
         if not args.phi:
             raise ValueError("--phi is required for the orlicz operator")
-        with open(args.phi) as fh:
-            phi = YoungFn.from_json_dict(json.load(fh))
+        phi = YoungFn.from_json_dict(_as_dict(args.phi))
         field = orlicz_maximal(f, phi, alpha=args.alpha, lengths=args.lengths)
     else:
         raise ValueError(f"unknown operator {args.operator!r}")
@@ -179,8 +177,7 @@ def _cmd_constant(args) -> int:
     kind = _CLASS_TOKENS[args.klass]
     phi = None
     if args.phi:
-        with open(args.phi) as fh:
-            phi = YoungFn.from_json_dict(json.load(fh))
+        phi = YoungFn.from_json_dict(_as_dict(args.phi))
     A = _load_matrix_arg(args.matrix) if args.matrix else None
     spec = ClassSpec(kind, p=args.p, q=args.q, s=args.s, A=A, phi=phi,
                      measure=_measure(args.measure))
@@ -354,7 +351,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except KeyError as err:
+        sys.stderr.write(f"error: missing key {err.args[0]!r}\n")
+        return 2
+    except (DomainError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 
 class DomainError(ValueError):
@@ -153,8 +152,19 @@ class Measure:
                 pos = Segment(max(a, 0.0), b, "exp", c=seg.c, s=seg.s + 1.0)
                 total += pos.mass(max(a, 0.0), b)
             return total
+        if seg.gamma == 0.0:
+            # a constant piece: c e^{far end} (1 - e^{-length}) on each side
+            # of the origin, with no cancellation for a short interval
+            total = 0.0
+            if a < 0.0:
+                total += seg.c * math.exp(-a) * -math.expm1(a - min(b, 0.0))
+            if b > 0.0:
+                total += seg.c * math.exp(b) * -math.expm1(max(a, 0.0) - b)
+            return total
         # power piece against e^{|x|}: no elementary antiderivative, use
-        # singularity-aware adaptive quadrature (only exercised in cross checks).
+        # singularity-aware adaptive quadrature (only exercised in cross
+        # checks; scipy is imported here, on first use)
+        from scipy import integrate
         pts = [p for p in (seg.a, 0.0) if a < p < b]
         val, _ = integrate.quad(lambda x: seg.value(x) * math.exp(abs(x)), a, b,
                                 points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
@@ -812,7 +822,14 @@ def load_family(path_or_dict) -> CubeFamily:
 
 
 def _as_dict(path_or_dict) -> dict:
+    """The dict itself, or the JSON object stored at a path (the one JSON
+    reader of weightlab's inputs); a top level that is not an object
+    raises ValueError."""
     if isinstance(path_or_dict, dict):
         return path_or_dict
     with open(path_or_dict, "r") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path_or_dict}: expected a JSON object, "
+                         f"got {type(d).__name__}")
+    return d

@@ -652,11 +652,11 @@ def matrix_compose(f: GridFunction, A, out_box=None, n_out=None) -> GridFunction
     """Field x -> f(A^(-1) x) on a new grid.
 
     Each output cell reads the input cell containing A^(-1)(cell center)
-    (``preimage_cells``).  The grid defaults to the image box of f's box,
-    cut per axis into the fewest cells no wider than f's: a box that is a
-    whole number of f's cells keeps f's cell size, any other one (a
-    rotation, say) gets slightly narrower cells.  Output cells whose
-    preimage leaves the input domain get value 0 and mask False.
+    (``preimage_cells``).  The grid defaults to the image box of f's box
+    in cells of f's size: an axis whose extent is not a whole number of
+    them (a rotation or a shear, say) widens its upper end to the next
+    whole cell.  Output cells whose preimage leaves the input domain get
+    value 0 and mask False.
     """
     A = resolve_matrix(A, f.dim)
     lo, hi, shape = _output_geometry(f, A, out_box, n_out)
@@ -674,12 +674,15 @@ def _output_geometry(f: GridFunction, A: SquareMatrix, out_box, n_out):
     else:
         lo, hi = _normalize_box(out_box)
     if n_out is None:
-        # the fewest cells no wider than f's; the 1e-9 absorbs the rounding
-        # of an aligned box, which keeps f's cell size
+        # f's cell size on every axis: a box that is a whole number of f's
+        # cells (the 1e-9 absorbs its rounding) keeps lo and hi, any other
+        # one widens hi to the next whole cell
         h = f.h[0]
         shape = tuple(math.ceil((b - a) / h - 1e-9) for a, b in zip(lo, hi))
         if min(shape) < 1:
             raise ValueError("the output box holds no cell")
+        hi = tuple(b if (b - a) / h >= m - 1e-9 else a + m * h
+                   for a, b, m in zip(lo, hi, shape))
     elif np.isscalar(n_out):
         shape = (int(n_out),) * f.dim
     else:

@@ -249,6 +249,11 @@ def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
             return 0.0
         if phi.kind == "sup":
             return vmax
+        if phi.kind == "exp_minus_one" and math.isinf(vmax):
+            # w is unbounded only at a power singularity |x - a|^gamma,
+            # gamma < 0, and exp(|x - a|^gamma / lam) is integrable near a
+            # for no lam
+            return math.inf
         if power:
             moment = powered.mass(a, b) / (b - a) * phi.c
             return float(moment ** (1.0 / phi.r))

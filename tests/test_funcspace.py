@@ -127,6 +127,26 @@ def test_exp_measure_of_intervals():
     assert val == pytest.approx(math.exp(5.0) - math.exp(2.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("a, b", [(-3.0, -1.0), (-1.0, 2.0),
+                                  (0.5, 0.5 + 1e-8), (0.0, 25.0)])
+def test_exp_measure_of_constant_piece_is_closed_form(a, b):
+    seg = constant_weight(2.5, -30.0, 30.0).segments[0]
+    ref = quad(lambda x: 2.5 * math.exp(abs(x)), a, b,
+               points=[0.0] if a < 0.0 < b else None,
+               epsabs=0.0, epsrel=1e-13)[0]
+    assert EXP_ABS.segment_mass(seg, a, b) == pytest.approx(ref, rel=1e-13)
+
+
+def test_exp_measure_of_power_piece_keeps_its_quadrature_bits():
+    # gamma != 0 has no closed form against e^|x|: adaptive quadrature,
+    # with scipy imported on first use
+    w = power_weight(0.5, -4.0, 4.0, c=3.0)
+    assert w.mass(-1.0, 2.0, EXP_ABS).hex() == "0x1.9159ff50e678fp+4"
+    assert w.mass(0.25, 3.0, EXP_ABS).hex() == "0x1.488c783f41cf9p+6"
+    assert power_weight(-0.5, -4.0, 4.0).mass(-2.0, 1.0, EXP_ABS).hex() == \
+        "0x1.339d9b24d646fp+3"
+
+
 def test_exp_weight_in_exp_measure_closed_form():
     w = SegmentWeight1D([Segment(-30.0, 0.0, "exp", s=-1.0),
                          Segment(0.0, 30.0, "exp", s=1.0)])

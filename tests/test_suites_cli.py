@@ -131,7 +131,7 @@ def test_run_suites_rejects_unknown_name():
 # sha256 of the ``weightlab verify all --out`` report, the frozen-output gate
 # of every change to the sweeps, sums and suites behind it
 VERIFY_ALL_SHA256 = \
-    "563519fd2049aaea22fdf40ddcbd5a957d0df341b8136395b89262a13e8e1851"
+    "005580df800024e8bdc81a8244c552252d6c2926411035a5ae6c893d7b6b0521"
 
 
 def test_verify_all_report_frozen(tmp_path, capsys):
@@ -297,13 +297,53 @@ def test_cli_maximal_2d_composed_with_nested_matrix(grid2d_file, tmp_path,
 
 def test_cli_maximal_2d_composed_with_rotation(grid2d_file, tmp_path, capsys):
     # the image box of a 0.7-rad rotation is no whole number of cells: it
-    # gets the fewest cells no wider than the input's, 2.82 / 0.25 -> 12
+    # widens to the next whole input cell, 2.82 / 0.25 -> 12
     c, s = math.cos(0.7), math.sin(0.7)
     matrix = tmp_path / "rotation.json"
     matrix.write_text(json.dumps({"entries": [[c, -s], [s, c]]}))
     rc = main(["maximal", "--input", grid2d_file, "--matrix", str(matrix)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["cells"] == [12, 12]
+
+
+def test_cli_maximal_2d_composed_with_general_matrix(tmp_path, capsys):
+    # neither monomial nor a rotation: the image box is 2.4 x 3.0, and its
+    # x axis widens from 76.8 to 77 cells of the input's size
+    from weightlab.maximal import hl_maximal
+    rng = np.random.default_rng(12)
+    vals = rng.random((64, 64))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"box": [[-1.0, -1.0], [1.0, 1.0]],
+                                "values": vals.tolist()}))
+    entries = [[0.9, -0.3], [0.4, 1.1]]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"entries": entries}))
+    csv = tmp_path / "field.csv"
+    rc = main(["maximal", "--input", str(grid), "--matrix", str(matrix),
+               "--out", str(csv)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == [77, 96]
+    field = hl_maximal(GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals))
+    inv = np.linalg.inv(entries)
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 77 * 96
+    read = 0
+    for r in rng.choice(len(rows), 40, replace=False):
+        x, y, value, flag = (float(t) for t in rows[r].split(","))
+        i, j = divmod(int(r), 96)
+        assert x == pytest.approx(-1.2 + (i + 0.5) / 32, abs=1e-12)
+        assert y == pytest.approx(-1.5 + (j + 0.5) / 32, abs=1e-12)
+        # a preimage within 1e-9 of a cell edge may read either neighbour
+        t = (inv @ (x, y) + 1.0) * 32
+        ax, ay = ({math.floor(v - 1e-9), math.floor(v + 1e-9)} for v in t)
+        cands = [(a, b) for a in ax for b in ay
+                 if 0 <= a < 64 and 0 <= b < 64]
+        if flag == 0:
+            assert value == 0.0
+        else:
+            assert any(value == field.values[c] for c in cands)
+            read += 1
+    assert read >= 3
 
 
 def test_cli_maximal_orlicz_requires_phi(grid_file):
@@ -424,6 +464,34 @@ def test_cli_bad_input_exits_two(tmp_path, capsys):
     assert main(["maximal", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("option", ["--input", "--phi", "--matrix"])
+def test_cli_json_input_not_an_object_exits_two(grid_file, tmp_path, capsys,
+                                                option):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    args = {"--input": ["--input", str(bad)],
+            "--phi": ["--input", grid_file, "--operator", "orlicz",
+                      "--phi", str(bad)],
+            "--matrix": ["--input", grid_file, "--matrix", str(bad)]}[option]
+    assert main(["maximal", *args]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: expected a JSON object, got list\n"
+
+
+@pytest.mark.parametrize("option, doc, key", [
+    ("--input", {"box": [0.0, 1.0]}, "values"),
+    ("--phi", {"kind": "power"}, "r"),
+], ids=["grid-values", "phi-r"])
+def test_cli_json_missing_key_exits_two(grid_file, tmp_path, capsys, option,
+                                        doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = ["--input", str(path)] if option == "--input" else \
+        ["--input", grid_file, "--operator", "orlicz", "--phi", str(path)]
+    assert main(["maximal", *args]) == 2
+    assert capsys.readouterr().err == f"error: missing key {key!r}\n"
+
+
 NON_SQUARE = {"box": [[0.0, 0.0], [1.0, 2.0]], "values": [[1.0] * 8] * 4}
 # one hot cell among 48: the dyadic splits stop at side 3, so no stopping
 # cube could ever contain it
@@ -523,3 +591,35 @@ def test_cli_constant_rejects_unknown_measure_token(weight_file):
     with pytest.raises(SystemExit):
         main(["constant", "--class", "ap", "--weight", weight_file,
               "--measure", "gaussian"])
+
+
+# the default paths, run with scipy unimportable: only a power piece with
+# gamma != 0 against e^|x| needs scipy, and no default path integrates one
+_NO_SCIPY = """
+import contextlib, io, json, sys
+import weightlab.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.modules["scipy"] = None
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(weightlab.cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_cli_default_paths_run_without_scipy(grid_file, grid2d_file,
+                                             weight_file, tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"entries": [[0.9, -0.3], [0.4, 1.1]]}))
+    runs = [["verify", "all", "--out", str(tmp_path / "verify.json")],
+            ["maximal", "--input", grid_file],
+            ["maximal", "--input", grid2d_file, "--matrix", str(matrix)],
+            ["cz", "--input", grid_file],
+            ["constant", "--class", "ap", "--weight", weight_file]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(runs)

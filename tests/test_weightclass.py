@@ -44,7 +44,7 @@ from weightlab.young import YoungFn
 # not integrable at 0 only, outside every cube of the family; see
 # test_off_singularity_family_constants_closed_form
 FROZEN_ROWS_SHA = (
-    "b6e1eb95d866469e82c69b9f33411796de9542806d3b94995b476ff93aaa163e")
+    "d201c70762360a8fa6bb7ecb2d695761d101e740f5d4f393a3372446df1c3a46")
 POWER_PHI_BUMP_SHA = (
     "551370872036edaec2b8fe50b65b6d0642bcf4dd623c1348b98c29e4c6be7fe6")
 

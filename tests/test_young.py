@@ -208,6 +208,16 @@ def test_analytic_norm_nonintegrable_weight_nonhomogeneous_phi_is_inf(phi):
     assert luxemburg_norm(w, Cube((-1.0,), 1.5), phi) == math.inf
 
 
+def test_analytic_norm_exp_of_unbounded_weight_is_inf():
+    # |x|^(-1/2) is integrable, but exp(|x|^(-1/2) / lam) is not at 0 for
+    # any lam; away from 0 the bisection's value keeps its bits
+    w = power_weight(-0.5, -4.0, 4.0)
+    phi = YoungFn.exp_minus_one()
+    assert luxemburg_norm(w, (-1.0, 1.0), phi) == math.inf
+    assert luxemburg_norm(w, (0.0, 1.0), phi) == math.inf
+    assert luxemburg_norm(w, (0.5, 1.0), phi).hex() == "0x1.b2339b4f9c8eap+0"
+
+
 def test_analytic_norm_off_the_singularity_closed_form():
     # w^2 = |x|^{-1.5} is integrable on [1, 3], away from 0: the norm is
     # (avg x^-1.5)^(1/2) = (1 - 3^(-1/2))^(1/2); a cube ending at 0 is inf
