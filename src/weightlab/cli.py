@@ -43,7 +43,7 @@ from .maximal import (
     orlicz_maximal,
 )
 from .weightclass import ClassSpec, class_constant, rh_inclusion_check
-from .czlab import check_a, cz_decompose, ekj_expansion_check
+from .czlab import check_a, cz_decompose, ekj_expansion_check, root_level
 from .young import YoungFn
 from .report import SCHEMA, canonical_json, write_report
 from .suites import run_suites
@@ -194,24 +194,12 @@ def _cmd_constant(args) -> int:
 
 
 def _auto_k_range(f: GridFunction, a: float, alpha: float):
-    with np.errstate(over="ignore"):     # an overflowing mean is rejected below
-        root = float(np.mean(f.values)) * (1.0 + 1e-9)
-    if root == 0.0:
-        return range(0, 1)
-    side = f.hi[0] - f.lo[0]
-    top = float(f.values.max())
-    if alpha:
-        root *= side ** alpha
-        top *= side ** alpha
-    if not (math.isfinite(root) and math.isfinite(top)):
-        raise ValueError("grid values overflow the automatic k range; "
-                         "pass --kmin and --kmax")
-    dim = f.dim
-    k_low = math.ceil(math.log(2 ** dim * root, a) - 1e-12)
-    while a ** k_low < 2 ** dim * root:
-        k_low += 1
+    k_low = root_level(f, a, alpha)
+    top = float(f.values.max()) * (f.hi[0] - f.lo[0]) ** alpha
+    if not math.isfinite(top):
+        raise ValueError("grid values overflow the automatic k range")
     k_hi = k_low
-    while a ** k_hi / 4 ** dim <= top and k_hi - k_low < 60:
+    while a ** k_hi / 4 ** f.dim <= top and k_hi - k_low < 60:
         k_hi += 1
     return range(k_low, k_hi + 1)
 
@@ -220,10 +208,14 @@ def _cmd_cz(args) -> int:
     f = _load_grid(args.input)
     check_alpha(args.alpha, f.dim)
     check_a(args.a, f.dim)
-    if args.kmin is not None and args.kmax is not None:
+    if (args.kmin is None) != (args.kmax is None):
+        raise ValueError("pass both --kmin and --kmax, or neither")
+    if args.kmin is None:
+        ks = _auto_k_range(f, args.a, args.alpha)
+    elif args.kmin <= args.kmax:
         ks = range(args.kmin, args.kmax + 1)
     else:
-        ks = _auto_k_range(f, args.a, args.alpha)
+        raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     dec = cz_decompose(f, args.a, ks, alpha=args.alpha)
     ek = ekj_expansion_check(dec)
     doc = {

@@ -32,9 +32,10 @@ Geometry conventions used by the chain:
   labelled pass over M^E w and one over w give the tail, every layer and,
   as the exact total of the layers above it, every level set omega_k, each
   rounded once, so the bits equal ``math.fsum`` over the same cells.  The
-  table's norms and image masses reduce all cubes of one shape at once
-  over rows gathered into a C-contiguous (cubes, cells) array, whose row
-  sums add in the order ``np.sum`` uses on each cube alone.
+  per-cube terms are float reductions over rows gathered a cube shape at a
+  time into a C-contiguous (cubes, cells) array: the Luxemburg norms, and
+  one pass for the image masses of w and the masses of w_A on the tripled
+  cubes.  A row sum adds in the order ``np.sum`` uses on that cube alone.
 * Cell transport is ``maximal.preimage_cells``: an image cell corresponds
   to the input cell holding A^(-1) of its center.  ``level_sets`` uses the
   same correspondence for any map, and reports whether it is one to one.
@@ -56,7 +57,6 @@ from .funcspace import (
     DomainError,
     GridFunction,
     SquareMatrix,
-    _cumsum_prefix,
     add_totals,
     compose_matrix,
     exact_sums,
@@ -410,6 +410,22 @@ def check_a(a: float, dim: int) -> None:
         raise ValueError(f"need a finite a > 2^n = {2 ** dim}")
 
 
+def root_level(f: GridFunction, a: float, alpha: float = 0.0) -> int:
+    """The least k with a^k >= 2^n side^alpha avg f over the whole grid, the
+    average padded by 1e-9 relative; 0 where that product is zero."""
+    side_a = (f.hi[0] - f.lo[0]) ** alpha
+    with np.errstate(over="ignore"):     # an overflowing mean is rejected below
+        root = float(np.mean(f.values)) * (1.0 + 1e-9) * side_a
+    if not math.isfinite(root):
+        raise ValueError("grid values overflow the automatic k range")
+    if root == 0.0:
+        return 0
+    k = math.ceil(math.log(2 ** f.dim * root, a) - 1e-12)
+    while a ** k < 2 ** f.dim * root:
+        k += 1
+    return k
+
+
 def _block_totals(values: np.ndarray, idx: np.ndarray, side: int) -> list:
     """Exact totals (``exact_totals`` entries) of f over the dyadic blocks
     idx of one side, from one labelled pass over their gathered cells; the
@@ -657,19 +673,6 @@ def _tripled_cover(shape, corner: np.ndarray, side: np.ndarray) -> np.ndarray:
     return cover
 
 
-def _prefix_span_sums(values: np.ndarray, lo: np.ndarray,
-                      ext: np.ndarray) -> np.ndarray:
-    """Float sums of values over the spans with starts lo and extents ext
-    ((m, dim) int arrays), as differences of the grid's float prefix sums
-    (for all spans at once, in one fixed order)."""
-    P = _cumsum_prefix(values)
-    lo, hi = lo.T, (lo + ext).T
-    if values.ndim == 1:
-        return P[hi[0]] - P[lo[0]]
-    return (P[hi[0], hi[1]] - P[lo[0], hi[1]] - P[hi[0], lo[1]]
-            + P[lo[0], lo[1]])
-
-
 def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
                         a: float | None = None,
                         alpha: float = 0.0) -> ChainReport:
@@ -772,13 +775,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     M = fractional_maximal(fY, alpha, lengths="dyadic").values
 
     # ---- k range ---------------------------------------------------------
-    side_Y = (Yhi[0] - Ylo[0])
-    root_value = float(np.mean(fY.values)) * (1.0 + 1e-9)
-    if frac:
-        root_value *= side_Y ** alpha
-    k_low = math.ceil(math.log(2 ** dim * root_value, a) - 1e-12)
-    while a ** k_low < 2 ** dim * root_value:
-        k_low += 1
+    k_low = root_level(fY, a, alpha)
     Mmax = float(M.max())
     k_max = k_low
     while a ** (k_max + 1) < Mmax and k_max - k_low < 400:
@@ -838,19 +835,20 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     del layer, cover
 
     # the used cubes as columns, in (k, span) order: every per-cube term,
-    # computed once; the norms and image masses reduce the cubes of one
-    # shape at a time.  Every per-cube power below is a Python float power.
+    # computed once; the norms and masses reduce the cubes of one shape at
+    # a time.  Every per-cube power below is a Python float power.
     corner, side, average, value = map(np.concatenate, zip(*used))
     lo3, ext3 = _tripled(corner, side, NY)
-    image_mass = (_span_reduce(lo3, ext3, lambda r: r.sum(axis=1), w_back)
-                  * vol_out).tolist()
-    del w_back
-    # the pulled-back weight w_A (fractional: w_A^q), sampled for its one use
+    # the pulled-back weight w_A (fractional: w_A^q), sampled for its one
+    # use: one pass of row sums gives its masses and the image masses
     WA_vals = product_averages(wA, Ylo, Yhi, NY)
     if frac:
         WA_vals **= q
-    wa = _prefix_span_sums(WA_vals, lo3, ext3)
-    del WA_vals
+    image_mass, wa = _span_reduce(
+        lo3, ext3, lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
+        w_back, WA_vals).T
+    del w_back, WA_vals
+    image_mass = (image_mass * vol_out).tolist()
     # g = f w^{1/p} and the dual weight w^{-1/p} (fractional: f w and w^-1)
     if frac:
         g_vals = fY.values * wY

@@ -142,33 +142,40 @@ class Measure:
             return 0.0
         if self.kind == "lebesgue" or seg.singular_in(a, b):
             return seg.mass(a, b)
-        if seg.form == "exp":
-            # e^{|x|} merges with the exponential: split at the origin.
-            total = 0.0
-            if min(b, 0.0) > a:
-                neg = Segment(a, min(b, 0.0), "exp", c=seg.c, s=seg.s - 1.0)
-                total += neg.mass(a, min(b, 0.0))
-            if b > max(a, 0.0):
-                pos = Segment(max(a, 0.0), b, "exp", c=seg.c, s=seg.s + 1.0)
-                total += pos.mass(max(a, 0.0), b)
-            return total
-        if seg.gamma == 0.0:
-            # a constant piece: c e^{far end} (1 - e^{-length}) on each side
-            # of the origin, with no cancellation for a short interval
-            total = 0.0
-            if a < 0.0:
-                total += seg.c * math.exp(-a) * -math.expm1(a - min(b, 0.0))
-            if b > 0.0:
-                total += seg.c * math.exp(b) * -math.expm1(max(a, 0.0) - b)
-            return total
-        # power piece against e^{|x|}: no elementary antiderivative, use
-        # singularity-aware adaptive quadrature (only exercised in cross
-        # checks; scipy is imported here, on first use)
-        from scipy import integrate
-        pts = [p for p in (seg.a, 0.0) if a < p < b]
-        val, _ = integrate.quad(lambda x: seg.value(x) * math.exp(abs(x)), a, b,
-                                points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
-        return float(val)
+        # finite in exact arithmetic, so a float that is not has overflowed
+        total = 0.0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if seg.form == "exp":
+                    # e^{|x|} merges with the exponential: split at the origin.
+                    if min(b, 0.0) > a:
+                        neg = Segment(a, min(b, 0.0), "exp", c=seg.c, s=seg.s - 1.0)
+                        total += neg.mass(a, min(b, 0.0))
+                    if b > max(a, 0.0):
+                        pos = Segment(max(a, 0.0), b, "exp", c=seg.c, s=seg.s + 1.0)
+                        total += pos.mass(max(a, 0.0), b)
+                elif seg.gamma == 0.0:
+                    # a constant piece: c e^{far end} (1 - e^{-length}) on each
+                    # side of the origin, with no cancellation for a short interval
+                    if a < 0.0:
+                        total += seg.c * math.exp(-a) * -math.expm1(a - min(b, 0.0))
+                    if b > 0.0:
+                        total += seg.c * math.exp(b) * -math.expm1(max(a, 0.0) - b)
+                else:
+                    # power piece against e^{|x|}: no elementary antiderivative,
+                    # use singularity-aware adaptive quadrature (only exercised
+                    # in cross checks; scipy is imported here, on first use)
+                    from scipy import integrate
+                    pts = [p for p in (seg.a, 0.0) if a < p < b]
+                    total, _ = integrate.quad(
+                        lambda x: seg.value(x) * math.exp(abs(x)), a, b,
+                        points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
+        except OverflowError:       # math.exp
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(f"the e^|x| mass over [{a}, {b}] overflows the "
+                             "float range")
+        return float(total)
 
 
 LEBESGUE = Measure("lebesgue")

@@ -82,18 +82,18 @@ class ClassSpec:
             if self.A is None:
                 raise ValueError("AA1 needs a matrix")
         elif self.kind == "RH":
-            if self.s is None or self.s <= 1.0:
-                raise ValueError("RH needs s > 1")
-        else:
-            if not self.p > 1.0:
-                raise ValueError(f"{self.kind} needs p > 1")
+            if self.s is None or not (math.isfinite(self.s) and self.s > 1.0):
+                raise ValueError(f"RH needs a finite s > 1, got s = {self.s}")
+        elif not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"{self.kind} needs a finite p > 1, got p = {self.p}")
         if self.kind in ("AAp", "bump", "frac", "frac_bump") and self.A is None:
             raise ValueError(f"{self.kind} needs a matrix")
         if self.kind in ("bump", "frac_bump") and self.phi is None:
             raise ValueError(f"{self.kind} needs a Young function")
         if self.kind in ("frac", "frac_bump"):
-            if self.q is None or self.q < self.p:
-                raise ValueError("fractional kinds need q >= p")
+            if self.q is None or not (math.isfinite(self.q) and self.q >= self.p):
+                raise ValueError("fractional kinds need a finite q >= p, "
+                                 f"got q = {self.q}")
 
     def describe(self) -> str:
         bits = [self.kind, f"p={self.p:g}"]

@@ -24,7 +24,6 @@ from weightlab.czlab import (
     _children,
     _expansion,
     _mass_test,
-    _prefix_span_sums,
     _pyramids,
     _span_reduce,
     _sum_bounds,
@@ -153,13 +152,16 @@ def test_span_helpers_any_dimension(span):
     want = np.zeros(shape, dtype=bool)
     want[slices(tripled)] = True
     np.testing.assert_array_equal(_tripled_cover(shape, corner, side), want)
-    if len(span) <= 2:
-        # integer cells, so the prefix differences are exact sums
-        vals = np.arange(8 ** len(span), dtype=float).reshape(shape)
-        lo = np.concatenate([corner, lo3])
-        ext = np.concatenate([np.repeat(side[:, None], len(span), 1), ext3])
-        assert _prefix_span_sums(vals, lo, ext).tolist() == \
-            [vals[slices(s)].sum() for s in (span, tripled)]
+    # one pass over two arrays gives both sums on the cube and on its
+    # triple, each bit for bit the sum over that span alone
+    vals = np.random.default_rng(len(span)).random((2,) + shape)
+    lo = np.concatenate([corner, lo3])
+    ext = np.concatenate([np.repeat(side[:, None], len(span), 1), ext3])
+    sums = _span_reduce(
+        lo, ext, lambda *rows: np.column_stack([r.sum(axis=1) for r in rows]),
+        *vals)
+    assert sums.tolist() == \
+        [[v[slices(s)].sum() for v in vals] for s in (span, tripled)]
     # the stopping-cube sweep's 2^n children of the dyadic cube with the
     # span's side at its first corner tile that cube, in lexicographic order
     side = span[0][1] - span[0][0]
@@ -781,6 +783,16 @@ def corpus_grid_2d(n=16):
     return GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
 
 
+def acceptance_grid_2d(n):
+    """The acceptance-5 2D chain corpus: uniforms plus a raised block."""
+    rng = np.random.default_rng(33)
+    vals = rng.random((n, n)) * 2.0
+    vals[n // 12: n // 6, n // 2: n // 2 + max(2, n // 12)] = 30.0
+    return GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
+
+
+PAIR = (power_weight(0.5, -40.0, 40.0), constant_weight(1.0, -40.0, 40.0))
+
 EXPECTED_STEPS = [
     "tail", "s1_slicing", "s2_threshold", "s2c_cover", "s2d_substitution",
     "s2e_sandwich", "s3_holder", "s4_bump", "s4b_triple", "s5a_ellqp",
@@ -911,12 +923,8 @@ def test_chain_2d_peak_memory_in_grids():
     grids, the dyadic sweep of M f on top of the f, w and pulled-back
     weight grids; the bound is that peak plus 10%, so a whole grid kept
     alive past its last use fails it."""
-    rng = np.random.default_rng(33)
-    vals = rng.random((128, 128)) * 2.0
-    vals[10:21, 64:74] = 30.0
-    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
-    pair = (power_weight(0.5, -40.0, 40.0), constant_weight(1.0, -40.0, 40.0))
-    args = (f, pair, SquareMatrix.scalar(-0.5, 2), 2.0, PHI)
+    args = (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2), 2.0,
+            PHI)
     theorem_chain_check(*args)          # imports and caches stay out
     tracemalloc.start()
     try:
@@ -930,15 +938,29 @@ def test_chain_2d_peak_memory_in_grids():
     assert grids <= 6.82 * 1.1, grids
 
 
+@pytest.mark.parametrize("f, w, A", [
+    (corpus_function(2 ** 14), PAIR[0], -2.0),
+    (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2)),
+], ids=["1d", "2d"])
+def test_chain_substitution_identity_at_rounding(f, w, A):
+    """On the shapes of the chain benchmark (the acceptance-5 corpora and
+    weights, p = 2), the s2d change of variables |det A| int_Q w_A =
+    int_{A(Q)} w holds to rounding: both sides are row sums over the same
+    gathered cells, one mass column each, on every tripled cube."""
+    rep = theorem_chain_check(f, w, A, 2.0, PHI)
+    step = next(s for s in rep.steps if s.name == "s2d_substitution")
+    assert abs(step.extra["identity_defect"]) <= 1e-15, step.extra
+
+
 @pytest.mark.parametrize("n, A, kw, digest", [
     (128, -2.0, {},
-     "8fb8bf721ebc587d7bc55ed0254cd36a0dbc410e4d60c3aece7fedbe3801834c"),
+     "48511d469521dc874e32ce6f94fb7d40e2c07005716328d05afb0203d93b965c"),
     (128, 2.0, {"alpha": 0.25, "a": 2.5},
-     "9c7e5b88be5a7c1c1aadfd1c0ac120f95c66b9df6ebcf9d1a6f53660bc7750a4"),
+     "1c784c3f9a25834e45664165724f70112aec1dab90fd446af9e8ecebc9d54ef5"),
     (64, SquareMatrix.scalar(-0.5, 2), {},
-     "6b5cd0c9346b6345c517262b5a3236d976845a720c3423939704d0c1d5763197"),
+     "3095354ef873f47af929fce44e311006cc89f775f86797b32f7037d392e00c0f"),
     (32, SquareMatrix([[0.0, 1.0], [1.0, 0.0]]), {},
-     "fb9e0810f6e3c40224e0774e12b4b04068e7b470c73f9fb47a5660558c56e9d4"),
+     "86c7bdb7893e7be15ca216ad5a71ec4a9560200541cae8e0eac5e5ed06b84d10"),
 ], ids=["1d-reflect-scale", "1d-fractional", "2d-negative-half", "2d-axis-swap"])
 def test_chain_report_bytes_frozen(n, A, kw, digest):
     """sha256 of the canonical JSON of four chain reports with p = 2 and

@@ -155,6 +155,23 @@ def test_exp_weight_in_exp_measure_closed_form():
     assert val == pytest.approx((math.exp(6.0) - 1.0) / 2.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("weight, bits", [
+    (constant_weight(1.0, 0.0, 1000.0), "0x1.0c3d3920862c9p+36"),
+    (SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)]),
+     "0x1.19103e4080b45p+71"),
+    (power_weight(0.5, 0.0, 1000.0), "0x1.4873297c6c5efp+38"),
+], ids=["constant", "exp", "power-quadrature"])
+def test_exp_measure_overflow_names_the_interval(weight, bits):
+    # over [0, 25] the mass keeps its bits; over [600, 1000] it leaves the
+    # float range in every piece form (math.exp raises for a constant
+    # piece and in the quadrature's integrand, np.exp gives inf - inf for
+    # an exp piece), and each says where
+    assert weight.mass(0.0, 25.0, EXP_ABS).hex() == bits
+    with pytest.raises(ValueError,
+                       match=r"mass over \[600.0, 1000.0\] overflows"):
+        weight.mass(600.0, 1000.0, EXP_ABS)
+
+
 def test_measure_is_frozen_and_hashable():
     # A dataclass default must be hashable on Python >= 3.11; ClassSpec
     # shares LEBESGUE as one, so it must also be immutable.

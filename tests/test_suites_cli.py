@@ -131,7 +131,7 @@ def test_run_suites_rejects_unknown_name():
 # sha256 of the ``weightlab verify all --out`` report, the frozen-output gate
 # of every change to the sweeps, sums and suites behind it
 VERIFY_ALL_SHA256 = \
-    "005580df800024e8bdc81a8244c552252d6c2926411035a5ae6c893d7b6b0521"
+    "3eed75b345eb3f74d05e8640d5bd49904e8a62ebdc9e34226e99ca442ed691c5"
 
 
 def test_verify_all_report_frozen(tmp_path, capsys):
@@ -524,10 +524,15 @@ ONE_HOT_8 = {"box": [0.0, 8.0], "values": [1.0] + [0.0] * 7}
     ("cz", ONE_HOT_8, ["--a", "nan", "--kmin", "1", "--kmax", "1"],
      "need a finite a > 2^n = 2"),
     ("cz", ONE_HOT_8, ["--a", "2"], "need a finite a > 2^n = 2"),
+    ("cz", ONE_HOT_8, ["--kmin", "5", "--kmax", "2"],
+     "--kmin 5 exceeds --kmax 2"),
+    ("cz", ONE_HOT_8, ["--kmin", "3"], "pass both --kmin and --kmax"),
+    ("cz", ONE_HOT_8, ["--kmax", "3"], "pass both --kmin and --kmax"),
 ], ids=["nan", "empty", "reversed-box", "overflow", "non-square-all",
         "non-square-dyadic", "cz-48-cells", "cz-threshold-overflow",
         "cz-negative-alpha", "cz-nan-alpha", "cz-nan-alpha-auto-k",
-        "cz-inf-a", "cz-nan-a-auto-k", "cz-nan-a", "cz-a-two"])
+        "cz-inf-a", "cz-nan-a-auto-k", "cz-nan-a", "cz-a-two",
+        "cz-kmin-above-kmax", "cz-kmin-alone", "cz-kmax-alone"])
 def test_cli_bad_grid_exits_two_with_one_line(tmp_path, capsys, command, grid,
                                               options, message):
     path = tmp_path / "grid.json"
@@ -585,6 +590,36 @@ def test_cli_bad_matrix_token_exits_two_with_one_line(grid_file, weight_file,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--class", "rh", "--s", "inf"], "RH needs a finite s > 1, got s = inf"),
+    (["--class", "rh", "--s", "nan"], "RH needs a finite s > 1, got s = nan"),
+    (["--class", "ap", "--p", "inf"], "Ap needs a finite p > 1, got p = inf"),
+    (["--class", "frac", "--q", "nan", "--matrix", "2"],
+     "fractional kinds need a finite q >= p, got q = nan"),
+], ids=["rh-inf-s", "rh-nan-s", "ap-inf-p", "frac-nan-q"])
+def test_cli_constant_nonfinite_parameter_exits_two(weight_file, capsys,
+                                                    options, message):
+    assert main(["constant", "--weight", weight_file, *options]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("piece", [
+    {"form": "power", "c": 1.0, "a": -1.0, "gamma": 0.0},
+    {"form": "exp", "c": 1.0, "s": 1.0},
+], ids=["constant", "exp"])
+def test_cli_constant_overflowing_exp_mass_exits_two(tmp_path, capsys, piece):
+    files = {"w.json": {"segments": [{"lo": 0.0, "hi": 1000.0, **piece}]},
+             "fam.json": {"box": [600.0, 1000.0], "levels": [0, 0]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    rc = main(["constant", "--class", "ap", "--measure", "exp",
+               "--weight", str(tmp_path / "w.json"),
+               "--family", str(tmp_path / "fam.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: the e^|x| mass over [600.0, 1000.0] overflows the float range\n"
 
 
 def test_cli_constant_rejects_unknown_measure_token(weight_file):
