@@ -52,6 +52,7 @@ from .czlab import (
     ekj_expansion_check,
     level_sets,
     theorem_chain_check,
+    theorem_chain_checks,
 )
 from .report import SCHEMA, canonical_json, write_report
 from .suites import (
@@ -79,7 +80,7 @@ __all__ = [
     "finite_order_reduction", "rh_inclusion_check", "rh_ratio",
     "subset_mass_ratio_check",
     "ChainReport", "CZDecomposition", "cz_decompose", "ekj_expansion_check",
-    "level_sets", "theorem_chain_check",
+    "level_sets", "theorem_chain_check", "theorem_chain_checks",
     "SCHEMA", "canonical_json", "write_report",
     "Check", "SuiteResult", "run_suites", "suite_prop41", "suite_prop42",
     "suite_prop43", "suite_theorems",

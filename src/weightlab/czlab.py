@@ -15,7 +15,11 @@ objects only when it is read.  ``theorem_chain_check`` replays the
 weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
-powers w^p, w^q.
+powers w^p, w^q.  ``theorem_chain_checks`` replays a batch of cases (w, A,
+p) on one f and builds the f-only half of the chain (embedding, dyadic
+field, k range, stopping cubes, cover check, per-cube columns, one B_p
+integral per p) once for the batch; ``theorem_chain_check`` is the batch of
+one, and each report has the same bytes either way.
 
 Geometry conventions used by the chain:
 
@@ -85,6 +89,7 @@ __all__ = [
     "level_sets",
     "ekj_expansion_check",
     "theorem_chain_check",
+    "theorem_chain_checks",
     "ChainReport",
 ]
 
@@ -673,6 +678,110 @@ def _tripled_cover(shape, corner: np.ndarray, side: np.ndarray) -> np.ndarray:
     return cover
 
 
+class _UsedCubes(NamedTuple):
+    """The stopping cubes of the chain's levels ks as columns, in (k, span)
+    order, with every per-cube term that depends on f alone."""
+    dec: CZDecomposition    # the decomposition for k_low .. k_max + 1
+    corner: np.ndarray      # (m, dim) first cells
+    ext: np.ndarray         # (m, dim) cells per axis
+    lo3: np.ndarray         # (m, dim) starts of the clipped triples
+    ext3: np.ndarray        # (m, dim) extents of the clipped triples
+    cells3: np.ndarray      # (m,) cells of the clipped triples
+    k_of: list              # the level of each cube
+    side_a: list            # side^alpha
+    cells: list             # side^dim
+    average: list           # exact average of f, rounded once
+    value: list             # side^alpha * average
+
+
+class _ChainCorpus:
+    """The f-only half of the proof chain, shared by the cases of one
+    ``theorem_chain_checks`` batch.  Each part is built when a case first
+    needs it, so a case that stops earlier builds nothing more: the
+    dyadic field M of the embedding fY (kept unpowered) with its k range
+    and layer labels, the stopping cubes with their cover check and
+    columns, and one B_p integral per exponent.  The last case of the batch
+    takes M, the layer labels, fY and the cubes at their last use, so a
+    batch of one drops each whole grid where a single chain does."""
+
+    def __init__(self, f: GridFunction, a: float, alpha: float,
+                 phi: YoungFn):
+        self.f, self.a, self.alpha = f, a, alpha
+        self.phi, self.phibar = phi, complementary(phi)
+        # f embedded into the concentric box Y = 4 X
+        n = f.shape[0]
+        L = f.hi[0] - f.lo[0]
+        self.Ylo = tuple(lo - 1.5 * L for lo in f.lo)
+        self.Yhi = tuple(hi + 1.5 * L for hi in f.hi)
+        self.NY = 4 * n
+        self.inner = (slice(3 * n // 2, 3 * n // 2 + n),) * f.dim  # X in Y
+        vals = np.zeros((self.NY,) * f.dim)
+        vals[self.inner] = f.values
+        self.fY = GridFunction((self.Ylo, self.Yhi), vals)
+        self.M = self.layer = self.ks = None
+        self._used = None
+        self._bp = {}
+
+    def field(self):
+        """(ks, k_low, k_max); the first call sweeps M = M^d_alpha fY and
+        labels its layers."""
+        if self.ks is None:
+            fY, a = self.fY, self.a
+            M = fractional_maximal(fY, self.alpha, lengths="dyadic").values
+            k_low = root_level(fY, a, self.alpha)
+            Mmax = float(M.max())
+            k_max = k_low
+            while a ** (k_max + 1) < Mmax and k_max - k_low < 400:
+                k_max += 1
+            # omega_{k_max + 1} = empty by construction of k_max
+            ks = list(range(k_low, k_max + 1))
+            if Mmax > a ** (k_max + 1):
+                k_max += 1
+                ks.append(k_max)
+            # layer[x] counts the k in ks + [k_max + 1] with M(x) > a^k, so
+            # omega_k = {layer > k - k_low} and the tail is {layer = 0}; one
+            # labelled exact pass over each of M^E w and w gives every
+            # layer's exact total, and omega_k's is the total of the layers
+            # above it
+            self.layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
+                                         M).astype(np.uint16)  # < 404 layers
+            self.M, self.ks, self.k_low, self.k_max = M, ks, k_low, k_max
+        return self.ks, self.k_low, self.k_max
+
+    def used(self):
+        """The used cubes (``_UsedCubes``), or the reason the tripled-cube
+        cover check failed; the first call decomposes fY for k_low ..
+        k_max + 1 and checks that omega_k lies inside the union of the
+        clipped tripled cubes of D_k."""
+        if self._used is None:
+            ks, k_low = self.ks, self.k_low
+            fY = self.fY
+            dec = cz_decompose(fY, self.a, range(k_low, self.k_max + 2),
+                               alpha=self.alpha)
+            levels = [dec.levels[k] for k in ks]
+            for k, lv in zip(ks, levels):
+                cover = _tripled_cover(fY.shape, lv.corner, lv.side)
+                if ((self.layer > k - k_low) & ~cover).any():
+                    self._used = f"triple-cube cover failed at k={k}"
+                    return self._used
+            # every per-cube power is a Python float power
+            corner, side, average, value = map(np.concatenate, zip(*levels))
+            lo3, ext3 = _tripled(corner, side, self.NY)
+            self._used = _UsedCubes(
+                dec, corner, np.repeat(side[:, None], fY.dim, axis=1),
+                lo3, ext3, ext3.prod(axis=1),
+                np.repeat(ks, [len(lv.side) for lv in levels]).tolist(),
+                [(s * fY.h[0]) ** self.alpha for s in side.tolist()],
+                (side ** fY.dim).tolist(), average.tolist(), value.tolist())
+        return self._used
+
+    def bp(self, p: float):
+        """``bp_integral(phibar, p)``, once per exponent."""
+        if p not in self._bp:
+            self._bp[p] = bp_integral(self.phibar, p)
+        return self._bp[p]
+
+
 def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
                         a: float | None = None,
                         alpha: float = 0.0) -> ChainReport:
@@ -684,15 +793,41 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     maximal bound.  alpha > 0 runs the fractional chain with q from
     1/q = 1/p - alpha/n and the weight powers w^p, w^q; alpha = 0 is the
     plain chain (q = p).  Every step reports (lhs, rhs); the proof holds
-    numerically when all relative slacks stay above -1e-6.
+    numerically when all relative slacks stay above -1e-6.  This is the
+    batch of one of ``theorem_chain_checks``.
     """
-    dim = f.dim
+    return theorem_chain_checks(f, [(w, A, p)], phi, a, alpha)[0]
+
+
+def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
+                         a: float | None = None,
+                         alpha: float = 0.0) -> list:
+    """One ``theorem_chain_check`` report per case (w, A, p), in order.
+
+    The cases share f, phi, a and alpha, and the f-only half of the chain
+    is built once for all of them: the embedding, the dyadic field and its
+    k range, the stopping cubes with their cover check and per-cube
+    columns, and one B_p integral per p.  Each report has the bytes of the
+    single call on its case, and cases in any order give the same reports.
+    """
     n = _dyadic_cells(f)
     if n < 2:
         raise ValueError("f needs at least two cells per axis")
-    A = resolve_matrix(A, dim)
     if a is None:
-        a = float(2 ** (dim + 2))
+        a = float(2 ** (f.dim + 2))
+    cases = list(cases)
+    corpus = _ChainCorpus(f, a, alpha, phi)
+    return [_chain_case(corpus, w, A, p, last=i == len(cases) - 1)
+            for i, (w, A, p) in enumerate(cases)]
+
+
+def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
+    """The chain on one case (w, A, p) of a batch, reading the f-only terms
+    from the corpus c; the last case takes its whole grids at their last
+    use."""
+    f, a, alpha = c.f, c.a, c.alpha
+    dim = f.dim
+    A = resolve_matrix(A, dim)
     check_a(a, dim)
     if not p > 1.0:
         raise ValueError("need p > 1")
@@ -709,22 +844,15 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     else:
         q = p
     E = q                       # exponent of the left-hand side
-    phibar = complementary(phi)
+    phi, phibar = c.phi, c.phibar
     steps = []
 
     def fail(reason: str) -> ChainReport:
         return ChainReport(False, reason, steps, {}, frac)
 
-    # ---- geometry: embed f into the concentric box Y = 4 X --------------
-    L = f.hi[0] - f.lo[0]
-    Ylo = tuple(lo - 1.5 * L for lo in f.lo)
-    Yhi = tuple(hi + 1.5 * L for hi in f.hi)
-    NY = 4 * n
-    vals = np.zeros((NY,) * dim)
-    inner = (slice(3 * n // 2, 3 * n // 2 + n),) * dim     # X inside Y
-    vals[inner] = f.values
-    fY = GridFunction((Ylo, Yhi), vals)
-    del vals
+    # ---- geometry: f embedded into the concentric box Y = 4 X (shared) ---
+    Ylo, Yhi, NY, inner = c.Ylo, c.Yhi, c.NY, c.inner
+    fY = c.fY
     volY = fY.cell_volume
 
     # ---- weights ---------------------------------------------------------
@@ -771,33 +899,18 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
                            [ChainStep("vacuous", "zero function", 0.0, 0.0)],
                            {"rhs_base": 0.0}, frac)
 
-    # ---- maximal fields --------------------------------------------------
-    M = fractional_maximal(fY, alpha, lengths="dyadic").values
-
-    # ---- k range ---------------------------------------------------------
-    k_low = root_level(fY, a, alpha)
-    Mmax = float(M.max())
-    k_max = k_low
-    while a ** (k_max + 1) < Mmax and k_max - k_low < 400:
-        k_max += 1
-    # omega_{k_max + 1} = empty by construction of k_max
-
-    ks = list(range(k_low, k_max + 1))
-    if Mmax > a ** (k_max + 1):
-        k_max += 1
-        ks.append(k_max)
-    # layer[x] counts the k in ks + [k_max + 1] with M(x) > a^k, so
-    # omega_k = {layer > k - k_low} and the tail is {layer = 0}; one
-    # labelled exact pass over each of M^E w and w gives every layer's
-    # exact total, and omega_k's is the total of the layers above it
-    layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
-                            M).astype(np.uint16)   # < 404 layers
+    # ---- maximal field, k range and layers (shared) ----------------------
+    ks, k_low, k_max = c.field()
     n_layers = len(ks) + 2
-    M **= E
+    if last:
+        M, c.M = c.M, None
+        M **= E
+    else:
+        M = c.M ** E
     M *= w_back                 # M^E w
-    me_totals = exact_totals(M, layer, n_layers)
+    me_totals = exact_totals(M, c.layer, n_layers)
     del M
-    w_totals = exact_totals(w_back, layer, n_layers)
+    w_totals = exact_totals(w_back, c.layer, n_layers)
     lhs_total = round_total(add_totals(me_totals)) * vol_out
 
     # tail: cells where the maximal field never exceeds a^{k_low}
@@ -823,22 +936,18 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         "s2_threshold", "each layer bounded by a^{(k+1)E} times the weight "
         "of the image level set", v_sliced, v2))
 
-    # CZ decomposition for k_low .. k_max + 1
-    dec = cz_decompose(fY, a, range(k_low, k_max + 2), alpha=alpha)
+    # CZ decomposition for k_low .. k_max + 1 and the cover check (shared):
+    # omega_k inside the union of clipped tripled cubes
+    used = c.used()
+    if last:
+        c.layer = None
+    if isinstance(used, str):
+        return fail(used)
 
-    # cover check: omega_k inside the union of clipped tripled cubes
-    used = [dec.levels[k] for k in ks]
-    for k, lv in zip(ks, used):
-        cover = _tripled_cover(fY.shape, lv.corner, lv.side)
-        if ((layer > k - k_low) & ~cover).any():
-            return fail(f"triple-cube cover failed at k={k}")
-    del layer, cover
-
-    # the used cubes as columns, in (k, span) order: every per-cube term,
-    # computed once; the norms and masses reduce the cubes of one shape at
-    # a time.  Every per-cube power below is a Python float power.
-    corner, side, average, value = map(np.concatenate, zip(*used))
-    lo3, ext3 = _tripled(corner, side, NY)
+    # the used cubes as columns, in (k, span) order: the norms and masses
+    # reduce the cubes of one shape at a time.  Every per-cube power below
+    # is a Python float power.
+    lo3, ext3 = used.lo3, used.ext3
     # the pulled-back weight w_A (fractional: w_A^q), sampled for its one
     # use: one pass of row sums gives its masses and the image masses
     WA_vals = product_averages(wA, Ylo, Yhi, NY)
@@ -859,24 +968,21 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
         wY **= -1.0 / p
     dual_vals = wY
     del wY
-    cells3 = ext3.prod(axis=1)
     wa_mass = (wa * volY).tolist()
-    wa_avg = (wa / cells3).tolist()
-    cells3 = cells3.tolist()
+    wa_avg = (wa / used.cells3).tolist()
+    cells3 = used.cells3.tolist()
     g_norm, v_norm = _span_reduce(
-        corner, np.repeat(side[:, None], dim, axis=1),
+        used.corner, used.ext,
         lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
                                       luxemburg_norms(v, phi)]),
         g_vals, dual_vals).T.tolist()
     # reference bump with norms on the clipped triples, for the class bound
     norms3 = _span_reduce(lo3, ext3, lambda r: luxemburg_norms(r, phi),
                           dual_vals).tolist() \
-        if len(side) and phi.is_homogeneous else None
+        if len(lo3) and phi.is_homogeneous else None
     del dual_vals
-    side_a = [(s * fY.h[0]) ** alpha for s in side.tolist()]
-    cells = (side ** dim).tolist()
-    k_of = np.repeat(ks, [len(lv.side) for lv in used]).tolist()
-    average, value = average.tolist(), value.tolist()
+    side_a, cells, k_of = used.side_a, used.cells, used.k_of
+    average, value = used.average, used.value
     n_used = len(k_of)
 
     # s2c: replace level sets by the tripled covers
@@ -960,8 +1066,10 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
     except ValueError as err:
         Mg, sweep_error = None, err
     del g_vals
-    ek, e_sets = _expansion(dec, Mg)
-    del dec, fY
+    ek, e_sets = _expansion(used.dec, Mg)
+    del used, fY
+    if last:
+        c.fY = c._used = None
     beta = ek["beta"]
     if not math.isfinite(beta):
         return fail(f"empty E set below {ek['witness']}")
@@ -994,7 +1102,7 @@ def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
 
     # s5d: empirical maximal-operator constant closes the chain
     C_emp = int_Mg / rhs_base
-    bp = bp_integral(phibar, p)
+    bp = c.bp(p)
     c_total = c_tri * (beta * C_emp) ** (E / p)
     v11 = tail_bound + c_total * rhs_base ** (E / p)
     steps.append(ChainStep(

@@ -13,6 +13,7 @@ average with a rational threshold exactly, as integers.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -71,15 +72,21 @@ class Segment:
             return self.c * np.asarray(x, dtype=float)
         return (self.c / self.s) * np.exp(self.s * np.asarray(x, dtype=float))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def mass(self, a: float, b: float) -> float:
-        """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi)."""
+        """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi).
+
+        Infinite only where the interval meets a singular point with gamma
+        <= -1; any other mass is finite in exact arithmetic, and one whose
+        float evaluation leaves the float range raises ValueError."""
         if self.gamma <= -1.0 and self.singular_in(a, b):
             return math.inf
         a = max(a, self.lo)
         b = min(b, self.hi)
         if b <= a:
             return 0.0
-        return float(self._antideriv(b) - self._antideriv(a))
+        return _finite_mass(float(self._antideriv(b) - self._antideriv(a)),
+                            "mass", a, b)
 
     def singular_in(self, a: float, b: float) -> bool:
         """True when [a, b] meets the piece in an interval that holds its
@@ -148,12 +155,11 @@ class Measure:
             with np.errstate(over="ignore", invalid="ignore"):
                 if seg.form == "exp":
                     # e^{|x|} merges with the exponential: split at the origin.
-                    if min(b, 0.0) > a:
-                        neg = Segment(a, min(b, 0.0), "exp", c=seg.c, s=seg.s - 1.0)
-                        total += neg.mass(a, min(b, 0.0))
-                    if b > max(a, 0.0):
-                        pos = Segment(max(a, 0.0), b, "exp", c=seg.c, s=seg.s + 1.0)
-                        total += pos.mass(max(a, 0.0), b)
+                    for lo, hi, s in ((a, min(b, 0.0), seg.s - 1.0),
+                                      (max(a, 0.0), b, seg.s + 1.0)):
+                        if hi > lo:
+                            F = Segment(lo, hi, "exp", c=seg.c, s=s)._antideriv
+                            total += float(F(hi) - F(lo))
                 elif seg.gamma == 0.0:
                     # a constant piece: c e^{far end} (1 - e^{-length}) on each
                     # side of the origin, with no cancellation for a short interval
@@ -172,10 +178,16 @@ class Measure:
                         points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
         except OverflowError:       # math.exp
             total = math.inf
-        if not math.isfinite(total):
-            raise ValueError(f"the e^|x| mass over [{a}, {b}] overflows the "
-                             "float range")
-        return float(total)
+        return _finite_mass(float(total), "e^|x| mass", a, b)
+
+
+def _finite_mass(total: float, what: str, a: float, b: float) -> float:
+    """total, a mass over [a, b] that is finite in exact arithmetic; raises
+    ValueError when its float evaluation overflowed."""
+    if not math.isfinite(total):
+        raise ValueError(f"the {what} over [{a}, {b}] overflows the float "
+                         "range")
+    return total
 
 
 LEBESGUE = Measure("lebesgue")
@@ -202,6 +214,10 @@ class SegmentWeight1D:
         if not segs:
             raise ValueError("weight needs at least one segment")
         self.segments = tuple(segs)
+        # bisection keys for ``mass``: the starts, and the running maximum
+        # of the ends (the ends themselves may dip within the overlap slack)
+        self._los = [s.lo for s in segs]
+        self._his = list(itertools.accumulate((s.hi for s in segs), max))
 
     @property
     def support(self):
@@ -224,9 +240,14 @@ class SegmentWeight1D:
         return cursor >= b
 
     def mass(self, a: float, b: float, measure: Measure = LEBESGUE) -> float:
+        """The mass of [a, b], summed over the segments that meet it (hi > a
+        and lo < b); the others would add exact zeros."""
         if b < a:
             raise ValueError("reversed interval")
-        return float(sum(measure.segment_mass(seg, a, b) for seg in self.segments))
+        first = bisect.bisect_right(self._his, a)
+        stop = bisect.bisect_left(self._los, b)
+        return float(sum(measure.segment_mass(seg, a, b)
+                         for seg in self.segments[first:stop]))
 
     def value(self, x):
         """Pointwise values (for quadrature oracles); inf at singular points."""

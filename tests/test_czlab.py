@@ -979,3 +979,81 @@ def test_chain_report_bytes_frozen(n, A, kw, digest):
     assert rep.applicable, rep.reason
     text = canonical_json(rep.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# batches of chains on one f
+# ---------------------------------------------------------------------------
+
+def _report_bytes(rep) -> str:
+    from weightlab.report import canonical_json
+    return canonical_json(rep.to_json_dict())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25], ids=["plain", "fractional"])
+def test_chain_batch_equals_single_calls_on_the_theorems_corpus(alpha):
+    """The theorems suite's two batches: every report has the bytes of the
+    single call on its case."""
+    from weightlab.suites import _CHAIN_WEIGHTS, _chain_corpus_function
+    f = _chain_corpus_function()
+    ps = (1.5, 2.0) if alpha == 0.0 else (2.0,)
+    cases = [(mk(), lam, p) for mk in _CHAIN_WEIGHTS.values()
+             for lam in (0.5, -0.5, 2.0, -2.0) for p in ps]
+    batch = czlab.theorem_chain_checks(f, cases, PHI, alpha=alpha)
+    assert len(batch) == len(cases)
+    assert [_report_bytes(rep) for rep in batch] == [
+        _report_bytes(theorem_chain_check(f, w, A, p, PHI, alpha=alpha))
+        for w, A, p in cases]
+
+
+_SWAP = SquareMatrix([[0.0, 1.0], [1.0, 0.0]])
+_CASES_2D = [
+    (PAIR, SquareMatrix.scalar(-0.5, 2), 2.0),
+    (PAIR, _SWAP, 1.5),
+    (PAIR, SquareMatrix([[1.0, 1.0], [0.0, 1.0]]), 2.0),   # not monomial
+    (PAIR, SquareMatrix([[2.0, 0.0], [0.0, 0.5]]), 2.0),
+]
+
+
+def test_chain_2d_batch_equals_single_calls_in_either_order():
+    """A 2D batch on the acceptance-5 corpus and weight pair, with a shear
+    (a not-applicable report) in the middle: forward and reversed, every
+    report has the bytes of its single call, so no case changes what the
+    cases after it read.  On a zero f every report is the vacuous one."""
+    f = acceptance_grid_2d(64)
+    single = [_report_bytes(theorem_chain_check(f, *case, PHI))
+              for case in _CASES_2D]
+    assert [json.loads(s)["applicable"] for s in single] == \
+        [True, True, False, True]
+    for order in (1, -1):
+        batch = czlab.theorem_chain_checks(f, _CASES_2D[::order], PHI)
+        assert [_report_bytes(rep) for rep in batch] == single[::order]
+    zero = GridFunction(((-1.0, -1.0), (1.0, 1.0)), np.zeros(f.shape))
+    batch = czlab.theorem_chain_checks(zero, _CASES_2D, PHI)
+    assert [_report_bytes(rep) for rep in batch] == [
+        _report_bytes(theorem_chain_check(zero, *case, PHI))
+        for case in _CASES_2D]
+    assert batch[0].reason == "f is zero; chain is vacuous"
+
+
+def test_chain_2d_batch_peak_memory_in_grids():
+    """A second case adds at most 1.3 grids of 512^2 cells to the
+    tracemalloc peak of the 2D chain of
+    ``test_chain_2d_peak_memory_in_grids``: the cases share the unpowered
+    dyadic field (one grid) and its layer labels (a quarter grid)."""
+    f = acceptance_grid_2d(128)
+    one = _CASES_2D[:1]
+    two = one + [(PAIR, _SWAP, 2.0)]
+    czlab.theorem_chain_checks(f, one, PHI)     # imports and caches stay out
+    peaks = []
+    for cases in (one, two):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reps = czlab.theorem_chain_checks(f, cases, PHI)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert all(rep.applicable and rep.passed() for rep in reps)
+    extra = (peaks[1] - peaks[0]) / (512 ** 2 * 8)
+    assert extra <= 1.3, (extra, [p / (512 ** 2 * 8) for p in peaks])

@@ -172,6 +172,51 @@ def test_exp_measure_overflow_names_the_interval(weight, bits):
         weight.mass(600.0, 1000.0, EXP_ABS)
 
 
+@pytest.mark.parametrize("weight, bits", [
+    (SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)]),
+     "0x1.0c3d3920862c8p+36"),
+    (power_weight(0.5, 0.0, 1000.0, c=1e306), "0x1.daaeb3488f90bp+1022"),
+], ids=["exp", "power"])
+def test_lebesgue_overflow_names_the_interval(weight, bits):
+    # over [0, 25] the mass keeps its bits; over [600, 1000] the
+    # antiderivative leaves the float range (inf - finite for the exp
+    # piece, inf - inf for the power piece), which raises with no numpy
+    # warning instead of returning inf or nan
+    assert weight.mass(0.0, 25.0).hex() == bits
+    with pytest.raises(ValueError,
+                       match=r"^the mass over \[600.0, 1000.0\] overflows"):
+        weight.mass(600.0, 1000.0)
+
+
+# pieces with gaps and touching bounds, and, within the overlap slack the
+# constructor allows (1e-15 relative), a two-float piece that ends before
+# the piece it starts in
+_PIECES = [Segment(-9.0, -4.0, "exp", c=2.0, s=0.5),
+           Segment(-4.0, -1.5, "power", c=1.5, a=-1.0, gamma=0.0),
+           Segment(-1.0, 2.0, "exp", c=0.5, s=-1.25),
+           Segment(2.0 - 4 * 2.0 ** -52, 2.0 - 2 * 2.0 ** -52, "power",
+                   c=1.0, a=-1.0, gamma=0.0),
+           Segment(2.0, 3.0, "power", c=1.0, a=-1.0, gamma=0.0),
+           Segment(4.0, 7.5, "exp", c=3.0, s=0.25)]
+
+
+@pytest.mark.parametrize("measure", [LEBESGUE, EXP_ABS],
+                         ids=["lebesgue", "exp-abs"])
+def test_weight_mass_visits_only_the_meeting_segments(measure):
+    # bit for bit the sum over every segment, whose misses add exact zeros
+    w = SegmentWeight1D(_PIECES)
+    bounds = sorted({x for seg in _PIECES for x in (seg.lo, seg.hi)})
+    rng = np.random.default_rng(7)
+    points = [-12.0, 0.0, 10.0] + bounds + rng.uniform(-11.0, 9.0, 60).tolist()
+    pairs = [sorted(rng.choice(points, 2)) for _ in range(400)]
+    pairs += [(x, x) for x in bounds] + [(lo, hi) for lo in bounds
+                                         for hi in bounds if lo <= hi]
+    for a, b in pairs:
+        every = float(sum(measure.segment_mass(seg, a, b)
+                          for seg in w.segments))
+        assert w.mass(a, b, measure).hex() == every.hex(), (a, b)
+
+
 def test_measure_is_frozen_and_hashable():
     # A dataclass default must be hashable on Python >= 3.11; ClassSpec
     # shares LEBESGUE as one, so it must also be immutable.

@@ -622,6 +622,22 @@ def test_cli_constant_overflowing_exp_mass_exits_two(tmp_path, capsys, piece):
         "error: the e^|x| mass over [600.0, 1000.0] overflows the float range\n"
 
 
+def test_cli_constant_overflowing_lebesgue_mass_exits_two(tmp_path, capsys):
+    # e^x on [0, 1000]: its masses over the family [600, 1000] are finite
+    # but leave the float range, an error and not an infinite constant
+    files = {"w.json": {"segments": [{"lo": 0.0, "hi": 1000.0, "form": "exp",
+                                      "c": 1.0, "s": 1.0}]},
+             "fam.json": {"box": [600.0, 1000.0], "levels": [0, 2]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    rc = main(["constant", "--class", "ap",
+               "--weight", str(tmp_path / "w.json"),
+               "--family", str(tmp_path / "fam.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: the mass over [600.0, 1000.0] overflows the float range\n"
+
+
 def test_cli_constant_rejects_unknown_measure_token(weight_file):
     with pytest.raises(SystemExit):
         main(["constant", "--class", "ap", "--weight", weight_file,
