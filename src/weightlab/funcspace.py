@@ -13,11 +13,11 @@ average with a rational threshold exactly, as integers.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,6 +31,30 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # segments
 # ---------------------------------------------------------------------------
+
+# the forms of a segment's antiderivative, in the order
+# ``SegmentWeight1D.masses`` evaluates them
+_FORMS = ("power", "log", "exp", "linear")
+
+
+def _antideriv(form: str, x, c, a, gamma, s, power=operator.pow):
+    """The antiderivative of a piece of the given form at the points x,
+    from its parameters (floats, or arrays like x): c sign(u) |u|^(gamma+1)
+    / (gamma+1) with u = x - a ("power"; F(a) = 0, continuous across an
+    integrable singularity, while a non-integrable piece only integrates
+    away from a), c sign(u) log|u| ("log", gamma = -1), (c / s) e^(s x)
+    ("exp") and c x ("linear", an exp piece with s = 0).  power(|u|,
+    gamma + 1) is numpy's array power for ``cell_averages``, libm pow per
+    point (``_libm_pow``) for ``SegmentWeight1D.masses``."""
+    if form == "exp":
+        return (c / s) * np.exp(s * x)
+    if form == "linear":
+        return c * x
+    u = x - a
+    if form == "log":
+        return c * np.sign(u) * np.log(np.abs(u))
+    return c * np.sign(u) * power(np.abs(u), gamma + 1.0) / (gamma + 1.0)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -60,47 +84,40 @@ class Segment:
         if not self.c > 0:
             raise ValueError("segment coefficient must be positive")
 
-    # F with F(a) = 0 for the power form; continuous across an integrable
-    # singularity (a non-integrable piece only integrates away from a).
-    def _antideriv(self, x):
+    @property
+    def _form(self) -> str:
+        """The form of the antiderivative (``_FORMS``)."""
         if self.form == "power":
-            u = np.asarray(x, dtype=float) - self.a
-            if self.gamma == -1.0:
-                return self.c * np.sign(u) * np.log(np.abs(u))
-            return self.c * np.sign(u) * np.abs(u) ** (self.gamma + 1.0) / (self.gamma + 1.0)
-        if self.s == 0.0:
-            return self.c * np.asarray(x, dtype=float)
-        return (self.c / self.s) * np.exp(self.s * np.asarray(x, dtype=float))
+            return "log" if self.gamma == -1.0 else "power"
+        return "exp" if self.s else "linear"
 
-    @np.errstate(over="ignore", invalid="ignore")
+    def _antideriv(self, x):
+        return _antideriv(self._form, np.asarray(x, dtype=float), self.c,
+                          self.a, self.gamma, self.s)
+
     def mass(self, a: float, b: float) -> float:
-        """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi).
+        """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi): the
+        mass of the one-piece weight (``SegmentWeight1D.masses``).
 
         Infinite only where the interval meets a singular point with gamma
         <= -1; any other mass is finite in exact arithmetic, and one whose
         float evaluation leaves the float range raises ValueError."""
-        if self.gamma <= -1.0 and self.singular_in(a, b):
-            return math.inf
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0
-        return _finite_mass(float(self._antideriv(b) - self._antideriv(a)),
-                            "mass", a, b)
+        return SegmentWeight1D([self]).mass(a, b)
 
-    def singular_in(self, a: float, b: float) -> bool:
-        """True when [a, b] meets the piece in an interval that holds its
-        singular point a while gamma <= -1: the mass there is infinite."""
-        if self.form != "power" or self.gamma > -1.0:
-            return False
-        lo, hi = max(a, self.lo), min(b, self.hi)
-        return lo < hi and lo <= self.a <= hi
+    def singular_in(self, a, b):
+        """Where [a, b] (floats or arrays) meets the piece in an interval
+        that holds its singular point a while gamma <= -1: the mass there is
+        infinite."""
+        lo, hi = np.maximum(a, self.lo), np.minimum(b, self.hi)
+        return ((self.form == "power" and self.gamma <= -1.0)
+                & (lo < hi) & (lo <= self.a) & (self.a <= hi))
 
-    def value(self, x):
+    def value(self, x, power=operator.pow):
+        """The piece at the points x; power as in ``_antideriv``."""
         x = np.asarray(x, dtype=float)
         if self.form == "power":
             with np.errstate(divide="ignore"):
-                return self.c * np.abs(x - self.a) ** self.gamma
+                return self.c * power(np.abs(x - self.a), self.gamma)
         return self.c * np.exp(self.s * x)
 
     def scaled(self, lam: float) -> "Segment":
@@ -185,9 +202,29 @@ def _finite_mass(total: float, what: str, a: float, b: float) -> float:
     """total, a mass over [a, b] that is finite in exact arithmetic; raises
     ValueError when its float evaluation overflowed."""
     if not math.isfinite(total):
-        raise ValueError(f"the {what} over [{a}, {b}] overflows the float "
-                         "range")
+        raise ValueError(_overflow(what, a, b))
     return total
+
+
+def _overflow(what: str, a: float, b: float) -> str:
+    return f"the {what} over [{a}, {b}] overflows the float range"
+
+
+def _libm_pow(x: np.ndarray, y) -> np.ndarray:
+    """x ** y per element by libm pow (``math.pow``, as the power of a
+    numpy float scalar); y is a float or an array like x.  numpy's array
+    power has its own SIMD loops (and sqrt or square for y = 0.5 or 2),
+    whose last bits can differ from libm's."""
+    xs = x.tolist()
+    ys = y.tolist() if isinstance(y, np.ndarray) else [y] * len(xs)
+    try:
+        return np.fromiter(map(math.pow, xs, ys), float, len(xs))
+    except (OverflowError, ValueError):
+        # math.pow raises where libm overflows, underflows with ERANGE or
+        # divides by zero; the numpy scalar returns libm's value
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.array([float(np.float64(v) ** e) for v, e in zip(xs, ys)],
+                            dtype=float)
 
 
 LEBESGUE = Measure("lebesgue")
@@ -197,6 +234,14 @@ EXP_ABS = Measure("exp_abs")
 # ---------------------------------------------------------------------------
 # 1D weights
 # ---------------------------------------------------------------------------
+
+def _try_mass(measure: Measure, seg: Segment, a: float, b: float) -> float:
+    """measure.segment_mass(seg, a, b), nan where it overflows."""
+    try:
+        return measure.segment_mass(seg, a, b)
+    except ValueError:
+        return math.nan
+
 
 class SegmentWeight1D:
     """A nonnegative weight given by disjoint closed-form segments, zero tail.
@@ -214,40 +259,136 @@ class SegmentWeight1D:
         if not segs:
             raise ValueError("weight needs at least one segment")
         self.segments = tuple(segs)
-        # bisection keys for ``mass``: the starts, and the running maximum
-        # of the ends (the ends themselves may dip within the overlap slack)
-        self._los = [s.lo for s in segs]
-        self._his = list(itertools.accumulate((s.hi for s in segs), max))
 
     @property
     def support(self):
         return (self.segments[0].lo, self.segments[-1].hi)
 
-    def covers(self, a: float, b: float) -> bool:
-        """True if [a,b] is covered by segments with no gaps."""
+    @functools.cached_property
+    def _pieces(self):
+        """Per segment, for ``masses``: lo, hi, c, a, gamma and s as the
+        rows of an array; the antiderivative forms present (``_FORMS``
+        order), with each segment's form when there are several; and which
+        pieces have a non-integrable singular point, if any do."""
+        segs = self.segments
+        cols = np.array([(g.lo, g.hi, g.c, g.a, g.gamma, g.s) for g in segs]).T
+        forms = [g._form for g in segs]
+        present = [f for f in _FORMS if f in forms]
+        singular = [g.form == "power" and g.gamma <= -1.0 for g in segs]
+        return (cols, present, np.array(forms) if len(present) > 1 else None,
+                np.array(singular) if any(singular) else None)
+
+    @functools.cached_property
+    def _reach(self):
+        """For ``covers``: the running maximum of the segment ends, and per
+        segment i where coverage that starts in i runs to, along the chain
+        i -> the first later segment that ends past the current end, up to
+        a gap."""
+        segs = self.segments
+        reach = [g.hi for g in segs]
+        for i in reversed(range(len(segs))):
+            end = segs[i].hi
+            for j in range(i + 1, len(segs)):
+                if segs[j].hi > end:
+                    if segs[j].lo <= end + 1e-12 * max(1.0, abs(end)):
+                        reach[i] = reach[j]
+                    break
+        return (np.maximum.accumulate([g.hi for g in segs]),
+                np.array([g.lo for g in segs]), np.array(reach))
+
+    def covers(self, a, b):
+        """Where [a, b] (floats or arrays) is covered by segments with no
+        gaps: within the support, the first segment that ends past a starts
+        by a (to 1e-12, relative), and its reach gets to b."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        ends, starts, reach = self._reach
         lo, hi = self.support
-        if a < lo - 1e-12 or b > hi + 1e-12:
-            return False
-        cursor = a
-        for seg in self.segments:
-            if seg.hi <= cursor:
-                continue
-            if seg.lo > cursor + 1e-12 * max(1.0, abs(cursor)):
-                return False
-            cursor = seg.hi
-            if cursor >= b:
-                return True
-        return cursor >= b
+        first = np.searchsorted(ends, a, side="right")
+        j = np.minimum(first, len(ends) - 1)
+        chained = ((starts[j] <= a + 1e-12 * np.maximum(1.0, np.abs(a)))
+                   & (reach[j] >= b))
+        return (~((a < lo - 1e-12) | (b > hi + 1e-12))
+                & np.where(first < len(ends), chained, a >= b))
 
     def mass(self, a: float, b: float, measure: Measure = LEBESGUE) -> float:
-        """The mass of [a, b], summed over the segments that meet it (hi > a
-        and lo < b); the others would add exact zeros."""
+        """The mass of [a, b]: the one-interval case of ``masses``, raising
+        ValueError where it overflows."""
         if b < a:
             raise ValueError("reversed interval")
-        first = bisect.bisect_right(self._his, a)
-        stop = bisect.bisect_left(self._los, b)
-        return float(sum(measure.segment_mass(seg, a, b)
-                         for seg in self.segments[first:stop]))
+        total, overflow = self.masses([a], [b], measure)
+        if overflow:
+            raise ValueError(overflow[0])
+        return float(total[0])
+
+    def masses(self, a, b, measure: Measure = LEBESGUE):
+        """The masses of the intervals [a_k, b_k] (arrays, a_k <= b_k) at
+        once.
+
+        Returns (masses, overflow): a float array, and {k: message} for each
+        interval whose mass is finite in exact arithmetic but leaves the
+        float range; its entry is nan, and ``mass`` raises ValueError with
+        the message.  A mass is inf where its interval meets a non-integrable
+        piece at its singular point.
+
+        The endpoints clip to each segment they meet.  Under Lebesgue
+        measure the antiderivatives are one array expression per form over
+        all the clipped endpoints, a power piece's |u|^(gamma + 1) by libm
+        pow (``_libm_pow``).  The segments that meet an interval add in
+        segment order (the others would add exact zeros), so every mass has
+        the bits of the one-interval evaluation.  Under e^{|x|} each clipped
+        interval takes ``Measure.segment_mass``."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        cols, _, _, singular = self._pieces
+        # numpy's maximum and minimum return the second argument on ties,
+        # as max(a, lo) and min(b, hi) return their first
+        lo = np.maximum(cols[0][:, None], a)
+        hi = np.minimum(cols[1][:, None], b)
+        seg, k = np.nonzero(hi > lo)        # meeting pairs, segment-major
+        lo, hi = lo[seg, k], hi[seg, k]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if measure.kind == "lebesgue":
+                F = self._antiderivs(np.concatenate((seg, seg)),
+                                     np.concatenate((lo, hi)))
+                part = F[seg.size:] - F[:seg.size]
+            else:
+                part = np.array([_try_mass(measure, self.segments[i], x, y)
+                                 for i, x, y in zip(seg.tolist(), lo.tolist(),
+                                                    hi.tolist())], dtype=float)
+        if singular is not None:
+            at = cols[3][seg]
+            infinite = singular[seg] & (lo <= at) & (at <= hi)
+            part[infinite] = math.inf
+        overflow = {}
+        if not np.isfinite(part).all():
+            bad = ~np.isfinite(part)
+            if singular is not None:
+                bad &= ~infinite
+            what = "mass" if measure.kind == "lebesgue" else "e^|x| mass"
+            for j in np.flatnonzero(bad).tolist():
+                overflow.setdefault(int(k[j]), _overflow(what, float(lo[j]),
+                                                         float(hi[j])))
+        # bincount adds each interval's parts in pair order: segment order
+        total = np.bincount(k, part, a.size).astype(float, copy=False)
+        if overflow:
+            total[list(overflow)] = math.nan
+        return total, overflow
+
+    def _antiderivs(self, owner, x):
+        """The antiderivative of segment owner_i at x_i, with libm pow, as
+        one array expression per form."""
+        cols, present, forms, _ = self._pieces
+        # c, a, gamma, s per point: floats for a one-piece weight
+        params = cols[2:, 0].tolist() if cols.shape[1] == 1 else cols[2:, owner]
+        if forms is None:
+            return _antideriv(present[0], x, *params, _libm_pow)
+        forms = forms[owner]
+        F = np.empty(x.size)
+        for form in present:
+            i = np.flatnonzero(forms == form)
+            F[i] = _antideriv(form, x[i], *(p[i] for p in params), _libm_pow)
+        return F
 
     def value(self, x):
         """Pointwise values (for quadrature oracles); inf at singular points."""
@@ -472,44 +613,60 @@ class CubeFamily:
 
     def __init__(self, box, levels=(0, 4), shifts: int = 1):
         lo, hi = _normalize_box(box)
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError("family box must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ValueError("degenerate box")
         sides = [h - l for l, h in zip(lo, hi)]
+        if not all(map(math.isfinite, sides)):
+            raise ValueError("family box side overflows the float range")
         if max(sides) - min(sides) > 1e-12 * max(sides):
             raise ValueError("box must be a cube (equal side lengths)")
-        j0, j1 = int(levels[0]), int(levels[1])
+        j0, j1 = (_whole(j, "levels") for j in levels)
         if j0 < 0 or j1 < j0:
             raise ValueError("levels must satisfy 0 <= j_min <= j_max")
+        shifts = _whole(shifts, "shifts")
         if shifts < 1:
             raise ValueError("shifts must be >= 1")
         self.lo, self.hi = lo, hi
         self.dim = len(lo)
         self.levels = (j0, j1)
-        self.shifts = int(shifts)
+        self.shifts = shifts
+        # repeated additions of the finest side must move every corner
+        far = max(map(abs, lo + hi))
+        if math.ldexp(self.box_side, -j1) < math.ulp(far):
+            raise ValueError(f"family level {j1} is too fine for the box: "
+                             f"its side is below the float spacing at {far:g}")
 
     @property
     def box_side(self):
         return self.hi[0] - self.lo[0]
 
-    def cubes(self):
-        """Deterministic enumeration (level, then offset, then lattice position)."""
+    def lattices(self):
+        """(side, starts) per level, then offset, in ``cubes()`` order:
+        starts holds each axis's corner coordinates (repeated additions of
+        the side), and the lattice's cubes are their product.  A shifted
+        lattice that misses the box is left out."""
         L = self.box_side
-        out = []
         for j in range(self.levels[0], self.levels[1] + 1):
             side = L / (1 << j)
             offsets = sorted({r * side / self.shifts for r in range(self.shifts)})
             for off in offsets:
-                per_axis = []
+                starts = []
                 for d in range(self.dim):
-                    starts = []
+                    axis = []
                     s = self.lo[d] + off
                     while s + side <= self.hi[d] + 1e-9 * L:
-                        starts.append(s)
+                        axis.append(s)
                         s += side
-                    per_axis.append(starts)
-                for corner in itertools.product(*per_axis):
-                    out.append(Cube(corner, side))
-        return out
+                    starts.append(axis)
+                if all(starts):
+                    yield side, starts
+
+    def cubes(self):
+        """Deterministic enumeration (level, then offset, then lattice position)."""
+        return [Cube(corner, side) for side, starts in self.lattices()
+                for corner in itertools.product(*starts)]
 
     def cell_spans(self, n_cells: int):
         """Grid-aligned spans for an n_cells-per-side grid on the same box.
@@ -532,7 +689,7 @@ class CubeFamily:
         return spans
 
     def count(self) -> int:
-        return len(self.cubes())
+        return sum(math.prod(map(len, starts)) for _, starts in self.lattices())
 
     def to_json_dict(self) -> dict:
         return {"levels": [self.levels[0], self.levels[1]], "shifts": self.shifts,
@@ -544,7 +701,16 @@ class CubeFamily:
         k = len(box) // 2
         lo, hi = box[:k], box[k:]
         return cls((tuple(lo), tuple(hi)), levels=tuple(d["levels"]),
-                   shifts=int(d.get("shifts", 1)))
+                   shifts=d.get("shifts", 1))
+
+
+def _whole(x, what: str) -> int:
+    """x as an int, when it is a whole number; else ValueError naming the
+    family field."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) \
+            or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"family {what} must be whole numbers, got {x!r}")
 
 
 def _normalize_box(box):

@@ -22,11 +22,19 @@ per-cube identity frac(w, p, p, Q) = AAp(w^p, p, Q)^{1/p} is exact.
 
 Each product is written once, in ``_product``, over two per-cube terms: the
 average of a power of w or w_A, and the Luxemburg norm of a power of w.
-Analytic and grid weights supply the terms, building each power once.
+Analytic and grid weights supply the terms, building each power once, a
+lattice of ``CubeFamily.lattices()`` at a time: each term is a column over
+the lattice's cubes (one ``SegmentWeight1D.masses`` call, or one labelled
+exact-sum pass and one ``luxemburg_norms`` call on a grid), whose rows have
+the bits of the cube alone.  An overflow is kept in its row and raised only
+when a product reads it, so the first infinite product of a sweep keeps its
+witness.  ``ap_product``, ``aap_product`` and ``rh_ratio`` are one-cube
+lattices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,11 +50,13 @@ from .funcspace import (
     SegmentWeight1D,
     SquareMatrix,
     compose_matrix,
+    exact_totals,
     resolve_matrix,
+    round_total,
     sample_to_grid,
 )
 from .maximal import hl_maximal, matrix_compose
-from .young import YoungFn, _analytic_norm, luxemburg_norm_of_values
+from .young import YoungFn, _analytic_norm, luxemburg_norms
 
 __all__ = [
     "ClassSpec",
@@ -204,17 +214,87 @@ def _interval(Q):
     return a, b
 
 
-def _measure_length(measure: Measure, a: float, b: float) -> float:
+class _Failed:
+    """The row of a term whose evaluation failed: reading it raises the
+    failure, so an overflow surfaces only where a product reads it."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __iter__(self):
+        raise self.error
+
+    def __getitem__(self, i):
+        raise self.error
+
+
+def _rows(values, why, errors):
+    """Cube k's term (value, witness) at index k: (inf, why[k]) where the
+    term is infinite, a ``_Failed`` row where its evaluation failed."""
+    rows = [(v, None) for v in values]
+    for k, error in errors.items():
+        rows[k] = _Failed(error)
+    for k, witness in why.items():
+        rows[k] = (math.inf, witness)
+    return rows
+
+
+class _LazyRows:
+    """Rows computed when read: the norms of a Young function that
+    bisects, per cube as the sweep reaches it, and (inf, why[k]) where the
+    term is infinite."""
+
+    def __init__(self, value, why):
+        self.value, self.why = value, why
+
+    def __getitem__(self, k):
+        if k in self.why:
+            return math.inf, self.why[k]
+        return self.value(k), None
+
+
+class _Columns(dict):
+    """A term's key -> its rows over one lattice, built on the first read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        rows = self[key] = self.build(key)
+        return rows
+
+
+def _one_norm(norms, a: np.ndarray, b: np.ndarray):
+    """k -> the analytic norm over [a_k, b_k] alone, raising its error."""
+    def value(k):
+        values, errors = norms(a[k:k + 1], b[k:k + 1])
+        if errors:
+            raise ValueError(errors[0])
+        return values[0]
+    return value
+
+
+def _value_errors(messages: dict) -> dict:
+    return {k: ValueError(m) for k, m in messages.items()}
+
+
+def _lengths(measure: Measure, a: np.ndarray, b: np.ndarray):
+    """(the measure of each interval [a_k, b_k], {k: its overflow})."""
     if measure.kind == "lebesgue":
-        return b - a
-    return measure.segment_mass(Segment(a, b, "power", c=1.0, gamma=0.0), a, b)
+        return b - a, {}
+    unit = SegmentWeight1D([Segment(float(a.min()), float(b.max()), "power")])
+    return unit.masses(a, b, measure)
 
 
 def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
-    """Q -> (mean, norm) for an analytic weight: exact segment masses under
-    spec.measure, with each powered weight built once."""
+    """(a, b) -> (fail, means, norms) over the intervals [a_k, b_k] for an
+    analytic weight: exact segment masses under spec.measure, each term
+    the rows of one column over all the intervals (``_Columns``), with
+    each powered weight built once.  fail maps an interval to the error
+    its measure raises."""
     weights = {("w", 1.0): (w, [])}
-    norms = {}
+    norm_of = {}
 
     def powered(g, e):
         # (g^e, its pieces that are not integrable at their singular point)
@@ -223,39 +303,50 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
                              else (compose_matrix(w, spec.A), []))
         return weights[g, e]
 
-    def norm_fn(e, we):
-        # Q -> the Luxemburg norm of we = w^e; a power phi powers we once
-        if e not in norms:
-            norms[e] = _analytic_norm(we, spec.phi)
-        return norms[e]
+    def terms(a, b):
+        lengths, fail = _lengths(spec.measure, a, b)
+        lo, hi = a.tolist(), b.tolist()
+        covered = {}
 
-    def terms(Q):
-        a, b = _interval(Q)
-        length = _measure_length(spec.measure, a, b)
+        def infinite(g, e):
+            # k -> the witness of cube k's infinite term g^e
+            why = {}
+            if e < 0.0:
+                if g not in covered:
+                    covered[g] = powered(g, 1.0)[0].covers(a, b)
+                for k in np.flatnonzero(~covered[g]).tolist():
+                    why[k] = (f"w vanishes on part of [{lo[k]:g}, {hi[k]:g}] "
+                              f"and e={e:g} < 0")
+            for bad in powered(g, e)[1]:
+                for k in np.flatnonzero(bad.singular_in(a, b)).tolist():
+                    why.setdefault(k, f"w^{e:g} non-integrable near x={bad.a:g}")
+            return why
 
-        def term(g, e, value):
-            if e < 0.0 and not powered(g, 1.0)[0].covers(a, b):
-                return math.inf, f"w vanishes on part of [{a:g}, {b:g}] and e={e:g} < 0"
-            ge, singular = powered(g, e)
-            for bad in singular:
-                if bad.singular_in(a, b):
-                    return math.inf, f"w^{e:g} non-integrable near x={bad.a:g}"
-            return value(ge), None
-
-        def mean(g, e):
-            return term(g, e, lambda ge: ge.mass(a, b, spec.measure) / length)
+        def mean(key):
+            g, e = key
+            masses, overflow = powered(g, e)[0].masses(a, b, spec.measure)
+            return _rows((masses / lengths).tolist(), infinite(g, e),
+                         _value_errors(overflow))
 
         def norm(e):
-            return term("w", e, lambda ge: norm_fn(e, ge)((a, b)))
+            if e not in norm_of:
+                norm_of[e] = _analytic_norm(powered("w", e)[0], spec.phi)
+            if not spec.phi.is_homogeneous:
+                return _LazyRows(_one_norm(norm_of[e], a, b), infinite("w", e))
+            values, errors = norm_of[e](a, b)
+            return _rows(values, infinite("w", e), _value_errors(errors))
 
-        return mean, norm
+        return _value_errors(fail), _Columns(mean), _Columns(norm)
 
     return terms
 
 
 def _grid_terms(w: GridFunction, spec: ClassSpec):
-    """Q -> (mean, norm) for a grid weight: exact cube averages of powered
-    grids, each built once, and norms of the span's cell values."""
+    """(side, starts) -> (fail, means, norms) over a lattice's cubes for a
+    grid weight: exact cube averages of powered grids, each built once, by
+    one labelled exact-sum pass per term over the cubes' gathered cells,
+    and their Luxemburg norms as the rows of one ``luxemburg_norms`` call.
+    fail maps a cube to the error its grid span raises."""
     if spec.measure != LEBESGUE:
         raise ValueError("grid weights support the Lebesgue measure only")
     if not w.mask.all():
@@ -271,44 +362,123 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
                            if e != 1.0 else _composed_grid(w, spec.A))
         return grids[g, e]
 
-    def terms(Q):
-        span = w.span_of_cube(Q)
+    def terms(side, starts):
+        good, cells, fail = _lattice_cells(w, side, starts)
+        n = math.prod(map(len, starts))
+        vanishing = [(math.inf, zero_witness)] * n
 
-        def mean(g, e):
+        def rows(g, e):
+            # the good cubes' cells of g^e, one cube per row, row-major
+            return powered(g, e).values[cells].reshape(len(good), -1)
+
+        def spread(values):
+            out = [math.nan] * n
+            for k, v in zip(good, values):
+                out[k] = v
+            return out
+
+        def mean(key):
+            g, e = key
             if e < 0.0 and zero_witness:
-                return math.inf, zero_witness
-            return powered(g, e).cube_average(span), None
+                return vanishing
+            # exact sums, each rounded and then divided by the cell count:
+            # bit for bit ``GridFunction.cube_average``
+            r = rows(g, e)
+            totals = exact_totals(r, np.repeat(np.arange(len(good)), r.shape[1]),
+                                  len(good))
+            values, errors = [], {}
+            for k, total in zip(good, totals):
+                try:
+                    values.append(round_total(total) / r.shape[1])
+                except OverflowError as err:
+                    values.append(math.nan)
+                    errors[k] = err
+            return _rows(spread(values), {}, errors)
 
         def norm(e):
             if e < 0.0 and zero_witness:
-                return math.inf, zero_witness
-            vals = powered("w", e).values[tuple(slice(*s) for s in span)]
-            return luxemburg_norm_of_values(vals, spec.phi), None
+                return vanishing
+            r = rows("w", e)
+            if not spec.phi.is_homogeneous:
+                at = dict(zip(good, range(len(good))))
+                return _LazyRows(lambda k: luxemburg_norms(r[at[k]][None],
+                                                           spec.phi)[0], {})
+            return _rows(spread(luxemburg_norms(r, spec.phi)), {}, {})
 
-        return mean, norm
+        return fail, _Columns(mean), _Columns(norm)
 
     return terms
+
+
+def _lattice_cells(w: GridFunction, side: float, starts):
+    """(good, cells, fail) for a lattice on w's grid, with the arithmetic
+    of ``span_of_cube``: the lattice positions of the cubes that lie
+    grid-aligned inside the grid, in order; an index into w.values that
+    gathers their cells, one cube per leading position; and {k: the error
+    ``span_of_cube`` raises for cube k} for the others."""
+    dim = len(starts)
+    at, cells = [], []
+    for d, axis in enumerate(starts):
+        a = np.array(axis)
+        t0 = (a - w.lo[d]) / w.h[d]
+        t1 = (a + side - w.lo[d]) / w.h[d]
+        i0, i1 = np.rint(t0), np.rint(t1)
+        good = np.flatnonzero((np.abs(t0 - i0) <= 1e-9) & (np.abs(t1 - i1) <= 1e-9)
+                              & (i0 >= 0) & (i1 <= w.shape[d]) & (i1 > i0))
+        # aligned cubes of one side span one whole number of cells
+        m = int(i1[good[0]] - i0[good[0]]) if good.size else 0
+        shape = [1] * (2 * dim)
+        shape[d], shape[dim + d] = good.size, m
+        cells.append((i0[good].astype(int)[:, None] + np.arange(m)).reshape(shape))
+        at.append(good)
+    good = np.ravel_multi_index(np.meshgrid(*at, indexing="ij"),
+                                [len(axis) for axis in starts]).ravel().tolist()
+    fail = {}
+    if len(good) < math.prod(map(len, starts)):
+        kept = set(good)
+        for k, corner in enumerate(itertools.product(*starts)):
+            if k not in kept:
+                try:
+                    w.span_of_cube(Cube(corner, side))
+                except ValueError as err:
+                    fail[k] = err
+    return good, tuple(cells), fail
 
 
 def ap_product(w: SegmentWeight1D, Q, p: float,
                measure: Measure = LEBESGUE) -> float:
     """(avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    spec = ClassSpec("Ap", p=p, measure=measure)
-    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
+    return _one_product(w, ClassSpec("Ap", p=p, measure=measure), Q)
 
 
 def aap_product(w: SegmentWeight1D, A, Q, p: float,
                 measure: Measure = LEBESGUE) -> float:
     """(avg_Q w(A.))(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    spec = ClassSpec("AAp", p=p, A=A, measure=measure)
-    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
+    return _one_product(w, ClassSpec("AAp", p=p, A=A, measure=measure), Q)
 
 
 def rh_ratio(w: SegmentWeight1D, Q, s: float,
              measure: Measure = LEBESGUE) -> float:
     """(avg_Q w^s)^{1/s} / (avg_Q w): the reverse Holder ratio at exponent s."""
-    spec = ClassSpec("RH", s=s, measure=measure)
-    return _product(spec, *_analytic_terms(w, spec)(Q))[0]
+    return _one_product(w, ClassSpec("RH", s=s, measure=measure), Q)
+
+
+def _one_product(w: SegmentWeight1D, spec: ClassSpec, Q) -> float:
+    """The spec's product over one interval: a lattice of one cube."""
+    a, b = _interval(Q)
+    terms = _analytic_terms(w, spec)(np.array([a]), np.array([b]))
+    return next(_lattice_products(spec, terms, [(a,)], b - a))[2]
+
+
+def _lattice_products(spec: ClassSpec, terms, corners, side):
+    """(corner, side, product, witness) per cube of one lattice, from its
+    (fail, means, norms) terms."""
+    fail, means, norms = terms
+    for k, corner in enumerate(corners):
+        if k in fail:
+            raise fail[k]
+        yield (corner, side, *_product(spec, lambda g, e: means[g, e][k],
+                                       lambda e: norms[e][k]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,37 +500,47 @@ def class_constant(w, spec: ClassSpec, family: CubeFamily,
 
 
 def _products(w, spec: ClassSpec, family: CubeFamily):
-    """(cube, product, witness) for every cube of the family."""
+    """(corner, side, product, witness) for every cube of the family, in
+    ``family.cubes()`` order, with the terms a lattice at a time."""
     if isinstance(w, SegmentWeight1D):
-        terms = _analytic_terms(w, spec)
+        if family.dim != 1:
+            raise ValueError("analytic products are one dimensional")
+        intervals = _analytic_terms(w, spec)
+
+        def terms(side, starts):
+            a = np.array(starts[0])
+            return intervals(a, a + side)
     elif isinstance(w, GridFunction):
         terms = _grid_terms(w, spec)
     else:
         raise TypeError("w must be a SegmentWeight1D or GridFunction")
-    for Q in family.cubes():
-        yield (Q, *_product(spec, *terms(Q)))
+    for side, starts in family.lattices():
+        yield from _lattice_products(spec, terms(side, starts),
+                                     itertools.product(*starts), side)
 
 
 def _report(kind: str, family: CubeFamily, products,
             trace: bool = False) -> ConstantReport:
-    """The max of a (cube, product, witness) stream, or its first infinite
-    or NaN product with the witness.  A NaN product (such as 0 * inf) makes
-    the constant NaN: it is undefined, not a value that a max may skip."""
-    best, best_cube = -math.inf, None
+    """The max of a (corner, side, product, witness) stream, or its first
+    infinite or NaN product with the witness.  A NaN product (such as
+    0 * inf) makes the constant NaN: it is undefined, not a value that a
+    max may skip.  A Cube is built only for a row the report keeps."""
+    best, best_at = -math.inf, None
     rows = [] if trace else None
-    for Q, val, witness in products:
+    for corner, side, val, witness in products:
         if rows is not None:
-            rows.append((Q, val))
+            rows.append((Cube(corner, side), val))
         if math.isinf(val) or math.isnan(val):
             default = ("infinite per-cube product" if math.isinf(val)
                        else "undefined (NaN) per-cube product")
-            return ConstantReport(val, kind, Q, family.to_json_dict(),
+            return ConstantReport(val, kind, Cube(corner, side),
+                                  family.to_json_dict(),
                                   witness=witness or default, trace=rows)
-        if val > best or (val == best and best_cube is not None
-                          and (Q.corner, Q.side) < (best_cube.corner, best_cube.side)):
-            best, best_cube = val, Q
-    return ConstantReport(best, kind, best_cube, family.to_json_dict(),
-                          trace=rows)
+        if val > best or (val == best and best_at is not None
+                          and (corner, side) < best_at):
+            best, best_at = val, (corner, side)
+    return ConstantReport(best, kind, best_at and Cube(*best_at),
+                          family.to_json_dict(), trace=rows)
 
 
 def _composed_grid(w: GridFunction, A: SquareMatrix) -> GridFunction:
@@ -498,7 +678,7 @@ def rh_inclusion_check(w, A, p: float, eps: float, family: CubeFamily) -> dict:
     rh_report, base, lowered = (_report(spec.kind, family, column)
                                 for spec, column in zip(specs, columns))
     worst = 0.0
-    for (_, rh, _), (_, aap, _), (_, lhs, _) in zip(*columns):
+    for (_, _, rh, _), (_, _, aap, _), (_, _, lhs, _) in zip(*columns):
         rhs = rh ** (p - 1.0) * aap
         if math.isinf(lhs) or math.isinf(rhs):
             if lhs != rhs:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Cube, GridFunction, SegmentWeight1D
+from .funcspace import Cube, GridFunction, SegmentWeight1D, _libm_pow
 
 _REL_TOL = 1e-11          # bisection relative width target
 _CERT_TOL = 1e-8          # certificate: avg phi(f/lam) within this of 1
@@ -221,59 +221,80 @@ def luxemburg_norm(f, Q, phi: YoungFn) -> float:
                                         round(total_cells))
     if not isinstance(f, SegmentWeight1D):
         raise TypeError("f must be a GridFunction or SegmentWeight1D")
-    return _analytic_norm(f, phi)(Q)
+    cube = _as_cube(Q, 1)
+    a = cube.corner[0]
+    norms, errors = _analytic_norm(f, phi)(np.array([a]), np.array([a + cube.side]))
+    if errors:
+        raise ValueError(errors[0])
+    return norms[0]
 
 
 def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
-    """Q -> the normalized Luxemburg norm of an analytic weight over an
-    interval cube Q.
+    """(a, b) -> the normalized Luxemburg norms of an analytic weight over
+    the intervals [a_k, b_k] (arrays), as (norms, {k: message}), the
+    message of the ValueError each failing interval raises: one that w
+    does not cover, or whose mass overflows.
 
-    Homogeneous phi has the closed form (c avg_Q w^r)^(1/r) from exact
-    powered-segment masses, with one powered weight built for every Q; the
-    norm is infinite only when Q meets a non-integrable powered piece at
-    its singular point.  Other phi bisect on integrals over Gauss panels
+    Homogeneous phi has the closed form (c avg w^r)^(1/r) from exact
+    powered-segment masses, over all intervals at once, with one powered
+    weight built for every call; the norm is infinite only where an
+    interval meets a non-integrable powered piece at its singular point.
+    Other phi bisect per interval on integrals over Gauss panels
     geometrically refined toward singular points (8 nodes per panel).
     """
     power = phi.is_homogeneous and phi.kind != "identity"
-    powered, singular = w.powered_pieces(phi.r) if power else (None, [])
+    powered, singular = w.powered_pieces(phi.r) if power else (w, [])
 
-    def norm(Q) -> float:
-        cube = _as_cube(Q, 1)
-        a, b = cube.corner[0], cube.corner[0] + cube.side
-        if not w.covers(a, b):
-            raise ValueError(f"weight does not cover [{a}, {b}]")
-        if any(seg.singular_in(a, b) for seg in singular):
-            return math.inf
-        vmax = _analytic_sup(w, a, b)
-        if vmax == 0.0:
-            return 0.0
-        if phi.kind == "sup":
-            return vmax
-        if phi.kind == "exp_minus_one" and math.isinf(vmax):
-            # w is unbounded only at a power singularity |x - a|^gamma,
-            # gamma < 0, and exp(|x - a|^gamma / lam) is integrable near a
-            # for no lam
-            return math.inf
+    def norms(a, b):
+        lo, hi = a.tolist(), b.tolist()
+        errors = {k: f"weight does not cover [{lo[k]}, {hi[k]}]"
+                  for k in np.flatnonzero(~w.covers(a, b)).tolist()}
+        infinite = np.zeros(a.shape, dtype=bool)
+        for seg in singular:
+            infinite |= seg.singular_in(a, b)
+        vmax = _analytic_sup(w, a, b).tolist()
+        masses, overflow = powered.masses(a, b)
+        mean = masses / (b - a)
         if power:
-            moment = powered.mass(a, b) / (b - a) * phi.c
-            return float(moment ** (1.0 / phi.r))
-        mean = w.mass(a, b) / (b - a)
-        if phi.kind == "identity" or math.isinf(mean):
-            # a Young function grows at least linearly, so a weight that is
-            # not integrable over Q has an infinite norm there
-            return mean
-        nodes, weights = _panelize(w, a, b)
+            mean = _libm_pow(mean * phi.c, 1.0 / phi.r)
+        mean = mean.tolist()
+        out = [math.inf] * a.size
+        for k in range(a.size):
+            if k in errors or infinite[k]:
+                continue
+            if vmax[k] == 0.0:
+                out[k] = 0.0
+            elif phi.kind == "sup":
+                out[k] = vmax[k]
+            elif phi.kind == "exp_minus_one" and math.isinf(vmax[k]):
+                # w is unbounded only at a power singularity |x - a|^gamma,
+                # gamma < 0, and exp(|x - a|^gamma / lam) is integrable
+                # near a for no lam
+                pass
+            elif k in overflow:
+                errors[k] = overflow[k]
+            elif phi.is_homogeneous or math.isinf(mean[k]):
+                # a Young function grows at least linearly, so a weight that
+                # is not integrable over Q has an infinite norm there
+                out[k] = mean[k]
+            else:
+                out[k] = _bisected_norm(w, phi, lo[k], hi[k], vmax[k], mean[k])
+        return out, errors
+    return norms
 
-        def G(lam: float) -> float:
-            vals = phi(w.value(nodes) / lam)
-            return float(np.dot(weights, vals)) / (b - a)
 
-        # a non-integrable power of the weight inside Q
-        if math.isinf(vmax) and math.isinf(G(1.0)) \
-                and math.isinf(G(2.0 ** 64)):
-            return math.inf
-        return _bisect_norm(G, max(mean, 1e-300))
-    return norm
+def _bisected_norm(w: SegmentWeight1D, phi: YoungFn, a: float, b: float,
+                   vmax: float, mean: float) -> float:
+    nodes, weights = _panelize(w, a, b)
+
+    def G(lam: float) -> float:
+        vals = phi(w.value(nodes) / lam)
+        return float(np.dot(weights, vals)) / (b - a)
+
+    # a non-integrable power of the weight inside Q
+    if math.isinf(vmax) and math.isinf(G(1.0)) and math.isinf(G(2.0 ** 64)):
+        return math.inf
+    return _bisect_norm(G, max(mean, 1e-300))
 
 
 def luxemburg_norm_of_values(values, phi: YoungFn, total_cells: int | None = None) -> float:
@@ -408,22 +429,24 @@ def _geometric_marks(u, v, toward_left, k):
     return (v - marks[::-1]).tolist()
 
 
-def _analytic_sup(w: SegmentWeight1D, a: float, b: float) -> float:
-    sup = 0.0
+def _analytic_sup(w: SegmentWeight1D, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sup of w over each interval [a_k, b_k]: the largest piece value
+    at a clipped endpoint (libm pow per point, as for one interval), inf
+    where the interval holds a negative power's singular point."""
+    sup = np.zeros(a.shape)
     for seg in w.segments:
-        lo, hi = max(a, seg.lo), min(b, seg.hi)
-        if hi <= lo:
+        lo, hi = np.maximum(a, seg.lo), np.minimum(b, seg.hi)
+        k = np.flatnonzero(hi > lo)
+        if not k.size:
             continue
-        if seg.form == "exp":
-            sup = max(sup, float(seg.value(lo)), float(seg.value(hi)))
-        elif seg.gamma == 0:
-            sup = max(sup, seg.c)
-        elif seg.gamma > 0:
-            sup = max(sup, float(seg.value(lo)), float(seg.value(hi)))
+        lo, hi = lo[k], hi[k]
+        if seg.form == "power" and seg.gamma == 0:
+            top = np.full(k.size, seg.c)
         else:
-            if lo <= seg.a <= hi:
-                return math.inf
-            sup = max(sup, float(seg.value(lo)), float(seg.value(hi)))
+            top = np.maximum(seg.value(lo, _libm_pow), seg.value(hi, _libm_pow))
+            if seg.form == "power" and seg.gamma < 0:
+                top[(lo <= seg.a) & (seg.a <= hi)] = math.inf
+        sup[k] = np.maximum(sup[k], top)
     return sup
 
 

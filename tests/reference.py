@@ -48,6 +48,56 @@ def exact_avg(values, span) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# segment masses
+# ---------------------------------------------------------------------------
+
+def _antideriv_0d(seg, x):
+    """A segment's antiderivative at one point, on numpy 0-d values."""
+    if seg.form == "power":
+        u = np.asarray(x, dtype=float) - seg.a
+        if seg.gamma == -1.0:
+            return seg.c * np.sign(u) * np.log(np.abs(u))
+        return seg.c * np.sign(u) * np.abs(u) ** (seg.gamma + 1.0) / (seg.gamma + 1.0)
+    if seg.s == 0.0:
+        return seg.c * np.asarray(x, dtype=float)
+    return (seg.c / seg.s) * np.exp(seg.s * np.asarray(x, dtype=float))
+
+
+def segment_masses(w, a, b, measure):
+    """The masses of the intervals [a_k, b_k] by the scalar path: per
+    interval and per segment that meets it, a difference of numpy 0-d
+    antiderivatives (Lebesgue; inf through a non-integrable singular
+    point) or ``measure.segment_mass`` (e^|x|), added in segment order.
+    Returns (masses, {k: message}) as ``SegmentWeight1D.masses`` does, nan
+    where the first overflowing segment of an interval names it."""
+    out, overflow = [], {}
+    for k, (x, y) in enumerate(zip(a, b)):
+        parts = []
+        for seg in w.segments:
+            lo, hi = max(x, seg.lo), min(y, seg.hi)
+            if hi <= lo:
+                continue
+            if measure.kind != "lebesgue":
+                try:
+                    parts.append(measure.segment_mass(seg, lo, hi))
+                except ValueError as err:
+                    overflow[k] = str(err)
+                    break
+            elif seg.form == "power" and seg.gamma <= -1.0 and lo <= seg.a <= hi:
+                parts.append(math.inf)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = float(_antideriv_0d(seg, hi) - _antideriv_0d(seg, lo))
+                if not math.isfinite(m):
+                    overflow[k] = (f"the mass over [{lo}, {hi}] overflows the "
+                                   "float range")
+                    break
+                parts.append(m)
+        out.append(math.nan if k in overflow else float(sum(parts)))
+    return out, overflow
+
+
+# ---------------------------------------------------------------------------
 # stopping cubes
 # ---------------------------------------------------------------------------
 

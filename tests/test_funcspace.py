@@ -38,7 +38,7 @@ from weightlab.funcspace import (
     sample_to_grid,
     total_exceeds,
 )
-from reference import exact_span_sum, exact_sum
+from reference import exact_span_sum, exact_sum, segment_masses
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,77 @@ def test_weight_mass_visits_only_the_meeting_segments(measure):
         every = float(sum(measure.segment_mass(seg, a, b)
                           for seg in w.segments))
         assert w.mass(a, b, measure).hex() == every.hex(), (a, b)
+
+
+@st.composite
+def _pieces_and_intervals(draw, quad_free=False):
+    """A weight of 1 to 4 pieces with gaps between them, and intervals from
+    a pool of its piece ends, its singular points, points in its gaps and
+    points outside its support.  quad_free keeps to pieces whose e^|x|
+    mass needs no quadrature."""
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.floats(-6.0, 6.0), min_size=2 * n,
+                                max_size=2 * n, unique=True)))
+    pieces = []
+    for lo, hi in zip(cuts[0::2], cuts[1::2]):
+        c = draw(st.floats(0.1, 4.0))
+        kind = draw(st.sampled_from(
+            ["constant", "exp", "singular"] if quad_free
+            else ["power", "exp", "singular", "log"]))
+        if kind == "exp":
+            pieces.append(Segment(lo, hi, "exp", c=c,
+                                  s=draw(st.sampled_from([0.0, 0.5, -1.25, 3.0]))))
+            continue
+        a = draw(st.sampled_from([lo, hi, 0.5 * (lo + hi), lo - 1.0]))
+        gamma = {"constant": 0.0, "log": -1.0,
+                 "power": draw(st.floats(-0.99, 2.99)),
+                 "singular": draw(st.floats(-2.5, -1.0))}[kind]
+        pieces.append(Segment(lo, hi, "power", c=c, a=a, gamma=gamma))
+    pool = cuts + [p.a for p in pieces] + [0.5 * (x + y) for x, y in
+                                          zip(cuts, cuts[1:])]
+    pool += [cuts[0] - 2.0, cuts[-1] + 2.0]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool),
+                                    st.sampled_from(pool)),
+                          min_size=1, max_size=12))
+    a, b = zip(*(sorted(p) for p in pairs))
+    return SegmentWeight1D(pieces), list(a), list(b)
+
+
+def _same_masses(w, a, b, measure):
+    want, want_overflow = segment_masses(w, a, b, measure)
+    got, overflow = w.masses(np.array(a), np.array(b), measure)
+    assert overflow == want_overflow
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pieces_and_intervals())
+def test_masses_match_the_scalar_path_bit_for_bit(case):
+    """Every interval's mass has the bits of the one-interval scalar path:
+    power pieces (gamma in (-1, 3)), exp pieces, and powered pieces with
+    gamma <= -1, which give inf through their singular point."""
+    _same_masses(*case, LEBESGUE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pieces_and_intervals(quad_free=True))
+def test_exp_measure_masses_match_the_scalar_path(case):
+    _same_masses(*case, EXP_ABS)
+
+
+def test_masses_of_a_lattice_mark_each_overflow():
+    # e^x on [0, 1000]: the lattice's last interval overflows, the others
+    # keep their one-interval bits, and only mass raises
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    a = np.array([0.0, 200.0, 400.0, 600.0])
+    masses, overflow = w.masses(a, a + 200.0)
+    assert overflow == {
+        3: "the mass over [600.0, 800.0] overflows the float range"}
+    assert math.isnan(masses[3])
+    assert [m.hex() for m in masses[:3].tolist()] == \
+        [w.mass(x, x + 200.0).hex() for x in a[:3].tolist()]
+    with pytest.raises(ValueError, match=r"^the mass over \[600.0, 800.0\]"):
+        w.mass(600.0, 800.0)
 
 
 def test_measure_is_frozen_and_hashable():

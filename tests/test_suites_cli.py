@@ -638,6 +638,29 @@ def test_cli_constant_overflowing_lebesgue_mass_exits_two(tmp_path, capsys):
         "error: the mass over [600.0, 1000.0] overflows the float range\n"
 
 
+@pytest.mark.parametrize("family, message", [
+    ({"box": [-2.0, float("nan")], "levels": [0, 2]},
+     "family box must be finite"),
+    ({"box": [-1e308, 1e308], "levels": [0, 2]},
+     "family box side overflows the float range"),
+    ({"box": [-2.0, 2.0], "levels": [0, 1.5]},
+     "family levels must be whole numbers, got 1.5"),
+    ({"box": [-2.0, 2.0], "levels": [0, 2], "shifts": 1.5},
+     "family shifts must be whole numbers, got 1.5"),
+    ({"box": [1e16, 1e16 + 4.0], "levels": [0, 4]},
+     "family level 4 is too fine for the box: its side is below the float "
+     "spacing at 1e+16"),
+], ids=["nan-box", "overflowing-box", "fractional-levels", "fractional-shifts",
+        "too-fine"])
+def test_cli_constant_bad_family_exits_two(weight_file, tmp_path, capsys,
+                                           family, message):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(family))
+    assert main(["constant", "--class", "ap", "--weight", weight_file,
+                 "--family", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_constant_rejects_unknown_measure_token(weight_file):
     with pytest.raises(SystemExit):
         main(["constant", "--class", "ap", "--weight", weight_file,

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from weightlab.funcspace import (
     Cube,
     CubeFamily,
+    DomainError,
     EXP_ABS,
     GridFunction,
     LEBESGUE,
@@ -37,7 +38,7 @@ from weightlab.weightclass import (
     rh_ratio,
     subset_mass_ratio_check,
 )
-from weightlab.young import YoungFn
+from weightlab.young import YoungFn, luxemburg_norm_of_values
 
 # three reports of this corpus (Ap_mu at p = 1.5, frac and frac_bump of
 # 3|x|^(1/2) on the family (0.5, 8.5)) are finite: their dual powers are
@@ -324,6 +325,123 @@ def test_grid_evaluator_matches_numpy_brute():
     assert rep.value == pytest.approx(ref, rel=1e-13)
 
 
+_KIND_SPECS = {
+    "Ap": dict(p=2.0), "Ap_mu": dict(p=1.5), "AAp": dict(p=2.0),
+    "RH": dict(s=3.0), "bump": dict(p=2.0, phi=YoungFn.power(2.0)),
+    "frac": dict(p=2.0, q=4.0),
+    "frac_bump": dict(p=2.0, q=4.0, phi=YoungFn.power_log(1.5, 1.0))}
+
+
+def _one_cube(Q, dim):
+    """The one-cube family {Q}; Q's corner and side are dyadic, so the
+    family's cube is Q itself."""
+    lo = Q.corner
+    hi = tuple(c + Q.side for c in lo)
+    assert all(h - c == Q.side for c, h in zip(lo, hi))
+    return CubeFamily((lo, hi) if dim > 1 else (lo[0], hi[0]), levels=(0, 0))
+
+
+@pytest.mark.parametrize("kind", list(_KIND_SPECS))
+@pytest.mark.parametrize("weight", ["analytic", "grid", "grid-2d"])
+def test_trace_rows_are_the_one_cube_products(kind, weight):
+    """A lattice at a time, every trace row has the bits of the product of
+    its cube alone."""
+    if weight == "analytic":
+        w = power_weight(0.5, -16.0, 16.0, c=3.0)
+        fam, dim = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2), 1
+    elif weight == "grid":
+        rng = np.random.default_rng(41)
+        w = GridFunction((-1.0, 1.0), rng.random(16) + 0.25)
+        fam, dim = CubeFamily((-1.0, 1.0), levels=(0, 2), shifts=2), 1
+    else:
+        rng = np.random.default_rng(43)
+        w = GridFunction(((-1.0, -1.0), (1.0, 1.0)), rng.random((8, 8)) + 0.25)
+        fam = CubeFamily(((-1.0, -1.0), (1.0, 1.0)), levels=(0, 2), shifts=2)
+        dim = 2
+    A = SquareMatrix.scalar(-1.0 if weight != "analytic" else 2.0, dim)
+    spec = ClassSpec(kind, A=A if kind not in ("Ap", "Ap_mu", "RH") else None,
+                     **_KIND_SPECS[kind])
+    rep = class_constant(w, spec, fam, trace=True)
+    assert rep.finite and len(rep.trace) == fam.count()
+    for Q, value in rep.trace:
+        one = class_constant(w, spec, _one_cube(Q, dim)).value
+        assert value.hex() == one.hex(), (kind, Q)
+        if weight == "analytic" and kind in ("Ap", "AAp", "RH"):
+            a, b = Q.corner[0], Q.corner[0] + Q.side
+            direct = {"Ap": lambda: ap_product(w, (a, b), 2.0),
+                      "AAp": lambda: aap_product(w, A, (a, b), 2.0),
+                      "RH": lambda: rh_ratio(w, (a, b), 3.0)}[kind]()
+            assert value.hex() == direct.hex()
+
+
+def test_grid_2d_products_match_the_per_cube_sums():
+    """On a 2D grid each cube's terms are fsum averages and row norms of
+    its own cells, bit for bit."""
+    rng = np.random.default_rng(47)
+    w = GridFunction(((-1.0, -1.0), (1.0, 1.0)), rng.random((8, 8)) + 0.25)
+    fam = CubeFamily(((-1.0, -1.0), (1.0, 1.0)), levels=(0, 2), shifts=2)
+    phi = YoungFn.power(2.0)
+    ap = class_constant(w, ClassSpec("Ap", p=2.0), fam, trace=True)
+    R = SquareMatrix.scalar(-1.0, 2)
+    bump = class_constant(w, ClassSpec("bump", p=2.0, A=R, phi=phi), fam,
+                          trace=True)
+    flipped = w.values[::-1, ::-1]
+    inverse = GridFunction((w.lo, w.hi), w.values ** -1.0)
+    for (Q, ap_value), (_, bump_value) in zip(ap.trace, bump.trace):
+        span = w.span_of_cube(Q)
+        cells = tuple(slice(*s) for s in span)
+        want = w.cube_average(span) * inverse.cube_average(span) ** 1.0
+        assert ap_value.hex() == want.hex(), Q
+        lead = GridFunction((w.lo, w.hi), flipped).cube_average(span)
+        norm = luxemburg_norm_of_values(w.values[cells] ** -0.5, phi)
+        assert bump_value.hex() == (lead ** 0.5 * norm).hex(), Q
+
+
+def test_first_infinite_row_keeps_its_witness_past_a_later_overflow():
+    # one lattice: [-1000, 0] is not covered, an infinite dual average,
+    # and the mass of e^x over [0, 1000] leaves the float range; the
+    # report stops at the first cube, as a cube-by-cube sweep does
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    fam = CubeFamily((-1000.0, 1000.0), levels=(1, 1))
+    rep = class_constant(w, ClassSpec("Ap", p=2.0), fam, trace=True)
+    assert rep.value == math.inf and rep.argmax == Cube((-1000.0,), 1000.0)
+    assert rep.witness == "w vanishes on part of [-1000, 0] and e=-1 < 0"
+    assert len(rep.trace) == 1
+    # a grid: w vanishes, so the norm factor is infinite in the first
+    # cube, and the second cube's sum of w(-x) leaves the float range
+    g = GridFunction((-2.0, 2.0), [1e308, 1e308, 0.0, 1.0])
+    spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(-1.0),
+                     phi=YoungFn.power(2.0))
+    rep = class_constant(g, spec, CubeFamily((-2.0, 2.0), levels=(1, 1)))
+    assert rep.value == math.inf and rep.argmax == Cube((-2.0,), 2.0)
+    assert rep.witness == "w vanishes at cell (2,)"
+
+
+def test_a_reached_overflow_still_raises():
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    fam = CubeFamily((0.0, 1000.0), levels=(1, 1))
+    with pytest.raises(ValueError, match=r"^the mass over \[500.0, 1000.0\] "
+                                         "overflows the float range$"):
+        class_constant(w, ClassSpec("Ap", p=2.0), fam)
+    g = GridFunction((0.0, 4.0), [1.0, 1.0, 1e308, 1e308])
+    with pytest.raises(OverflowError):
+        class_constant(g, ClassSpec("Ap", p=2.0),
+                       CubeFamily((0.0, 4.0), levels=(1, 1)))
+
+
+def test_grid_cube_outside_the_grid_raises_when_reached():
+    # the family's first lattice runs past the grid box: its first cube is
+    # inside, the second leaves it
+    g = GridFunction((0.0, 2.0), [1.0, 2.0])
+    fam = CubeFamily((0.0, 4.0), levels=(1, 1))
+    with pytest.raises(DomainError, match="leaves the grid box"):
+        class_constant(g, ClassSpec("Ap", p=2.0), fam)
+    holed = GridFunction((0.0, 2.0), [0.0, 2.0])
+    rep = class_constant(holed, ClassSpec("Ap", p=2.0), fam)
+    assert rep.value == math.inf and rep.argmax == Cube((0.0,), 2.0)
+    assert rep.witness == "w vanishes at cell (0,)"
+
+
 def test_grid_and_analytic_evaluators_agree_when_smooth():
     w = power_weight(0.5, -16.0, 16.0, a=-2.0)   # smooth on (1, 9)
     fam = CubeFamily((1.0, 9.0), levels=(0, 3), shifts=2)
@@ -588,17 +706,19 @@ def test_power_phi_norm_powers_each_weight_once(monkeypatch):
 
 def test_rh_inclusion_check_evaluates_each_product_once(monkeypatch):
     """Three products per cube (RH, AAp at p and at p - eps), two exact
-    masses each: the family constants and the identity share them."""
-    masses = []
-    mass = SegmentWeight1D.mass
+    mass columns each, one per lattice: the family constants and the
+    identity share them."""
+    sizes = []
+    masses = SegmentWeight1D.masses
 
     def counted(self, a, b, measure=LEBESGUE):
-        masses.append((a, b))
-        return mass(self, a, b, measure)
+        sizes.append(len(a))
+        return masses(self, a, b, measure)
 
-    monkeypatch.setattr(SegmentWeight1D, "mass", counted)
+    monkeypatch.setattr(SegmentWeight1D, "masses", counted)
     fam = CubeFamily((0.5, 8.5), levels=(0, 3), shifts=2)
     out = rh_inclusion_check(power_weight(0.5, -64.0, 64.0), 2.0, p=2.0,
                              eps=0.25, family=fam)
     assert out["applicable"] and out["cubes_checked"] == fam.count()
-    assert len(masses) == 3 * 2 * fam.count()
+    assert len(sizes) == 3 * 2 * len(list(fam.lattices()))
+    assert sum(sizes) == 6 * fam.count()
