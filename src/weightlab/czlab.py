@@ -17,9 +17,11 @@ numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
 powers w^p, w^q.  ``theorem_chain_checks`` replays a batch of cases (w, A,
 p) on one f and builds the f-only half of the chain (embedding, dyadic
-field, k range, stopping cubes, cover check, per-cube columns, one B_p
-integral per p) once for the batch; ``theorem_chain_check`` is the batch of
-one, and each report has the same bytes either way.
+field, k range, stopping cubes, cover check, per-cube columns, span plans,
+E sets, one B_p integral per p) once for the batch, and the A-free terms
+(right-hand side, per-cube norms, the M_phibar g sweep and its E-set
+minima) once per (w, p); ``theorem_chain_check`` is the batch of one, and
+each report has the same bytes either way.
 
 Geometry conventions used by the chain:
 
@@ -37,7 +39,8 @@ Geometry conventions used by the chain:
   as the exact total of the layers above it, every level set omega_k, each
   rounded once, so the bits equal ``math.fsum`` over the same cells.  The
   per-cube terms are float reductions over rows gathered a cube shape at a
-  time into a C-contiguous (cubes, cells) array: the Luxemburg norms, and
+  time into a C-contiguous (cubes, cells) array, the shape groups coming
+  from a span plan built once per set of cubes: the Luxemburg norms, and
   one pass for the image masses of w and the masses of w_A on the tripled
   cubes.  A row sum adds in the order ``np.sum`` uses on that cube alone.
 * Cell transport is ``maximal.preimage_cells``: an image cell corresponds
@@ -163,35 +166,57 @@ def _blocks(grid: np.ndarray, side: int) -> np.ndarray:
 _ROW_CELLS = 1 << 16        # cells gathered into rows at a time
 
 
-def _span_rows(values: np.ndarray, corners, shape) -> np.ndarray:
+def _span_rows(values: np.ndarray, starts, shape) -> np.ndarray:
     """The cells of equally shaped spans, one C-contiguous row per span in
-    row-major cell order; corners is an (m, dim) array of span starts."""
-    windows = np.lib.stride_tricks.sliding_window_view(values, shape)
-    return windows[tuple(np.asarray(corners).T)].reshape(
-        len(corners), math.prod(shape))
+    row-major cell order; starts holds the spans' first cells, one index
+    array per axis."""
+    # the read-only window view of ``sliding_window_view``, without its
+    # argument checks (about 15 us a call)
+    values = np.ascontiguousarray(values)
+    windows = np.ndarray(
+        tuple(n - s + 1 for n, s in zip(values.shape, shape)) + tuple(shape),
+        values.dtype, values, 0, values.strides * 2)
+    windows.flags.writeable = False
+    return windows[starts].reshape(len(starts[0]), math.prod(shape))
 
 
-def _span_reduce(lo: np.ndarray, ext: np.ndarray, reduce,
-                 *arrays) -> np.ndarray:
-    """reduce(*rows) over the spans with starts lo and extents ext ((m, dim)
-    int arrays), one value (or row of values) per span, in span order.  The
-    cells of each array over the spans of one shape are gathered into
-    (spans, cells) rows about _ROW_CELLS cells at a time, so no gathered
-    array outlives its batch."""
-    if not len(lo):
-        return np.asarray(reduce(*[np.zeros((0, 0), a.dtype) for a in arrays]))
-    shapes, group = np.unique(ext, axis=0, return_inverse=True)
+class _SpanPlan(NamedTuple):
+    """Spans grouped by shape for ``_span_reduce``: per batch of spans of
+    one shape, about _ROW_CELLS gathered cells at a time, the shape, the
+    spans' positions and their starts (one index array per axis)."""
+    size: int               # spans in all
+    batches: list           # [(shape, positions, starts)]
+
+
+def _span_plan(lo: np.ndarray, ext: np.ndarray) -> _SpanPlan:
+    """The plan of the spans with starts lo and extents ext ((m, dim) int
+    arrays), built once for every reduction over them."""
+    batches = []
+    if len(lo):
+        shapes, group = np.unique(ext, axis=0, return_inverse=True)
+        for g, shape in enumerate(shapes.tolist()):
+            pos = np.flatnonzero(group.ravel() == g)
+            per = max(1, _ROW_CELLS // math.prod(shape))
+            for s in range(0, pos.size, per):
+                at = pos[s:s + per]
+                batches.append((tuple(shape), at, tuple(lo[at].T)))
+    return _SpanPlan(len(lo), batches)
+
+
+def _span_reduce(plan: _SpanPlan, reduce, *arrays) -> np.ndarray:
+    """reduce(*rows) over the spans of a plan, one value (or row of values)
+    per span, in span order.  The cells of each array over one batch of the
+    plan are gathered into (spans, cells) rows, so no gathered array
+    outlives its batch."""
+    if not plan.batches:
+        return np.asarray(reduce(*[np.zeros((0, 1), a.dtype) for a in arrays]))
     out = None
-    for g, shape in enumerate(shapes.tolist()):
-        pos = np.flatnonzero(group.ravel() == g)
-        per = max(1, _ROW_CELLS // math.prod(shape))
-        for s in range(0, pos.size, per):
-            at = pos[s:s + per]
-            res = np.asarray(reduce(*[_span_rows(a, lo[at], shape)
-                                      for a in arrays]))
-            if out is None:
-                out = np.empty((len(lo),) + res.shape[1:], res.dtype)
-            out[at] = res
+    for shape, at, starts in plan.batches:
+        res = np.asarray(reduce(*[_span_rows(a, starts, shape)
+                                  for a in arrays]))
+        if out is None:
+            out = np.empty((plan.size,) + res.shape[1:], res.dtype)
+        out[at] = res
     return out
 
 
@@ -437,17 +462,25 @@ def _block_totals(values: np.ndarray, idx: np.ndarray, side: int) -> list:
     root block is the grid itself and needs no gather."""
     if side == values.shape[0]:
         return exact_totals(values)
-    rows = _span_rows(values, idx * side, (side,) * values.ndim)
+    rows = _span_rows(values, tuple((idx * side).T), (side,) * values.ndim)
     label = np.arange(len(idx), dtype=np.min_scalar_type(len(idx) - 1))
     return exact_totals(rows, np.repeat(label, rows.shape[1]), len(idx))
 
 
-def _e_terms(d, values):
-    """Per row: the cells outside D, and the minimum of values there (inf
-    when there are none)."""
-    outside = ~d
-    return np.stack([outside.sum(axis=1),
-                     np.where(outside, values, np.inf).min(axis=1)], 1)
+class _ESets(NamedTuple):
+    """The E sets E_{k,j} = Q_{k,j} minus D_{k+1} of a decomposition, over
+    the cubes of its usable levels k (those with a D_{k+1}) in (k, span)
+    order."""
+    report: dict            # the ``ekj_expansion_check`` dict
+    plan: _SpanPlan         # the cubes
+    counts: np.ndarray      # (m,) |E_{k,j}|
+    depth: np.ndarray       # per cell, how many of the D_k hold it
+
+
+def _least_depth(d):
+    """Per row of depths: the least one and how many cells take it."""
+    least = d.min(axis=1)
+    return np.column_stack([least, (d == least[:, None]).sum(axis=1)])
 
 
 def ekj_expansion_check(dec: CZDecomposition) -> dict:
@@ -456,48 +489,61 @@ def ekj_expansion_check(dec: CZDecomposition) -> dict:
     Needs consecutive levels in the decomposition (E at level k looks at
     D_{k+1}); the topmost level is skipped.  No cubes at all gives beta = 0.
     """
-    return _expansion(dec)[0]
+    return _expansion(dec).report
 
 
-def _expansion(dec: CZDecomposition, field: np.ndarray | None = None):
-    """(the ``ekj_expansion_check`` dict, {k: (counts, minima)}).
+def _expansion(dec: CZDecomposition) -> _ESets:
+    """The E sets of a decomposition (``_ESets``), from one gather over all
+    their cubes.
 
-    Per usable level k, counts[j] = |E_{k,j}| with E_{k,j} = Q_{k,j} minus
-    D_{k+1}, and, given a field on the grid, minima[j] is its minimum over
-    E_{k,j} (inf on an empty set; None without a field); both are arrays
-    over the rows of ``dec.levels[k]``.  The cubes of one side are gathered
-    into rows of D_{k+1} (and of the field) at once.  The E sets of one
-    level lie in D_k minus D_{k+1}, whose union over the levels they cover,
-    so they are disjoint exactly when their counts add up to the cells of
-    that union."""
+    The D_k are nested, as the stopping cubes above a higher threshold lie
+    in those above a lower one, so a cell's depth (the number of D_k
+    holding it) says which of them hold it.  With r the rank of k among
+    the decomposition's levels (1 for the lowest), every cell of a cube of
+    D_k has depth at least r, and D_{k+1} is where it exceeds r: E_{k,j}
+    is where the cube's depth is least when that least depth is r, and
+    empty otherwise.  The E sets of one level lie in D_k minus D_{k+1},
+    whose union over the levels they cover, so they are disjoint exactly
+    when their counts add up to the cells of that union."""
     usable = [k for k in dec.ks if k + 1 in dec.D]
-    beta, witness, n_cubes, total = 0.0, None, 0, 0
+    dim = dec.grid.dim
+    levels = [dec.levels[k] for k in usable]
+    corner = np.concatenate([np.zeros((0, dim), np.int64)]
+                            + [lv.corner for lv in levels])
+    side = np.concatenate([np.zeros(0, np.int64)] + [lv.side for lv in levels])
+    plan = _span_plan(corner, np.repeat(side[:, None], dim, axis=1))
+    ranks = sorted(dec.D)
+    depth = np.zeros(dec.grid.shape, np.min_scalar_type(len(ranks)))
     union = np.zeros(dec.grid.shape, dtype=bool)
-    per_level = {}
+    for k in ranks:
+        depth += dec.D[k]
     for k in usable:
-        lv = dec.levels[k]
-        ext = np.repeat(lv.side[:, None], dec.grid.dim, axis=1)
-        if field is None:
-            counts = _span_reduce(lv.corner, ext, lambda d: (~d).sum(axis=1),
-                                  dec.D[k + 1])
-            minima = None
-        else:
-            terms = _span_reduce(lv.corner, ext, _e_terms, dec.D[k + 1], field)
-            counts, minima = terms[:, 0].astype(np.int64), terms[:, 1]
-        per_level[k] = counts, minima
-        n_cubes += len(counts)
-        total += int(counts.sum())
         union |= dec.D[k] & ~dec.D[k + 1]
-        empty = np.flatnonzero(counts == 0)
-        if len(empty):
-            beta, j = math.inf, empty[-1:]
-            witness = _span_to_cube(dec.grid,
-                                    _spans(lv.corner[j], lv.side[j])[0])
-        elif len(counts):
-            beta = max(beta, float((lv.side ** dec.grid.dim / counts).max()))
-    disjoint = total == int(union.sum())
-    return ({"beta": beta, "disjoint": disjoint, "witness": witness,
-             "cubes_checked": n_cubes, "levels_checked": usable}, per_level)
+    least, at_least = _span_reduce(plan, _least_depth, depth).T
+    rank = np.repeat([ranks.index(k) + 1 for k in usable],
+                     [len(lv.side) for lv in levels])
+    counts = np.where(least == rank, at_least, 0).astype(np.int64)
+    beta, witness = 0.0, None
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        beta, j = math.inf, empty[-1:]
+        witness = _span_to_cube(dec.grid, _spans(corner[j], side[j])[0])
+    elif len(counts):
+        beta = float((side ** dim / counts).max())
+    disjoint = int(counts.sum()) == int(union.sum())
+    report = {"beta": beta, "disjoint": disjoint, "witness": witness,
+              "cubes_checked": len(counts), "levels_checked": usable}
+    return _ESets(report, plan, counts, depth)
+
+
+def _e_minima(e: _ESets, field: np.ndarray) -> np.ndarray:
+    """The minimum of a field over each E set, inf on an empty one."""
+    minima = _span_reduce(
+        e.plan, lambda d, v: np.where(d == d.min(axis=1, keepdims=True),
+                                      v, np.inf).min(axis=1),
+        e.depth, field)
+    minima[e.counts == 0] = np.inf
+    return minima
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +727,8 @@ def _tripled_cover(shape, corner: np.ndarray, side: np.ndarray) -> np.ndarray:
 class _UsedCubes(NamedTuple):
     """The stopping cubes of the chain's levels ks as columns, in (k, span)
     order, with every per-cube term that depends on f alone."""
-    dec: CZDecomposition    # the decomposition for k_low .. k_max + 1
-    corner: np.ndarray      # (m, dim) first cells
-    ext: np.ndarray         # (m, dim) cells per axis
-    lo3: np.ndarray         # (m, dim) starts of the clipped triples
-    ext3: np.ndarray        # (m, dim) extents of the clipped triples
+    esets: _ESets           # their E sets, over the same plan of the cubes
+    plan3: _SpanPlan        # the clipped triples
     cells3: np.ndarray      # (m,) cells of the clipped triples
     k_of: list              # the level of each cube
     side_a: list            # side^alpha
@@ -694,15 +737,37 @@ class _UsedCubes(NamedTuple):
     value: list             # side^alpha * average
 
 
+class _CubeTerms(NamedTuple):
+    """The per-cube terms of the chain that depend on (w, p) and not on A."""
+    g_norm: list            # ||g||_{phibar,Q}, g = f w^{1/p} (fractional: f w)
+    v_norm: list            # ||w^{-1/p}||_{phi,Q} (fractional: w^-1)
+    norms3: list | None     # the dual weight's phi-norms on the triples
+    sweep_error: ValueError | None  # raised by the M_phibar g sweep
+    minima: list | None     # min of M_phibar g over each E set
+    int_Mg: float | None    # integral of (M_phibar g)^p
+
+
+class _WeightHalf:
+    """The half of the chain that depends on (w, p) and not on A, shared by
+    the cases of a batch with that weight and exponent.  The first case to
+    reach each part builds it: whether w vanishes on a cell of Y with the
+    right-hand side int f^p w (fractional: f^p w^p), then the per-cube
+    terms (``_CubeTerms``).  It keeps scalars and per-cube columns only."""
+
+    def __init__(self):
+        self.vanishes = self.rhs_base = self.terms = None
+
+
 class _ChainCorpus:
     """The f-only half of the proof chain, shared by the cases of one
-    ``theorem_chain_checks`` batch.  Each part is built when a case first
-    needs it, so a case that stops earlier builds nothing more: the
-    dyadic field M of the embedding fY (kept unpowered) with its k range
-    and layer labels, the stopping cubes with their cover check and
-    columns, and one B_p integral per exponent.  The last case of the batch
-    takes M, the layer labels, fY and the cubes at their last use, so a
-    batch of one drops each whole grid where a single chain does."""
+    ``theorem_chain_checks`` batch, and one ``_WeightHalf`` per (w, p).
+    Each part is built when a case first needs it, so a case that stops
+    earlier builds nothing more: the dyadic field M of the embedding fY
+    (kept unpowered) with its k range and layer labels, the stopping cubes
+    with their cover check, columns, span plans and E sets, and one B_p
+    integral per exponent.  The last case of the batch takes M, the layer
+    labels, fY and the cubes at their last use, so a batch of one drops
+    each whole grid where a single chain does."""
 
     def __init__(self, f: GridFunction, a: float, alpha: float,
                  phi: YoungFn):
@@ -721,6 +786,12 @@ class _ChainCorpus:
         self.M = self.layer = self.ks = None
         self._used = None
         self._bp = {}
+        self._halves = {}
+
+    def half(self, factors, p: float) -> _WeightHalf:
+        """The ``_WeightHalf`` of the weight factors (by identity) and p."""
+        return self._halves.setdefault((tuple(map(id, factors)), p),
+                                       _WeightHalf())
 
     def field(self):
         """(ks, k_low, k_max); the first call sweeps M = M^d_alpha fY and
@@ -767,13 +838,51 @@ class _ChainCorpus:
             # every per-cube power is a Python float power
             corner, side, average, value = map(np.concatenate, zip(*levels))
             lo3, ext3 = _tripled(corner, side, self.NY)
+            # the levels with an E set are ks, so the E sets' plan is the
+            # plan of the used cubes
             self._used = _UsedCubes(
-                dec, corner, np.repeat(side[:, None], fY.dim, axis=1),
-                lo3, ext3, ext3.prod(axis=1),
+                _expansion(dec), _span_plan(lo3, ext3), ext3.prod(axis=1),
                 np.repeat(ks, [len(lv.side) for lv in levels]).tolist(),
                 [(s * fY.h[0]) ** self.alpha for s in side.tolist()],
                 (side ** fY.dim).tolist(), average.tolist(), value.tolist())
         return self._used
+
+    def cube_terms(self, used: _UsedCubes, factors, p: float) -> _CubeTerms:
+        """The (w, p) per-cube terms from the weight sampled on Y: the
+        Luxemburg norms of g = f w^{1/p} and of the dual weight w^{-1/p}
+        (fractional: f w and w^-1) on the used cubes, the dual weight's on
+        their clipped triples for a homogeneous phi, then one M_phibar g
+        sweep (or the error it raises), its minima over the E sets and the
+        integral of its p-th power."""
+        wY = product_averages(factors, self.Ylo, self.Yhi, self.NY)
+        if self.alpha > 0.0:
+            g_vals = self.fY.values * wY
+            wY **= -1.0
+        else:
+            g_vals = wY ** (1.0 / p)
+            g_vals *= self.fY.values
+            wY **= -1.0 / p
+        phi, phibar = self.phi, self.phibar
+        g_norm, v_norm = _span_reduce(
+            used.esets.plan,
+            lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
+                                          luxemburg_norms(v, phi)]),
+            g_vals, wY).T.tolist()
+        # reference bump with norms on the clipped triples, for the class bound
+        norms3 = _span_reduce(used.plan3, lambda r: luxemburg_norms(r, phi),
+                              wY).tolist() \
+            if used.k_of and phi.is_homogeneous else None
+        del wY
+        try:
+            Mg = orlicz_maximal(GridFunction((self.Ylo, self.Yhi), g_vals),
+                                phibar, lengths="dyadic").values
+        except ValueError as err:
+            return _CubeTerms(g_norm, v_norm, norms3, err, None, None)
+        del g_vals
+        minima = _e_minima(used.esets, Mg).tolist()
+        Mg **= p
+        return _CubeTerms(g_norm, v_norm, norms3, None, minima,
+                          exact_sums(Mg)[0] * self.fY.cell_volume)
 
     def bp(self, p: float):
         """``bp_integral(phibar, p)``, once per exponent."""
@@ -804,11 +913,19 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
                          alpha: float = 0.0) -> list:
     """One ``theorem_chain_check`` report per case (w, A, p), in order.
 
-    The cases share f, phi, a and alpha, and the f-only half of the chain
-    is built once for all of them: the embedding, the dyadic field and its
-    k range, the stopping cubes with their cover check and per-cube
-    columns, and one B_p integral per p.  Each report has the bytes of the
-    single call on its case, and cases in any order give the same reports.
+    The cases share f, phi, a and alpha, and the work is shared at three
+    levels.  Once per batch, the f-only half: the embedding, the dyadic
+    field and its k range, the stopping cubes with their cover check and
+    per-cube columns, the span plans of the cubes and of their clipped
+    triples (their shape groups, built once for every reduction), the E
+    sets' counts, beta and disjointness, and one B_p integral per p.  Once
+    per (w, p), w taken by the identity of its factors: the right-hand side,
+    the Luxemburg norms of g and of the dual weight, the M_phibar g sweep
+    (or its error), its minima over the E sets and its integral.  Per case,
+    what depends on A: the composition, the cell bijection, the image-side
+    weight pulled back, the layer totals, the image and w_A masses, B_used
+    and the bump-class check.  Each report has the bytes of the single
+    call on its case, and cases in any order give the same reports.
     """
     n = _dyadic_cells(f)
     if n < 2:
@@ -823,8 +940,8 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
 
 def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     """The chain on one case (w, A, p) of a batch, reading the f-only terms
-    from the corpus c; the last case takes its whole grids at their last
-    use."""
+    from the corpus c and the A-free terms from its (w, p) half; the last
+    case takes its whole grids at their last use."""
     f, a, alpha = c.f, c.a, c.alpha
     dim = f.dim
     A = resolve_matrix(A, dim)
@@ -844,7 +961,8 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     else:
         q = p
     E = q                       # exponent of the left-hand side
-    phi, phibar = c.phi, c.phibar
+    phi = c.phi
+    half = c.half(factors, p)
     steps = []
 
     def fail(reason: str) -> ChainReport:
@@ -862,7 +980,10 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
         wA = compose_matrix(factors, A)
     except DomainError as err:
         return fail(str(err))
-    wY = product_averages(factors, Ylo, Yhi, NY)
+    # w on Y, sampled here only until the (w, p) half knows whether w
+    # vanishes and the right-hand side
+    wY = product_averages(factors, Ylo, Yhi, NY) \
+        if half.vanishes is None else None
     try:
         out_lo, out_hi, perm = _grid_bijection(fY, A)
     except DomainError as err:
@@ -871,17 +992,22 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
 
-    if (wY <= 0).any():
+    # discrete fields: the chain treats the sampled cell averages as the
+    # weight; all powers below are cellwise powers of those averages.
+    # Exact sums go through one kernel: f vanishes off X, and zero cells
+    # add nothing to an exact sum
+    if half.vanishes is None:
+        half.vanishes = bool((wY <= 0).any())
+        if not half.vanishes:
+            rhs_weight = wY[inner] ** p if frac else wY[inner]
+            half.rhs_base = exact_sums(f.values ** p * rhs_weight)[0] * volY
+            del rhs_weight      # without the power, a view that holds wY
+    del wY
+    if half.vanishes:
         return fail("weight vanishes on a cell of the working box")
     missing_out = int((w_out <= 0).sum())
-
-    # discrete fields: the chain treats the sampled cell averages as the
-    # weight; all powers below are cellwise powers of those averages
     if frac:
-        rhs_weight = wY[inner] ** p
         w_out **= q
-    else:
-        rhs_weight = wY[inner]
     # the image-side weight pulled back to the input grid through the cell
     # bijection (image cell o is A of input cell perm[o]), so every
     # image-side sum below runs over the input grid
@@ -890,10 +1016,7 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     w_back = w_back.reshape(fY.shape)
     del perm, w_out
 
-    # exact sums through one kernel: f vanishes off X, and zero cells add
-    # nothing to an exact sum
-    rhs_base = exact_sums(f.values ** p * rhs_weight)[0] * volY
-    del rhs_weight
+    rhs_base = half.rhs_base
     if rhs_base == 0.0:
         return ChainReport(True, "f is zero; chain is vacuous",
                            [ChainStep("vacuous", "zero function", 0.0, 0.0)],
@@ -944,46 +1067,34 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     if isinstance(used, str):
         return fail(used)
 
-    # the used cubes as columns, in (k, span) order: the norms and masses
-    # reduce the cubes of one shape at a time.  Every per-cube power below
+    # the used cubes as columns, in (k, span) order: the masses reduce the
+    # clipped triples of one shape at a time.  Every per-cube power below
     # is a Python float power.
-    lo3, ext3 = used.lo3, used.ext3
     # the pulled-back weight w_A (fractional: w_A^q), sampled for its one
     # use: one pass of row sums gives its masses and the image masses
     WA_vals = product_averages(wA, Ylo, Yhi, NY)
     if frac:
         WA_vals **= q
     image_mass, wa = _span_reduce(
-        lo3, ext3, lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
+        used.plan3,
+        lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
         w_back, WA_vals).T
     del w_back, WA_vals
     image_mass = (image_mass * vol_out).tolist()
-    # g = f w^{1/p} and the dual weight w^{-1/p} (fractional: f w and w^-1)
-    if frac:
-        g_vals = fY.values * wY
-        wY **= -1.0
-    else:
-        g_vals = wY ** (1.0 / p)
-        g_vals *= fY.values
-        wY **= -1.0 / p
-    dual_vals = wY
-    del wY
     wa_mass = (wa * volY).tolist()
     wa_avg = (wa / used.cells3).tolist()
     cells3 = used.cells3.tolist()
-    g_norm, v_norm = _span_reduce(
-        used.corner, used.ext,
-        lambda g, v: np.column_stack([luxemburg_norms(g, phibar),
-                                      luxemburg_norms(v, phi)]),
-        g_vals, dual_vals).T.tolist()
-    # reference bump with norms on the clipped triples, for the class bound
-    norms3 = _span_reduce(lo3, ext3, lambda r: luxemburg_norms(r, phi),
-                          dual_vals).tolist() \
-        if len(lo3) and phi.is_homogeneous else None
-    del dual_vals
+    # the norms, the M_phibar g sweep and its E-set terms, once per (w, p)
+    if half.terms is None:
+        half.terms = c.cube_terms(used, factors, p)
+    g_norm, v_norm, norms3, sweep_error, minima, int_Mg = half.terms
+    ek, ecounts = used.esets.report, used.esets.counts.tolist()
     side_a, cells, k_of = used.side_a, used.cells, used.k_of
     average, value = used.average, used.value
     n_used = len(k_of)
+    del used, fY
+    if last:
+        c.fY = c._used = None
 
     # s2c: replace level sets by the tripled covers
     v3 = tail_bound + a ** E * math.fsum(
@@ -1057,19 +1168,7 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
         v7, v8))
 
     # s5b: expansion |Q| <= beta |E_{k,j}| with disjoint E sets; the sweep
-    # runs first so that one pass over the E sets serves both steps, but
-    # its failure is reported after theirs
-    try:
-        Mg = orlicz_maximal(GridFunction((Ylo, Yhi), g_vals), phibar,
-                            lengths="dyadic").values
-        sweep_error = None
-    except ValueError as err:
-        Mg, sweep_error = None, err
-    del g_vals
-    ek, e_sets = _expansion(used.dec, Mg)
-    del used, fY
-    if last:
-        c.fY = c._used = None
+    # ran with the norms, but its failure is reported after theirs
     beta = ek["beta"]
     if not math.isfinite(beta):
         return fail(f"empty E set below {ek['witness']}")
@@ -1080,8 +1179,6 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
                     f"{sweep_error}")
     dom_worst = math.inf
     sum_E = 0.0
-    ecounts = np.concatenate([e_sets[k][0] for k in ks]).tolist()
-    minima = np.concatenate([e_sets[k][1] for k in ks]).tolist()
     for gn, ecount, low in zip(g_norm, ecounts, minima):
         sum_E += gn ** p * ecount * volY
         if ecount:
@@ -1092,9 +1189,6 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
         v8, v9, {"beta": beta}))
 
     # s5c: the E sets are disjoint and M_phibar g dominates ||g|| on each
-    Mg **= p
-    int_Mg = exact_sums(Mg)[0] * volY
-    del Mg
     v10 = tail_bound + c_tri * (beta * int_Mg) ** (E / p)
     steps.append(ChainStep(
         "s5c_domination", "sum ||g||^p |E| at most the integral of (M_phibar g)^p",

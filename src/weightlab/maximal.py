@@ -630,14 +630,18 @@ def preimage_cells(f: GridFunction, A: SquareMatrix, box, shape):
     """
     lo, hi = box
     inv = A.inv
-    # one center coordinate array per axis; the sum broadcasts them
+    # one center coordinate array per axis; the sum broadcasts them.  A
+    # term with a zero coefficient is left out: it adds +-0.0, which moves
+    # no floor, so a monomial matrix's coordinates stay one axis long until
+    # the flat index takes them
     X = np.meshgrid(*(a + (np.arange(m) + 0.5) * ((b - a) / m)
                       for a, b, m in zip(lo, hi, shape)),
                     indexing="ij", sparse=True)
     flat = np.zeros(tuple(shape), dtype=np.int64)
     inside = np.ones(tuple(shape), dtype=bool)
     for d in range(f.dim):
-        U = sum((inv[d, e] * X[e] for e in range(1, f.dim)), inv[d, 0] * X[0])
+        terms = [inv[d, e] * X[e] for e in range(f.dim) if inv[d, e] != 0.0]
+        U = sum(terms[1:], terms[0])
         U -= f.lo[d]
         U /= f.h[d]
         i = np.floor(U, out=U).astype(np.int64)

@@ -358,8 +358,15 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
 
     def powered(g, e):
         if (g, e) not in grids:
-            grids[g, e] = (GridFunction((w.lo, w.hi), powered(g, 1.0).values ** e)
-                           if e != 1.0 else _composed_grid(w, spec.A))
+            if e == 1.0:
+                grids[g, e] = _composed_grid(w, spec.A)
+            else:
+                with np.errstate(over="ignore"):
+                    values = powered(g, 1.0).values ** e
+                if not np.isfinite(values).all():
+                    raise ValueError(f"the grid weight {g}^{e} overflows the "
+                                     "float range")
+                grids[g, e] = GridFunction((w.lo, w.hi), values)
         return grids[g, e]
 
     def terms(side, starts):

@@ -98,6 +98,32 @@ def segment_masses(w, a, b, measure):
 
 
 # ---------------------------------------------------------------------------
+# cell transport
+# ---------------------------------------------------------------------------
+
+def preimage_cells_every_term(f, A, box, shape):
+    """``maximal.preimage_cells`` as it was before zero matrix coefficients
+    were left out: every coordinate sums all dim terms, zero or not."""
+    lo, hi = box
+    inv = A.inv
+    X = np.meshgrid(*(a + (np.arange(m) + 0.5) * ((b - a) / m)
+                      for a, b, m in zip(lo, hi, shape)),
+                    indexing="ij", sparse=True)
+    flat = np.zeros(tuple(shape), dtype=np.int64)
+    inside = np.ones(tuple(shape), dtype=bool)
+    for d in range(f.dim):
+        U = sum((inv[d, e] * X[e] for e in range(1, f.dim)), inv[d, 0] * X[0])
+        U -= f.lo[d]
+        U /= f.h[d]
+        i = np.floor(U, out=U).astype(np.int64)
+        inside &= (i >= 0) & (i < f.shape[d])
+        flat *= f.shape[d]
+        flat += i
+    flat[~inside] = -1
+    return flat.ravel()
+
+
+# ---------------------------------------------------------------------------
 # stopping cubes
 # ---------------------------------------------------------------------------
 

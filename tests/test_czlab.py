@@ -22,9 +22,11 @@ from weightlab.czlab import (
     CZDecomposition,
     CZLevel,
     _children,
+    _e_minima,
     _expansion,
     _mass_test,
     _pyramids,
+    _span_plan,
     _span_reduce,
     _sum_bounds,
     _tripled,
@@ -158,8 +160,8 @@ def test_span_helpers_any_dimension(span):
     lo = np.concatenate([corner, lo3])
     ext = np.concatenate([np.repeat(side[:, None], len(span), 1), ext3])
     sums = _span_reduce(
-        lo, ext, lambda *rows: np.column_stack([r.sum(axis=1) for r in rows]),
-        *vals)
+        _span_plan(lo, ext),
+        lambda *rows: np.column_stack([r.sum(axis=1) for r in rows]), *vals)
     assert sums.tolist() == \
         [[v[slices(s)].sum() for v in vals] for s in (span, tripled)]
     # the stopping-cube sweep's 2^n children of the dyadic cube with the
@@ -319,9 +321,9 @@ def test_expansion_skips_the_level_without_a_next():
     f = GridFunction((0.0, 2.0), vals)
     dec = cz_decompose(f, 3.0, [0])
     assert len(dec.cubes[0]) == 1
-    report, per_level = _expansion(dec, np.ones(8))
-    assert report["levels_checked"] == [] and report["cubes_checked"] == 0
-    assert per_level == {}
+    e = _expansion(dec)
+    assert e.report["levels_checked"] == [] and e.report["cubes_checked"] == 0
+    assert len(e.counts) == 0 and len(_e_minima(e, np.ones(8))) == 0
 
 
 def _ekj_per_cube(dec):
@@ -347,8 +349,9 @@ def _ekj_per_cube(dec):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_expansion_sets_match_per_cube_masks(dim):
-    """One gather per level gives each E set's cell count and the minimum
-    of a field over it, as the cube's own E mask does; the check's dict
+    """One gather of depths over all the cubes gives each E set's cell
+    count, and one more with a field gives the field's minimum over it, as
+    the cube's own E mask does; the check's dict
     equals the cube-by-cube one, also on a decomposition whose cubes
     overlap."""
     rng = np.random.default_rng(41)
@@ -361,16 +364,18 @@ def test_expansion_sets_match_per_cube_masks(dim):
         a = 8.0 if dim == 1 else 16.0
         dec = cz_decompose(f, a, valid_k_range(vals, a, dim, hi=4))
         field = rng.random(vals.shape)
-        report, per_level = _expansion(dec, field)
-        assert report == ekj_expansion_check(dec) == _ekj_per_cube(dec)
-        for k, (counts, minima) in per_level.items():
-            for j, qc in enumerate(dec.cubes[k]):
-                slc = slices(qc.span)
-                emask = ~dec.D[k + 1][slc]
-                assert counts[j] == int(emask.sum())
-                want = float(field[slc][emask].min()) if emask.any() \
-                    else math.inf
-                assert minima[j] == want
+        e = _expansion(dec)
+        assert e.report == ekj_expansion_check(dec) == _ekj_per_cube(dec)
+        minima = _e_minima(e, field)
+        cubes = [(k, qc) for k in e.report["levels_checked"]
+                 for qc in dec.cubes[k]]
+        assert len(e.counts) == len(minima) == len(cubes)
+        for (k, qc), count, low in zip(cubes, e.counts, minima):
+            slc = slices(qc.span)
+            emask = ~dec.D[k + 1][slc]
+            assert count == int(emask.sum())
+            want = float(field[slc][emask].min()) if emask.any() else math.inf
+            assert low == want
     k = max(k for k in dec.ks[:-1] if dec.cubes[k])
     twice = dict(dec.levels)
     twice[k] = CZLevel(*(np.concatenate([x, x[:1]]) for x in dec.levels[k]))
@@ -404,15 +409,16 @@ def test_batched_span_terms_are_bitwise_per_cube(dim):
     for phi in (YoungFn.power(3.0), YoungFn.power(1.5, c=2.0),
                 YoungFn.identity(), YoungFn("sup"),
                 YoungFn.power_log(1.5, 1.0)):
-        got = _span_reduce(lo, ext, lambda r: luxemburg_norms(r, phi),
-                           vals).tolist()
+        got = _span_reduce(_span_plan(lo, ext),
+                           lambda r: luxemburg_norms(r, phi), vals).tolist()
         for sp, g in zip(spans, got):
             cells = vals[slices(sp)].ravel()
             assert g == luxemburg_norm_of_values(vals[slices(sp)], phi)
             if phi.kind == "power":
                 assert g == (phi.c * float(np.sum(cells ** phi.r))
                              / cells.size) ** (1.0 / phi.r)
-    sums = _span_reduce(lo, ext, lambda r: r.sum(axis=1), vals).tolist()
+    sums = _span_reduce(_span_plan(lo, ext), lambda r: r.sum(axis=1),
+                        vals).tolist()
     assert sums == [float(vals[slices(sp)].ravel().sum()) for sp in spans]
 
 
@@ -919,10 +925,11 @@ def test_chain_json_dict_is_serializable():
 def test_chain_2d_peak_memory_in_grids():
     """The tracemalloc peak of the 2D chain on the acceptance-5 corpus at
     128^2 cells (embedded in 512^2), with the acceptance-5 weight pair and
-    A = -I/2, in float grids of 512^2 cells.  The measured peak is 6.82
-    grids, the dyadic sweep of M f on top of the f, w and pulled-back
-    weight grids; the bound is that peak plus 10%, so a whole grid kept
-    alive past its last use fails it."""
+    A = -I/2, in float grids of 512^2 cells.  The bound is 6.82 grids plus
+    10%, the peak measured when w still lived through the dyadic sweep of
+    M f, so a whole grid kept alive past its last use fails it.  Now that
+    w is sampled again for the norms, the measured peak is 6.31 grids, at
+    the dual weight's norm on the clipped triple that covers the grid."""
     args = (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2), 2.0,
             PHI)
     theorem_chain_check(*args)          # imports and caches stay out
@@ -1057,3 +1064,38 @@ def test_chain_2d_batch_peak_memory_in_grids():
         assert all(rep.applicable and rep.passed() for rep in reps)
     extra = (peaks[1] - peaks[0]) / (512 ** 2 * 8)
     assert extra <= 1.3, (extra, [p / (512 ** 2 * 8) for p in peaks])
+
+
+def test_chain_batch_half_built_by_the_first_case_that_reaches_it(
+        monkeypatch):
+    """A 2D batch whose first case of (PAIR, 2) stops before the shared
+    half (a shear, which the product weight cannot compose with): the next
+    case of that (w, p) builds it, a duplicated case reads it, and a weight
+    with the same factors in the other order gets a half of its own.  On
+    one sweep per (w, p) that reaches it, every report has the bytes of its
+    single call, forward and reversed."""
+    f = acceptance_grid_2d(16)
+    swapped = PAIR[::-1]
+    cases = [
+        (PAIR, SquareMatrix([[1.0, 1.0], [0.0, 1.0]]), 2.0),
+        (PAIR, SquareMatrix.scalar(-0.5, 2), 2.0),
+        (PAIR, _SWAP, 1.5),
+        (PAIR, SquareMatrix.scalar(-0.5, 2), 2.0),
+        (swapped, _SWAP, 2.0),
+        (PAIR, SquareMatrix([[2.0, 0.0], [0.0, 0.5]]), 2.0),
+    ]
+    single = [_report_bytes(theorem_chain_check(f, *case, PHI))
+              for case in cases]
+    assert json.loads(single[0])["reason"] == \
+        "2D weights support diagonal or antidiagonal matrices"
+    assert all(json.loads(s)["applicable"] for s in single[1:])
+    assert single[1] == single[3]
+    sweeps = []
+    real = czlab.orlicz_maximal
+    monkeypatch.setattr(czlab, "orlicz_maximal",
+                        lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    for order in (1, -1):
+        batch = czlab.theorem_chain_checks(f, cases[::order], PHI)
+        assert [_report_bytes(rep) for rep in batch] == single[::order]
+        assert len(sweeps) == 3
+        sweeps.clear()

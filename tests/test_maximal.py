@@ -36,6 +36,7 @@ from weightlab.maximal import (
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
+    image_box,
     matrix_compose,
     orlicz_maximal,
     preimage_cells,
@@ -49,6 +50,7 @@ from reference import (
     brute_trailing_max,
     per_length_sweep,
     prefix_averages,
+    preimage_cells_every_term,
     window_maxima,
 )
 
@@ -841,6 +843,40 @@ def test_preimage_cells_3d_signed_permutation():
         want = g.cell_of_point(A.inv @ center)
         assert np.unravel_index(back[flat], g.shape) == want
         assert out.values[cell] == g.values[want]
+
+
+_TRANSPORT_MATRICES = {
+    1: [[[2.0]], [[-0.5]], [[1.0]], [[-3.0]]],
+    2: [[[-0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -2.0], [0.5, 0.0]], [[3.0, 0.0], [0.0, -1.0]],
+        [[1.0, 1.0], [0.0, 1.0]],                        # shear
+        [[0.6, -0.8], [0.8, 0.6]]],                      # rotation
+    3: [[[0.0, 0.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 0.5, 0.0]],
+        [[-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, -0.5]],
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],   # shear
+        [[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]]],  # rotation
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_preimage_cells_skipping_zero_terms_is_bitwise(dim):
+    """Leaving out the zero-coefficient terms of A^(-1) x changes no cell
+    index: on monomial matrices, a shear and a rotation, on the image box
+    and on boxes through the origin and past the grid, every index equals
+    the every-term formula's."""
+    n = {1: 64, 2: 16, 3: 6}[dim]
+    g = GridFunction(((-1.0,) * dim, (1.0,) * dim), np.ones((n,) * dim))
+    for rows in _TRANSPORT_MATRICES[dim]:
+        A = SquareMatrix(rows)
+        lo, hi = image_box(g, A)
+        for box, shape in [((lo, hi), g.shape),
+                           (((0.0,) * dim, hi), (n + 3,) * dim),
+                           ((tuple(x - 0.7 for x in lo),
+                             tuple(x + 0.9 for x in hi)), (2 * n - 1,) * dim)]:
+            got = preimage_cells(g, A, box, shape)
+            want = preimage_cells_every_term(g, A, box, shape)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (rows, box)
 
 
 def test_compose_2d_rotation_exact():

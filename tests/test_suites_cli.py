@@ -143,6 +143,38 @@ def test_verify_all_report_frozen(tmp_path, capsys):
     assert hashlib.sha256(report).hexdigest() == VERIFY_ALL_SHA256
 
 
+def test_verify_all_twice_sweeps_once_per_weight_and_repeats_its_bytes(
+        monkeypatch, tmp_path, capsys):
+    """Each ``verify all`` sweeps M_phibar g 9 times for its 36 chain cases
+    (once per weight and exponent of its two batches) and groups the used
+    cubes by shape twice per batch; a second run in the same interpreter
+    writes the same bytes, so no batch leaves anything to the next."""
+    from weightlab import czlab
+    calls = []
+
+    def counted(name):
+        real = getattr(czlab, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("orlicz_maximal", "_span_plan"):
+        monkeypatch.setattr(czlab, name, counted(name))
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"verify{run}.json"
+        assert main(["verify", "all", "--out", str(out)]) == 0
+        assert calls.count("orlicz_maximal") == 9
+        assert calls.count("_span_plan") == 4
+        calls.clear()
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[1]).hexdigest() == VERIFY_ALL_SHA256
+
+
 # ---------------------------------------------------------------------------
 # deterministic report serialization
 # ---------------------------------------------------------------------------

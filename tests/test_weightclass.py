@@ -429,6 +429,21 @@ def test_a_reached_overflow_still_raises():
                        CubeFamily((0.0, 4.0), levels=(1, 1)))
 
 
+def test_overflowing_grid_power_raises_one_error_naming_it():
+    # 1e200 squared leaves the float range: one ValueError naming the
+    # power, with no numpy overflow warning before it (pytest's filter
+    # turns a RuntimeWarning into an error of its own)
+    g = GridFunction((0.0, 4.0), [1.0, 1e200, 2.0, 3.0])
+    fam = CubeFamily((0.0, 4.0), levels=(1, 1))
+    with pytest.raises(ValueError, match=r"^the grid weight w\^2.0 overflows "
+                                         "the float range$"):
+        class_constant(g, ClassSpec("RH", s=2.0), fam)
+    tiny = GridFunction((0.0, 4.0), [1.0, 1e-310, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^the grid weight w\^-1.0 "
+                                         "overflows the float range$"):
+        class_constant(tiny, ClassSpec("Ap", p=2.0), fam)
+
+
 def test_grid_cube_outside_the_grid_raises_when_reached():
     # the family's first lattice runs past the grid box: its first cube is
     # inside, the second leaves it
