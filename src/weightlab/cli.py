@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import struct
 import sys
 
@@ -127,8 +128,13 @@ def _dump_field_csv(path: str, g: GridFunction) -> None:
         tails = (_Tails(0), _Tails(1))
         bits = np.ascontiguousarray(g.values).view(np.int64)
         for x, brow, mrow in zip(xs, bits, g.mask):
-            fh.write("".join([x + y + tails[m][k] for y, k, m in
-                              zip(ys, brow.tolist(), mrow.tolist())]))
+            brow = brow.tolist()
+            if mrow.all():
+                row = map(tails[1].__getitem__, brow)
+            else:
+                row = [tails[m][k] for k, m in zip(brow, mrow.tolist())]
+            # each cell's line is x + ys[j] + its tail
+            fh.write(x + x.join(map(operator.add, ys, row)))
 
 
 # ---------------------------------------------------------------------------

@@ -787,6 +787,15 @@ class _ChainCorpus:
         self._used = None
         self._bp = {}
         self._halves = {}
+        self._matrices = {}
+
+    def matrix(self, A) -> SquareMatrix:
+        """``resolve_matrix(A, dim)``, once per distinct A of the batch: a
+        scalar by its value, anything else by its identity."""
+        key = ("scalar", float(A)) if np.isscalar(A) else ("object", id(A))
+        if key not in self._matrices:
+            self._matrices[key] = resolve_matrix(A, self.f.dim)
+        return self._matrices[key]
 
     def half(self, factors, p: float) -> _WeightHalf:
         """The ``_WeightHalf`` of the weight factors (by identity) and p."""
@@ -944,7 +953,7 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     case takes its whole grids at their last use."""
     f, a, alpha = c.f, c.a, c.alpha
     dim = f.dim
-    A = resolve_matrix(A, dim)
+    A = c.matrix(A)
     check_a(a, dim)
     if not p > 1.0:
         raise ValueError("need p > 1")

@@ -31,13 +31,18 @@ picks one of three paths that spread the values to the cells:
   sum zeros and hold +0.0).  A start that a widening carries out of that
   region is written into the field once, in a strip widened at once by
   the width that the later levels would add, so the cost follows the box.
+  With side n listed, the whole box's value F0 lies under every cell, so
+  a window that cannot exceed it changes nothing: the averages bound, for
+  each dyadic range of sides, the cells that could lift a window above
+  F0, rounding included, and the recursion runs once per range on the
+  bounding box of those cells (the whole-box floor).
 * **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
   where the recursion is the quadrant maximum field[i] = max of V[a, b]
-  over a <= i < b of the window values V.  It runs in blocks of rows a,
-  with running maxima along b and along a.  The averages give a block's
-  values in their 1D block form: one broadcast difference of prefix sums
-  over every end, divided by sides read, like the scale factors, from a
-  strided window of one ramp, so no window is gathered.
+  over a <= i < b of the window values V.  It runs in blocks of a fixed
+  number of rows a, with maxima along b and along a.  The averages give a
+  block's values in their 1D block form: one broadcast difference of
+  prefix sums over every end, divided by sides read, like the scale
+  factors, from a strided window of one ramp, so no window is gathered.
 
 All three read the same window values and max is exact, so each field
 equals the per-length spread of every window bit for bit.  One exception:
@@ -253,17 +258,18 @@ def _nested_max(f: GridFunction, lengths, cube_values,
     width w = L' - L + 1 of D_L' along every axis (``_widen``).  The sides
     run in descending order, and a widening of the smallest side, ``last``,
     spreads its level onto the cells.  With consecutive sides w is 2, and
-    the widening is the shifted copies of D_L' maxed together.
+    the widening is the shifted copies of D_L' maxed together; in 2D along
+    the second axis once, into a buffer, and then along the first.
 
-    Level L holds only its box region: the starts [max(0, s-L+1), min(m, e))
-    on each axis, m = n - L + 1, of the windows that meet the support box
-    [s, e) of f's nonzero cells.  Every other window sums zeros and holds
-    +0.0, which the +0.0 field already holds.  A start in the region of
-    side L reads only starts in the region of side L', so the recursion
-    closes on the regions.  The widening of a region also reaches starts
-    outside the next one; each of them is retired, written into the field
-    once, in one of the strips that frame the next region, peeled off one
-    axis at a time:
+    A run of the recursion holds, at side L, only its box region: the
+    starts [max(0, s-L+1), min(m, e)) on each axis, m = n - L + 1, of the
+    windows that meet a box [s, e).  It computes the field of the windows
+    that meet the box, every other window read as +0.0; the argument below
+    uses only the box's geometry.  A start in the region of side L reads
+    only starts in the region of side L', so the recursion closes on the
+    regions.  The widening of a region also reaches starts outside the next
+    one; each of them is retired, written into the field once, in one of
+    the strips that frame the next region, peeled off one axis at a time:
 
     * Along the axis d where a retired start a leaves the region, the
       recursion over whole levels passes its value through every later
@@ -279,31 +285,39 @@ def _nested_max(f: GridFunction, lengths, cube_values,
 
     In 1D the strips before the region, in order, the last region and the
     strips after it, reversed, tile one run of the last level's starts,
-    which is spread once.  So every value reaches only cells of a listed window that holds it, and
-    at least the cells that the recursion over whole levels reaches from
-    it.  Max is exact, so the field equals the per-length spread of every
-    window bit for bit.  With full support every region is its whole level,
-    nothing retires, and the spread of the last level is the field.
+    which is spread once.  So every value reaches only cells of a listed
+    window that holds it, and at least the cells that the recursion over
+    whole levels reaches from it.
+
+    Without side n listed, or for a functional without a ``floor_box``,
+    one run covers every side with the support box of f's nonzero cells:
+    every window outside it sums zeros and holds +0.0.  With side n, the
+    whole-box window's value F0, taken from the first level, holds on
+    every cell, so a window whose value cannot exceed F0 changes no cell.
+    The functional's ``floor_box`` bounds, per group of sides, the cells
+    that could lift a window above F0; the groups are the dyadic ranges
+    (n/2^(j+1), n/2^j], and each runs the recursion with its own box.
+    Neighbouring groups with equal boxes run as one, a group whose box is
+    empty is skipped, and the group of side n always runs, at least on the
+    support box, so its spread writes F0 onto every cell.  Every window
+    left out holds a value in [+0.0, F0], max is exact and every value is
+    at least +0.0, so the field equals the per-length spread of every
+    window bit for bit.  With full support and no box smaller than the
+    grid, nothing retires, and the spread of the last level is the field.
     """
     n = _square_cells(f)
     h = f.h[0]
     sides = _length_list(n, lengths)[::-1]
-    box = _support_box(f)
-    if box is None:
+    support = _support_box(f)
+    if support is None:
         return GridFunction((f.lo, f.hi), np.zeros(f.shape))
-    last = sides[-1]
     field = None
-
-    def region(L):
-        return [(max(0, s - L + 1), min(n - L + 1, e)) for s, e in box]
 
     def scaled(L, starts):
         U = cube_values(L, tuple(slice(lo, hi) for lo, hi in starts))
         if alpha != 0.0:
             U *= _scale(L, h, alpha)
         return U
-
-    lefts, rights = [], []      # 1D: strips before and after the regions
 
     def retire(X, firsts, widths):
         # X, widened by widths[k] along each axis k, lands on the cells from
@@ -316,60 +330,99 @@ def _nested_max(f: GridFunction, lengths, cube_values,
         cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
         np.maximum(cells, X, out=cells)
 
-    old = region(sides[0])
-    D = scaled(sides[0], old)
-    for prev, L in zip(sides, sides[1:]):
-        w = prev - L + 1
-        new = region(L)
-        U = scaled(L, new)
-        if w == 2:
-            # the whole widening at once, over the starts [lo, hi + 1) per
-            # axis: in place in U when U spans them, else in zeros
-            W = U if new == [(lo, hi + 1) for lo, hi in old] else \
-                np.zeros(tuple(hi - lo + 1 for lo, hi in old))
-            for cells in itertools.product((slice(None, -1), slice(1, None)),
-                                           repeat=f.dim):
-                part = W[cells]
-                np.maximum(part, D, out=part)
+    def run(sides, box, D=None):
+        # the recursion over ``sides`` on the regions of ``box``, from the
+        # first level's values D, into the field
+        nonlocal field
+        last = sides[-1]
+        lefts, rights = [], []      # 1D: strips before and after the regions
+
+        def region(L):
+            return [(max(0, s - L + 1), min(n - L + 1, e)) for s, e in box]
+
+        old = region(sides[0])
+        if D is None:
+            D = scaled(sides[0], old)
+        for prev, L in zip(sides, sides[1:]):
+            w = prev - L + 1
+            new = region(L)
+            U = scaled(L, new)
+            if w == 2:
+                # the whole widening at once, over the starts [lo, hi + 1)
+                # per axis: in place in U when U spans them, else in zeros
+                W = U if new == [(lo, hi + 1) for lo, hi in old] else \
+                    np.zeros(tuple(hi - lo + 1 for lo, hi in old))
+                if f.dim == 2:
+                    B = np.empty((D.shape[0], D.shape[1] + 1))
+                    B[:, :1], B[:, -1:] = D[:, :1], D[:, -1:]
+                    np.maximum(D[:, 1:], D[:, :-1], out=B[:, 1:-1])
+                    D = B
+                for cells in (slice(None, -1), slice(1, None)):
+                    part = W[cells]
+                    np.maximum(part, D, out=part)
+            else:
+                W = D       # widened one axis at a time, as the strips peel
+            if W is not U:
+                for d, ((lo, hi), (nlo, nhi)) in enumerate(zip(old, new)):
+                    if w > 2:
+                        W = _widen(W, w, d)
+                    head = (slice(None),) * d
+                    for a, b, first, strips in (
+                            (lo, nlo, lo, lefts),
+                            (nhi, hi + w - 1, nhi + L - last, rights)):
+                        if a >= b:
+                            continue
+                        strip = W[head + (slice(a - lo, b - lo),)]
+                        if f.dim == 1:
+                            strips.append(strip)
+                            continue
+                        retire(strip, [c for c, _ in new[:d]] + [first]
+                               + [c for c, _ in old[d + 1:]],
+                               [L] * d + [last]
+                               + [L if w == 2 else prev] * (f.dim - d - 1))
+                    W = W[head + (slice(nlo - lo, nhi - lo),)]
+                np.maximum(U, W, out=U)
+            D, old = U, new
+        firsts = [lo for lo, _ in old]
+        if lefts or rights:
+            # in 1D the strips and the last region tile one run of the last
+            # level's starts from the first region's start on
+            D = np.concatenate(lefts + [D] + rights[::-1])
+            firsts = [region(sides[0])[0][0]]
+        for axis in range(f.dim):
+            D = _widen(D, last, axis)
+        if field is None and D.shape == f.shape:
+            # the run's levels were whole, or in 1D its run covers the grid
+            field = D
         else:
-            W = D       # widened one axis at a time, as the strips peel off
-        if W is not U:
-            for d, ((lo, hi), (nlo, nhi)) in enumerate(zip(old, new)):
-                if w > 2:
-                    W = _widen(W, w, d)
-                head = (slice(None),) * d
-                for a, b, first, strips in (
-                        (lo, nlo, lo, lefts),
-                        (nhi, hi + w - 1, nhi + L - last, rights)):
-                    if a >= b:
-                        continue
-                    strip = W[head + (slice(a - lo, b - lo),)]
-                    if f.dim == 1:
-                        strips.append(strip)
-                        continue
-                    retire(strip, [c for c, _ in new[:d]] + [first]
-                           + [c for c, _ in old[d + 1:]],
-                           [L] * d + [last]
-                           + [L if w == 2 else prev] * (f.dim - d - 1))
-                W = W[head + (slice(nlo - lo, nhi - lo),)]
-            np.maximum(U, W, out=U)
-        D, old = U, new
-    firsts = [lo for lo, _ in old]
-    if lefts or rights:
-        # in 1D the strips and the last region tile one run of the last
-        # level's starts from the first region's start on
-        D = np.concatenate(lefts + [D] + rights[::-1])
-        firsts = [region(sides[0])[0][0]]
-    for axis in range(f.dim):
-        D = _widen(D, last, axis)
-    if D.shape == f.shape:
-        # every level was whole, or in 1D its run covers the grid
-        return GridFunction((f.lo, f.hi), D)
-    retire(D, firsts, [1] * f.dim)
+            retire(D, firsts, [1] * f.dim)
+
+    floor_box = getattr(cube_values, "floor_box", None)
+    if sides[0] < n or floor_box is None:
+        run(sides, support)
+    else:
+        top = scaled(n, [(0, 1)] * f.dim)
+        F0 = float(top.flat[0])
+        groups = itertools.groupby(sides, key=lambda L: (n // L).bit_length())
+        runs, before = [], None
+        for _, group in groups:
+            group = list(group)
+            box = floor_box(F0, group, [_scale(L, h, alpha) if alpha != 0.0
+                                        else 1.0 for L in group])
+            if not runs:
+                box = box or support
+            if box is not None and box == before:
+                runs[-1][0].extend(group)
+            elif box is not None:
+                runs.append((group, box))
+            before = box
+        for group, box in runs:
+            run(group, box, top if group[0] == n else None)
     return GridFunction((f.lo, f.hi), field)
 
 
-_BLOCK_CELLS = 1 << 14      # cells of one block of rows in _quadrant_max
+_BLOCK_ROWS = 64            # rows a of one block in _quadrant_max
+_BLOCK_CAP = 1 << 17        # but at most this many cells in a block
 
 
 def _quadrant_max(f: GridFunction, cube_values,
@@ -378,8 +431,9 @@ def _quadrant_max(f: GridFunction, cube_values,
 
     With V[a, b] the scaled value of the window [a, b), that field is the
     quadrant maximum field[i] = max of V[a, b] over a <= i < b.  Rows a run
-    in blocks [a0, a1) of at most _BLOCK_CELLS cells, with the columns b in
-    descending order so that running maxima follow the contiguous axis:
+    in blocks [a0, a1) of _BLOCK_ROWS rows, fewer where a block of n cells
+    would pass _BLOCK_CAP, with the columns b in descending order so that
+    running maxima follow the contiguous axis:
 
     * the tail columns b > a1 hold windows of every row of the block; their
       maximum over the rows, run down b, serves the cells i >= a1, and
@@ -388,6 +442,15 @@ def _quadrant_max(f: GridFunction, cube_values,
       quadrant maximum, a running max along b and then along a, is read on
       its diagonal b = i + 1.  That read sees only b' > i >= a', so the
       entries with b <= a, which hold no window, never reach it.
+
+    Almost all of a block is tail, whose two maxima are reductions; the
+    running maxima cover only the head's rows^2 entries and the tail's two
+    reduced lines.  A block also pays some twenty numpy calls, which a
+    fixed row count keeps few, while the cap keeps its arrays in the cache
+    at 1 MiB.  On a shared 2-core x86-64 VM (minimum of interleaved runs,
+    ms): n = 64 took 0.152 at 32 rows and 0.145 at 64 (one block); n = 512
+    1.71 at 32 and 1.60 at 48 to 64; n = 4096 33.2 at 32, 33.5 at 48 and
+    35.5 at 64; n = 2^14 505 at 8 (the cap), 470 at 16 and 586 at 32.
 
     The block's values come from the block form of ``_averages``: one
     broadcast difference of prefix sums over the columns b = n, ..., a0 + 1,
@@ -408,9 +471,9 @@ def _quadrant_max(f: GridFunction, cube_values,
                                      n)
     out = np.full(n, -np.inf)
     cells = np.arange(n)
-    a0 = 0
-    while a0 < n:
-        a1 = min(n, a0 + max(1, _BLOCK_CELLS // (n - a0)))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CAP // n))
+    for a0 in range(0, n, rows):
+        a1 = min(n, a0 + rows)
         block = (slice(a0, a1), slice(None, n - a0))  # column j: b = n - j
         V = cube_values(sides[block], block[:1])
         if alpha != 0.0:
@@ -421,15 +484,19 @@ def _quadrant_max(f: GridFunction, cube_values,
         np.maximum.accumulate(head, axis=0, out=head)
         i = cells[a0:a1]
         best = head[i - a0, a1 - 1 - i]
+        tail = V[:, :k]
         if k:
-            tail = V[:, :k]
             np.maximum(best, np.maximum.accumulate(tail.max(axis=1)),
                        out=best)
             below = np.maximum.accumulate(tail.max(axis=0))[::-1]
             np.maximum(out[a1:], below, out=out[a1:])
         np.maximum(out[a0:a1], best, out=out[a0:a1])
-        a0 = a1
+        del V, head, tail       # the next block's values take their place
     return GridFunction((f.lo, f.hi), out)
+
+
+_FLOOR_SLACK = 2.0 ** -36    # relative slack of a floor bound t_L
+_FLOOR_TINY = 2.0 ** -1000    # below it, rounding is not relative
 
 
 def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
@@ -455,11 +522,33 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     agree up to the signs of zeros too, and the clamp below makes every
     zero +0.0.  With full support the box is the grid and the prefix is
     the grid's own, without a copy.
+
+    ``values.floor_box(F0, sides, scales)`` serves the floor of
+    ``_nested_max``: the bounding box of the cells whose summed value y
+    (f, or f^r) exceeds t, the least over the sides L of t_L, where a
+    window of side L whose cells all hold y <= t_L gets a value, times
+    its scale factor, of at most F0.  Each prefix entry is a float sum of
+    at most N = s_1 + ... + s_dim nonnegative terms, s_k the box extents,
+    so it lies within gamma_N T of its exact sum, T the exact total and
+    gamma_N <= N 2^-52 (``czlab._sum_bounds``); a window sum adds 2^dim
+    entries in 2^dim - 1 more roundings of values below 2 T, so it exceeds
+    the exact sum of its cells, at most L^dim t_L, by at most err =
+    (N + 2) 2^(dim-51) P_total.  The clamp keeps that bound; the
+    division, c *, the power 1/r and the scale factor each add a few
+    units of the last place, and pow's exponent 1.0/r, off 1/r by one
+    rounding, moves x^(1/r) by at most 745 units of 2^-53.  So t_L =
+    (F0 / scale (1 - 2^-36))^r / c (1 - 2^-36) - err / L^dim leaves the
+    window at most F0: the first slack outweighs every rounding after the
+    power, the second those of t_L's own evaluation.  Where t is negative,
+    or a term leaves the normal range, the bound does not apply and the
+    support box comes back; None means no cell exceeds t.
     """
     box = _support_box(f) or [(0, 0)] * f.dim   # all zero: an empty box
     cells = f.values[tuple(slice(s, e) for s, e in box)]
     with np.errstate(over="ignore"):    # the prefix check reports it
-        P = _cumsum_prefix(cells if r is None else cells ** r)
+        y = cells if r is None else cells ** r
+        P = _cumsum_prefix(y)
+    err = (sum(y.shape) + 2) * 2.0 ** (f.dim - 51) * float(P.flat[-1])
     for axis, ((s, e), m) in enumerate(zip(box, f.shape)):
         if (s, e) != (0, m):
             P = P.take(np.clip(np.arange(-s, m + 1 - s), 0, e - s), axis=axis)
@@ -486,6 +575,35 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
         if r is not None:
             vals = (c * vals) ** (1.0 / r)
         return vals
+
+    e, cr = (1.0, 1.0) if r is None else (r, c)
+    edges = []          # per axis, the largest y over the other axes
+
+    def floor_box(F0, sides, scales):
+        t = math.inf
+        for L, scale in zip(sides, scales):
+            try:
+                b = F0 / scale * (1.0 - _FLOOR_SLACK)
+                top = b ** e / cr * (1.0 - _FLOOR_SLACK)
+            except ArithmeticError:
+                return box
+            if not (_FLOOR_TINY <= min(F0, b, top) and top < math.inf):
+                return box
+            t = min(t, top - err / L ** dim)
+        if t < 0.0:
+            return box
+        if not edges:
+            edges.extend(y.max(axis=tuple(a for a in range(dim) if a != k))
+                         for k in range(dim))
+        hot = []
+        for (s, _), edge in zip(box, edges):
+            hits = np.flatnonzero(edge > t)
+            if not hits.size:
+                return None
+            hot.append((s + int(hits[0]), s + int(hits[-1]) + 1))
+        return hot
+
+    values.floor_box = floor_box
     return values
 
 

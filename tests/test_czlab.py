@@ -1099,3 +1099,24 @@ def test_chain_batch_half_built_by_the_first_case_that_reaches_it(
         assert [_report_bytes(rep) for rep in batch] == single[::order]
         assert len(sweeps) == 3
         sweeps.clear()
+
+
+def test_chain_batch_resolves_each_matrix_once(monkeypatch):
+    """The theorems suite's 1D batch names four scalars over its 24 cases:
+    each is resolved into a matrix once per call (numpy det and inv), a
+    second call resolves them again, and the reports keep their bytes."""
+    from weightlab.suites import _CHAIN_WEIGHTS, _chain_corpus_function
+    f = _chain_corpus_function()
+    cases = [(mk(), lam, p) for mk in _CHAIN_WEIGHTS.values()
+             for lam in (0.5, -0.5, 2.0, -2.0) for p in (1.5, 2.0)]
+    single = [_report_bytes(rep) for rep in
+              czlab.theorem_chain_checks(f, cases, PHI)]
+    resolved = []
+    real = czlab.resolve_matrix
+    monkeypatch.setattr(czlab, "resolve_matrix",
+                        lambda A, dim: resolved.append(A) or real(A, dim))
+    for _ in range(2):
+        batch = czlab.theorem_chain_checks(f, cases, PHI)
+        assert [_report_bytes(rep) for rep in batch] == single
+        assert sorted(resolved) == [-2.0, -0.5, 0.5, 2.0]
+        resolved.clear()

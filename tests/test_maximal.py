@@ -420,9 +420,31 @@ def test_every_length_1d_is_bitwise_the_per_length_sweep(n):
 
 @pytest.mark.parametrize("n", [2, 5, 17, 40])
 def test_every_length_1d_block_seams(monkeypatch, n):
-    # blocks of one to a few rows put a seam next to almost every cell
-    monkeypatch.setattr(maximal, "_BLOCK_CELLS", 16)
-    _assert_bitwise_per_length_sweep(n)
+    # blocks of one to three rows put a seam next to every cell or almost
+    # every cell, and three rows leave a short last block
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(maximal, "_BLOCK_ROWS", rows)
+        _assert_bitwise_per_length_sweep(n)
+
+
+def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
+    # a deterministic stand-in for a timing test: the quadrant maximum
+    # asks the functional for one block of rows at a time, ceil(n / R) of
+    # them at R rows, _BLOCK_ROWS or fewer by the cap, each spanning its
+    # rows' columns: 128 at n = 4096, where a budget of 2^14 cells per
+    # block took 557
+    requests = []
+    monkeypatch.setattr(maximal, "_averages",
+                        _counted_averages(requests, maximal._averages))
+    n = 4096
+    rows = min(maximal._BLOCK_ROWS, maximal._BLOCK_CAP // n)
+    g = GridFunction((0.0, 1.0), np.random.default_rng(5).random(n))
+    hl_maximal(g)
+    assert len(requests) == -(-n // rows) == 128
+    assert [starts[0] for _, starts in requests] == \
+        [slice(a, min(n, a + rows)) for a in range(0, n, rows)]
+    assert [side.shape for side, _ in requests] == \
+        [(min(n, a + rows) - a, n - a) for a in range(0, n, rows)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
@@ -499,13 +521,14 @@ def test_fractional_2d_matches_brute(n):
 
 def _counted_averages(calls, averages):
     """A stand-in for ``maximal._averages`` that logs each (side, starts)
-    request of the functionals it makes."""
+    request of the functionals it makes; their floor is the functional's."""
     def counted_averages(f, *args):
         values = averages(f, *args)
 
         def counted(side, starts):
             calls.append((side, starts))
             return values(side, starts)
+        counted.floor_box = values.floor_box
         return counted
     return counted_averages
 
@@ -556,7 +579,12 @@ def test_trailing_max_matches_brute():
 def test_dyadic_sweep_asks_only_for_windows_meeting_the_support(monkeypatch):
     # a deterministic stand-in for a timing test: on a 16 x 8 block the
     # functional is asked, per side L, only for the starts whose windows
-    # meet the block; on a full grid for every start, once per side
+    # meet the block; on a full grid for every start, once per side, of
+    # the sides 64 and 32 only.  There the whole-box floor leaves out every
+    # smaller side (before it, all seven were asked): a side of 16 or less
+    # scales its windows by at most (16/64)^(1/2) of the whole box's factor,
+    # so a window above the floor needs a cell above twice the mean, and
+    # none of these uniforms on [0, 1) is
     calls = []
     averages = maximal._averages
     monkeypatch.setattr(maximal, "_averages", _counted_averages(calls, averages))
@@ -567,12 +595,13 @@ def test_dyadic_sweep_asks_only_for_windows_meeting_the_support(monkeypatch):
     rows, cols = (5, 21), (40, 48)
     vals[slice(*rows), slice(*cols)] = rng.random((16, 8))
     sparse, full = GridFunction(box, vals), GridFunction(box, rng.random((n, n)))
-    for g, support in ((sparse, (rows, cols)), (full, ((0, n), (0, n)))):
+    for g, support, sides in ((sparse, (rows, cols), _length_list(n, "dyadic")),
+                              (full, ((0, n), (0, n)), [32, 64])):
         calls.clear()
         field = fractional_maximal(g, 0.5, lengths="dyadic").values
         assert calls == [(L, tuple(slice(max(0, s - L + 1), min(n - L + 1, e))
                                    for s, e in support))
-                         for L in _length_list(n, "dyadic")[::-1]]
+                         for L in sides[::-1]]
         ref = per_length_sweep(g, "dyadic", prefix_averages(g), 0.5)
         assert np.array_equal(field, ref)
         assert np.array_equal(np.signbit(field), np.signbit(ref))
@@ -702,7 +731,10 @@ def test_dyadic_sweep_widening_cells_follow_the_support(monkeypatch):
     # 256^2, where only the box regions widen and the widenings of regions
     # no longer than their width take running maxima instead, for the full
     # grid, and for the tiny 1D rows, where numpy's per-call cost already
-    # dominates
+    # dominates.  The whole-box floor leaves the block's count as it was;
+    # on the full grid of values in [0.5, 1.5) no cell reaches the floor of
+    # a side below 128, so only sides 256 and 128 run (647,058 cells before
+    # the floor), and the 1D row stops widening at side 64 (3,316 before)
     cells = []
     doubling_max = maximal._doubling_max
 
@@ -718,8 +750,8 @@ def test_dyadic_sweep_widening_cells_follow_the_support(monkeypatch):
     line = np.zeros(1024)       # the 1D chains of ``verify all``
     line[384:640] = rng.random(256) + 0.5
     for vals, box, count in ((block, square, 128_252),
-                             (rng.random((256, 256)) + 0.5, square, 647_058),
-                             (line, (0.0, 1.0), 3_316)):
+                             (rng.random((256, 256)) + 0.5, square, 98_560),
+                             (line, (0.0, 1.0), 3_167)):
         cells.clear()
         fractional_maximal(GridFunction(box, vals), 0.5, lengths="dyadic")
         assert sum(cells) == count
@@ -761,6 +793,154 @@ def test_non_square_grid_rejected_on_every_path(field):
     g = GridFunction(((0.0, 0.0), (1.0, 2.0)), np.ones((4, 8)))
     with pytest.raises(ValueError, match="maximal sweeps need a square grid"):
         field(g)
+
+
+# ---------------------------------------------------------------------------
+# the whole-box floor of the nested recursion
+# ---------------------------------------------------------------------------
+
+def _hot_block_in_noise(n, dim, seed):
+    """Uniform noise on [0, 1) with a block of n/8 cells per axis (at least
+    two) at 50 to 60: the whole box's average lies above most of the noise,
+    so the floor prunes the smaller sides to about the block."""
+    rng = np.random.default_rng([seed, n, dim])
+    vals = rng.random((n,) * dim)
+    k = max(2, n // 8)
+    cells = (slice(n // 5, n // 5 + k),) + (slice(n // 2, n // 2 + k),) * (dim - 1)
+    vals[cells] = 50.0 + 10.0 * rng.random(vals[cells].shape)
+    return vals
+
+
+def _floor_cases(g, alpha):
+    """(name, field, reference functional) of the prefix operators at one
+    alpha: hl (alpha 0) or fractional, and orlicz powers with c != 1."""
+    if alpha == 0.0:
+        cases = [("hl", lambda lengths: hl_maximal(g, lengths=lengths),
+                  prefix_averages(g))]
+    else:
+        cases = [("fractional", lambda lengths: fractional_maximal(
+            g, alpha, lengths=lengths), prefix_averages(g))]
+    for r, c in ((1.5, 0.3), (3.0, 2.5)):
+        phi = YoungFn.power(r, c)
+        cases.append((f"power {r} {c}", lambda lengths, phi=phi: orlicz_maximal(
+            g, phi, alpha=alpha, lengths=lengths), prefix_averages(g, r, c)))
+    return cases
+
+
+@pytest.mark.parametrize("lengths", ["all", "dyadic", "explicit"])
+@pytest.mark.parametrize("dim, n, alpha", [
+    (1, 200, 0.0), (1, 200, 0.5), (1, 256, 0.5),
+    (2, 32, 0.0), (2, 33, 0.5), (2, 32, 1.5), (2, 40, 0.5)])
+def test_floor_is_bitwise_the_per_length_sweep(dim, n, alpha, lengths):
+    # a hot block in noise, where the floor leaves most windows out, and
+    # the same noise without the block, where it leaves out few: values
+    # and sign bits against the spread of every window.  In 1D "all" takes
+    # the quadrant maximum, held here too; the explicit list holds n and
+    # one side in each of three other dyadic ranges
+    if lengths == "explicit":
+        lengths = [2, 5, n // 3, n]
+    box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
+    for seed in (1, 2):
+        vals = _hot_block_in_noise(n, dim, seed)
+        for g in (GridFunction(box, vals),
+                  GridFunction(box, np.minimum(vals, 1.0))):
+            for op, field, reference in _floor_cases(g, alpha):
+                got = field(lengths).values
+                ref = per_length_sweep(g, lengths, reference, alpha)
+                assert np.array_equal(got, ref), (seed, op)
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), \
+                    (seed, op)
+
+
+def test_floor_prunes_the_hot_block_groups(monkeypatch):
+    # the floor's effect on the inputs above, by the requests it makes: in
+    # 2D every side is asked for, and the small sides only at the starts
+    # whose windows meet the block
+    requests = []
+    monkeypatch.setattr(maximal, "_averages",
+                        _counted_averages(requests, maximal._averages))
+    n = 32
+    vals = _hot_block_in_noise(n, 2, 1)
+    g = GridFunction(((-1.0, -1.0), (2.0, 2.0)), vals)
+    fractional_maximal(g, 0.5)
+    assert sorted(side for side, _ in requests) == list(range(1, n + 1))
+    block = ((6, 10), (16, 20))
+    for side, starts in requests:
+        if side <= n // 8:
+            assert starts == tuple(slice(s - side + 1, e)
+                                   for s, e in block), side
+
+
+def test_floor_keeps_a_window_that_ties_the_whole_box_value():
+    # h = 1 and alpha = 1 make every scale factor the side itself.  A 2 x 2
+    # block of ones and a hot cell of 12 on 8^2 zeros: the whole box holds
+    # 16 / 64 * 8 = 2, and the block's window of side 2 holds 4 / 4 * 2 = 2,
+    # a tie.  The floor of side 2 sits just below the block's cells, so the
+    # box of side 2 holds the block and that window is asked for; at 0.75
+    # instead of 1 the window falls below F0 (1.5 against 1.875) and the
+    # floor, and side 2 asks only for the windows that meet the hot cell.
+    # Under the floor's slack a window left out never ties F0 exactly.  Bit
+    # for bit either way
+    n = 8
+    for m, tie in ((1.0, True), (0.75, False)):
+        vals = np.zeros((n, n))
+        vals[1:3, 1:3] = m
+        vals[6, 6] = 12.0
+        g = GridFunction(((0.0, 0.0), (8.0, 8.0)), vals)
+        averages = _averages(g)
+        F0 = float(averages(n, (slice(0, 1),) * 2)[0, 0]) * 8.0
+        window = float(averages(2, (slice(1, 2),) * 2)[0, 0]) * 2.0
+        assert (window == F0) is tie and window <= F0
+        kept = averages.floor_box(F0, [2], [2.0])
+        assert kept == ([(1, 7), (1, 7)] if tie else [(6, 7), (6, 7)])
+        for lengths in ("all", "dyadic"):
+            got = fractional_maximal(g, 1.0, lengths=lengths).values
+            ref = per_length_sweep(g, lengths, prefix_averages(g), 1.0)
+            assert np.array_equal(got, ref), (m, lengths)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_explicit_lengths_without_n_ask_for_the_support_regions(monkeypatch):
+    # no whole-box window, no floor: each listed side is asked for once, at
+    # the starts whose windows meet the support box, as without a floor
+    requests = []
+    monkeypatch.setattr(maximal, "_averages",
+                        _counted_averages(requests, maximal._averages))
+    n, lengths = 32, [3, 5, 12, 31]
+    for dim in (1, 2):
+        vals = np.zeros((n,) * dim)
+        vals[(slice(6, 10),) + (slice(16, 20),) * (dim - 1)] = 50.0
+        support = [(6, 10), (16, 20)][:dim]
+        g = GridFunction((-1.0, 2.0) if dim == 1 else
+                         ((-1.0, -1.0), (2.0, 2.0)), vals)
+        requests.clear()
+        fractional_maximal(g, 0.5, lengths=lengths)
+        assert requests == [(L, tuple(slice(max(0, s - L + 1),
+                                            min(n - L + 1, e))
+                                      for s, e in support))
+                            for L in lengths[::-1]]
+
+
+def test_floor_cuts_the_window_cells_of_a_hot_block_field(monkeypatch):
+    # a deterministic stand-in for a timing test: the window cells that one
+    # every-length fractional sweep (alpha = 1/2) asks for on 256^2 noise in
+    # [0, 2) with a 21^2 block of 30, the ``fields`` benchmark's input.
+    # Without the floor every side asked for its whole level, sum over k of
+    # k^2 = 5,625,216 cells; with it the sides above 64 still do (a cell of
+    # noise can beat the floor there), the others only near the block
+    requests = []
+    monkeypatch.setattr(maximal, "_averages",
+                        _counted_averages(requests, maximal._averages))
+    n = 256
+    rng = np.random.default_rng(3)
+    vals = rng.random((n, n)) * 2.0
+    vals[21:42, 128:149] = 30.0
+    g = GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals)
+    fractional_maximal(g, 0.5)
+    cells = sum(math.prod(s.stop - s.start for s in starts)
+                for _, starts in requests)
+    assert len(requests) == n
+    assert cells == 2_512_489
 
 
 # ---------------------------------------------------------------------------

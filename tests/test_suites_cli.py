@@ -143,6 +143,54 @@ def test_verify_all_report_frozen(tmp_path, capsys):
     assert hashlib.sha256(report).hexdigest() == VERIFY_ALL_SHA256
 
 
+def write_maximal_inputs(folder):
+    """The inputs of the frozen ``weightlab maximal`` CSVs, written into
+    folder: the ``fields`` benchmark's corpus at a small shape (squared
+    uniforms times 3 with a plateau of 40 on 512 cells; uniforms times 2
+    with a raised block of 30 on 64^2) and the benchmark's 2x2 matrix.
+    Self-contained, so the CI step that runs the installed console script
+    builds the same files from this source."""
+    import json
+    import os
+    import numpy as np
+    rng = np.random.default_rng(7)
+    v1 = rng.random(512) ** 2 * 3.0
+    v1[85:106] = 40.0
+    v2 = rng.random((64, 64)) * 2.0
+    v2[5:10, 32:37] = 30.0
+    docs = {"f1.json": {"box": [-1.0, 1.0], "values": v1.tolist()},
+            "f2.json": {"box": [[-1.0, -1.0], [1.0, 1.0]],
+                        "values": v2.tolist()},
+            "m.json": {"dim": 2, "entries": [0.0, -2.0, 0.5, 0.0]}}
+    for name, doc in docs.items():
+        with open(os.path.join(folder, name), "w") as fh:
+            json.dump(doc, fh)
+
+
+# ``weightlab maximal`` arguments (after --input) and the sha256 of the CSV
+# each writes, on the inputs of ``write_maximal_inputs``: the frozen bytes
+# of both sweep paths with every length, the 1D quadrant maximum and the
+# 2D nested recursion under a matrix
+MAXIMAL_CSV_SHA256 = {
+    ("f1.json", "--operator", "hl"):
+        "6ef5696aa8b31f21300ccaab2d198a52bbf4139c5c753f46b7b2afa7fa73a4fa",
+    ("f2.json", "--operator", "fractional", "--alpha", "0.5",
+     "--matrix", "m.json"):
+        "88c175cd86e25dd9c485efb475f842f6254ebea2182231d0757aae032787b3f9",
+}
+
+
+def test_maximal_csv_frozen(tmp_path, capsys):
+    write_maximal_inputs(tmp_path)
+    for (name, *args), digest in MAXIMAL_CSV_SHA256.items():
+        out = tmp_path / "field.csv"
+        argv = ["maximal", "--input", str(tmp_path / name)] + [
+            str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    capsys.readouterr()
+
+
 def test_verify_all_twice_sweeps_once_per_weight_and_repeats_its_bytes(
         monkeypatch, tmp_path, capsys):
     """Each ``verify all`` sweeps M_phibar g 9 times for its 36 chain cases
