@@ -23,17 +23,20 @@ per-cube identity frac(w, p, p, Q) = AAp(w^p, p, Q)^{1/p} is exact.
 Each product is written once, in ``_product``, over two per-cube terms: the
 average of a power of w or w_A, and the Luxemburg norm of a power of w.
 Analytic and grid weights supply the terms, building each power once, a
-lattice of ``CubeFamily.lattices()`` at a time: each term is a column over
-the lattice's cubes (one ``SegmentWeight1D.masses`` call, or one labelled
-exact-sum pass and one ``luxemburg_norms`` call on a grid), whose rows have
-the bits of the cube alone.  An overflow is kept in its row and raised only
-when a product reads it, so the first infinite product of a sweep keeps its
-witness.  ``ap_product``, ``aap_product`` and ``rh_ratio`` are one-cube
-lattices.
+lattice of ``CubeFamily.lattices()`` at a time: each term is one column over
+the lattice's cubes, built on its first read (one ``SegmentWeight1D.masses``
+or ``_analytic_norm`` call, or one labelled exact-sum pass or
+``luxemburg_norms`` call on a grid), whose rows have the bits of the cube
+alone.  That holds for every Young function: one that bisects does so row
+by row, each cube on its own cells.  A row whose evaluation failed, such as
+an overflow, holds its exception, raised only when a product reads it, so
+the first infinite product of a sweep keeps its witness.  ``ap_product``,
+``aap_product`` and ``rh_ratio`` are one-cube lattices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -81,7 +84,7 @@ class ClassSpec:
     p: float = 2.0
     q: float | None = None
     s: float | None = None
-    A: SquareMatrix | None = None
+    A: SquareMatrix | float | None = None   # or what resolve_matrix takes
     phi: YoungFn | None = None
     measure: Measure = LEBESGUE
 
@@ -112,7 +115,7 @@ class ClassSpec:
         if self.s is not None:
             bits.append(f"s={self.s:g}")
         if self.A is not None:
-            bits.append(f"A={self.A.entries}")
+            bits.append(f"A={np.asarray(getattr(self.A, 'entries', self.A))}")
         if self.phi is not None:
             bits.append(f"phi={self.phi.describe()}")
         if self.measure != LEBESGUE:
@@ -214,69 +217,23 @@ def _interval(Q):
     return a, b
 
 
-class _Failed:
-    """The row of a term whose evaluation failed: reading it raises the
-    failure, so an overflow surfaces only where a product reads it."""
-
-    def __init__(self, error):
-        self.error = error
-
-    def __iter__(self):
-        raise self.error
-
-    def __getitem__(self, i):
-        raise self.error
-
-
 def _rows(values, why, errors):
     """Cube k's term (value, witness) at index k: (inf, why[k]) where the
-    term is infinite, a ``_Failed`` row where its evaluation failed."""
+    term is infinite, and where its evaluation failed the exception it
+    raised (a ValueError of the message, for a message)."""
     rows = [(v, None) for v in values]
     for k, error in errors.items():
-        rows[k] = _Failed(error)
+        rows[k] = error if isinstance(error, Exception) else ValueError(error)
     for k, witness in why.items():
         rows[k] = (math.inf, witness)
     return rows
 
 
-class _LazyRows:
-    """Rows computed when read: the norms of a Young function that
-    bisects, per cube as the sweep reaches it, and (inf, why[k]) where the
-    term is infinite."""
-
-    def __init__(self, value, why):
-        self.value, self.why = value, why
-
-    def __getitem__(self, k):
-        if k in self.why:
-            return math.inf, self.why[k]
-        return self.value(k), None
-
-
-class _Columns(dict):
-    """A term's key -> its rows over one lattice, built on the first read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        rows = self[key] = self.build(key)
-        return rows
-
-
-def _one_norm(norms, a: np.ndarray, b: np.ndarray):
-    """k -> the analytic norm over [a_k, b_k] alone, raising its error."""
-    def value(k):
-        values, errors = norms(a[k:k + 1], b[k:k + 1])
-        if errors:
-            raise ValueError(errors[0])
-        return values[0]
-    return value
-
-
-def _value_errors(messages: dict) -> dict:
-    return {k: ValueError(m) for k, m in messages.items()}
+def _read(row):
+    """A row's (value, witness); a failed row raises its exception."""
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def _lengths(measure: Measure, a: np.ndarray, b: np.ndarray):
@@ -288,11 +245,11 @@ def _lengths(measure: Measure, a: np.ndarray, b: np.ndarray):
 
 
 def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
-    """(a, b) -> (fail, means, norms) over the intervals [a_k, b_k] for an
+    """(a, b) -> (fail, mean, norm) over the intervals [a_k, b_k] for an
     analytic weight: exact segment masses under spec.measure, each term
-    the rows of one column over all the intervals (``_Columns``), with
-    each powered weight built once.  fail maps an interval to the error
-    its measure raises."""
+    the rows of one column over all the intervals, built on its first
+    read, with each powered weight built once.  fail maps an interval to
+    the error its measure raises."""
     weights = {("w", 1.0): (w, [])}
     norm_of = {}
 
@@ -322,27 +279,25 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
                     why.setdefault(k, f"w^{e:g} non-integrable near x={bad.a:g}")
             return why
 
-        def mean(key):
-            g, e = key
+        @functools.cache
+        def mean(g, e):
             masses, overflow = powered(g, e)[0].masses(a, b, spec.measure)
-            return _rows((masses / lengths).tolist(), infinite(g, e),
-                         _value_errors(overflow))
+            return _rows((masses / lengths).tolist(), infinite(g, e), overflow)
 
+        @functools.cache
         def norm(e):
             if e not in norm_of:
                 norm_of[e] = _analytic_norm(powered("w", e)[0], spec.phi)
-            if not spec.phi.is_homogeneous:
-                return _LazyRows(_one_norm(norm_of[e], a, b), infinite("w", e))
             values, errors = norm_of[e](a, b)
-            return _rows(values, infinite("w", e), _value_errors(errors))
+            return _rows(values, infinite("w", e), errors)
 
-        return _value_errors(fail), _Columns(mean), _Columns(norm)
+        return {k: ValueError(m) for k, m in fail.items()}, mean, norm
 
     return terms
 
 
 def _grid_terms(w: GridFunction, spec: ClassSpec):
-    """(side, starts) -> (fail, means, norms) over a lattice's cubes for a
+    """(side, starts) -> (fail, mean, norm) over a lattice's cubes for a
     grid weight: exact cube averages of powered grids, each built once, by
     one labelled exact-sum pass per term over the cubes' gathered cells,
     and their Luxemburg norms as the rows of one ``luxemburg_norms`` call.
@@ -384,8 +339,8 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
                 out[k] = v
             return out
 
-        def mean(key):
-            g, e = key
+        @functools.cache
+        def mean(g, e):
             if e < 0.0 and zero_witness:
                 return vanishing
             # exact sums, each rounded and then divided by the cell count:
@@ -402,17 +357,13 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
                     errors[k] = err
             return _rows(spread(values), {}, errors)
 
+        @functools.cache
         def norm(e):
             if e < 0.0 and zero_witness:
                 return vanishing
-            r = rows("w", e)
-            if not spec.phi.is_homogeneous:
-                at = dict(zip(good, range(len(good))))
-                return _LazyRows(lambda k: luxemburg_norms(r[at[k]][None],
-                                                           spec.phi)[0], {})
-            return _rows(spread(luxemburg_norms(r, spec.phi)), {}, {})
+            return _rows(spread(luxemburg_norms(rows("w", e), spec.phi)), {}, {})
 
-        return fail, _Columns(mean), _Columns(norm)
+        return fail, mean, norm
 
     return terms
 
@@ -479,13 +430,13 @@ def _one_product(w: SegmentWeight1D, spec: ClassSpec, Q) -> float:
 
 def _lattice_products(spec: ClassSpec, terms, corners, side):
     """(corner, side, product, witness) per cube of one lattice, from its
-    (fail, means, norms) terms."""
-    fail, means, norms = terms
+    (fail, mean, norm) terms."""
+    fail, mean, norm = terms
     for k, corner in enumerate(corners):
         if k in fail:
             raise fail[k]
-        yield (corner, side, *_product(spec, lambda g, e: means[g, e][k],
-                                       lambda e: norms[e][k]))
+        yield (corner, side, *_product(spec, lambda g, e: _read(mean(g, e)[k]),
+                                       lambda e: _read(norm(e)[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +501,15 @@ def _report(kind: str, family: CubeFamily, products,
                           family.to_json_dict(), trace=rows)
 
 
-def _composed_grid(w: GridFunction, A: SquareMatrix) -> GridFunction:
-    """The grid weight x -> w(Ax) on w's own grid, 0 where Ax leaves it."""
+def _composed_grid(w: GridFunction, A) -> GridFunction:
+    """The grid weight x -> w(Ax) on w's own grid, 0 where Ax leaves it;
+    A is a matrix or anything ``resolve_matrix`` takes."""
+    A = resolve_matrix(A, w.dim)
     g = matrix_compose(w, A.inverse(), out_box=(w.lo, w.hi), n_out=w.shape)
     return GridFunction((w.lo, w.hi), g.values)
 
 
-def _weight_grids(w, A: SquareMatrix, family: CubeFamily, n_cells: int):
+def _weight_grids(w, A, family: CubeFamily, n_cells: int):
     """(w, w(A.)) as grid functions: exact cell averages of an analytic
     weight on ``n_cells`` cells of the family box, or a grid weight and
     its composition on its own grid."""

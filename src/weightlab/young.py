@@ -9,6 +9,7 @@ phi(t) = t^r the normalized L^r norm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,11 @@ _CERT_TOL = 1e-8          # certificate: avg phi(f/lam) within this of 1
 class YoungFn:
     """One of a small closed set of Young functions.
 
-    kinds: identity, power (c*t^r, r>1), power_log (t^r log(e+t)^beta),
-    exp_minus_one (e^t - 1), bump_exponent (t^{p/(p+eps-1)}), sup (the
-    {0, inf} complement of identity, whose Luxemburg norm is the sup norm),
-    legendre_of (numeric complement of a base function).
+    kinds: identity, power (c*t^r, r>1, c>0), power_log (t^r log(e+t)^beta,
+    r>=1, beta>0), exp_minus_one (e^t - 1), sup (the {0, inf} complement of
+    identity, whose Luxemburg norm is the sup norm), legendre_of (numeric
+    complement of a base function).  ``bump_exponent(p, eps)`` is the power
+    t^{p/(p+eps-1)}.  The constructors take finite numbers only.
     """
 
     kind: str
@@ -41,15 +43,19 @@ class YoungFn:
 
     @classmethod
     def power(cls, r: float, c: float = 1.0):
-        if r <= 1.0:
-            raise ValueError("power kind needs r > 1")
-        return cls("power", r=float(r), c=float(c))
+        r, c = _finite("power", r=r, c=c)
+        if not (r > 1.0 and c > 0.0):
+            raise ValueError(f"power kind needs r > 1, c > 0, got r = {r}, "
+                             f"c = {c}")
+        return cls("power", r=r, c=c)
 
     @classmethod
     def power_log(cls, r: float, beta: float):
-        if r < 1.0 or beta <= 0.0:
-            raise ValueError("power_log needs r >= 1, beta > 0")
-        return cls("power_log", r=float(r), beta=float(beta))
+        r, beta = _finite("power_log", r=r, beta=beta)
+        if not (r >= 1.0 and beta > 0.0):
+            raise ValueError(f"power_log needs r >= 1, beta > 0, got r = {r}, "
+                             f"beta = {beta}")
+        return cls("power_log", r=r, beta=beta)
 
     @classmethod
     def exp_minus_one(cls):
@@ -57,16 +63,20 @@ class YoungFn:
 
     @classmethod
     def bump_exponent(cls, p: float, eps: float):
-        rho = p / (p + eps - 1.0)
-        if rho <= 1.0:
-            raise ValueError(f"bump exponent p/(p+eps-1) = {rho} must exceed 1")
-        return cls("bump_exponent", r=float(rho))
+        """The power t^rho, rho = p/(p+eps-1)."""
+        p, eps = _finite("bump", p=p, eps=eps)
+        gap = p + eps - 1.0
+        rho = p / gap if gap else math.inf
+        if not (math.isfinite(rho) and rho > 1.0):
+            raise ValueError(f"bump exponent p/(p+eps-1) = {rho} must be a "
+                             "finite number above 1")
+        return cls.power(rho)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "identity":
             out = t.copy()
-        elif self.kind in ("power", "bump_exponent"):
+        elif self.kind == "power":
             out = self.c * t ** self.r
         elif self.kind == "power_log":
             out = t ** self.r * np.log(np.e + t) ** self.beta
@@ -86,7 +96,7 @@ class YoungFn:
         t = np.asarray(t, dtype=float)
         if self.kind == "identity":
             out = np.ones_like(t)
-        elif self.kind in ("power", "bump_exponent"):
+        elif self.kind == "power":
             out = self.c * self.r * t ** (self.r - 1.0)
         elif self.kind == "power_log":
             lg = np.log(np.e + t)
@@ -101,21 +111,21 @@ class YoungFn:
     @property
     def is_homogeneous(self) -> bool:
         """True when phi(s t) = s^r phi(t): norm has a closed form."""
-        return self.kind in ("identity", "power", "bump_exponent")
+        return self.kind in ("identity", "power")
 
     @property
     def exponent(self):
         """Power-type growth exponent, or None when not power-type."""
         if self.kind == "identity":
             return 1.0
-        if self.kind in ("power", "bump_exponent", "power_log"):
+        if self.kind in ("power", "power_log"):
             return self.r
         return None
 
     def describe(self) -> str:
         if self.kind == "identity":
             return "t"
-        if self.kind in ("power", "bump_exponent"):
+        if self.kind == "power":
             return f"{self.c:g}*t^{self.r:g}" if self.c != 1.0 else f"t^{self.r:g}"
         if self.kind == "power_log":
             return f"t^{self.r:g}*log(e+t)^{self.beta:g}"
@@ -139,6 +149,16 @@ class YoungFn:
         raise ValueError(f"unknown young function kind {kind!r}")
 
 
+def _finite(kind: str, **params) -> list:
+    """The values of params as floats, each a finite real number (a bool
+    or a string is not), else a ValueError naming the first bad one."""
+    for name, x in params.items():
+        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                or not math.isfinite(x)):
+            raise ValueError(f"{kind} needs a finite number {name}, got {x!r}")
+    return [float(x) for x in params.values()]
+
+
 def complementary(phi: YoungFn) -> YoungFn:
     """The complementary Young function (Legendre transform normalization).
 
@@ -152,7 +172,7 @@ def complementary(phi: YoungFn) -> YoungFn:
         return YoungFn("sup")
     if phi.kind == "sup":
         return YoungFn.identity()
-    if phi.kind in ("power", "bump_exponent"):
+    if phi.kind == "power":
         r, c = phi.r, phi.c
         rp = r / (r - 1.0)
         coeff = c * (r - 1.0) * (c * r) ** (-rp)
@@ -498,7 +518,7 @@ def bp_integral(phi: YoungFn, p: float, T: float = 2.0 ** 30) -> BpReport:
 
     tail = None
     converges = None
-    if phi.kind in ("identity", "power", "bump_exponent"):
+    if phi.kind in ("identity", "power"):
         r = phi.exponent
         c = phi.c if phi.kind != "identity" else 1.0
         converges = r < p

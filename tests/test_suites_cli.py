@@ -191,6 +191,39 @@ def test_maximal_csv_frozen(tmp_path, capsys):
     capsys.readouterr()
 
 
+def write_bump_inputs(folder):
+    """The inputs of the frozen ``weightlab constant --class bump`` report,
+    written into folder: the weight |x|^(1/2) on [-8, 8] and the Young
+    function t^1.5 log(e + t), which bisects.  Self-contained, so the CI
+    step that runs the installed console script builds the same files."""
+    import json
+    import os
+    docs = {"w.json": {"segments": [{"lo": -8.0, "hi": 8.0, "form": "power",
+                                     "c": 1.0, "a": 0.0, "gamma": 0.5}]},
+            "phi.json": {"kind": "power_log", "r": 1.5, "beta": 1.0}}
+    for name, doc in docs.items():
+        with open(os.path.join(folder, name), "w") as fh:
+            json.dump(doc, fh)
+
+
+# ``weightlab constant`` arguments, with the files of ``write_bump_inputs``,
+# and the sha256 of its stdout: the frozen bytes of a bump constant whose
+# norms bisect, over the default family
+BUMP_CONSTANT_ARGS = ("--class", "bump", "--p", "2.0", "--matrix", "2.0",
+                      "--weight", "w.json", "--phi", "phi.json")
+BUMP_CONSTANT_SHA256 = \
+    "72db3f5dbc082344401bdfb14213ae8dfab3f72170f7bb5a920de943686414a6"
+
+
+def test_bump_constant_with_bisecting_phi_frozen(tmp_path, capsys):
+    write_bump_inputs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in BUMP_CONSTANT_ARGS]
+    assert main(["constant", *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BUMP_CONSTANT_SHA256
+
+
 def test_verify_all_twice_sweeps_once_per_weight_and_repeats_its_bytes(
         monkeypatch, tmp_path, capsys):
     """Each ``verify all`` sweeps M_phibar g 9 times for its 36 chain cases
@@ -682,6 +715,30 @@ def test_cli_bad_matrix_token_exits_two_with_one_line(grid_file, weight_file,
 def test_cli_constant_nonfinite_parameter_exits_two(weight_file, capsys,
                                                     options, message):
     assert main(["constant", "--weight", weight_file, *options]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("phi, message", [
+    ({"kind": "power", "r": 2.0, "c": 0.0},
+     "power kind needs r > 1, c > 0, got r = 2.0, c = 0.0"),
+    ({"kind": "power", "r": 2.0, "c": -1.0},
+     "power kind needs r > 1, c > 0, got r = 2.0, c = -1.0"),
+    ({"kind": "power", "r": "2"}, "power needs a finite number r, got '2'"),
+    ({"kind": "power", "r": math.nan}, "power needs a finite number r, got nan"),
+    ({"kind": "power_log", "r": math.nan, "beta": 1.0},
+     "power_log needs a finite number r, got nan"),
+    ({"kind": "power_log", "r": 1.5, "beta": math.nan},
+     "power_log needs a finite number beta, got nan"),
+    ({"kind": "bump", "p": 2.0, "eps": math.inf},
+     "bump needs a finite number eps, got inf"),
+], ids=["power-zero-c", "power-negative-c", "power-string-r", "power-nan-r",
+        "power_log-nan-r", "power_log-nan-beta", "bump-inf-eps"])
+def test_cli_constant_malformed_phi_exits_two(weight_file, tmp_path, capsys,
+                                              phi, message):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(phi))
+    assert main(["constant", "--class", "bump", "--matrix", "2",
+                 "--weight", weight_file, "--phi", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

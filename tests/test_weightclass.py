@@ -415,6 +415,33 @@ def test_first_infinite_row_keeps_its_witness_past_a_later_overflow():
     rep = class_constant(g, spec, CubeFamily((-2.0, 2.0), levels=(1, 1)))
     assert rep.value == math.inf and rep.argmax == Cube((-2.0,), 2.0)
     assert rep.witness == "w vanishes at cell (2,)"
+    # a Young function that bisects: the analytic norm column of the
+    # lattice holds the first cube's witness ahead of the second cube's
+    # overflowing norm mass, and the grid one the vanishing witness ahead
+    # of the overflowing lead average
+    w, spec = _overflowing_dual_norm()
+    rep = class_constant(w, spec, CubeFamily((-1e12, 1e12), levels=(1, 1)),
+                         trace=True)
+    assert rep.value == math.inf and rep.argmax == Cube((-1e12,), 1e12)
+    assert rep.witness == ("w vanishes on part of [-1e+12, 0] and "
+                           "e=-0.990099 < 0")
+    assert len(rep.trace) == 1
+    spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(-1.0),
+                     phi=YoungFn.power_log(1.5, 1.0))
+    rep = class_constant(g, spec, CubeFamily((-2.0, 2.0), levels=(1, 1)))
+    assert rep.value == math.inf and rep.argmax == Cube((-2.0,), 2.0)
+    assert rep.witness == "w vanishes at cell (2,)"
+
+
+def _overflowing_dual_norm():
+    """(w, spec): a bump spec with a Young function that bisects, and a
+    weight whose w^{-1/p} is 1 on [0, 5e11] and 1e297 on [5e11, 1e12]:
+    finite values, whose mass over [5e11, 1e12] leaves the float range.
+    The lead factor w(-x) vanishes on [0, 1e12]."""
+    w = SegmentWeight1D([Segment(0.0, 5e11, "power"),
+                         Segment(5e11, 1e12, "power", c=1e-300)])
+    return w, ClassSpec("bump", p=1.01, A=SquareMatrix.scalar(-1.0),
+                        phi=YoungFn.power_log(1.5, 1.0))
 
 
 def test_a_reached_overflow_still_raises():
@@ -427,6 +454,38 @@ def test_a_reached_overflow_still_raises():
     with pytest.raises(OverflowError):
         class_constant(g, ClassSpec("Ap", p=2.0),
                        CubeFamily((0.0, 4.0), levels=(1, 1)))
+    # a Young function that bisects: the first cube's norm is bisected and
+    # finite, the second cube's norm mass (analytic) or lead average
+    # (grid) overflows
+    w, spec = _overflowing_dual_norm()
+    with pytest.raises(ValueError, match=r"^the mass over \[500000000000.0, "
+                                         r"1000000000000.0\] overflows the "
+                                         "float range$"):
+        class_constant(w, spec, CubeFamily((0.0, 1e12), levels=(1, 1)))
+    spec = ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(1.0),
+                     phi=YoungFn.power_log(1.5, 1.0))
+    with pytest.raises(OverflowError):
+        class_constant(g, spec, CubeFamily((0.0, 4.0), levels=(1, 1)))
+
+
+@pytest.mark.parametrize("kind", ["AAp", "bump", "frac", "frac_bump", "AA1"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_scalar_matrix_is_the_multiple_of_the_identity(kind, dim):
+    """A scalar A on a grid weight is that multiple of the identity, bit
+    for bit, as on an analytic weight."""
+    rng = np.random.default_rng(59)
+    shape = (16,) if dim == 1 else (8, 8)
+    box = (-1.0, 1.0) if dim == 1 else ((-1.0, -1.0), (1.0, 1.0))
+    w = GridFunction(box, rng.random(shape) + 0.25)
+    fam = CubeFamily(box, levels=(0, 2), shifts=2)
+    params = _KIND_SPECS.get(kind, {})
+    scalar = ClassSpec(kind, A=-1.0, **params)
+    matrix = ClassSpec(kind, A=SquareMatrix.scalar(-1.0, dim), **params)
+    reps = [class_constant(w, spec, fam, trace=kind != "AA1")
+            for spec in (scalar, matrix)]
+    assert _report_bits(reps[0]) == _report_bits(reps[1])
+    assert reps[0].extras == reps[1].extras
+    assert " A=-1.0" in scalar.describe()
 
 
 def test_overflowing_grid_power_raises_one_error_naming_it():

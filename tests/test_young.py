@@ -84,6 +84,7 @@ def test_bump_exponent_value():
     phi = YoungFn.bump_exponent(p=2.0, eps=0.5)
     # p/(p+eps-1) = 2/1.5 = 4/3
     assert phi.r == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert phi == YoungFn.power(4.0 / 3.0)
     with pytest.raises(ValueError):
         YoungFn.bump_exponent(p=2.0, eps=2.0)
 
