@@ -32,6 +32,7 @@ from .funcspace import (
     LEBESGUE,
     _as_dict,
     load_family,
+    load_grid,
     load_matrix,
     load_weight,
 )
@@ -53,18 +54,6 @@ _CLASS_TOKENS = {
     "ap": "Ap", "aap": "AAp", "aa1": "AA1", "bump": "bump",
     "frac": "frac", "frac_bump": "frac_bump", "rh": "RH", "ap_mu": "Ap_mu",
 }
-
-
-def _load_grid(path: str) -> GridFunction:
-    d = _as_dict(path)
-    box = d["box"]
-    if isinstance(box[0], (list, tuple)):
-        box = (tuple(box[0]), tuple(box[1]))
-    else:
-        box = (float(box[0]), float(box[1]))
-    values = np.asarray(d["values"], dtype=float)
-    mask = np.asarray(d["mask"], dtype=bool) if "mask" in d else None
-    return GridFunction(box, values, mask=mask)
 
 
 def _load_matrix_arg(arg: str, dim: int = 1) -> SquareMatrix:
@@ -142,7 +131,7 @@ def _dump_field_csv(path: str, g: GridFunction) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_maximal(args) -> int:
-    f = _load_grid(args.input)
+    f = load_grid(args.input)
     if args.operator == "hl":
         field = hl_maximal(f, lengths=args.lengths)
     elif args.operator == "fractional":
@@ -211,7 +200,7 @@ def _auto_k_range(f: GridFunction, a: float, alpha: float):
 
 
 def _cmd_cz(args) -> int:
-    f = _load_grid(args.input)
+    f = load_grid(args.input)
     check_alpha(args.alpha, f.dim)
     check_a(args.a, f.dim)
     if (args.kmin is None) != (args.kmax is None):

@@ -8,7 +8,7 @@ only the cubes inside the bound's uncertainty band take the exact test on
 their exact totals (an integer comparison when alpha = 0, the correctly
 rounded average otherwise), so every selection equals the exact one.  The
 band cubes' totals and the selected cubes' averages come from labelled
-passes of the exact-sum kernel (``funcspace.exact_totals``), one per k and
+passes of the exact-sum kernel (``funcspace.span_totals``), one per k and
 dyadic level, and the cubes stay arrays (one ``CZLevel`` per k) from
 the selection to the chain; ``CZDecomposition.cubes`` builds ``CZCube``
 objects only when it is read.  ``theorem_chain_check`` replays the
@@ -39,10 +39,10 @@ Geometry conventions used by the chain:
   as the exact total of the layers above it, every level set omega_k, each
   rounded once, so the bits equal ``math.fsum`` over the same cells.  The
   per-cube terms are float reductions over rows gathered a cube shape at a
-  time into a C-contiguous (cubes, cells) array, the shape groups coming
-  from a span plan built once per set of cubes: the Luxemburg norms, and
-  one pass for the image masses of w and the masses of w_A on the tripled
-  cubes.  A row sum adds in the order ``np.sum`` uses on that cube alone.
+  time (``funcspace.span_rows``), the shape groups coming from a span plan
+  built once per set of cubes: the Luxemburg norms, and one pass for the
+  image masses of w and the masses of w_A on the tripled cubes.  A row sum
+  adds in the order ``np.sum`` uses on that cube alone.
 * Cell transport is ``maximal.preimage_cells``: an image cell corresponds
   to the input cell holding A^(-1) of its center.  ``level_sets`` uses the
   same correspondence for any map, and reports whether it is one to one.
@@ -71,6 +71,8 @@ from .funcspace import (
     product_averages,
     resolve_matrix,
     round_total,
+    span_rows,
+    span_totals,
     total_exceeds,
 )
 from .maximal import (
@@ -166,20 +168,6 @@ def _blocks(grid: np.ndarray, side: int) -> np.ndarray:
 _ROW_CELLS = 1 << 16        # cells gathered into rows at a time
 
 
-def _span_rows(values: np.ndarray, starts, shape) -> np.ndarray:
-    """The cells of equally shaped spans, one C-contiguous row per span in
-    row-major cell order; starts holds the spans' first cells, one index
-    array per axis."""
-    # the read-only window view of ``sliding_window_view``, without its
-    # argument checks (about 15 us a call)
-    values = np.ascontiguousarray(values)
-    windows = np.ndarray(
-        tuple(n - s + 1 for n, s in zip(values.shape, shape)) + tuple(shape),
-        values.dtype, values, 0, values.strides * 2)
-    windows.flags.writeable = False
-    return windows[starts].reshape(len(starts[0]), math.prod(shape))
-
-
 class _SpanPlan(NamedTuple):
     """Spans grouped by shape for ``_span_reduce``: per batch of spans of
     one shape, about _ROW_CELLS gathered cells at a time, the shape, the
@@ -212,7 +200,7 @@ def _span_reduce(plan: _SpanPlan, reduce, *arrays) -> np.ndarray:
         return np.asarray(reduce(*[np.zeros((0, 1), a.dtype) for a in arrays]))
     out = None
     for shape, at, starts in plan.batches:
-        res = np.asarray(reduce(*[_span_rows(a, starts, shape)
+        res = np.asarray(reduce(*[span_rows(a, starts, shape)
                                   for a in arrays]))
         if out is None:
             out = np.empty((plan.size,) + res.shape[1:], res.dtype)
@@ -331,8 +319,8 @@ def _select_stopping(grid: GridFunction, thr: Fraction, alpha: float,
             above = fac * np.nextafter(lo / count, -np.inf) > thr_f
             below = fac * np.nextafter(hi / count, np.inf) <= thr_f
         maybe = np.flatnonzero(~below)
-        totals = _block_totals(grid.values, idx[maybe], side) \
-            if len(maybe) else []
+        totals = span_totals(grid.values, tuple((idx[maybe] * side).T),
+                             (side,) * dim) if len(maybe) else []
         band = ~above[maybe]
         selected = above
         selected[maybe[band]] = [
@@ -365,7 +353,7 @@ def cz_decompose(f: GridFunction, a: float, k_range, alpha: float = 0.0,
     built per call, and falls back to exact sums only inside its error
     bound; ``exact_fallbacks`` counts those cubes.  Every cube's average is
     its exact average rounded once: the selection's one labelled exact-sum
-    pass (``funcspace.exact_totals``) per k and dyadic level sums the cells
+    pass (``funcspace.span_totals``) per k and dyadic level sums the cells
     of every cube not certainly below the threshold, which decides the band
     and gives the selected cubes their totals, and each exact total is
     divided by its cell count in one int/int division.  The alpha = 0
@@ -454,17 +442,6 @@ def root_level(f: GridFunction, a: float, alpha: float = 0.0) -> int:
     while a ** k < 2 ** f.dim * root:
         k += 1
     return k
-
-
-def _block_totals(values: np.ndarray, idx: np.ndarray, side: int) -> list:
-    """Exact totals (``exact_totals`` entries) of f over the dyadic blocks
-    idx of one side, from one labelled pass over their gathered cells; the
-    root block is the grid itself and needs no gather."""
-    if side == values.shape[0]:
-        return exact_totals(values)
-    rows = _span_rows(values, tuple((idx * side).T), (side,) * values.ndim)
-    label = np.arange(len(idx), dtype=np.min_scalar_type(len(idx) - 1))
-    return exact_totals(rows, np.repeat(label, rows.shape[1]), len(idx))
 
 
 class _ESets(NamedTuple):

@@ -4,11 +4,14 @@ The ground rule of this module: nothing that can blow up is ever point
 sampled.  Weights are unions of closed-form pieces (power singularities
 ``c |x-a|^gamma`` and exponentials ``c e^{s x}``) and every interval mass is
 an antiderivative difference, so masses next to a singular point are exact to
-rounding.  Grid data stores per-cell averages; a cube sum is the correctly
+rounding; ``SegmentWeight1D.masses`` evaluates every mass, under either
+measure.  Grid data stores per-cell averages; a cube sum is the correctly
 rounded ``math.fsum`` of its cells.  Large or many sums at once go through
 one vectorized kernel (``exact_totals``), whose exact totals, rounded once,
 have the same bits as ``math.fsum``; ``total_exceeds`` compares a total's
-average with a rational threshold exactly, as integers.
+average with a rational threshold exactly, as integers.  ``span_rows``
+gathers a batch of equal cubes of a grid as C-contiguous rows, and
+``span_totals`` sums them exactly in one labelled pass.
 """
 
 from __future__ import annotations
@@ -91,19 +94,6 @@ class Segment:
             return "log" if self.gamma == -1.0 else "power"
         return "exp" if self.s else "linear"
 
-    def _antideriv(self, x):
-        return _antideriv(self._form, np.asarray(x, dtype=float), self.c,
-                          self.a, self.gamma, self.s)
-
-    def mass(self, a: float, b: float) -> float:
-        """Exact Lebesgue integral of the piece over [a, b] ∩ [lo, hi): the
-        mass of the one-piece weight (``SegmentWeight1D.masses``).
-
-        Infinite only where the interval meets a singular point with gamma
-        <= -1; any other mass is finite in exact arithmetic, and one whose
-        float evaluation leaves the float range raises ValueError."""
-        return SegmentWeight1D([self]).mass(a, b)
-
     def singular_in(self, a, b):
         """Where [a, b] (floats or arrays) meets the piece in an interval
         that holds its singular point a while gamma <= -1: the mass there is
@@ -158,56 +148,50 @@ class Measure:
     def __repr__(self):
         return f"Measure({self.kind!r})"
 
-    def segment_mass(self, seg: Segment, a: float, b: float) -> float:
-        """Integral of seg.value against this measure over [a,b] ∩ segment."""
-        a = max(a, seg.lo)
-        b = min(b, seg.hi)
-        if b <= a:
-            return 0.0
-        if self.kind == "lebesgue" or seg.singular_in(a, b):
-            return seg.mass(a, b)
-        # finite in exact arithmetic, so a float that is not has overflowed
-        total = 0.0
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if seg.form == "exp":
-                    # e^{|x|} merges with the exponential: split at the origin.
-                    for lo, hi, s in ((a, min(b, 0.0), seg.s - 1.0),
-                                      (max(a, 0.0), b, seg.s + 1.0)):
-                        if hi > lo:
-                            F = Segment(lo, hi, "exp", c=seg.c, s=s)._antideriv
-                            total += float(F(hi) - F(lo))
-                elif seg.gamma == 0.0:
-                    # a constant piece: c e^{far end} (1 - e^{-length}) on each
-                    # side of the origin, with no cancellation for a short interval
-                    if a < 0.0:
-                        total += seg.c * math.exp(-a) * -math.expm1(a - min(b, 0.0))
-                    if b > 0.0:
-                        total += seg.c * math.exp(b) * -math.expm1(max(a, 0.0) - b)
-                else:
-                    # power piece against e^{|x|}: no elementary antiderivative,
-                    # use singularity-aware adaptive quadrature (only exercised
-                    # in cross checks; scipy is imported here, on first use)
-                    from scipy import integrate
-                    pts = [p for p in (seg.a, 0.0) if a < p < b]
-                    total, _ = integrate.quad(
-                        lambda x: seg.value(x) * math.exp(abs(x)), a, b,
-                        points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
-        except OverflowError:       # math.exp
-            total = math.inf
-        return _finite_mass(float(total), "e^|x| mass", a, b)
-
-
-def _finite_mass(total: float, what: str, a: float, b: float) -> float:
-    """total, a mass over [a, b] that is finite in exact arithmetic; raises
-    ValueError when its float evaluation overflowed."""
-    if not math.isfinite(total):
-        raise ValueError(_overflow(what, a, b))
-    return total
-
 
 def _overflow(what: str, a: float, b: float) -> str:
     return f"the {what} over [{a}, {b}] overflows the float range"
+
+
+def _exp_abs_mass(seg: Segment, a: float, b: float) -> float:
+    """The integral of the piece against e^{|x|} over [a, b] within it, for
+    ``SegmentWeight1D.masses``: inf through a non-integrable singular
+    point, and inf or nan where the float evaluation of a mass that is
+    finite in exact arithmetic overflows."""
+    if seg.singular_in(a, b):
+        return math.inf
+    total = 0.0
+    try:
+        if seg.form == "exp":
+            # e^{|x|} merges with the exponential: split at the origin, and
+            # evaluate numpy's exp one endpoint at a time
+            for lo, hi, s in ((a, min(b, 0.0), seg.s - 1.0),
+                              (max(a, 0.0), b, seg.s + 1.0)):
+                if hi > lo:
+                    form = "exp" if s else "linear"
+                    F_lo, F_hi = (_antideriv(form, np.asarray(x, dtype=float),
+                                             seg.c, 0.0, 0.0, s)
+                                  for x in (lo, hi))
+                    total += float(F_hi - F_lo)
+        elif seg.gamma == 0.0:
+            # a constant piece: c e^{far end} (1 - e^{-length}) on each side
+            # of the origin, with no cancellation for a short interval
+            if a < 0.0:
+                total += seg.c * math.exp(-a) * -math.expm1(a - min(b, 0.0))
+            if b > 0.0:
+                total += seg.c * math.exp(b) * -math.expm1(max(a, 0.0) - b)
+        else:
+            # power piece against e^{|x|}: no elementary antiderivative, use
+            # singularity-aware adaptive quadrature (only exercised in cross
+            # checks; scipy is imported here, on first use)
+            from scipy import integrate
+            pts = [p for p in (seg.a, 0.0) if a < p < b]
+            total, _ = integrate.quad(
+                lambda x: seg.value(x) * math.exp(abs(x)), a, b,
+                points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-11)
+    except OverflowError:       # math.exp
+        return math.inf
+    return float(total)
 
 
 def _libm_pow(x: np.ndarray, y) -> np.ndarray:
@@ -234,14 +218,6 @@ EXP_ABS = Measure("exp_abs")
 # ---------------------------------------------------------------------------
 # 1D weights
 # ---------------------------------------------------------------------------
-
-def _try_mass(measure: Measure, seg: Segment, a: float, b: float) -> float:
-    """measure.segment_mass(seg, a, b), nan where it overflows."""
-    try:
-        return measure.segment_mass(seg, a, b)
-    except ValueError:
-        return math.nan
-
 
 class SegmentWeight1D:
     """A nonnegative weight given by disjoint closed-form segments, zero tail.
@@ -337,7 +313,7 @@ class SegmentWeight1D:
         pow (``_libm_pow``).  The segments that meet an interval add in
         segment order (the others would add exact zeros), so every mass has
         the bits of the one-interval evaluation.  Under e^{|x|} each clipped
-        interval takes ``Measure.segment_mass``."""
+        interval takes one scalar evaluation (``_exp_abs_mass``)."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         cols, _, _, singular = self._pieces
@@ -353,7 +329,7 @@ class SegmentWeight1D:
                                      np.concatenate((lo, hi)))
                 part = F[seg.size:] - F[:seg.size]
             else:
-                part = np.array([_try_mass(measure, self.segments[i], x, y)
+                part = np.array([_exp_abs_mass(self.segments[i], x, y)
                                  for i, x, y in zip(seg.tolist(), lo.tolist(),
                                                     hi.tolist())], dtype=float)
         if singular is not None:
@@ -417,12 +393,6 @@ class SegmentWeight1D:
         return out, [seg for seg in out.segments
                      if seg.form == "power" and seg.gamma <= -1.0]
 
-    def try_powered(self, e: float):
-        """(w**e, None) when every piece of w**e is integrable, else (None,
-        the first powered piece that is not)."""
-        w, singular = self.powered_pieces(e)
-        return (None, singular[0]) if singular else (w, None)
-
     def scaled_argument(self, lam: float) -> "SegmentWeight1D":
         if lam == 0:
             raise ValueError("lam must be nonzero")
@@ -435,8 +405,8 @@ class SegmentWeight1D:
         edges = np.linspace(lo, hi, n + 1)
         masses = np.zeros(n)
         for seg in self.segments:
-            clipped = np.clip(edges, seg.lo, seg.hi)
-            F = seg._antideriv(clipped)
+            F = _antideriv(seg._form, np.clip(edges, seg.lo, seg.hi), seg.c,
+                           seg.a, seg.gamma, seg.s)
             masses += np.diff(F)
         return masses / ((hi - lo) / n)
 
@@ -715,6 +685,8 @@ def _whole(x, what: str) -> int:
 
 def _normalize_box(box):
     """Accept (lo, hi) scalars for 1D or ((lo...), (hi...)) for nD."""
+    if len(box) != 2:
+        raise ValueError(f"a box is a pair (lo, hi), got {box!r}")
     a, b = box
     if np.isscalar(a):
         return (float(a),), (float(b),)
@@ -870,6 +842,38 @@ def exact_sums(values, labels=None, n_labels: int = 1) -> list:
     return [round_total(t) for t in exact_totals(values, labels, n_labels)]
 
 
+def span_rows(values: np.ndarray, starts, shape) -> np.ndarray:
+    """The cells of equally shaped spans of values, one row per span, cells
+    in row-major order.
+
+    starts gives the spans' first cells per axis: index arrays, broadcast
+    together as in numpy indexing, or slices, a lattice of starts; the rows
+    follow the broadcast or lattice positions in row-major order.  Each
+    row is C-contiguous, so a row sum adds its cells in the order
+    ``np.sum`` uses on the span alone, and per-cube masses and Luxemburg
+    norms of a batch have the bits of each cube's own."""
+    # the read-only window view of ``sliding_window_view``, without its
+    # argument checks (about 15 us a call)
+    values = np.ascontiguousarray(values)
+    windows = np.ndarray(
+        tuple(n - s + 1 for n, s in zip(values.shape, shape)) + tuple(shape),
+        values.dtype, values, 0, values.strides * 2)
+    windows.flags.writeable = False
+    return windows[tuple(starts)].reshape(-1, math.prod(shape))
+
+
+def span_totals(values: np.ndarray, starts, shape) -> list:
+    """Exact totals (``exact_totals`` entries) of nonnegative values over
+    equally shaped spans, in ``span_rows`` order, from one labelled pass
+    over their gathered cells; a span of the whole grid, the only one of
+    its shape, needs no gather."""
+    if tuple(shape) == values.shape:
+        return exact_totals(values)
+    rows = span_rows(values, starts, shape)
+    label = np.arange(len(rows), dtype=np.min_scalar_type(len(rows) - 1))
+    return exact_totals(rows, np.repeat(label, rows.shape[1]), len(rows))
+
+
 class GridFunction:
     """Nonnegative function stored as exact per-cell averages on a box grid.
 
@@ -1003,16 +1007,36 @@ def sample_product_to_grid(wx: SegmentWeight1D, wy: SegmentWeight1D, box,
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def load_grid(path_or_dict) -> GridFunction:
+    """A grid function from {"box": [lo, hi] or [[lo..], [hi..]],
+    "values": [...]}, with an optional boolean "mask" of the same shape."""
+    return _load(lambda d: GridFunction(d["box"], d["values"], d.get("mask")),
+                 path_or_dict)
+
+
 def load_weight(path_or_dict) -> SegmentWeight1D:
-    return SegmentWeight1D.from_json_dict(_as_dict(path_or_dict))
+    return _load(SegmentWeight1D.from_json_dict, path_or_dict)
 
 
 def load_matrix(path_or_dict) -> SquareMatrix:
-    return SquareMatrix.from_json_dict(_as_dict(path_or_dict))
+    return _load(SquareMatrix.from_json_dict, path_or_dict)
 
 
 def load_family(path_or_dict) -> CubeFamily:
-    return CubeFamily.from_json_dict(_as_dict(path_or_dict))
+    return _load(CubeFamily.from_json_dict, path_or_dict)
+
+
+def _load(build, path_or_dict):
+    """build(the JSON object at path_or_dict).  A TypeError or IndexError
+    raised while building comes from a value of the wrong type or shape,
+    and raises ValueError naming the file."""
+    d = _as_dict(path_or_dict)
+    try:
+        return build(d)
+    except (TypeError, IndexError) as err:
+        where = "JSON object" if d is path_or_dict else path_or_dict
+        raise ValueError(f"{where}: a value of the wrong type or shape "
+                         f"({err})") from None
 
 
 def _as_dict(path_or_dict) -> dict:

@@ -77,6 +77,7 @@ from .funcspace import (
     _cumsum_prefix,
     _normalize_box,
     resolve_matrix,
+    span_rows,
 )
 from .young import YoungFn, luxemburg_norms
 
@@ -630,12 +631,11 @@ def _window_maxima(f: GridFunction):
 
 
 def _luxemburg_norms(f: GridFunction, phi: YoungFn):
-    """Cube functional ||f||_{phi,Q}: the windows gathered as rows, cells
-    in row-major order, and normed at once (``young.luxemburg_norms``)."""
+    """Cube functional ||f||_{phi,Q}: the windows gathered as the rows of
+    ``span_rows`` and normed at once (``young.luxemburg_norms``)."""
     def values(side, starts):
-        windows = sliding_window_view(f.values, (side,) * f.dim)[starts]
-        shape = windows.shape[:f.dim]
-        rows = windows.reshape(math.prod(shape), side ** f.dim)
+        rows = span_rows(f.values, starts, (side,) * f.dim)
+        shape = [len(range(n - side + 1)[s]) for s, n in zip(starts, f.shape)]
         return np.reshape(luxemburg_norms(rows, phi), shape)
     return values
 

@@ -25,13 +25,15 @@ average of a power of w or w_A, and the Luxemburg norm of a power of w.
 Analytic and grid weights supply the terms, building each power once, a
 lattice of ``CubeFamily.lattices()`` at a time: each term is one column over
 the lattice's cubes, built on its first read (one ``SegmentWeight1D.masses``
-or ``_analytic_norm`` call, or one labelled exact-sum pass or
-``luxemburg_norms`` call on a grid), whose rows have the bits of the cube
-alone.  That holds for every Young function: one that bisects does so row
-by row, each cube on its own cells.  A row whose evaluation failed, such as
-an overflow, holds its exception, raised only when a product reads it, so
-the first infinite product of a sweep keeps its witness.  ``ap_product``,
-``aap_product`` and ``rh_ratio`` are one-cube lattices.
+or ``_analytic_norm`` call, or on a grid one ``funcspace.span_totals`` pass
+or one ``luxemburg_norms`` call over the rows of ``funcspace.span_rows``),
+whose rows have the bits of the cube alone.  That holds for every Young
+function: one that bisects does so row by row, each cube on its own cells.
+A row whose evaluation failed, such as an overflow, holds its exception,
+raised only when a product reads it, so the first infinite product of a
+sweep keeps its witness.  ``ap_product``, ``aap_product`` and ``rh_ratio``
+are one-cube lattices.  The bump kinds' Luxemburg norms and the AA1 field
+are Lebesgue quantities, so those kinds take no other measure.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ from .funcspace import (
     SegmentWeight1D,
     SquareMatrix,
     compose_matrix,
-    exact_totals,
     resolve_matrix,
     round_total,
     sample_to_grid,
+    span_rows,
+    span_totals,
 )
 from .maximal import hl_maximal, matrix_compose
 from .young import YoungFn, _analytic_norm, luxemburg_norms
@@ -103,6 +106,10 @@ class ClassSpec:
             raise ValueError(f"{self.kind} needs a matrix")
         if self.kind in ("bump", "frac_bump") and self.phi is None:
             raise ValueError(f"{self.kind} needs a Young function")
+        # the bump norms and the AA1 field are Lebesgue quantities
+        if self.kind in ("AA1", "bump", "frac_bump") \
+                and self.measure != LEBESGUE:
+            raise ValueError(f"{self.kind} supports the Lebesgue measure only")
         if self.kind in ("frac", "frac_bump"):
             if self.q is None or not (math.isfinite(self.q) and self.q >= self.p):
                 raise ValueError("fractional kinds need a finite q >= p, "
@@ -299,9 +306,9 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
 def _grid_terms(w: GridFunction, spec: ClassSpec):
     """(side, starts) -> (fail, mean, norm) over a lattice's cubes for a
     grid weight: exact cube averages of powered grids, each built once, by
-    one labelled exact-sum pass per term over the cubes' gathered cells,
-    and their Luxemburg norms as the rows of one ``luxemburg_norms`` call.
-    fail maps a cube to the error its grid span raises."""
+    one ``span_totals`` pass per term over the cubes' cells, and their
+    Luxemburg norms as the ``span_rows`` rows of one ``luxemburg_norms``
+    call.  fail maps a cube to the error its grid span raises."""
     if spec.measure != LEBESGUE:
         raise ValueError("grid weights support the Lebesgue measure only")
     if not w.mask.all():
@@ -325,13 +332,9 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
         return grids[g, e]
 
     def terms(side, starts):
-        good, cells, fail = _lattice_cells(w, side, starts)
+        good, first, shape, fail = _lattice_cells(w, side, starts)
         n = math.prod(map(len, starts))
         vanishing = [(math.inf, zero_witness)] * n
-
-        def rows(g, e):
-            # the good cubes' cells of g^e, one cube per row, row-major
-            return powered(g, e).values[cells].reshape(len(good), -1)
 
         def spread(values):
             out = [math.nan] * n
@@ -345,13 +348,11 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
                 return vanishing
             # exact sums, each rounded and then divided by the cell count:
             # bit for bit ``GridFunction.cube_average``
-            r = rows(g, e)
-            totals = exact_totals(r, np.repeat(np.arange(len(good)), r.shape[1]),
-                                  len(good))
+            totals = span_totals(powered(g, e).values, first, shape)
             values, errors = [], {}
             for k, total in zip(good, totals):
                 try:
-                    values.append(round_total(total) / r.shape[1])
+                    values.append(round_total(total) / math.prod(shape))
                 except OverflowError as err:
                     values.append(math.nan)
                     errors[k] = err
@@ -361,7 +362,8 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
         def norm(e):
             if e < 0.0 and zero_witness:
                 return vanishing
-            return _rows(spread(luxemburg_norms(rows("w", e), spec.phi)), {}, {})
+            rows = span_rows(powered("w", e).values, first, shape)
+            return _rows(spread(luxemburg_norms(rows, spec.phi)), {}, {})
 
         return fail, mean, norm
 
@@ -369,13 +371,13 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
 
 
 def _lattice_cells(w: GridFunction, side: float, starts):
-    """(good, cells, fail) for a lattice on w's grid, with the arithmetic
-    of ``span_of_cube``: the lattice positions of the cubes that lie
-    grid-aligned inside the grid, in order; an index into w.values that
-    gathers their cells, one cube per leading position; and {k: the error
-    ``span_of_cube`` raises for cube k} for the others."""
-    dim = len(starts)
-    at, cells = [], []
+    """(good, first, shape, fail) for a lattice on w's grid, with the
+    arithmetic of ``span_of_cube``: the lattice positions of the cubes that
+    lie grid-aligned inside the grid, in order; their first cells, one
+    index array per axis broadcast over the lattice (``span_rows``); their
+    cells per axis; and {k: the error ``span_of_cube`` raises for cube k}
+    for the others."""
+    at, first, shape = [], [], []
     for d, axis in enumerate(starts):
         a = np.array(axis)
         t0 = (a - w.lo[d]) / w.h[d]
@@ -384,10 +386,8 @@ def _lattice_cells(w: GridFunction, side: float, starts):
         good = np.flatnonzero((np.abs(t0 - i0) <= 1e-9) & (np.abs(t1 - i1) <= 1e-9)
                               & (i0 >= 0) & (i1 <= w.shape[d]) & (i1 > i0))
         # aligned cubes of one side span one whole number of cells
-        m = int(i1[good[0]] - i0[good[0]]) if good.size else 0
-        shape = [1] * (2 * dim)
-        shape[d], shape[dim + d] = good.size, m
-        cells.append((i0[good].astype(int)[:, None] + np.arange(m)).reshape(shape))
+        shape.append(int(i1[good[0]] - i0[good[0]]) if good.size else 0)
+        first.append(i0[good].astype(int))
         at.append(good)
     good = np.ravel_multi_index(np.meshgrid(*at, indexing="ij"),
                                 [len(axis) for axis in starts]).ravel().tolist()
@@ -400,7 +400,7 @@ def _lattice_cells(w: GridFunction, side: float, starts):
                     w.span_of_cube(Cube(corner, side))
                 except ValueError as err:
                     fail[k] = err
-    return good, tuple(cells), fail
+    return good, np.ix_(*first), tuple(shape), fail
 
 
 def ap_product(w: SegmentWeight1D, Q, p: float,
@@ -627,10 +627,10 @@ def rh_inclusion_check(w, A, p: float, eps: float, family: CubeFamily) -> dict:
         raise ValueError("need p > 1 + eps so the lowered exponent stays > 1")
     A = resolve_matrix(A, 1)
     s = (p - 1.0) / (p - eps - 1.0)
-    sigma, bad = w.try_powered(-1.0 / (p - 1.0))
-    if sigma is None:
+    sigma, bad = w.powered_pieces(-1.0 / (p - 1.0))
+    if bad:
         return {"applicable": False,
-                "reason": f"dual weight non-integrable near x={bad.a:g}"}
+                "reason": f"dual weight non-integrable near x={bad[0].a:g}"}
     specs = (ClassSpec("RH", s=s), ClassSpec("AAp", p=p, A=A),
              ClassSpec("AAp", p=p - eps, A=A))
     columns = [list(_products(g, spec, family))

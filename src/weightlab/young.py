@@ -452,7 +452,8 @@ def _geometric_marks(u, v, toward_left, k):
 def _analytic_sup(w: SegmentWeight1D, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sup of w over each interval [a_k, b_k]: the largest piece value
     at a clipped endpoint (libm pow per point, as for one interval), inf
-    where the interval holds a negative power's singular point."""
+    where the interval holds a negative power's singular point or where an
+    exp piece's value there leaves the float range."""
     sup = np.zeros(a.shape)
     for seg in w.segments:
         lo, hi = np.maximum(a, seg.lo), np.minimum(b, seg.hi)
@@ -463,7 +464,9 @@ def _analytic_sup(w: SegmentWeight1D, a: np.ndarray, b: np.ndarray) -> np.ndarra
         if seg.form == "power" and seg.gamma == 0:
             top = np.full(k.size, seg.c)
         else:
-            top = np.maximum(seg.value(lo, _libm_pow), seg.value(hi, _libm_pow))
+            with np.errstate(over="ignore"):
+                top = np.maximum(seg.value(lo, _libm_pow),
+                                 seg.value(hi, _libm_pow))
             if seg.form == "power" and seg.gamma < 0:
                 top[(lo <= seg.a) & (seg.a <= hi)] = math.inf
         sup[k] = np.maximum(sup[k], top)

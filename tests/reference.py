@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
-from weightlab.funcspace import _cumsum_prefix
+from weightlab.funcspace import SegmentWeight1D, _cumsum_prefix
 from weightlab.maximal import _length_list, _scale
 
 
@@ -67,9 +67,9 @@ def segment_masses(w, a, b, measure):
     """The masses of the intervals [a_k, b_k] by the scalar path: per
     interval and per segment that meets it, a difference of numpy 0-d
     antiderivatives (Lebesgue; inf through a non-integrable singular
-    point) or ``measure.segment_mass`` (e^|x|), added in segment order.
-    Returns (masses, {k: message}) as ``SegmentWeight1D.masses`` does, nan
-    where the first overflowing segment of an interval names it."""
+    point) or the mass of the one-piece weight (e^|x|), added in segment
+    order.  Returns (masses, {k: message}) as ``SegmentWeight1D.masses``
+    does, nan where the first overflowing segment of an interval names it."""
     out, overflow = [], {}
     for k, (x, y) in enumerate(zip(a, b)):
         parts = []
@@ -79,7 +79,7 @@ def segment_masses(w, a, b, measure):
                 continue
             if measure.kind != "lebesgue":
                 try:
-                    parts.append(measure.segment_mass(seg, lo, hi))
+                    parts.append(SegmentWeight1D([seg]).mass(lo, hi, measure))
                 except ValueError as err:
                     overflow[k] = str(err)
                     break

@@ -557,17 +557,17 @@ def test_band_cube_is_summed_once(monkeypatch):
     # the selection's exact pass decides the band root and gives it its
     # average: the grid is summed by one call, not once more for the average
     calls = []
-    block_totals = czlab._block_totals
+    span_totals = czlab.span_totals
 
-    def spy(values, idx, side):
-        calls.append((side, len(idx)))
-        return block_totals(values, idx, side)
+    def spy(values, starts, shape):
+        calls.append((shape, len(starts[0])))
+        return span_totals(values, starts, shape)
 
-    monkeypatch.setattr(czlab, "_block_totals", spy)
+    monkeypatch.setattr(czlab, "span_totals", spy)
     vals = np.full(64, 2.0 ** -60)
     vals[0] = 128.0
     dec = cz_decompose(GridFunction((0.0, 1.0), vals), 8.0, [1])
-    assert calls == [(64, 1)]
+    assert calls == [((64,), 1)]
     assert dec.exact_fallbacks == 1
     assert dec.levels[1].average.tolist() == [math.fsum(vals) / 64]
 

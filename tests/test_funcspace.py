@@ -5,6 +5,7 @@ for cube sums and threshold tests, and hand-derived closed forms frozen as liter
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -36,9 +37,12 @@ from weightlab.funcspace import (
     round_total,
     sample_product_to_grid,
     sample_to_grid,
+    span_rows,
+    span_totals,
     total_exceeds,
 )
-from reference import exact_span_sum, exact_sum, segment_masses
+from reference import (exact_cells, exact_span_sum, exact_sum, segment_masses,
+                       slices)
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +52,27 @@ from reference import exact_span_sum, exact_sum, segment_masses
 def test_power_segment_mass_closed_form():
     seg = Segment(0.0, 2.0, "power", a=0.0, gamma=-0.5)
     # integral of x^(-1/2) over (0, 2) = 2 sqrt(2)
-    assert seg.mass(0.0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-14)
+    assert SegmentWeight1D([seg]).mass(0.0, 2.0) == pytest.approx(
+        2.0 * math.sqrt(2.0), abs=1e-14)
     # symmetric piece through the singularity
     seg2 = Segment(-1.0, 1.0, "power", a=0.0, gamma=-0.5)
-    assert seg2.mass(-1.0, 1.0) == pytest.approx(4.0, abs=1e-14)
+    assert SegmentWeight1D([seg2]).mass(-1.0, 1.0) == pytest.approx(
+        4.0, abs=1e-14)
 
 
 def test_power_segment_mass_vs_quadrature():
     seg = Segment(1.0, 3.0, "power", a=1.5, gamma=-0.25, c=2.0)
     ref, _ = quad(lambda x: 2.0 * abs(x - 1.5) ** -0.25, 1.0, 3.0,
                   points=[1.5], limit=200)
-    assert seg.mass(1.0, 3.0) == pytest.approx(ref, rel=1e-9)
+    assert SegmentWeight1D([seg]).mass(1.0, 3.0) == pytest.approx(
+        ref, rel=1e-9)
 
 
 def test_exp_segment_mass():
     seg = Segment(-1.0, 2.0, "exp", c=3.0, s=0.5)
     ref = 3.0 / 0.5 * (math.exp(1.0) - math.exp(-0.5))
-    assert seg.mass(-1.0, 2.0) == pytest.approx(ref, rel=1e-14)
+    assert SegmentWeight1D([seg]).mass(-1.0, 2.0) == pytest.approx(
+        ref, rel=1e-14)
 
 
 def test_segment_scaled_matches_substitution():
@@ -109,12 +117,12 @@ def test_powered_pieces_integrate_away_from_the_singular_point():
             {"lo": -1.0, "hi": 1.0, "form": "power", "gamma": -1.5}]})
 
 
-def test_try_powered_reports_witness():
+def test_powered_pieces_report_witness():
     w = power_weight(1.0, -2.0, 2.0)     # |x|, inverse is non-integrable
-    powered, witness = w.try_powered(-1.0)
-    assert powered is None and witness is not None
-    powered, witness = w.try_powered(-0.5)
-    assert witness is None and powered is not None
+    _, singular = w.powered_pieces(-1.0)
+    assert [(s.a, s.gamma) for s in singular] == [(0.0, -1.0)]
+    powered, singular = w.powered_pieces(-0.5)
+    assert singular == [] and powered.segments[0].gamma == -0.5
 
 
 def test_exp_measure_of_intervals():
@@ -134,7 +142,8 @@ def test_exp_measure_of_constant_piece_is_closed_form(a, b):
     ref = quad(lambda x: 2.5 * math.exp(abs(x)), a, b,
                points=[0.0] if a < 0.0 < b else None,
                epsabs=0.0, epsrel=1e-13)[0]
-    assert EXP_ABS.segment_mass(seg, a, b) == pytest.approx(ref, rel=1e-13)
+    assert SegmentWeight1D([seg]).mass(a, b, EXP_ABS) == pytest.approx(
+        ref, rel=1e-13)
 
 
 def test_exp_measure_of_power_piece_keeps_its_quadrature_bits():
@@ -212,7 +221,7 @@ def test_weight_mass_visits_only_the_meeting_segments(measure):
     pairs += [(x, x) for x in bounds] + [(lo, hi) for lo in bounds
                                          for hi in bounds if lo <= hi]
     for a, b in pairs:
-        every = float(sum(measure.segment_mass(seg, a, b)
+        every = float(sum(SegmentWeight1D([seg]).mass(a, b, measure)
                           for seg in w.segments))
         assert w.mass(a, b, measure).hex() == every.hex(), (a, b)
 
@@ -639,6 +648,41 @@ def test_round_total_divides_the_exact_total_once():
                          ([2.0 ** -1022, 2.0 ** -1074], 8)):
         total = exact_totals(np.array(cells))[0]
         assert round_total(total, count) == float(exact_sum(cells) / count)
+
+
+@pytest.mark.parametrize("shape, side, starts", [
+    ((32,), 4, (np.array([0, 5, 28, 5]),)),
+    ((32,), 4, (slice(2, 29, 4),)),
+    ((32,), 32, (slice(0, 1, 32),)),
+    ((16, 16), 3, (np.array([0, 13, 7]), np.array([2, 0, 13]))),
+    ((16, 16), 3, np.ix_(np.array([1, 9]), np.array([0, 4, 13]))),
+    ((16, 16), 4, (slice(0, 13, 4), slice(1, 13, 4))),
+    ((16, 16), 16, (np.array([0]), np.array([0]))),
+], ids=["1d-index", "1d-lattice", "1d-whole", "2d-index", "2d-broadcast",
+        "2d-lattice", "2d-whole"])
+def test_span_rows_and_totals_gather_each_span(shape, side, starts):
+    # one row per span in index or lattice order, each the span's cells in
+    # row-major order, C-contiguous, with the row sum of the span alone;
+    # each total is the span's exact sum
+    rng = np.random.default_rng(41)
+    values = np.ldexp(rng.random(shape), rng.integers(-60, 60, shape))
+    if isinstance(starts[0], slice):
+        firsts = itertools.product(*(range(n - side + 1)[s]
+                                     for s, n in zip(starts, shape)))
+    else:
+        firsts = zip(*(a.ravel().tolist()
+                       for a in np.broadcast_arrays(*starts)))
+    spans = [tuple((i, i + side) for i in first) for first in firsts]
+    rows = span_rows(values, starts, (side,) * len(shape))
+    totals = span_totals(values, starts, (side,) * len(shape))
+    assert rows.shape == (len(spans), side ** len(shape))
+    assert len(totals) == len(spans)
+    sums = rows.sum(axis=1).tolist()
+    for row, row_sum, total, span in zip(rows, sums, totals, spans):
+        cells = exact_cells(values, span)
+        assert row.flags.c_contiguous and row.tolist() == cells.tolist()
+        assert row_sum.hex() == float(np.sum(values[slices(span)])).hex()
+        assert total == exact_sum(cells) * 2 ** 1075
 
 
 def test_grid_rejects_negative_and_rectangular():

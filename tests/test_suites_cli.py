@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -796,6 +797,83 @@ def test_cli_constant_bad_family_exits_two(weight_file, tmp_path, capsys,
     assert main(["constant", "--class", "ap", "--weight", weight_file,
                  "--family", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("klass, options", [
+    ("bump", ["--phi", "phi.json"]),
+    ("frac_bump", ["--q", "3", "--phi", "phi.json"]),
+    ("aa1", []),
+])
+def test_cli_constant_kind_without_a_measure_exits_two(weight_file, tmp_path,
+                                                       capsys, klass, options):
+    (tmp_path / "phi.json").write_text(json.dumps({"kind": "power", "r": 3.0}))
+    options = [str(tmp_path / o) if o.endswith(".json") else o
+               for o in options]
+    assert main(["constant", "--class", klass, "--matrix", "-1", "--weight",
+                 weight_file, "--measure", "exp", *options]) == 2
+    kind = {"aa1": "AA1"}.get(klass, klass)
+    assert capsys.readouterr().err == \
+        f"error: {kind} supports the Lebesgue measure only\n"
+
+
+# stdout of ``weightlab constant --class bump`` with the weight e^{-2x} on
+# [0, 1000], A = -1 and phi = t^2 over the cubes [-1000, 0] and [0, 1000]:
+# the sup of w^{-1/2} = e^x on [0, 1000] leaves the float range
+OVERFLOWING_SUP_SHA256 = \
+    "7ded8d1d4a214a91c80232c4d7102ba10b6ba5b9648b207dee272777c85c3d33"
+
+
+def test_cli_bump_with_an_overflowing_sup_warns_nothing(tmp_path, capsys):
+    docs = {"w.json": {"segments": [{"lo": 0.0, "hi": 1000.0, "form": "exp",
+                                     "c": 1.0, "s": -2.0}]},
+            "fam.json": {"box": [-1000.0, 1000.0], "levels": [1, 1]},
+            "phi.json": {"kind": "power", "r": 2.0}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["constant", "--class", "bump", "--matrix", "-1",
+                     "--phi", str(tmp_path / "phi.json"),
+                     "--weight", str(tmp_path / "w.json"),
+                     "--family", str(tmp_path / "fam.json")]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == OVERFLOWING_SUP_SHA256
+
+
+@pytest.mark.parametrize("option, doc, where", [
+    ("--input", {"box": [1.0], "values": [1, 2]}, "a box is a pair"),
+    ("--input", {"box": 5, "values": [1, 2]}, "doc.json"),
+    ("--input", {"box": None, "values": [1, 2]}, "doc.json"),
+    ("--input", {"box": [0, 1], "values": {}}, "doc.json"),
+    ("--input", {"box": [[0, 0], [1]], "values": [[1, 2], [3, 4]]},
+     "doc.json"),
+    ("--weight", {"segments": 5}, "doc.json"),
+    ("--weight", {"segments": [5]}, "doc.json"),
+    ("--weight", {"segments": None}, "doc.json"),
+    ("--weight", {"segments": [{"lo": "a", "hi": 1.0, "form": "power"}]},
+     "doc.json"),
+    ("--weight", {"segments": [{"lo": 0.0, "hi": 1.0, "form": "power",
+                                "gamma": None}]}, "doc.json"),
+    ("--family", {"box": [0, 1], "levels": 3}, "doc.json"),
+    ("--family", {"box": 5, "levels": [0, 1]}, "doc.json"),
+], ids=["grid-short-box", "grid-number-box", "grid-null-box",
+        "grid-object-values", "grid-ragged-box", "weight-number-segments",
+        "weight-number-segment", "weight-null-segments", "weight-string-lo",
+        "weight-null-gamma", "family-number-levels", "family-number-box"])
+def test_cli_malformed_json_exits_two_with_one_line(weight_file, tmp_path,
+                                                     capsys, option, doc,
+                                                     where):
+    # a value of the wrong type or shape is bad input, not a traceback
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"--input": ["maximal", "--input", str(path)],
+            "--weight": ["constant", "--class", "ap", "--weight", str(path)],
+            "--family": ["constant", "--class", "ap", "--weight", weight_file,
+                         "--family", str(path)]}[option]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err and "Traceback" not in err
 
 
 def test_cli_constant_rejects_unknown_measure_token(weight_file):

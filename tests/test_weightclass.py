@@ -239,6 +239,21 @@ def test_spec_validation_errors():
         ClassSpec("bump", p=2.0, A=SquareMatrix.scalar(2.0))  # needs phi
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("bump", dict(p=2.0, phi=YoungFn.power(3.0))),
+    ("frac_bump", dict(p=2.0, q=3.0, phi=YoungFn.power(3.0))),
+    ("AA1", dict()),
+])
+def test_spec_rejects_a_measure_its_kind_ignores(kind, params):
+    # the bump norms and the AA1 field are Lebesgue quantities: under
+    # e^|x| they would mix a mu-average with a Lebesgue norm, or ignore mu
+    A = SquareMatrix.scalar(-1.0)
+    assert ClassSpec(kind, A=A, **params).measure == LEBESGUE
+    with pytest.raises(ValueError,
+                       match=f"^{kind} supports the Lebesgue measure only$"):
+        ClassSpec(kind, A=A, measure=EXP_ABS, **params)
+
+
 def test_fractional_spec_q_from_alpha():
     # 1/q = 1/p - alpha/n: p = 2 and alpha = 1/4 in 1D give q = 4; alpha =
     # 0.6 gives 1/q < 0, and the spec refuses the negative q
