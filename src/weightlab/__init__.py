@@ -24,7 +24,6 @@ from .funcspace import (
     load_weight,
     power_weight,
     product_averages,
-    sample_product_to_grid,
     sample_to_grid,
 )
 from .young import YoungFn, bp_integral, complementary, holder_defect, luxemburg_norm
@@ -71,8 +70,7 @@ __all__ = [
     "Cube", "CubeFamily", "DomainError", "EXP_ABS", "GridFunction", "LEBESGUE",
     "Measure", "Segment", "SegmentWeight1D", "SquareMatrix", "compose_matrix",
     "constant_weight", "load_family", "load_matrix", "load_weight",
-    "power_weight", "product_averages", "sample_product_to_grid",
-    "sample_to_grid",
+    "power_weight", "product_averages", "sample_to_grid",
     "YoungFn", "bp_integral", "complementary", "holder_defect", "luxemburg_norm",
     "dyadic_maximal", "fractional_maximal", "hl_maximal", "matrix_compose",
     "orlicz_maximal",

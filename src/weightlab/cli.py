@@ -54,6 +54,7 @@ _CLASS_TOKENS = {
     "ap": "Ap", "aap": "AAp", "aa1": "AA1", "bump": "bump",
     "frac": "frac", "frac_bump": "frac_bump", "rh": "RH", "ap_mu": "Ap_mu",
 }
+_MEASURE_TOKENS = {"lebesgue": LEBESGUE, "exp": EXP_ABS}
 
 
 def _load_matrix_arg(arg: str, dim: int = 1) -> SquareMatrix:
@@ -74,14 +75,6 @@ def _family_arg(path, w) -> CubeFamily:
     span = hi - lo
     return CubeFamily((lo + 0.25 * span, hi - 0.25 * span),
                       levels=(0, 5), shifts=2)
-
-
-def _measure(token: str):
-    if token == "lebesgue":
-        return LEBESGUE
-    if token == "exp":
-        return EXP_ABS
-    raise ValueError(f"unknown measure {token!r}")
 
 
 class _Tails(dict):
@@ -175,7 +168,7 @@ def _cmd_constant(args) -> int:
         phi = YoungFn.from_json_dict(_as_dict(args.phi))
     A = _load_matrix_arg(args.matrix) if args.matrix else None
     spec = ClassSpec(kind, p=args.p, q=args.q, s=args.s, A=A, phi=phi,
-                     measure=_measure(args.measure))
+                     measure=_MEASURE_TOKENS[args.measure])
     family = _family_arg(args.family, w)
     rep = class_constant(w, spec, family, n_cells=args.n_cells)
     doc = {"schema": SCHEMA, "command": "constant", **rep.to_json_dict()}
@@ -300,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", help="cube family JSON (default: central "
                                     "half of the weight support)")
     c.add_argument("--phi", help="Young function JSON (bump classes)")
-    c.add_argument("--measure", default="lebesgue", choices=["lebesgue", "exp"])
+    c.add_argument("--measure", default="lebesgue",
+                   choices=list(_MEASURE_TOKENS))
     c.add_argument("--n-cells", type=int, default=1024)
     c.add_argument("--out", help="JSON report path")
     c.set_defaults(func=_cmd_constant)

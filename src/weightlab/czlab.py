@@ -528,33 +528,19 @@ def _e_minima(e: _ESets, field: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cell_transport(grid: GridFunction, A: SquareMatrix):
-    """(out_lo, out_hi, back) for the image grid: A(box) with the grid's
-    cell counts.  back[out_flat] is the flat input cell holding the
-    preimage of that cell's center, -1 where it leaves the box."""
+    """(out_lo, out_hi, back, fault) for the image grid: A(box) with the
+    grid's cell counts.  back[out_flat] is the flat input cell holding the
+    preimage of that cell's center, -1 where it leaves the box; fault is
+    None when back maps the cells one to one (dyadic scalings, sign flips,
+    axis swaps, 90-degree turns), else why it does not."""
     lo, hi = image_box(grid, A)
-    return lo, hi, preimage_cells(grid, A, (lo, hi), grid.shape)
-
-
-def _transport_fault(back) -> str | None:
-    """Why the cell transport is not one to one, or None when it is."""
+    back = preimage_cells(grid, A, (lo, hi), grid.shape)
+    fault = None
     if (back < 0).any():
-        return "image grid does not map back into the box"
-    if not (np.bincount(back, minlength=back.size) == 1).all():
-        return "matrix does not map cells onto cells bijectively"
-    return None
-
-
-def _grid_bijection(grid: GridFunction, A: SquareMatrix):
-    """(out_lo, out_hi, perm) with perm[out_flat] = in_flat of the preimage.
-
-    Raises DomainError unless A maps the cell lattice onto the image lattice
-    one to one (dyadic scalings, sign flips, axis swaps, 90-degree turns).
-    """
-    lo, hi, perm = _cell_transport(grid, A)
-    fault = _transport_fault(perm)
-    if fault:
-        raise DomainError(fault)
-    return lo, hi, perm
+        fault = "image grid does not map back into the box"
+    elif not (np.bincount(back, minlength=back.size) == 1).all():
+        fault = "matrix does not map cells onto cells bijectively"
+    return lo, hi, back, fault
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +576,8 @@ def level_sets(f: GridFunction, A, a: float, k_range,
     M = hl_maximal(f, lengths=lengths)
     Md = dyadic_maximal(f)
     ks = sorted(int(k) for k in k_range)
-    lo, hi, back = _cell_transport(f, A)
-    exact = _transport_fault(back) is None
+    lo, hi, back, fault = _cell_transport(f, A)
+    exact = fault is None
     inside = back >= 0
 
     def image(mask):
@@ -932,8 +918,8 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     dim = f.dim
     A = c.matrix(A)
     check_a(a, dim)
-    if not p > 1.0:
-        raise ValueError("need p > 1")
+    if not (p > 1.0 and math.isfinite(p)):
+        raise ValueError("need a finite p > 1")
     check_alpha(alpha, dim)
     factors = (w,) if dim == 1 else tuple(w)
     if len(factors) != dim:
@@ -970,10 +956,9 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     # vanishes and the right-hand side
     wY = product_averages(factors, Ylo, Yhi, NY) \
         if half.vanishes is None else None
-    try:
-        out_lo, out_hi, perm = _grid_bijection(fY, A)
-    except DomainError as err:
-        return fail(f"cell transport not exact: {err}")
+    out_lo, out_hi, perm, fault = _cell_transport(fY, A)
+    if fault:
+        return fail(f"cell transport not exact: {fault}")
     w_out = product_averages(factors, out_lo, out_hi, NY)
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
@@ -1004,6 +989,11 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
 
     rhs_base = half.rhs_base
     if rhs_base == 0.0:
+        if f.values.any():
+            # w > 0 on every cell, so only underflow rounds it to 0
+            power = "w^p" if frac else "w"
+            return fail(f"right-hand side underflows: the integral of f^p "
+                        f"{power} rounds to 0 at p = {p!r} on a nonzero f")
         return ChainReport(True, "f is zero; chain is vacuous",
                            [ChainStep("vacuous", "zero function", 0.0, 0.0)],
                            {"rhs_base": 0.0}, frac)

@@ -986,21 +986,16 @@ def product_averages(factors, lo, hi, n: int) -> np.ndarray:
         w.cell_averages(a, b, n) for w, a, b in zip(factors, lo, hi)])
 
 
-def sample_to_grid(w: SegmentWeight1D, box, n: int) -> GridFunction:
-    """Exact cell-average sampling of a 1D analytic weight."""
+def sample_to_grid(w, box, n: int) -> GridFunction:
+    """Exact cell averages of an analytic weight on n cells per axis of box:
+    w is a SegmentWeight1D or a product weight w_1(x_1)...w_d(x_d), a tuple
+    of them, one factor per axis, as ``compose_matrix`` takes it."""
+    factors = (w,) if isinstance(w, SegmentWeight1D) else tuple(w)
     lo, hi = _normalize_box(box)
-    if len(lo) != 1:
-        raise ValueError("sample_to_grid is 1D; use sample_product_to_grid for 2D")
-    return GridFunction(box, product_averages((w,), lo, hi, int(n)))
-
-
-def sample_product_to_grid(wx: SegmentWeight1D, wy: SegmentWeight1D, box,
-                           n: int) -> GridFunction:
-    """Exact cell averages of the separable density wx(x) * wy(y) on a 2D box."""
-    lo, hi = _normalize_box(box)
-    if len(lo) != 2:
-        raise ValueError("expected a 2D box")
-    return GridFunction(box, product_averages((wx, wy), lo, hi, int(n)))
+    if len(factors) != len(lo):
+        raise ValueError(f"a {len(lo)}D box needs one weight factor per "
+                         f"axis, got {len(factors)}")
+    return GridFunction(box, product_averages(factors, lo, hi, int(n)))
 
 
 # ---------------------------------------------------------------------------

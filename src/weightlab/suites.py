@@ -251,8 +251,8 @@ def suite_prop41() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_prop42(p: float = 2.0) -> SuiteResult:
-    if not p > 1.0:
-        raise ValueError("need p > 1")
+    if not (p > 1.0 and math.isfinite(p)):
+        raise ValueError("need a finite p > 1")
     w = exp_growth_weight(p)
     checks = []
 

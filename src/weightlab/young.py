@@ -24,15 +24,17 @@ _CERT_TOL = 1e-8          # certificate: avg phi(f/lam) within this of 1
 class YoungFn:
     """One of a small closed set of Young functions.
 
-    kinds: identity, power (c*t^r, r>1, c>0), power_log (t^r log(e+t)^beta,
-    r>=1, beta>0), exp_minus_one (e^t - 1), sup (the {0, inf} complement of
-    identity, whose Luxemburg norm is the sup norm), legendre_of (numeric
-    complement of a base function).  ``bump_exponent(p, eps)`` is the power
-    t^{p/(p+eps-1)}.  The constructors take finite numbers only.
+    kinds: identity (the power t^1: r = c = 1), power (c*t^r, r>1, c>0),
+    power_log (t^r log(e+t)^beta, r>=1, beta>0), exp_minus_one (e^t - 1),
+    sup (the {0, inf} complement of identity, whose Luxemburg norm is the
+    sup norm), legendre_of (numeric complement of a base function).  The
+    homogeneous kinds, identity and power, are c*t^r throughout.
+    ``bump_exponent(p, eps)`` is the power t^{p/(p+eps-1)}.  The
+    constructors take finite numbers only.
     """
 
     kind: str
-    r: float = 0.0
+    r: float = 1.0
     c: float = 1.0
     beta: float = 0.0
     base: "YoungFn | None" = None
@@ -74,9 +76,7 @@ class YoungFn:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            out = t.copy()
-        elif self.kind == "power":
+        if self.is_homogeneous:
             out = self.c * t ** self.r
         elif self.kind == "power_log":
             out = t ** self.r * np.log(np.e + t) ** self.beta
@@ -94,9 +94,7 @@ class YoungFn:
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            out = np.ones_like(t)
-        elif self.kind == "power":
+        if self.is_homogeneous:
             out = self.c * self.r * t ** (self.r - 1.0)
         elif self.kind == "power_log":
             lg = np.log(np.e + t)
@@ -116,9 +114,7 @@ class YoungFn:
     @property
     def exponent(self):
         """Power-type growth exponent, or None when not power-type."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind in ("power", "power_log"):
+        if self.is_homogeneous or self.kind == "power_log":
             return self.r
         return None
 
@@ -262,7 +258,7 @@ def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
     Other phi bisect per interval on integrals over Gauss panels
     geometrically refined toward singular points (8 nodes per panel).
     """
-    power = phi.is_homogeneous and phi.kind != "identity"
+    power = phi.kind == "power"
     powered, singular = w.powered_pieces(phi.r) if power else (w, [])
 
     def norms(a, b):
@@ -350,11 +346,9 @@ def luxemburg_norms(rows: np.ndarray, phi: YoungFn,
     if phi.kind == "sup":
         return [v if v != 0.0 else 0.0 for v in vmax.tolist()]
     if phi.is_homogeneous:
-        r = 1.0 if phi.kind == "identity" else phi.r
-        c = 1.0 if phi.kind == "identity" else phi.c
-        moments = (c * (rows ** r).sum(axis=1) / count).tolist()
+        moments = (phi.c * (rows ** phi.r).sum(axis=1) / count).tolist()
         if phi.kind != "identity":
-            moments = [mo ** (1.0 / r) for mo in moments]
+            moments = [mo ** (1.0 / phi.r) for mo in moments]
         return [0.0 if v == 0.0 else mo
                 for v, mo in zip(vmax.tolist(), moments)]
     out = []
@@ -521,12 +515,10 @@ def bp_integral(phi: YoungFn, p: float, T: float = 2.0 ** 30) -> BpReport:
 
     tail = None
     converges = None
-    if phi.kind in ("identity", "power"):
-        r = phi.exponent
-        c = phi.c if phi.kind != "identity" else 1.0
-        converges = r < p
+    if phi.is_homogeneous:
+        converges = phi.r < p
         if converges:
-            tail = c * T ** (r - p) / (p - r)
+            tail = phi.c * T ** (phi.r - p) / (p - phi.r)
     elif phi.kind == "power_log":
         converges = phi.r < p if phi.r != p else False
     elif phi.kind == "exp_minus_one":

@@ -21,6 +21,7 @@ from weightlab import czlab
 from weightlab.czlab import (
     CZDecomposition,
     CZLevel,
+    _cell_transport,
     _children,
     _e_minima,
     _expansion,
@@ -700,6 +701,18 @@ def test_level_sets_rotation_fallback():
     assert ls.omega[0].shape == (16, 16)
 
 
+def test_cell_transport_fault():
+    """None with a permutation of the cells for a quarter turn; a rotation
+    by 0.7 sends some image cells' preimages out of the box."""
+    f = GridFunction(((-1.0, -1.0), (1.0, 1.0)), np.ones((16, 16)))
+    lo, hi, back, fault = _cell_transport(f, SquareMatrix([[0.0, -1.0],
+                                                           [1.0, 0.0]]))
+    assert fault is None and (lo, hi) == (f.lo, f.hi)
+    assert sorted(back.tolist()) == list(range(256))
+    fault = _cell_transport(f, SquareMatrix(ROTATION_07))[3]
+    assert fault == "image grid does not map back into the box"
+
+
 def _level_set_images(f, A, a, ks):
     ls = level_sets(f, A, a, ks)
     return ls, [ls.omega_A[k] for k in ls.ks] + [ls.D_A[k] for k in ls.ks]
@@ -885,6 +898,37 @@ def test_chain_vacuous_zero_function():
     assert rep.applicable
     assert [s.name for s in rep.steps] == ["vacuous"]
     assert rep.passed()
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
+def test_chain_rejects_a_nonfinite_p(p):
+    f = GridFunction((-1.0, 1.0), np.random.default_rng(0).random(64))
+    with pytest.raises(ValueError, match="need a finite p > 1"):
+        theorem_chain_check(f, power_weight(0.5, -40.0, 40.0), 2.0, p, PHI)
+
+
+def test_chain_underflowing_rhs_of_a_nonzero_f_is_not_vacuous():
+    """At p = 1e308 every f^p of this f in [0, 1) underflows, so the
+    right-hand side rounds to 0 although f is not zero: the chain has
+    nothing to replay and says why, instead of passing as vacuous."""
+    f = GridFunction((-1.0, 1.0), np.random.default_rng(0).random(64))
+    rep = theorem_chain_check(f, power_weight(0.5, -40.0, 40.0), 2.0, 1e308,
+                              PHI)
+    assert not rep.applicable and not rep.passed()
+    assert rep.reason == ("right-hand side underflows: the integral of f^p "
+                          "w rounds to 0 at p = 1e+308 on a nonzero f")
+
+
+def test_chain_sup_phi_has_no_bump_class_check():
+    """phi = sup is not homogeneous, so no norms on the tripled cubes are
+    taken and the three bump-class constants are None."""
+    rep = theorem_chain_check(corpus_function(64),
+                              power_weight(0.5, -40.0, 40.0), 2.0, 2.0,
+                              YoungFn("sup"))
+    assert rep.applicable, rep.reason
+    assert rep.passed()
+    assert [rep.constants[k] for k in ("bump_on_triples", "bump_class_factor",
+                                       "bump_class_consistent")] == [None] * 3
 
 
 def test_chain_inapplicable_outside_weight_support():

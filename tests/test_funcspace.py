@@ -35,7 +35,6 @@ from weightlab.funcspace import (
     exact_totals,
     power_weight,
     round_total,
-    sample_product_to_grid,
     sample_to_grid,
     span_rows,
     span_totals,
@@ -714,9 +713,21 @@ def test_sample_to_grid_is_exact_cell_average():
 def test_sample_product_grid():
     wx = power_weight(0.5, -4.0, 4.0)
     wy = constant_weight(2.0, -4.0, 4.0)
-    g = sample_product_to_grid(wx, wy, ((0.0, 0.0), (2.0, 2.0)), 8)
+    g = sample_to_grid((wx, wy), ((0.0, 0.0), (2.0, 2.0)), 8)
     assert g.values[3, 5] == pytest.approx(
         (wx.mass(0.75, 1.0) / 0.25) * 2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("w, box", [
+    ((power_weight(0.5, -4.0, 4.0), constant_weight(2.0, -4.0, 4.0)),
+     (0.0, 2.0)),
+    (power_weight(0.5, -4.0, 4.0), ((0.0, 0.0), (2.0, 2.0))),
+], ids=["1D-box-two-factors", "2D-box-one-factor"])
+def test_sample_to_grid_needs_one_factor_per_axis(w, box):
+    got = len(w) if isinstance(w, tuple) else 1
+    with pytest.raises(ValueError, match=f"needs one weight factor per "
+                                         f"axis, got {got}"):
+        sample_to_grid(w, box, 8)
 
 
 def test_cell_of_point_and_centers():

@@ -88,6 +88,12 @@ def test_suite_exponential_rejects_p_one():
         suite_prop42(1.0)
 
 
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_cli_verify_prop42_nonfinite_p_exits_two(capsys, p):
+    assert main(["verify", "prop42", "--p", p]) == 2
+    assert capsys.readouterr().err == "error: need a finite p > 1\n"
+
+
 def test_suite_reflection_probe():
     r = suite_prop43()
     assert [c.name for c in r.checks] == [
@@ -476,6 +482,31 @@ def test_cli_maximal_orlicz_negative_alpha_exits_two(grid_file, tmp_path,
                  "--phi", str(phi), "--alpha", "-1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: alpha must lie in [0, dim)\n"
+
+
+@pytest.mark.parametrize("name, options", [
+    ("f1.json", ["--lengths", "all"]),
+    ("f1.json", ["--lengths", "dyadic"]),
+    ("f2.json", ["--lengths", "all"]),
+    ("f2.json", ["--lengths", "dyadic"]),
+    ("f2.json", ["--matrix", "m.json"]),
+], ids=["1d-all", "1d-dyadic", "2d-all", "2d-dyadic", "2d-matrix"])
+def test_cli_orlicz_identity_writes_the_hl_csv(tmp_path, capsys, name,
+                                               options):
+    """phi(t) = t is the plain average: the orlicz field's CSV has the bytes
+    of the hl field's."""
+    write_maximal_inputs(tmp_path)
+    (tmp_path / "phi.json").write_text(json.dumps({"kind": "identity"}))
+    options = [str(tmp_path / a) if a.endswith(".json") else a
+               for a in options]
+    csv = {}
+    for op in (["hl"], ["orlicz", "--phi", str(tmp_path / "phi.json")]):
+        out = tmp_path / f"{op[0]}.csv"
+        assert main(["maximal", "--input", str(tmp_path / name),
+                     "--operator", *op, *options, "--out", str(out)]) == 0
+        csv[op[0]] = out.read_bytes()
+    capsys.readouterr()
+    assert csv["orlicz"] == csv["hl"]
 
 
 def test_cli_maximal_orlicz_sup_phi(grid_file, tmp_path, capsys):

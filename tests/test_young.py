@@ -166,6 +166,23 @@ def test_young_fn_from_json_reads_every_builtin_kind():
         YoungFn.from_json_dict({"kind": "legendre_of"})
 
 
+IDENTITY_POINTS = [-0.0, 5e-324, 1e300, math.inf]
+
+
+def test_identity_is_the_power_t_to_the_one():
+    phi = YoungFn.identity()
+    assert (phi.r, phi.c) == (1.0, 1.0) and phi.is_homogeneous
+    assert phi.exponent == 1.0
+    # bit for bit t, the sign of -0.0 and a subnormal included, one point
+    # at a time and as one array
+    for t in IDENTITY_POINTS:
+        assert phi(t).hex() == t.hex()
+        assert phi.derivative(t) == 1.0
+    ts = np.array(IDENTITY_POINTS)
+    assert phi(ts).view(np.int64).tolist() == ts.view(np.int64).tolist()
+    assert phi.derivative(ts).tolist() == [1.0] * len(IDENTITY_POINTS)
+
+
 def test_grid_norm_cube_beyond_box_pads_zeros():
     vals = np.ones(8)
     g = GridFunction((0.0, 2.0), vals)
@@ -190,6 +207,12 @@ def test_analytic_norm_nonhomogeneous_vs_fine_grid():
     g = sample_to_grid(w, (0.5, 1.5), 4096)
     ref = luxemburg_norm_of_values(g.values, phi)
     assert got == pytest.approx(ref, rel=1e-5)
+
+
+def test_analytic_norm_sup_phi_is_the_largest_value():
+    # sqrt(x) on [1, 4] peaks at 2, exactly
+    w = power_weight(0.5, -4.0, 4.0)
+    assert luxemburg_norm(w, (1.0, 4.0), YoungFn("sup")) == 2.0
 
 
 def test_analytic_norm_nonintegrable_power_is_inf():
@@ -248,6 +271,14 @@ def test_bp_vs_quadrature_power_log():
     ref, _ = quad(lambda u: phi(math.exp(u)) * math.exp(-p * u),
                   0.0, 24.0 * math.log(2.0), limit=400)
     assert rep.value == pytest.approx(ref, rel=1e-8)
+    assert rep.converges is True
+
+
+def test_bp_identity_frozen():
+    """The identity's B_2 integral and tail, frozen as hex."""
+    rep = bp_integral(YoungFn.identity(), 2.0)
+    assert rep.value.hex() == "0x1.fffffff7fffffp-1"
+    assert rep.tail.hex() == "0x1.0000000000000p-30"
     assert rep.converges is True
 
 
