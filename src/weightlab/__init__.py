@@ -31,6 +31,7 @@ from .maximal import (
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
+    hl_maximals,
     matrix_compose,
     orlicz_maximal,
 )
@@ -72,7 +73,8 @@ __all__ = [
     "constant_weight", "load_family", "load_matrix", "load_weight",
     "power_weight", "product_averages", "sample_to_grid",
     "YoungFn", "bp_integral", "complementary", "holder_defect", "luxemburg_norm",
-    "dyadic_maximal", "fractional_maximal", "hl_maximal", "matrix_compose",
+    "dyadic_maximal", "fractional_maximal", "hl_maximal", "hl_maximals",
+    "matrix_compose",
     "orlicz_maximal",
     "ClassSpec", "ap_product", "aap_product", "class_constant",
     "finite_order_reduction", "rh_inclusion_check", "rh_ratio",

@@ -913,7 +913,25 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
 def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     """The chain on one case (w, A, p) of a batch, reading the f-only terms
     from the corpus c and the A-free terms from its (w, p) half; the last
-    case takes its whole grids at their last use."""
+    case takes its whole grids at their last use.  A power that leaves the
+    float range, a Python float one (a^((k+1) q) at a large p, say) or a
+    whole-grid one (M^q, w^q), ends the case with a not-applicable report
+    naming the last step it built."""
+    steps = []
+    try:
+        with np.errstate(over="raise"):
+            return _chain_steps(c, w, A, p, last, steps)
+    except (OverflowError, FloatingPointError):
+        after = f"after step {steps[-1].name}" if steps else \
+            "before its first step"
+        return ChainReport(False, "a power of the chain overflows the float "
+                           f"range at p = {p!r}, {after}", steps, {},
+                           c.alpha > 0.0)
+
+
+def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
+                 steps: list) -> ChainReport:
+    """``_chain_case``'s report, appending each step to ``steps``."""
     f, a, alpha = c.f, c.a, c.alpha
     dim = f.dim
     A = c.matrix(A)
@@ -935,7 +953,6 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     E = q                       # exponent of the left-hand side
     phi = c.phi
     half = c.half(factors, p)
-    steps = []
 
     def fail(reason: str) -> ChainReport:
         return ChainReport(False, reason, steps, {}, frac)
@@ -970,9 +987,17 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     if half.vanishes is None:
         half.vanishes = bool((wY <= 0).any())
         if not half.vanishes:
-            rhs_weight = wY[inner] ** p if frac else wY[inner]
-            half.rhs_base = exact_sums(f.values ** p * rhs_weight)[0] * volY
+            # an f^p or w^p cell that overflows makes the sum inf, as does
+            # a sum beyond the float range; the report names it below
+            with np.errstate(over="ignore"):
+                rhs_weight = wY[inner] ** p if frac else wY[inner]
+                rhs_cells = f.values ** p * rhs_weight
             del rhs_weight      # without the power, a view that holds wY
+            try:
+                half.rhs_base = exact_sums(rhs_cells)[0] * volY
+            except OverflowError:
+                half.rhs_base = math.inf
+            del rhs_cells
     del wY
     if half.vanishes:
         return fail("weight vanishes on a cell of the working box")
@@ -988,10 +1013,13 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
     del perm, w_out
 
     rhs_base = half.rhs_base
+    power = "w^p" if frac else "w"
+    if math.isinf(rhs_base):
+        return fail(f"right-hand side overflows: the integral of f^p {power} "
+                    f"leaves the float range at p = {p!r}")
     if rhs_base == 0.0:
         if f.values.any():
             # w > 0 on every cell, so only underflow rounds it to 0
-            power = "w^p" if frac else "w"
             return fail(f"right-hand side underflows: the integral of f^p "
                         f"{power} rounds to 0 at p = {p!r} on a nonzero f")
         return ChainReport(True, "f is zero; chain is vacuous",

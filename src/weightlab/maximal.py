@@ -38,11 +38,12 @@ picks one of three paths that spread the values to the cells:
   bounding box of those cells (the whole-box floor).
 * **Quadrant maximum** (``_quadrant_max``): every length on a 1D grid,
   where the recursion is the quadrant maximum field[i] = max of V[a, b]
-  over a <= i < b of the window values V.  It runs in blocks of a fixed
-  number of rows a, with maxima along b and along a.  The averages give a
-  block's values in their 1D block form: one broadcast difference of
-  prefix sums over every end, divided by sides read, like the scale
-  factors, from a strided window of one ramp, so no window is gathered.
+  over a <= i < b of the window values V.  It takes a stack of grids of
+  one cell count, a single grid being a stack of one (``hl_maximals``
+  sweeps many at once), and runs in blocks of a fixed number of rows a,
+  with maxima along b and along a.  The values come from one stack of the
+  grids' prefix sums, divided by sides read, like the scale factors, from
+  one matrix of window lengths, so no window is gathered.
 
 All three read the same window values and max is exact, so each field
 equals the per-length spread of every window bit for bit.  One exception:
@@ -68,7 +69,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .funcspace import (
     CubeFamily,
@@ -83,6 +83,7 @@ from .young import YoungFn, luxemburg_norms
 
 __all__ = [
     "hl_maximal",
+    "hl_maximals",
     "fractional_maximal",
     "dyadic_maximal",
     "orlicz_maximal",
@@ -422,107 +423,172 @@ def _nested_max(f: GridFunction, lengths, cube_values,
     return GridFunction((f.lo, f.hi), field)
 
 
-_BLOCK_ROWS = 64            # rows a of one block in _quadrant_max
-_BLOCK_CAP = 1 << 17        # but at most this many cells in a block
+_BLOCK_ROWS = 16            # rows a of one block in _quadrant_max
+_BLOCK_CAP = 1 << 16        # at most this many cells in a chunk's arrays
 
 
-def _quadrant_max(f: GridFunction, cube_values,
-                  alpha: float = 0.0) -> GridFunction:
-    """The ``_sweep`` field of a 1D grid for the window set of every length.
+def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
+                  alpha: float = 0.0) -> np.ndarray:
+    """The ``_sweep`` fields of a stack of 1D grids of one cell count n for
+    the window set of every length, as a (len(fs), n) array, for the
+    functional of ``_averages(f, r, c)``; alpha > 0 takes the cell width of
+    fs[0].  A single grid is a stack of one.
 
     With V[a, b] the scaled value of the window [a, b), that field is the
-    quadrant maximum field[i] = max of V[a, b] over a <= i < b.  Rows a run
-    in blocks [a0, a1) of _BLOCK_ROWS rows, fewer where a block of n cells
-    would pass _BLOCK_CAP, with the columns b in descending order so that
-    running maxima follow the contiguous axis:
+    quadrant maximum field[i] = max of V[a, b] over a <= i < b.  The values
+    come from one (len(fs), n + 1) stack of prefix sums, each grid's own
+    support-box prefix (``_box_prefix``).  Rows a run in blocks [a0, a1) of
+    _BLOCK_ROWS rows, fewer where n * rows would pass _BLOCK_CAP, and the
+    grids in chunks of as many as keep every array of a chunk within
+    _BLOCK_CAP cells (512 KiB).  The windows of a cell i split by where they
+    end:
 
-    * the tail columns b > a1 hold windows of every row of the block; their
-      maximum over the rows, run down b, serves the cells i >= a1, and
-      their maximum along each row, run down a, serves the block's cells;
-    * the head columns a0 < b <= a1 hold a triangle of windows whose
-      quadrant maximum, a running max along b and then along a, is read on
-      its diagonal b = i + 1.  That read sees only b' > i >= a', so the
-      entries with b <= a, which hold no window, never reach it.
+    * the heads, a0 < b <= a1, are the windows inside i's block.  Those of
+      every block of a chunk are one (rows, rows, grids, blocks) array H[a,
+      b]; a running max down the rows a, then the max over the columns
+      b > i of row i, gives each cell's head maximum.  That read sees only
+      b > i >= a, so the entries with b <= a, which hold no window, never
+      reach it.  A short last block is a chunk's second, one-block array;
+    * the tails, b > a1, hold windows of every row of a block; they run a
+      block at a time over the chunk, with the columns b ascending so that
+      every read of the prefixes is contiguous.  Their maximum along each
+      row, run along a, serves the block's own cells.  Their maximum over
+      the rows goes into W[b], the largest tail value ending at b of the
+      blocks so far, which serves each later block's cells i: the max of
+      W[b] over b > i, a running max inside that block and one reduction
+      after it.
 
-    Almost all of a block is tail, whose two maxima are reductions; the
-    running maxima cover only the head's rows^2 entries and the tail's two
-    reduced lines.  A block also pays some twenty numpy calls, which a
-    fixed row count keeps few, while the cap keeps its arrays in the cache
-    at 1 MiB.  On a shared 2-core x86-64 VM (minimum of interleaved runs,
-    ms): n = 64 took 0.152 at 32 rows and 0.145 at 64 (one block); n = 512
-    1.71 at 32 and 1.60 at 48 to 64; n = 4096 33.2 at 32, 33.5 at 48 and
-    35.5 at 64; n = 2^14 505 at 8 (the cap), 470 at 16 and 586 at 32.
+    Almost all of the windows are tails, whose two maxima are reductions,
+    and a block pays some ten numpy calls for all the grids of its chunk.
+    On a shared 2-core x86-64 VM (minimum of 15 interleaved runs in one
+    process, ms; median in brackets): 50 grids of 512 cells took 46.4 at 8
+    rows, 37.0 (47.8) at 16, 39.4 at 24, 43.2 at 32 and 55.0 at 64,
+    against 86.2 (92.7) one grid at a time in blocks of 64 rows with
+    descending columns; one grid of 4096 cells 48.6, 38.3 (42.9), 36.8,
+    37.5 and 39.1, against 36.2 (43.9).
 
-    The block's values come from the block form of ``_averages``: one
-    broadcast difference of prefix sums over the columns b = n, ..., a0 + 1,
-    divided by the sides max(b - a, 1).  Every row of a block reads the same
-    columns, so the sides and, for alpha > 0, the scale factors of a block
-    are strided windows of one ramp each: entry (a, j) of a sliding window
-    of width n over a ramp x is x[a + j], and the ramps hold the sides
-    n, n - 1, ..., 1, 1, ... and their factors.  Each window value comes
-    from the same float operations as in ``_sweep``, and max is exact, so
-    both give the same field bit for bit.
+    The window [a0 + i, a0 + 1 + j) has the side max(j + 1 - i, 1) whatever
+    a0 (1 where it holds no window), so one (rows, n) length matrix gives
+    the sides of every head and tail, and for alpha > 0 their scale
+    factors, as views.  Each window value comes from the same float
+    operations as in ``_sweep`` (``_window_means``), every value is +0.0 or
+    more, and max is exact, so both give the same field bit for bit.
     """
-    n = f.shape[0]
-    ramp = np.concatenate((np.arange(n, 0, -1.0), np.ones(n - 1)))
-    sides = sliding_window_view(ramp, n)
+    n = fs[0].shape[0]
+    P = np.stack([_box_prefix(f, r)[2] for f in fs])
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CAP // n, n))
+    sides = np.maximum(np.arange(1.0, n + 1.0) - np.arange(rows)[:, None],
+                       1.0)
+    scales = None
     if alpha != 0.0:
-        scales = [_scale(L, f.h[0], alpha) for L in range(n, 0, -1)]
-        scales = sliding_window_view(np.array(scales + scales[-1:] * (n - 1)),
-                                     n)
-    out = np.full(n, -np.inf)
-    cells = np.arange(n)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CAP // n))
-    for a0 in range(0, n, rows):
-        a1 = min(n, a0 + rows)
-        block = (slice(a0, a1), slice(None, n - a0))  # column j: b = n - j
-        V = cube_values(sides[block], block[:1])
-        if alpha != 0.0:
-            V *= scales[block]
-        k = n - a1                              # the columns b > a1
-        head = V[:, k:]
-        np.maximum.accumulate(head, axis=1, out=head)
-        np.maximum.accumulate(head, axis=0, out=head)
-        i = cells[a0:a1]
-        best = head[i - a0, a1 - 1 - i]
-        tail = V[:, :k]
-        if k:
-            np.maximum(best, np.maximum.accumulate(tail.max(axis=1)),
-                       out=best)
-            below = np.maximum.accumulate(tail.max(axis=0))[::-1]
-            np.maximum(out[a1:], below, out=out[a1:])
-        np.maximum(out[a0:a1], best, out=out[a0:a1])
-        del V, head, tail       # the next block's values take their place
-    return GridFunction((f.lo, f.hi), out)
+        table = [_scale(L, fs[0].h[0], alpha) for L in range(1, n + 1)]
+        scales = np.array(table)[sides.astype(int) - 1]
+
+    def values(ends, starts, axis, cells):
+        # the scaled values of the windows from each start to each end, the
+        # starts along ``axis``, where ends has length 1; their sides are
+        # the length matrix's entries ``cells``.  The ends repeated and the
+        # starts taken in place subtract faster than one broadcast
+        S = np.repeat(ends, starts.shape[axis], axis=axis)
+        S -= starts
+        V = _window_means(S, sides[cells], r, c)
+        if scales is not None:
+            V *= scales[cells]
+        return V
+
+    def heads(Q, a0, blocks, m):
+        # the head maxima of ``blocks`` blocks of m rows from a0 on, with
+        # the rows i and columns j of a block leading: H[i, j, grid, block]
+        starts, ends = (Q[:, a:a + blocks * m].reshape(-1, blocks, m)
+                        .transpose(2, 0, 1) for a in (a0, a0 + 1))
+        H = values(ends[None], starts[:, None], 0,
+                   (slice(m), slice(m), None, None))
+        best = np.empty((m,) + H.shape[2:])
+        for i in range(m):
+            if i:
+                np.maximum(H[i], H[i - 1], out=H[i])    # max over rows <= i
+            H[i, i:].max(axis=0, out=best[i])           # over columns >= i
+        return best.transpose(1, 2, 0).reshape(-1, blocks * m)
+
+    out = np.empty((len(fs), n))
+    full = n // rows * rows
+    step = max(1, _BLOCK_CAP // (rows * n))     # grids in a chunk
+    for g0 in range(0, len(fs), step):
+        Q, field = P[g0:g0 + step], out[g0:g0 + step]
+        field[:, :full] = heads(Q, 0, n // rows, rows)
+        if full < n:
+            field[:, full:] = heads(Q, full, 1, n - full)
+        # W[b]: the largest tail value of the blocks done so far at end b
+        W = np.full((len(Q), n + 1), -np.inf)
+        for a0 in range(0, n, rows):
+            a1 = min(n, a0 + rows)
+            cells = field[:, a0:a1]
+            # windows of earlier blocks' tails that hold a cell i: ends
+            # b > i, inside the block or after it
+            inside = np.maximum.accumulate(W[:, a1:a0:-1], axis=1)[:, ::-1]
+            if a1 < n:
+                np.maximum(inside, W[:, a1 + 1:].max(axis=1, keepdims=True),
+                           out=inside)
+            np.maximum(cells, inside, out=cells)
+            if a1 == n:
+                break
+            T = values(Q[:, None, a1 + 1:], Q[:, a0:a1, None], 1,
+                       (slice(None), slice(rows, rows + n - a1)))
+            np.maximum(cells, np.maximum.accumulate(T.max(axis=2), axis=1),
+                       out=cells)
+            ends = W[:, a1 + 1:]
+            np.maximum(ends, T.max(axis=1), out=ends)
+            del T               # the next block's values take its place
+    return out
 
 
 _FLOOR_SLACK = 2.0 ** -36    # relative slack of a floor bound t_L
 _FLOOR_TINY = 2.0 ** -1000    # below it, rounding is not relative
 
 
+def _box_prefix(f: GridFunction, r: float | None = None):
+    """(box, y, P): the support box [s, e) per axis of f's nonzero cells,
+    the box's cells y of f (of f^r), and the float prefix sums P of f (of
+    f^r) for the whole grid, summed over y only: a window end i reads
+    the box prefix at clamp(i - s, 0, e - s) on each axis, gathered once
+    for every i.
+
+    That is the whole grid's prefix bit for bit up to the signs of zeros:
+    numpy's cumsum adds in order, and a zero of either sign added to x != 0
+    gives x, so along each axis the whole grid's running sums are zeros
+    before the box, the box's own sums in it, and its last sum after it.
+    The window differences then agree up to the signs of zeros too, and
+    the clamp of ``_window_means`` makes every zero +0.0.  With full
+    support the box is the grid and the prefix is the grid's own, without
+    a copy.  Raises ValueError where a sum overflows."""
+    box = _support_box(f) or [(0, 0)] * f.dim   # all zero: an empty box
+    cells = f.values[tuple(slice(s, e) for s, e in box)]
+    with np.errstate(over="ignore"):    # the prefix check reports it
+        y = cells if r is None else cells ** r
+        P = _cumsum_prefix(y)
+    for axis, ((s, e), m) in enumerate(zip(box, f.shape)):
+        if (s, e) != (0, m):
+            P = P.take(np.clip(np.arange(-s, m + 1 - s), 0, e - s), axis=axis)
+    return box, y, P
+
+
+def _window_means(S, side, r: float | None, c: float):
+    """The values (c * S / side)^(1/r) of windows with sums S (plain S /
+    side for r=None), in place in S, a new array."""
+    # clamp: cancellation in the prefix sums can leave tiny negatives over
+    # all-zero stretches, which fractional powers would turn into NaN
+    vals = np.maximum(S, 0.0, out=S)
+    vals /= side
+    if r is not None:
+        vals *= c
+        vals **= 1.0 / r
+    return vals
+
+
 def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
-    """Cube functional (c * avg f^r)^(1/r) from one prefix; r=None is the
-    plain average.  The side is an int and the starts one slice per axis.
-
-    The 1D block form serves ``_quadrant_max``: the side is a float array
-    of shape (a1 - a0, n - a0) and the starts are (slice(a0, a1),).  Entry
-    (a, j) is then the window [a, b) with b = n - j, whose side the array
-    holds at (a - a0, j), as a float.  Its sum is one broadcast difference
-    of the prefix, ends along the columns and starts along the rows.
-    Entries with b <= a hold no window (the side array holds 1 there);
-    they are finite and nonnegative, which is all the quadrant maximum
-    needs of them.
-
-    The prefix sums run over the support box [s, e) of f's nonzero cells
-    only, and a window end i reads the box prefix at clamp(i - s, 0, e - s)
-    on each axis, gathered once for every i.  That is the whole grid's
-    prefix bit for bit up to the signs of zeros: numpy's cumsum adds in
-    order, and a zero of either sign added to x != 0 gives x, so along each
-    axis the whole grid's running sums are zeros before the box, the box's
-    own sums in it, and its last sum after it.  The window differences then
-    agree up to the signs of zeros too, and the clamp below makes every
-    zero +0.0.  With full support the box is the grid and the prefix is
-    the grid's own, without a copy.
+    """Cube functional (c * avg f^r)^(1/r) from one prefix (``_box_prefix``);
+    r=None is the plain average.  The side is an int and the starts one
+    slice per axis.
 
     ``values.floor_box(F0, sides, scales)`` serves the floor of
     ``_nested_max``: the bounding box of the cells whose summed value y
@@ -544,38 +610,19 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
     or a term leaves the normal range, the bound does not apply and the
     support box comes back; None means no cell exceeds t.
     """
-    box = _support_box(f) or [(0, 0)] * f.dim   # all zero: an empty box
-    cells = f.values[tuple(slice(s, e) for s, e in box)]
-    with np.errstate(over="ignore"):    # the prefix check reports it
-        y = cells if r is None else cells ** r
-        P = _cumsum_prefix(y)
-    err = (sum(y.shape) + 2) * 2.0 ** (f.dim - 51) * float(P.flat[-1])
-    for axis, ((s, e), m) in enumerate(zip(box, f.shape)):
-        if (s, e) != (0, m):
-            P = P.take(np.clip(np.arange(-s, m + 1 - s), 0, e - s), axis=axis)
-    n, dim = f.shape[0], f.dim
+    box, y, P = _box_prefix(f, r)
+    dim = f.dim
+    err = (sum(y.shape) + 2) * 2.0 ** (dim - 51) * float(P.flat[-1])
 
     def values(side, starts):
-        if isinstance(side, np.ndarray):
-            a0 = starts[0].start
-            S = P[n:a0:-1] - P[starts[0], None]
+        ends = tuple(slice(s.start + side, s.stop + side, s.step)
+                     for s in starts)
+        if dim == 1:
+            S = P[ends] - P[starts]
         else:
-            ends = tuple(slice(s.start + side, s.stop + side, s.step)
-                         for s in starts)
-            if dim == 1:
-                S = P[ends] - P[starts]
-            else:
-                S = (P[ends] - P[starts[0], ends[1]]
-                     - P[ends[0], starts[1]] + P[starts])
-            side = side ** dim
-        # clamp: cancellation in the prefix sums can leave tiny negatives over
-        # all-zero stretches, which fractional powers would turn into NaN.
-        # S is a new array, so the clamp and the division may reuse it.
-        vals = np.maximum(S, 0.0, out=S)
-        vals /= side
-        if r is not None:
-            vals = (c * vals) ** (1.0 / r)
-        return vals
+            S = (P[ends] - P[starts[0], ends[1]]
+                 - P[ends[0], starts[1]] + P[starts])
+        return _window_means(S, side ** dim, r, c)
 
     e, cr = (1.0, 1.0) if r is None else (r, c)
     edges = []          # per axis, the largest y over the other axes
@@ -640,22 +687,41 @@ def _luxemburg_norms(f: GridFunction, phi: YoungFn):
     return values
 
 
-def _average_field(f: GridFunction, family, lengths, cube_values,
-                   alpha: float = 0.0) -> GridFunction:
-    """Field of a prefix-average functional: the window set picks the path,
-    the lattice sweep for a family, one quadrant maximum for every 1D
-    length, else the nested recursion."""
+def _average_field(f: GridFunction, family, lengths, alpha: float = 0.0,
+                   r: float | None = None, c: float = 1.0) -> GridFunction:
+    """Field of the prefix-average functional ``_averages(f, r, c)``: the
+    window set picks the path, the lattice sweep for a family, the quadrant
+    maximum of a stack of one for every 1D length, else the nested
+    recursion."""
     if family is not None:
-        return _sweep(f, _lattices(f, family), cube_values, alpha)
+        return _sweep(f, _lattices(f, family), _averages(f, r, c), alpha)
     if f.dim == 1 and _every_length(lengths):
-        return _quadrant_max(f, cube_values, alpha)
-    return _nested_max(f, lengths, cube_values, alpha)
+        return GridFunction((f.lo, f.hi), _quadrant_max([f], r, c, alpha)[0])
+    return _nested_max(f, lengths, _averages(f, r, c), alpha)
 
 
 def hl_maximal(f: GridFunction, family: CubeFamily | None = None,
                lengths="all") -> GridFunction:
     """Hardy-Littlewood maximal field: sup of cube averages."""
-    return _average_field(f, family, lengths, _averages(f))
+    return _average_field(f, family, lengths)
+
+
+def hl_maximals(fs) -> list:
+    """``[hl_maximal(f) for f in fs]`` bit for bit, every length: the 1D
+    grids of one cell count share one stacked quadrant maximum."""
+    fs = list(fs)
+    out = [None] * len(fs)
+    stacks = {}
+    for k, f in enumerate(fs):
+        if f.dim == 1:
+            stacks.setdefault(f.shape[0], []).append(k)
+        else:
+            out[k] = hl_maximal(f)
+    for ks in stacks.values():
+        fields = _quadrant_max([fs[k] for k in ks])
+        for k, values in zip(ks, fields):
+            out[k] = GridFunction((fs[k].lo, fs[k].hi), values)
+    return out
 
 
 def check_alpha(alpha: float, dim: int) -> None:
@@ -674,7 +740,7 @@ def fractional_maximal(f: GridFunction, alpha: float,
     bit because the sweep is shared and the scale factor is skipped.
     """
     check_alpha(alpha, f.dim)
-    return _average_field(f, family, lengths, _averages(f), float(alpha))
+    return _average_field(f, family, lengths, float(alpha))
 
 
 def dyadic_maximal(f: GridFunction) -> GridFunction:
@@ -711,10 +777,9 @@ def orlicz_maximal(f: GridFunction, phi: YoungFn,
     """
     check_alpha(alpha, f.dim)
     if phi.kind == "identity":
-        return _average_field(f, family, lengths, _averages(f), alpha)
+        return _average_field(f, family, lengths, alpha)
     if phi.is_homogeneous:
-        return _average_field(f, family, lengths,
-                              _averages(f, phi.r, phi.c), alpha)
+        return _average_field(f, family, lengths, alpha, phi.r, phi.c)
     if phi.kind == "sup":
         cube_values = _window_maxima(f)
         if family is None:

@@ -30,7 +30,7 @@ from .funcspace import (
     power_weight,
     sample_to_grid,
 )
-from .maximal import hl_maximal
+from .maximal import hl_maximals
 from .weightclass import (
     ClassSpec,
     ap_product,
@@ -546,7 +546,7 @@ def suite_theorems() -> SuiteResult:
         {"family_box": [-8.5, -0.5], "p": 2.0}))
 
     fs = _test_functions(512, 50)
-    Ms = [hl_maximal(g) for g in fs]
+    Ms = hl_maximals(fs)       # one stacked every-length sweep
     box, n = (fs[0].lo[0], fs[0].hi[0]), fs[0].shape[0]   # shared by all
     max_ratio = 0.0
     for mk in _CHAIN_WEIGHTS.values():

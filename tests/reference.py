@@ -6,7 +6,9 @@ arithmetic, apart from the exact-sum machinery.  The Luxemburg norm oracle
 is a scipy brentq root of the mean functional.  The maximal-field
 references either enumerate every window of each cell or spread one window
 length at a time from functionals over the whole grid, apart from the
-nested sweeps and their box-local prefix sums.
+nested sweeps and their box-local prefix sums.  The per-lattice class
+products share the per-cube formulas with the code under test and hold
+only the whole family's batched terms to the terms of one lattice.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from scipy.optimize import brentq
 
 from weightlab.funcspace import SegmentWeight1D, _cumsum_prefix
 from weightlab.maximal import _length_list, _scale
+from weightlab.weightclass import _analytic_terms, _cube_products
 
 
 def slices(span) -> tuple:
@@ -344,3 +347,15 @@ def per_length_sweep(g, lengths, cube_values, alpha=0.0):
             block = brute_trailing_max(block, L).T
         np.maximum(out, block, out=out)
     return out
+
+
+def per_lattice_products(w, spec, family):
+    """(corner, side, product, witness) per cube of the family for an
+    analytic weight, with the terms of one lattice at a time: the
+    evaluation of ``weightclass._products`` before it took the terms of
+    the whole family at once."""
+    terms = _analytic_terms(w, spec)
+    for side, (starts,) in family.lattices():
+        a = np.array(starts)
+        yield from _cube_products(spec, terms(a, a + side),
+                                  [(s,) for s in starts], [side] * len(starts))

@@ -919,6 +919,33 @@ def test_chain_underflowing_rhs_of_a_nonzero_f_is_not_vacuous():
                           "w rounds to 0 at p = 1e+308 on a nonzero f")
 
 
+def test_chain_overflowing_powers_give_a_report():
+    """At p = 200 the plateau of 40 in the chain corpus gives f^p beyond the
+    float range: the right-hand side overflows, and the chain says so,
+    without a warning.  At p = 400 on f = 5 the right-hand side stays
+    finite, but the level powers a^(k q) do not; at q = 1592 (p = 3.99,
+    alpha = 1/4) neither do the whole-grid powers w^q.  Each case is a
+    not-applicable report naming the overflow, not an OverflowError."""
+    import warnings
+    w = power_weight(0.5, -40.0, 40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = theorem_chain_check(corpus_function(64), w, 2.0, 200.0, PHI)
+        assert not rep.applicable and not rep.passed()
+        assert rep.reason == ("right-hand side overflows: the integral of "
+                              "f^p w leaves the float range at p = 200.0")
+        five = GridFunction((-1.0, 1.0), np.full(64, 5.0))
+        for p, alpha in ((400.0, 0.0), (3.99, 0.25)):
+            rep = theorem_chain_check(five, w, 2.0, p, PHI, alpha=alpha)
+            assert not rep.applicable and not rep.passed()
+            assert rep.reason == ("a power of the chain overflows the float "
+                                  f"range at p = {p!r}, before its first step")
+        rep = theorem_chain_check(GridFunction((-1.0, 1.0), np.full(64, 0.5)),
+                                  w, 2.0, 400.0, PHI)
+        assert rep.reason.endswith("at p = 400.0, after step s1_slicing")
+        assert [s.name for s in rep.steps] == ["tail", "s1_slicing"]
+
+
 def test_chain_sup_phi_has_no_bump_class_check():
     """phi = sup is not homogeneous, so no norms on the tripled cubes are
     taken and the three bump-class constants are None."""

@@ -10,6 +10,7 @@ from functionals over the whole grid.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from weightlab.funcspace import (
     CubeFamily,
     GridFunction,
     SquareMatrix,
+    _cumsum_prefix,
     compose_matrix,
     power_weight,
     sample_to_grid,
@@ -28,6 +30,7 @@ from weightlab.funcspace import (
 from weightlab import maximal
 from weightlab.maximal import (
     _averages,
+    _box_prefix,
     _doubling_max,
     _length_list,
     _nested_max,
@@ -36,6 +39,7 @@ from weightlab.maximal import (
     dyadic_maximal,
     fractional_maximal,
     hl_maximal,
+    hl_maximals,
     image_box,
     matrix_compose,
     orlicz_maximal,
@@ -427,24 +431,170 @@ def test_every_length_1d_block_seams(monkeypatch, n):
         _assert_bitwise_per_length_sweep(n)
 
 
+def _window_requests(monkeypatch):
+    """The shapes of the window-sum arrays that ``_window_means`` is asked
+    for, logged as the functionals make them."""
+    shapes = []
+    window_means = maximal._window_means
+
+    def counted(S, *args):
+        shapes.append(S.shape)
+        return window_means(S, *args)
+
+    monkeypatch.setattr(maximal, "_window_means", counted)
+    return shapes
+
+
 def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
     # a deterministic stand-in for a timing test: the quadrant maximum
-    # asks the functional for one block of rows at a time, ceil(n / R) of
-    # them at R rows, _BLOCK_ROWS or fewer by the cap, each spanning its
-    # rows' columns: 128 at n = 4096, where a budget of 2^14 cells per
-    # block took 557
-    requests = []
-    monkeypatch.setattr(maximal, "_averages",
-                        _counted_averages(requests, maximal._averages))
+    # builds the heads of every block of R rows at once, then the tail of
+    # each block but the last, each spanning the columns after its rows,
+    # for chunks of as many grids as keep an array within _BLOCK_CAP cells:
+    # at n = 4096 one head stack and 255 tails; on the probe's 50 grids of
+    # 512 cells seven chunks of 32 requests, 224 in all where one grid at a
+    # time, in blocks of 64 rows, took 400
+    shapes = _window_requests(monkeypatch)
     n = 4096
     rows = min(maximal._BLOCK_ROWS, maximal._BLOCK_CAP // n)
     g = GridFunction((0.0, 1.0), np.random.default_rng(5).random(n))
     hl_maximal(g)
-    assert len(requests) == -(-n // rows) == 128
-    assert [starts[0] for _, starts in requests] == \
-        [slice(a, min(n, a + rows)) for a in range(0, n, rows)]
-    assert [side.shape for side, _ in requests] == \
-        [(min(n, a + rows) - a, n - a) for a in range(0, n, rows)]
+    assert rows == 16
+    assert shapes == [(rows, rows, 1, n // rows)] + \
+        [(1, rows, n - a - rows) for a in range(0, n - rows, rows)]
+    shapes.clear()
+    n, rows = 512, 16
+    hl_maximals([GridFunction((0.0, 1.0), np.full(n, 1.0 + k))
+                 for k in range(50)])
+    chunk = maximal._BLOCK_CAP // (rows * n)
+    assert chunk == 8 and len(shapes) == 7 * n // rows == 224
+    for g0 in range(0, 50, chunk):
+        grids = min(chunk, 50 - g0)
+        assert shapes[:n // rows] == [(rows, rows, grids, n // rows)] + \
+            [(grids, rows, n - a - rows) for a in range(0, n - rows, rows)]
+        del shapes[:n // rows]
+    assert not shapes
+
+
+# ---------------------------------------------------------------------------
+# every 1D length on a stack of grids
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+def _stacked_inputs(n, count, huge=True):
+    """count grids of n cells on one box, each nonzero only in its own
+    support box, -0.0 and +0.0 cells outside it, in turn: dyadic rationals
+    among zeros, a subnormal hot cell, values spread over 1e-300 to 1e300
+    (with huge), uniforms, and no support at all."""
+    rng = np.random.default_rng([n, count])
+    kinds = (0, 1, 2, 3, 4) if huge else (0, 1, 3, 4)
+    out = []
+    for k in range(count):
+        vals = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        s = int(rng.integers(0, n))
+        e = int(rng.integers(s, n)) + 1
+        kind = kinds[k % len(kinds)]
+        if kind == 0:
+            vals[s:e] = rng.integers(0, 4, e - s) / 8.0
+        elif kind == 1:
+            vals[(s + e) // 2] = 5e-324
+        elif kind == 2:
+            vals[s:e] = 10.0 ** rng.uniform(-300.0, 300.0, e - s)
+        elif kind == 3:
+            vals[s:e] = rng.random(e - s)
+        out.append(GridFunction((-1.0, 2.0), vals))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 512, 1000])
+def test_hl_maximals_is_bitwise_each_grid_field(n):
+    # stacks of 1, 2 and 50 grids with their own support boxes: each field
+    # is the grid's own hl_maximal and the per-length sweep, sign bits
+    # included.  50 grids of 512 cells run in chunks of 8, of 1000 cells
+    # in chunks of 4; at 1000 cells the 50 are held to hl_maximal only
+    for count in (1, 2, 50):
+        fs = _stacked_inputs(n, count)
+        got = hl_maximals(fs)
+        assert len(got) == count
+        for k, (f, field) in enumerate(zip(fs, got)):
+            assert (field.lo, field.hi) == (f.lo, f.hi)
+            assert _same_bits(field.values, hl_maximal(f).values), (count, k)
+            if n < 1000 or count < 50:
+                ref = per_length_sweep(f, "all", prefix_averages(f))
+                assert _same_bits(field.values, ref), (count, k)
+
+
+def test_hl_maximals_takes_any_grids():
+    # 1D grids of several cell counts and boxes, in any order, and 2D
+    # grids, which take hl_maximal one at a time
+    rng = np.random.default_rng(59)
+    fs = [GridFunction((0.0, 1.0), rng.random(17)),
+          GridFunction(((0.0, 0.0), (1.0, 1.0)), rng.random((8, 8))),
+          GridFunction((-3.0, 5.0), rng.random(40)),
+          GridFunction((2.0, 4.0), rng.random(17))]
+    got = hl_maximals(iter(fs))
+    for f, field in zip(fs, got):
+        assert (field.lo, field.hi) == (f.lo, f.hi)
+        assert _same_bits(field.values, hl_maximal(f).values)
+    assert hl_maximals([]) == []
+
+
+@pytest.mark.parametrize("n", [5, 33, 512])
+def test_stacked_fractional_and_power_fields_are_bitwise_per_grid(n):
+    # the kernel's scale factors and powers on a stack: 1D fractional and
+    # Orlicz-power fields, row by row the per-length sweep and the public
+    # operator on the grid alone
+    fs = _stacked_inputs(n, 6, huge=False)
+    for r, c, alpha in ((None, 1.0, 0.3), (None, 1.0, 0.7), (1.5, 1.0, 0.0),
+                        (3.0, 1.0, 0.5)):
+        got = maximal._quadrant_max(fs, r, c, alpha)
+        for k, f in enumerate(fs):
+            ref = per_length_sweep(f, "all", prefix_averages(f, r, c), alpha)
+            assert _same_bits(got[k], ref), (r, alpha, k)
+            one = (fractional_maximal(f, alpha) if r is None else
+                   orlicz_maximal(f, YoungFn.power(r), alpha=alpha))
+            assert _same_bits(got[k], one.values), (r, alpha, k)
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_stacked_fields_across_chunks_and_block_seams(monkeypatch, n):
+    # one to three rows a block put a seam next to (almost) every cell; a
+    # cap of 4 n cells leaves chunks of one to four grids, and a cap below
+    # n one row and one grid a chunk
+    fs = _stacked_inputs(n, 7)
+    refs = [per_length_sweep(f, "all", prefix_averages(f)) for f in fs]
+    for rows in (1, 2, 3, 16):
+        for cap in (n - 1, 4 * n, 1 << 17):
+            monkeypatch.setattr(maximal, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(maximal, "_BLOCK_CAP", cap)
+            for field, ref in zip(hl_maximals(fs), refs):
+                assert _same_bits(field.values, ref), (rows, cap)
+
+
+@pytest.mark.parametrize("count, n", [(50, 512), (1, 4096)])
+def test_stacked_sweep_transient_memory_stays_within_the_cap(count, n):
+    # the tracemalloc peak of the stacked sweep, beyond the prefix stack
+    # and the fields it returns, in arrays of _BLOCK_CAP cells: the length
+    # matrix of rows x n cells, at most one, a chunk's array, at most one,
+    # and numpy's buffers.  Measured: 1.35 at 50 x 512 and 2.19 at 1 x 4096,
+    # where the length matrix is a whole one; the heads or one tail block
+    # of all 50 grids at once would hold 6.1 to 6.3
+    fs = [GridFunction((0.0, 1.0), v)
+          for v in np.random.default_rng(61).random((count, n))]
+    maximal._quadrant_max(fs)           # imports and caches stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = maximal._quadrant_max(fs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stack = count * (2 * n + 1) * 8     # the prefixes and the fields
+    assert out.shape == (count, n)
+    assert (peak - stack) / (maximal._BLOCK_CAP * 8) <= 2.5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
@@ -631,16 +781,11 @@ def test_averages_match_the_whole_grid_prefix_at_every_start():
     # the box-local prefix, clamped, against the whole grid's prefix: values
     # and sign bits at every start of every side, windows wholly outside
     # the support included; -0.0 cells outside the box and inexact powers.
-    # In 1D also the quadrant path's block form, for every block [a0, a1),
-    # against the reference at the same windows as index arrays: row a,
-    # column j is the window [a, n - j), and the entries without a window
-    # (n - j <= a) are left out
+    # The box prefix gathered to the whole grid, which the quadrant maximum
+    # stacks, is also the whole grid's prefix, up to the signs of zeros
     rng = np.random.default_rng(43)
     for dim, n in ((1, 64), (2, 32)):
         box = (-1.0, 2.0) if dim == 1 else ((-1.0, -1.0), (2.0, 2.0))
-        starts = np.arange(n)[:, None]
-        ends = np.arange(n, 0, -1)
-        sides = np.maximum(ends - starts, 1)
         for name, cells in _chain_shapes(n, dim).items():
             vals = np.where(rng.random((n,) * dim) < 0.3, -0.0, 0.0)
             if cells is not None:
@@ -654,21 +799,9 @@ def test_averages_match_the_whole_grid_prefix_at_every_start():
                     assert np.array_equal(a, b), (dim, name, r)
                     assert np.array_equal(np.signbit(a), np.signbit(b)), \
                         (dim, name, r)
-                if dim == 2:
-                    continue
-                whole = ref(sides, (starts,))
-                for a0 in range(n):
-                    for a1 in range(a0 + 1, n + 1):
-                        rows = slice(a0, a1)
-                        a = got(sides[rows, :n - a0].astype(float), (rows,))
-                        b = whole[rows, :n - a0]
-                        held = ends[:n - a0] > starts[rows]
-                        assert (a[~held] >= 0.0).all(), (name, r, a0, a1)
-                        assert np.array_equal(a[held], b[held]), \
-                            (name, r, a0, a1)
-                        assert np.array_equal(np.signbit(a[held]),
-                                              np.signbit(b[held])), \
-                            (name, r, a0, a1)
+                whole = _cumsum_prefix(vals if r is None else vals ** r)
+                assert np.array_equal(_box_prefix(g, r)[2], whole), \
+                    (dim, name, r)
 
 
 def test_window_maxima_match_the_sliding_windows_at_cropped_starts():

@@ -115,19 +115,20 @@ def test_suite_theorem_probes_reduced_config():
 
 def test_norm_ratio_probe_computes_each_field_once(monkeypatch):
     import weightlab.suites as suites
-    real = suites.hl_maximal
+    real = suites.hl_maximals
     calls = []
 
-    def counting(f, *args, **kwargs):
-        calls.append(f)
-        return real(f, *args, **kwargs)
+    def counting(fs):
+        calls.append(list(fs))
+        return real(calls[-1])
 
-    monkeypatch.setattr(suites, "hl_maximal", counting)
+    monkeypatch.setattr(suites, "hl_maximals", counting)
     r = suite_theorems()
     assert r.passed, r.failing()
-    # 50 probe functions, each swept once for 3 weights x 2 scalings
-    assert len(calls) == 50
-    assert len({id(f) for f in calls}) == 50
+    # 50 probe functions, swept once as one stack for 3 weights x 2
+    # scalings
+    assert len(calls) == 1
+    assert len({id(f) for f in calls[0]}) == len(calls[0]) == 50
 
 
 def test_run_suites_rejects_unknown_name():

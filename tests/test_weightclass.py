@@ -448,6 +448,74 @@ def test_first_infinite_row_keeps_its_witness_past_a_later_overflow():
     assert rep.witness == "w vanishes at cell (2,)"
 
 
+_FAMILY_KINDS = {
+    "Ap": dict(p=2.0), "Ap_mu": dict(p=1.5), "AAp": dict(p=2.0, A=2.0),
+    "RH": dict(s=3.0), "frac": dict(p=2.0, q=3.0, A=-1.0),
+    "bump": dict(p=2.0, A=2.0, phi=YoungFn.power(2.0)),
+    "frac_bump": dict(p=2.0, q=3.0, A=0.5, phi=YoungFn.power_log(1.5, 1.0)),
+}
+
+
+def _product_rows(products):
+    """The (corner, side, product as hex, witness) rows of a product
+    stream up to an error, and that error's type and message."""
+    rows = []
+    try:
+        for corner, side, value, witness in products:
+            rows.append((corner, side, value.hex(), witness))
+    except (ValueError, OverflowError) as err:
+        return rows, (type(err), str(err))
+    return rows, None
+
+
+@pytest.mark.parametrize("kind, measure", [
+    *((kind, "lebesgue") for kind in _FAMILY_KINDS),
+    *((kind, "exp_abs") for kind in _FAMILY_KINDS
+      if kind not in ("bump", "frac_bump"))])
+def test_family_terms_are_the_per_lattice_rows(kind, measure):
+    """The terms of the whole family at once give every cube's row, with
+    its witness, and the first error, as the terms of one lattice at a
+    time do, bit for bit.  The weights: a power whose dual powers are not
+    integrable at 0 (infinite rows with witnesses), one with a gap, the
+    reflection weight and an e^{|x|} growth, under Lebesgue measure; the
+    exp and constant pieces whose e^{|x|} masses are closed forms under
+    the exponential measure, where the bump kinds take no measure; and an
+    exp piece whose masses overflow past infinite rows."""
+    from reference import per_lattice_products
+    from weightlab.suites import exp_growth_weight, reflection_weight
+    from weightlab.weightclass import _products
+    gap = SegmentWeight1D([Segment(-8.0, -1.0, "power", c=2.0),
+                           Segment(0.5, 8.0, "exp", s=0.25)])
+    # e^{100 x} off [-8, -7): cubes near -8 are infinite, and the masses of
+    # cubes that reach past 7.1 leave the float range
+    blowup = SegmentWeight1D([Segment(-7.0, 8.0, "exp", s=100.0)])
+    weights = [gap, exp_growth_weight(2.0, span=8.0), blowup]
+    if measure == "lebesgue":
+        weights += [power_weight(0.5, -40.0, 40.0, c=3.0), reflection_weight()]
+    spec = ClassSpec(kind, measure=LEBESGUE if measure == "lebesgue"
+                     else EXP_ABS, **_FAMILY_KINDS[kind])
+    fam = CubeFamily((-8.0, 8.0), levels=(0, 4), shifts=3)
+    for w in weights:
+        got = _product_rows(_products(w, spec, fam))
+        want = _product_rows(per_lattice_products(w, spec, fam))
+        assert got == want, (kind, measure)
+        assert (got[1] is None) is (w is not blowup)
+        assert len(got[0]) == fam.count() or w is blowup
+
+
+def test_family_terms_keep_an_infinite_witness_past_later_overflows():
+    # the terms of every lattice at once: [-1000, 0] is not covered, an
+    # infinite dual average, and the masses of e^x over [0, 1000] and over
+    # the level-2 interval [500, 1000] leave the float range, in the first
+    # lattice and in a later one; the report still stops at the first cube
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    fam = CubeFamily((-1000.0, 1000.0), levels=(1, 2))
+    rep = class_constant(w, ClassSpec("Ap", p=2.0), fam, trace=True)
+    assert rep.value == math.inf and rep.argmax == Cube((-1000.0,), 1000.0)
+    assert rep.witness == "w vanishes on part of [-1000, 0] and e=-1 < 0"
+    assert len(rep.trace) == 1
+
+
 def _overflowing_dual_norm():
     """(w, spec): a bump spec with a Young function that bisects, and a
     weight whose w^{-1/p} is 1 on [0, 5e11] and 1e297 on [5e11, 1e12]:
@@ -795,8 +863,8 @@ def test_power_phi_norm_powers_each_weight_once(monkeypatch):
 
 def test_rh_inclusion_check_evaluates_each_product_once(monkeypatch):
     """Three products per cube (RH, AAp at p and at p - eps), two exact
-    mass columns each, one per lattice: the family constants and the
-    identity share them."""
+    mass columns each, one over the whole family: the family constants and
+    the identity share them."""
     sizes = []
     masses = SegmentWeight1D.masses
 
@@ -809,5 +877,5 @@ def test_rh_inclusion_check_evaluates_each_product_once(monkeypatch):
     out = rh_inclusion_check(power_weight(0.5, -64.0, 64.0), 2.0, p=2.0,
                              eps=0.25, family=fam)
     assert out["applicable"] and out["cubes_checked"] == fam.count()
-    assert len(sizes) == 3 * 2 * len(list(fam.lattices()))
+    assert len(sizes) == 3 * 2
     assert sum(sizes) == 6 * fam.count()
