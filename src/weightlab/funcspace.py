@@ -8,7 +8,10 @@ rounding; ``SegmentWeight1D.masses`` evaluates every mass, under either
 measure.  Grid data stores per-cell averages; a cube sum is the correctly
 rounded ``math.fsum`` of its cells.  Large or many sums at once go through
 one vectorized kernel (``exact_totals``), whose exact totals, rounded once,
-have the same bits as ``math.fsum``; ``total_exceeds`` compares a total's
+have the same bits as ``math.fsum``; it runs over chunks of 2^14 cells,
+adds a chunk of one (label, exponent bin) key with ``np.sum`` and any other
+chunk in 8 interleaved lanes per key, all exactly, and rejects labels that
+are not integers in [0, n_labels).  ``total_exceeds`` compares a total's
 average with a rational threshold exactly, as integers.  ``span_rows``
 gathers a batch of equal cubes of a grid as C-contiguous rows, and
 ``span_totals`` sums them exactly in one labelled pass.
@@ -719,12 +722,14 @@ def _cumsum_prefix(values: np.ndarray) -> np.ndarray:
 # exact sums of many nonnegative floats by exponent binning (Demmel and Hida,
 # "Accurate and efficient floating point summation", SIAM J. Sci. Comput.
 # 25(4), 2003)
-_SUM_CHUNK = 1 << 16        # cells per pass: a bin adds at most 2^16 cells
+_SUM_CHUNK = 1 << 14        # cells per pass; a bin stays exact up to 2^16
+_LANES = 8                  # interleaved partial sums per (label, bin) key
+# each cell's lane, as uint8: an intp array of a chunk's length would add
+# 128 KiB to the resident memory of every process that imports the module
+_LANE = np.resize(np.arange(_LANES, dtype=np.uint8), _SUM_CHUNK)
 _BIN_WIDTH = 22             # binades per bin
 _SPLIT = 37                 # a cell splits at U 2^37, U its bin's unit
 _UNIT = 1075                # totals count units of 2^-1075
-_BIN_OF = (np.maximum(np.arange(2048), 1) // _BIN_WIDTH).astype(np.intp)
-_SCALE_OF = (_UNIT - _SPLIT - _BIN_WIDTH * _BIN_OF).astype(np.intc)
 
 
 def exact_totals(values, labels=None, n_labels: int = 1) -> list:
@@ -734,52 +739,89 @@ def exact_totals(values, labels=None, n_labels: int = 1) -> list:
     without it every cell has label 0.  Returns, per label, the exact sum
     of its cells as an int count of 2^-1075 (the exact sum is n 2^-1075),
     or a float inf or nan when one of its cells is inf or nan.
-    ``round_total`` rounds an entry; an empty label totals 0.
+    ``round_total`` rounds an entry; an empty label totals 0.  Raises
+    ValueError for a negative cell, and for labels that are not integers,
+    lie outside [0, n_labels) or are not one per cell.
 
-    A cell with exponent field e lies in bin b = max(e, 1) // 22, whose
-    unit U = 2^(22 b - 1075) divides every float of the bin, and is below
+    A cell with exponent field e lies in bin b = e // 22, whose unit
+    U = 2^(22 b - 1075) divides every float of the bin, and is below
     U 2^(d + 53) with d = max(e, 1) - 22 b <= 21.  Scaled by 2^-37 / U
     (exactly, a power of two), it splits into an integer high part below
-    2^37 and a low part, a multiple of 2^-37 below 1.  A pass adds at most
-    2^16 cells per (label, bin) with float64 ``np.bincount``, so every
-    partial sum is a multiple of 2^-37 below 2^53 (low) or an integer below
-    2^53 (high): all exact, in any order.  The bins then add as Python
-    ints.  The passes run over fixed-size chunks, so transient memory stays
-    bounded.  Zero cells (either sign) add nothing and are dropped before
-    binning, so a mostly zero chunk bins only its nonzero cells."""
+    2^37 and a low part, a multiple of 2^-37 below 1.  The passes run over
+    chunks of 2^14 cells, whose temporaries (128 KiB each) stay small
+    enough to reuse freed memory rather than fault in fresh pages.  A
+    chunk adds at most 2^14 cells per (label, bin) key in float64, so
+    every partial sum is a multiple of 2^-37 below 2^14 (low) or an integer
+    below 2^51 (high): all exact, in any order.  A chunk whose cells share
+    one key scales them by one float power of two (outside bin 0) and adds
+    each part with ``np.sum``.  Any other chunk counts into 8
+    interleaved lanes per key with ``np.bincount`` and then adds the lanes:
+    bincount adds its cells one after another into their key's slot, so
+    when most cells share a key every add waits for the one before, and
+    the lanes split that chain into 8 independent ones.  The bins then add
+    as Python ints.  Zero cells (either sign) add nothing and are dropped
+    before binning, so a mostly zero chunk bins only its nonzero cells."""
     vals = np.ascontiguousarray(values, dtype=np.float64).ravel()
     labs = None if labels is None else np.asarray(labels).ravel()
+    if labs is not None:
+        if labs.size != vals.size:
+            raise ValueError(f"{labs.size} labels for {vals.size} cells")
+        if labs.size and labs.dtype.kind not in "iu":
+            raise ValueError("exact sums need integer labels")
     totals = np.zeros(n_labels, dtype=object)
     special = {}                # label -> its inf or nan
     for start in range(0, vals.size, _SUM_CHUNK):
         v = vals[start:start + _SUM_CHUNK]
-        lab = None if labs is None else \
-            labs[start:start + _SUM_CHUNK].astype(np.intp, copy=False)
+        lab, l0, l1 = None, 0, 0
+        if labs is not None:
+            lab = labs[start:start + _SUM_CHUNK].astype(np.intp, copy=False)
+            l0, l1 = int(lab.min()), int(lab.max())
+            if l0 < 0 or l1 >= n_labels:
+                raise ValueError(f"exact sums need labels in [0, {n_labels})")
         nonzero = v != 0.0
         if not nonzero.all():
             v = v[nonzero]
             if not v.size:
                 continue
-            lab = None if lab is None else lab[nonzero]
-        e = (v.view(np.uint64) >> np.uint64(52)).astype(np.intp)
+            if lab is not None:
+                lab = lab[nonzero]
+                l0, l1 = int(lab.min()), int(lab.max())
+        e = (v.view(np.uint64) >> np.uint64(52)).view(np.intp)
         if e.max() >= 2047:     # inf, nan, or a sign bit
             v, e = _finite_cells(v, e, lab, special)
-        q = np.ldexp(v, _SCALE_OF[e])
+        b0, b1 = int(e.min()) // _BIN_WIDTH, int(e.max()) // _BIN_WIDTH
+        width = b1 - b0 + 1
+        one_key = width == 1 and l0 == l1
+        if one_key and b0:
+            # one scale for the chunk, a float power of two (bin 0's 2^1038
+            # is none)
+            q = v * 2.0 ** (_UNIT - _SPLIT - _BIN_WIDTH * b0)
+        else:
+            b = e // _BIN_WIDTH
+            q = np.ldexp(v, (_UNIT - _SPLIT - _BIN_WIDTH * b).astype(np.intc))
         high = np.floor(q)
-        low = q - high
-        b = _BIN_OF[e]
-        b0 = int(b.min())
-        width = int(b.max()) - b0 + 1
-        l0 = 0 if lab is None else int(lab.min())
-        key = b - b0 if lab is None else (lab - l0) * width + (b - b0)
-        bins = int(key.max()) + 1
+        low = np.subtract(q, high, out=q)
         codes = None
-        if bins > 4 * v.size:   # few of many (label, bin) pairs: renumber
-            codes, key = np.unique(key, return_inverse=True)
-            bins = codes.size
-        # (bin, high or low) in label-major order
-        sums = np.stack([np.bincount(key, high, bins),
-                         np.ldexp(np.bincount(key, low, bins), _SPLIT)], 1).ravel()
+        if one_key:
+            # one (label, bin) key: (high, low)
+            sums = np.array([high.sum(), np.ldexp(low.sum(), _SPLIT)])
+        else:
+            key = b - b0
+            if lab is not None:
+                key += (lab - l0) * width
+            bins = int(key.max()) + 1
+            if bins > 4 * v.size:   # few of many (label, bin) pairs: renumber
+                codes, key = np.unique(key, return_inverse=True)
+                bins = codes.size
+            key *= _LANES
+            key += _LANE[:key.size]
+
+            def lane_sums(part):
+                return np.bincount(key, part, bins * _LANES).reshape(
+                    bins, _LANES).sum(axis=1)
+            # (bin, high or low) in label-major order
+            sums = np.stack([lane_sums(high),
+                             np.ldexp(lane_sums(low), _SPLIT)], 1).ravel()
         at = np.flatnonzero(sums)
         code = at // 2 if codes is None else codes[at // 2]
         shift = _BIN_WIDTH * (code % width + b0) + _SPLIT * (1 - at % 2)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -580,7 +581,7 @@ def test_exact_sums_ties_and_edges(cells, want):
 
 def test_exact_sums_labels_edge_cases():
     # a label whose cells are all -0.0, an empty label, and one label on
-    # both sides of the 2^16-cell chunk boundary
+    # both sides of the chunk boundary at 2^16 cells
     n = (1 << 16) + 40
     rng = np.random.default_rng(17)
     values = rng.random(n) ** 8 * 1e3
@@ -594,7 +595,8 @@ def test_exact_sums_labels_edge_cases():
     assert math.copysign(1.0, got[3]) == math.copysign(
         1.0, math.fsum(values[:5].tolist()))
     assert exact_sums(values)[0] == math.fsum(values.tolist())
-    # a first chunk of zeros of either sign only, which adds nothing
+    # first 2^16 cells, whole chunks, of zeros of either sign only, which
+    # add nothing
     values[:1 << 16] = np.where(rng.random(1 << 16) < 0.5, 0.0, -0.0)
     got = exact_sums(values, labels, 4)
     assert got == [math.fsum(values[labels == i].tolist()) for i in range(4)]
@@ -606,8 +608,8 @@ def test_exact_sums_labels_edge_cases():
 def test_exact_sums_full_chunks_of_full_precision_cells(n, lo, hi):
     # 53-bit values over 60 binades, then 2^18 of them in the lowest binade
     # of one bin: the bins hold thousands of cells whose halves fill their
-    # bits, so a wider bin, a later split or a longer chunk would round a
-    # bin sum
+    # bits, so a wider bin, a later split or a chunk longer than 2^16 cells
+    # would round a bin sum
     rng = np.random.default_rng(23)
     values = np.ldexp(1.0 + rng.random(n), rng.integers(lo, hi, n))
     labels = rng.integers(0, 3, n)
@@ -638,6 +640,142 @@ def test_exact_sums_inf_nan_and_overflow():
     assert exact_sums([big, 2.0 ** 969]) == [math.fsum([big, 2.0 ** 969])]
     with pytest.raises(ValueError, match="nonnegative"):
         exact_sums([1.0, -2.0])
+
+
+def _assert_label_sums(values, labels, n_labels):
+    # each label's kernel total against the Fraction oracle, and rounded
+    # against math.fsum; inf and nan labels against fsum's inf or nan
+    totals = exact_totals(values, labels, n_labels)
+    for i, total in enumerate(totals):
+        cells = values[labels == i].tolist()
+        want = math.fsum(cells)
+        if not math.isfinite(want):
+            assert isinstance(total, float), i
+            assert total == want or math.isnan(total) and math.isnan(want), i
+            continue
+        assert total == exact_sum(cells) * 2 ** 1075, i
+        assert round_total(total) == want, i
+        assert math.copysign(1.0, round_total(total)) == \
+            math.copysign(1.0, want), i
+
+
+@pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                               (1 << 16) + 1])
+def test_exact_totals_at_chunk_seams(n):
+    # 53-bit cells over 80 binades (every chunk spans several bins), with
+    # label 1 on both sides of the seams at 2^14 and 2^16 cells as far as
+    # the cells reach, and label 2 on the last cell alone
+    rng = np.random.default_rng(n)
+    values = np.ldexp(1.0 + rng.random(n), rng.integers(-40, 40, n))
+    labels = np.zeros(n, dtype=np.intp)
+    for seam in (1 << 14, 1 << 16):
+        labels[seam - 20:seam + 20] = 1
+    labels[-1] = 2
+    _assert_label_sums(values, labels, 3)
+    assert exact_totals(values)[0] == exact_sum(values) * 2 ** 1075
+
+
+def test_exact_totals_one_key_chunks():
+    # full chunks of 53-bit cells in the top binade of one bin, whose high
+    # parts come near 2^37 each, one label per chunk: every chunk has one
+    # (label, bin) key.  Then zero cells of another label: a chunk whose
+    # nonzero cells share one key.  Then two bins in one label, and two
+    # labels in one bin: two keys each
+    rng = np.random.default_rng(29)
+    chunk = 1 << 14
+    values = np.ldexp(1.0 + rng.random(5 * chunk), 10)
+    labels = np.repeat(np.array([0, 2, 1, 3, 3]), chunk)
+    values[chunk:chunk + 300] = np.where(rng.random(300) < 0.5, 0.0, -0.0)
+    labels[chunk:chunk + 300] = 4
+    values[3 * chunk:4 * chunk:7] *= 2.0 ** 20     # the next bin up
+    labels[4 * chunk::5] = 1
+    _assert_label_sums(values, labels, 5)
+    assert exact_totals(values[:chunk])[0] == \
+        exact_sum(values[:chunk]) * 2 ** 1075
+
+
+def test_exact_totals_renumbered_keys():
+    # few cells whose (label, bin) keys spread far: the kernel renumbers
+    # them, in one chunk and across a seam
+    rng = np.random.default_rng(31)
+    n = (1 << 14) + 6
+    values = np.zeros(n)
+    labels = np.zeros(n, dtype=np.intp)
+    at = np.array([0, 1, 2, (1 << 14) - 1, 1 << 14, n - 1])
+    values[at] = [1e-300, 1.0, 1e300, 5e-324, 2.0 ** 1000, 3.0]
+    labels[at] = [0, 500, 999, 999, 0, 500]
+    _assert_label_sums(values, labels, 1000)
+    labels = rng.integers(0, 1000, n)
+    values = np.ldexp(rng.random(n) + 0.5, rng.integers(-1074, 1023, n))
+    _assert_label_sums(values, labels, 1000)
+
+
+def test_exact_totals_signed_zero_subnormal_inf_and_nan_cells():
+    # across a seam: -0.0 and subnormal cells, an inf in the second chunk,
+    # a nan in the first, and a label with both
+    rng = np.random.default_rng(37)
+    n = (1 << 14) + 50
+    values = rng.random(n)
+    labels = rng.integers(0, 6, n)
+    values[::3] = -0.0
+    values[1::5] = 5e-324 * rng.integers(1, 1 << 20, values[1::5].size)
+    values[labels == 5] = -0.0
+    values[(1 << 14) + 3], labels[(1 << 14) + 3] = np.inf, 1
+    values[100], labels[100] = np.nan, 2
+    values[7], labels[7] = np.inf, 3
+    values[(1 << 14) + 9], labels[(1 << 14) + 9] = np.nan, 3
+    _assert_label_sums(values, labels, 6)
+    totals = exact_totals(values, labels, 6)
+    assert totals[1] == np.inf and math.isnan(totals[2])
+    assert math.isnan(totals[3]) and totals[5] == 0
+    assert math.copysign(1.0, round_total(totals[5])) == 1.0
+
+
+@pytest.mark.parametrize("labels, n_labels", [
+    ([0, -1, 1], 2),                        # a negative label
+    ([0, 2, 1], 2),                         # a label past n_labels
+    (np.array([0.7, 1.2, 0.0]), 2),         # float labels
+    ([0, 1], 2),                            # fewer labels than cells
+])
+def test_exact_totals_rejects_bad_labels(labels, n_labels):
+    # before, a negative label's cells vanished, float labels truncated and
+    # a label past n_labels raised a bare IndexError
+    with pytest.raises(ValueError, match="labels"):
+        exact_totals([1.0, 2.0, 4.0], labels, n_labels)
+    with pytest.raises(ValueError, match="labels"):
+        exact_sums([1.0, 2.0, 4.0], labels, n_labels)
+
+
+def test_exact_totals_bad_label_on_a_zero_cell():
+    # a zero cell adds nothing, but its label is still checked, past a seam
+    values = np.ones((1 << 14) + 2)
+    values[-1] = 0.0
+    labels = np.zeros(values.size, dtype=np.intp)
+    labels[-1] = 7
+    with pytest.raises(ValueError, match="labels"):
+        exact_totals(values, labels, 2)
+
+
+def test_exact_totals_transient_memory_in_grids():
+    # one labelled pass over a 512^2 grid of layers, as the proof chain's
+    # whole-grid passes make: the kernel's temporaries live one chunk at a
+    # time, about 0.51 grid at the peak (2.28 grids with chunks of 2^16
+    # cells)
+    rng = np.random.default_rng(41)
+    values = rng.random((512, 512)) * 2.0
+    values[40:90, 200:260] = 30.0
+    labels = np.searchsorted([0.5, 1.0, 1.5, 20.0], values).astype(np.uint16)
+    want = exact_totals(values, labels, 5)      # imports and caches stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = exact_totals(values, labels, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    grids = peak / values.nbytes
+    assert grids <= 0.75, grids
 
 
 def test_round_total_divides_the_exact_total_once():

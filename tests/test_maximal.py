@@ -35,6 +35,7 @@ from weightlab.maximal import (
     _length_list,
     _nested_max,
     _support_box,
+    _widen,
     _window_maxima,
     dyadic_maximal,
     fractional_maximal,
@@ -706,24 +707,80 @@ def test_every_length_2d_takes_shifted_maxima(monkeypatch):
                           per_length_sweep(g, "all", prefix_averages(g)))
 
 
+# -inf, mixed signed zeros and ties
+_TIES = np.array([-np.inf, -0.0, 0.0, 0.25, 0.25, 1.0])
+
+
+def _along(ref, x, axis, width):
+    """A last-axis reference applied along axis."""
+    return np.moveaxis(ref(np.moveaxis(x, axis, -1), width), -1, axis)
+
+
+def _brute_widen(x, w):
+    """Along the last axis, the trailing maxima of width w over x followed
+    by w - 1 positions that hold nothing (-inf)."""
+    pad = np.full(x.shape[:-1] + (w - 1,), -np.inf)
+    return brute_trailing_max(np.concatenate((x, pad), axis=-1), w)
+
+
+def _tie_cases(seed, sizes):
+    # 1D rows, 2D grids and their transposed views, along every axis
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        grid = rng.choice(_TIES, size=(n, n + 3))
+        for x in (grid[0], grid, grid.T):
+            for axis in range(x.ndim):
+                yield x, axis
+
+
+def _assert_same_bits(got, ref, *where):
+    assert np.array_equal(got, ref), where
+    assert np.array_equal(np.signbit(got), np.signbit(ref)), where
+
+
 def test_trailing_max_matches_brute():
     # the doubling maxima in place, every width from one cell to past the
     # row, on 1D rows and along both axes of 2D grids and their transposed
-    # views, with -inf, mixed signed zeros and ties: values and sign bits as
-    # the leftmost largest entry
-    rng = np.random.default_rng(17)
-    pool = np.array([-np.inf, -0.0, 0.0, 0.25, 0.25, 1.0])
-    for n in (1, 2, 5, 13, 64):
-        grid = rng.choice(pool, size=(n, n))
-        for x in (grid[0], grid, grid.T):
-            for axis in range(x.ndim):
-                for L in range(1, n + 3):
-                    got = _doubling_max(x.copy(order="K"), L, axis)
-                    ref = np.moveaxis(brute_trailing_max(
-                        np.moveaxis(x, axis, -1), L), -1, axis)
-                    assert np.array_equal(got, ref), (n, axis, L)
-                    assert np.array_equal(np.signbit(got), np.signbit(ref)), \
-                        (n, axis, L)
+    # views: values and sign bits as the leftmost largest entry.  The
+    # passes alternate between the input and one scratch array, so both an
+    # even and an odd number of them (the last copied back) are covered
+    parities = set()
+    for x, axis in _tie_cases(17, (1, 2, 5, 13, 64)):
+        m = x.shape[axis]
+        for L in range(1, m + 3):
+            y = x.copy(order="K")
+            assert _doubling_max(y, L, axis) is y
+            parities.add(math.ceil(math.log2(min(L, m))) % 2)
+            _assert_same_bits(y, _along(brute_trailing_max, x, axis, L),
+                              m, axis, L)
+    assert parities == {0, 1}
+
+
+def test_widen_matches_brute():
+    # every width from 1 to m + 2 on m cells: the doubling path (w < m) and
+    # the running maxima (w >= m), with values and sign bits as the
+    # leftmost largest entry of each position's range
+    for x, axis in _tie_cases(19, (1, 2, 5, 13, 64)):
+        m = x.shape[axis]
+        for w in range(1, m + 3):
+            got = _widen(x.copy(order="K"), w, axis)
+            _assert_same_bits(got, _along(_brute_widen, x, axis, w),
+                              m, axis, w)
+
+
+def test_doubling_and_widening_on_1024_cell_rows():
+    # rows of the length of the 1D chains of ``verify all``, at widths with
+    # odd and even pass counts, around powers of two and past the row
+    rng = np.random.default_rng(23)
+    rows = rng.choice(_TIES, size=(2, 1024))
+    for width in (2, 3, 4, 5, 8, 9, 255, 256, 257, 1023, 1024, 1025):
+        for axis, x in ((1, rows), (0, rows.T)):
+            got = _doubling_max(x.copy(order="K"), width, axis)
+            _assert_same_bits(got, _along(brute_trailing_max, x, axis, width),
+                              axis, width)
+            got = _widen(x.copy(order="K"), width, axis)
+            _assert_same_bits(got, _along(_brute_widen, x, axis, width),
+                              axis, width)
 
 
 def test_dyadic_sweep_asks_only_for_windows_meeting_the_support(monkeypatch):
