@@ -41,6 +41,7 @@ from .weightclass import (
     aap_product,
     class_constant,
     finite_order_reduction,
+    interval_products,
     rh_inclusion_check,
     rh_ratio,
     subset_mass_ratio_check,
@@ -77,7 +78,8 @@ __all__ = [
     "matrix_compose",
     "orlicz_maximal",
     "ClassSpec", "ap_product", "aap_product", "class_constant",
-    "finite_order_reduction", "rh_inclusion_check", "rh_ratio",
+    "finite_order_reduction", "interval_products", "rh_inclusion_check",
+    "rh_ratio",
     "subset_mass_ratio_check",
     "ChainReport", "CZDecomposition", "cz_decompose", "ekj_expansion_check",
     "level_sets", "theorem_chain_check", "theorem_chain_checks",

@@ -16,6 +16,7 @@ means every requested check passed, 1 a failed suite, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import operator
 import struct
@@ -263,7 +264,10 @@ def _cmd_probe_rh(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state from one call to the next."""
     ap = argparse.ArgumentParser(
         prog="weightlab",
         description="maximal operators composed with matrices and their "

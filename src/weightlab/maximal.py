@@ -43,7 +43,9 @@ picks one of three paths that spread the values to the cells:
   sweeps many at once), and runs in blocks of a fixed number of rows a,
   with maxima along b and along a.  The values come from one stack of the
   grids' prefix sums, divided by sides read, like the scale factors, from
-  one matrix of window lengths, so no window is gathered.
+  one matrix of window lengths, so no window is gathered.  A chunk of one
+  grid bounds the windows past each block by tiles and computes only the
+  tiles whose bound reaches a real window's value at some cell they cover.
 
 All three read the same window values and max is exact, so each field
 equals the per-length spread of every window bit for bit.  One exception:
@@ -493,16 +495,24 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
     factors, as views.  Each window value comes from the same float
     operations as in ``_sweep`` (``_window_means``), every value is +0.0 or
     more, and max is exact, so both give the same field bit for bit.
+
+    A chunk of one grid computes only the tail tiles, a block's rows times
+    _TILE_ENDS consecutive ends, that can raise a cell (``_tail_spans``).
+    A tile whose upper bound lies below a lower bound of every cell its
+    windows cover holds no cell's maximum, and max is exact, so the field
+    keeps its bits.  Each block's tail, and its part of W, runs from its
+    first kept end to its last.  Stacks of several grids keep whole tails.
     """
     n = fs[0].shape[0]
     P = np.stack([_box_prefix(f, r)[2] for f in fs])
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CAP // n, n))
     sides = np.maximum(np.arange(1.0, n + 1.0) - np.arange(rows)[:, None],
                        1.0)
-    scales = None
+    table = scales = None
     if alpha != 0.0:
-        table = [_scale(L, fs[0].h[0], alpha) for L in range(1, n + 1)]
-        scales = np.array(table)[sides.astype(int) - 1]
+        table = np.array([_scale(L, fs[0].h[0], alpha)
+                          for L in range(1, n + 1)])
+        scales = table[sides.astype(int) - 1]
 
     def values(ends, starts, axis, cells):
         # the scaled values of the windows from each start to each end, the
@@ -538,6 +548,11 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
         field[:, :full] = heads(Q, 0, n // rows, rows)
         if full < n:
             field[:, full:] = heads(Q, full, 1, n - full)
+        # the ends [lo, hi] of each block's tail: all of them, or for one
+        # grid those of the tiles that can raise a cell
+        spans = None
+        if len(Q) == 1 and n > rows:
+            spans = _tail_spans(Q[0], field[0], rows, r, c, table)
         # W[b]: the largest tail value of the blocks done so far at end b
         W = np.full((len(Q), n + 1), -np.inf)
         for a0 in range(0, n, rows):
@@ -552,14 +567,101 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
             np.maximum(cells, inside, out=cells)
             if a1 == n:
                 break
-            T = values(Q[:, None, a1 + 1:], Q[:, a0:a1, None], 1,
-                       (slice(None), slice(rows, rows + n - a1)))
+            lo, hi = (a1 + 1, n) if spans is None else spans[a0 // rows]
+            if lo > hi:
+                continue
+            T = values(Q[:, None, lo:hi + 1], Q[:, a0:a1, None], 1,
+                       (slice(None), slice(lo - a0 - 1, hi - a0)))
             np.maximum(cells, np.maximum.accumulate(T.max(axis=2), axis=1),
                        out=cells)
-            ends = W[:, a1 + 1:]
+            ends = W[:, lo:hi + 1]
             np.maximum(ends, T.max(axis=1), out=ends)
             del T               # the next block's values take its place
     return out
+
+
+_TILE_ENDS = 64             # consecutive tail ends of one bound tile
+
+
+def _tail_spans(p, head, rows: int, r, c: float, table) -> np.ndarray:
+    """For one grid's prefix p and head maxima ``head`` in ``_quadrant_max``:
+    per tail block [a0, a1), the ends [lo, hi] of its tiles that can raise
+    a cell, lo > hi where none can.
+
+    Prefix sums never decrease and rounding is monotone, so a tile's window
+    sums are at most p[e1] - p[a0], over at least e0 - a1 + 1 cells, with
+    at most the scale of e1 - a0 cells; valued by ``_window_means`` and
+    raised by the slack 2^-36 (``_FLOOR_SLACK``) against the rounding of
+    the power and the scale, they bound the tile.  LB(i), the largest of
+    i's head maximum and, for each dyadic side L = n, n/2, ..., 1, that
+    side's best window joined with i, is a real window's value, so at most
+    field(i).  A tile whose bound lies below LB over the cells [a0, e1)
+    that its windows cover cannot set a cell, nor a later block's cell
+    through W.  A bound below 2^-1000 (``_FLOOR_TINY``) never prunes."""
+    n = head.size
+
+    def value(S, side, scale):
+        # the scaled values of sums S over ``side`` cells by the window
+        # values' own operations, the scale factor table[scale]
+        V = _window_means(S, side, r, c)
+        if table is not None:
+            V *= table[scale]
+        return V
+
+    # LB: the value of a real window holding each cell, at most its field
+    lb = head.copy()
+    L = n
+    while L:
+        V = value(p[L:] - p[:n + 1 - L], L, L - 1)
+        s = int(np.argmax(V))
+        e = s + L
+        np.maximum(lb[s:e], V[s], out=lb[s:e])
+        del V
+        # cells i < s take the window [i, e), cells i >= e [s, i + 1)
+        left = value(p[e] - p[:s], np.arange(e, L, -1),
+                     slice(e - 1, L - 1, -1))
+        np.maximum(lb[:s], left, out=lb[:s])
+        right = value(p[e + 1:] - p[s], np.arange(L + 1, n - s + 1),
+                      slice(L, n - s))
+        np.maximum(lb[e:], right, out=lb[e:])
+        del left, right
+        L //= 2
+    # the cells in runs of T = _TILE_ENDS: suffix[i], the least LB from i
+    # to the end of its run, and low[k], that of the whole run k
+    runs = np.full((-(-n // _TILE_ENDS), _TILE_ENDS), np.inf)
+    runs.ravel()[:n] = lb
+    del lb
+    np.minimum.accumulate(runs[:, ::-1], axis=1, out=runs[:, ::-1])
+    suffix, low = runs.ravel(), runs[:, 0]
+    K = low.size
+    # tile k takes the ends (k T, (k + 1) T]: its first and last end
+    first = np.arange(1, n + 1, _TILE_ENDS)
+    e1 = np.minimum(first + _TILE_ENDS - 1, n)
+    count = (n - 1) // rows                     # blocks with a tail
+    spans = np.empty((count, 2), dtype=np.int32)
+    chunk = max(1, _BLOCK_CAP // (16 * K))
+    for b0 in range(0, count, chunk):
+        a0 = np.arange(b0, min(count, b0 + chunk))[:, None] * rows
+        a1 = a0 + rows
+        e0 = np.maximum(first, a1 + 1)          # the block's first end
+        # the bound of the windows [a, b), a in [a0, a1) and b in [e0, e1];
+        # a tile with e0 > e1 holds none, its scale index is only clamped
+        ub = value(p[e1] - p[a0], e0 - a1 + 1, np.maximum(e1 - a0 - 1, 0))
+        ub *= 1.0 + _FLOOR_SLACK
+        # the least LB over the cells [a0, e1) that they cover
+        at = a0 // _TILE_ENDS
+        cover = np.where(np.arange(K) > at, low, np.inf)
+        np.put_along_axis(cover, at, suffix[a0], axis=1)
+        np.minimum.accumulate(cover, axis=1, out=cover)
+        keep = ~((ub < cover) & (ub >= _FLOOR_TINY)) & (e0 <= e1)
+        del ub, cover
+        some = keep.any(axis=1)
+        k0 = np.argmax(keep, axis=1)
+        k1 = K - 1 - np.argmax(keep[:, ::-1], axis=1)
+        blocks = spans[b0:b0 + len(a0)]
+        blocks[:, 0] = np.where(some, e0[np.arange(len(a0)), k0], n + 1)
+        blocks[:, 1] = np.where(some, e1[k1], n)
+    return spans
 
 
 _FLOOR_SLACK = 2.0 ** -36    # relative slack of a floor bound t_L

@@ -34,9 +34,9 @@ from .maximal import hl_maximals
 from .weightclass import (
     ClassSpec,
     ap_product,
-    aap_product,
     class_constant,
     finite_order_reduction,
+    interval_products,
     rh_inclusion_check,
 )
 from .czlab import theorem_chain_checks
@@ -219,9 +219,10 @@ def suite_prop41() -> SuiteResult:
         ">= |T_k| c_k^(1/2) for every k", ok, "closed-form",
         {"k": ks}))
 
-    products = [aap_product(w, 2.0, probe_interval(k), 2.0) for k in ks]
+    probes = [probe_interval(k) for k in ks]
+    products = interval_products(w, ClassSpec("AAp", p=2.0, A=2.0), probes)
     slope = _fit_slope(ks, [math.log2(v) for v in products])
-    controls = [ap_product(w, probe_interval(k), 2.0) for k in ks]
+    controls = interval_products(w, ClassSpec("Ap", p=2.0), probes)
     control_slope = _fit_slope(ks, [math.log2(v) for v in controls])
     ok = abs(slope - 1.0) <= 0.1 and abs(control_slope) < 0.5
     checks.append(Check(
@@ -276,9 +277,10 @@ def suite_prop42(p: float = 2.0) -> SuiteResult:
         {"pairs": [list(t) for t in pairs], "p": p}))
 
     hs = [0.01, 0.1, 1.0, 5.0, 20.0]
+    composed = ClassSpec("AAp", p=p, A=0.5, measure=EXP_ABS)
     prod_errs = []
-    for h in hs:
-        prod = aap_product(w, 0.5, (0.0, h), p, measure=EXP_ABS)
+    for h, prod in zip(hs, interval_products(w, composed,
+                                             [(0.0, h) for h in hs])):
         ref = j_h(p, h)
         prod_errs.append(abs(prod - ref) / ref)
     ok = max(prod_errs) <= 1e-8
@@ -301,11 +303,11 @@ def suite_prop42(p: float = 2.0) -> SuiteResult:
 
     mono_ok = True
     mono = []
-    for h in (0.1, 1.0, 5.0):
-        for a in (0.5, 2.0, 5.0):
-            prod = aap_product(w, 0.5, (a, a + h), p, measure=EXP_ABS)
-            mono.append({"a": a, "h": h, "product": prod, "J_h": j_h(p, h)})
-            mono_ok = mono_ok and prod <= j_h(p, h) * (1.0 + 1e-8)
+    shifts = [(a, h) for h in (0.1, 1.0, 5.0) for a in (0.5, 2.0, 5.0)]
+    for (a, h), prod in zip(shifts, interval_products(
+            w, composed, [(a, a + h) for a, h in shifts])):
+        mono.append({"a": a, "h": h, "product": prod, "J_h": j_h(p, h)})
+        mono_ok = mono_ok and prod <= j_h(p, h) * (1.0 + 1e-8)
     checks.append(Check(
         "translation-monotonicity",
         "composed product at a > 0 never exceeds its a = 0 value",
@@ -313,11 +315,12 @@ def suite_prop42(p: float = 2.0) -> SuiteResult:
         {"p": p}))
 
     plain_errs = []
-    for h in (1.0, 10.0, 25.0):
-        prod = ap_product(w, (0.0, h), p, measure=EXP_ABS)
+    plain = ClassSpec("Ap", p=p, measure=EXP_ABS)
+    *prods, shift = interval_products(
+        w, plain, [(0.0, 1.0), (0.0, 10.0), (0.0, 25.0), (3.0, 3.0 + 10.0)])
+    for h, prod in zip((1.0, 10.0, 25.0), prods):
         ref = ap_mu_closed_form(p, h)
         plain_errs.append(abs(prod - ref) / ref)
-    shift = ap_product(w, (3.0, 3.0 + 10.0), p, measure=EXP_ABS)
     shift_err = abs(shift - ap_mu_closed_form(p, 10.0)) / ap_mu_closed_form(p, 10.0)
     # divergence witness at the reference exponent 2: the plain product
     # crosses 10 by h = 25 while J_h has already collapsed
@@ -365,10 +368,11 @@ def suite_prop43() -> SuiteResult:
         {"masses": inv_masses, "bounds": bounds},
         ">= k^(1/2) |J_k|", ok, "closed-form", {"k": ks}))
 
-    products = [aap_product(w, -1.0, reflection_interval(k), 2.0) for k in ks]
+    probes = [reflection_interval(k) for k in ks]
+    products = interval_products(w, ClassSpec("AAp", p=2.0, A=-1.0), probes)
     slope = _fit_slope([math.log(k) for k in ks],
                        [math.log(v) for v in products])
-    controls = [ap_product(w, reflection_interval(k), 2.0) for k in ks]
+    controls = interval_products(w, ClassSpec("Ap", p=2.0), probes)
     control_slope = _fit_slope([math.log(k) for k in ks],
                                [math.log(v) for v in controls])
     ok = abs(slope - 0.5) <= 0.15 and abs(control_slope) < 0.15

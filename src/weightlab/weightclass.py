@@ -32,8 +32,9 @@ have the bits of the cube alone.  That holds for every Young function: one
 that bisects does so row by row, each cube on its own cells.  A row whose
 evaluation failed, such as an overflow, holds its exception, raised only
 when a product reads it, so the first infinite product of a sweep keeps its
-witness.  ``ap_product``, ``aap_product`` and ``rh_ratio`` are one-cube
-families.  The bump kinds' Luxemburg norms and the AA1 field are Lebesgue
+witness.  ``interval_products`` takes the terms of a list of intervals at
+once; ``ap_product``, ``aap_product`` and ``rh_ratio`` are its one-interval
+case.  The bump kinds' Luxemburg norms and the AA1 field are Lebesgue
 quantities, so those kinds take no other measure.
 """
 
@@ -71,6 +72,7 @@ __all__ = [
     "ap_product",
     "aap_product",
     "rh_ratio",
+    "interval_products",
     "class_constant",
     "finite_order_reduction",
     "subset_mass_ratio_check",
@@ -407,26 +409,33 @@ def _lattice_cells(w: GridFunction, side: float, starts):
 def ap_product(w: SegmentWeight1D, Q, p: float,
                measure: Measure = LEBESGUE) -> float:
     """(avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    return _one_product(w, ClassSpec("Ap", p=p, measure=measure), Q)
+    return interval_products(w, ClassSpec("Ap", p=p, measure=measure), [Q])[0]
 
 
 def aap_product(w: SegmentWeight1D, A, Q, p: float,
                 measure: Measure = LEBESGUE) -> float:
     """(avg_Q w(A.))(avg_Q w^{-1/(p-1)})^{p-1} with exact masses."""
-    return _one_product(w, ClassSpec("AAp", p=p, A=A, measure=measure), Q)
+    return interval_products(
+        w, ClassSpec("AAp", p=p, A=A, measure=measure), [Q])[0]
 
 
 def rh_ratio(w: SegmentWeight1D, Q, s: float,
              measure: Measure = LEBESGUE) -> float:
     """(avg_Q w^s)^{1/s} / (avg_Q w): the reverse Holder ratio at exponent s."""
-    return _one_product(w, ClassSpec("RH", s=s, measure=measure), Q)
+    return interval_products(w, ClassSpec("RH", s=s, measure=measure), [Q])[0]
 
 
-def _one_product(w: SegmentWeight1D, spec: ClassSpec, Q) -> float:
-    """The spec's product over one interval: a family of one cube."""
-    a, b = _interval(Q)
-    terms = _analytic_terms(w, spec)(np.array([a]), np.array([b]))
-    return next(_cube_products(spec, terms, [(a,)], [b - a]))[2]
+def interval_products(w: SegmentWeight1D, spec: ClassSpec, intervals) -> list:
+    """The spec's product over each interval, an (a, b) pair or a 1D Cube,
+    in order: one ``_analytic_terms`` call for all of them, so the weight
+    is composed and powered once, and each product has the bits of its
+    interval alone.  The first interval whose terms fail raises."""
+    ends = [_interval(Q) for Q in intervals]
+    a = np.array([lo for lo, _ in ends])
+    b = np.array([hi for _, hi in ends])
+    terms = _analytic_terms(w, spec)(a, b)
+    return [prod for _, _, prod, _ in _cube_products(
+        spec, terms, [(lo,) for lo, _ in ends], [hi - lo for lo, hi in ends])]
 
 
 def _cube_products(spec: ClassSpec, terms, corners, sides):

@@ -396,13 +396,14 @@ def _sparse_inputs(n, dim=1):
     return out
 
 
-def _every_length_cases(g):
+def _every_length_cases(g, powers=True):
     """(field, reference functional, alpha) of each operator that takes the
-    quadrant path on a 1D grid with every length."""
+    quadrant path on a 1D grid with every length; powers=False leaves out
+    the Orlicz powers."""
     cases = [(hl_maximal(g), prefix_averages(g), 0.0)]
     for alpha in (0.3, 0.7):
         cases.append((fractional_maximal(g, alpha), prefix_averages(g), alpha))
-    for r in (1.5, 3.0):
+    for r in (1.5, 3.0) if powers else ():
         phi = YoungFn.power(r)
         cases.append((orlicz_maximal(g, phi),
                       prefix_averages(g, phi.r, phi.c), 0.0))
@@ -446,23 +447,30 @@ def _window_requests(monkeypatch):
     return shapes
 
 
+def _fields_corpus(n, seed):
+    """The ``fields`` benchmark's 1D shape: squared uniforms times 3 with a
+    plateau of 40 on n/24 cells from n/6 on."""
+    vals = np.random.default_rng(seed).random(n) ** 2 * 3.0
+    vals[n // 6:n // 6 + n // 24] = 40.0
+    return vals
+
+
+def _tail_windows(shapes):
+    """The windows of the tail requests, the 3D (grids, rows, ends) ones."""
+    return sum(math.prod(shape) for shape in shapes if len(shape) == 3)
+
+
 def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
     # a deterministic stand-in for a timing test: the quadrant maximum
     # builds the heads of every block of R rows at once, then the tail of
-    # each block but the last, each spanning the columns after its rows,
-    # for chunks of as many grids as keep an array within _BLOCK_CAP cells:
-    # at n = 4096 one head stack and 255 tails; on the probe's 50 grids of
-    # 512 cells seven chunks of 32 requests, 224 in all where one grid at a
-    # time, in blocks of 64 rows, took 400
+    # each block but the last, for chunks of as many grids as keep an array
+    # within _BLOCK_CAP cells.  On the probe's 50 grids of 512 cells, in
+    # seven chunks of several grids, each tail spans every column after its
+    # rows: 32 requests a chunk, 224 in all where one grid at a time, in
+    # blocks of 64 rows, took 400.  One grid alone computes only the tiles
+    # of its tails that can raise a cell: on the fields corpus at 4096
+    # cells at most a fifth of the windows of the 255 whole tails
     shapes = _window_requests(monkeypatch)
-    n = 4096
-    rows = min(maximal._BLOCK_ROWS, maximal._BLOCK_CAP // n)
-    g = GridFunction((0.0, 1.0), np.random.default_rng(5).random(n))
-    hl_maximal(g)
-    assert rows == 16
-    assert shapes == [(rows, rows, 1, n // rows)] + \
-        [(1, rows, n - a - rows) for a in range(0, n - rows, rows)]
-    shapes.clear()
     n, rows = 512, 16
     hl_maximals([GridFunction((0.0, 1.0), np.full(n, 1.0 + k))
                  for k in range(50)])
@@ -474,6 +482,69 @@ def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
             [(grids, rows, n - a - rows) for a in range(0, n - rows, rows)]
         del shapes[:n // rows]
     assert not shapes
+    n = 4096
+    rows = min(maximal._BLOCK_ROWS, maximal._BLOCK_CAP // n)
+    assert rows == 16
+    hl_maximal(GridFunction((-1.0, 1.0), _fields_corpus(n, 5)))
+    assert shapes[0] == (rows, rows, 1, n // rows)
+    tails = [shape for shape in shapes if len(shape) == 3]
+    assert len(tails) <= n // rows - 1
+    assert all(shape[:2] == (1, rows) for shape in tails)
+    whole = sum(rows * (n - a - rows) for a in range(0, n - rows, rows))
+    assert _tail_windows(shapes) <= 0.2 * whole
+
+
+def _one_grid_inputs(n):
+    """One-grid inputs of the pruned tails: the fields corpus, a 1e300 spike
+    among 1e-300 cells, support of subnormal cells only among signed zeros,
+    and -0.0 cells among uniforms to the fourth power."""
+    rng = np.random.default_rng([n, 71])
+    spike = np.full(n, 1e-300)
+    spike[n // 3] = 1e300
+    subnormal = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    subnormal[n // 4:n // 2] = rng.integers(0, 5, n // 2 - n // 4) * 5e-324
+    signed = np.where(rng.random(n) < 0.3, -0.0, rng.random(n) ** 4)
+    return {"fields": _fields_corpus(n, n), "spike": spike,
+            "subnormal": subnormal, "signed-zeros": signed}
+
+
+@pytest.mark.parametrize("name, n", [("fields", 1536), ("spike", 1000),
+                                     ("subnormal", 1200),
+                                     ("signed-zeros", 1031)])
+def test_every_length_1d_pruned_tails_are_bitwise_the_per_length_sweep(
+        monkeypatch, name, n):
+    # a one-grid chunk skips the tail tiles whose bound lies below the
+    # least lower bound of the cells they cover; every field keeps the
+    # bits of the per-length sweep, sign bits included, for hl, alpha 0.3
+    # and 0.7, and the powers r = 1.5 and 3 (not on the spike, whose
+    # powers overflow).  Every input but one skips some tiles; a bound
+    # below 2^-1000 never prunes, so subnormal support keeps every tail
+    g = GridFunction((-1.0, 2.0), _one_grid_inputs(n)[name])
+    shapes = _window_requests(monkeypatch)
+    rows = min(maximal._BLOCK_ROWS, maximal._BLOCK_CAP // n)
+    whole = sum(rows * (n - a - rows) for a in range(0, n - rows, rows))
+    cases = _every_length_cases(g, powers=name != "spike")
+    for field, cube_values, alpha in cases:
+        ref = per_length_sweep(g, "all", cube_values, alpha)
+        assert _same_bits(field.values, ref), (name, alpha)
+    kept = _tail_windows(shapes) / (len(cases) * whole)
+    assert (kept == 1.0) == (name == "subnormal"), kept
+
+
+@pytest.mark.parametrize("n", [200, 257])
+def test_every_length_1d_pruned_tile_seams(monkeypatch, n):
+    # blocks of 3 and 16 rows against tiles of 1, 7 and 64 ends put the
+    # seams of rows, tiles and runs of cells out of step
+    for rows in (3, 16):
+        for tile in (1, 7, 64):
+            monkeypatch.setattr(maximal, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(maximal, "_TILE_ENDS", tile)
+            for name in ("fields", "spike", "signed-zeros"):
+                g = GridFunction((-1.0, 2.0), _one_grid_inputs(n)[name])
+                for field, cube_values, alpha in _every_length_cases(
+                        g, powers=name != "spike"):
+                    ref = per_length_sweep(g, "all", cube_values, alpha)
+                    assert _same_bits(field.values, ref), (rows, tile, name)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,34 @@ def test_cli_verify_reports_failures(monkeypatch, capsys):
     assert "FAIL" in captured.out and "composed-mass" in captured.err
 
 
+def test_cli_one_parser_per_process_acts_as_fresh_ones(grid_file, tmp_path,
+                                                       capsys):
+    # main builds its parser once per process; a field, an argument error
+    # and a suite run in one process each give the stdout and exit code of
+    # a new interpreter running that command alone
+    from weightlab import cli
+    runs = [["maximal", "--input", grid_file, "--operator", "fractional",
+             "--alpha", "0.5"],
+            ["maximal", "--input", grid_file, "--operator", "sup"],
+            ["verify", "prop41"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    capsys.readouterr()
+    codes = []
+    for argv in runs:
+        try:
+            rc = main(argv)
+        except SystemExit as stop:
+            rc = stop.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "weightlab.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (rc, out) == (proc.returncode, proc.stdout), argv
+        codes.append(rc)
+    assert codes == [0, 2, 0] and "suite prop41: PASS" in out
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_probe_rh_pass_and_not_applicable(weight_file, tmp_path, capsys):
     rc = main(["probe-rh", "--weight", weight_file, "--matrix", "2.0",
                "--p", "2.0", "--eps", "0.25"])

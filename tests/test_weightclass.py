@@ -34,6 +34,7 @@ from weightlab.weightclass import (
     aap_product,
     class_constant,
     finite_order_reduction,
+    interval_products,
     rh_inclusion_check,
     rh_ratio,
     subset_mass_ratio_check,
@@ -217,6 +218,64 @@ def test_exp_measure_product_closed_form():
     den, _ = quad(lambda x: math.exp(x), 0.0, h)
     ref = (num1 / den) * (num2 / den) ** (p - 1.0)
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_interval_products_are_the_one_interval_products(monkeypatch):
+    """A list of intervals takes one ``_analytic_terms`` call, so the weight
+    is composed once, and each product has the bits of its interval alone:
+    the probe lists of the suites, Cube intervals and an infinite product
+    among finite ones."""
+    import weightlab.weightclass as wc
+    from weightlab.suites import (exp_growth_weight, growth_weight,
+                                  probe_interval, reflection_interval,
+                                  reflection_weight)
+    shifts = [(a, a + h) for h in (0.1, 1.0, 5.0) for a in (0.5, 2.0, 5.0)]
+    cases = [
+        (growth_weight(), [probe_interval(k) for k in range(1, 7)],
+         [ClassSpec("AAp", p=2.0, A=2.0), ClassSpec("Ap", p=2.0)]),
+        (reflection_weight(), [reflection_interval(k) for k in range(1, 9)],
+         [ClassSpec("AAp", p=2.0, A=-1.0), ClassSpec("Ap", p=2.0)]),
+        (exp_growth_weight(2.0), [(0.0, 0.01), (0.0, 20.0)] + shifts,
+         [ClassSpec("AAp", p=2.0, A=0.5, measure=EXP_ABS),
+          ClassSpec("Ap", p=2.0, measure=EXP_ABS),
+          ClassSpec("RH", s=3.0, measure=EXP_ABS)]),
+        (power_weight(1.5, -4.0, 4.0),
+         [(0.5, 2.0), (-1.0, 1.0), Cube((1.0,), 0.5)],
+         [ClassSpec("Ap", p=2.0), ClassSpec("AAp", p=2.0, A=-2.0),
+          ClassSpec("RH", s=2.0)]),
+    ]
+    calls = []
+    real = wc._analytic_terms
+
+    def counted(w, spec):
+        calls.append(spec.kind)
+        return real(w, spec)
+
+    for w, intervals, specs in cases:
+        for spec in specs:
+            one = [interval_products(w, spec, [Q]) for Q in intervals]
+            monkeypatch.setattr(wc, "_analytic_terms", counted)
+            got = interval_products(w, spec, intervals)
+            monkeypatch.setattr(wc, "_analytic_terms", real)
+            assert calls == [spec.kind]
+            calls.clear()
+            assert [v.hex() for v in got] == [v.hex() for [v] in one], spec
+    assert math.isinf(interval_products(
+        power_weight(1.5, -4.0, 4.0), ClassSpec("Ap", p=2.0),
+        [(0.5, 2.0), (-1.0, 1.0)])[1])
+    assert interval_products(growth_weight(), ClassSpec("Ap", p=2.0),
+                             []) == []
+
+
+def test_interval_products_raise_the_first_failing_interval():
+    # e^x on [0, 1000]: the first interval whose mass overflows raises the
+    # error of its one-interval product
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    with pytest.raises(ValueError, match=r"^the mass over \[600.0, 800.0\]"):
+        interval_products(w, ClassSpec("Ap", p=2.0),
+                          [(0.0, 1.0), (600.0, 800.0), (700.0, 900.0)])
+    with pytest.raises(ValueError, match=r"^the mass over \[600.0, 800.0\]"):
+        ap_product(w, (600.0, 800.0), 2.0)
 
 
 # ---------------------------------------------------------------------------
