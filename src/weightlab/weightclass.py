@@ -20,28 +20,18 @@ The fractional products put the exponent q inside the first average and use
 the plain dual weight w^{-1} in the norm factor; with that normalization the
 per-cube identity frac(w, p, p, Q) = AAp(w^p, p, Q)^{1/p} is exact.
 
-Each product is written once, in ``_product``, over two per-cube terms: the
-average of a power of w or w_A, and the Luxemburg norm of a power of w.
-Analytic and grid weights supply the terms, building each power once: each
-term is one column, built on its first read, over the whole family's
-intervals for an analytic weight (one ``SegmentWeight1D.masses`` or
-``_analytic_norm`` call) and over a lattice of ``CubeFamily.lattices()`` at
-a time for a grid weight (one ``funcspace.span_totals`` pass or one
-``luxemburg_norms`` call over the rows of ``funcspace.span_rows``).  Its rows
-have the bits of the cube alone.  That holds for every Young function: one
-that bisects does so row by row, each cube on its own cells.  A row whose
-evaluation failed, such as an overflow, holds its exception, raised only
-when a product reads it, so the first infinite product of a sweep keeps its
-witness.  ``interval_products`` takes the terms of a list of intervals at
-once; ``ap_product``, ``aap_product`` and ``rh_ratio`` are its one-interval
-case.  The bump kinds' Luxemburg norms and the AA1 field are Lebesgue
-quantities, so those kinds take no other measure.
+Each product is written once, in ``_product``, as one numpy formula over
+columns of two terms, an average of a power of w or w_A and a Luxemburg
+norm of a power of w, each built once over the whole family (analytic
+weights) or a lattice (grid weights); every row has the bits of its cube
+alone.  A term carries its rows' witnesses and errors, read in the order
+of a sweep cube by cube.  The bump kinds' Luxemburg norms and the AA1
+field are Lebesgue quantities, so those kinds take no other measure.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +46,7 @@ from .funcspace import (
     Segment,
     SegmentWeight1D,
     SquareMatrix,
+    _libm_pow,
     compose_matrix,
     resolve_matrix,
     round_total,
@@ -175,45 +166,91 @@ class ConstantReport:
 # per-cube products
 # ---------------------------------------------------------------------------
 
-def _product(spec: ClassSpec, mean, norm):
-    """The spec's per-cube product as (value, witness), from two terms.
+def _term(values, why=None, errors=None, ends=None) -> tuple:
+    """A term over a block of cubes: (its column, {k: witness}, {k: error
+    reading row k raises}, where it ends a product: at the rows ends lists,
+    by default its infinite rows).  A row with a witness reads inf."""
+    values = np.array(values, dtype=float)
+    why = why or {}
+    values[list(why)] = math.inf
+    errors = {k: err if isinstance(err, Exception) else ValueError(err)
+              for k, err in (errors or {}).items() if k not in why}
+    return values, why, errors, (np.isinf(values) if ends is None else
+                                 np.isin(np.arange(values.size), list(ends)))
 
-    mean(g, e) is the cube average of g^e, g being "w" or "wA", and norm(e)
-    the Luxemburg norm of w^e under spec.phi.  Both return (value, witness),
-    inf with a witness when the term is infinite; that term's witness then
-    comes with the infinite product."""
+
+def _product(spec: ClassSpec, terms, corners, sides):
+    """(corners, sides, products, {k: witness}, (k, error) of the first
+    cube that raises or None) for a block of cubes, from its terms (fail,
+    mean, norm): {k: error}, mean(g, e) the ``_term`` of averages of g^e
+    (g is "w" or "wA") and norm(e) that of Luxemburg norms of w^e.
+
+    numpy's * and / round as Python's do and ``_libm_pow`` is Python's **,
+    so each product has the bits of its cube's scalar formula.  A term is
+    read, and built, only where that formula reads it: not past the first
+    cube that raises, nor where an infinite term ended the product (inf,
+    with its witness).  So the first error is a sweep's: a failing cube,
+    term row or column, or a product not finite while its terms are (an
+    overflow).  Other infinite products take their terms' first witness."""
+    fail, mean, norm = terms
+    n = len(sides)
+    error = [min(fail, default=n), fail.get(min(fail, default=n))]
+    live = np.arange(n) < error[0]      # neither ended nor past an error
+    why, reads = {}, []
+
+    def read(column, *args, at=True, ends=False):
+        at = live & at
+        term = _term(np.full(n, math.nan))
+        try:
+            term = column(*args) if at.any() else term
+        except (ValueError, ArithmeticError) as err:
+            # a column that cannot be built fails where it is first read
+            error[:] = int(np.argmax(at)), err
+        values, witness, errors, ending = term
+        for k in sorted(k for k in errors if at[k])[:1]:
+            error[:] = k, errors[k]
+        live[error[0]:] = False
+        ended = np.flatnonzero(at & ending).tolist() if ends else []
+        live[ended] = False
+        why.update((k, witness[k]) for k in ended if k in witness)
+        reads.append((values, witness, at))
+        return values
+
     p = spec.p
-    if spec.kind == "RH":
-        avg = mean("w", 1.0)[0]
-        if avg == 0.0:
-            return 0.0, None
-        high, why = mean("w", spec.s)
-        if math.isinf(high):
-            return math.inf, why
-        return high ** (1.0 / spec.s) / avg, None
-    if spec.kind == "bump":
-        lead = mean("wA", 1.0)[0] ** (1.0 / p)
-        nrm, why = norm(-1.0 / p)
-        return (math.inf, why) if why else (lead * nrm, None)
-    if spec.kind in ("frac", "frac_bump"):
-        lead, why = mean("wA", spec.q)
-        if math.isinf(lead):
-            return math.inf, why
-        lead = lead ** (1.0 / spec.q)
-        if spec.kind == "frac_bump":
-            nrm, why = norm(-1.0)
-            return (math.inf, why) if why else (lead * nrm, None)
-        pp = p / (p - 1.0)
-        dual, why = mean("w", -pp)
-        if math.isinf(dual):
-            return math.inf, why
-        return lead * dual ** (1.0 / pp), None
-    # Ap and Ap_mu (the measure lives in the terms), AAp
-    dual, why = mean("w", -1.0 / (p - 1.0))
-    if math.isinf(dual):
-        return math.inf, why
-    lead = mean("wA" if spec.kind == "AAp" else "w", 1.0)[0]
-    return lead * dual ** (p - 1.0), None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind == "RH":
+            avg = read(mean, "w", 1.0)
+            high = read(mean, "w", spec.s, at=avg != 0.0, ends=True)
+            value = np.where(avg != 0.0, _libm_pow(high, 1.0 / spec.s) / avg,
+                             0.0)
+        elif spec.kind == "bump":
+            lead = _libm_pow(read(mean, "wA", 1.0), 1.0 / p)
+            value = lead * read(norm, -1.0 / p, ends=True)
+        elif spec.kind in ("frac", "frac_bump"):
+            lead = _libm_pow(read(mean, "wA", spec.q, ends=True), 1.0 / spec.q)
+            if spec.kind == "frac_bump":
+                value = lead * read(norm, -1.0, ends=True)
+            else:
+                pp = p / (p - 1.0)
+                value = lead * _libm_pow(read(mean, "w", -pp, ends=True),
+                                         1.0 / pp)
+        else:
+            # Ap and Ap_mu (the measure lives in the terms), AAp
+            dual = read(mean, "w", -1.0 / (p - 1.0), ends=True)
+            lead = read(mean, "wA" if spec.kind == "AAp" else "w", 1.0)
+            value = lead * _libm_pow(dual, p - 1.0)
+    value[~live] = math.inf             # the ended rows, and undefined ones
+    finite = np.logical_and.reduce([~at | np.isfinite(values)
+                                    for values, _, at in reads])
+    for k in np.flatnonzero(live & finite & ~np.isfinite(value))[:1].tolist():
+        cube = Cube(tuple(corners[k].tolist()), float(sides[k]))
+        error[:] = k, ValueError(f"the {spec.kind} product over {cube} "
+                                 "overflows the float range")
+        live[k:] = False
+    for _, witness, at in reads:
+        why.update((k, wit) for k, wit in witness.items() if k not in why
+                   and live[k] and at[k] and value[k] == math.inf)
+    return corners, sides, value, why, tuple(error) if error[0] < n else None
 
 
 def _interval(Q):
@@ -227,25 +264,6 @@ def _interval(Q):
     return a, b
 
 
-def _rows(values, why, errors):
-    """Cube k's term (value, witness) at index k: (inf, why[k]) where the
-    term is infinite, and where its evaluation failed the exception it
-    raised (a ValueError of the message, for a message)."""
-    rows = [(v, None) for v in values]
-    for k, error in errors.items():
-        rows[k] = error if isinstance(error, Exception) else ValueError(error)
-    for k, witness in why.items():
-        rows[k] = (math.inf, witness)
-    return rows
-
-
-def _read(row):
-    """A row's (value, witness); a failed row raises its exception."""
-    if isinstance(row, Exception):
-        raise row
-    return row
-
-
 def _lengths(measure: Measure, a: np.ndarray, b: np.ndarray):
     """(the measure of each interval [a_k, b_k], {k: its overflow})."""
     if measure.kind == "lebesgue":
@@ -255,11 +273,9 @@ def _lengths(measure: Measure, a: np.ndarray, b: np.ndarray):
 
 
 def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
-    """(a, b) -> (fail, mean, norm) over the intervals [a_k, b_k] for an
-    analytic weight: exact segment masses under spec.measure, each term
-    the rows of one column over all the intervals, built on its first
-    read, with each powered weight built once.  fail maps an interval to
-    the error its measure raises."""
+    """(a, b) -> the (fail, mean, norm) terms of ``_product`` over the
+    intervals [a_k, b_k] for an analytic weight, from exact segment masses
+    under spec.measure, each powered weight built once."""
     weights = {("w", 1.0): (w, [])}
     norm_of = {}
 
@@ -275,6 +291,13 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
         lo, hi = a.tolist(), b.tolist()
         covered = {}
 
+        def singular(why, pieces, e):
+            # witnesses where pieces of w^e are not integrable, as defaults
+            for bad in pieces:
+                for k in np.flatnonzero(bad.singular_in(a, b)).tolist():
+                    why.setdefault(k, f"w^{e:g} non-integrable near x={bad.a:g}")
+            return why
+
         def infinite(g, e):
             # k -> the witness of cube k's infinite term g^e
             why = {}
@@ -284,22 +307,24 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
                 for k in np.flatnonzero(~covered[g]).tolist():
                     why[k] = (f"w vanishes on part of [{lo[k]:g}, {hi[k]:g}] "
                               f"and e={e:g} < 0")
-            for bad in powered(g, e)[1]:
-                for k in np.flatnonzero(bad.singular_in(a, b)).tolist():
-                    why.setdefault(k, f"w^{e:g} non-integrable near x={bad.a:g}")
-            return why
+            return singular(why, powered(g, e)[1], e)
 
         @functools.cache
         def mean(g, e):
             masses, overflow = powered(g, e)[0].masses(a, b, spec.measure)
-            return _rows((masses / lengths).tolist(), infinite(g, e), overflow)
+            return _term(masses / lengths, infinite(g, e), overflow)
 
         @functools.cache
         def norm(e):
             if e not in norm_of:
                 norm_of[e] = _analytic_norm(powered("w", e)[0], spec.phi)
-            values, errors = norm_of[e](a, b)
-            return _rows(values, infinite("w", e), errors)
+            norms, bad = norm_of[e]
+            ends = infinite("w", e)
+            # a power phi norms (w^e)^r, which may not be integrable where
+            # w^e is: that infinite norm then multiplies the product
+            values, errors = norms(a, b)
+            return _term(values, singular(dict(ends), bad, e * spec.phi.r),
+                         errors, ends)
 
         return {k: ValueError(m) for k, m in fail.items()}, mean, norm
 
@@ -307,11 +332,10 @@ def _analytic_terms(w: SegmentWeight1D, spec: ClassSpec):
 
 
 def _grid_terms(w: GridFunction, spec: ClassSpec):
-    """(side, starts) -> (fail, mean, norm) over a lattice's cubes for a
-    grid weight: exact cube averages of powered grids, each built once, by
-    one ``span_totals`` pass per term over the cubes' cells, and their
-    Luxemburg norms as the ``span_rows`` rows of one ``luxemburg_norms``
-    call.  fail maps a cube to the error its grid span raises."""
+    """(side, corners) -> the (fail, mean, norm) terms of ``_product`` over a
+    lattice's cubes for a grid weight: exact averages of powered grids, each
+    built once, by one ``span_totals`` pass, and one ``luxemburg_norms``
+    call over the cubes' ``span_rows``."""
     if spec.measure != LEBESGUE:
         raise ValueError("grid weights support the Lebesgue measure only")
     if not w.mask.all():
@@ -334,16 +358,11 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
                 grids[g, e] = GridFunction((w.lo, w.hi), values)
         return grids[g, e]
 
-    def terms(side, starts):
-        good, first, shape, fail = _lattice_cells(w, side, starts)
-        n = math.prod(map(len, starts))
-        vanishing = [(math.inf, zero_witness)] * n
-
-        def spread(values):
-            out = [math.nan] * n
-            for k, v in zip(good, values):
-                out[k] = v
-            return out
+    def terms(side, corners):
+        good, first, shape, fail = _lattice_cells(w, side, corners)
+        n = len(corners)
+        vanishing = _term(np.full(n, math.inf),
+                          dict.fromkeys(range(n), zero_witness))
 
         @functools.cache
         def mean(g, e):
@@ -352,58 +371,50 @@ def _grid_terms(w: GridFunction, spec: ClassSpec):
             # exact sums, each rounded and then divided by the cell count:
             # bit for bit ``GridFunction.cube_average``
             totals = span_totals(powered(g, e).values, first, shape)
-            values, errors = [], {}
+            values, errors = np.full(n, math.nan), {}
             for k, total in zip(good, totals):
                 try:
-                    values.append(round_total(total) / math.prod(shape))
+                    values[k] = round_total(total) / math.prod(shape)
                 except OverflowError as err:
-                    values.append(math.nan)
                     errors[k] = err
-            return _rows(spread(values), {}, errors)
+            return _term(values, errors=errors)
 
         @functools.cache
         def norm(e):
             if e < 0.0 and zero_witness:
                 return vanishing
-            rows = span_rows(powered("w", e).values, first, shape)
-            return _rows(spread(luxemburg_norms(rows, spec.phi)), {}, {})
+            values = np.full(n, math.nan)
+            values[good] = luxemburg_norms(
+                span_rows(powered("w", e).values, first, shape), spec.phi)
+            return _term(values)
 
         return fail, mean, norm
 
     return terms
 
 
-def _lattice_cells(w: GridFunction, side: float, starts):
-    """(good, first, shape, fail) for a lattice on w's grid, with the
-    arithmetic of ``span_of_cube``: the lattice positions of the cubes that
-    lie grid-aligned inside the grid, in order; their first cells, one
-    index array per axis broadcast over the lattice (``span_rows``); their
-    cells per axis; and {k: the error ``span_of_cube`` raises for cube k}
-    for the others."""
-    at, first, shape = [], [], []
-    for d, axis in enumerate(starts):
-        a = np.array(axis)
-        t0 = (a - w.lo[d]) / w.h[d]
-        t1 = (a + side - w.lo[d]) / w.h[d]
-        i0, i1 = np.rint(t0), np.rint(t1)
-        good = np.flatnonzero((np.abs(t0 - i0) <= 1e-9) & (np.abs(t1 - i1) <= 1e-9)
-                              & (i0 >= 0) & (i1 <= w.shape[d]) & (i1 > i0))
-        # aligned cubes of one side span one whole number of cells
-        shape.append(int(i1[good[0]] - i0[good[0]]) if good.size else 0)
-        first.append(i0[good].astype(int))
-        at.append(good)
-    good = np.ravel_multi_index(np.meshgrid(*at, indexing="ij"),
-                                [len(axis) for axis in starts]).ravel().tolist()
+def _lattice_cells(w: GridFunction, side: float, corners: np.ndarray):
+    """(good, first, shape, fail) for cubes of one side on w's grid, their
+    corners as rows, with the arithmetic of ``span_of_cube``: the
+    positions of the cubes that lie grid-aligned inside the grid, in
+    order; their first cells, one index array per axis (``span_rows``);
+    their cells per axis; and {k: the error ``span_of_cube`` raises for
+    cube k} for the others."""
+    lo, h = np.array(w.lo), np.array(w.h)
+    t0, t1 = (corners - lo) / h, (corners + side - lo) / h
+    i0, i1 = np.rint(t0), np.rint(t1)
+    good = np.flatnonzero(((np.abs(t0 - i0) <= 1e-9) & (np.abs(t1 - i1) <= 1e-9)
+                           & (i0 >= 0) & (i1 <= w.shape) & (i1 > i0)).all(axis=1))
+    # aligned cubes of one side span one whole number of cells
+    shape = (i1 - i0)[good[0]] if good.size else np.zeros(w.dim)
     fail = {}
-    if len(good) < math.prod(map(len, starts)):
-        kept = set(good)
-        for k, corner in enumerate(itertools.product(*starts)):
-            if k not in kept:
-                try:
-                    w.span_of_cube(Cube(corner, side))
-                except ValueError as err:
-                    fail[k] = err
-    return good, np.ix_(*first), tuple(shape), fail
+    for k in np.setdiff1d(np.arange(len(corners)), good).tolist():
+        try:
+            w.span_of_cube(Cube(tuple(corners[k].tolist()), side))
+        except ValueError as err:
+            fail[k] = err
+    return (good.tolist(), tuple(i0[good].astype(int).T),
+            tuple(shape.astype(int).tolist()), fail)
 
 
 def ap_product(w: SegmentWeight1D, Q, p: float,
@@ -429,24 +440,16 @@ def interval_products(w: SegmentWeight1D, spec: ClassSpec, intervals) -> list:
     """The spec's product over each interval, an (a, b) pair or a 1D Cube,
     in order: one ``_analytic_terms`` call for all of them, so the weight
     is composed and powered once, and each product has the bits of its
-    interval alone.  The first interval whose terms fail raises."""
+    interval alone.  The first interval whose evaluation raises, past any
+    infinite product, raises."""
     ends = [_interval(Q) for Q in intervals]
     a = np.array([lo for lo, _ in ends])
     b = np.array([hi for _, hi in ends])
-    terms = _analytic_terms(w, spec)(a, b)
-    return [prod for _, _, prod, _ in _cube_products(
-        spec, terms, [(lo,) for lo, _ in ends], [hi - lo for lo, hi in ends])]
-
-
-def _cube_products(spec: ClassSpec, terms, corners, sides):
-    """(corner, side, product, witness) per cube, from the (fail, mean,
-    norm) terms of the cubes with these corners and sides."""
-    fail, mean, norm = terms
-    for k, (corner, side) in enumerate(zip(corners, sides)):
-        if k in fail:
-            raise fail[k]
-        yield (corner, side, *_product(spec, lambda g, e: _read(mean(g, e)[k]),
-                                       lambda e: _read(norm(e)[k])))
+    *_, values, _, error = _product(spec, _analytic_terms(w, spec)(a, b),
+                                    a[:, None], b - a)
+    if error:
+        raise error[1]
+    return values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -468,57 +471,55 @@ def class_constant(w, spec: ClassSpec, family: CubeFamily,
 
 
 def _products(w, spec: ClassSpec, family: CubeFamily):
-    """(corner, side, product, witness) for every cube of the family, in
-    ``family.cubes()`` order: for an analytic weight with the terms of the
-    whole family at once, its intervals in that order, and for a grid
-    weight a lattice at a time.
-
-    Each term of an analytic weight is then one ``masses`` pass over the
-    family, not one per lattice: ``weightlab verify all`` makes 181 calls,
-    not 429.  On a shared 2-core x86-64 VM (minimum of 25 interleaved runs
-    in one process, ms, a lattice at a time -> the family at once):
-    ``suite_prop41`` 9.1 -> 6.7, ``suite_prop43`` 10.0 -> 7.5, the
-    theorems suite's ``rh_inclusion_check`` 9.1 -> 5.4 and its two
-    ``finite_order_reduction`` calls 3.6 -> 1.8 and 4.3 -> 2.2."""
+    """The family's ``_product`` blocks in ``family.cubes()`` order: one
+    with the terms of the whole family at once (one ``masses`` pass per
+    term) for an analytic weight, one per lattice for a grid weight."""
     if isinstance(w, SegmentWeight1D):
         if family.dim != 1:
             raise ValueError("analytic products are one dimensional")
         lattices = list(family.lattices())
         a = np.array([s for _, (starts,) in lattices for s in starts])
-        sides = [side for side, (starts,) in lattices for _ in starts]
-        yield from _cube_products(
-            spec, _analytic_terms(w, spec)(a, a + np.array(sides)),
-            [(s,) for s in a.tolist()], sides)
+        sides = np.array([side for side, (starts,) in lattices for _ in starts])
+        yield _product(spec, _analytic_terms(w, spec)(a, a + sides),
+                       a[:, None], sides)
     elif isinstance(w, GridFunction):
         terms = _grid_terms(w, spec)
         for side, starts in family.lattices():
-            cubes = itertools.product(*starts)
-            yield from _cube_products(spec, terms(side, starts), cubes,
-                                      itertools.repeat(side))
+            corners = np.stack(np.meshgrid(*starts, indexing="ij"), axis=-1)
+            corners = corners.reshape(-1, len(starts))
+            yield _product(spec, terms(side, corners), corners,
+                           np.full(len(corners), side))
     else:
         raise TypeError("w must be a SegmentWeight1D or GridFunction")
 
 
-def _report(kind: str, family: CubeFamily, products,
+def _report(kind: str, family: CubeFamily, blocks,
             trace: bool = False) -> ConstantReport:
-    """The max of a (corner, side, product, witness) stream, or its first
-    infinite or NaN product with the witness.  A NaN product (such as
-    0 * inf) makes the constant NaN: it is undefined, not a value that a
-    max may skip.  A Cube is built only for a row the report keeps."""
+    """The max of the products of ``_product`` blocks, the smallest (corner,
+    side) of equal ones, or their first infinite or NaN product (0 * inf
+    is undefined, not a value a max may skip) with its witness; a cube
+    that raises before either raises.  Cubes are built only for kept rows."""
     best, best_at = -math.inf, None
     rows = [] if trace else None
-    for corner, side, val, witness in products:
+    for corners, sides, values, why, error in blocks:
+        def at(k):
+            return tuple(corners[k].tolist()), float(sides[k])
+        end = len(values) if error is None else error[0]
+        stop = np.flatnonzero(~np.isfinite(values[:end]))[:1].tolist()
         if rows is not None:
-            rows.append((Cube(corner, side), val))
-        if math.isinf(val) or math.isnan(val):
-            default = ("infinite per-cube product" if math.isinf(val)
-                       else "undefined (NaN) per-cube product")
-            return ConstantReport(val, kind, Cube(corner, side),
-                                  family.to_json_dict(),
-                                  witness=witness or default, trace=rows)
-        if val > best or (val == best and best_at is not None
-                          and (corner, side) < best_at):
-            best, best_at = val, (corner, side)
+            rows += [(Cube(*at(k)), v) for k, v in
+                     enumerate(values[:stop[0] + 1 if stop else end].tolist())]
+        for k in stop:
+            what = "infinite" if math.isinf(values[k]) else "undefined (NaN)"
+            witness = why.get(k) or f"{what} per-cube product"
+            return ConstantReport(float(values[k]), kind, Cube(*at(k)),
+                                  family.to_json_dict(), witness, trace=rows)
+        if error is not None:
+            raise error[1]
+        if end:
+            k = min(np.flatnonzero(values == values.max()).tolist(), key=at)
+            if values[k] > best or (values[k] == best and at(k) < best_at):
+                best, best_at = float(values[k]), at(k)
     return ConstantReport(best, kind, best_at and Cube(*best_at),
                           family.to_json_dict(), trace=rows)
 
@@ -655,19 +656,23 @@ def rh_inclusion_check(w, A, p: float, eps: float, family: CubeFamily) -> dict:
                 "reason": f"dual weight non-integrable near x={bad[0].a:g}"}
     specs = (ClassSpec("RH", s=s), ClassSpec("AAp", p=p, A=A),
              ClassSpec("AAp", p=p - eps, A=A))
-    columns = [list(_products(g, spec, family))
-               for g, spec in zip((sigma, w, w), specs)]
-    rh_report, base, lowered = (_report(spec.kind, family, column)
-                                for spec, column in zip(specs, columns))
-    worst = 0.0
-    for (_, _, rh, _), (_, _, aap, _), (_, _, lhs, _) in zip(*columns):
-        rhs = rh ** (p - 1.0) * aap
-        if math.isinf(lhs) or math.isinf(rhs):
-            if lhs != rhs:
-                worst = math.inf
-            continue
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    # one block each (analytic weights); any failing cube raises
+    blocks = [next(_products(g, spec, family))
+              for g, spec in zip((sigma, w, w), specs)]
+    for *_, error in blocks:
+        if error:
+            raise error[1]
+    rh_report, base, lowered = (_report(spec.kind, family, [block])
+                                for spec, block in zip(specs, blocks))
+    rh, aap, lhs = (block[2] for block in blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = _libm_pow(rh, p - 1.0) * aap
+        defect = np.abs(lhs - rhs) / np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    infinite = np.isinf(lhs) | np.isinf(rhs)
+    # an infinite side must be matched; a NaN defect never raises the worst
+    worst = (math.inf if (infinite & (lhs != rhs)).any() else
+             float(np.fmax.reduce(defect[~infinite], initial=0.0)))
     slack = rh_report.value ** (p - 1.0) * base.value - lowered.value
     return {
         "applicable": True,

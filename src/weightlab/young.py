@@ -239,17 +239,18 @@ def luxemburg_norm(f, Q, phi: YoungFn) -> float:
         raise TypeError("f must be a GridFunction or SegmentWeight1D")
     cube = _as_cube(Q, 1)
     a = cube.corner[0]
-    norms, errors = _analytic_norm(f, phi)(np.array([a]), np.array([a + cube.side]))
+    norms, errors = _analytic_norm(f, phi)[0](np.array([a]), np.array([a + cube.side]))
     if errors:
         raise ValueError(errors[0])
     return norms[0]
 
 
 def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
-    """(a, b) -> the normalized Luxemburg norms of an analytic weight over
-    the intervals [a_k, b_k] (arrays), as (norms, {k: message}), the
-    message of the ValueError each failing interval raises: one that w
-    does not cover, or whose mass overflows.
+    """(norms, singular): norms(a, b) gives the normalized Luxemburg norms
+    of an analytic weight over the intervals [a_k, b_k] (arrays) and {k:
+    message} for each interval that w does not cover or whose mass
+    overflows; singular holds the pieces of w^r (power phi) that are not
+    integrable at their singular point.
 
     Homogeneous phi has the closed form (c avg w^r)^(1/r) from exact
     powered-segment masses, over all intervals at once, with one powered
@@ -296,7 +297,7 @@ def _analytic_norm(w: SegmentWeight1D, phi: YoungFn):
             else:
                 out[k] = _bisected_norm(w, phi, lo[k], hi[k], vmax[k], mean[k])
         return out, errors
-    return norms
+    return norms, singular
 
 
 def _bisected_norm(w: SegmentWeight1D, phi: YoungFn, a: float, b: float,

@@ -7,8 +7,9 @@ is a scipy brentq root of the mean functional.  The maximal-field
 references either enumerate every window of each cell or spread one window
 length at a time from functionals over the whole grid, apart from the
 nested sweeps and their box-local prefix sums.  The per-lattice class
-products share the per-cube formulas with the code under test and hold
-only the whole family's batched terms to the terms of one lattice.
+products share the term columns with the code under test, but take them a
+lattice at a time and evaluate each cube's formula on its own, in Python
+floats, reading one term row at a time.
 """
 
 import itertools
@@ -19,9 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
-from weightlab.funcspace import SegmentWeight1D, _cumsum_prefix
+from weightlab.funcspace import (Cube, GridFunction, SegmentWeight1D,
+                                 _cumsum_prefix)
 from weightlab.maximal import _length_list, _scale
-from weightlab.weightclass import _analytic_terms, _cube_products
+from weightlab.weightclass import _analytic_terms, _grid_terms
 
 
 def slices(span) -> tuple:
@@ -349,13 +351,88 @@ def per_length_sweep(g, lengths, cube_values, alpha=0.0):
     return out
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y as a Python float, libm's inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def scalar_product(spec, mean, norm):
+    """One cube's product as (value, witness, ended) in Python floats, its
+    terms read one at a time and only where the formula needs them:
+    mean(g, e) and norm(e) return the cube's row of a term, (value,
+    witness, ends), or raise its error.  An infinite term that ends the
+    product makes it inf with the term's witness (ended)."""
+    p = spec.p
+    if spec.kind == "RH":
+        avg = mean("w", 1.0)[0]
+        if avg == 0.0:
+            return 0.0, None, False
+        high, why, ends = mean("w", spec.s)
+        if ends:
+            return math.inf, why, True
+        return _power(high, 1.0 / spec.s) / avg, None, False
+    if spec.kind == "bump":
+        lead = _power(mean("wA", 1.0)[0], 1.0 / p)
+        nrm, why, ends = norm(-1.0 / p)
+        return (math.inf, why, True) if ends else (lead * nrm, None, False)
+    if spec.kind in ("frac", "frac_bump"):
+        lead, why, ends = mean("wA", spec.q)
+        if ends:
+            return math.inf, why, True
+        lead = _power(lead, 1.0 / spec.q)
+        if spec.kind == "frac_bump":
+            nrm, why, ends = norm(-1.0)
+            return (math.inf, why, True) if ends else (lead * nrm, None, False)
+        pp = p / (p - 1.0)
+        dual, why, ends = mean("w", -pp)
+        if ends:
+            return math.inf, why, True
+        return lead * _power(dual, 1.0 / pp), None, False
+    dual, why, ends = mean("w", -1.0 / (p - 1.0))
+    if ends:
+        return math.inf, why, True
+    lead = mean("wA" if spec.kind == "AAp" else "w", 1.0)[0]
+    return lead * _power(dual, p - 1.0), None, False
+
+
 def per_lattice_products(w, spec, family):
-    """(corner, side, product, witness) per cube of the family for an
-    analytic weight, with the terms of one lattice at a time: the
-    evaluation of ``weightclass._products`` before it took the terms of
-    the whole family at once."""
-    terms = _analytic_terms(w, spec)
-    for side, (starts,) in family.lattices():
-        a = np.array(starts)
-        yield from _cube_products(spec, terms(a, a + side),
-                                  [(s,) for s in starts], [side] * len(starts))
+    """(corner, side, product, witness) per cube of the family, in
+    ``cubes()`` order, up to the first cube whose evaluation raises, which
+    then raises: the terms of one lattice at a time, and each cube's
+    ``scalar_product``.  A product that is not finite while every term it
+    read is raises an overflow; any other infinite product that no term
+    ended takes the witness of the first term read that has one."""
+    grid = isinstance(w, GridFunction)
+    terms = _grid_terms(w, spec) if grid else _analytic_terms(w, spec)
+    for side, starts in family.lattices():
+        if grid:
+            corners = np.array(list(itertools.product(*starts)), dtype=float)
+            fail, mean, norm = terms(side, corners)
+        else:
+            a = np.array(starts[0])
+            fail, mean, norm = terms(a, a + side)
+        for k, corner in enumerate(itertools.product(*starts)):
+            if k in fail:
+                raise fail[k]
+            read = []
+
+            def row(term, k=k, read=read):
+                values, why, errors, ends = term
+                if k in errors:
+                    raise errors[k]
+                read.append((values[k].item(), why.get(k)))
+                return read[-1] + (bool(ends[k]),)
+
+            value, witness, ended = scalar_product(
+                spec, lambda g, e: row(mean(g, e)), lambda e: row(norm(e)))
+            if not math.isfinite(value) and all(
+                    math.isfinite(v) for v, _ in read):
+                raise ValueError(f"the {spec.kind} product over "
+                                 f"{Cube(corner, side)} overflows the float "
+                                 "range")
+            if math.isinf(value) and not ended:
+                witness = next((why for _, why in read if why), None)
+            yield corner, side, value, witness

@@ -836,6 +836,25 @@ def test_cli_constant_overflowing_lebesgue_mass_exits_two(tmp_path, capsys):
         "error: the mass over [600.0, 1000.0] overflows the float range\n"
 
 
+def test_cli_constant_overflowing_power_exits_two(tmp_path, capsys):
+    # w = 1e-306 x on [0, 1] at p = 3: the square of the dual average
+    # leaves the float range on the cube [0, 2^-6], a product of finite
+    # terms about 2 there; one line, no traceback
+    files = {"w.json": {"segments": [{"lo": 0.0, "hi": 1.0, "form": "power",
+                                      "c": 1e-306, "gamma": 1.0}]},
+             "fam.json": {"box": [0.0, 1.0], "levels": [0, 12]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    rc = main(["constant", "--class", "ap", "--p", "3",
+               "--weight", str(tmp_path / "w.json"),
+               "--family", str(tmp_path / "fam.json")])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: the Ap product over Cube(corner=(0.0,), "
+                       "side=0.015625) overflows the float range\n")
+
+
 @pytest.mark.parametrize("family, message", [
     ({"box": [-2.0, float("nan")], "levels": [0, 2]},
      "family box must be finite"),

@@ -7,6 +7,7 @@ that hold exactly per cube.
 
 import hashlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -516,8 +517,8 @@ _FAMILY_KINDS = {
 
 
 def _product_rows(products):
-    """The (corner, side, product as hex, witness) rows of a product
-    stream up to an error, and that error's type and message."""
+    """The (corner, side, product as hex, witness) rows of a scalar
+    product stream up to an error, and that error's type and message."""
     rows = []
     try:
         for corner, side, value, witness in products:
@@ -527,19 +528,34 @@ def _product_rows(products):
     return rows, None
 
 
+def _column_rows(blocks):
+    """The rows of ``_product_rows`` from the column path's blocks."""
+    rows = []
+    for corners, sides, values, why, error in blocks:
+        end = len(values) if error is None else error[0]
+        rows += [(tuple(c), s, v.hex(), why.get(k)) for k, (c, s, v) in
+                 enumerate(zip(corners[:end].tolist(), sides[:end].tolist(),
+                               values[:end].tolist()))]
+        if error is not None:
+            return rows, (type(error[1]), str(error[1]))
+    return rows, None
+
+
 @pytest.mark.parametrize("kind, measure", [
     *((kind, "lebesgue") for kind in _FAMILY_KINDS),
     *((kind, "exp_abs") for kind in _FAMILY_KINDS
       if kind not in ("bump", "frac_bump"))])
 def test_family_terms_are_the_per_lattice_rows(kind, measure):
-    """The terms of the whole family at once give every cube's row, with
-    its witness, and the first error, as the terms of one lattice at a
-    time do, bit for bit.  The weights: a power whose dual powers are not
-    integrable at 0 (infinite rows with witnesses), one with a gap, the
-    reflection weight and an e^{|x|} growth, under Lebesgue measure; the
-    exp and constant pieces whose e^{|x|} masses are closed forms under
-    the exponential measure, where the bump kinds take no measure; and an
-    exp piece whose masses overflow past infinite rows."""
+    """The column path, with the terms of the whole family at once, gives
+    every cube's row, with its witness, and the first error, as each
+    cube's scalar formula in Python floats does on the terms of one
+    lattice at a time, bit for bit.  The weights: a power whose dual
+    powers are not integrable at 0 (infinite rows with witnesses), one
+    with a gap, the reflection weight, an e^{|x|} growth and a 1D and a 2D
+    grid weight, under Lebesgue measure; the exp and constant pieces whose
+    e^{|x|} masses are closed forms under the exponential measure, where
+    the bump kinds take no measure; and an exp piece whose masses
+    overflow past infinite rows."""
     from reference import per_lattice_products
     from weightlab.suites import exp_growth_weight, reflection_weight
     from weightlab.weightclass import _products
@@ -549,13 +565,21 @@ def test_family_terms_are_the_per_lattice_rows(kind, measure):
     # cubes that reach past 7.1 leave the float range
     blowup = SegmentWeight1D([Segment(-7.0, 8.0, "exp", s=100.0)])
     weights = [gap, exp_growth_weight(2.0, span=8.0), blowup]
+    # cells of 1/3 or 2/3: every shifted lattice of the family is aligned
+    rng = np.random.default_rng(61)
+    grids = [GridFunction((-8.0, 8.0), rng.random(48) ** 4 + 1e-3),
+             GridFunction(((-8.0, -8.0), (8.0, 8.0)),
+                          rng.random((24, 24)) + 0.25)]
     if measure == "lebesgue":
-        weights += [power_weight(0.5, -40.0, 40.0, c=3.0), reflection_weight()]
+        weights += [power_weight(0.5, -40.0, 40.0, c=3.0), reflection_weight(),
+                    *grids]
     spec = ClassSpec(kind, measure=LEBESGUE if measure == "lebesgue"
                      else EXP_ABS, **_FAMILY_KINDS[kind])
-    fam = CubeFamily((-8.0, 8.0), levels=(0, 4), shifts=3)
     for w in weights:
-        got = _product_rows(_products(w, spec, fam))
+        box = (w.lo, w.hi) if getattr(w, "dim", 1) == 2 else (-8.0, 8.0)
+        fam = CubeFamily(box, levels=(0, 4 if w is not grids[1] else 3),
+                         shifts=3)
+        got = _column_rows(_products(w, spec, fam))
         want = _product_rows(per_lattice_products(w, spec, fam))
         assert got == want, (kind, measure)
         assert (got[1] is None) is (w is not blowup)
@@ -872,6 +896,132 @@ def test_frac_bump_infinite_witness_names_the_power():
     rep = class_constant(power_weight(1.0, -8.0, 8.0), spec, fam)
     assert rep.value == math.inf
     assert rep.witness == "w^-1 non-integrable near x=0"
+
+
+def test_power_phi_bump_infinite_witness_names_the_normed_power():
+    # w = |x|: w^{-1/2} is integrable at 0, but the norm under t^2 is that
+    # of (w^{-1/2})^2 = w^{-1}, which is not
+    spec = ClassSpec("bump", p=2.0, A=2.0, phi=YoungFn.power(2.0))
+    fam = CubeFamily((-4.0, 4.0), levels=(0, 3), shifts=2)
+    rep = class_constant(power_weight(1.0, -16.0, 16.0), spec, fam)
+    assert rep.value == math.inf and rep.argmax == Cube((-4.0,), 8.0)
+    assert rep.witness == "w^-1 non-integrable near x=0"
+
+
+# ---------------------------------------------------------------------------
+# the column report: overflows, ties, zeros, NaN, errors past infinite rows
+# ---------------------------------------------------------------------------
+
+def _tiny_linear():
+    """w = 1e-306 x on [0, 1], and nothing on [-1, 0).  At p = 3 the dual
+    average of w^{-1/2} over [0, h] is 2e153 h^{-1/2}: its square leaves
+    the float range from h = 2^-6 down, though each product is about 2."""
+    return SegmentWeight1D([Segment(0.0, 1.0, "power", c=1e-306, gamma=1.0)])
+
+
+def test_overflowing_product_of_finite_terms_raises_naming_the_cube():
+    w = _tiny_linear()
+    message = (r"^the Ap product over Cube\(corner=\(0\.0,\), "
+               r"side=0\.015625\) overflows the float range$")
+    with pytest.raises(ValueError, match=message):
+        class_constant(w, ClassSpec("Ap", p=3.0), CubeFamily((0.0, 1.0),
+                                                              levels=(0, 12)))
+    with pytest.raises(ValueError, match=message):
+        ap_product(w, (0.0, 2.0 ** -6), 3.0)
+    assert ap_product(w, (0.0, 2.0 ** -5), 3.0) == pytest.approx(2.0, rel=0.1)
+    # an earlier infinite row wins: w vanishes on part of [-1, 1]
+    fam = CubeFamily((-1.0, 1.0), levels=(0, 13))
+    rep = class_constant(w, ClassSpec("Ap", p=3.0), fam)
+    assert rep.value == math.inf and rep.argmax == Cube((-1.0,), 2.0)
+    assert rep.witness == "w vanishes on part of [-1, 1] and e=-0.5 < 0"
+
+
+def test_equal_products_report_the_smallest_corner_then_side():
+    """Every product of a constant weight is 1.0: the report names the
+    smallest (corner, side), not the first cube of the sweep."""
+    w = constant_weight(1.0, -8.0, 8.0)
+    fam = CubeFamily((0.0, 8.0), levels=(0, 3), shifts=2)
+    rep = class_constant(w, ClassSpec("Ap", p=2.0), fam, trace=True)
+    assert {v.hex() for _, v in rep.trace} == {(1.0).hex()}
+    assert rep.value == 1.0 and rep.argmax == Cube((0.0,), 1.0)
+    box = ((-1.0, -1.0), (1.0, 1.0))
+    g = GridFunction(box, np.ones((8, 8)))
+    fam = CubeFamily(box, levels=(0, 2), shifts=2)
+    rep = class_constant(g, ClassSpec("AAp", p=2.0, A=-1.0), fam, trace=True)
+    assert {v.hex() for _, v in rep.trace} == {(1.0).hex()}
+    assert rep.value == 1.0 and rep.argmax == Cube((-1.0, -1.0), 0.5)
+    assert rep.argmax == min(fam.cubes(), key=lambda Q: (Q.corner, Q.side))
+
+
+def test_signed_zero_ties_keep_the_winning_rows_bits():
+    """No weight gives a -0.0 product (its terms are nonnegative means and
+    norms, and a zero average reads +0.0), so the report takes blocks
+    (corners, sides, products, witnesses, error) directly: of 0.0 and -0.0
+    the smaller corner wins, with its sign, in one block or across two."""
+    from weightlab.weightclass import _report
+    fam = CubeFamily((0.0, 4.0), levels=(1, 1))
+    corners, sides = np.array([[0.0], [2.0]]), np.array([2.0, 2.0])
+    for values in ([0.0, -0.0], [-0.0, 0.0]):
+        rep = _report("Ap", fam, [(corners, sides, np.array(values), {}, None)])
+        assert rep.value.hex() == values[0].hex()
+        assert rep.argmax == Cube((0.0,), 2.0)
+        later = [(corners[1:], sides[1:], np.array(values[1:]), {}, None),
+                 (corners[:1], sides[:1], np.array(values[:1]), {}, None)]
+        assert _report("Ap", fam, later).value.hex() == values[0].hex()
+
+
+def test_nan_product_is_the_scalar_nan_row():
+    # the 0 * inf of test_nan_product_makes_the_constant_nan: NaN in the
+    # column path as in the scalar one, with no witness, and in the list
+    # of interval products
+    from reference import per_lattice_products
+    from weightlab.weightclass import _products
+    spec = ClassSpec("bump", p=2.0, A=2.0, phi=YoungFn.power(2.0))
+    fam = CubeFamily((2.5, 3.5), levels=(0, 0))
+    w = power_weight(1.0, 2.0, 4.0, a=3.0)
+    assert _column_rows(_products(w, spec, fam)) == _product_rows(
+        per_lattice_products(w, spec, fam)) == (
+        [((2.5,), 1.0, math.nan.hex(), None)], None)
+    assert math.isnan(interval_products(w, spec, [(2.5, 3.5)])[0])
+
+
+def test_failing_row_after_an_infinite_one():
+    """class_constant stops at the infinite row; interval_products raises
+    the later failing row; a term an infinite row ended is not read."""
+    w = SegmentWeight1D([Segment(0.0, 1000.0, "exp", s=1.0)])
+    spec = ClassSpec("Ap", p=2.0)
+    rep = class_constant(w, spec, CubeFamily((-1000.0, 1000.0), levels=(1, 1)))
+    assert rep.value == math.inf and rep.argmax == Cube((-1000.0,), 1000.0)
+    with pytest.raises(ValueError, match=r"^the mass over \[0.0, 1000.0\] "
+                                         "overflows the float range$"):
+        interval_products(w, spec, [(-1000.0, 0.0), (0.0, 1000.0)])
+    # the dual average over [-1000, 1000] is infinite, so its overflowing
+    # mean of w is never read
+    assert interval_products(w, spec, [(-1000.0, 1000.0)]) == [math.inf]
+
+
+def test_column_arithmetic_warns_nothing():
+    """inf and NaN products, a zero RH average, an overflowing product and
+    the rh_inclusion identity, with every numpy warning an error."""
+    phi = YoungFn.power(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        class_constant(power_weight(1.0, 2.0, 4.0, a=3.0),
+                       ClassSpec("bump", p=2.0, A=2.0, phi=phi),
+                       CubeFamily((2.5, 3.5), levels=(0, 0)))
+        class_constant(power_weight(1.0, -8.0, 8.0), ClassSpec("Ap", p=2.0),
+                       CubeFamily((-4.0, 4.0), levels=(0, 2), shifts=2))
+        gap = SegmentWeight1D([Segment(0.0, 1.0, "power")])
+        assert interval_products(gap, ClassSpec("RH", s=2.0),
+                                 [(2.0, 3.0), (0.0, 1.0)]) == [0.0, 1.0]
+        with pytest.raises(ValueError, match="overflows the float range"):
+            ap_product(_tiny_linear(), (0.0, 2.0 ** -7), 3.0)
+        holed = GridFunction((0.0, 4.0), [1.0, 0.0, 2.0, 3.0])
+        class_constant(holed, ClassSpec("bump", p=2.0, A=-1.0, phi=phi),
+                       CubeFamily((0.0, 4.0), levels=(0, 2)))
+        rh_inclusion_check(power_weight(0.5, -64.0, 64.0), 2.0, p=2.0,
+                           eps=0.25, family=CubeFamily((0.5, 8.5),
+                                                       levels=(0, 3)))
 
 
 def test_class_constant_powers_each_weight_once(monkeypatch):
