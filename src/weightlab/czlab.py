@@ -18,10 +18,12 @@ fractional variant runs the same chain with exponents (p, q) and the weight
 powers w^p, w^q.  ``theorem_chain_checks`` replays a batch of cases (w, A,
 p) on one f and builds the f-only half of the chain (embedding, dyadic
 field, k range, stopping cubes, cover check, per-cube columns, span plans,
-E sets, one B_p integral per p) once for the batch, and the A-free terms
+E sets, one B_p integral per p) once for the batch, the A-free terms
 (right-hand side, per-cube norms, the M_phibar g sweep and its E-set
-minima) once per (w, p); ``theorem_chain_check`` is the batch of one, and
-each report has the same bytes either way.
+minima) once per (w, p), the cell transport once per A, and the image-side
+weight with its layer totals and masses once per (w, A);
+``theorem_chain_check`` is the batch of one, and each report has the same
+bytes either way.
 
 Geometry conventions used by the chain:
 
@@ -50,6 +52,7 @@ Geometry conventions used by the chain:
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
@@ -721,19 +724,57 @@ class _WeightHalf:
         self.vanishes = self.rhs_base = self.terms = None
 
 
+class _MatrixPart:
+    """The part of the chain that depends on A alone, shared by the cases
+    of a batch with that matrix: the resolved matrix, then the cell
+    transport of the embedding (``_cell_transport``).  ``last`` marks the
+    last case of the batch with that matrix, which holds the part alone."""
+
+    def __init__(self):
+        self.A = self.transport = None
+        self.last = False
+
+
+class _ImagePart:
+    """The part of the chain that depends on (w, A) and not on p, shared by
+    the cases of a batch with that weight and matrix; the fractional chain
+    raises the image-side weight and w_A to the power q, so there it is
+    the part of (w, A, p).  The first case to reach each part builds it:
+    the composed weight w_A, the image-side weight pulled back to the input
+    grid (``w_back``) with its count of cells where it vanishes, its layer
+    totals, and the image and w_A mass columns of the used cubes' clipped
+    triples.  ``last`` marks the last case with that key, which drops
+    ``w_back`` after its own use."""
+
+    def __init__(self):
+        self.wA = self.w_back = self.missing = self.w_totals = None
+        self.masses = None
+        self.last = False
+
+
+def _case_keys(w, A, p: float, alpha: float):
+    """The keys of a case's ``_MatrixPart`` and ``_ImagePart``: a scalar A
+    by its value, any other A and w by identity, and p in the fractional
+    chain."""
+    key = ("scalar", A) if np.isscalar(A) else ("object", id(A))
+    return key, (key, id(w), p if alpha > 0.0 else None)
+
+
 class _ChainCorpus:
     """The f-only half of the proof chain, shared by the cases of one
-    ``theorem_chain_checks`` batch, and one ``_WeightHalf`` per (w, p).
-    Each part is built when a case first needs it, so a case that stops
-    earlier builds nothing more: the dyadic field M of the embedding fY
-    (kept unpowered) with its k range and layer labels, the stopping cubes
-    with their cover check, columns, span plans and E sets, and one B_p
-    integral per exponent.  The last case of the batch takes M, the layer
-    labels, fY and the cubes at their last use, so a batch of one drops
-    each whole grid where a single chain does."""
+    ``theorem_chain_checks`` batch, one ``_WeightHalf`` per (w, p), one
+    ``_MatrixPart`` per A and one ``_ImagePart`` per (w, A).  Each part is
+    built when a case first needs it, so a case that stops earlier builds
+    nothing more: the dyadic field M of the embedding fY (kept unpowered)
+    with its k range and layer labels, the stopping cubes with their cover
+    check, columns, span plans and E sets, and one B_p integral per
+    exponent.  The last case of the batch takes M, the layer labels, fY and
+    the cubes at their last use, so a batch of one drops each whole grid
+    where a single chain does; a matrix or image part leaves the corpus at
+    the last case of its key in the same way."""
 
     def __init__(self, f: GridFunction, a: float, alpha: float,
-                 phi: YoungFn):
+                 phi: YoungFn, cases: list):
         self.f, self.a, self.alpha = f, a, alpha
         self.phi, self.phibar = phi, complementary(phi)
         # f embedded into the concentric box Y = 4 X
@@ -750,15 +791,26 @@ class _ChainCorpus:
         self._used = None
         self._bp = {}
         self._halves = {}
-        self._matrices = {}
+        self._parts = {}
+        # the cases left per matrix and image key
+        self._left = collections.Counter(
+            key for w, A, p in cases for key in _case_keys(w, A, p, alpha))
 
-    def matrix(self, A) -> SquareMatrix:
-        """``resolve_matrix(A, dim)``, once per distinct A of the batch: a
-        scalar by its value, anything else by its identity."""
-        key = ("scalar", float(A)) if np.isscalar(A) else ("object", id(A))
-        if key not in self._matrices:
-            self._matrices[key] = resolve_matrix(A, self.f.dim)
-        return self._matrices[key]
+    def parts(self, w, A, p: float):
+        """The ``_MatrixPart`` and ``_ImagePart`` of a case; at the last
+        case of its key a part leaves the corpus, marked ``last``."""
+        parts = []
+        for key, kind in zip(_case_keys(w, A, p, self.alpha),
+                             (_MatrixPart, _ImagePart)):
+            if key not in self._parts:
+                self._parts[key] = kind()
+            part = self._parts[key]
+            self._left[key] -= 1
+            part.last = not self._left[key]
+            if part.last:
+                del self._parts[key]
+            parts.append(part)
+        return parts
 
     def half(self, factors, p: float) -> _WeightHalf:
         """The ``_WeightHalf`` of the weight factors (by identity) and p."""
@@ -885,7 +937,7 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
                          alpha: float = 0.0) -> list:
     """One ``theorem_chain_check`` report per case (w, A, p), in order.
 
-    The cases share f, phi, a and alpha, and the work is shared at three
+    The cases share f, phi, a and alpha, and the work is shared at four
     levels.  Once per batch, the f-only half: the embedding, the dyadic
     field and its k range, the stopping cubes with their cover check and
     per-cube columns, the span plans of the cubes and of their clipped
@@ -893,11 +945,16 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
     sets' counts, beta and disjointness, and one B_p integral per p.  Once
     per (w, p), w taken by the identity of its factors: the right-hand side,
     the Luxemburg norms of g and of the dual weight, the M_phibar g sweep
-    (or its error), its minima over the E sets and its integral.  Per case,
-    what depends on A: the composition, the cell bijection, the image-side
-    weight pulled back, the layer totals, the image and w_A masses, B_used
-    and the bump-class check.  Each report has the bytes of the single
-    call on its case, and cases in any order give the same reports.
+    (or its error), its minima over the E sets and its integral.  Once per
+    A, a scalar taken by its value and anything else by identity: the
+    matrix and the cell bijection.  Once per (w, A), w taken by identity
+    (fractional: per (w, A, p), as the image-side weights carry the power
+    q): the composition, the image-side weight pulled back, its layer
+    totals, and the image and w_A masses.  Per case, what depends on
+    (w, A, p): the layer totals of M^E w, B_used and the bump-class check.
+    Each report has the bytes of the single call on its case, and cases in
+    any order give the same reports.  A whole grid of a matrix or of a
+    (w, A) lives until the last case with that key.
     """
     n = _dyadic_cells(f)
     if n < 2:
@@ -905,7 +962,7 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
     if a is None:
         a = float(2 ** (f.dim + 2))
     cases = list(cases)
-    corpus = _ChainCorpus(f, a, alpha, phi)
+    corpus = _ChainCorpus(f, a, alpha, phi, cases)
     return [_chain_case(corpus, w, A, p, last=i == len(cases) - 1)
             for i, (w, A, p) in enumerate(cases)]
 
@@ -934,7 +991,10 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
     """``_chain_case``'s report, appending each step to ``steps``."""
     f, a, alpha = c.f, c.a, c.alpha
     dim = f.dim
-    A = c.matrix(A)
+    mat, side = c.parts(w, A, p)
+    if mat.A is None:
+        mat.A = resolve_matrix(A, dim)
+    A = mat.A
     check_a(a, dim)
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError("need a finite p > 1")
@@ -965,18 +1025,24 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
     # ---- weights ---------------------------------------------------------
     # every whole-grid array is dropped after its last use, and powers of a
     # grid that is dead afterwards are taken in place
-    try:
-        wA = compose_matrix(factors, A)
-    except DomainError as err:
-        return fail(str(err))
+    if side.wA is None:
+        try:
+            side.wA = compose_matrix(factors, A)
+        except DomainError as err:
+            return fail(str(err))
     # w on Y, sampled here only until the (w, p) half knows whether w
     # vanishes and the right-hand side
     wY = product_averages(factors, Ylo, Yhi, NY) \
         if half.vanishes is None else None
-    out_lo, out_hi, perm, fault = _cell_transport(fY, A)
+    if mat.transport is None:
+        mat.transport = _cell_transport(fY, A)
+    out_lo, out_hi, perm, fault = mat.transport
+    del mat                 # at the matrix's last case, drops the transport
     if fault:
         return fail(f"cell transport not exact: {fault}")
-    w_out = product_averages(factors, out_lo, out_hi, NY)
+    # w on the image grid, sampled only until the (w, A) part pulls it back
+    w_out = product_averages(factors, out_lo, out_hi, NY) \
+        if side.w_back is None else None
     det = abs(A.det)
     vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
 
@@ -1001,16 +1067,20 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
     del wY
     if half.vanishes:
         return fail("weight vanishes on a cell of the working box")
-    missing_out = int((w_out <= 0).sum())
-    if frac:
-        w_out **= q
-    # the image-side weight pulled back to the input grid through the cell
-    # bijection (image cell o is A of input cell perm[o]), so every
-    # image-side sum below runs over the input grid
-    w_back = np.empty(perm.size)
-    w_back[perm] = w_out.ravel()
-    w_back = w_back.reshape(fY.shape)
+    if side.w_back is None:
+        side.missing = int((w_out <= 0).sum())
+        if frac:
+            w_out **= q
+        # the image-side weight pulled back to the input grid through the
+        # cell bijection (image cell o is A of input cell perm[o]), so every
+        # image-side sum below runs over the input grid
+        w_back = np.empty(perm.size)
+        w_back[perm] = w_out.ravel()
+        side.w_back = w_back.reshape(fY.shape)
     del perm, w_out
+    w_back, missing_out = side.w_back, side.missing
+    if side.last:           # this case holds w_back alone from here on
+        side.w_back = None
 
     rhs_base = half.rhs_base
     power = "w^p" if frac else "w"
@@ -1037,7 +1107,9 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
     M *= w_back                 # M^E w
     me_totals = exact_totals(M, c.layer, n_layers)
     del M
-    w_totals = exact_totals(w_back, c.layer, n_layers)
+    if side.w_totals is None:
+        side.w_totals = exact_totals(w_back, c.layer, n_layers)
+    w_totals = side.w_totals
     lhs_total = round_total(add_totals(me_totals)) * vol_out
 
     # tail: cells where the maximal field never exceeds a^{k_low}
@@ -1076,17 +1148,19 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
     # is a Python float power.
     # the pulled-back weight w_A (fractional: w_A^q), sampled for its one
     # use: one pass of row sums gives its masses and the image masses
-    WA_vals = product_averages(wA, Ylo, Yhi, NY)
-    if frac:
-        WA_vals **= q
-    image_mass, wa = _span_reduce(
-        used.plan3,
-        lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
-        w_back, WA_vals).T
-    del w_back, WA_vals
-    image_mass = (image_mass * vol_out).tolist()
-    wa_mass = (wa * volY).tolist()
-    wa_avg = (wa / used.cells3).tolist()
+    if side.masses is None:
+        WA_vals = product_averages(side.wA, Ylo, Yhi, NY)
+        if frac:
+            WA_vals **= q
+        image_mass, wa = _span_reduce(
+            used.plan3,
+            lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
+            w_back, WA_vals).T
+        del WA_vals
+        side.masses = ((image_mass * vol_out).tolist(), (wa * volY).tolist(),
+                       (wa / used.cells3).tolist())
+    del w_back
+    image_mass, wa_mass, wa_avg = side.masses
     cells3 = used.cells3.tolist()
     # the norms, the M_phibar g sweep and its E-set terms, once per (w, p)
     if half.terms is None:

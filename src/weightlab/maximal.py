@@ -483,18 +483,25 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
     Almost all of the windows are tails, whose two maxima are reductions,
     and a block pays some ten numpy calls for all the grids of its chunk.
     On a shared 2-core x86-64 VM (minimum of 15 interleaved runs in one
-    process, ms; median in brackets): 50 grids of 512 cells took 46.4 at 8
-    rows, 37.0 (47.8) at 16, 39.4 at 24, 43.2 at 32 and 55.0 at 64,
-    against 86.2 (92.7) one grid at a time in blocks of 64 rows with
-    descending columns; one grid of 4096 cells 48.6, 38.3 (42.9), 36.8,
-    37.5 and 39.1, against 36.2 (43.9).
+    process, ms; median in brackets), at 8, 16, 24, 32 and 64 rows: 50
+    grids of 512 cells took 10.3, 9.9 (10.4), 10.6, 10.9 and 14.5; one
+    grid of 4096 uniform cells 10.2, 8.1 (8.5), 8.2, 8.2 and 8.2.  With a
+    clamp on the tails and their ends repeated, the same runs read 13.1,
+    12.6 (12.9), 13.2, 13.3, 17.0 and 15.0, 12.8 (13.1), 12.9, 12.8, 12.8.
 
     The window [a0 + i, a0 + 1 + j) has the side max(j + 1 - i, 1) whatever
     a0 (1 where it holds no window), so one (rows, n) length matrix gives
     the sides of every head and tail, and for alpha > 0 their scale
     factors, as views.  Each window value comes from the same float
     operations as in ``_sweep`` (``_window_means``), every value is +0.0 or
-    more, and max is exact, so both give the same field bit for bit.
+    more, and max is exact, so both give the same field bit for bit.  The
+    heads clamp their sums, as their entries with b <= a hold negative
+    differences, which a power 1/r would turn into NaN.  The tails need no
+    clamp: a tail window ends past its start, b > a, and each grid's
+    prefix starts at +0.0 and never decreases (``_box_prefix``: the
+    support box starts at a positive cell, whose power is +0.0 or more,
+    and x + y >= x for y >= 0 or -0.0 in round to nearest), so P[b] - P[a]
+    is +0.0 or more, and +0.0 where they are equal.
 
     A chunk of one grid computes only the tail tiles, a block's rows times
     _TILE_ENDS consecutive ends, that can raise a cell (``_tail_spans``).
@@ -514,14 +521,10 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
                           for L in range(1, n + 1)])
         scales = table[sides.astype(int) - 1]
 
-    def values(ends, starts, axis, cells):
-        # the scaled values of the windows from each start to each end, the
-        # starts along ``axis``, where ends has length 1; their sides are
-        # the length matrix's entries ``cells``.  The ends repeated and the
-        # starts taken in place subtract faster than one broadcast
-        S = np.repeat(ends, starts.shape[axis], axis=axis)
-        S -= starts
-        V = _window_means(S, sides[cells], r, c)
+    def values(S, cells, clamp=True):
+        # the scaled values of the windows with sums S, whose sides are the
+        # length matrix's entries ``cells``
+        V = _window_means(S, sides[cells], r, c, clamp)
         if scales is not None:
             V *= scales[cells]
         return V
@@ -531,8 +534,11 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
         # the rows i and columns j of a block leading: H[i, j, grid, block]
         starts, ends = (Q[:, a:a + blocks * m].reshape(-1, blocks, m)
                         .transpose(2, 0, 1) for a in (a0, a0 + 1))
-        H = values(ends[None], starts[:, None], 0,
-                   (slice(m), slice(m), None, None))
+        # the ends repeated and the starts taken in place subtract faster
+        # than one broadcast
+        S = np.repeat(ends[None], m, axis=0)
+        S -= starts[:, None]
+        H = values(S, (slice(m), slice(m), None, None))
         best = np.empty((m,) + H.shape[2:])
         for i in range(m):
             if i:
@@ -570,8 +576,10 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
             lo, hi = (a1 + 1, n) if spans is None else spans[a0 // rows]
             if lo > hi:
                 continue
-            T = values(Q[:, None, lo:hi + 1], Q[:, a0:a1, None], 1,
-                       (slice(None), slice(lo - a0 - 1, hi - a0)))
+            # b > a and the prefix never decreases from +0.0, so every
+            # sum is +0.0 or more and needs no clamp
+            T = values(Q[:, None, lo:hi + 1] - Q[:, a0:a1, None],
+                       (slice(None), slice(lo - a0 - 1, hi - a0)), False)
             np.maximum(cells, np.maximum.accumulate(T.max(axis=2), axis=1),
                        out=cells)
             ends = W[:, lo:hi + 1]
@@ -694,12 +702,13 @@ def _box_prefix(f: GridFunction, r: float | None = None):
     return box, y, P
 
 
-def _window_means(S, side, r: float | None, c: float):
+def _window_means(S, side, r: float | None, c: float, clamp: bool = True):
     """The values (c * S / side)^(1/r) of windows with sums S (plain S /
-    side for r=None), in place in S, a new array."""
+    side for r=None), in place in S, a new array.  Without the clamp, every
+    sum must be +0.0 or more."""
     # clamp: cancellation in the prefix sums can leave tiny negatives over
     # all-zero stretches, which fractional powers would turn into NaN
-    vals = np.maximum(S, 0.0, out=S)
+    vals = np.maximum(S, 0.0, out=S) if clamp else S
     vals /= side
     if r is not None:
         vals *= c

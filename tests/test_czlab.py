@@ -1016,6 +1016,28 @@ def test_chain_2d_peak_memory_in_grids():
     assert grids <= 6.82 * 1.1, grids
 
 
+def test_chain_last_case_of_a_key_drops_its_grids():
+    """The chain of ``test_chain_2d_peak_memory_in_grids``, a batch of one,
+    is the last case of its matrix and of its (w, A) pair: the cell
+    transport and the pulled-back image-side weight, which a batch keeps
+    for later cases of their key, are freed at their last use here.  The
+    tracemalloc peak is 6.31 grids of 512^2 cells; either one kept
+    through the norms adds a grid (7.31 measured)."""
+    args = (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2), 2.0,
+            PHI)
+    theorem_chain_check(*args)          # imports and caches stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = theorem_chain_check(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.applicable and rep.passed()
+    grids = peak / (512 ** 2 * 8)
+    assert grids <= 6.31 + 0.5, grids
+
+
 @pytest.mark.parametrize("f, w, A", [
     (corpus_function(2 ** 14), PAIR[0], -2.0),
     (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2)),
@@ -1191,3 +1213,84 @@ def test_chain_batch_resolves_each_matrix_once(monkeypatch):
         assert [_report_bytes(rep) for rep in batch] == single
         assert sorted(resolved) == [-2.0, -0.5, 0.5, 2.0]
         resolved.clear()
+
+
+def _spy_transport_and_image_sampling(monkeypatch, Y):
+    """Logs of the cell transports and of the weight samplings on a box
+    other than Y (the image side's): the matrix per transport, and the
+    factors' identities and the box per sampling."""
+    transports, images = [], []
+    transport, sample = czlab._cell_transport, czlab.product_averages
+
+    def spy_transport(grid, A):
+        transports.append(A)
+        return transport(grid, A)
+
+    def spy_sample(factors, lo, hi, n):
+        if (tuple(lo), tuple(hi)) != Y:
+            images.append((tuple(map(id, factors)), tuple(lo), tuple(hi)))
+        return sample(factors, lo, hi, n)
+
+    monkeypatch.setattr(czlab, "_cell_transport", spy_transport)
+    monkeypatch.setattr(czlab, "product_averages", spy_sample)
+    return transports, images
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25], ids=["plain", "fractional"])
+def test_chain_batch_shares_each_matrix_and_weight_matrix_pair(
+        monkeypatch, alpha):
+    """Two weights and two scalars at three exponents, interleaved as
+    (A1, p1), (A2, p1), (A1, p2), with (w, A) pairs repeated at other p
+    and one case repeated whole: forward and reversed, every report has
+    the bytes of its single call.  A call transports the cells once per
+    distinct A and samples the image-side weight once per (w, A); the
+    fractional chain raises it to the power q, so there once per
+    (w, A, p)."""
+    f = corpus_function(64)
+    w1, w2 = power_weight(0.5, -40.0, 40.0), power_weight(-0.25, -40.0, 40.0)
+    cases = [(w1, 2.0, 1.5), (w1, -0.5, 1.5), (w1, 2.0, 2.0), (w2, 2.0, 2.0),
+             (w1, -0.5, 3.0), (w2, 2.0, 1.5), (w1, 2.0, 1.5)]
+    single = [_report_bytes(theorem_chain_check(f, *case, PHI, alpha=alpha))
+              for case in cases]
+    assert all(json.loads(s)["applicable"] for s in single)
+    transports, images = _spy_transport_and_image_sampling(
+        monkeypatch, ((-4.0,), (4.0,)))
+    for order in (1, -1):
+        batch = czlab.theorem_chain_checks(f, cases[::order], PHI,
+                                           alpha=alpha)
+        assert [_report_bytes(rep) for rep in batch] == single[::order]
+        assert sorted(A.det for A in transports) == [-0.5, 2.0]
+        pairs = {(id(w), A) for w, A, _ in cases}
+        triples = set((id(w), A, p) for w, A, p in cases)
+        assert len(images) == len(pairs if alpha == 0.0 else triples)
+        transports.clear()
+        images.clear()
+
+
+def test_chain_2d_batch_shares_transports_around_failing_compositions(
+        monkeypatch):
+    """A 2D batch that interleaves two matrices at two exponents with a
+    shear, which the product weight cannot compose with, between them:
+    forward and reversed, every report has the bytes of its single call,
+    the shear gets its not-applicable report each time, and the batch
+    transports the cells and samples the image-side weight once per
+    composable matrix."""
+    f = acceptance_grid_2d(16)
+    shear = SquareMatrix([[1.0, 1.0], [0.0, 1.0]])
+    half = SquareMatrix.scalar(-0.5, 2)
+    swap = SquareMatrix([[0.0, 2.0], [0.5, 0.0]])  # its image box is not Y
+    cases = [(PAIR, half, 2.0), (PAIR, shear, 2.0), (PAIR, swap, 2.0),
+             (PAIR, half, 1.5), (PAIR, shear, 1.5), (PAIR, swap, 1.5)]
+    single = [_report_bytes(theorem_chain_check(f, *case, PHI))
+              for case in cases]
+    assert [json.loads(s)["applicable"] for s in single] == \
+        [True, False, True] * 2
+    transports, images = _spy_transport_and_image_sampling(
+        monkeypatch, ((-4.0, -4.0), (4.0, 4.0)))
+    for order in (1, -1):
+        batch = czlab.theorem_chain_checks(f, cases[::order], PHI)
+        assert [_report_bytes(rep) for rep in batch] == single[::order]
+        assert sorted(map(id, transports)) == sorted([id(half), id(swap)])
+        assert len(images) == 2
+        transports.clear()
+        images.clear()

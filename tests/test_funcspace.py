@@ -746,6 +746,75 @@ def test_exact_totals_signed_zero_subnormal_inf_and_nan_cells():
     assert math.copysign(1.0, round_total(totals[5])) == 1.0
 
 
+# cells of four (label-free) bins: subnormals in bin 0, values near 1 in
+# bin 46, near 2^20 in bin 47 and near 1e300 in bin 91
+_KEY_BINS = (
+    lambda rng, m: 5e-324 * rng.integers(1, 1 << 30, m),
+    lambda rng, m: np.ldexp(1.0 + rng.random(m), rng.integers(-11, 10, m)),
+    lambda rng, m: np.ldexp(1.0 + rng.random(m), rng.integers(11, 32, m)),
+    lambda rng, m: np.ldexp(1.0 + rng.random(m), rng.integers(980, 1000, m)),
+)
+
+
+def _few_key_cells(rng):
+    """A small chunk whose nonzero finite cells hold 1 to 3 (label, bin)
+    keys, among zeros of either sign and at times an inf or a nan, with
+    up to two labels left empty."""
+    n_labels = int(rng.integers(1, 6))
+    keys = int(rng.integers(1, 4))
+    parts = []
+    for _ in range(keys):
+        m = int(rng.integers(1, 30))
+        cells = _KEY_BINS[rng.integers(0, len(_KEY_BINS))](rng, m)
+        parts.append((cells, np.full(m, rng.integers(0, n_labels))))
+    m = int(rng.integers(0, 20))
+    parts.append((np.where(rng.random(m) < 0.5, -0.0, 0.0),
+                  rng.integers(0, n_labels, m)))
+    odd = rng.random()
+    if odd < 0.2:
+        parts.append((np.array([np.inf if odd < 0.1 else np.nan]),
+                      rng.integers(0, n_labels, 1)))
+    values, labels = (np.concatenate(x) for x in zip(*parts))
+    order = rng.permutation(values.size)
+    return values[order], labels[order], n_labels
+
+
+def _same_totals(a, b):
+    return len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+        for x, y in zip(a, b))
+
+
+def test_exact_totals_few_keys_add_as_the_lane_sums(monkeypatch):
+    # a chunk of at most _FEW_KEYS (label, bin) keys adds them as Python
+    # ints; on 400 small chunks of 1 to 3 keys, with subnormal, -0.0, inf
+    # and nan cells and empty labels, its totals are those of the lane
+    # sums' vectorized path (_FEW_KEYS = 0), the Fraction oracle's and,
+    # rounded, math.fsum's per label.  Chunks whose keys span more than
+    # _FEW_KEYS bins take the vectorized path anyway, so a spy counts the
+    # chunks that added several keys as Python ints
+    import weightlab.funcspace as funcspace
+    rng = np.random.default_rng(43)
+    keys = []                   # the keys each call adds as Python ints
+    key_total = funcspace._key_total
+    monkeypatch.setattr(funcspace, "_key_total",
+                        lambda *a: keys.append(a) or key_total(*a))
+    several = 0
+    for _ in range(400):
+        values, labels, n_labels = _few_key_cells(rng)
+        keys.clear()
+        few = exact_totals(values, labels, n_labels)
+        several += len(keys) > 1
+        with monkeypatch.context() as m:
+            m.setattr(funcspace, "_FEW_KEYS", 0)
+            lanes = exact_totals(values, labels, n_labels)
+        assert _same_totals(few, lanes), (values, labels)
+        _assert_label_sums(values, labels, n_labels)
+        if n_labels == 1:
+            assert _same_totals(exact_totals(values), few)
+    assert several >= 100, several      # 126 chunks of 400
+
+
 @pytest.mark.parametrize("labels, n_labels", [
     ([0, -1, 1], 2),                        # a negative label
     ([0, 2, 1], 2),                         # a label past n_labels

@@ -646,6 +646,42 @@ def test_stacked_fields_across_chunks_and_block_seams(monkeypatch, n):
                 assert _same_bits(field.values, ref), (rows, cap)
 
 
+def _clamp_free_inputs(n):
+    """Grids of n cells: -0.0 cells among uniforms, subnormal cells among
+    zeros of either sign, three spikes between long stretches of such
+    zeros, and zeros alone."""
+    rng = np.random.default_rng([n, 83])
+    zeros = [np.where(rng.random(n) < 0.5, -0.0, 0.0) for _ in range(3)]
+    signed = np.where(rng.random(n) < 0.4, -0.0, rng.random(n))
+    subnormal, spikes, zero = zeros
+    subnormal[::7] = 5e-324 * rng.integers(1, 9, subnormal[::7].size)
+    spikes[[n // 9, n // 2, n - 3]] = [3.0, 1e-3, 40.0]
+    return [signed, subnormal, spikes, zero]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [40, 512])
+def test_clamp_free_tails_are_bitwise_the_per_length_sweep(n):
+    # the tails take no clamp: their windows end past their starts, b > a,
+    # on a prefix that starts at +0.0 and never decreases, so every sum is
+    # +0.0 or more.  The hl, fractional (alpha 0.5) and t^3 fields of a
+    # stack of four such grids of one cell count, and of each grid alone,
+    # keep the bits of the per-length sweep, sign bits included, and no
+    # power meets a negative sum (a RuntimeWarning fails the test)
+    fs = [GridFunction((-1.0, 2.0), v) for v in _clamp_free_inputs(n)]
+    for r, alpha in ((None, 0.0), (None, 0.5), (3.0, 0.0), (3.0, 0.5)):
+        phi = YoungFn.power(r) if r is not None else None
+        rc = (None, 1.0) if phi is None else (phi.r, phi.c)
+        stack = maximal._quadrant_max(fs, *rc, alpha)
+        for k, f in enumerate(fs):
+            ref = per_length_sweep(f, "all", prefix_averages(f, *rc), alpha)
+            one = (fractional_maximal(f, alpha) if phi is None else
+                   orlicz_maximal(f, phi, alpha=alpha))
+            assert _same_bits(stack[k], ref), (r, alpha, k)
+            assert _same_bits(one.values, ref), (r, alpha, k)
+        assert not stack[3].any() and not np.signbit(stack).any()
+
+
 @pytest.mark.parametrize("count, n", [(50, 512), (1, 4096)])
 def test_stacked_sweep_transient_memory_stays_within_the_cap(count, n):
     # the tracemalloc peak of the stacked sweep, beyond the prefix stack
