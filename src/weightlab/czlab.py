@@ -16,14 +16,15 @@ weighted-bound proof for the matrix-composed maximal operator as a chain of
 numeric inequalities on one grid and reports the slack of every step; the
 fractional variant runs the same chain with exponents (p, q) and the weight
 powers w^p, w^q.  ``theorem_chain_checks`` replays a batch of cases (w, A,
-p) on one f and builds the f-only half of the chain (embedding, dyadic
-field, k range, stopping cubes, cover check, per-cube columns, span plans,
-E sets, one B_p integral per p) once for the batch, the A-free terms
-(right-hand side, per-cube norms, the M_phibar g sweep and its E-set
-minima) once per (w, p), the cell transport once per A, and the image-side
-weight with its layer totals and masses once per (w, A);
-``theorem_chain_check`` is the batch of one, and each report has the same
-bytes either way.
+p) on one f from one table of parts, each keyed by what it depends on and
+built on first use: the f-only half of the chain (embedding, dyadic field,
+k range, stopping cubes, cover check, per-cube columns, span plans, E
+sets) once for the batch, a B_p integral per p, w sampled on Y per w, the
+A-free terms (right-hand side, per-cube norms, the M_phibar g sweep and
+its E-set minima) per (w, p), the cell transport per A, and the image-side
+weight with its layer totals and masses per (w, A); the table drops each
+part after the last case that reads it.  ``theorem_chain_check`` is the
+batch of one, and each report has the same bytes either way.
 
 Geometry conventions used by the chain:
 
@@ -52,7 +53,7 @@ Geometry conventions used by the chain:
 
 from __future__ import annotations
 
-import collections
+import copy
 import functools
 import math
 import sys
@@ -713,65 +714,43 @@ class _CubeTerms(NamedTuple):
     int_Mg: float | None    # integral of (M_phibar g)^p
 
 
-class _WeightHalf:
-    """The half of the chain that depends on (w, p) and not on A, shared by
-    the cases of a batch with that weight and exponent.  The first case to
-    reach each part builds it: whether w vanishes on a cell of Y with the
-    right-hand side int f^p w (fractional: f^p w^p), then the per-cube
-    terms (``_CubeTerms``).  It keeps scalars and per-cube columns only."""
-
-    def __init__(self):
-        self.vanishes = self.rhs_base = self.terms = None
-
-
-class _MatrixPart:
-    """The part of the chain that depends on A alone, shared by the cases
-    of a batch with that matrix: the resolved matrix, then the cell
-    transport of the embedding (``_cell_transport``).  ``last`` marks the
-    last case of the batch with that matrix, which holds the part alone."""
-
-    def __init__(self):
-        self.A = self.transport = None
-        self.last = False
+def _weight_key(w, dim: int) -> tuple:
+    """A weight by the identities of its factors, in order, so a pair built
+    afresh from the same factors is the same weight; a 2D w that is no
+    tuple or list is keyed by its own, and its case raises as a single
+    call does."""
+    if dim > 1 and isinstance(w, (tuple, list)):
+        return tuple(map(id, w))
+    return (id(w),)
 
 
-class _ImagePart:
-    """The part of the chain that depends on (w, A) and not on p, shared by
-    the cases of a batch with that weight and matrix; the fractional chain
-    raises the image-side weight and w_A to the power q, so there it is
-    the part of (w, A, p).  The first case to reach each part builds it:
-    the composed weight w_A, the image-side weight pulled back to the input
-    grid (``w_back``) with its count of cells where it vanishes, its layer
-    totals, and the image and w_A mass columns of the used cubes' clipped
-    triples.  ``last`` marks the last case with that key, which drops
-    ``w_back`` after its own use."""
-
-    def __init__(self):
-        self.wA = self.w_back = self.missing = self.w_totals = None
-        self.masses = None
-        self.last = False
-
-
-def _case_keys(w, A, p: float, alpha: float):
-    """The keys of a case's ``_MatrixPart`` and ``_ImagePart``: a scalar A
-    by its value, any other A and w by identity, and p in the fractional
-    chain."""
-    key = ("scalar", A) if np.isscalar(A) else ("object", id(A))
-    return key, (key, id(w), p if alpha > 0.0 else None)
+def _powered(x: np.ndarray, e: float, alone: bool) -> np.ndarray:
+    """x ** e, taken in place when the caller holds x alone."""
+    if alone:
+        x **= e
+        return x
+    return x ** e
 
 
 class _ChainCorpus:
-    """The f-only half of the proof chain, shared by the cases of one
-    ``theorem_chain_checks`` batch, one ``_WeightHalf`` per (w, p), one
-    ``_MatrixPart`` per A and one ``_ImagePart`` per (w, A).  Each part is
-    built when a case first needs it, so a case that stops earlier builds
-    nothing more: the dyadic field M of the embedding fY (kept unpowered)
-    with its k range and layer labels, the stopping cubes with their cover
-    check, columns, span plans and E sets, and one B_p integral per
-    exponent.  The last case of the batch takes M, the layer labels, fY and
-    the cubes at their last use, so a batch of one drops each whole grid
-    where a single chain does; a matrix or image part leaves the corpus at
-    the last case of its key in the same way."""
+    """One ``theorem_chain_checks`` batch: f, the box Y it is embedded in,
+    and one table of the parts that the cases share.
+
+    A part is keyed by its name and what it depends on: nothing (the
+    embedding fY, the dyadic field M with its layers, the used cubes), p
+    (the B_p integral), A (the matrix, the cell transport), w (w sampled
+    on Y), (w, p) (the right-hand side, the per-cube terms) or (w, A)
+    (w_A, the pulled-back image-side weight, its layer totals, the
+    masses; (w, A, p) in the fractional chain, as these carry the power
+    q).  w is keyed by ``_weight_key``, a scalar A by its value and any
+    other A by identity.  The reading case's builder makes a part on
+    first use.  The readers come from the case list: every case reads
+    the parts of its keys, except w on Y, which only the first case of
+    each (w, p) reads, as only it builds that half.  The table holds a
+    part until the end of its last reader's case, even one that returns
+    early; that case takes it alone at its final read (``take``), so it
+    may power it in place, and drops each whole grid where a single chain
+    does."""
 
     def __init__(self, f: GridFunction, a: float, alpha: float,
                  phi: YoungFn, cases: list):
@@ -784,44 +763,64 @@ class _ChainCorpus:
         self.Yhi = tuple(hi + 1.5 * L for hi in f.hi)
         self.NY = 4 * n
         self.inner = (slice(3 * n // 2, 3 * n // 2 + n),) * f.dim  # X in Y
-        vals = np.zeros((self.NY,) * f.dim)
-        vals[self.inner] = f.values
-        self.fY = GridFunction((self.Ylo, self.Yhi), vals)
-        self.M = self.layer = self.ks = None
-        self._used = None
-        self._bp = {}
-        self._halves = {}
-        self._parts = {}
-        # the cases left per matrix and image key
-        self._left = collections.Counter(
-            key for w, A, p in cases for key in _case_keys(w, A, p, alpha))
+        # per case, the key of each part by name; per key, its last reader
+        self._keys, self._last, self._held, self.case = [], {}, {}, 0
+        for i, (w, A, p) in enumerate(cases):
+            wk = _weight_key(w, f.dim)
+            ak = ("scalar", A) if np.isscalar(A) else ("object", id(A))
+            image = (wk, ak, p if alpha > 0.0 else None)
+            deps = {"fY": (), "field": (), "used": (), "bp": (p,),
+                    "A": (ak,), "transport": (ak,), "wY": (wk,),
+                    "rhs": (wk, p), "terms": (wk, p), "wA": (wk, ak),
+                    "w_back": image, "w_totals": image, "masses": image}
+            keys = {name: (name, *dep) for name, dep in deps.items()}
+            first = keys["rhs"] not in self._last
+            self._last.update((key, i) for name, key in keys.items()
+                              if first or name != "wY")
+            self._keys.append(keys)
 
-    def parts(self, w, A, p: float):
-        """The ``_MatrixPart`` and ``_ImagePart`` of a case; at the last
-        case of its key a part leaves the corpus, marked ``last``."""
-        parts = []
-        for key, kind in zip(_case_keys(w, A, p, self.alpha),
-                             (_MatrixPart, _ImagePart)):
-            if key not in self._parts:
-                self._parts[key] = kind()
-            part = self._parts[key]
-            self._left[key] -= 1
-            part.last = not self._left[key]
-            if part.last:
-                del self._parts[key]
-            parts.append(part)
-        return parts
+    def part(self, name: str, build):
+        """The current case's part ``name``, made by ``build()`` on first
+        use."""
+        key = self._keys[self.case][name]
+        if key not in self._held:
+            self._held[key] = build()
+        return self._held[key]
 
-    def half(self, factors, p: float) -> _WeightHalf:
-        """The ``_WeightHalf`` of the weight factors (by identity) and p."""
-        return self._halves.setdefault((tuple(map(id, factors)), p),
-                                       _WeightHalf())
+    def take(self, name: str, build):
+        """``part`` at the case's final read of it, and whether the case
+        holds it alone: when no later case reads it, it leaves the table."""
+        part = self.part(name, build)
+        key = self._keys[self.case][name]
+        alone = self._last[key] <= self.case
+        if alone:
+            del self._held[key]
+        return part, alone
+
+    def end_case(self):
+        """Drops the parts that no later case reads, read or not."""
+        self._held = {key: part for key, part in self._held.items()
+                      if self._last[key] > self.case}
+        self.case += 1
+
+    def embed(self) -> GridFunction:
+        """fY: f on Y, zero off X."""
+        vals = np.zeros((self.NY,) * self.f.dim)
+        vals[self.inner] = self.f.values
+        return GridFunction((self.Ylo, self.Yhi), vals)
+
+    def on_Y(self, factors) -> np.ndarray:
+        """A product weight sampled on Y's cells."""
+        return product_averages(factors, self.Ylo, self.Yhi, self.NY)
 
     def field(self):
-        """(ks, k_low, k_max); the first call sweeps M = M^d_alpha fY and
-        labels its layers."""
-        if self.ks is None:
-            fY, a = self.fY, self.a
+        """(M, layer, ks): M = M^d_alpha fY, unpowered, the chain's levels
+        ks = k_low .. k_max, and per cell the layer that M falls in; or the
+        error that the sweep or the k range raised, kept for the case to
+        raise where it reads the field, as ``_CubeTerms`` keeps its
+        sweep's."""
+        fY, a = self.part("fY", self.embed), self.a
+        try:
             M = fractional_maximal(fY, self.alpha, lengths="dyadic").values
             k_low = root_level(fY, a, self.alpha)
             Mmax = float(M.max())
@@ -838,54 +837,72 @@ class _ChainCorpus:
             # labelled exact pass over each of M^E w and w gives every
             # layer's exact total, and omega_k's is the total of the layers
             # above it
-            self.layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
-                                         M).astype(np.uint16)  # < 404 layers
-            self.M, self.ks, self.k_low, self.k_max = M, ks, k_low, k_max
-        return self.ks, self.k_low, self.k_max
+            layer = np.searchsorted([a ** k for k in ks + [k_max + 1]],
+                                    M).astype(np.uint16)  # < 404 layers
+        except (ValueError, ArithmeticError) as err:
+            return err.with_traceback(None)
+        return M, layer, ks
 
-    def used(self):
+    def used(self, layer: np.ndarray, ks: list):
         """The used cubes (``_UsedCubes``), or the reason the tripled-cube
-        cover check failed; the first call decomposes fY for k_low ..
-        k_max + 1 and checks that omega_k lies inside the union of the
-        clipped tripled cubes of D_k."""
-        if self._used is None:
-            ks, k_low = self.ks, self.k_low
-            fY = self.fY
-            dec = cz_decompose(fY, self.a, range(k_low, self.k_max + 2),
-                               alpha=self.alpha)
-            levels = [dec.levels[k] for k in ks]
-            for k, lv in zip(ks, levels):
-                cover = _tripled_cover(fY.shape, lv.corner, lv.side)
-                if ((self.layer > k - k_low) & ~cover).any():
-                    self._used = f"triple-cube cover failed at k={k}"
-                    return self._used
-            # every per-cube power is a Python float power
-            corner, side, average, value = map(np.concatenate, zip(*levels))
-            lo3, ext3 = _tripled(corner, side, self.NY)
-            # the levels with an E set are ks, so the E sets' plan is the
-            # plan of the used cubes
-            self._used = _UsedCubes(
-                _expansion(dec), _span_plan(lo3, ext3), ext3.prod(axis=1),
-                np.repeat(ks, [len(lv.side) for lv in levels]).tolist(),
-                [(s * fY.h[0]) ** self.alpha for s in side.tolist()],
-                (side ** fY.dim).tolist(), average.tolist(), value.tolist())
-        return self._used
+        cover check failed: fY decomposed for ks and one level above, and
+        omega_k checked to lie inside the union of the clipped tripled
+        cubes of D_k."""
+        fY, k_low = self.part("fY", self.embed), ks[0]
+        dec = cz_decompose(fY, self.a, range(k_low, ks[-1] + 2),
+                           alpha=self.alpha)
+        levels = [dec.levels[k] for k in ks]
+        for k, lv in zip(ks, levels):
+            cover = _tripled_cover(fY.shape, lv.corner, lv.side)
+            if ((layer > k - k_low) & ~cover).any():
+                return f"triple-cube cover failed at k={k}"
+        # every per-cube power is a Python float power
+        corner, side, average, value = map(np.concatenate, zip(*levels))
+        lo3, ext3 = _tripled(corner, side, self.NY)
+        # the levels with an E set are ks, so the E sets' plan is the plan
+        # of the used cubes
+        return _UsedCubes(
+            _expansion(dec), _span_plan(lo3, ext3), ext3.prod(axis=1),
+            np.repeat(ks, [len(lv.side) for lv in levels]).tolist(),
+            [(s * fY.h[0]) ** self.alpha for s in side.tolist()],
+            (side ** fY.dim).tolist(), average.tolist(), value.tolist())
+
+    def rhs(self, factors, p: float) -> float | None:
+        """The right-hand side int f^p w (fractional: f^p w^p), inf beyond
+        the float range, or None where w vanishes on a cell of Y.  Exact
+        sums go through one kernel: f vanishes off X, and zero cells add
+        nothing to an exact sum."""
+        wY = self.part("wY", functools.partial(self.on_Y, factors))
+        if (wY <= 0).any():
+            return None
+        # an f^p or w^p cell that overflows makes the sum inf, as does a
+        # sum beyond the float range; the case reports it
+        with np.errstate(over="ignore"):
+            weight = wY[self.inner] ** p if self.alpha > 0.0 \
+                else wY[self.inner]
+            cells = self.f.values ** p * weight
+        volY = self.part("fY", self.embed).cell_volume
+        try:
+            return exact_sums(cells)[0] * volY
+        except OverflowError:
+            return math.inf
 
     def cube_terms(self, used: _UsedCubes, factors, p: float) -> _CubeTerms:
-        """The (w, p) per-cube terms from the weight sampled on Y: the
-        Luxemburg norms of g = f w^{1/p} and of the dual weight w^{-1/p}
-        (fractional: f w and w^-1) on the used cubes, the dual weight's on
-        their clipped triples for a homogeneous phi, then one M_phibar g
-        sweep (or the error it raises), its minima over the E sets and the
-        integral of its p-th power."""
-        wY = product_averages(factors, self.Ylo, self.Yhi, self.NY)
+        """The (w, p) per-cube terms from w sampled on Y: the Luxemburg
+        norms of g = f w^{1/p} and of the dual weight w^{-1/p} (fractional:
+        f w and w^-1) on the used cubes, the dual weight's on their clipped
+        triples for a homogeneous phi, then one M_phibar g sweep (or the
+        error it raises), its minima over the E sets and the integral of
+        its p-th power."""
+        fY = self.part("fY", self.embed)
+        wY, alone = self.take("wY", functools.partial(self.on_Y, factors))
         if self.alpha > 0.0:
-            g_vals = self.fY.values * wY
-            wY **= -1.0
+            g_vals = fY.values * wY
+            wY = _powered(wY, -1.0, alone)
         else:
             g_vals = wY ** (1.0 / p)
-            g_vals *= self.fY.values
-            wY **= -1.0 / p
+            g_vals *= fY.values
+            wY = _powered(wY, -1.0 / p, alone)
         phi, phibar = self.phi, self.phibar
         g_norm, v_norm = _span_reduce(
             used.esets.plan,
@@ -901,18 +918,43 @@ class _ChainCorpus:
             Mg = orlicz_maximal(GridFunction((self.Ylo, self.Yhi), g_vals),
                                 phibar, lengths="dyadic").values
         except ValueError as err:
-            return _CubeTerms(g_norm, v_norm, norms3, err, None, None)
+            return _CubeTerms(g_norm, v_norm, norms3,
+                              err.with_traceback(None), None, None)
         del g_vals
         minima = _e_minima(used.esets, Mg).tolist()
         Mg **= p
         return _CubeTerms(g_norm, v_norm, norms3, None, minima,
-                          exact_sums(Mg)[0] * self.fY.cell_volume)
+                          exact_sums(Mg)[0] * fY.cell_volume)
 
-    def bp(self, p: float):
-        """``bp_integral(phibar, p)``, once per exponent."""
-        if p not in self._bp:
-            self._bp[p] = bp_integral(self.phibar, p)
-        return self._bp[p]
+    def pull_back(self, factors, lo, hi, perm: np.ndarray, q: float):
+        """(w_back, missing): w sampled on the image grid [lo, hi]
+        (fractional: w^q) and pulled back to the input grid through the
+        cell bijection (image cell o is A of input cell perm[o]), so every
+        image-side sum runs over the input grid, with the count of image
+        cells where w vanishes."""
+        w_out = product_averages(factors, lo, hi, self.NY)
+        missing = int((w_out <= 0).sum())
+        if self.alpha > 0.0:
+            w_out **= q
+        w_back = np.empty(perm.size)
+        w_back[perm] = w_out.ravel()
+        return w_back.reshape((self.NY,) * self.f.dim), missing
+
+    def masses(self, used: _UsedCubes, wA, w_back: np.ndarray, q: float,
+               vol_out: float):
+        """The image masses of the used cubes' clipped triples, and the
+        masses and averages of w_A (fractional: w_A^q) on them: w_A is
+        sampled on Y for this one pass of row sums."""
+        WA_vals = self.on_Y(wA)
+        if self.alpha > 0.0:
+            WA_vals **= q
+        image_mass, wa = _span_reduce(
+            used.plan3,
+            lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
+            w_back, WA_vals).T
+        volY = self.part("fY", self.embed).cell_volume
+        return ((image_mass * vol_out).tolist(), (wa * volY).tolist(),
+                (wa / used.cells3).tolist())
 
 
 def theorem_chain_check(f: GridFunction, w, A, p: float, phi: YoungFn,
@@ -937,24 +979,22 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
                          alpha: float = 0.0) -> list:
     """One ``theorem_chain_check`` report per case (w, A, p), in order.
 
-    The cases share f, phi, a and alpha, and the work is shared at four
-    levels.  Once per batch, the f-only half: the embedding, the dyadic
-    field and its k range, the stopping cubes with their cover check and
-    per-cube columns, the span plans of the cubes and of their clipped
-    triples (their shape groups, built once for every reduction), the E
-    sets' counts, beta and disjointness, and one B_p integral per p.  Once
-    per (w, p), w taken by the identity of its factors: the right-hand side,
-    the Luxemburg norms of g and of the dual weight, the M_phibar g sweep
-    (or its error), its minima over the E sets and its integral.  Once per
-    A, a scalar taken by its value and anything else by identity: the
-    matrix and the cell bijection.  Once per (w, A), w taken by identity
+    The cases share f, phi, a and alpha, and one table of parts
+    (``_ChainCorpus``), each built once for the cases that read it: once
+    per batch, the f-only half (the embedding, the dyadic field and its k
+    range, the stopping cubes with their cover check and per-cube
+    columns, the span plans of the cubes and of their clipped triples,
+    the E sets' counts, beta and disjointness); once per p, the B_p
+    integral; once per A, the matrix and the cell bijection; once per w,
+    w sampled on Y; once per (w, p), the right-hand side, the Luxemburg
+    norms of g and of the dual weight, the M_phibar g sweep (or its
+    error), its minima over the E sets and its integral; once per (w, A)
     (fractional: per (w, A, p), as the image-side weights carry the power
-    q): the composition, the image-side weight pulled back, its layer
+    q), the composition, the image-side weight pulled back, its layer
     totals, and the image and w_A masses.  Per case, what depends on
-    (w, A, p): the layer totals of M^E w, B_used and the bump-class check.
-    Each report has the bytes of the single call on its case, and cases in
-    any order give the same reports.  A whole grid of a matrix or of a
-    (w, A) lives until the last case with that key.
+    (w, A, p): the layer totals of M^E w, B_used and the bump-class
+    check.  Each report has the bytes of the single call on its case, and
+    cases in any order give the same reports.
     """
     n = _dyadic_cells(f)
     if n < 2:
@@ -963,21 +1003,23 @@ def theorem_chain_checks(f: GridFunction, cases, phi: YoungFn,
         a = float(2 ** (f.dim + 2))
     cases = list(cases)
     corpus = _ChainCorpus(f, a, alpha, phi, cases)
-    return [_chain_case(corpus, w, A, p, last=i == len(cases) - 1)
-            for i, (w, A, p) in enumerate(cases)]
+    reports = []
+    for w, A, p in cases:
+        reports.append(_chain_case(corpus, w, A, p))
+        corpus.end_case()
+    return reports
 
 
-def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
-    """The chain on one case (w, A, p) of a batch, reading the f-only terms
-    from the corpus c and the A-free terms from its (w, p) half; the last
-    case takes its whole grids at their last use.  A power that leaves the
-    float range, a Python float one (a^((k+1) q) at a large p, say) or a
+def _chain_case(c: _ChainCorpus, w, A, p: float) -> ChainReport:
+    """The chain on one case (w, A, p) of a batch, reading the parts it
+    shares with the other cases from c.  A power that leaves the float
+    range, a Python float one (a^((k+1) q) at a large p, say) or a
     whole-grid one (M^q, w^q), ends the case with a not-applicable report
     naming the last step it built."""
     steps = []
     try:
         with np.errstate(over="raise"):
-            return _chain_steps(c, w, A, p, last, steps)
+            return _chain_steps(c, w, A, p, steps)
     except (OverflowError, FloatingPointError):
         after = f"after step {steps[-1].name}" if steps else \
             "before its first step"
@@ -986,15 +1028,12 @@ def _chain_case(c: _ChainCorpus, w, A, p: float, last: bool) -> ChainReport:
                            c.alpha > 0.0)
 
 
-def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
+def _chain_steps(c: _ChainCorpus, w, A, p: float,
                  steps: list) -> ChainReport:
     """``_chain_case``'s report, appending each step to ``steps``."""
     f, a, alpha = c.f, c.a, c.alpha
     dim = f.dim
-    mat, side = c.parts(w, A, p)
-    if mat.A is None:
-        mat.A = resolve_matrix(A, dim)
-    A = mat.A
+    A = c.part("A", functools.partial(resolve_matrix, A, dim))
     check_a(a, dim)
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError("need a finite p > 1")
@@ -1012,77 +1051,40 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
         q = p
     E = q                       # exponent of the left-hand side
     phi = c.phi
-    half = c.half(factors, p)
 
     def fail(reason: str) -> ChainReport:
         return ChainReport(False, reason, steps, {}, frac)
 
     # ---- geometry: f embedded into the concentric box Y = 4 X (shared) ---
-    Ylo, Yhi, NY, inner = c.Ylo, c.Yhi, c.NY, c.inner
-    fY = c.fY
+    fY = c.part("fY", c.embed)
     volY = fY.cell_volume
 
     # ---- weights ---------------------------------------------------------
-    # every whole-grid array is dropped after its last use, and powers of a
-    # grid that is dead afterwards are taken in place
-    if side.wA is None:
-        try:
-            side.wA = compose_matrix(factors, A)
-        except DomainError as err:
-            return fail(str(err))
-    # w on Y, sampled here only until the (w, p) half knows whether w
-    # vanishes and the right-hand side
-    wY = product_averages(factors, Ylo, Yhi, NY) \
-        if half.vanishes is None else None
-    if mat.transport is None:
-        mat.transport = _cell_transport(fY, A)
-    out_lo, out_hi, perm, fault = mat.transport
-    del mat                 # at the matrix's last case, drops the transport
+    # discrete fields: the chain treats the sampled cell averages as the
+    # weight; all powers below are cellwise powers of those averages.  A
+    # whole grid that dies partway through the case is deleted there
+    try:
+        wA = c.part("wA", lambda: compose_matrix(factors, A))
+    except DomainError as err:
+        return fail(str(err))
+    (out_lo, out_hi, perm, fault), _ = c.take(
+        "transport", lambda: _cell_transport(fY, A))
     if fault:
         return fail(f"cell transport not exact: {fault}")
-    # w on the image grid, sampled only until the (w, A) part pulls it back
-    w_out = product_averages(factors, out_lo, out_hi, NY) \
-        if side.w_back is None else None
+    (w_back, missing_out), _ = c.take(
+        "w_back", lambda: c.pull_back(factors, out_lo, out_hi, perm, q))
+    del perm
     det = abs(A.det)
-    vol_out = float(np.prod([(b - aa) / NY for aa, b in zip(out_lo, out_hi)]))
+    vol_out = float(np.prod([(b - aa) / c.NY
+                             for aa, b in zip(out_lo, out_hi)]))
 
-    # discrete fields: the chain treats the sampled cell averages as the
-    # weight; all powers below are cellwise powers of those averages.
-    # Exact sums go through one kernel: f vanishes off X, and zero cells
-    # add nothing to an exact sum
-    if half.vanishes is None:
-        half.vanishes = bool((wY <= 0).any())
-        if not half.vanishes:
-            # an f^p or w^p cell that overflows makes the sum inf, as does
-            # a sum beyond the float range; the report names it below
-            with np.errstate(over="ignore"):
-                rhs_weight = wY[inner] ** p if frac else wY[inner]
-                rhs_cells = f.values ** p * rhs_weight
-            del rhs_weight      # without the power, a view that holds wY
-            try:
-                half.rhs_base = exact_sums(rhs_cells)[0] * volY
-            except OverflowError:
-                half.rhs_base = math.inf
-            del rhs_cells
-    del wY
-    if half.vanishes:
+    # the dyadic field is swept before w is sampled on Y, so the sweep
+    # and w's grid are never live together; its error, if any, is raised
+    # below, where the chain reads it
+    field, alone = c.take("field", c.field)
+    rhs_base = c.part("rhs", lambda: c.rhs(factors, p))
+    if rhs_base is None:
         return fail("weight vanishes on a cell of the working box")
-    if side.w_back is None:
-        side.missing = int((w_out <= 0).sum())
-        if frac:
-            w_out **= q
-        # the image-side weight pulled back to the input grid through the
-        # cell bijection (image cell o is A of input cell perm[o]), so every
-        # image-side sum below runs over the input grid
-        w_back = np.empty(perm.size)
-        w_back[perm] = w_out.ravel()
-        side.w_back = w_back.reshape(fY.shape)
-    del perm, w_out
-    w_back, missing_out = side.w_back, side.missing
-    if side.last:           # this case holds w_back alone from here on
-        side.w_back = None
-
-    rhs_base = half.rhs_base
     power = "w^p" if frac else "w"
     if math.isinf(rhs_base):
         return fail(f"right-hand side overflows: the integral of f^p {power} "
@@ -1097,19 +1099,18 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
                            {"rhs_base": 0.0}, frac)
 
     # ---- maximal field, k range and layers (shared) ----------------------
-    ks, k_low, k_max = c.field()
+    if isinstance(field, Exception):
+        raise copy.copy(field)  # a copy: the kept error holds no case's frames
+    M, layer, ks = field
+    del field                   # M and layer die under their own names
+    k_low, k_max = ks[0], ks[-1]
     n_layers = len(ks) + 2
-    if last:
-        M, c.M = c.M, None
-        M **= E
-    else:
-        M = c.M ** E
+    M = _powered(M, E, alone)
     M *= w_back                 # M^E w
-    me_totals = exact_totals(M, c.layer, n_layers)
+    me_totals = exact_totals(M, layer, n_layers)
     del M
-    if side.w_totals is None:
-        side.w_totals = exact_totals(w_back, c.layer, n_layers)
-    w_totals = side.w_totals
+    w_totals = c.part("w_totals",
+                      lambda: exact_totals(w_back, layer, n_layers))
     lhs_total = round_total(add_totals(me_totals)) * vol_out
 
     # tail: cells where the maximal field never exceeds a^{k_low}
@@ -1137,43 +1138,25 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
 
     # CZ decomposition for k_low .. k_max + 1 and the cover check (shared):
     # omega_k inside the union of clipped tripled cubes
-    used = c.used()
-    if last:
-        c.layer = None
+    used = c.part("used", lambda: c.used(layer, ks))
+    del layer
     if isinstance(used, str):
         return fail(used)
 
     # the used cubes as columns, in (k, span) order: the masses reduce the
     # clipped triples of one shape at a time.  Every per-cube power below
     # is a Python float power.
-    # the pulled-back weight w_A (fractional: w_A^q), sampled for its one
-    # use: one pass of row sums gives its masses and the image masses
-    if side.masses is None:
-        WA_vals = product_averages(side.wA, Ylo, Yhi, NY)
-        if frac:
-            WA_vals **= q
-        image_mass, wa = _span_reduce(
-            used.plan3,
-            lambda r, s: np.column_stack([r.sum(axis=1), s.sum(axis=1)]),
-            w_back, WA_vals).T
-        del WA_vals
-        side.masses = ((image_mass * vol_out).tolist(), (wa * volY).tolist(),
-                       (wa / used.cells3).tolist())
+    image_mass, wa_mass, wa_avg = c.part(
+        "masses", lambda: c.masses(used, wA, w_back, q, vol_out))
     del w_back
-    image_mass, wa_mass, wa_avg = side.masses
-    cells3 = used.cells3.tolist()
     # the norms, the M_phibar g sweep and its E-set terms, once per (w, p)
-    if half.terms is None:
-        half.terms = c.cube_terms(used, factors, p)
-    g_norm, v_norm, norms3, sweep_error, minima, int_Mg = half.terms
+    g_norm, v_norm, norms3, sweep_error, minima, int_Mg = c.part(
+        "terms", lambda: c.cube_terms(used, factors, p))
+    cells3 = used.cells3.tolist()
     ek, ecounts = used.esets.report, used.esets.counts.tolist()
     side_a, cells, k_of = used.side_a, used.cells, used.k_of
     average, value = used.average, used.value
     n_used = len(k_of)
-    del used, fY
-    if last:
-        c.fY = c._used = None
-
     # s2c: replace level sets by the tripled covers
     v3 = tail_bound + a ** E * math.fsum(
         a ** (k * E) * math.fsum(m for kk, m in zip(k_of, image_mass)
@@ -1274,7 +1257,7 @@ def _chain_steps(c: _ChainCorpus, w, A, p: float, last: bool,
 
     # s5d: empirical maximal-operator constant closes the chain
     C_emp = int_Mg / rhs_base
-    bp = c.bp(p)
+    bp = c.part("bp", lambda: bp_integral(c.phibar, p))
     c_total = c_tri * (beta * C_emp) ** (E / p)
     v11 = tail_bound + c_total * rhs_base ** (E / p)
     steps.append(ChainStep(

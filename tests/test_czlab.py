@@ -998,9 +998,10 @@ def test_chain_2d_peak_memory_in_grids():
     128^2 cells (embedded in 512^2), with the acceptance-5 weight pair and
     A = -I/2, in float grids of 512^2 cells.  The bound is 6.82 grids plus
     10%, the peak measured when w still lived through the dyadic sweep of
-    M f, so a whole grid kept alive past its last use fails it.  Now that
-    w is sampled again for the norms, the measured peak is 6.31 grids, at
-    the dual weight's norm on the clipped triple that covers the grid."""
+    M f, so a whole grid kept alive past its last use fails it.  w is now
+    sampled on Y once, after that sweep, and held to the norms: the
+    measured peak is 6.31 grids, at the norms of g and of the dual weight
+    on the used cubes (the masses' pass, with w held, reaches 6.30)."""
     args = (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2), 2.0,
             PHI)
     theorem_chain_check(*args)          # imports and caches stay out
@@ -1021,7 +1022,8 @@ def test_chain_last_case_of_a_key_drops_its_grids():
     is the last case of its matrix and of its (w, A) pair: the cell
     transport and the pulled-back image-side weight, which a batch keeps
     for later cases of their key, are freed at their last use here.  The
-    tracemalloc peak is 6.31 grids of 512^2 cells; either one kept
+    tracemalloc peak is 6.31 grids of 512^2 cells, with w sampled on Y
+    held from after the dyadic sweep to the norms; either grid kept
     through the norms adds a grid (7.31 measured)."""
     args = (acceptance_grid_2d(128), PAIR, SquareMatrix.scalar(-0.5, 2), 2.0,
             PHI)
@@ -1166,7 +1168,9 @@ def test_chain_batch_half_built_by_the_first_case_that_reaches_it(
     case of that (w, p) builds it, a duplicated case reads it, and a weight
     with the same factors in the other order gets a half of its own.  On
     one sweep per (w, p) that reaches it, every report has the bytes of its
-    single call, forward and reversed."""
+    single call, forward and reversed, and w is sampled on Y once per
+    weight: the shear case stops before it samples, and the case that
+    builds the half of (PAIR, 1.5) reads the grid of (PAIR, 2)'s."""
     f = acceptance_grid_2d(16)
     swapped = PAIR[::-1]
     cases = [
@@ -1187,11 +1191,16 @@ def test_chain_batch_half_built_by_the_first_case_that_reaches_it(
     real = czlab.orlicz_maximal
     monkeypatch.setattr(czlab, "orlicz_maximal",
                         lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    _, _, on_Y = _spy_chain_samplings(monkeypatch,
+                                      ((-4.0, -4.0), (4.0, 4.0)))
     for order in (1, -1):
         batch = czlab.theorem_chain_checks(f, cases[::order], PHI)
         assert [_report_bytes(rep) for rep in batch] == single[::order]
         assert len(sweeps) == 3
+        assert sorted(k for k in on_Y if k) == sorted(
+            [tuple(map(id, PAIR)), tuple(map(id, swapped))])
         sweeps.clear()
+        on_Y.clear()
 
 
 def test_chain_batch_resolves_each_matrix_once(monkeypatch):
@@ -1215,25 +1224,41 @@ def test_chain_batch_resolves_each_matrix_once(monkeypatch):
         resolved.clear()
 
 
-def _spy_transport_and_image_sampling(monkeypatch, Y):
-    """Logs of the cell transports and of the weight samplings on a box
-    other than Y (the image side's): the matrix per transport, and the
-    factors' identities and the box per sampling."""
-    transports, images = [], []
+def _spy_chain_samplings(monkeypatch, Y):
+    """Logs of the cell transports, of the weight samplings on a box other
+    than Y (the image side's) and of the corpus's samplings on Y: the
+    matrix per transport, the factors' identities and the box per
+    image-side sampling, and per sampling on Y the factors' identities,
+    None for a composed w_A (a composition can return w's own factors, so
+    identities alone do not tell it from w).  An image box equal to Y (an
+    axis swap's) logs no image-side sampling."""
+    transports, images, on_Y, composed = [], [], [], []
     transport, sample = czlab._cell_transport, czlab.product_averages
+    compose, sample_on_Y = czlab.compose_matrix, czlab._ChainCorpus.on_Y
 
     def spy_transport(grid, A):
         transports.append(A)
         return transport(grid, A)
+
+    def spy_compose(w, A):
+        composed.append(compose(w, A))      # held, so no id is reused
+        return composed[-1]
 
     def spy_sample(factors, lo, hi, n):
         if (tuple(lo), tuple(hi)) != Y:
             images.append((tuple(map(id, factors)), tuple(lo), tuple(hi)))
         return sample(factors, lo, hi, n)
 
+    def spy_on_Y(corpus, factors):
+        on_Y.append(None if any(factors is wA for wA in composed)
+                    else tuple(map(id, factors)))
+        return sample_on_Y(corpus, factors)
+
     monkeypatch.setattr(czlab, "_cell_transport", spy_transport)
+    monkeypatch.setattr(czlab, "compose_matrix", spy_compose)
     monkeypatch.setattr(czlab, "product_averages", spy_sample)
-    return transports, images
+    monkeypatch.setattr(czlab._ChainCorpus, "on_Y", spy_on_Y)
+    return transports, images, on_Y
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25], ids=["plain", "fractional"])
@@ -1253,7 +1278,7 @@ def test_chain_batch_shares_each_matrix_and_weight_matrix_pair(
     single = [_report_bytes(theorem_chain_check(f, *case, PHI, alpha=alpha))
               for case in cases]
     assert all(json.loads(s)["applicable"] for s in single)
-    transports, images = _spy_transport_and_image_sampling(
+    transports, images, _ = _spy_chain_samplings(
         monkeypatch, ((-4.0,), (4.0,)))
     for order in (1, -1):
         batch = czlab.theorem_chain_checks(f, cases[::order], PHI,
@@ -1274,18 +1299,20 @@ def test_chain_2d_batch_shares_transports_around_failing_compositions(
     forward and reversed, every report has the bytes of its single call,
     the shear gets its not-applicable report each time, and the batch
     transports the cells and samples the image-side weight once per
-    composable matrix."""
+    composable matrix.  A last case on a fresh tuple of PAIR's factors is
+    the same weight, so it shares PAIR's image-side weight."""
     f = acceptance_grid_2d(16)
     shear = SquareMatrix([[1.0, 1.0], [0.0, 1.0]])
     half = SquareMatrix.scalar(-0.5, 2)
     swap = SquareMatrix([[0.0, 2.0], [0.5, 0.0]])  # its image box is not Y
     cases = [(PAIR, half, 2.0), (PAIR, shear, 2.0), (PAIR, swap, 2.0),
-             (PAIR, half, 1.5), (PAIR, shear, 1.5), (PAIR, swap, 1.5)]
+             (PAIR, half, 1.5), (PAIR, shear, 1.5), (PAIR, swap, 1.5),
+             ((PAIR[0], PAIR[1]), swap, 2.0)]
     single = [_report_bytes(theorem_chain_check(f, *case, PHI))
               for case in cases]
     assert [json.loads(s)["applicable"] for s in single] == \
-        [True, False, True] * 2
-    transports, images = _spy_transport_and_image_sampling(
+        [True, False, True] * 2 + [True]
+    transports, images, _ = _spy_chain_samplings(
         monkeypatch, ((-4.0, -4.0), (4.0, 4.0)))
     for order in (1, -1):
         batch = czlab.theorem_chain_checks(f, cases[::order], PHI)
@@ -1294,3 +1321,53 @@ def test_chain_2d_batch_shares_transports_around_failing_compositions(
         assert len(images) == 2
         transports.clear()
         images.clear()
+
+
+def test_chain_batch_failure_reports_keep_their_order():
+    """A case reports the first step that fails, whatever the batch built
+    before it.  f = 1e307 on 64 cells has prefix sums beyond the float
+    range, so its dyadic sweep raises, but the chain reads the field only
+    after the right-hand side, which overflows first: alone, after a case
+    whose weight vanishes on Y, and before it, each case has that report.
+    On the corpus f, a case that passes, a case whose right-hand side
+    overflows and a case whose weight vanishes on Y keep their reports in
+    either order."""
+    w = power_weight(0.5, -40.0, 40.0)
+    short = power_weight(0.5, -2.0, 2.0)    # vanishes on cells of Y
+    big = GridFunction((-1.0, 1.0), np.full(64, 1e307))
+    with pytest.raises(ValueError, match="prefix sums"):
+        czlab.fractional_maximal(big, 0.0, lengths="dyadic")
+    vanishes = "weight vanishes on a cell of the working box"
+
+    def overflows(p):
+        return ("right-hand side overflows: the integral of f^p w leaves "
+                f"the float range at p = {p!r}")
+
+    for f, cases, reasons in [
+            (big, [(w, 2.0, 2.0)], [overflows(2.0)]),
+            (big, [(short, 2.0, 2.0), (w, 2.0, 2.0)],
+             [vanishes, overflows(2.0)]),
+            (corpus_function(64),
+             [(w, 2.0, 2.0), (w, 2.0, 200.0), (short, 2.0, 2.0)],
+             ["", overflows(200.0), vanishes])]:
+        single = [_report_bytes(theorem_chain_check(f, *case, PHI))
+                  for case in cases]
+        for order in (1, -1):
+            batch = czlab.theorem_chain_checks(f, cases[::order], PHI)
+            assert [rep.reason for rep in batch] == reasons[::order]
+            assert [_report_bytes(rep) for rep in batch] == single[::order]
+    assert batch[-1].passed()
+
+
+def test_chain_batch_samples_w_on_Y_once_per_weight_in_the_theorems_suite(
+        monkeypatch):
+    """The theorems suite of ``verify all`` runs two chain batches over
+    three weights: each batch samples each w on Y once, 6 samplings in
+    all, and the composed weights w_A 24 times, once per (w, A) of the
+    plain batch and per (w, A, p) of the fractional one."""
+    from weightlab import suites
+    _, _, on_Y = _spy_chain_samplings(monkeypatch, ((-4.0,), (4.0,)))
+    suites.suite_theorems()
+    weights = [k for k in on_Y if k]
+    assert len(weights) == 6 and len(set(weights)) == 3
+    assert len(on_Y) == 30
