@@ -98,7 +98,9 @@ def _dump_field_csv(path: str, g: GridFunction) -> None:
     # coordinate is formatted once.  A 2D grid goes out one write per grid
     # row, so no string of the whole file is ever held, and each of its
     # distinct values is formatted once per flag (``_Tails``): a composed
-    # field repeats its plateaus' values over many cells.
+    # field repeats its plateaus' values over many cells, and often whole
+    # rows, whose cells a row equal to the previous one in value bits and
+    # mask takes over as they are.
     xs = [repr(x) for x in g.cell_centers(0).tolist()]
     with open(path, "w") as fh:
         if g.dim == 1:
@@ -110,14 +112,19 @@ def _dump_field_csv(path: str, g: GridFunction) -> None:
         ys = [f",{y!r}," for y in g.cell_centers(1).tolist()]
         tails = (_Tails(0), _Tails(1))
         bits = np.ascontiguousarray(g.values).view(np.int64)
-        for x, brow, mrow in zip(xs, bits, g.mask):
-            brow = brow.tolist()
-            if mrow.all():
-                row = map(tails[1].__getitem__, brow)
-            else:
-                row = [tails[m][k] for k, m in zip(brow, mrow.tolist())]
-            # each cell's line is x + ys[j] + its tail
-            fh.write(x + x.join(map(operator.add, ys, row)))
+        again = np.zeros(len(bits), dtype=bool)
+        again[1:] = ((bits[1:] == bits[:-1]).all(axis=1)
+                     & (g.mask[1:] == g.mask[:-1]).all(axis=1))
+        for x, brow, mrow, same in zip(xs, bits, g.mask, again.tolist()):
+            if not same:
+                brow = brow.tolist()
+                if mrow.all():
+                    row = map(tails[1].__getitem__, brow)
+                else:
+                    row = [tails[m][k] for k, m in zip(brow, mrow.tolist())]
+                # each cell's line is x + ys[j] + its tail
+                cells = list(map(operator.add, ys, row))
+            fh.write(x + x.join(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ picks one of three paths that spread the values to the cells:
   the windows that meet the bounding box of the nonzero cells (the others
   sum zeros and hold +0.0).  A start that a widening carries out of that
   region is written into the field once, in a strip widened at once by
-  the width that the later levels would add, so the cost follows the box.
+  the width that the later levels would add, so the cost follows the box;
+  with consecutive sides the strips gather in bands that the later levels
+  widen and that are spread once per run.
   With side n listed, the whole box's value F0 lies under every cell, so
   a window that cannot exceed it changes nothing: the averages bound, for
   each dyadic range of sides, the cells that could lift a window above
@@ -71,6 +73,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .funcspace import (
     CubeFamily,
@@ -165,6 +168,24 @@ def _widen(x: np.ndarray, w: int, axis: int) -> np.ndarray:
     y[head + (slice(None, m),)] = x
     y[head + (slice(m, None),)] = x[head + (slice(m - 1, m),)]
     return _doubling_max(y, w, axis)
+
+
+def _pair_max(x: np.ndarray, out=None) -> np.ndarray:
+    """``_widen(x, 2, 1)`` of a 2D x bit for bit, in one shifted maximum
+    between the copied end columns, into ``out`` when given."""
+    y = np.empty((x.shape[0], x.shape[1] + 1)) if out is None else out
+    y[:, :1], y[:, -1:] = x[:, :1], x[:, -1:]
+    np.maximum(x[:, 1:], x[:, :-1], out=y[:, 1:-1])
+    return y
+
+
+def _spread(field: np.ndarray, X: np.ndarray, firsts, widths) -> None:
+    """X, widened by widths[k] along each axis k, lands on the cells of
+    field from firsts[k] on, each cell keeping the larger value."""
+    for axis, width in enumerate(widths):
+        X = _widen(X, width, axis)
+    cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
+    np.maximum(cells, X, out=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +330,29 @@ def _nested_max(f: GridFunction, lengths, cube_values,
 
     In 1D the strips before the region, in order, the last region and the
     strips after it, reversed, tile one run of the last level's starts,
-    which is spread once.  So every value reaches only cells of a listed
-    window that holds it, and at least the cells that the recursion over
-    whole levels reaches from it.
+    which is spread once.  In 2D, in a run whose sides are consecutive (w
+    = 2 throughout, as with every length), a region's bound on an axis
+    moves by at most one start a level, and once a side of the region
+    sheds a strip it sheds one at every later level: before the region
+    while L <= s, after it while L <= n - e.  So each level's strips are
+    one row or column on each side of each axis, and across the levels
+    those of one axis and side land on consecutive cells along that axis,
+    ascending before the region and descending after it.  They gather in
+    four bands, before and after the region on each axis (``grow``), each
+    held with its own axis first and -inf where its rows do not reach; a
+    later strip starts no earlier along the other axis, and ends within
+    the band as widened so far.  Each later level widens every band by 2
+    along its other axis, as it widens the region, and the run's end
+    spreads each band by ``last`` along both axes and writes it into the
+    field once: the widenings by 2 and the spread compose to the width L
+    of the strip's own retire, and the spread along its own axis lands
+    each row on the cells [a, a + last) of its retire.  A run then writes
+    the field at most five times, the bands and the last level.  Runs with
+    w > 2, the dyadic and explicit-length sweeps, retire each strip as it
+    peels.  Either way every value reaches only cells of a listed window
+    that holds it, and at least the cells that the recursion over whole
+    levels reaches from it; max is exact and -inf is below every value, so
+    the order of the writes changes no bit.
 
     Without side n listed, or for a functional without a ``floor_box``,
     one run covers every side with the support box of f's nonzero cells:
@@ -344,15 +385,10 @@ def _nested_max(f: GridFunction, lengths, cube_values,
         return U
 
     def retire(X, firsts, widths):
-        # X, widened by widths[k] along each axis k, lands on the cells from
-        # firsts[k] on
         nonlocal field
-        for axis, width in enumerate(widths):
-            X = _widen(X, width, axis)
         if field is None:
             field = np.zeros(f.shape)
-        cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
-        np.maximum(cells, X, out=cells)
+        _spread(field, X, firsts, widths)
 
     def run(sides, box, D=None):
         # the recursion over ``sides`` on the regions of ``box``, from the
@@ -360,9 +396,33 @@ def _nested_max(f: GridFunction, lengths, cube_values,
         nonlocal field
         last = sides[-1]
         lefts, rights = [], []      # 1D: strips before and after the regions
+        # 2D with consecutive sides: (axis, after) -> [band, own, other], the
+        # strips of that axis and side, own axis first, with the first cells
+        # of its rows and of its columns
+        bands = {} if f.dim == 2 and sides[0] - last == len(sides) - 1 \
+            else None
 
         def region(L):
             return [(max(0, s - L + 1), min(n - L + 1, e)) for s, e in box]
+
+        def grow(key, strip, own, other):
+            # the band of key, widened by 2 along its other axis, as each
+            # later level widens, with strip's rows after its own (before
+            # the region) or in front of them (after it), -inf elsewhere
+            if key not in bands:
+                bands[key] = [strip, own, other]
+                return
+            X, _, start = bands[key]
+            k, m = strip.shape
+            Y = np.empty((X.shape[0] + k, X.shape[1] + 1))
+            after = key[1]
+            rows, add = (Y[k:], Y[:k]) if after else (Y[:-k], Y[-k:])
+            _pair_max(X, out=rows)
+            add.fill(-np.inf)
+            add[:, other - start:other - start + m] = strip
+            bands[key][0] = Y
+            if after:
+                bands[key][1] = own
 
         old = region(sides[0])
         if D is None:
@@ -377,10 +437,7 @@ def _nested_max(f: GridFunction, lengths, cube_values,
                 W = U if new == [(lo, hi + 1) for lo, hi in old] else \
                     np.zeros(tuple(hi - lo + 1 for lo, hi in old))
                 if f.dim == 2:
-                    B = np.empty((D.shape[0], D.shape[1] + 1))
-                    B[:, :1], B[:, -1:] = D[:, :1], D[:, -1:]
-                    np.maximum(D[:, 1:], D[:, :-1], out=B[:, 1:-1])
-                    D = B
+                    D = _pair_max(D)
                 for cells in (slice(None, -1), slice(1, None)):
                     part = W[cells]
                     np.maximum(part, D, out=part)
@@ -391,19 +448,23 @@ def _nested_max(f: GridFunction, lengths, cube_values,
                     if w > 2:
                         W = _widen(W, w, d)
                     head = (slice(None),) * d
-                    for a, b, first, strips in (
+                    for after, (a, b, first, strips) in enumerate((
                             (lo, nlo, lo, lefts),
-                            (nhi, hi + w - 1, nhi + L - last, rights)):
+                            (nhi, hi + w - 1, nhi + L - last, rights))):
                         if a >= b:
                             continue
                         strip = W[head + (slice(a - lo, b - lo),)]
                         if f.dim == 1:
                             strips.append(strip)
-                            continue
-                        retire(strip, [c for c, _ in new[:d]] + [first]
-                               + [c for c, _ in old[d + 1:]],
-                               [L] * d + [last]
-                               + [L if w == 2 else prev] * (f.dim - d - 1))
+                        elif bands is not None:
+                            grow((d, after), strip.T if d else strip, first,
+                                 new[0][0] if d else old[1][0])
+                        else:
+                            retire(strip, [c for c, _ in new[:d]] + [first]
+                                   + [c for c, _ in old[d + 1:]],
+                                   [L] * d + [last]
+                                   + [L if w == 2 else prev]
+                                   * (f.dim - d - 1))
                     W = W[head + (slice(nlo - lo, nhi - lo),)]
                 np.maximum(U, W, out=U)
             D, old = U, new
@@ -420,6 +481,10 @@ def _nested_max(f: GridFunction, lengths, cube_values,
             field = D
         else:
             retire(D, firsts, [1] * f.dim)
+        for (d, _), (X, own, other) in (bands or {}).items():
+            # each band spread once by last along both axes
+            retire(X.T if d else X, [other, own] if d else [own, other],
+                   [last, last])
 
     floor_box = getattr(cube_values, "floor_box", None)
     if sides[0] < n or floor_box is None:
@@ -472,22 +537,27 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
       b > i >= a, so the entries with b <= a, which hold no window, never
       reach it.  A short last block is a chunk's second, one-block array;
     * the tails, b > a1, hold windows of every row of a block; they run a
-      block at a time over the chunk, with the columns b ascending so that
-      every read of the prefixes is contiguous.  Their maximum along each
-      row, run along a, serves the block's own cells.  Their maximum over
-      the rows goes into W[b], the largest tail value ending at b of the
-      blocks so far, which serves each later block's cells i: the max of
-      W[b] over b > i, a running max inside that block and one reduction
-      after it.
+      group of consecutive blocks at a time over the chunk
+      (``_tail_groups``), with the columns b ascending so that every read
+      of the prefixes is contiguous.  Their maximum along each row, run
+      along a, serves the block's own cells.  Their maximum over the rows
+      goes into W[b], the largest tail value ending at b of the groups so
+      far, which serves each later group's cells i: the max of W[b] over b
+      > i, a running max inside that group and one reduction after it.
+      Inside a group of G > 1 blocks those maxima, each block's earlier
+      blocks shifted to its own ends and maxed with its own, serve the
+      next block's cells the same way, and the last block's go into W.
 
     Almost all of the windows are tails, whose two maxima are reductions,
-    and a block pays some ten numpy calls for all the grids of its chunk.
+    and a group pays some twenty numpy calls for all its blocks and all the
+    grids of its chunk.
     On a shared 2-core x86-64 VM (minimum of 15 interleaved runs in one
     process, ms; median in brackets), at 8, 16, 24, 32 and 64 rows: 50
-    grids of 512 cells took 10.3, 9.9 (10.4), 10.6, 10.9 and 14.5; one
-    grid of 4096 uniform cells 10.2, 8.1 (8.5), 8.2, 8.2 and 8.2.  With a
-    clamp on the tails and their ends repeated, the same runs read 13.1,
-    12.6 (12.9), 13.2, 13.3, 17.0 and 15.0, 12.8 (13.1), 12.9, 12.8, 12.8.
+    grids of 512 cells took 25.9, 25.9 (26.9), 26.8, 27.1 and 33.1; one
+    grid of 4096 uniform cells, where no tile is pruned, 25.8, 22.2
+    (24.4), 22.1, 22.3 and 22.6; 4096 cells shaped like the ``fields``
+    benchmark's 7.9, 6.5 (7.2), 6.5, 6.6 and 6.6, against 11.5, 8.6 (9.6),
+    8.9, 8.7 and 8.8 with one request a block, interleaved with them.
 
     The window [a0 + i, a0 + 1 + j) has the side max(j + 1 - i, 1) whatever
     a0 (1 where it holds no window), so one (rows, n) length matrix gives
@@ -507,8 +577,17 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
     _TILE_ENDS consecutive ends, that can raise a cell (``_tail_spans``).
     A tile whose upper bound lies below a lower bound of every cell its
     windows cover holds no cell's maximum, and max is exact, so the field
-    keeps its bits.  Each block's tail, and its part of W, runs from its
-    first kept end to its last.  Stacks of several grids keep whole tails.
+    keeps its bits.  Each block keeps the ends from its first kept one to
+    its last, the band [lo - a1, hi - a1] relative to its end a1, and
+    consecutive blocks join into one request over the union of their bands
+    (``_tail_groups``): the length matrix gives every block of a group the
+    same sides and scale factors, and the ends are one view of the prefix
+    with block stride ``rows``.  Every window of a band is real, a < b <=
+    n, and its value reaches only the cells it holds, so the windows a
+    request adds to the kept ones change no bit either.  On the fields
+    corpus at 4096 cells the tails of the 255 blocks take 26 requests, for
+    14.7% of the whole tails' windows (12.5% kept).  Stacks of several
+    grids keep whole tails, one block a group.
     """
     n = fs[0].shape[0]
     P = np.stack([_box_prefix(f, r)[2] for f in fs])
@@ -559,36 +638,101 @@ def _quadrant_max(fs, r: float | None = None, c: float = 1.0,
         spans = None
         if len(Q) == 1 and n > rows:
             spans = _tail_spans(Q[0], field[0], rows, r, c, table)
-        # W[b]: the largest tail value of the blocks done so far at end b
+        # W[b]: the largest tail value ending at b of the groups done so
+        # far, at the ends past their cells
         W = np.full((len(Q), n + 1), -np.inf)
-        for a0 in range(0, n, rows):
-            a1 = min(n, a0 + rows)
+        for a0, a1, d0, d1 in _tail_groups(spans, rows, n):
             cells = field[:, a0:a1]
-            # windows of earlier blocks' tails that hold a cell i: ends
-            # b > i, inside the block or after it
+            # windows of earlier groups' tails that hold a cell i: ends
+            # b > i, inside the group or after it
             inside = np.maximum.accumulate(W[:, a1:a0:-1], axis=1)[:, ::-1]
             if a1 < n:
                 np.maximum(inside, W[:, a1 + 1:].max(axis=1, keepdims=True),
                            out=inside)
             np.maximum(cells, inside, out=cells)
-            if a1 == n:
-                break
-            lo, hi = (a1 + 1, n) if spans is None else spans[a0 // rows]
-            if lo > hi:
+            if d0 > d1:
                 continue
-            # b > a and the prefix never decreases from +0.0, so every
-            # sum is +0.0 or more and needs no clamp
-            T = values(Q[:, None, lo:hi + 1] - Q[:, a0:a1, None],
-                       (slice(None), slice(lo - a0 - 1, hi - a0)), False)
-            np.maximum(cells, np.maximum.accumulate(T.max(axis=2), axis=1),
-                       out=cells)
-            ends = W[:, lo:hi + 1]
-            np.maximum(ends, T.max(axis=1), out=ends)
-            del T               # the next block's values take its place
+            # the windows [a, b) of the group's G blocks, b - a1_k in [d0,
+            # d1] past each block's end a1_k: one band of ends, a view of
+            # the prefix with block stride ``rows``.  b > a and the prefix
+            # never decreases from +0.0, so every sum is +0.0 or more and
+            # needs no clamp
+            G = (a1 - a0) // rows
+            lo, hi = a0 + rows + d0, a1 + d1 + 1
+            if G == 1:
+                ends, starts = Q[:, None, lo:hi], Q[:, a0:a1, None]
+            else:
+                ends = sliding_window_view(Q[0, lo:hi], d1 - d0 + 1)[::rows]
+                ends, starts = ends[:, None], Q[0, a0:a1].reshape(G, rows, 1)
+            T = values(ends - starts,
+                       (slice(None), slice(rows + d0 - 1, rows + d1)), False)
+            own = np.maximum.accumulate(T.max(axis=2), axis=1)
+            np.maximum(cells, own.reshape(cells.shape), out=cells)
+            tops = T.max(axis=1)
+            del T               # the next group's values take its place
+            if G > 1:
+                # R[k, t]: block k's maxima over its rows at the end a1_k +
+                # 1 + t, -inf before d0 - 1; V[k, t]: the largest of them
+                # over the blocks up to k, block k - j's at R[k - j, j rows
+                # + t], where a block more than (d1 - 1) // rows before has
+                # none.  Block k + 1 reads V[k] from the end after each of
+                # its cells on, and W takes V[G - 1], past a1: the group's
+                # ends before it hold no later group's cell
+                R = np.full((G, d1), -np.inf)
+                R[:, d0 - 1:] = tops
+                V = R.copy()
+                for j in range(1, min((d1 - 1) // rows, G - 1) + 1):
+                    part = V[j:, :d1 - j * rows]
+                    np.maximum(part, R[:-j, j * rows:], out=part)
+                m = min(rows, d1)
+                reads = np.maximum.accumulate(V[:-1, m - 1::-1], axis=1)
+                if d1 > rows:
+                    np.maximum(reads, V[:-1, rows:].max(axis=1, keepdims=True),
+                               out=reads)
+                later = field[0, a0 + rows:a1].reshape(G - 1, rows)[:, :m]
+                np.maximum(later, reads[:, ::-1], out=later)
+                tops, lo = V[-1:], a1 + 1
+            part = W[:, lo:hi]
+            np.maximum(part, tops, out=part)
     return out
 
 
 _TILE_ENDS = 64             # consecutive tail ends of one bound tile
+
+
+def _tail_groups(spans, rows: int, n: int) -> list:
+    """(a0, a1, d0, d1) per group of consecutive blocks of rows in
+    ``_quadrant_max``: the cells [a0, a1) and the band of tail ends a1_k +
+    d0 .. a1_k + d1 past each block's end a1_k, empty (d0 > d1) for the
+    last group, whose blocks have no tail.
+
+    With spans=None (a stack) each block is a group with all its ends, a1_k
+    + 1 to n.  Else each block keeps the ends [lo, hi] of ``spans``
+    (``_tail_spans``), and consecutive blocks join while the union of their
+    bands holds only real windows, b <= n, and the group's values and its
+    blocks' maxima by end stay within _BLOCK_CAP cells; a block that keeps
+    no end joins any group."""
+    count = (n - 1) // rows                     # blocks with a tail
+    last = (count * rows, n, n, 0)
+    if spans is None:
+        return [(a0, a0 + rows, 1, n - a0 - rows)
+                for a0 in range(0, count * rows, rows)] + [last]
+    groups = []
+    k0, d0, d1 = 0, n, 0
+    for k, (lo, hi) in enumerate(spans.tolist()):
+        a1 = (k + 1) * rows
+        band = (n, 0) if lo > hi else (lo - a1, hi - a1)
+        u0, u1 = min(d0, band[0]), max(d1, band[1])
+        G = k + 1 - k0
+        if G > 1 and (a1 + u1 > n or G * rows * (u1 - u0 + 1) > _BLOCK_CAP
+                      or G * u1 > _BLOCK_CAP):
+            groups.append((k0 * rows, a1 - rows, d0, d1))
+            k0, (d0, d1) = k, band
+        else:
+            d0, d1 = u0, u1
+    if count:
+        groups.append((k0 * rows, count * rows, d0, d1))
+    return groups + [last]
 
 
 def _tail_spans(p, head, rows: int, r, c: float, table) -> np.ndarray:
@@ -751,8 +895,11 @@ def _averages(f: GridFunction, r: float | None = None, c: float = 1.0):
         if dim == 1:
             S = P[ends] - P[starts]
         else:
-            S = (P[ends] - P[starts[0], ends[1]]
-                 - P[ends[0], starts[1]] + P[starts])
+            # ((a - b) - c) + d in one output array, in the order of the
+            # expression
+            S = np.subtract(P[ends], P[starts[0], ends[1]])
+            S -= P[ends[0], starts[1]]
+            S += P[starts]
         return _window_means(S, side ** dim, r, c)
 
     e, cr = (1.0, 1.0) if r is None else (r, c)

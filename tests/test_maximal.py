@@ -468,8 +468,11 @@ def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
     # seven chunks of several grids, each tail spans every column after its
     # rows: 32 requests a chunk, 224 in all where one grid at a time, in
     # blocks of 64 rows, took 400.  One grid alone computes only the tiles
-    # of its tails that can raise a cell: on the fields corpus at 4096
-    # cells at most a fifth of the windows of the 255 whole tails
+    # of its tails that can raise a cell, and joins the kept tails of
+    # consecutive blocks into (blocks, rows, ends) requests within
+    # _BLOCK_CAP cells: on the fields corpus at 4096 cells 26 requests for
+    # the 255 tails (one a block took 251), at most a fifth of the windows
+    # of the 255 whole tails
     shapes = _window_requests(monkeypatch)
     n, rows = 512, 16
     hl_maximals([GridFunction((0.0, 1.0), np.full(n, 1.0 + k))
@@ -488,10 +491,86 @@ def test_every_length_1d_takes_fixed_row_blocks(monkeypatch):
     hl_maximal(GridFunction((-1.0, 1.0), _fields_corpus(n, 5)))
     assert shapes[0] == (rows, rows, 1, n // rows)
     tails = [shape for shape in shapes if len(shape) == 3]
-    assert len(tails) <= n // rows - 1
-    assert all(shape[:2] == (1, rows) for shape in tails)
+    assert len(tails) == 26
+    assert sum(blocks for blocks, _, _ in tails) <= n // rows - 1
+    assert all(shape[1] == rows and math.prod(shape) <= maximal._BLOCK_CAP
+               for shape in tails)
+    assert max(blocks for blocks, _, _ in tails) > 1
     whole = sum(rows * (n - a - rows) for a in range(0, n - rows, rows))
     assert _tail_windows(shapes) <= 0.2 * whole
+
+
+def _spied_tails(monkeypatch):
+    """The kept spans and the groups of every one-grid chunk, logged as
+    ``_tail_spans`` and ``_tail_groups`` return them."""
+    log = []
+    tail_spans, tail_groups = maximal._tail_spans, maximal._tail_groups
+
+    def spans(*args):
+        log.append([tail_spans(*args)])
+        return log[-1][0]
+
+    def groups(spans, rows, n):
+        out = tail_groups(spans, rows, n)
+        if spans is not None:
+            log[-1].append(out)
+        return out
+
+    monkeypatch.setattr(maximal, "_tail_spans", spans)
+    monkeypatch.setattr(maximal, "_tail_groups", groups)
+    return log
+
+
+@pytest.mark.parametrize("name, n", [("fields", 1000),
+                                     ("signed-zeros", 1031)])
+def test_every_length_1d_joined_tails_are_bitwise_the_per_length_sweep(
+        monkeypatch, name, n):
+    # a short last block (1000 = 62 * 16 + 8 and 1031 = 64 * 16 + 7 cells):
+    # the fields corpus, whose kept spans differ in width from block to
+    # block and where some blocks keep none, and -0.0 cells among uniforms
+    # to the fourth power, where a group's earlier blocks raise its later
+    # blocks' cells.  Consecutive blocks join into groups whose band of
+    # ends covers each block's kept span, holds only real windows and stays
+    # within _BLOCK_CAP cells, and the hl, alpha 0.3 and r = 1.5 fields,
+    # with and without alpha, keep the bits of the per-length sweep, sign
+    # bits included
+    rows = 16
+    assert n % rows
+    g = GridFunction((-1.0, 2.0), _one_grid_inputs(n)[name])
+    log = _spied_tails(monkeypatch)
+    cases = [(hl_maximal(g), prefix_averages(g), 0.0),
+             (fractional_maximal(g, 0.3), prefix_averages(g), 0.3)]
+    phi = YoungFn.power(1.5)
+    for alpha in (0.0, 0.3):
+        cases.append((orlicz_maximal(g, phi, alpha=alpha),
+                      prefix_averages(g, phi.r, phi.c), alpha))
+    for field, cube_values, alpha in cases:
+        ref = per_length_sweep(g, "all", cube_values, alpha)
+        assert _same_bits(field.values, ref), alpha
+    assert len(log) == len(cases)
+    for spans, groups in log:
+        count = len(spans)
+        assert count == (n - 1) // rows
+        assert groups[-1] == (count * rows, n, n, 0)
+        assert [group[0] for group in groups[1:]] == \
+            [group[1] for group in groups[:-1]]
+        none = spans[:, 0] > spans[:, 1]
+        joined = False
+        for a0, a1, d0, d1 in groups[:-1]:
+            blocks = range(a0 // rows, a1 // rows)
+            kept = [k for k in blocks if not none[k]]
+            assert (d0 <= d1) == bool(kept)
+            if not kept:
+                continue
+            assert 1 <= d0 and a1 + d1 <= n
+            G = len(blocks)
+            assert G * rows * (d1 - d0 + 1) <= maximal._BLOCK_CAP
+            for k in kept:
+                lo, hi = spans[k] - (k + 1) * rows
+                assert d0 <= lo and hi <= d1
+            widths = {int(np.diff(spans[k])[0]) for k in kept}
+            joined |= len(widths) > 1 and len(kept) < G
+        assert joined or name != "fields"
 
 
 def _one_grid_inputs(n):
@@ -1238,6 +1317,113 @@ def test_floor_cuts_the_window_cells_of_a_hot_block_field(monkeypatch):
                 for _, starts in requests)
     assert len(requests) == n
     assert cells == 2_512_489
+
+
+def _spread_calls(monkeypatch):
+    """The widths of the field writes of ``_nested_max``, logged as
+    ``_spread`` takes them."""
+    widths = []
+    spread = maximal._spread
+
+    def counted(field, X, firsts, w):
+        widths.append(tuple(w))
+        return spread(field, X, firsts, w)
+
+    monkeypatch.setattr(maximal, "_spread", counted)
+    return widths
+
+
+def _band_boxes(n):
+    """name -> (rows, cols) support box on an n^2 grid: boxes touching each
+    edge, a corner box, a box in the middle and a one-cell box."""
+    return {"top": ((0, 5), (7, 15)), "bottom": ((n - 5, n), (3, 10)),
+            "left": ((8, 13), (0, 4)), "right": ((2, 9), (n - 6, n)),
+            "corner": ((n - 6, n), (n - 7, n)), "middle": ((6, 15), (9, 17)),
+            "cell": ((11, 12), (13, 14))}
+
+
+def _band_inputs(n):
+    """Dyadic rationals in [1/8, 7/8] on each box of ``_band_boxes`` and
+    zeros of either sign elsewhere, so every prefix sum is exact; and a
+    graded input, uniforms with a warm block and a hot cell."""
+    rng = np.random.default_rng(n)
+    out = {}
+    for name, ((s0, e0), (s1, e1)) in _band_boxes(n).items():
+        vals = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        vals[s0:e0, s1:e1] = rng.integers(1, 8, (e0 - s0, e1 - s1)) / 8.0
+        out[name] = vals
+    graded = np.zeros((n, n))
+    graded[4:20, 4:20] = rng.random((16, 16))
+    graded[9:13, 10:14] = 2.0
+    graded[11, 12] = 40.0
+    out["graded"] = graded
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_every_length_2d_bands_are_bitwise_the_per_length_sweep(
+        monkeypatch, alpha):
+    # with every length the strips that a run's regions shed gather in four
+    # bands, spread once per run: support boxes touching each edge of the
+    # grid, so some bands stay empty, a corner box, a one-cell box and a
+    # graded input whose floor, at alpha 1/2, runs the smaller sides on
+    # smaller boxes: side 1 alone on the warm block (fractional), sides 3
+    # to 1 on the hot cell (power); hl or fractional and the power r = 1.5
+    # (c = 0.3), values and sign bits against the spread of every window
+    n = 24
+    box = ((-1.0, -1.0), (2.0, 2.0))
+    widths = _spread_calls(monkeypatch)
+    phi = YoungFn.power(1.5, 0.3)
+    for name, vals in _band_inputs(n).items():
+        g = GridFunction(box, vals)
+        widths.clear()
+        for field, cube_values in (
+                (fractional_maximal(g, alpha), prefix_averages(g)),
+                (orlicz_maximal(g, phi, alpha=alpha),
+                 prefix_averages(g, phi.r, phi.c))):
+            ref = per_length_sweep(g, "all", cube_values, alpha)
+            assert _same_bits(field.values, ref), name
+        if name in _band_boxes(n):
+            # one run on the box, which writes its last level and a band
+            # for each side of the box off the grid's edge
+            (s0, e0), (s1, e1) = _band_boxes(n)[name]
+            edges = [s0 == 0, e0 == n, s1 == 0, e1 == n]
+            assert widths == [(1, 1)] * 2 * (5 - sum(edges)), name
+
+
+def test_every_length_2d_run_writes_the_field_at_most_five_times(
+        monkeypatch):
+    # a deterministic stand-in for a timing test: one run of consecutive
+    # sides (every length but n, on the support box) writes its four bands
+    # and its last level, one write less for each side of the box on an
+    # edge of the grid, where no strip is shed; the values are those of the
+    # per-length sweep.  On the ``fields`` benchmark's input, 256^2 noise
+    # with a 21^2 block of 30, the fractional sweep (alpha = 1/2) runs
+    # twice: the large sides on the whole grid, whose last level is the
+    # field, and the sides up to 64 on the block, which sheds 210 strips
+    # and writes 5 times (it wrote 211 times, a strip at a time)
+    widths = _spread_calls(monkeypatch)
+    n = 24
+    box = ((0.0, 0.0), (1.0, 1.0))
+    lengths = list(range(1, n))
+    for name, vals in _band_inputs(n).items():
+        if name == "graded":
+            continue
+        (s0, e0), (s1, e1) = _band_boxes(n)[name]
+        g = GridFunction(box, vals)
+        cube_values = maximal._averages(g)
+        widths.clear()
+        got = maximal._nested_max(g, lengths, cube_values, 0.5).values
+        edges = [s0 == 0, e0 == n, s1 == 0, e1 == n]
+        assert widths == [(1, 1)] + [(1, 1)] * (4 - sum(edges)), name
+        ref = per_length_sweep(g, lengths, prefix_averages(g), 0.5)
+        assert _same_bits(got, ref), name
+    rng = np.random.default_rng(3)
+    vals = rng.random((256, 256)) * 2.0
+    vals[21:42, 128:149] = 30.0
+    widths.clear()
+    fractional_maximal(GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals), 0.5)
+    assert len(widths) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,43 @@ def test_field_csv_bytes_match_row_loop(tmp_path, box, shape, matrix, out_box,
             (tmp_path / "old.csv").read_bytes()
 
 
+def test_field_csv_repeated_rows_match_row_loop(tmp_path):
+    # a 2D field CSV takes over the formatted cells of a grid row whose
+    # value bits and mask equal the previous row's: a row equal to the one
+    # before in bits but not in mask, a row of +0.0 before two rows of
+    # -0.0 (equal as floats, not in bits), and a plateau field composed
+    # with diag(2, 1/2), most of whose rows repeat the one before
+    from weightlab.cli import _dump_field_csv
+    from weightlab.funcspace import GridFunction
+    from weightlab.maximal import hl_maximal, matrix_compose
+    rng = np.random.default_rng(83)
+    vals = np.tile(rng.random(6), (8, 1))
+    mask = np.ones(vals.shape, dtype=bool)
+    mask[3, 2] = False
+    vals[5] = 0.0
+    vals[6:] = -0.0
+    hot = np.zeros((32, 32))
+    hot[4:28, 6:20] = 3.0
+    hot[10:12, 8:30] = 5.0
+    square = ((-1.0, -1.0), (2.0, 2.0))
+    composed = matrix_compose(hl_maximal(GridFunction(square, hot)),
+                              [[2.0, 0.0], [0.0, 0.5]])
+    fields = (GridFunction(((-1.0, 0.5), (3.0, 3.5)), vals, mask=mask),
+              composed)
+    for field in fields:
+        bits = np.ascontiguousarray(field.values).view(np.int64)
+        again = (bits[1:] == bits[:-1]).all(axis=1) & \
+            (field.mask[1:] == field.mask[:-1]).all(axis=1)
+        assert again.any() and not again.all()
+        _dump_field_csv(tmp_path / "new.csv", field)
+        _row_loop_csv(tmp_path / "old.csv", field)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+    assert (np.signbit(fields[0].values[6:]).all()
+            and not np.signbit(fields[0].values[5]).any())
+    assert 2 * again.sum() > again.size
+
+
 def test_cli_maximal_composed_with_scalar(grid_file, capsys):
     rc = main(["maximal", "--input", grid_file, "--operator", "fractional",
                "--alpha", "0.5", "--matrix", "2.0"])
