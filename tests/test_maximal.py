@@ -573,6 +573,27 @@ def test_every_length_1d_joined_tails_are_bitwise_the_per_length_sweep(
         assert joined or name != "fields"
 
 
+@pytest.mark.parametrize("cap", [1 << 12, 1 << 14])
+def test_every_length_1d_joined_tails_within_smaller_caps(monkeypatch, cap):
+    # a smaller _BLOCK_CAP leaves fewer rows a block (4 and 16 at 1000
+    # cells) and splits the groups where their values would pass it; the
+    # groups' arrays stay within it and the fields keep their bits
+    monkeypatch.setattr(maximal, "_BLOCK_CAP", cap)
+    n = 1000
+    rows = min(maximal._BLOCK_ROWS, cap // n)
+    g = GridFunction((-1.0, 2.0), _one_grid_inputs(n)["fields"])
+    log = _spied_tails(monkeypatch)
+    for alpha in (0.0, 0.3):
+        ref = per_length_sweep(g, "all", prefix_averages(g), alpha)
+        assert _same_bits(fractional_maximal(g, alpha).values, ref), alpha
+    for _, groups in log:
+        sizes = [((a1 - a0) // rows, d1 - d0 + 1, d1)
+                 for a0, a1, d0, d1 in groups[:-1] if d0 <= d1]
+        assert max(G for G, _, _ in sizes) > 1
+        assert all(G * rows * J <= cap and G * d1 <= cap
+                   for G, J, d1 in sizes)
+
+
 def _one_grid_inputs(n):
     """One-grid inputs of the pruned tails: the fields corpus, a 1e300 spike
     among 1e-300 cells, support of subnormal cells only among signed zeros,
