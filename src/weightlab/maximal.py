@@ -30,9 +30,7 @@ picks one of three paths that spread the values to the cells:
   the windows that meet the bounding box of the nonzero cells (the others
   sum zeros and hold +0.0).  A start that a widening carries out of that
   region is written into the field once, in a strip widened at once by
-  the width that the later levels would add, so the cost follows the box;
-  with consecutive sides the strips gather in bands that the later levels
-  widen and that are spread once per run.
+  the width that the later levels would add, so the cost follows the box.
   With side n listed, the whole box's value F0 lies under every cell, so
   a window that cannot exceed it changes nothing: the averages bound, for
   each dyadic range of sides, the cells that could lift a window above
@@ -168,24 +166,6 @@ def _widen(x: np.ndarray, w: int, axis: int) -> np.ndarray:
     y[head + (slice(None, m),)] = x
     y[head + (slice(m, None),)] = x[head + (slice(m - 1, m),)]
     return _doubling_max(y, w, axis)
-
-
-def _pair_max(x: np.ndarray, out=None) -> np.ndarray:
-    """``_widen(x, 2, 1)`` of a 2D x bit for bit, in one shifted maximum
-    between the copied end columns, into ``out`` when given."""
-    y = np.empty((x.shape[0], x.shape[1] + 1)) if out is None else out
-    y[:, :1], y[:, -1:] = x[:, :1], x[:, -1:]
-    np.maximum(x[:, 1:], x[:, :-1], out=y[:, 1:-1])
-    return y
-
-
-def _spread(field: np.ndarray, X: np.ndarray, firsts, widths) -> None:
-    """X, widened by widths[k] along each axis k, lands on the cells of
-    field from firsts[k] on, each cell keeping the larger value."""
-    for axis, width in enumerate(widths):
-        X = _widen(X, width, axis)
-    cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
-    np.maximum(cells, X, out=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +310,9 @@ def _nested_max(f: GridFunction, lengths, cube_values,
 
     In 1D the strips before the region, in order, the last region and the
     strips after it, reversed, tile one run of the last level's starts,
-    which is spread once.  In 2D, in a run whose sides are consecutive (w
-    = 2 throughout, as with every length), a region's bound on an axis
-    moves by at most one start a level, and once a side of the region
-    sheds a strip it sheds one at every later level: before the region
-    while L <= s, after it while L <= n - e.  So each level's strips are
-    one row or column on each side of each axis, and across the levels
-    those of one axis and side land on consecutive cells along that axis,
-    ascending before the region and descending after it.  They gather in
-    four bands, before and after the region on each axis (``grow``), each
-    held with its own axis first and -inf where its rows do not reach; a
-    later strip starts no earlier along the other axis, and ends within
-    the band as widened so far.  Each later level widens every band by 2
-    along its other axis, as it widens the region, and the run's end
-    spreads each band by ``last`` along both axes and writes it into the
-    field once: the widenings by 2 and the spread compose to the width L
-    of the strip's own retire, and the spread along its own axis lands
-    each row on the cells [a, a + last) of its retire.  A run then writes
-    the field at most five times, the bands and the last level.  Runs with
-    w > 2, the dyadic and explicit-length sweeps, retire each strip as it
-    peels.  Either way every value reaches only cells of a listed window
-    that holds it, and at least the cells that the recursion over whole
-    levels reaches from it; max is exact and -inf is below every value, so
-    the order of the writes changes no bit.
+    which is spread once.  So every value reaches only cells of a listed
+    window that holds it, and at least the cells that the recursion over
+    whole levels reaches from it.
 
     Without side n listed, or for a functional without a ``floor_box``,
     one run covers every side with the support box of f's nonzero cells:
@@ -385,10 +345,15 @@ def _nested_max(f: GridFunction, lengths, cube_values,
         return U
 
     def retire(X, firsts, widths):
+        # X, widened by widths[k] along each axis k, lands on the cells from
+        # firsts[k] on
         nonlocal field
+        for axis, width in enumerate(widths):
+            X = _widen(X, width, axis)
         if field is None:
             field = np.zeros(f.shape)
-        _spread(field, X, firsts, widths)
+        cells = field[tuple(slice(c, c + k) for c, k in zip(firsts, X.shape))]
+        np.maximum(cells, X, out=cells)
 
     def run(sides, box, D=None):
         # the recursion over ``sides`` on the regions of ``box``, from the
@@ -396,33 +361,9 @@ def _nested_max(f: GridFunction, lengths, cube_values,
         nonlocal field
         last = sides[-1]
         lefts, rights = [], []      # 1D: strips before and after the regions
-        # 2D with consecutive sides: (axis, after) -> [band, own, other], the
-        # strips of that axis and side, own axis first, with the first cells
-        # of its rows and of its columns
-        bands = {} if f.dim == 2 and sides[0] - last == len(sides) - 1 \
-            else None
 
         def region(L):
             return [(max(0, s - L + 1), min(n - L + 1, e)) for s, e in box]
-
-        def grow(key, strip, own, other):
-            # the band of key, widened by 2 along its other axis, as each
-            # later level widens, with strip's rows after its own (before
-            # the region) or in front of them (after it), -inf elsewhere
-            if key not in bands:
-                bands[key] = [strip, own, other]
-                return
-            X, _, start = bands[key]
-            k, m = strip.shape
-            Y = np.empty((X.shape[0] + k, X.shape[1] + 1))
-            after = key[1]
-            rows, add = (Y[k:], Y[:k]) if after else (Y[:-k], Y[-k:])
-            _pair_max(X, out=rows)
-            add.fill(-np.inf)
-            add[:, other - start:other - start + m] = strip
-            bands[key][0] = Y
-            if after:
-                bands[key][1] = own
 
         old = region(sides[0])
         if D is None:
@@ -437,7 +378,10 @@ def _nested_max(f: GridFunction, lengths, cube_values,
                 W = U if new == [(lo, hi + 1) for lo, hi in old] else \
                     np.zeros(tuple(hi - lo + 1 for lo, hi in old))
                 if f.dim == 2:
-                    D = _pair_max(D)
+                    B = np.empty((D.shape[0], D.shape[1] + 1))
+                    B[:, :1], B[:, -1:] = D[:, :1], D[:, -1:]
+                    np.maximum(D[:, 1:], D[:, :-1], out=B[:, 1:-1])
+                    D = B
                 for cells in (slice(None, -1), slice(1, None)):
                     part = W[cells]
                     np.maximum(part, D, out=part)
@@ -448,23 +392,19 @@ def _nested_max(f: GridFunction, lengths, cube_values,
                     if w > 2:
                         W = _widen(W, w, d)
                     head = (slice(None),) * d
-                    for after, (a, b, first, strips) in enumerate((
+                    for a, b, first, strips in (
                             (lo, nlo, lo, lefts),
-                            (nhi, hi + w - 1, nhi + L - last, rights))):
+                            (nhi, hi + w - 1, nhi + L - last, rights)):
                         if a >= b:
                             continue
                         strip = W[head + (slice(a - lo, b - lo),)]
                         if f.dim == 1:
                             strips.append(strip)
-                        elif bands is not None:
-                            grow((d, after), strip.T if d else strip, first,
-                                 new[0][0] if d else old[1][0])
-                        else:
-                            retire(strip, [c for c, _ in new[:d]] + [first]
-                                   + [c for c, _ in old[d + 1:]],
-                                   [L] * d + [last]
-                                   + [L if w == 2 else prev]
-                                   * (f.dim - d - 1))
+                            continue
+                        retire(strip, [c for c, _ in new[:d]] + [first]
+                               + [c for c, _ in old[d + 1:]],
+                               [L] * d + [last]
+                               + [L if w == 2 else prev] * (f.dim - d - 1))
                     W = W[head + (slice(nlo - lo, nhi - lo),)]
                 np.maximum(U, W, out=U)
             D, old = U, new
@@ -481,10 +421,6 @@ def _nested_max(f: GridFunction, lengths, cube_values,
             field = D
         else:
             retire(D, firsts, [1] * f.dim)
-        for (d, _), (X, own, other) in (bands or {}).items():
-            # each band spread once by last along both axes
-            retire(X.T if d else X, [other, own] if d else [own, other],
-                   [last, last])
 
     floor_box = getattr(cube_values, "floor_box", None)
     if sides[0] < n or floor_box is None:
@@ -710,8 +646,10 @@ def _tail_groups(spans, rows: int, n: int) -> list:
     + 1 to n.  Else each block keeps the ends [lo, hi] of ``spans``
     (``_tail_spans``), and consecutive blocks join while the union of their
     bands holds only real windows, b <= n, and the group's values and its
-    blocks' maxima by end stay within _BLOCK_CAP cells; a block that keeps
-    no end joins any group."""
+    blocks' maxima by end stay within _BLOCK_CAP cells.  A block that keeps
+    no end adds no end to the band, but it is held to the same rules: it
+    joins only while the group's band, taken past its own end, still ends
+    at n or before and the group still fits the cap."""
     count = (n - 1) // rows                     # blocks with a tail
     last = (count * rows, n, n, 0)
     if spans is None:

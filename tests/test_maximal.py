@@ -1340,21 +1340,7 @@ def test_floor_cuts_the_window_cells_of_a_hot_block_field(monkeypatch):
     assert cells == 2_512_489
 
 
-def _spread_calls(monkeypatch):
-    """The widths of the field writes of ``_nested_max``, logged as
-    ``_spread`` takes them."""
-    widths = []
-    spread = maximal._spread
-
-    def counted(field, X, firsts, w):
-        widths.append(tuple(w))
-        return spread(field, X, firsts, w)
-
-    monkeypatch.setattr(maximal, "_spread", counted)
-    return widths
-
-
-def _band_boxes(n):
+def _strip_boxes(n):
     """name -> (rows, cols) support box on an n^2 grid: boxes touching each
     edge, a corner box, a box in the middle and a one-cell box."""
     return {"top": ((0, 5), (7, 15)), "bottom": ((n - 5, n), (3, 10)),
@@ -1363,13 +1349,13 @@ def _band_boxes(n):
             "cell": ((11, 12), (13, 14))}
 
 
-def _band_inputs(n):
-    """Dyadic rationals in [1/8, 7/8] on each box of ``_band_boxes`` and
+def _strip_inputs(n):
+    """Dyadic rationals in [1/8, 7/8] on each box of ``_strip_boxes`` and
     zeros of either sign elsewhere, so every prefix sum is exact; and a
     graded input, uniforms with a warm block and a hot cell."""
     rng = np.random.default_rng(n)
     out = {}
-    for name, ((s0, e0), (s1, e1)) in _band_boxes(n).items():
+    for name, ((s0, e0), (s1, e1)) in _strip_boxes(n).items():
         vals = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
         vals[s0:e0, s1:e1] = rng.integers(1, 8, (e0 - s0, e1 - s1)) / 8.0
         out[name] = vals
@@ -1382,69 +1368,29 @@ def _band_inputs(n):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_every_length_2d_bands_are_bitwise_the_per_length_sweep(
-        monkeypatch, alpha):
-    # with every length the strips that a run's regions shed gather in four
-    # bands, spread once per run: support boxes touching each edge of the
-    # grid, so some bands stay empty, a corner box, a one-cell box and a
+def test_every_length_2d_strips_are_bitwise_the_per_length_sweep(alpha):
+    # the strips that a run of consecutive sides sheds, one row or column a
+    # level on each side of the box off the grid's edge: support boxes
+    # touching each edge of the grid, a corner box, a one-cell box and a
     # graded input whose floor, at alpha 1/2, runs the smaller sides on
     # smaller boxes: side 1 alone on the warm block (fractional), sides 3
-    # to 1 on the hot cell (power); hl or fractional and the power r = 1.5
-    # (c = 0.3), values and sign bits against the spread of every window
+    # to 1 on the hot cell (power); every length, which runs side n on the
+    # floor's boxes, and the lengths 1 to n - 1, one run on the support box;
+    # hl or fractional and the power r = 1.5 (c = 0.3), values and sign
+    # bits against the spread of every window
     n = 24
     box = ((-1.0, -1.0), (2.0, 2.0))
-    widths = _spread_calls(monkeypatch)
     phi = YoungFn.power(1.5, 0.3)
-    for name, vals in _band_inputs(n).items():
+    for name, vals in _strip_inputs(n).items():
         g = GridFunction(box, vals)
-        widths.clear()
-        for field, cube_values in (
-                (fractional_maximal(g, alpha), prefix_averages(g)),
-                (orlicz_maximal(g, phi, alpha=alpha),
-                 prefix_averages(g, phi.r, phi.c))):
-            ref = per_length_sweep(g, "all", cube_values, alpha)
-            assert _same_bits(field.values, ref), name
-        if name in _band_boxes(n):
-            # one run on the box, which writes its last level and a band
-            # for each side of the box off the grid's edge
-            (s0, e0), (s1, e1) = _band_boxes(n)[name]
-            edges = [s0 == 0, e0 == n, s1 == 0, e1 == n]
-            assert widths == [(1, 1)] * 2 * (5 - sum(edges)), name
-
-
-def test_every_length_2d_run_writes_the_field_at_most_five_times(
-        monkeypatch):
-    # a deterministic stand-in for a timing test: one run of consecutive
-    # sides (every length but n, on the support box) writes its four bands
-    # and its last level, one write less for each side of the box on an
-    # edge of the grid, where no strip is shed; the values are those of the
-    # per-length sweep.  On the ``fields`` benchmark's input, 256^2 noise
-    # with a 21^2 block of 30, the fractional sweep (alpha = 1/2) runs
-    # twice: the large sides on the whole grid, whose last level is the
-    # field, and the sides up to 64 on the block, which sheds 210 strips
-    # and writes 5 times (it wrote 211 times, a strip at a time)
-    widths = _spread_calls(monkeypatch)
-    n = 24
-    box = ((0.0, 0.0), (1.0, 1.0))
-    lengths = list(range(1, n))
-    for name, vals in _band_inputs(n).items():
-        if name == "graded":
-            continue
-        (s0, e0), (s1, e1) = _band_boxes(n)[name]
-        g = GridFunction(box, vals)
-        cube_values = maximal._averages(g)
-        widths.clear()
-        got = maximal._nested_max(g, lengths, cube_values, 0.5).values
-        edges = [s0 == 0, e0 == n, s1 == 0, e1 == n]
-        assert widths == [(1, 1)] + [(1, 1)] * (4 - sum(edges)), name
-        ref = per_length_sweep(g, lengths, prefix_averages(g), 0.5)
-        assert _same_bits(got, ref), name
-    rng = np.random.default_rng(3)
-    vals = rng.random((256, 256)) * 2.0
-    vals[21:42, 128:149] = 30.0
-    widths.clear()
-    fractional_maximal(GridFunction(((-1.0, -1.0), (1.0, 1.0)), vals), 0.5)
-    assert len(widths) == 5
+        for lengths in ("all", list(range(1, n))):
+            for field, cube_values in (
+                    (fractional_maximal(g, alpha, lengths=lengths),
+                     prefix_averages(g)),
+                    (orlicz_maximal(g, phi, alpha=alpha, lengths=lengths),
+                     prefix_averages(g, phi.r, phi.c))):
+                ref = per_length_sweep(g, lengths, cube_values, alpha)
+                assert _same_bits(field.values, ref), (name, lengths)
 
 
 # ---------------------------------------------------------------------------
